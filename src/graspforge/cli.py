@@ -1,7 +1,7 @@
 """Command-line interface: run grasps, perturb them, validate contact files.
 
 Exit codes: 0 success/stable, 2 completed-but-unstable (or unsuccessful),
-1 configuration or I/O error.  All file outputs are deterministic for a
+1 usage, configuration or I/O error.  All file outputs are deterministic for a
 given scenario + seed; CSV files carry an ISO-8601 timestamp comment line
 unless --no-timestamp is passed (JSON reports are always timestamp-free).
 """
@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -21,7 +22,7 @@ from .contact import ContactPoint
 from .controller import execute_grasp, write_trajectory_csv
 from .grasp_validation import ValidationConfig, validate_grasp
 from .metrics import summarize_run, write_metrics_csv
-from .perturbation import PerturbConfig, perturbation_test, write_samples_csv
+from .perturbation import perturbation_test, write_samples_csv
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -30,8 +31,16 @@ EXIT_UNSTABLE = 2
 _NORMAL_TOL = 1e-3
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, but this CLI reserves 2 for unstable grasps."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graspforge",
         description="Five-finger grasp synthesis and stability validation toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -39,7 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     scenario_args = argparse.ArgumentParser(add_help=False)
     scenario_args.add_argument("--scenario", default=None, metavar="PATH",
                                help="scenario YAML (default: bundled scenario)")
-    scenario_args.add_argument("--seed", type=int, default=None)
     scenario_args.add_argument("--steps", type=int, default=None,
                                help="override run.steps")
     scenario_args.add_argument("--hz", type=float, default=None)
@@ -49,18 +57,20 @@ def _build_parser() -> argparse.ArgumentParser:
                                help="override any scenario key, e.g. object.mass=0.3")
     scenario_args.add_argument("--no-timestamp", action="store_true",
                                help="omit the timestamp comment from CSV outputs")
-    scenario_args.add_argument("--repeat", type=int, default=1, metavar="N",
-                               help="run N times with consecutive seeds in"
-                                    " numbered subdirectories")
 
     p_run = sub.add_parser("run", parents=[scenario_args],
                            help="execute the grasp and report metrics")
     p_run.add_argument("--efficiency-basis", default="final_error",
                        choices=["final_error", "straight_line"])
 
-    sub.add_parser("perturb", parents=[scenario_args],
-                   help="execute the grasp, then stress it with random forces"
-                   ).add_argument("--iterations", type=int, default=None)
+    p_perturb = sub.add_parser("perturb", parents=[scenario_args],
+                               help="execute the grasp, then stress it with random forces")
+    p_perturb.add_argument("--iterations", type=int, default=None)
+    p_perturb.add_argument("--seed", type=int, default=None,
+                           help="override run.seed, the perturbation seed")
+    p_perturb.add_argument("--repeat", type=int, default=1, metavar="N",
+                           help="perturb the grasp N times with consecutive seeds"
+                                " in numbered subdirectories")
 
     p_val = sub.add_parser("validate", help="judge a JSON file of contact points")
     p_val.add_argument("contacts_json", metavar="CONTACTS_JSON")
@@ -69,8 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _flag_overrides(args) -> list[str]:
     overrides = list(args.overrides)
-    if args.seed is not None:
-        overrides.append(f"run.seed={args.seed}")
     if args.steps is not None:
         overrides.append(f"run.steps={args.steps}")
     if args.hz is not None:
@@ -91,14 +99,26 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _single_run(scenario, out_dir: str, timestamp: bool, efficiency_basis: str):
+def _out_dir(args, scenario) -> str:
+    if args.out:
+        return args.out
+    if scenario.output_dir:
+        return scenario.output_dir
+    return "graspforge_out"
+
+
+def cmd_run(args) -> int:
+    scenario = load_scenario(args.scenario or default_scenario_path(),
+                             _flag_overrides(args))
+    out_dir = _out_dir(args, scenario)
     os.makedirs(out_dir, exist_ok=True)
-    state, log, assessment = execute_grasp(
+    _, log, assessment = execute_grasp(
         scenario.scene, scenario.targets, scenario.run, scenario.ik,
         scenario.validation)
     metrics, summary = summarize_run(log, scenario.targets,
-                                     efficiency_basis=efficiency_basis)
+                                     efficiency_basis=args.efficiency_basis)
 
+    timestamp = not args.no_timestamp
     _write_text(os.path.join(out_dir, "trajectory.csv"),
                 lambda fh: write_trajectory_csv(log, fh), timestamp)
     _write_text(os.path.join(out_dir, "metrics.csv"),
@@ -116,65 +136,29 @@ def _single_run(scenario, out_dir: str, timestamp: bool, efficiency_basis: str):
     ok = assessment.stable and all(m.success for m in metrics)
     if not assessment.stable:
         print(f"grasp unstable: {assessment.failure_reason}")
-    return state, ok
-
-
-def _out_dir(args, scenario) -> str:
-    if args.out:
-        return args.out
-    if scenario.output_dir:
-        return scenario.output_dir
-    return "graspforge_out"
-
-
-def _repeat_seeds(args, scenario_path: str, extra: list[str]) -> list[int | None]:
-    """Seed per run: one entry of None for a plain run, consecutive for --repeat."""
-    if args.repeat < 1:
-        raise ConfigError("--repeat must be at least 1")
-    if args.repeat == 1:
-        return [None]
-    base = args.seed
-    if base is None:
-        base = load_scenario(scenario_path, _flag_overrides(args) + extra).seed
-    return [base + i for i in range(args.repeat)]
-
-
-def cmd_run(args) -> int:
-    scenario_path = args.scenario or default_scenario_path()
-    all_ok = True
-    for i, seed in enumerate(_repeat_seeds(args, scenario_path, [])):
-        overrides = _flag_overrides(args)
-        if seed is not None:
-            overrides.append(f"run.seed={seed}")
-        scenario = load_scenario(scenario_path, overrides)
-        out_dir = _out_dir(args, scenario)
-        if args.repeat > 1:
-            out_dir = os.path.join(out_dir, f"{i:03d}")
-        _, ok = _single_run(scenario, out_dir, not args.no_timestamp,
-                            args.efficiency_basis)
-        all_ok = all_ok and ok
-    return EXIT_OK if all_ok else EXIT_UNSTABLE
+    return EXIT_OK if ok else EXIT_UNSTABLE
 
 
 def cmd_perturb(args) -> int:
-    scenario_path = args.scenario or default_scenario_path()
-    iteration_override = ([] if args.iterations is None
-                          else [f"perturb.iterations={args.iterations}"])
-    all_passed = True
-    for i, seed in enumerate(_repeat_seeds(args, scenario_path, iteration_override)):
-        overrides = _flag_overrides(args) + iteration_override
-        if seed is not None:
-            overrides.append(f"run.seed={seed}")
-        scenario = load_scenario(scenario_path, overrides)
-        out_dir = _out_dir(args, scenario)
-        if args.repeat > 1:
-            out_dir = os.path.join(out_dir, f"{i:03d}")
-        os.makedirs(out_dir, exist_ok=True)
+    if args.repeat < 1:
+        raise ConfigError("--repeat must be at least 1")
+    overrides = _flag_overrides(args)
+    if args.seed is not None:
+        overrides.append(f"run.seed={args.seed}")
+    if args.iterations is not None:
+        overrides.append(f"perturb.iterations={args.iterations}")
+    scenario = load_scenario(args.scenario or default_scenario_path(), overrides)
+    out_root = _out_dir(args, scenario)
 
-        state, _, _ = execute_grasp(scenario.scene, scenario.targets,
-                                    scenario.run, scenario.ik, scenario.validation)
-        report = perturbation_test(scenario.scene, state, scenario.perturb,
-                                   scenario.validation)
+    # the seed reaches only the perturbation rounds, so one grasp serves every repeat
+    state, _, _ = execute_grasp(scenario.scene, scenario.targets,
+                                scenario.run, scenario.ik, scenario.validation)
+    all_passed = True
+    for i in range(args.repeat):
+        out_dir = out_root if args.repeat == 1 else os.path.join(out_root, f"{i:03d}")
+        os.makedirs(out_dir, exist_ok=True)
+        config = replace(scenario.perturb, seed=scenario.perturb.seed + i)
+        report = perturbation_test(scenario.scene, state, config, scenario.validation)
         _write_json(os.path.join(out_dir, "perturbation.json"), report.to_dict())
         _write_text(os.path.join(out_dir, "perturbation_samples.csv"),
                     lambda fh: write_samples_csv(report, fh), not args.no_timestamp)

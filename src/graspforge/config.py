@@ -6,9 +6,11 @@ silently running defaults.
 
   hand:       description_path, base_position, base_rpy
   object:     half_extents, pose {position, rpy}, mass
-  physics:    one key per physical parameter (applied to hand and object)
+  physics:    contact_stiffness (k in the contact force F = k * depth),
+              lateral_friction (validated; no computation reads it yet)
   targets:    finger -> {position, rpy}   (world frame; omit for built-ins)
-  run:        seed, steps, hz, joint_rate_limit, servo_gain, log_every
+  run:        seed (the perturbation seed), steps, hz, joint_rate_limit,
+              servo_gain, log_every
   ik:         max_iterations, residual_threshold, damping_lambda, step_scale
   validation: min_contacts, distribution_threshold, force_closure_threshold,
               min_contact_force
@@ -19,7 +21,7 @@ silently running defaults.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import yaml
 
@@ -40,9 +42,7 @@ class ConfigError(ValueError):
 _SCHEMA = {
     "hand": {"description_path", "base_position", "base_rpy"},
     "object": {"half_extents", "pose", "mass"},
-    "physics": {"lateral_friction", "spinning_friction", "rolling_friction",
-                "contact_stiffness", "contact_damping", "joint_damping",
-                "contact_force_threshold"},
+    "physics": {"lateral_friction", "contact_stiffness"},
     "targets": None,  # free finger names, each {position, rpy}
     "run": {"seed", "steps", "hz", "joint_rate_limit", "servo_gain", "log_every"},
     "ik": {"max_iterations", "residual_threshold", "damping_lambda", "step_scale"},
@@ -65,10 +65,7 @@ class ScenarioConfig:
     ik: IkConfig
     validation: ValidationConfig
     perturb: PerturbConfig
-    seed: int = 0
     output_dir: str | None = None
-    efficiency_basis: str = "final_error"
-    raw: dict = field(default_factory=dict, repr=False)
 
 
 def _require_vec3(value, where: str):
@@ -174,7 +171,7 @@ def build_scenario(data: dict, scenario_dir: str | None = None) -> ScenarioConfi
         raise ConfigError(f"object: {exc}") from None
 
     scene = Scene(chain=chain, hand_base=Pose.from_rpy(base_position, base_rpy),
-                  object=obj, hand_params=params)
+                  object=obj)
 
     if "targets" in data:
         if not isinstance(data["targets"], dict) or not data["targets"]:
@@ -204,8 +201,8 @@ def build_scenario(data: dict, scenario_dir: str | None = None) -> ScenarioConfi
         raise ConfigError("output_dir must be a string path")
 
     return ScenarioConfig(scene=scene, targets=targets, run=run, ik=ik,
-                          validation=validation, perturb=perturb, seed=seed,
-                          output_dir=output_dir, raw=data)
+                          validation=validation, perturb=perturb,
+                          output_dir=output_dir)
 
 
 def load_scenario(path: str, overrides: list[str] | None = None) -> ScenarioConfig:

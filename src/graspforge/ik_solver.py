@@ -32,7 +32,7 @@ _RESTART_FRACTIONS = (0.25, 0.75, 0.1, 0.9, 0.5)
 
 
 class IkConfigError(ValueError):
-    """Non-positive iteration budget, threshold, or damping."""
+    """Non-integer or non-positive iteration budget, non-positive threshold or damping."""
 
 
 @dataclass
@@ -43,6 +43,8 @@ class IkConfig:
     step_scale: float = 1.0
 
     def __post_init__(self):
+        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, int):
+            raise IkConfigError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise IkConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not self.residual_threshold > 0.0:

@@ -1,9 +1,9 @@
 """Robot description parsing for the five-finger hand.
 
 Reads a URDF-style XML subset (links with optional box / capsule / sphere
-collision geometry, revolute and fixed joints with origin / axis / limit /
-dynamics tags) into an immutable kinematic tree.  Visual, inertial and
-material elements are ignored; anything else unrecognized is an error.
+collision geometry, revolute and fixed joints with origin / axis / limit
+tags) into an immutable kinematic tree.  Visual, inertial, material and
+joint dynamics elements are ignored; anything else unrecognized is an error.
 
 Finger grouping is inferred from joint names: every movable joint named
 ``<finger>_<something>`` belongs to finger ``<finger>``.  When a finger
@@ -85,7 +85,6 @@ class JointSpec:
     axis: tuple[float, float, float] = (0.0, 0.0, 1.0)
     lower_limit: float = 0.0
     upper_limit: float = 0.0
-    damping: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -106,14 +105,12 @@ class KinematicChain:
     fingers: dict[str, Finger]
     # derived lookups, excluded from equality
     link_index: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
-    joint_index: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
     parent_joint: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
     path_to_link: dict[int, tuple[int, ...]] = field(default_factory=dict, compare=False, repr=False)
     finger_links: dict[str, tuple[int, ...]] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         self.link_index = {l.name: i for i, l in enumerate(self.links)}
-        self.joint_index = {j.name: i for i, j in enumerate(self.joints)}
         self.parent_joint = {j.child: i for i, j in enumerate(self.joints)}
         for li in range(len(self.links)):
             path = []
@@ -134,12 +131,6 @@ class KinematicChain:
             return self.fingers[name]
         except KeyError:
             raise UnknownFingerError(name) from None
-
-    def finger_of_joint(self, joint: int) -> Optional[str]:
-        for name, f in self.fingers.items():
-            if joint in f.joints:
-                return name
-        return None
 
 
 # --------------------------------------------------------------------------
@@ -191,7 +182,8 @@ def _parse_geometry(geom: ET.Element, where: str) -> Geometry:
 
 
 _IGNORED_LINK_CHILDREN = {"visual", "inertial", "contact"}
-_IGNORED_JOINT_CHILDREN = {"calibration", "mimic", "safety_controller"}
+_IGNORED_JOINT_CHILDREN = {"calibration", "dynamics", "mimic", "safety_controller"}
+_JOINT_CHILDREN = {"parent", "child", "origin", "axis", "limit"} | _IGNORED_JOINT_CHILDREN
 
 
 def parse_robot_description(text: str) -> KinematicChain:
@@ -251,6 +243,9 @@ def parse_robot_description(text: str) -> KinematicChain:
         joint_names.add(name)
         if kind not in ("revolute", "fixed"):
             raise RobotDescriptionError(f"joint {name!r}: unsupported type {kind!r}")
+        for sub in elem:
+            if sub.tag not in _JOINT_CHILDREN:
+                raise RobotDescriptionError(f"joint {name!r}: unsupported element <{sub.tag}>")
         parent_el = elem.find("parent")
         child_el = elem.find("child")
         if parent_el is None or child_el is None:
@@ -261,13 +256,9 @@ def parse_robot_description(text: str) -> KinematicChain:
         except KeyError as exc:
             raise RobotDescriptionError(f"joint {name!r}: unknown link {exc.args[0]!r}") from None
         origin = _parse_origin(elem.find("origin"), f"joint {name!r}")
-        damping = 0.0
-        dyn = elem.find("dynamics")
-        if dyn is not None:
-            damping = float(dyn.get("damping", "0"))
         if kind == "fixed":
             joints.append(JointSpec(name=name, kind=kind, parent=parent, child=child_link,
-                                    origin=origin, damping=damping))
+                                    origin=origin))
             continue
         axis_el = elem.find("axis")
         axis = np.array(_parse_vec3(axis_el.get("xyz") if axis_el is not None else None,
@@ -284,7 +275,7 @@ def parse_robot_description(text: str) -> KinematicChain:
             raise ValidationError(f"joint {name!r}: lower limit exceeds upper limit")
         joints.append(JointSpec(name=name, kind=kind, parent=parent, child=child_link,
                                 origin=origin, axis=tuple(float(a) for a in axis),
-                                lower_limit=lower, upper_limit=upper, damping=damping))
+                                lower_limit=lower, upper_limit=upper))
 
     return _build_chain(tuple(links), tuple(joints))
 
@@ -414,21 +405,9 @@ def serialize_robot_description(chain: KinematicChain) -> str:
         if j.kind == "revolute":
             out.append(f'    <axis xyz="{_fmt(j.axis)}"/>')
             out.append(f'    <limit lower="{repr(float(j.lower_limit))}" upper="{repr(float(j.upper_limit))}"/>')
-        if j.damping != 0.0:
-            out.append(f'    <dynamics damping="{repr(float(j.damping))}"/>')
         out.append('  </joint>')
     out.append('</robot>')
     return "\n".join(out) + "\n"
-
-
-# --------------------------------------------------------------------------
-# convenience accessors
-
-
-def finger_joint_limits(chain: KinematicChain, finger: str) -> list[tuple[float, float]]:
-    """(lower, upper) per movable joint of `finger`, base-to-tip order."""
-    f = chain.finger(finger)
-    return [(chain.joints[ji].lower_limit, chain.joints[ji].upper_limit) for ji in f.joints]
 
 
 def load_robot_description(path: str) -> KinematicChain:

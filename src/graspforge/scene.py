@@ -34,26 +34,13 @@ class SceneError(ValueError):
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Contact and joint physics constants shared by hand and object."""
+    """Contact constants of the object surface."""
 
     lateral_friction: float = 1.0
-    spinning_friction: float = 0.1
-    rolling_friction: float = 0.1
     contact_stiffness: float = 10000.0  # N/m
-    contact_damping: float = 1.0
-    joint_damping: float = 0.5
-    contact_force_threshold: float = 0.5  # N
 
     def __post_init__(self):
-        for name in (
-            "lateral_friction",
-            "spinning_friction",
-            "rolling_friction",
-            "contact_stiffness",
-            "contact_damping",
-            "joint_damping",
-            "contact_force_threshold",
-        ):
+        for name in ("lateral_friction", "contact_stiffness"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0.0:
                 raise SceneError(f"{name} must be finite and >= 0, got {value!r}")
@@ -83,7 +70,6 @@ class Scene:
     chain: KinematicChain
     hand_base: Pose
     object: SceneObject
-    hand_params: PhysicalParams = field(default_factory=PhysicalParams)
 
 
 def make_box_object(

@@ -25,19 +25,6 @@ def rpy_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:
     ])
 
 
-def matrix_to_rpy(R: np.ndarray) -> tuple[float, float, float]:
-    """Inverse of rpy_matrix. Gimbal-locked inputs resolve with roll = 0."""
-    sp = -R[2, 0]
-    if abs(sp) >= 1.0 - 1e-12:
-        # pitch at +-pi/2: roll and yaw are coupled, pick roll = 0
-        pitch = np.pi / 2.0 if sp > 0 else -np.pi / 2.0
-        return 0.0, float(pitch), float(np.arctan2(-R[0, 1], R[1, 1]))
-    pitch = np.arcsin(sp)
-    roll = np.arctan2(R[2, 1], R[2, 2])
-    yaw = np.arctan2(R[1, 0], R[0, 0])
-    return float(roll), float(pitch), float(yaw)
-
-
 def axis_angle_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
     """Rodrigues rotation about a unit axis."""
     x, y, z = axis
@@ -101,21 +88,8 @@ class Transform:
     def translation(self) -> np.ndarray:
         return np.array(self.xyz, dtype=float)
 
-    def apply(self, point: np.ndarray) -> np.ndarray:
-        return self.rotation() @ np.asarray(point, dtype=float) + self.translation()
-
-    def compose(self, other: "Transform") -> "Transform":
-        """self ∘ other (apply `other` first in the child frame)."""
-        R = self.rotation() @ other.rotation()
-        t = self.rotation() @ other.translation() + self.translation()
-        return Transform(xyz=tuple(float(v) for v in t), rpy=matrix_to_rpy(R))
-
 
 def compose_rt(Ra: np.ndarray, ta: np.ndarray,
                Rb: np.ndarray, tb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Compose two (rotation, translation) pairs: result = A ∘ B."""
     return Ra @ Rb, Ra @ tb + ta
-
-
-def invert_rt(R: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return R.T, -(R.T @ t)

@@ -65,14 +65,6 @@ class TestRun:
         # JSON reports never carry a timestamp either way
         assert (tmp_path / "metrics.json").read_text().startswith("{")
 
-    def test_repeat_runs_land_in_numbered_subdirs(self, tmp_path):
-        code = run_cli("run", "--set", FAR_BOX, "--steps", "3", "--repeat", "2",
-                       "--seed", "10", "--out", str(tmp_path))
-        assert code == EXIT_UNSTABLE
-        assert (tmp_path / "000" / "metrics.json").exists()
-        assert (tmp_path / "001" / "metrics.json").exists()
-        assert not (tmp_path / "002").exists()
-
     def test_steps_flag_controls_the_log_length(self, tmp_path):
         run_cli("run", "--set", FAR_BOX, "--steps", "7", "--no-timestamp",
                 "--out", str(tmp_path))
@@ -109,6 +101,15 @@ class TestPerturb:
                        "--out", str(tmp_path))
         assert code == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
+
+    def test_repeat_runs_land_in_numbered_subdirs(self, tmp_path):
+        code = run_cli("perturb", "--set", FAR_BOX, "--steps", "3", "--repeat", "2",
+                       "--seed", "10", "--out", str(tmp_path))
+        assert code == EXIT_UNSTABLE
+        seeds = [json.loads((tmp_path / sub / "perturbation.json").read_text())["seed"]
+                 for sub in ("000", "001")]
+        assert seeds == [10, 11]
+        assert not (tmp_path / "002").exists()
 
 
 class TestValidate:
@@ -190,9 +191,29 @@ class TestErrorHandling:
         assert "unknown key" in capsys.readouterr().err
 
     def test_repeat_must_be_positive(self, tmp_path, capsys):
-        code = run_cli("run", "--repeat", "0", "--out", str(tmp_path))
+        code = run_cli("perturb", "--repeat", "0", "--out", str(tmp_path))
         assert code == EXIT_ERROR
         assert "--repeat" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["ik.max_iterations=1.5", "perturb.iterations=2.5"])
+    def test_non_integer_count_is_a_config_error(self, tmp_path, capsys, key):
+        code = run_cli("perturb", "--set", key, "--out", str(tmp_path))
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be an integer" in err
+
+    # argparse's own status for these is 2, which would read as an unstable grasp
+    @pytest.mark.parametrize("argv", [
+        ["run", "--bogus"],
+        ["run", "--steps", "abc"],
+        ["run", "--seed", "5"],
+    ])
+    def test_usage_error_exits_1(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--out", str(tmp_path))
+        assert exc.value.code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("usage: graspforge") and "error: " in err
 
 
 def test_out_dir_defaults_to_scenario_output_dir(tmp_path, monkeypatch):

@@ -47,8 +47,7 @@ def _mini_scene(urdf, box_center, half=(0.02, 0.02, 0.02)):
     chain = parse_robot_description(urdf)
     params = PhysicalParams()
     obj = make_box_object(half, Pose(position=box_center), 0.1, params)
-    scene = Scene(chain=chain, hand_base=Pose(position=(0, 0, 0)), object=obj,
-                  hand_params=params)
+    scene = Scene(chain=chain, hand_base=Pose(position=(0, 0, 0)), object=obj)
     return scene, JointState(values={0: 0.0})
 
 
@@ -145,7 +144,7 @@ class TestDetectContacts:
         assert np.allclose(c.normal, [-1.0, 0.0, 0.0], atol=1e-12)
         assert c.penetration_depth == pytest.approx(0.005)
         assert c.normal_force == pytest.approx(
-            scene.hand_params.contact_stiffness * c.penetration_depth)
+            scene.object.params.contact_stiffness * c.penetration_depth)
 
     def test_sphere_clear_of_box_reports_nothing(self):
         scene, state = _mini_scene(SPHERE_FINGER, box_center=(0.2, 0.0, 0.0))
@@ -171,7 +170,7 @@ class TestDetectContacts:
         state, _, _ = grasp_run
         contacts = detect_contacts(scenario.scene, state)
         assert len(contacts) >= 4
-        k = scenario.scene.hand_params.contact_stiffness
+        k = scenario.scene.object.params.contact_stiffness
         half = np.asarray(scenario.scene.object.half_extents)
         R = scenario.scene.object.pose.rotation()
         center = scenario.scene.object.pose.position

@@ -134,9 +134,8 @@ class TestExecuteGrasp:
         scene = scenario.scene
         far = make_box_object(scene.object.half_extents,
                               Pose(position=(5.0, 0.0, 0.188)), scene.object.mass,
-                              scene.hand_params)
-        far_scene = Scene(chain=scene.chain, hand_base=scene.hand_base, object=far,
-                          hand_params=scene.hand_params)
+                              scene.object.params)
+        far_scene = Scene(chain=scene.chain, hand_base=scene.hand_base, object=far)
         run = RunConfig(max_steps=30)
         _, log, assessment = execute_grasp(far_scene, scenario.targets, run,
                                            scenario.ik, scenario.validation)

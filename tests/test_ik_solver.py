@@ -124,6 +124,8 @@ def test_step_scale_shrinks_updates(two_link):
     {"damping_lambda": -0.1},
     {"step_scale": 0.0},
     {"step_scale": 1.5},
+    {"max_iterations": 1.5},
+    {"max_iterations": True},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(IkConfigError):

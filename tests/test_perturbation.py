@@ -174,6 +174,8 @@ def test_samples_csv_is_plain_numbers():
     {"iterations": 0},
     {"force_bound": -1.0},
     {"displacement_threshold": 0.0},
+    {"iterations": 2.5},
+    {"iterations": True},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(PerturbConfigError):

@@ -4,7 +4,7 @@ from graspforge.robot_model import (CANONICAL_FINGERS, OTHER_FINGER_DOF, THUMB_D
                                     CapsuleGeometry, RobotDescriptionError,
                                     UnknownFingerError, ValidationError,
                                     bundled_data_dir, bundled_hand_path,
-                                    finger_joint_limits, load_robot_description,
+                                    load_robot_description,
                                     parse_robot_description,
                                     serialize_robot_description)
 
@@ -53,21 +53,9 @@ class TestBundledHand:
         again = parse_robot_description(serialize_robot_description(chain))
         assert again == chain
 
-    def test_finger_joint_limits_shape(self, chain):
-        limits = finger_joint_limits(chain, "index")
-        assert len(limits) == OTHER_FINGER_DOF
-        assert all(lo <= hi for lo, hi in limits)
-
     def test_unknown_finger(self, chain):
         with pytest.raises(UnknownFingerError):
             chain.finger("tentacle")
-        with pytest.raises(UnknownFingerError):
-            finger_joint_limits(chain, "tentacle")
-
-    def test_finger_of_joint(self, chain):
-        f = chain.fingers["ring"]
-        assert chain.finger_of_joint(f.joints[0]) == "ring"
-        assert chain.finger_of_joint(10 ** 6) is None
 
 
 class TestParserErrors:
@@ -120,6 +108,15 @@ class TestParserErrors:
                    "<child link='b'/><axis xyz='0 0 0'/>"
                    "<limit lower='-1' upper='1'/></joint>")
         with pytest.raises(RobotDescriptionError, match="axis"):
+            parse_robot_description(doc)
+
+    def test_unknown_joint_child(self):
+        # a misspelt <axis> must not fall back to the default +Z axis
+        doc = _doc("<link name='a'/><link name='b'/>",
+                   "<joint name='f_j' type='revolute'><parent link='a'/>"
+                   "<child link='b'/><axes xyz='1 0 0'/>"
+                   "<limit lower='-1' upper='1'/></joint>")
+        with pytest.raises(RobotDescriptionError, match="unsupported element <axes>"):
             parse_robot_description(doc)
 
 

@@ -58,8 +58,7 @@ class TestScene:
                                       scene.object.mass)
         moved = default_grasp_targets(type(scene)(chain=scene.chain,
                                                   hand_base=scene.hand_base,
-                                                  object=shifted_obj,
-                                                  hand_params=scene.hand_params))
+                                                  object=shifted_obj))
         for f in base:
             delta = moved[f].position - base[f].position
             assert np.allclose(delta, [0.01, 0.0, 0.0], atol=1e-12)
@@ -69,8 +68,7 @@ class TestScene:
         rotated = make_box_object(scene.object.half_extents,
                                   Pose.from_rpy(DEFAULT_BOX_POSITION, (0, 0, 0.3)),
                                   scene.object.mass)
-        bad = type(scene)(chain=chain, hand_base=scene.hand_base, object=rotated,
-                          hand_params=scene.hand_params)
+        bad = type(scene)(chain=chain, hand_base=scene.hand_base, object=rotated)
         with pytest.raises(SceneError, match="axis-aligned"):
             default_grasp_targets(bad)
 
@@ -87,7 +85,7 @@ class TestScene:
     @pytest.mark.parametrize("kwargs", [
         {"lateral_friction": -0.1},
         {"contact_stiffness": 0.0},
-        {"joint_damping": float("nan")},
+        {"contact_stiffness": float("nan")},
     ])
     def test_physical_params_guards(self, kwargs):
         with pytest.raises(SceneError):
@@ -98,7 +96,6 @@ class TestScenarioFile:
     def test_bundled_scenario_loads(self, scenario):
         assert scenario.run.hz == 240.0
         assert scenario.run.max_steps == 400
-        assert scenario.seed == 42
         assert scenario.perturb.seed == 42
         assert scenario.validation.min_contacts == 4
         assert set(scenario.targets) == set(scenario.scene.chain.fingers)
@@ -111,7 +108,7 @@ class TestScenarioFile:
     def test_empty_mapping_uses_all_defaults(self):
         sc = build_scenario({})
         assert sc.run.hz == 240.0
-        assert sc.seed == 0
+        assert sc.perturb.seed == 0
         assert set(sc.targets) == set(sc.scene.chain.fingers)
 
     def test_unknown_section_rejected(self):
@@ -195,5 +192,4 @@ class TestOverrides:
 
     def test_seed_override_reaches_perturb_config(self):
         sc = build_scenario(apply_overrides({}, ["run.seed=99"]))
-        assert sc.seed == 99
         assert sc.perturb.seed == 99
