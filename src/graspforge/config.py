@@ -10,7 +10,7 @@ silently running defaults.
               lateral_friction (validated; no computation reads it yet)
   targets:    finger -> {position, rpy}   (world frame; omit for built-ins)
   run:        seed (the perturbation seed), steps, hz, joint_rate_limit,
-              servo_gain, log_every
+              servo_gain, log_every; seed, steps and log_every are integers
   ik:         max_iterations, residual_threshold, damping_lambda, step_scale
   validation: min_contacts, distribution_threshold, force_closure_threshold,
               min_contact_force
@@ -164,9 +164,11 @@ def build_scenario(data: dict, scenario_dir: str | None = None) -> ScenarioConfi
                                  "object.half_extents")
     pose = _pose_from_mapping(obj_data.get("pose", {"position": list(defaults.object.pose.position)}),
                               "object.pose")
-    mass = float(obj_data.get("mass", defaults.object.mass))
+    mass = obj_data.get("mass", defaults.object.mass)
+    if isinstance(mass, bool) or not isinstance(mass, (int, float)):
+        raise ConfigError(f"object.mass must be a number, got {mass!r}")
     try:
-        obj = make_box_object(half_extents, pose, mass, params)
+        obj = make_box_object(half_extents, pose, float(mass), params)
     except ValueError as exc:
         raise ConfigError(f"object: {exc}") from None
 
@@ -185,9 +187,9 @@ def build_scenario(data: dict, scenario_dir: str | None = None) -> ScenarioConfi
         targets = default_grasp_targets(scene)
 
     run_data = dict(data.get("run", {}))
-    seed = int(run_data.pop("seed", 0))
+    seed = run_data.pop("seed", 0)
     if "steps" in run_data:
-        run_data["max_steps"] = int(run_data.pop("steps"))
+        run_data["max_steps"] = run_data.pop("steps")
     try:
         run = RunConfig(**run_data)
         ik = IkConfig(**data.get("ik", {}))

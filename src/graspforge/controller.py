@@ -48,6 +48,10 @@ class RunConfig:
     log_every: int = 1
 
     def __post_init__(self):
+        for name in ("max_steps", "log_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise RunConfigError(f"{name} must be an integer, got {value!r}")
         if not self.hz > 0.0:
             raise RunConfigError("hz must be > 0")
         if self.max_steps < 1:

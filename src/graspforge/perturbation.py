@@ -28,7 +28,7 @@ _NULL_SPACE_RTOL = 1e-9
 
 
 class PerturbConfigError(ValueError):
-    """Raised for a non-integer or non-positive iteration count, bound, or threshold."""
+    """Raised for a non-integer seed or iteration count, or a non-positive count, bound, or threshold."""
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,10 @@ class PerturbConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.iterations, bool) or not isinstance(self.iterations, int):
-            raise PerturbConfigError(f"iterations must be an integer, got {self.iterations!r}")
+        for name in ("iterations", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise PerturbConfigError(f"{name} must be an integer, got {value!r}")
         if self.iterations < 1:
             raise PerturbConfigError(f"iterations must be >= 1, got {self.iterations}")
         if not self.force_bound >= 0.0:  # zero = degenerate no-force probe, allowed

@@ -195,12 +195,20 @@ class TestErrorHandling:
         assert code == EXIT_ERROR
         assert "--repeat" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["ik.max_iterations=1.5", "perturb.iterations=2.5"])
+    @pytest.mark.parametrize("key", ["ik.max_iterations=1.5", "perturb.iterations=2.5",
+                                     "run.seed=1.7", "run.seed=true", "run.steps=2.5",
+                                     "run.log_every=1.5"])
     def test_non_integer_count_is_a_config_error(self, tmp_path, capsys, key):
         code = run_cli("perturb", "--set", key, "--out", str(tmp_path))
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "must be an integer" in err
+
+    @pytest.mark.parametrize("key", ["run.seed=[1]", "run.steps=[1]", "object.mass=[1]"])
+    def test_list_for_a_number_is_a_config_error(self, tmp_path, capsys, key):
+        code = run_cli("perturb", "--set", key, "--out", str(tmp_path))
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
 
     # argparse's own status for these is 2, which would read as an unstable grasp
     @pytest.mark.parametrize("argv", [

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graspforge.contact import closest_point_box, detect_contacts
+from graspforge.contact import _deepest_on_segment, closest_point_box, detect_contacts
 from graspforge.kinematics import JointState, Pose
 from graspforge.robot_model import parse_robot_description
 from graspforge.scene import PhysicalParams, Scene, make_box_object
+from graspforge.transforms import axis_angle_matrix, matrix_to_quat
 
 # single revolute finger carrying a sphere fingertip 50 mm out along +x
 SPHERE_FINGER = """
@@ -43,10 +44,10 @@ CAPSULE_FINGER = """
 """
 
 
-def _mini_scene(urdf, box_center, half=(0.02, 0.02, 0.02)):
+def _mini_scene(urdf, box_center, half=(0.02, 0.02, 0.02), orientation=(0.0, 0.0, 0.0, 1.0)):
     chain = parse_robot_description(urdf)
     params = PhysicalParams()
-    obj = make_box_object(half, Pose(position=box_center), 0.1, params)
+    obj = make_box_object(half, Pose(position=box_center, orientation=orientation), 0.1, params)
     scene = Scene(chain=chain, hand_base=Pose(position=(0, 0, 0)), object=obj)
     return scene, JointState(values={0: 0.0})
 
@@ -132,6 +133,108 @@ def _surface_grid(half, step):
     return np.concatenate(faces)
 
 
+def _sdf_oracle(points, box):
+    """Box signed distance of world points, by the textbook formula."""
+    local = (np.atleast_2d(points) - box.pose.position) @ box.pose.rotation()
+    q = np.abs(local) - np.asarray(box.half_extents)
+    return (np.linalg.norm(np.maximum(q, 0.0), axis=1)
+            + np.minimum(np.max(q, axis=1), 0.0))
+
+
+def _segment_min(box, a, b):
+    """(t, signed distance) that the narrow phase picks on world segment ab."""
+    R = box.pose.rotation()
+    a_local = R.T @ (a - box.pose.position)
+    t = _deepest_on_segment(a_local, R.T @ (b - a), np.asarray(box.half_extents))
+    assert 0.0 <= t <= 1.0
+    return t, closest_point_box(a + t * (b - a), box)[2]
+
+
+_ORACLE_BOX = dict(center=(0.01, -0.02, 0.03), half=(0.03, 0.02, 0.04), rpy=(0.4, -0.7, 1.1))
+_HX, _HY, _HZ = _ORACLE_BOX["half"]
+
+
+def _box_to_world(points):
+    box = _box(**_ORACLE_BOX)
+    return box.pose.rotation() @ np.asarray(points, dtype=float) + box.pose.position
+
+
+class TestDeepestOnSegment:
+    @pytest.mark.parametrize("a_local, b_local", [
+        # fully inside
+        ((-0.02, -0.01, -0.03), (0.025, 0.015, 0.02)),
+        # parallel to the +z face, outside, overlapping it in x
+        ((-0.05, 0.0, 0.05), (0.01, 0.0, 0.05)),
+        # parallel to the +y face, inside
+        ((-0.025, 0.015, -0.03), (0.025, 0.015, 0.03)),
+        # grazing the (+x, +y) edge: crosses the edge line at distance 0
+        ((_HX + 0.01, _HY - 0.01, 0.0), (_HX - 0.01, _HY + 0.01, 0.0)),
+        # grazing the same edge from outside, 1 um clear
+        ((_HX + 0.01 + 1e-6, _HY - 0.01 + 1e-6, 0.0), (_HX - 0.01 + 1e-6, _HY + 0.01 + 1e-6, 0.0)),
+        # zero length, outside and inside
+        ((0.05, 0.04, -0.06), (0.05, 0.04, -0.06)),
+        ((0.01, 0.0, 0.01), (0.01, 0.0, 0.01)),
+        # through the box, corner to corner and beyond
+        ((-0.06, -0.05, -0.07), (0.06, 0.05, 0.07)),
+        # passing a corner region, far outside
+        ((0.1, 0.1, -0.2), (0.2, -0.05, 0.1)),
+    ])
+    def test_matches_dense_segment_sampling(self, a_local, b_local):
+        box = _box(**_ORACLE_BOX)
+        a, b = _box_to_world(a_local), _box_to_world(b_local)
+        _, sd = _segment_min(box, a, b)
+        ts = np.linspace(0.0, 1.0, 20001)
+        dense = _sdf_oracle(a + ts[:, None] * (b - a), box).min()
+        assert sd <= dense + 1e-12
+        # the SDF is 1-Lipschitz, so no point of ab lies below the sampled
+        # minimum by more than half a sample spacing
+        assert sd >= dense - np.linalg.norm(b - a) / 40000 - 1e-12
+
+    def test_random_segments_match_dense_sampling(self):
+        rng = np.random.default_rng(7)
+        ts = np.linspace(0.0, 1.0, 20001)
+        for _ in range(100):
+            box = _box(center=rng.uniform(-0.05, 0.05, 3), half=rng.uniform(0.005, 0.05, 3),
+                       rpy=rng.uniform(-np.pi, np.pi, 3))
+            a = rng.uniform(-0.1, 0.1, 3)
+            b = a + rng.normal(size=3) * rng.uniform(0.0, 0.08)
+            _, sd = _segment_min(box, a, b)
+            dense = _sdf_oracle(a + ts[:, None] * (b - a), box).min()
+            assert sd <= dense + 1e-12
+            assert sd >= dense - np.linalg.norm(b - a) / 40000 - 1e-12
+
+    @given(st.lists(st.floats(-0.1, 0.1), min_size=3, max_size=3),
+           st.lists(st.floats(-0.1, 0.1), min_size=3, max_size=3),
+           st.lists(st.floats(0.002, 0.06), min_size=3, max_size=3),
+           st.floats(-3, 3), st.floats(-1.5, 1.5), st.floats(-3, 3),
+           st.booleans(), st.lists(st.floats(0.0, 1.0), max_size=20))
+    def test_no_sampled_point_is_deeper(self, a, b, half, roll, pitch, yaw, degenerate, extra_ts):
+        """The returned point's SDF is <= the SDF at any sampled t, + 1e-12."""
+        box = _box(center=(0.01, 0.0, -0.02), half=half, rpy=(roll, pitch, yaw))
+        a = np.asarray(a)
+        b = a.copy() if degenerate else np.asarray(b)
+        _, sd = _segment_min(box, a, b)
+        ts = np.concatenate((np.linspace(0.0, 1.0, 401), extra_ts))
+        assert sd <= _sdf_oracle(a + ts[:, None] * (b - a), box).min() + 1e-12
+
+    def test_ties_go_to_the_smallest_t(self):
+        # parallel to the +z face, 1 cm under it: the SDF is -0.01 wherever
+        # |x| <= 0.09, i.e. on t in [0.275, 0.725]
+        half = np.array([0.1, 0.1, 0.1])
+        a, b = np.array([-0.2, 0.03, 0.09]), np.array([0.2, 0.03, 0.09])
+        t = _deepest_on_segment(a, b - a, half)
+        assert t == pytest.approx(0.275, abs=1e-12)
+        t_rev = _deepest_on_segment(b, a - b, half)
+        assert t_rev == pytest.approx(0.275, abs=1e-12)
+        # a segment inside the flat stretch from end to end resolves to t = 0
+        c = np.array([-0.05, 0.03, 0.09])
+        assert _deepest_on_segment(c, np.array([0.1, 0.0, 0.0]), half) == 0.0
+
+    def test_zero_length_segment_returns_its_start(self):
+        a = np.array([0.3, -0.2, 0.05])
+        assert _deepest_on_segment(a, np.zeros(3), np.array([0.1, 0.1, 0.1])) == 0.0
+
+
 class TestDetectContacts:
     def test_sphere_penetration_depth_and_force(self):
         # ball center (0.05,0,0), box -x face at 0.055: 5 mm gap, 10 mm radius
@@ -160,6 +263,47 @@ class TestDetectContacts:
         assert np.allclose(c.position, [0.075, 0.0, -0.005], atol=1e-6)
         assert np.allclose(c.normal, [-np.sqrt(0.5), 0.0, np.sqrt(0.5)], atol=1e-6)
         assert c.penetration_depth == pytest.approx(0.01 - gap, abs=1e-8)
+
+    def test_capsule_parallel_to_a_face_touches_at_its_start(self):
+        # rod x in [0.03, 0.07] at z = 0, 5 mm under the box's top face and
+        # >= 20 mm from its x faces: every rod point is equally deep, so the
+        # tie rule picks the segment start, x = 0.03
+        scene, state = _mini_scene(CAPSULE_FINGER, box_center=(0.05, 0.0, -0.015),
+                                   half=(0.04, 0.02, 0.02))
+        contacts = detect_contacts(scene, state)
+        assert len(contacts) == 1
+        c = contacts[0]
+        assert np.allclose(c.position, [0.03, 0.0, 0.005], atol=1e-12)
+        assert np.allclose(c.normal, [0.0, 0.0, 1.0], atol=1e-12)
+        assert c.penetration_depth == pytest.approx(0.015, abs=1e-12)
+
+    @pytest.mark.parametrize("slack, touches", [(1e-6, True), (-1e-6, False)])
+    def test_bounding_sphere_reject_is_tight_at_a_corner(self, slack, touches):
+        # box corner pointing straight at the rod tip: the capsule reaches the
+        # box only along this line, where |center - box center| is exactly
+        # length/2 + radius + |half|, so the reject bound has no slack
+        half = np.array([0.02, 0.02, 0.02])
+        diagonal = np.ones(3) / np.sqrt(3.0)
+        x = np.array([1.0, 0.0, 0.0])
+        axis = np.cross(diagonal, x)
+        R = axis_angle_matrix(axis / np.linalg.norm(axis), np.arccos(diagonal @ x))
+        reach = 0.02 + 0.01 + np.linalg.norm(half)  # length/2 + radius + |half|
+        center = (0.05 + reach - slack, 0.0, 0.0)
+        scene, state = _mini_scene(CAPSULE_FINGER, box_center=center, half=half,
+                                   orientation=matrix_to_quat(R))
+        contacts = detect_contacts(scene, state)
+        if not touches:
+            assert contacts == []
+            return
+        assert len(contacts) == 1
+        c = contacts[0]
+        assert np.allclose(c.position, [0.08 - slack, 0.0, 0.0], atol=1e-9)
+        assert c.penetration_depth == pytest.approx(slack, abs=1e-9)
+
+    def test_capsule_far_from_box_reports_nothing(self):
+        for center in [(1.0, 0.0, 0.0), (0.05, 0.2, 0.0), (-0.5, -0.5, 0.5)]:
+            scene, state = _mini_scene(CAPSULE_FINGER, box_center=center)
+            assert detect_contacts(scene, state) == []
 
     def test_joint_motion_moves_the_contact(self):
         scene, _ = _mini_scene(SPHERE_FINGER, box_center=(0.075, 0.0, 0.0))

@@ -21,6 +21,10 @@ class TestRunConfig:
         {"joint_rate_limit": -1.0},
         {"servo_gain": -0.5},
         {"log_every": 0},
+        {"max_steps": 2.5},
+        {"max_steps": True},
+        {"log_every": 1.5},
+        {"log_every": True},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(RunConfigError):
@@ -74,6 +78,15 @@ class TestExecuteGrasp:
         assert assessment.stable
         assert assessment.contact_count >= scenario.validation.min_contacts
         assert len(log.steps) <= scenario.run.max_steps
+
+    def test_bundled_run_steps_are_pinned(self, scenario, grasp_run):
+        """The bundled grasp first validates at step 115 and holds 50 steps."""
+        _, log, _ = grasp_run
+        assert scenario.run.log_every == 1  # one log entry per control step
+        assert len(log.steps) == 165
+        first_monitor = next(step for step, s in enumerate(log.steps, start=1)
+                             if s.phase == PHASE_MONITOR)
+        assert first_monitor == 115
 
     def test_phases_advance_in_order(self, grasp_run):
         _, log, _ = grasp_run

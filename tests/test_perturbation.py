@@ -176,6 +176,8 @@ def test_samples_csv_is_plain_numbers():
     {"displacement_threshold": 0.0},
     {"iterations": 2.5},
     {"iterations": True},
+    {"seed": 1.7},
+    {"seed": True},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(PerturbConfigError):
