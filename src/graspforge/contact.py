@@ -5,7 +5,8 @@ oriented box.  Each (finger link, box) pair contributes at most one contact:
 the deepest penetrating point of the link surface.  Forces follow the
 quasi-static spring law F = k * depth with the object's contact stiffness.
 
-Narrow phase, all in the box frame:
+Narrow phase, all in the box frame, after one forward-kinematics pass
+(`link_frames`) gives every finger link's frame:
   * A shape whose bounding sphere cannot reach the box's bounding sphere,
     |center - box center| > length/2 + radius + |half extents|, is skipped.
     The test is exact: such a shape cannot touch the box.
@@ -19,10 +20,12 @@ Narrow phase, all in the box frame:
     max_i(+-p_i(t) - h_i), a convex piecewise-linear function whose minimum
     lies at an endpoint or where two of the six affine pieces are equal.
     The signed distance is evaluated at this candidate set and the minimum
-    taken.
+    taken.  All capsules that pass the reject are solved in one batch; rows
+    with fewer candidates are padded with inf.
   * Tie rule: when the minimizer is not unique (a segment parallel to a
-    face, for instance), the smallest t among the candidates that reach the
-    minimum wins.
+    face, or two candidates naming the same kink), the smallest t whose
+    signed distance is within _TIE_TOLERANCE of the minimum wins, so float
+    rounding of equal distances does not pick the winner.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import JointState, link_transform
+from .kinematics import JointState, link_frames
 from .robot_model import CapsuleGeometry, SphereGeometry
 from .scene import Scene, SceneObject
 
@@ -39,6 +42,13 @@ from .scene import Scene, SceneObject
 # of the segment signed distance: +p_i - h_i and -p_i - h_i for each axis,
 # and the constant 0 (its crossings are the +-h knots).
 _PAIR_I, _PAIR_J = np.triu_indices(7, 1)
+
+# Float-error bound on the signed distance at a candidate, in meters.  Box
+# frame coordinates of a hand-scale scene are below 1 m, where one float64
+# ulp is 2.2e-16 m; the signed distance at a candidate is a handful of
+# roundings from the segment data (crossing, a + t d, |p| - h, the norm), so
+# candidates whose distances differ by less than ~4.5 ulps are ties.
+_TIE_TOLERANCE = 1e-15
 
 
 @dataclass(frozen=True)
@@ -57,8 +67,8 @@ class ContactPoint:
 
 def _closest_point_local(p: np.ndarray, half: np.ndarray):
     """Closest surface point / outward normal / signed distance, box frame."""
-    q = np.clip(p, -half, half)
-    if np.any(np.abs(p) > half):  # outside: clamp projects onto the surface
+    q = p.clip(-half, half)
+    if (np.abs(p) > half).any():  # outside: clamp projects onto the surface
         offset = p - q
         dist = float(np.linalg.norm(offset))
         return q, offset / dist, dist
@@ -88,34 +98,56 @@ def closest_point_box(point, box: SceneObject):
 
 
 def _box_sdf(points: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """Signed distance of each row of `points` to the box, box frame."""
+    """Signed distance to the box of each point along the last axis, box frame."""
     q = np.abs(points) - half
     outside = np.maximum(q, 0.0)
-    return np.where(np.any(q > 0.0, axis=1),
-                    np.sqrt(np.sum(outside * outside, axis=1)),
-                    np.max(q, axis=1))
+    return np.where((q > 0.0).any(axis=-1),
+                    np.sqrt((outside * outside).sum(axis=-1)),
+                    q.max(axis=-1))
 
 
-def _deepest_on_segment(a: np.ndarray, d: np.ndarray, half: np.ndarray) -> float:
-    """Smallest t in [0, 1] minimizing the box signed distance at a + t d (box frame)."""
-    slope = np.concatenate((d, -d, (0.0,)))
-    offset = np.concatenate((a - half, -a - half, (0.0,)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cross = (offset[_PAIR_J] - offset[_PAIR_I]) / (slope[_PAIR_I] - slope[_PAIR_J])
-    knots = np.sort(np.concatenate(((0.0, 1.0), cross[(cross > 0.0) & (cross < 1.0)])))
-    # On each interval the set of axes outside their slab, and the side, is
-    # fixed; the squared distance sum (p_i - s_i h_i)^2 over those axes is
-    # stationary at t = sum d_i (s_i h_i - a_i) / sum d_i^2.
-    lo, hi = knots[:-1], knots[1:]
-    mid = a + (0.5 * (lo + hi))[:, None] * d
-    active = np.abs(mid) > half
-    num = np.sum(np.where(active, d * (np.copysign(half, mid) - a), 0.0), axis=1)
-    den = np.sum(np.where(active, d * d, 0.0), axis=1)
-    moving = den > 0.0
-    stationary = np.clip(num[moving] / den[moving], lo[moving], hi[moving])
-    candidates = np.sort(np.concatenate((knots, stationary)))
-    # argmin returns the first minimum, so ties go to the smallest t
-    return float(candidates[np.argmin(_box_sdf(a + candidates[:, None] * d, half))])
+def _deepest_on_segments(a: np.ndarray, d: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Per row, the t in [0, 1] that minimizes the box signed distance at a + t d.
+
+    `a` and `d` are (n, 3) segment starts and directions in the box frame.
+    Of the candidates within _TIE_TOLERANCE of a row's minimum, the one
+    with the smallest t is returned.
+    Rows have different numbers of knots and candidates; the unused slots of
+    each row are padded with inf and never win.  Each row's answer is what
+    that row alone would give.
+    """
+    slope = np.concatenate((d, -d, np.zeros((len(d), 1))), axis=1)
+    offset = np.concatenate((a - half, -a - half, np.zeros((len(a), 1))), axis=1)
+    # parallel pieces divide by zero and near-parallel ones overflow; both
+    # land outside (0, 1) and are dropped, as are the padded intervals
+    with np.errstate(all="ignore"):
+        cross = (offset[:, _PAIR_J] - offset[:, _PAIR_I]) / (slope[:, _PAIR_I] - slope[:, _PAIR_J])
+        inside = (cross > 0.0) & (cross < 1.0)
+        ends = np.broadcast_to((0.0, 1.0), (len(a), 2))
+        knots = np.concatenate((ends, np.where(inside, cross, np.inf)), axis=1)
+        knots.sort(axis=1)
+        knots = knots[:, :2 + inside.sum(axis=1).max()]  # drop all-padding columns
+        # On each interval the set of axes outside their slab, and the side,
+        # is fixed; the squared distance sum (p_i - s_i h_i)^2 over those axes
+        # is stationary at t = sum d_i (s_i h_i - a_i) / sum d_i^2.
+        lo, hi = knots[:, :-1], knots[:, 1:]
+        mid = a[:, None, :] + (0.5 * (lo + hi))[:, :, None] * d[:, None, :]
+        active = np.abs(mid) > half
+        num = np.where(active, d[:, None, :] * (np.copysign(half, mid) - a[:, None, :]), 0.0).sum(axis=2)
+        den = np.where(active, d[:, None, :] * d[:, None, :], 0.0).sum(axis=2)
+        moving = (den > 0.0) & (hi < np.inf)
+        stationary = np.where(moving, (num / np.where(moving, den, 1.0)).clip(lo, hi), np.inf)
+    candidates = np.concatenate((knots, stationary), axis=1)
+    candidates.sort(axis=1)
+    valid = candidates < np.inf
+    width = valid.sum(axis=1).max()  # drop all-padding columns
+    candidates, valid = candidates[:, :width], valid[:, :width]
+    t = np.where(valid, candidates, 0.0)
+    sdf = np.where(valid, _box_sdf(a[:, None, :] + t[:, :, None] * d[:, None, :], half), np.inf)
+    # candidates are sorted, so the first one within _TIE_TOLERANCE of the
+    # row minimum is the smallest such t
+    near = sdf <= sdf.min(axis=1, keepdims=True) + _TIE_TOLERANCE
+    return t[np.arange(len(t)), np.argmax(near, axis=1)]
 
 
 def detect_contacts(scene: Scene, state: JointState) -> list[ContactPoint]:
@@ -126,6 +158,7 @@ def detect_contacts(scene: Scene, state: JointState) -> list[ContactPoint]:
     deterministic: fingers in chain order, links base-to-tip within a finger.
     No force threshold is applied here; validation filters weak contacts.
     """
+    chain = scene.chain
     box = scene.object
     R = box.pose.rotation()
     c = box.pose.position
@@ -133,40 +166,51 @@ def detect_contacts(scene: Scene, state: JointState) -> list[ContactPoint]:
     box_reach = float(np.linalg.norm(half))
     R_b = scene.hand_base.rotation()
     t_b = scene.hand_base.position
-    k = box.params.contact_stiffness
-    contacts: list[ContactPoint] = []
-    for finger, links in scene.chain.finger_links.items():
+    frames = link_frames(chain, state)
+    # shapes that pass the reject: (finger, link, radius, probe point); a
+    # capsule's probe point is filled in by the batched segment minimum
+    probes = []
+    starts, directions, capsule_rows = [], [], []
+    for finger, links in chain.finger_links.items():
         for link in links:
-            link_spec = scene.chain.links[link]
-            geom = link_spec.geometry
+            geom = chain.links[link].geometry
             if isinstance(geom, CapsuleGeometry):
                 half_length = 0.5 * geom.length
             elif isinstance(geom, SphereGeometry):
                 half_length = 0.0
             else:  # bare links and finger-link boxes have no contact model
                 continue
-            R_l, t_l = link_transform(scene.chain, state, link)
+            R_l, t_l = frames[link]
             R_w = R_b @ R_l
-            og = link_spec.geometry_origin
-            center = R_w @ og.translation() + (R_b @ t_l + t_b)
-            if np.linalg.norm(center - c) > half_length + geom.radius + box_reach:
+            center = R_w @ chain.geometry_translation[link] + (R_b @ t_l + t_b)
+            offset = center - c
+            if np.linalg.norm(offset) > half_length + geom.radius + box_reach:
                 continue
-            p = R.T @ (center - c)
+            p = R.T @ offset
             if half_length > 0.0:
-                axis = R.T @ (R_w @ og.rotation()[:, 2])
-                a = p - half_length * axis
-                d = geom.length * axis
-                p = a + _deepest_on_segment(a, d, half) * d
-            surface, normal, sd = _closest_point_local(p, half)
-            depth = geom.radius - sd
-            if depth < 0.0:
-                continue
-            contacts.append(ContactPoint(
-                finger=finger,
-                link=link,
-                position=R @ surface + c,
-                normal=R @ normal,
-                penetration_depth=float(depth),
-                normal_force=float(k * depth),
-            ))
+                axis = R.T @ (R_w @ chain.geometry_axis[link])
+                starts.append(p - half_length * axis)
+                directions.append(geom.length * axis)
+                capsule_rows.append(len(probes))
+            probes.append([finger, link, geom.radius, p])
+    if capsule_rows:
+        a, d = np.array(starts), np.array(directions)
+        ts = _deepest_on_segments(a, d, half)
+        for row, a_i, d_i, t in zip(capsule_rows, a, d, ts):
+            probes[row][3] = a_i + t * d_i
+    k = box.params.contact_stiffness
+    contacts: list[ContactPoint] = []
+    for finger, link, radius, p in probes:
+        surface, normal, sd = _closest_point_local(p, half)
+        depth = radius - sd
+        if depth < 0.0:
+            continue
+        contacts.append(ContactPoint(
+            finger=finger,
+            link=link,
+            position=R @ surface + c,
+            normal=R @ normal,
+            penetration_depth=float(depth),
+            normal_force=float(k * depth),
+        ))
     return contacts

@@ -21,7 +21,7 @@ from .contact import closest_point_box, detect_contacts
 from .grasp_validation import (FAILURE_TOO_FEW, GraspAssessment, ValidationConfig,
                                validate_grasp)
 from .ik_solver import IkConfig, merge_hand_results, solve_hand_ik
-from .kinematics import JointState, clamp_to_limits, link_transform, neutral_state
+from .kinematics import JointState, clamp_to_limits, link_frames, neutral_state
 from .robot_model import KinematicChain
 from .scene import Scene, base_from_world
 
@@ -100,11 +100,9 @@ def step_servo(state: JointState, goal: JointState, run: RunConfig,
 def _ee_positions(scene: Scene, state: JointState) -> dict:
     R_b = scene.hand_base.rotation()
     t_b = scene.hand_base.position
-    out = {}
-    for finger, f in scene.chain.fingers.items():
-        _, p = link_transform(scene.chain, state, f.end_effector)
-        out[finger] = R_b @ p + t_b
-    return out
+    frames = link_frames(scene.chain, state)
+    return {finger: R_b @ frames[f.end_effector][1] + t_b
+            for finger, f in scene.chain.fingers.items()}
 
 
 def _approach_goal(scene: Scene, targets: dict) -> dict:

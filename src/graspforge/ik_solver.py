@@ -84,14 +84,15 @@ def solve_finger_ik(chain: KinematicChain, finger: str, target,
 
     state = clamp_to_limits(chain, seed.copy())
 
-    def residual_of(s: JointState) -> float:
+    def residual_of(s: JointState) -> tuple[float, np.ndarray]:
+        """(residual, end-effector position); the position seeds the next step."""
         _, p = link_transform(chain, s, ee)
-        return float(np.linalg.norm(target_p - p))
+        return float(np.linalg.norm(target_p - p)), p
 
-    residual = residual_of(state)
+    residual, p = residual_of(state)
     iterations = 0
     lam = cfg.damping_lambda
-    cols = [list(chain.movable).index(ji) for ji in f.joints]
+    cols = [chain.column_of[ji] for ji in f.joints]
     best_state, best_residual = state, residual
     restarts = 0
 
@@ -99,7 +100,6 @@ def solve_finger_ik(chain: KinematicChain, finger: str, target,
         if residual <= cfg.residual_threshold:
             break
         iterations = it
-        _, p = link_transform(chain, state, ee)
         e = target_p - p
         J = jacobian(chain, state, ee)[:, cols]
 
@@ -112,9 +112,9 @@ def solve_finger_ik(chain: KinematicChain, finger: str, target,
             for ji, d in zip(f.joints, dq):
                 trial.values[ji] = trial.values[ji] + float(d)
             trial = clamp_to_limits(chain, trial)
-            trial_residual = residual_of(trial)
+            trial_residual, trial_p = residual_of(trial)
             if trial_residual < residual:
-                state, residual = trial, trial_residual
+                state, residual, p = trial, trial_residual, trial_p
                 lam = max(trial_lam / 1.5, _MIN_LAMBDA)
                 accepted = True
                 break
@@ -130,7 +130,7 @@ def solve_finger_ik(chain: KinematicChain, finger: str, target,
             for ji in f.joints:
                 j = chain.joints[ji]
                 state.values[ji] = j.lower_limit + frac * (j.upper_limit - j.lower_limit)
-            residual = residual_of(state)
+            residual, p = residual_of(state)
             lam = cfg.damping_lambda
 
     if residual < best_residual:

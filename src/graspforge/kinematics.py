@@ -3,6 +3,15 @@
 All poses are expressed in the chain's root-link frame unless a caller
 composes in a base transform.  Positions are meters, orientations unit
 quaternions (x, y, z, w).
+
+The joint origins, axes and Jacobian columns are constants of the chain,
+computed once when it is built.  `link_frames` gives every link's frame in
+one pass over the tree (parent-first), with the rotations of all movable
+joints in one vectorized Rodrigues evaluation; callers that need many links
+per control step (contact detection, the controller's fingertip log) use it
+once.  `link_transform` and `jacobian` walk a single link's path from the
+root.  Every route composes R = R_parent @ R_origin, t = R_parent @ t_origin
++ t_parent, then R @ R_joint, in that order, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -111,17 +120,60 @@ def _resolve_link(chain: KinematicChain, link) -> int:
 
 
 def link_transform(chain: KinematicChain, state: JointState, link) -> tuple[np.ndarray, np.ndarray]:
-    """(rotation, translation) of `link` in the root frame. Fast-path API."""
+    """(rotation, translation) of `link` in the root frame, walked from the root."""
     li = _resolve_link(chain, link)
     R = np.eye(3)
     t = np.zeros(3)
     for ji in chain.path_to_link[li]:
-        j = chain.joints[ji]
-        R, t = compose_rt(R, t, j.origin.rotation(), j.origin.translation())
-        if j.kind == "revolute":
-            angle = state.get(ji)
-            R = R @ axis_angle_matrix(np.array(j.axis), angle)
+        R, t = compose_rt(R, t, chain.origin_rotation[ji], chain.origin_translation[ji])
+        col = chain.column_of.get(ji)
+        if col is not None:
+            R = R @ axis_angle_matrix(chain.movable_axes[col], state.get(ji))
     return R, t
+
+
+def _joint_rotations(chain: KinematicChain, state: JointState) -> np.ndarray:
+    """Rodrigues rotation of every movable joint, shape (n, 3, 3), `movable` order.
+
+    Element for element the same arithmetic as `axis_angle_matrix`, so each
+    slice equals that function's result bit for bit.
+    """
+    angle = np.array([state.get(ji) for ji in chain.movable], dtype=float)
+    x, y, z = chain.movable_axes.T
+    c, s = np.cos(angle), np.sin(angle)
+    C = 1.0 - c
+    rot = np.empty((len(angle), 3, 3))
+    rot[:, 0, 0] = c + x * x * C
+    rot[:, 0, 1] = x * y * C - z * s
+    rot[:, 0, 2] = x * z * C + y * s
+    rot[:, 1, 0] = y * x * C + z * s
+    rot[:, 1, 1] = c + y * y * C
+    rot[:, 1, 2] = y * z * C - x * s
+    rot[:, 2, 0] = z * x * C - y * s
+    rot[:, 2, 1] = z * y * C + x * s
+    rot[:, 2, 2] = c + z * z * C
+    return rot
+
+
+def link_frames(chain: KinematicChain, state: JointState) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(rotation, translation) of every link in the root frame, indexed by link.
+
+    One pass over the joints in parent-first order.  Each joint composes its
+    parent link's frame exactly as `link_transform` does along its walk, so
+    every frame is bit-for-bit the one `link_transform` returns.
+    """
+    rot = _joint_rotations(chain, state)
+    frames: list = [None] * len(chain.links)
+    frames[chain.root] = (np.eye(3), np.zeros(3))
+    for ji in chain.joint_order:
+        j = chain.joints[ji]
+        Rp, tp = frames[j.parent]
+        R, t = compose_rt(Rp, tp, chain.origin_rotation[ji], chain.origin_translation[ji])
+        col = chain.column_of.get(ji)
+        if col is not None:
+            R = R @ rot[col]
+        frames[j.child] = (R, t)
+    return frames
 
 
 def forward_kinematics(chain: KinematicChain, state: JointState, link) -> Pose:
@@ -138,17 +190,18 @@ def jacobian(chain: KinematicChain, state: JointState, link) -> np.ndarray:
     """
     li = _resolve_link(chain, link)
     J = np.zeros((3, len(chain.movable)))
-    col_of = {ji: c for c, ji in enumerate(chain.movable)}
     R = np.eye(3)
     t = np.zeros(3)
-    frames = []  # (joint index, world axis, joint origin position)
+    cols, axes, origins = [], [], []  # per revolute joint on the path
     for ji in chain.path_to_link[li]:
-        j = chain.joints[ji]
-        R, t = compose_rt(R, t, j.origin.rotation(), j.origin.translation())
-        if j.kind == "revolute":
-            frames.append((ji, R @ np.array(j.axis), t.copy()))
-            R = R @ axis_angle_matrix(np.array(j.axis), state.get(ji))
-    p_link = t
-    for ji, axis_w, p_joint in frames:
-        J[:, col_of[ji]] = np.cross(axis_w, p_link - p_joint)
+        R, t = compose_rt(R, t, chain.origin_rotation[ji], chain.origin_translation[ji])
+        col = chain.column_of.get(ji)
+        if col is not None:
+            axis = chain.movable_axes[col]
+            cols.append(col)
+            axes.append(R @ axis)
+            origins.append(t)
+            R = R @ axis_angle_matrix(axis, state.get(ji))
+    if cols:
+        J[:, cols] = np.cross(np.array(axes), t - np.array(origins)).T
     return J

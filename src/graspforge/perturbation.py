@@ -74,21 +74,19 @@ class PerturbationReport:
         }
 
 
-def object_response(obj: SceneObject, contacts: list[ContactPoint], force) -> np.ndarray:
-    """Quasi-static object displacement under an external force.
-
-    K = sum_i k n_i n_i^T over the contact normals; the force component in
-    K's range moves by the spring compliance, the null-space component
-    slides at FREE_SLIDE_GAIN.
-    """
-    F = np.asarray(force, dtype=float).reshape(3)
+def _compliance(obj: SceneObject, contacts: list[ContactPoint]):
+    """Eigen-decomposition of K = sum_i k n_i n_i^T and its null-space cutoff."""
     k = obj.params.contact_stiffness
     K = np.zeros((3, 3))
     for c in contacts:
         n = c.normal / np.linalg.norm(c.normal)
         K += k * np.outer(n, n)
     eigenvalues, eigenvectors = np.linalg.eigh(K)
-    cutoff = eigenvalues[-1] * _NULL_SPACE_RTOL
+    return eigenvalues, eigenvectors, eigenvalues[-1] * _NULL_SPACE_RTOL
+
+
+def _displacement(compliance, F: np.ndarray) -> np.ndarray:
+    eigenvalues, eigenvectors, cutoff = compliance
     displacement = np.zeros(3)
     for lam, v in zip(eigenvalues, eigenvectors.T):
         component = float(v @ F)
@@ -97,6 +95,17 @@ def object_response(obj: SceneObject, contacts: list[ContactPoint], force) -> np
         else:
             displacement += FREE_SLIDE_GAIN * component * v
     return displacement
+
+
+def object_response(obj: SceneObject, contacts: list[ContactPoint], force) -> np.ndarray:
+    """Quasi-static object displacement under an external force.
+
+    K = sum_i k n_i n_i^T over the contact normals; the force component in
+    K's range moves by the spring compliance, the null-space component
+    slides at FREE_SLIDE_GAIN.
+    """
+    F = np.asarray(force, dtype=float).reshape(3)
+    return _displacement(_compliance(obj, contacts), F)
 
 
 def perturb_contacts(obj: SceneObject, contacts: list[ContactPoint],
@@ -116,12 +125,13 @@ def perturb_contacts(obj: SceneObject, contacts: list[ContactPoint],
                                   max_displacement=0.0, samples=[],
                                   failure_iteration=None, seed=cfg.seed)
 
+    compliance = _compliance(obj, contacts)  # the contacts are fixed over the rounds
     rng = np.random.default_rng(cfg.seed)
     samples: list[tuple[np.ndarray, float]] = []
     max_displacement = 0.0
     for i in range(1, cfg.iterations + 1):
         F = rng.uniform(-cfg.force_bound, cfg.force_bound, size=3)
-        d = float(np.linalg.norm(object_response(obj, contacts, F)))
+        d = float(np.linalg.norm(_displacement(compliance, F)))
         samples.append((F, d))
         max_displacement = max(max_displacement, d)
         if d > cfg.displacement_threshold:

@@ -103,11 +103,25 @@ class KinematicChain:
     root: int
     movable: tuple[int, ...]  # joint indices, tree order
     fingers: dict[str, Finger]
-    # derived lookups, excluded from equality
+    # derived lookups and per-joint / per-link constants, excluded from equality
     link_index: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
     parent_joint: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
     path_to_link: dict[int, tuple[int, ...]] = field(default_factory=dict, compare=False, repr=False)
     finger_links: dict[str, tuple[int, ...]] = field(default_factory=dict, compare=False, repr=False)
+    # joints ordered parent-first (a joint's parent link is placed before it)
+    joint_order: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    # per joint: origin rotation and translation
+    origin_rotation: tuple[np.ndarray, ...] = field(default=(), compare=False, repr=False)
+    origin_translation: tuple[np.ndarray, ...] = field(default=(), compare=False, repr=False)
+    # unit axes of the movable joints stacked in `movable` order, shape (n, 3)
+    movable_axes: np.ndarray = field(default=None, compare=False, repr=False)
+    # movable joint index -> its position in `movable`: its row of
+    # `movable_axes` and its Jacobian column
+    column_of: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
+    # per link: collision-geometry origin translation and its local +Z axis
+    # (a capsule's core direction) in the link frame
+    geometry_translation: tuple[np.ndarray, ...] = field(default=(), compare=False, repr=False)
+    geometry_axis: tuple[np.ndarray, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         self.link_index = {l.name: i for i, l in enumerate(self.links)}
@@ -125,12 +139,26 @@ class KinematicChain:
             members = [li for li in range(len(self.links))
                        if base_link in {self.joints[j].child for j in self.path_to_link[li]}]
             self.finger_links[name] = tuple(sorted(members, key=lambda li: len(self.path_to_link[li])))
+        self.joint_order = tuple(sorted(range(len(self.joints)),
+                                        key=lambda ji: len(self.path_to_link[self.joints[ji].child])))
+        self.origin_rotation = tuple(_frozen(j.origin.rotation()) for j in self.joints)
+        self.origin_translation = tuple(_frozen(j.origin.translation()) for j in self.joints)
+        self.movable_axes = _frozen(np.array([self.joints[ji].axis for ji in self.movable],
+                                             dtype=float).reshape(-1, 3))
+        self.column_of = {ji: c for c, ji in enumerate(self.movable)}
+        self.geometry_translation = tuple(_frozen(l.geometry_origin.translation()) for l in self.links)
+        self.geometry_axis = tuple(_frozen(l.geometry_origin.rotation()[:, 2].copy()) for l in self.links)
 
     def finger(self, name: str) -> Finger:
         try:
             return self.fingers[name]
         except KeyError:
             raise UnknownFingerError(name) from None
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 # --------------------------------------------------------------------------

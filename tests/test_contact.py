@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graspforge.contact import _deepest_on_segment, closest_point_box, detect_contacts
+from graspforge.contact import _deepest_on_segments, closest_point_box, detect_contacts
 from graspforge.kinematics import JointState, Pose
 from graspforge.robot_model import parse_robot_description
 from graspforge.scene import PhysicalParams, Scene, make_box_object
@@ -141,6 +143,12 @@ def _sdf_oracle(points, box):
             + np.minimum(np.max(q, axis=1), 0.0))
 
 
+def _deepest_on_segment(a, d, half):
+    """The batched narrow phase applied to the single segment a + t d."""
+    return _deepest_on_segments(np.asarray(a, dtype=float)[None], np.asarray(d, dtype=float)[None],
+                                np.asarray(half, dtype=float))[0]
+
+
 def _segment_min(box, a, b):
     """(t, signed distance) that the narrow phase picks on world segment ab."""
     R = box.pose.rotation()
@@ -234,6 +242,31 @@ class TestDeepestOnSegment:
         a = np.array([0.3, -0.2, 0.05])
         assert _deepest_on_segment(a, np.zeros(3), np.array([0.1, 0.1, 0.1])) == 0.0
 
+    def test_batch_rows_match_single_rows(self):
+        # rows with different numbers of in-range crossings and candidates
+        half = np.array([0.03, 0.02, 0.04])
+        rows = [
+            ((-0.02, -0.01, -0.03), (0.045, 0.025, 0.05)),  # inside
+            ((0.04, 0.01, 0.0), (-0.02, 0.02, 0.0)),  # grazing the (+x, +y) edge
+            ((-0.025, 0.015, -0.03), (0.05, 0.0, 0.0)),  # parallel to +y, inside
+            ((-0.05, 0.0, 0.05), (0.06, 0.0, 0.0)),  # parallel to +z, outside
+            ((0.01, 0.0, 0.01), (0.0, 0.0, 0.0)),  # zero length, inside
+            ((0.05, 0.04, -0.06), (0.0, 0.0, 0.0)),  # zero length, outside
+            ((0.3, 0.3, -0.2), (0.1, -0.15, 0.3)),  # far
+            ((0.2, 0.0, 0.0), (-0.1, 0.0, 0.0)),  # heading for the box, stopping short
+            ((-0.06, -0.05, -0.07), (0.12, 0.1, 0.14)),  # through, corner to corner
+        ]
+        a = np.array([r[0] for r in rows], dtype=float)
+        d = np.array([r[1] for r in rows], dtype=float)
+        batch = _deepest_on_segments(a, d, half)
+        assert batch.shape == (len(rows),)
+        assert ((batch >= 0.0) & (batch <= 1.0)).all()
+        for i in range(len(rows)):
+            alone = _deepest_on_segments(a[i:i + 1], d[i:i + 1], half)
+            assert batch[i] == alone[0]
+        # and in reverse order, so no row borrows another's padding
+        assert np.array_equal(_deepest_on_segments(a[::-1], d[::-1], half), batch[::-1])
+
 
 class TestDetectContacts:
     def test_sphere_penetration_depth_and_force(self):
@@ -324,6 +357,39 @@ class TestDetectContacts:
             assert c.normal_force == pytest.approx(k * c.penetration_depth)
             local = R.T @ (c.position - center)
             assert (np.abs(local) <= half + 1e-9).all()
+
+    def test_near_tie_goes_to_the_smallest_t(self, scenario):
+        # A benchmark probe (hold_probe, seed 1, probe 21): the ring finger's
+        # middle capsule lies inside the box, deepest where its +x and +z face
+        # gaps are equal (h_x = h_z).  Two candidates, the crossings of the
+        # +x/+z and the -x/-z pieces, name that point; rounding puts them at
+        # t = 0.5810656781970722 and ...0724, with signed distances 4e-18 m
+        # apart.  Under exact-equality ties the second one, deeper only by
+        # rounding, would win and the contact would sit on the +x face; the
+        # tie rule takes the smaller t, where the contact is on the +z face.
+        q = [-0.4589573982073162, 0.8631101419175071, 0.8641307642834559, 0.8836538087531643,
+             0.44643498500146206, 1.2912518236946715, 1.635739218370535, 1.540412184599325,
+             0.0988012960951481, 0.5651488777290232, 0.4024731560637122, 0.16093530017810298,
+             0.026315734362056142, 1.2799927836191565, 0.953525212192866, 0.005858828151915347,
+             -0.3452362725657961, 0.4159526691516302, -0.12983724518131878, 0.6284089875417862,
+             0.4485771568636173]
+        pose = Pose(position=(0.05972624785755627, -0.0003373486350292923, 0.18784760417535556),
+                    orientation=(0.0, 0.0, 0.07852080514001814, 0.9969124751753101))
+        chain = scenario.scene.chain
+        box = scenario.scene.object
+        assert box.half_extents[0] == box.half_extents[2]
+        scene = dataclasses.replace(
+            scenario.scene, object=make_box_object(box.half_extents, pose, box.mass, box.params))
+        ring_middle = chain.finger_links["ring"][2]
+        (c,) = [c for c in detect_contacts(scene, JointState(values=dict(zip(chain.movable, q))))
+                if c.link == ring_middle]
+        R = pose.rotation()
+        assert np.allclose(c.normal, R[:, 2], atol=1e-12)
+        local = R.T @ (c.position - pose.position)
+        assert local[2] == pytest.approx(box.half_extents[2], abs=1e-12)
+        # the deepest point: 7.91 mm under both the +x and the +z face
+        assert box.half_extents[0] - local[0] == pytest.approx(0.0079102, abs=1e-7)
+        assert c.penetration_depth == pytest.approx(0.015910231868418626, abs=1e-15)
 
     def test_detection_is_deterministic_and_ordered(self, scenario, grasp_run):
         state, _, _ = grasp_run

@@ -6,9 +6,83 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graspforge.kinematics import (JointState, KinematicsError, Pose, clamp_to_limits,
-                                   forward_kinematics, jacobian, link_transform,
+                                   forward_kinematics, jacobian, link_frames, link_transform,
                                    mid_range_state, neutral_state, within_limits,
                                    zero_state)
+from graspforge.robot_model import parse_robot_description
+
+# A branching tree whose joints are listed tip-first, so file order is not
+# parent-first; tilted axes, rpy origins and fixed joints at every level.
+TIP_FIRST_TREE = """
+<robot name="tip_first">
+  <link name="tip_b"/>
+  <link name="tip_a"/>
+  <link name="distal"/>
+  <link name="branch"/>
+  <link name="mid"/>
+  <link name="base"/>
+  <joint name="a_tip" type="fixed">
+    <parent link="distal"/><child link="tip_a"/>
+    <origin xyz="0.02 -0.01 0.03" rpy="0.3 -0.2 0.1"/>
+  </joint>
+  <joint name="a_distal" type="revolute">
+    <parent link="mid"/><child link="distal"/>
+    <origin xyz="0.04 0.0 0.01" rpy="-0.5 0.25 1.0"/>
+    <axis xyz="0.6 0 0.8"/><limit lower="-2" upper="2"/>
+  </joint>
+  <joint name="b_tip" type="revolute">
+    <parent link="branch"/><child link="tip_b"/>
+    <origin xyz="0.0 0.03 -0.02" rpy="0.7 0.0 -0.4"/>
+    <axis xyz="1 1 1"/><limit lower="-2" upper="2"/>
+  </joint>
+  <joint name="b_branch" type="fixed">
+    <parent link="mid"/><child link="branch"/>
+    <origin xyz="-0.01 0.02 0.05" rpy="1.2 -0.9 0.3"/>
+  </joint>
+  <joint name="a_mid" type="revolute">
+    <parent link="base"/><child link="mid"/>
+    <origin xyz="0.01 0.02 0.03" rpy="0.1 0.2 -0.3"/>
+    <axis xyz="0 1 0"/><limit lower="-2" upper="2"/>
+  </joint>
+</robot>
+"""
+
+
+def _rpy_reference(roll, pitch, yaw):
+    def rx(a):
+        return np.array([[1, 0, 0], [0, math.cos(a), -math.sin(a)], [0, math.sin(a), math.cos(a)]])
+
+    def ry(a):
+        return np.array([[math.cos(a), 0, math.sin(a)], [0, 1, 0], [-math.sin(a), 0, math.cos(a)]])
+
+    def rz(a):
+        return np.array([[math.cos(a), -math.sin(a), 0], [math.sin(a), math.cos(a), 0], [0, 0, 1]])
+
+    return rz(yaw) @ ry(pitch) @ rx(roll)
+
+
+def _axis_angle_reference(axis, angle):
+    """exp of the skew matrix of `angle * axis`, by its Taylor series."""
+    k = angle * np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]])
+    R, term = np.eye(3), np.eye(3)
+    for n in range(1, 40):
+        term = term @ k / n
+        R = R + term
+    return R
+
+
+def _reference_frame(chain, values, link):
+    """(R, t) of `link` from the raw joint table, recursing to the root."""
+    parent = {j.child: j for j in chain.joints}
+    if link not in parent:
+        return np.eye(3), np.zeros(3)
+    j = parent[link]
+    R, t = _reference_frame(chain, values, j.parent)
+    t = R @ np.array(j.origin.xyz) + t
+    R = R @ _rpy_reference(*j.origin.rpy)
+    if j.kind == "revolute":
+        R = R @ _axis_angle_reference(np.array(j.axis), values[chain.joints.index(j)])
+    return R, t
 
 
 def test_two_link_fk_matches_planar_geometry(two_link):
@@ -145,3 +219,38 @@ class TestPose:
         a = Pose(position=(1, 2, 3))
         assert a == Pose(position=(1, 2, 3))
         assert a != Pose(position=(1, 2, 3.0000001))
+
+
+_angles = st.floats(-3.2, 3.2, allow_nan=False)
+
+
+@given(st.lists(_angles, min_size=21, max_size=21))
+def test_link_frames_equal_link_transform_bitwise(chain, values):
+    state = JointState(values=dict(zip(chain.movable, values)))
+    frames = link_frames(chain, state)
+    assert len(frames) == len(chain.links)
+    for li, (R, t) in enumerate(frames):
+        R_walk, t_walk = link_transform(chain, state, li)
+        assert np.array_equal(R, R_walk) and np.array_equal(t, t_walk)
+
+
+@given(st.lists(_angles, min_size=3, max_size=3))
+def test_link_frames_on_a_tip_first_tree(values):
+    tree = parse_robot_description(TIP_FIRST_TREE)
+    # file order is tip-first; the pass must still see parents first
+    assert [j.name for j in tree.joints][0] == "a_tip"
+    state = JointState(values=dict(zip(tree.movable, values)))
+    frames = link_frames(tree, state)
+    for li, (R, t) in enumerate(frames):
+        R_walk, t_walk = link_transform(tree, state, li)
+        assert np.array_equal(R, R_walk) and np.array_equal(t, t_walk)
+        R_ref, t_ref = _reference_frame(tree, state.values, li)
+        assert np.allclose(R, R_ref, rtol=0.0, atol=1e-12)
+        assert np.allclose(t, t_ref, rtol=0.0, atol=1e-12)
+
+
+def test_link_frames_needs_every_movable_joint(chain):
+    state = neutral_state(chain)
+    del state.values[chain.movable[-1]]
+    with pytest.raises(KinematicsError):
+        link_frames(chain, state)

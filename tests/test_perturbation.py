@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from graspforge.contact import ContactPoint
+from graspforge.contact import ContactPoint, detect_contacts
 from graspforge.grasp_validation import ValidationConfig
 from graspforge.kinematics import Pose
 from graspforge.perturbation import (FREE_SLIDE_GAIN, PerturbConfig, PerturbConfigError,
@@ -109,6 +109,20 @@ class TestPerturbContacts:
         assert a.max_displacement == b.max_displacement
         assert all(np.array_equal(fa, fb) and da == db
                    for (fa, da), (fb, db) in zip(a.samples, b.samples))
+
+    def test_samples_equal_object_response(self, scenario, grasp_run):
+        # the rounds share one compliance build; each sample must still be
+        # exactly what object_response gives for its force
+        state, _, _ = grasp_run
+        cases = [(_obj(), tetra_contacts(), PerturbConfig(seed=4)),
+                 (_obj(), square_contacts(), PerturbConfig(force_bound=50.0, seed=3)),
+                 (scenario.scene.object, detect_contacts(scenario.scene, state),
+                  PerturbConfig(seed=11))]
+        for obj, contacts, cfg in cases:
+            rep = perturb_contacts(obj, contacts, cfg)
+            assert rep.samples
+            for F, d in rep.samples:
+                assert d == np.linalg.norm(object_response(obj, contacts, F))
 
     def test_failure_stops_at_first_bad_round(self):
         # +-x/+-y square leaves z unresisted; a big bound slides past 0.02 m

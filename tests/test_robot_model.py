@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from graspforge.robot_model import (CANONICAL_FINGERS, OTHER_FINGER_DOF, THUMB_DOF,
@@ -56,6 +57,30 @@ class TestBundledHand:
     def test_unknown_finger(self, chain):
         with pytest.raises(UnknownFingerError):
             chain.finger("tentacle")
+
+    def test_chain_constants(self, chain):
+        placed = {chain.root}
+        for ji in chain.joint_order:
+            assert chain.joints[ji].parent in placed
+            placed.add(chain.joints[ji].child)
+        assert sorted(chain.joint_order) == list(range(len(chain.joints)))
+        assert [chain.column_of[ji] for ji in chain.movable] == list(range(len(chain.movable)))
+        for c, ji in enumerate(chain.movable):
+            assert np.array_equal(chain.movable_axes[c], chain.joints[ji].axis)
+        for j, R, t in zip(chain.joints, chain.origin_rotation, chain.origin_translation):
+            assert np.array_equal(R, j.origin.rotation())
+            assert np.array_equal(t, j.origin.translation())
+        for link, t, axis in zip(chain.links, chain.geometry_translation, chain.geometry_axis):
+            assert np.array_equal(t, link.geometry_origin.translation())
+            assert np.array_equal(axis, link.geometry_origin.rotation()[:, 2])
+        with pytest.raises(ValueError):  # shared across callers, so read-only
+            chain.origin_rotation[0][0, 0] = 2.0
+
+    def test_joint_order_is_parent_first_when_the_file_is_not(self):
+        links = "<link name='a'/><link name='b'/><link name='c'/>"
+        joints = _rev("f_two", "b", "c") + _rev("f_one", "a", "b")
+        chain = parse_robot_description(_doc(links, joints))
+        assert [chain.joints[ji].name for ji in chain.joint_order] == ["f_one", "f_two"]
 
 
 class TestParserErrors:
