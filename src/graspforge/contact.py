@@ -150,13 +150,15 @@ def _deepest_on_segments(a: np.ndarray, d: np.ndarray, half: np.ndarray) -> np.n
     return t[np.arange(len(t)), np.argmax(near, axis=1)]
 
 
-def detect_contacts(scene: Scene, state: JointState) -> list[ContactPoint]:
+def detect_contacts(scene: Scene, state: JointState, *, frames=None) -> list[ContactPoint]:
     """One contact per penetrating (finger link, box) pair.
 
     A link touches when its shape surface reaches the box: signed distance of
     the deepest probe point minus the shape radius is <= 0.  Output order is
     deterministic: fingers in chain order, links base-to-tip within a finger.
     No force threshold is applied here; validation filters weak contacts.
+    `frames` is `link_frames(scene.chain, state)` when the caller already
+    has it; otherwise it is computed here.
     """
     chain = scene.chain
     box = scene.object
@@ -166,7 +168,8 @@ def detect_contacts(scene: Scene, state: JointState) -> list[ContactPoint]:
     box_reach = float(np.linalg.norm(half))
     R_b = scene.hand_base.rotation()
     t_b = scene.hand_base.position
-    frames = link_frames(chain, state)
+    if frames is None:
+        frames = link_frames(chain, state)
     # shapes that pass the reject: (finger, link, radius, probe point); a
     # capsule's probe point is filled in by the batched segment minimum
     probes = []

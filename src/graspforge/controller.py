@@ -13,6 +13,7 @@ with explicit Euler and clamps every iterate to joint limits.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,9 @@ PRE_GRASP_OFFSET = 0.03  # m outward along the approach normal
 PRE_GRASP_JOINT_TOL = 1e-3  # rad; phase-1 convergence test
 PRE_GRASP_BUDGET_FRACTION = 0.2
 VALIDATED_HOLD_STEPS = 50
+
+# DEBUG records: each finger's IK outcome per solve and each phase transition
+_log = logging.getLogger("graspforge")
 
 
 class RunConfigError(ValueError):
@@ -97,10 +101,10 @@ def step_servo(state: JointState, goal: JointState, run: RunConfig,
     return clamp_to_limits(chain, JointState(values=new_values))
 
 
-def _ee_positions(scene: Scene, state: JointState) -> dict:
+def _ee_positions(scene: Scene, frames: list) -> dict:
+    """World end-effector position per finger, from the step's `link_frames`."""
     R_b = scene.hand_base.rotation()
     t_b = scene.hand_base.position
-    frames = link_frames(scene.chain, state)
     return {finger: R_b @ frames[f.end_effector][1] + t_b
             for finger, f in scene.chain.fingers.items()}
 
@@ -115,6 +119,16 @@ def _approach_goal(scene: Scene, targets: dict) -> dict:
         _, normal, _ = closest_point_box(pose.position, scene.object)
         staged[finger] = base_from_world(scene, pose.position + PRE_GRASP_OFFSET * normal)
     return staged
+
+
+def _solve_goal(chain: KinematicChain, targets: dict, state: JointState, ik: IkConfig,
+                phase: str) -> JointState:
+    """Per-finger IK toward `targets` from `state`, merged into one goal posture."""
+    results = solve_hand_ik(chain, targets, state, ik)
+    for finger, r in results.items():
+        _log.debug("%s IK %s: residual %.3g m after %d iterations, converged=%s",
+                   phase, finger, r.residual, r.iterations, r.converged)
+    return merge_hand_results(chain, state, results)
 
 
 def _base_targets(scene: Scene, targets: dict) -> dict:
@@ -137,8 +151,7 @@ def execute_grasp(scene: Scene, targets: dict, run: RunConfig | None = None,
     log = TrajectoryLog(fingers=tuple(chain.fingers))
     dt = 1.0 / run.hz
 
-    pre_goal = merge_hand_results(
-        chain, state, solve_hand_ik(chain, _approach_goal(scene, targets), state, ik))
+    pre_goal = _solve_goal(chain, _approach_goal(scene, targets), state, ik, PHASE_PRE_GRASP)
 
     phase = PHASE_PRE_GRASP
     phase1_budget = int(PRE_GRASP_BUDGET_FRACTION * run.max_steps)
@@ -161,15 +174,17 @@ def execute_grasp(scene: Scene, targets: dict, run: RunConfig | None = None,
                 ji = flexor_of[finger]
                 goal.values[ji] = state.values[ji]
         state = step_servo(state, goal, run, chain)
-        contacts = detect_contacts(scene, state)
+        frames = link_frames(chain, state)
+        contacts = detect_contacts(scene, state, frames=frames)
 
         if phase == PHASE_PRE_GRASP:
             done = all(abs(state.values[ji] - pre_goal.values.get(ji, state.values[ji]))
                        < PRE_GRASP_JOINT_TOL for ji in state.values)
             if done or step >= phase1_budget:
                 phase = PHASE_CONTACT_OPT
-                contact_goal = merge_hand_results(
-                    chain, state, solve_hand_ik(chain, _base_targets(scene, targets), state, ik))
+                _log.debug("phase %s -> %s at step %d", PHASE_PRE_GRASP, phase, step)
+                contact_goal = _solve_goal(chain, _base_targets(scene, targets), state, ik,
+                                           PHASE_CONTACT_OPT)
                 goal = contact_goal
         elif phase == PHASE_CONTACT_OPT:
             latched = {c.finger for c in contacts
@@ -177,6 +192,7 @@ def execute_grasp(scene: Scene, targets: dict, run: RunConfig | None = None,
             assessment = validate_grasp(contacts, validation)
             if assessment.stable:
                 phase = PHASE_MONITOR
+                _log.debug("phase %s -> %s at step %d", PHASE_CONTACT_OPT, phase, step)
                 goal = state.copy()  # freeze: servo toward the current posture
                 hold_count = 0
         else:  # monitor
@@ -186,7 +202,7 @@ def execute_grasp(scene: Scene, targets: dict, run: RunConfig | None = None,
         if step % run.log_every == 0:
             log.steps.append(LogStep(
                 time=step * dt,
-                positions=_ee_positions(scene, state),
+                positions=_ee_positions(scene, frames),
                 joints=dict(state.values),
                 contact_count=len(contacts),
                 phase=phase,

@@ -1,8 +1,9 @@
 """Damped-least-squares inverse kinematics for single fingers and the hand.
 
-Position-only: targets are fingertip positions in the chain root frame;
-orientation components of the target pose are accepted but ignored (the
-fingertip is a ball, its orientation is not actuated independently).
+Position-only: targets are positions of each finger's end-effector frame
+(the bare `<finger>_tip` link) in the chain root frame; orientation
+components of the target pose are accepted but ignored, as no finger has
+joints to set its tip orientation independently.
 
 The update is dq = J^T (J J^T + lambda^2 I)^-1 e.  The damping adapts
 Levenberg-Marquardt style around the configured value: a step that lowers
@@ -13,6 +14,15 @@ local minimum or a pinned limit) triggers a deterministic re-seed of the
 finger at fixed posture fractions; the best state seen is what is reported.
 On unreachable targets the loop still runs to max_iterations (no early
 give-up) and reports the plateaued residual with converged = False.
+
+A solve works on a float array of the finger's own joints.  `finger_walk`
+walks from the root to the frame the finger's first joint hangs from once,
+for the clamped seed; each damping trial then makes one walk from that
+frame, which returns the fingertip and the Jacobian together.  No
+`link_transform`, `jacobian` or `clamp_to_limits` call remains in the
+iterations, and every result equals, bit for bit, that of the same loop
+written on those functions and a joint dict (tests/test_ik_solver.py keeps
+it as the reference).
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import JointState, Pose, clamp_to_limits, link_transform, jacobian
+from .kinematics import JointState, Pose, clamp_to_limits, finger_walk
 from .robot_model import KinematicChain
 
 # damping retries per iteration before declaring the state stationary
@@ -29,6 +39,7 @@ _MAX_RETRIES = 12
 _MIN_LAMBDA = 1e-6
 # finger re-seed fractions cycled on stationary states (escapes fold minima)
 _RESTART_FRACTIONS = (0.25, 0.75, 0.1, 0.9, 0.5)
+_EYE3 = np.eye(3)
 
 
 class IkConfigError(ValueError):
@@ -63,6 +74,16 @@ class IkResult:
     converged: bool
 
 
+def _clamp(q: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """min(max(q, lower), upper) per joint, with Python's min/max semantics.
+
+    A value equal to a limit is kept as it is (-0.0 at a 0.0 limit stays
+    -0.0) and a NaN stays NaN, as in `clamp_to_limits`.
+    """
+    q = np.where(lower > q, lower, q)
+    return np.where(upper < q, upper, q)
+
+
 def _target_position(target) -> np.ndarray:
     if isinstance(target, Pose):
         return np.asarray(target.position, dtype=float)
@@ -79,21 +100,19 @@ def solve_finger_ik(chain: KinematicChain, finger: str, target,
     """
     cfg = config or IkConfig()
     f = chain.finger(finger)
-    ee = f.end_effector
     target_p = _target_position(target)
 
-    state = clamp_to_limits(chain, seed.copy())
+    start = clamp_to_limits(chain, seed.copy())
+    walk = finger_walk(chain, f.joints, f.end_effector, start)
+    lower = np.array([chain.joints[ji].lower_limit for ji in f.joints])
+    upper = np.array([chain.joints[ji].upper_limit for ji in f.joints])
 
-    def residual_of(s: JointState) -> tuple[float, np.ndarray]:
-        """(residual, end-effector position); the position seeds the next step."""
-        _, p = link_transform(chain, s, ee)
-        return float(np.linalg.norm(target_p - p)), p
-
-    residual, p = residual_of(state)
+    q = np.array([start.get(ji) for ji in f.joints], dtype=float)
+    p, J = walk(q)
+    residual = float(np.linalg.norm(target_p - p))
     iterations = 0
     lam = cfg.damping_lambda
-    cols = [chain.column_of[ji] for ji in f.joints]
-    best_state, best_residual = state, residual
+    best_q, best_residual = q, residual
     restarts = 0
 
     for it in range(1, cfg.max_iterations + 1):
@@ -101,20 +120,18 @@ def solve_finger_ik(chain: KinematicChain, finger: str, target,
             break
         iterations = it
         e = target_p - p
-        J = jacobian(chain, state, ee)[:, cols]
+        JJt = J @ J.T
 
         accepted = False
         trial_lam = lam
         for _ in range(_MAX_RETRIES + 1):
-            A = J @ J.T + trial_lam ** 2 * np.eye(3)
+            A = JJt + trial_lam ** 2 * _EYE3
             dq = cfg.step_scale * (J.T @ np.linalg.solve(A, e))
-            trial = state.copy()
-            for ji, d in zip(f.joints, dq):
-                trial.values[ji] = trial.values[ji] + float(d)
-            trial = clamp_to_limits(chain, trial)
-            trial_residual, trial_p = residual_of(trial)
+            trial = _clamp(q + dq, lower, upper)
+            trial_p, trial_J = walk(trial)
+            trial_residual = float(np.linalg.norm(target_p - trial_p))
             if trial_residual < residual:
-                state, residual, p = trial, trial_residual, trial_p
+                q, p, J, residual = trial, trial_p, trial_J, trial_residual
                 lam = max(trial_lam / 1.5, _MIN_LAMBDA)
                 accepted = True
                 break
@@ -123,20 +140,20 @@ def solve_finger_ik(chain: KinematicChain, finger: str, target,
             # stationary at every damping level: remember the best posture and
             # re-seed the finger to hunt for the other solution branch
             if residual < best_residual:
-                best_state, best_residual = state, residual
+                best_q, best_residual = q, residual
             restarts += 1
             frac = _RESTART_FRACTIONS[restarts % len(_RESTART_FRACTIONS)]
-            state = state.copy()
-            for ji in f.joints:
-                j = chain.joints[ji]
-                state.values[ji] = j.lower_limit + frac * (j.upper_limit - j.lower_limit)
-            residual, p = residual_of(state)
+            q = lower + frac * (upper - lower)
+            p, J = walk(q)
+            residual = float(np.linalg.norm(target_p - p))
             lam = cfg.damping_lambda
 
     if residual < best_residual:
-        best_state, best_residual = state, residual
-    return IkResult(state=best_state, residual=best_residual, iterations=iterations,
-                    converged=best_residual <= cfg.residual_threshold)
+        best_q, best_residual = q, residual
+    values = dict(start.values)
+    values.update(zip(f.joints, map(float, best_q)))
+    return IkResult(state=JointState(values=values), residual=best_residual,
+                    iterations=iterations, converged=best_residual <= cfg.residual_threshold)
 
 
 def solve_hand_ik(chain: KinematicChain, targets: dict, seed: JointState,

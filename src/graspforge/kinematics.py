@@ -10,8 +10,17 @@ one pass over the tree (parent-first), with the rotations of all movable
 joints in one vectorized Rodrigues evaluation; callers that need many links
 per control step (contact detection, the controller's fingertip log) use it
 once.  `link_transform` and `jacobian` walk a single link's path from the
-root.  Every route composes R = R_parent @ R_origin, t = R_parent @ t_origin
-+ t_parent, then R @ R_joint, in that order, so they agree bit for bit.
+root.  `finger_walk` serves the IK: it walks from the root to the frame a
+finger hangs from once, then each call walks only the finger's own joints
+from there, with their rotations from one vectorized Rodrigues evaluation,
+and returns the fingertip and its Jacobian together.
+
+Every route composes a joint in `_compose`, the one copy of the sequence
+R = R_parent @ R_origin, t = R_parent @ t_origin + t_parent, then
+R @ R_joint, so they agree bit for bit.  The vectorized Rodrigues and cross
+products repeat `axis_angle_matrix`'s and `np.cross`'s arithmetic entry for
+entry, and a Jacobian keeps the memory layout of a column selection of
+`jacobian`'s result, so that products such as J @ J.T round the same way.
 """
 
 from __future__ import annotations
@@ -22,6 +31,15 @@ import numpy as np
 
 from .robot_model import KinematicChain
 from .transforms import axis_angle_matrix, compose_rt, matrix_to_quat, quat_to_matrix, rpy_matrix
+
+
+# Component gathers (`take` keeps rows C-ordered): the cyclic shifts of a
+# cross product; the row and column factor of each entry of a row-major 3x3
+# outer product; and the axis component and sign of each skew-matrix entry.
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+_ROW, _COLUMN = np.repeat(np.arange(3), 3), np.tile(np.arange(3), 3)
+_SKEW_AXIS = np.array([0, 2, 1, 2, 0, 0, 1, 0, 0])
+_SKEW_SIGN = np.array([0.0, -1.0, 1.0, 1.0, 0.0, -1.0, -1.0, 1.0, 0.0])
 
 
 class KinematicsError(ValueError):
@@ -119,40 +137,85 @@ def _resolve_link(chain: KinematicChain, link) -> int:
     return li
 
 
+def _compose(chain: KinematicChain, ji: int, R: np.ndarray, t: np.ndarray, rotation):
+    """Frame of joint `ji` from its parent link's frame (R, t).
+
+    The one compose sequence of this module: R, t = R @ R_origin,
+    R @ t_origin + t, then R @ rotation for a movable joint (`rotation` is
+    None for a fixed one).  Returns (R_joint, t, R_child): R_joint is the
+    frame the joint turns in (its world axis is R_joint @ axis), t the joint
+    origin, which is also the child link's origin, and R_child the child
+    link's rotation.
+    """
+    R, t = compose_rt(R, t, chain.origin_rotation[ji], chain.origin_translation[ji])
+    return R, t, (R if rotation is None else R @ rotation)
+
+
+def _walk(chain: KinematicChain, path, R: np.ndarray, t: np.ndarray, rotations: dict,
+          record=()):
+    """Compose (R, t) through the joints of `path`, parent first.
+
+    `rotations` maps every movable joint of `path` to its rotation.  Returns
+    the final (R, t) and, for the joints of `record` in path order, their
+    world axes and origins: the inputs of `_jacobian_columns`.
+    """
+    axes, origins = [], []
+    for ji in path:
+        R_joint, t, R = _compose(chain, ji, R, t, rotations.get(ji))
+        if ji in record:
+            axes.append(R_joint @ chain.movable_axes[chain.column_of[ji]])
+            origins.append(t)
+    return R, t, axes, origins
+
+
+def _path_rotations(chain: KinematicChain, path, state: JointState) -> dict:
+    """Rotation of each movable joint of `path` at its `state` angle, in path order."""
+    return {ji: axis_angle_matrix(chain.movable_axes[chain.column_of[ji]], state.get(ji))
+            for ji in path if ji in chain.column_of}
+
+
+def _jacobian_columns(axes: list, origins: list, p: np.ndarray) -> np.ndarray:
+    """Columns axis x (p - origin), shape (3, k).
+
+    The cross product is `np.cross`'s arithmetic (a1 b2 - a2 b1, and so on)
+    without its per-call set-up.  The result is the transpose of a C-ordered
+    (k, 3) array, the layout a column selection `jacobian(...)[:, cols]` has
+    too: J @ J.T takes another BLAS route for a C-ordered J, and rounds
+    differently.
+    """
+    a = np.array(axes)
+    b = p - np.array(origins)
+    return (a.take(_NEXT, 1) * b.take(_PREV, 1) - a.take(_PREV, 1) * b.take(_NEXT, 1)).T
+
+
 def link_transform(chain: KinematicChain, state: JointState, link) -> tuple[np.ndarray, np.ndarray]:
     """(rotation, translation) of `link` in the root frame, walked from the root."""
-    li = _resolve_link(chain, link)
-    R = np.eye(3)
-    t = np.zeros(3)
-    for ji in chain.path_to_link[li]:
-        R, t = compose_rt(R, t, chain.origin_rotation[ji], chain.origin_translation[ji])
-        col = chain.column_of.get(ji)
-        if col is not None:
-            R = R @ axis_angle_matrix(chain.movable_axes[col], state.get(ji))
+    path = chain.path_to_link[_resolve_link(chain, link)]
+    R, t, _, _ = _walk(chain, path, np.eye(3), np.zeros(3), _path_rotations(chain, path, state))
     return R, t
 
 
-def _joint_rotations(chain: KinematicChain, state: JointState) -> np.ndarray:
-    """Rodrigues rotation of every movable joint, shape (n, 3, 3), `movable` order.
+def _rodrigues_terms(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per unit axis (x, y, z), the row-major 3x3 of products (xx xy xz / yx yy yz
+    / zx zy zz) and of the skew matrix (0 -z y / z 0 -x / -y x 0), shape (n, 9)."""
+    products = axes.take(_ROW, 1) * axes.take(_COLUMN, 1)
+    skew = axes.take(_SKEW_AXIS, 1) * _SKEW_SIGN
+    return products, skew
 
-    Element for element the same arithmetic as `axis_angle_matrix`, so each
-    slice equals that function's result bit for bit.
+
+def _rodrigues(terms: tuple[np.ndarray, np.ndarray], angle: np.ndarray) -> np.ndarray:
+    """Rotation about each axis of `terms` by its angle (n,), shape (n, 3, 3).
+
+    Entry for entry the arithmetic of `axis_angle_matrix`: c + xx C on the
+    diagonal (the skew term there is a zero, which cannot change a sum that
+    is >= +0) and xy C - z s off it (as xy C + (-z) s, the same IEEE
+    operation), so each slice equals that function's result bit for bit.
     """
-    angle = np.array([state.get(ji) for ji in chain.movable], dtype=float)
-    x, y, z = chain.movable_axes.T
+    products, skew = terms
     c, s = np.cos(angle), np.sin(angle)
-    C = 1.0 - c
-    rot = np.empty((len(angle), 3, 3))
-    rot[:, 0, 0] = c + x * x * C
-    rot[:, 0, 1] = x * y * C - z * s
-    rot[:, 0, 2] = x * z * C + y * s
-    rot[:, 1, 0] = y * x * C + z * s
-    rot[:, 1, 1] = c + y * y * C
-    rot[:, 1, 2] = y * z * C - x * s
-    rot[:, 2, 0] = z * x * C - y * s
-    rot[:, 2, 1] = z * y * C + x * s
-    rot[:, 2, 2] = c + z * z * C
-    return rot
+    rot = products * (1.0 - c)[:, None] + skew * s[:, None]
+    rot[:, ::4] += c[:, None]
+    return rot.reshape(-1, 3, 3)
 
 
 def link_frames(chain: KinematicChain, state: JointState) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -162,18 +225,45 @@ def link_frames(chain: KinematicChain, state: JointState) -> list[tuple[np.ndarr
     parent link's frame exactly as `link_transform` does along its walk, so
     every frame is bit-for-bit the one `link_transform` returns.
     """
-    rot = _joint_rotations(chain, state)
+    rot = _rodrigues(_rodrigues_terms(chain.movable_axes),
+                     np.array([state.get(ji) for ji in chain.movable], dtype=float))
     frames: list = [None] * len(chain.links)
     frames[chain.root] = (np.eye(3), np.zeros(3))
     for ji in chain.joint_order:
         j = chain.joints[ji]
-        Rp, tp = frames[j.parent]
-        R, t = compose_rt(Rp, tp, chain.origin_rotation[ji], chain.origin_translation[ji])
         col = chain.column_of.get(ji)
-        if col is not None:
-            R = R @ rot[col]
+        _, t, R = _compose(chain, ji, *frames[j.parent], None if col is None else rot[col])
         frames[j.child] = (R, t)
     return frames
+
+
+def finger_walk(chain: KinematicChain, joints, link, state: JointState):
+    """Position and Jacobian of `link` as a function of the angles of `joints`.
+
+    `joints` are a finger's movable joints, base to tip, all on the path to
+    `link`; every other joint keeps its angle in `state`.  The frame the
+    first of `joints` hangs from is walked from the root once, here.  The
+    returned `walk(q)` takes the angles of `joints` as a float array and
+    makes one walk from that frame, with all their rotations from one
+    vectorized Rodrigues evaluation.  It returns `link`'s root-frame
+    position and its positional Jacobian over `joints`, shape (3, len(q)),
+    both bit for bit what `link_transform` and `jacobian(...)[:, cols]`
+    give for the same state.
+    """
+    path = chain.path_to_link[_resolve_link(chain, link)]
+    start = path.index(joints[0])
+    fixed = _path_rotations(chain, [ji for ji in path if ji not in joints], state)
+    R0, t0, _, _ = _walk(chain, path[:start], np.eye(3), np.zeros(3), fixed)
+    suffix = path[start:]
+    terms = _rodrigues_terms(chain.movable_axes[[chain.column_of[ji] for ji in joints]])
+
+    def walk(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        rotations = dict(fixed)
+        rotations.update(zip(joints, _rodrigues(terms, q)))
+        _, p, joint_axes, origins = _walk(chain, suffix, R0, t0, rotations, joints)
+        return p, _jacobian_columns(joint_axes, origins, p)
+
+    return walk
 
 
 def forward_kinematics(chain: KinematicChain, state: JointState, link) -> Pose:
@@ -188,20 +278,10 @@ def jacobian(chain: KinematicChain, state: JointState, link) -> np.ndarray:
     Column for movable joint j is axis_j x (p_link - p_joint_j) when j lies
     on the path to the link, zero otherwise.
     """
-    li = _resolve_link(chain, link)
+    path = chain.path_to_link[_resolve_link(chain, link)]
+    rotations = _path_rotations(chain, path, state)
+    _, t, axes, origins = _walk(chain, path, np.eye(3), np.zeros(3), rotations, rotations)
     J = np.zeros((3, len(chain.movable)))
-    R = np.eye(3)
-    t = np.zeros(3)
-    cols, axes, origins = [], [], []  # per revolute joint on the path
-    for ji in chain.path_to_link[li]:
-        R, t = compose_rt(R, t, chain.origin_rotation[ji], chain.origin_translation[ji])
-        col = chain.column_of.get(ji)
-        if col is not None:
-            axis = chain.movable_axes[col]
-            cols.append(col)
-            axes.append(R @ axis)
-            origins.append(t)
-            R = R @ axis_angle_matrix(axis, state.get(ji))
-    if cols:
-        J[:, cols] = np.cross(np.array(axes), t - np.array(origins)).T
+    if axes:
+        J[:, [chain.column_of[ji] for ji in rotations]] = _jacobian_columns(axes, origins, t)
     return J

@@ -11,9 +11,10 @@ named "thumb" exists the hand-layout rule is enforced: the thumb has
 exactly 5 movable joints and every other canonical finger (index, middle,
 ring, pinky) has exactly 4.
 
-Fixed joints stay in the tree as zero-DOF constant transforms; forward
-kinematics folds them into the pose walk, so a fingertip frame attached by
-a fixed joint costs nothing at runtime.
+Fixed joints stay in the tree as zero-DOF constant transforms.  Every walk
+composes them like any other joint (one origin rotation and translation
+each), so a fingertip frame attached by a fixed joint costs one compose per
+walk that reaches it.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import io
+import logging
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from graspforge.controller import (PHASE_CONTACT_OPT, PHASE_MONITOR, PHASE_PRE_GRASP,
                                    LogStep, RunConfig, RunConfigError, TrajectoryLog,
                                    execute_grasp, step_servo, write_trajectory_csv)
-from graspforge.kinematics import neutral_state
+from graspforge.kinematics import link_frames, neutral_state
 from graspforge.scene import Scene, default_scene, make_box_object
 from graspforge.kinematics import Pose
 
@@ -155,6 +156,47 @@ class TestExecuteGrasp:
         assert not assessment.stable
         assert assessment.failure_reason == FAILURE_TOO_FEW
         assert len(log.steps) == 30  # never validated, so never broke out early
+
+    def test_one_link_frames_pass_per_control_step(self, scenario, monkeypatch):
+        """The step's frames feed both contact detection and the fingertip log."""
+        import graspforge.contact
+        import graspforge.controller
+        calls = []
+
+        def counted(chain, state):
+            calls.append(state)
+            return link_frames(chain, state)
+
+        monkeypatch.setattr(graspforge.controller, "link_frames", counted)
+        monkeypatch.setattr(graspforge.contact, "link_frames", counted)
+        _, log, _ = execute_grasp(scenario.scene, scenario.targets, scenario.run,
+                                  scenario.ik, scenario.validation)
+        # ends in monitor, so no end-of-budget detection adds a pass
+        assert log.steps[-1].phase == PHASE_MONITOR
+        assert len(calls) == len(log.steps) == 165
+
+    def test_debug_log_reports_ik_outcomes_and_phase_steps(self, scenario, caplog, capsys):
+        caplog.set_level(logging.DEBUG, logger="graspforge")
+        execute_grasp(scenario.scene, scenario.targets, scenario.run, scenario.ik,
+                      scenario.validation)
+        records = [r for r in caplog.records if r.name == "graspforge"]
+        assert all(r.levelno == logging.DEBUG for r in records)
+        ik = [r.args for r in records if " IK " in r.msg]
+        assert len(ik) == 10  # five fingers, pre-grasp and contact solves
+        assert [args[0] for args in ik] == [PHASE_PRE_GRASP] * 5 + [PHASE_CONTACT_OPT] * 5
+        pre_grasp = {finger: (iterations, converged)
+                     for phase, finger, _, iterations, converged in ik[:5]}
+        # middle and ring cannot reach their waypoints 3 cm off the box; index
+        # and pinky stop 0.3 mm short from the neutral seed, a pitch joint pinned
+        for finger in ("index", "middle", "ring", "pinky"):
+            assert pre_grasp[finger] == (100, False)
+        assert pre_grasp["thumb"][1]
+        assert all(converged for *_, converged in ik[5:])
+        assert [r.getMessage() for r in records if r.msg.startswith("phase")] == [
+            "phase pre_grasp -> contact_opt at step 80",
+            "phase contact_opt -> monitor at step 115",
+        ]
+        assert capsys.readouterr().out == ""
 
     def test_log_every_thins_the_log(self, scenario):
         run = RunConfig(max_steps=7, log_every=3)

@@ -2,11 +2,123 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graspforge.ik_solver import (IkConfig, IkConfigError, merge_hand_results,
+from graspforge.ik_solver import (IkConfig, IkConfigError, IkResult, merge_hand_results,
                                   solve_finger_ik, solve_hand_ik)
-from graspforge.kinematics import (JointState, forward_kinematics, mid_range_state,
-                                   within_limits)
+from graspforge.kinematics import (JointState, clamp_to_limits, forward_kinematics, jacobian,
+                                   link_transform, mid_range_state, within_limits)
+from graspforge.robot_model import parse_robot_description
+
+from conftest import TWO_LINK_ARM
+
+# A wrist joint above the index finger, so the frame the finger hangs from
+# depends on the seed; tilted axes, rpy origins and fixed joints between.
+WRIST_HAND = """
+<robot name="wrist_hand">
+  <link name="forearm"/>
+  <link name="wrist"/>
+  <link name="palm"/>
+  <link name="proximal"/>
+  <link name="middle"/>
+  <link name="distal"/>
+  <link name="tip"/>
+  <joint name="wrist_roll" type="revolute">
+    <parent link="forearm"/><child link="wrist"/>
+    <origin xyz="0.0 0.0 0.05" rpy="0.1 -0.2 0.3"/>
+    <axis xyz="0.6 0.0 0.8"/><limit lower="-1.5" upper="1.5"/>
+  </joint>
+  <joint name="palm_mount" type="fixed">
+    <parent link="wrist"/><child link="palm"/>
+    <origin xyz="0.02 -0.01 0.06" rpy="-0.4 0.2 0.9"/>
+  </joint>
+  <joint name="index_base" type="revolute">
+    <parent link="palm"/><child link="proximal"/>
+    <origin xyz="0.03 0.01 0.02" rpy="0.0 0.3 0.0"/>
+    <axis xyz="0 1 0"/><limit lower="-0.5" upper="1.6"/>
+  </joint>
+  <joint name="index_middle" type="revolute">
+    <parent link="proximal"/><child link="middle"/>
+    <origin xyz="0.04 0.0 0.0" rpy="0.2 0.0 -0.1"/>
+    <axis xyz="0 0.8 0.6"/><limit lower="0.0" upper="1.7"/>
+  </joint>
+  <joint name="index_distal" type="revolute">
+    <parent link="middle"/><child link="distal"/>
+    <origin xyz="0.03 0.0 0.0"/>
+    <axis xyz="0 1 0"/><limit lower="0.0" upper="1.4"/>
+  </joint>
+  <joint name="index_tip" type="fixed">
+    <parent link="distal"/><child link="tip"/>
+    <origin xyz="0.02 0.0 0.005" rpy="0.5 0.0 0.0"/>
+  </joint>
+</robot>
+"""
+
+
+def _reference_solve(chain, finger, target, seed, cfg) -> IkResult:
+    """The damped-least-squares loop on a joint dict and the public walks.
+
+    Kept as the oracle for `solve_finger_ik`, which must return the same
+    result bit for bit: one `link_transform` per damping trial, one
+    `jacobian` per iteration and `clamp_to_limits` on every trial state.
+    """
+    f = chain.finger(finger)
+    ee = f.end_effector
+    target_p = np.asarray(target, dtype=float)
+    cols = [chain.column_of[ji] for ji in f.joints]
+
+    def residual_of(s):
+        _, p = link_transform(chain, s, ee)
+        return float(np.linalg.norm(target_p - p)), p
+
+    state = clamp_to_limits(chain, seed.copy())
+    residual, p = residual_of(state)
+    iterations, lam, restarts = 0, cfg.damping_lambda, 0
+    best_state, best_residual = state, residual
+    for it in range(1, cfg.max_iterations + 1):
+        if residual <= cfg.residual_threshold:
+            break
+        iterations = it
+        e = target_p - p
+        J = jacobian(chain, state, ee)[:, cols]
+        accepted = False
+        trial_lam = lam
+        for _ in range(13):
+            A = J @ J.T + trial_lam ** 2 * np.eye(3)
+            dq = cfg.step_scale * (J.T @ np.linalg.solve(A, e))
+            trial = state.copy()
+            for ji, d in zip(f.joints, dq):
+                trial.values[ji] = trial.values[ji] + float(d)
+            trial = clamp_to_limits(chain, trial)
+            trial_residual, trial_p = residual_of(trial)
+            if trial_residual < residual:
+                state, residual, p = trial, trial_residual, trial_p
+                lam = max(trial_lam / 1.5, 1e-6)
+                accepted = True
+                break
+            trial_lam *= 2.0
+        if not accepted:
+            if residual < best_residual:
+                best_state, best_residual = state, residual
+            restarts += 1
+            frac = (0.25, 0.75, 0.1, 0.9, 0.5)[restarts % 5]
+            state = state.copy()
+            for ji in f.joints:
+                j = chain.joints[ji]
+                state.values[ji] = j.lower_limit + frac * (j.upper_limit - j.lower_limit)
+            residual, p = residual_of(state)
+            lam = cfg.damping_lambda
+    if residual < best_residual:
+        best_state, best_residual = state, residual
+    return IkResult(state=best_state, residual=best_residual, iterations=iterations,
+                    converged=best_residual <= cfg.residual_threshold)
+
+
+def _bits(result: IkResult):
+    """Everything in a result, floats by their bit pattern (so -0.0 != 0.0)."""
+    return (float(result.residual).hex(), result.iterations, result.converged,
+            [(ji, float(v).hex()) for ji, v in result.state.values.items()])
 
 
 def test_two_link_analytic_solution(two_link):
@@ -136,3 +248,80 @@ def test_unknown_finger_raises(chain):
     from graspforge.robot_model import UnknownFingerError
     with pytest.raises(UnknownFingerError):
         solve_finger_ik(chain, "tentacle", np.zeros(3), mid_range_state(chain))
+
+
+_WRIST_HAND = parse_robot_description(WRIST_HAND)
+_TWO_LINK = parse_robot_description(TWO_LINK_ARM)
+
+
+@st.composite
+def _ik_problems(draw, chains):
+    """(chain, finger, target, seed, config) over reachable, limit-pinned and far targets.
+
+    Seeds and target postures reach 0.5 rad past the joint limits, so the
+    seed is clamped and a target posture outside the limits pins a joint.
+    """
+    chain = draw(st.sampled_from(chains))
+    finger = draw(st.sampled_from(sorted(chain.fingers)))
+
+    def posture():
+        return {ji: draw(st.floats(chain.joints[ji].lower_limit - 0.5,
+                                   chain.joints[ji].upper_limit + 0.5))
+                for ji in chain.movable}
+
+    seed = JointState(values=posture())
+    ee = chain.fingers[finger].end_effector
+    if draw(st.booleans()):
+        target = forward_kinematics(chain, JointState(values=posture()), ee).position
+    else:  # well outside the finger's reach
+        direction = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3))) + [0.0, 0.0, 1.5]
+        scale = float(np.linalg.norm(forward_kinematics(chain, seed, ee).position)) + 0.1
+        target = 3.0 * scale * direction
+    config = IkConfig(max_iterations=draw(st.integers(1, 100)),
+                      damping_lambda=draw(st.sampled_from([0.05, 0.01, 0.3])),
+                      step_scale=draw(st.sampled_from([1.0, 0.5])))
+    return chain, finger, target, seed, config
+
+
+@settings(max_examples=40)
+@given(problem=st.data())
+def test_matches_the_reference_loop_bitwise(chain, problem):
+    """Bundled fingers, the two-link arm and a finger below a wrist joint."""
+    robot, finger, target, seed, config = problem.draw(
+        _ik_problems([chain, _TWO_LINK, _WRIST_HAND]))
+    result = solve_finger_ik(robot, finger, target, seed, config)
+    assert _bits(result) == _bits(_reference_solve(robot, finger, target, seed, config))
+
+
+@pytest.mark.parametrize("finger", ["thumb", "index", "middle", "ring", "pinky"])
+def test_bundled_fingers_match_the_reference_loop(chain, finger):
+    """Each finger from neutral: a reachable, a limit-pinned and a far target."""
+    rng = np.random.default_rng(11)
+    seed = mid_range_state(chain)
+    ee = chain.fingers[finger].end_effector
+    inside = JointState(values={ji: rng.uniform(chain.joints[ji].lower_limit,
+                                                chain.joints[ji].upper_limit)
+                                for ji in chain.movable})
+    pinned = JointState(values={ji: chain.joints[ji].upper_limit + 0.4 for ji in chain.movable})
+    targets = [forward_kinematics(chain, inside, ee).position,
+               forward_kinematics(chain, pinned, ee).position,
+               np.array([0.0, 0.0, 1.0])]
+    for target in targets:
+        result = solve_finger_ik(chain, finger, target, seed)
+        assert _bits(result) == _bits(_reference_solve(chain, finger, target, seed, IkConfig()))
+
+
+def test_the_wrist_angle_moves_the_finger_frame():
+    """The cached frame the index finger hangs from follows the seed's wrist angle."""
+    wrist = _WRIST_HAND.fingers["wrist"].joints[0]
+    target = np.array([0.05, 0.02, 0.15])
+    results = []
+    for angle in (-0.3, 0.4, 2.0):  # 2.0 lies past the limit and is clamped
+        seed = JointState(values={ji: 0.2 for ji in _WRIST_HAND.movable})
+        seed.values[wrist] = angle
+        result = solve_finger_ik(_WRIST_HAND, "index", target, seed)
+        assert _bits(result) == _bits(
+            _reference_solve(_WRIST_HAND, "index", target, seed, IkConfig()))
+        assert result.state.values[wrist] == min(angle, 1.5)
+        results.append(result)
+    assert len({_bits(r)[0] for r in results}) == 3

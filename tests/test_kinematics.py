@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graspforge.kinematics import (JointState, KinematicsError, Pose, clamp_to_limits,
-                                   forward_kinematics, jacobian, link_frames, link_transform,
+                                   finger_walk, forward_kinematics, jacobian, link_frames,
+                                   link_transform,
                                    mid_range_state, neutral_state, within_limits,
                                    zero_state)
 from graspforge.robot_model import parse_robot_description
@@ -247,6 +248,21 @@ def test_link_frames_on_a_tip_first_tree(values):
         R_ref, t_ref = _reference_frame(tree, state.values, li)
         assert np.allclose(R, R_ref, rtol=0.0, atol=1e-12)
         assert np.allclose(t, t_ref, rtol=0.0, atol=1e-12)
+
+
+@given(st.lists(_angles, min_size=21, max_size=21), st.lists(_angles, min_size=5, max_size=5))
+def test_finger_walk_equals_link_transform_and_jacobian_bitwise(chain, values, finger_values):
+    """Same bits and the same memory layout as a column selection of `jacobian`."""
+    base = JointState(values=dict(zip(chain.movable, values)))
+    for name, f in chain.fingers.items():
+        walk = finger_walk(chain, f.joints, f.end_effector, base)
+        state = base.copy()
+        state.values.update(zip(f.joints, finger_values))
+        p, J = walk(np.array([state.values[ji] for ji in f.joints]))
+        J_ref = jacobian(chain, state, f.end_effector)[:, [chain.column_of[ji] for ji in f.joints]]
+        assert p.tobytes() == link_transform(chain, state, f.end_effector)[1].tobytes()
+        assert J.tobytes(order="A") == J_ref.tobytes(order="A")
+        assert J.strides == J_ref.strides
 
 
 def test_link_frames_needs_every_movable_joint(chain):
