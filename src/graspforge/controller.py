@@ -14,13 +14,12 @@ with explicit Euler and clamps every iterate to joint limits.
 from __future__ import annotations
 
 import logging
+import math
+import numbers
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .contact import closest_point_box, detect_contacts
-from .grasp_validation import (FAILURE_TOO_FEW, GraspAssessment, ValidationConfig,
-                               validate_grasp)
+from .grasp_validation import ValidationConfig, validate_grasp
 from .ik_solver import IkConfig, merge_hand_results, solve_hand_ik
 from .kinematics import JointState, clamp_to_limits, link_frames, neutral_state
 from .robot_model import KinematicChain
@@ -56,6 +55,10 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise RunConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("hz", "joint_rate_limit", "servo_gain"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise RunConfigError(f"{name} must be a finite number, got {value!r}")
         if not self.hz > 0.0:
             raise RunConfigError("hz must be > 0")
         if self.max_steps < 1:
@@ -72,7 +75,6 @@ class RunConfig:
 class LogStep:
     time: float
     positions: dict  # finger -> world end-effector position (3,)
-    joints: dict  # joint index -> angle
     contact_count: int
     phase: str
 
@@ -138,15 +140,13 @@ def _base_targets(scene: Scene, targets: dict) -> dict:
 
 def execute_grasp(scene: Scene, targets: dict, run: RunConfig | None = None,
                   ik: IkConfig | None = None,
-                  validation: ValidationConfig | None = None,
-                  initial_state: JointState | None = None):
+                  validation: ValidationConfig | None = None):
     """Run the full grasp sequence; returns (final state, log, assessment)."""
     run = run or RunConfig()
     ik = ik or IkConfig()
     validation = validation or ValidationConfig()
     chain = scene.chain
-    state = clamp_to_limits(chain, initial_state.copy()) if initial_state is not None \
-        else neutral_state(chain)
+    state = neutral_state(chain)
 
     log = TrajectoryLog(fingers=tuple(chain.fingers))
     dt = 1.0 / run.hz
@@ -160,9 +160,6 @@ def execute_grasp(scene: Scene, targets: dict, run: RunConfig | None = None,
     flexor_of = {name: f.joints[-2] for name, f in chain.fingers.items()}
     latched: set = set()
     hold_count = 0
-    assessment = GraspAssessment(stable=False, contact_count=0, center=np.zeros(3),
-                                 max_distance=0.0, closure_residual=0.0,
-                                 failure_reason=FAILURE_TOO_FEW)
 
     contact_goal = None
     step = 0
@@ -178,8 +175,8 @@ def execute_grasp(scene: Scene, targets: dict, run: RunConfig | None = None,
         contacts = detect_contacts(scene, state, frames=frames)
 
         if phase == PHASE_PRE_GRASP:
-            done = all(abs(state.values[ji] - pre_goal.values.get(ji, state.values[ji]))
-                       < PRE_GRASP_JOINT_TOL for ji in state.values)
+            done = all(abs(state.values[ji] - pre_goal.values[ji]) < PRE_GRASP_JOINT_TOL
+                       for ji in state.values)
             if done or step >= phase1_budget:
                 phase = PHASE_CONTACT_OPT
                 _log.debug("phase %s -> %s at step %d", PHASE_PRE_GRASP, phase, step)
@@ -203,7 +200,6 @@ def execute_grasp(scene: Scene, targets: dict, run: RunConfig | None = None,
             log.steps.append(LogStep(
                 time=step * dt,
                 positions=_ee_positions(scene, frames),
-                joints=dict(state.values),
                 contact_count=len(contacts),
                 phase=phase,
             ))
@@ -211,8 +207,9 @@ def execute_grasp(scene: Scene, targets: dict, run: RunConfig | None = None,
             break
 
     if phase != PHASE_MONITOR:
-        # budget ran out before validation ever passed: report the end state
-        assessment = validate_grasp(detect_contacts(scene, state), validation)
+        # budget ran out before validation ever passed: report the end state,
+        # whose contacts the last step detected
+        assessment = validate_grasp(contacts, validation)
     return state, log, assessment
 
 

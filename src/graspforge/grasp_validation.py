@@ -20,7 +20,7 @@ FAILURE_CLOSURE = "closure_exceeded"
 
 
 class ValidationConfigError(ValueError):
-    """Raised for non-positive thresholds or a zero contact minimum."""
+    """Raised for non-positive thresholds or a non-integer or zero contact minimum."""
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,9 @@ class ValidationConfig:
     min_contact_force: float = 0.5  # N; weaker contacts are not established
 
     def __post_init__(self):
+        value = self.min_contacts
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValidationConfigError(f"min_contacts must be an integer, got {value!r}")
         if self.min_contacts < 1:
             raise ValidationConfigError(f"min_contacts must be >= 1, got {self.min_contacts}")
         for name in ("distribution_threshold", "force_closure_threshold", "min_contact_force"):

@@ -102,7 +102,7 @@ def solve_finger_ik(chain: KinematicChain, finger: str, target,
     f = chain.finger(finger)
     target_p = _target_position(target)
 
-    start = clamp_to_limits(chain, seed.copy())
+    start = clamp_to_limits(chain, seed)
     walk = finger_walk(chain, f.joints, f.end_effector, start)
     lower = np.array([chain.joints[ji].lower_limit for ji in f.joints])
     upper = np.array([chain.joints[ji].upper_limit for ji in f.joints])
@@ -170,7 +170,7 @@ def solve_hand_ik(chain: KinematicChain, targets: dict, seed: JointState,
 def merge_hand_results(chain: KinematicChain, seed: JointState,
                        results: dict[str, IkResult]) -> JointState:
     """Fold per-finger solutions into one full state on top of `seed`."""
-    merged = clamp_to_limits(chain, seed.copy())
+    merged = clamp_to_limits(chain, seed)
     for finger, result in results.items():
         for ji in chain.finger(finger).joints:
             merged.values[ji] = result.state.values[ji]

@@ -101,12 +101,6 @@ def neutral_state(chain: KinematicChain) -> JointState:
     return clamp_to_limits(chain, zero_state(chain))
 
 
-def mid_range_state(chain: KinematicChain) -> JointState:
-    return JointState(values={
-        ji: 0.5 * (chain.joints[ji].lower_limit + chain.joints[ji].upper_limit)
-        for ji in chain.movable})
-
-
 def clamp_to_limits(chain: KinematicChain, state: JointState) -> JointState:
     """Clamp every provided joint value into its [lower, upper] range."""
     clamped = {}
@@ -264,12 +258,6 @@ def finger_walk(chain: KinematicChain, joints, link, state: JointState):
         return p, _jacobian_columns(joint_axes, origins, p)
 
     return walk
-
-
-def forward_kinematics(chain: KinematicChain, state: JointState, link) -> Pose:
-    """Pose of `link` (name or index) in the root frame."""
-    R, t = link_transform(chain, state, link)
-    return Pose(position=t, orientation=matrix_to_quat(R))
 
 
 def jacobian(chain: KinematicChain, state: JointState, link) -> np.ndarray:

@@ -9,6 +9,8 @@ displacement above the threshold.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -28,7 +30,8 @@ _NULL_SPACE_RTOL = 1e-9
 
 
 class PerturbConfigError(ValueError):
-    """Raised for a non-integer seed or iteration count, or a non-positive count, bound, or threshold."""
+    """Raised for a non-integer seed or iteration count, a non-positive count or
+    threshold, or a negative or non-finite force bound."""
 
 
 @dataclass(frozen=True)
@@ -45,8 +48,10 @@ class PerturbConfig:
                 raise PerturbConfigError(f"{name} must be an integer, got {value!r}")
         if self.iterations < 1:
             raise PerturbConfigError(f"iterations must be >= 1, got {self.iterations}")
-        if not self.force_bound >= 0.0:  # zero = degenerate no-force probe, allowed
-            raise PerturbConfigError("force_bound must be >= 0")
+        # zero = degenerate no-force probe, allowed
+        if not (isinstance(self.force_bound, numbers.Real) and 0.0 <= self.force_bound < math.inf):
+            raise PerturbConfigError(
+                f"force_bound must be a finite number >= 0, got {self.force_bound!r}")
         if not self.displacement_threshold > 0.0:
             raise PerturbConfigError("displacement_threshold must be > 0")
 
@@ -95,17 +100,6 @@ def _displacement(compliance, F: np.ndarray) -> np.ndarray:
         else:
             displacement += FREE_SLIDE_GAIN * component * v
     return displacement
-
-
-def object_response(obj: SceneObject, contacts: list[ContactPoint], force) -> np.ndarray:
-    """Quasi-static object displacement under an external force.
-
-    K = sum_i k n_i n_i^T over the contact normals; the force component in
-    K's range moves by the spring compliance, the null-space component
-    slides at FREE_SLIDE_GAIN.
-    """
-    F = np.asarray(force, dtype=float).reshape(3)
-    return _displacement(_compliance(obj, contacts), F)
 
 
 def perturb_contacts(obj: SceneObject, contacts: list[ContactPoint],

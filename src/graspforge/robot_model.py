@@ -8,8 +8,8 @@ joint dynamics elements are ignored; anything else unrecognized is an error.
 Finger grouping is inferred from joint names: every movable joint named
 ``<finger>_<something>`` belongs to finger ``<finger>``.  When a finger
 named "thumb" exists the hand-layout rule is enforced: the thumb has
-exactly 5 movable joints and every other canonical finger (index, middle,
-ring, pinky) has exactly 4.
+exactly 5 movable joints and every finger other than the thumb has
+exactly 4.
 
 Fixed joints stay in the tree as zero-DOF constant transforms.  Every walk
 composes them like any other joint (one origin rotation and translation
@@ -28,7 +28,6 @@ import numpy as np
 
 from .transforms import Transform
 
-CANONICAL_FINGERS = ("thumb", "index", "middle", "ring", "pinky")
 THUMB_DOF = 5
 OTHER_FINGER_DOF = 4
 
@@ -106,7 +105,6 @@ class KinematicChain:
     fingers: dict[str, Finger]
     # derived lookups and per-joint / per-link constants, excluded from equality
     link_index: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
-    parent_joint: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
     path_to_link: dict[int, tuple[int, ...]] = field(default_factory=dict, compare=False, repr=False)
     finger_links: dict[str, tuple[int, ...]] = field(default_factory=dict, compare=False, repr=False)
     # joints ordered parent-first (a joint's parent link is placed before it)
@@ -126,12 +124,12 @@ class KinematicChain:
 
     def __post_init__(self):
         self.link_index = {l.name: i for i, l in enumerate(self.links)}
-        self.parent_joint = {j.child: i for i, j in enumerate(self.joints)}
+        parent_joint = {j.child: i for i, j in enumerate(self.joints)}
         for li in range(len(self.links)):
             path = []
             cur = li
-            while cur in self.parent_joint:
-                ji = self.parent_joint[cur]
+            while cur in parent_joint:
+                ji = parent_joint[cur]
                 path.append(ji)
                 cur = self.joints[ji].parent
             self.path_to_link[li] = tuple(reversed(path))
@@ -336,7 +334,8 @@ def _build_chain(links: tuple[LinkSpec, ...], joints: tuple[JointSpec, ...]) -> 
 
     movable = tuple(ji for ji, j in enumerate(joints) if j.kind == "revolute")
 
-    # depth of each joint (movable count above it) for base-to-tip ordering
+    # depth of each joint (count of all joints above it, fixed ones included)
+    # for base-to-tip ordering
     def depth_of(ji: int) -> int:
         d = 0
         cur = joints[ji].parent
@@ -395,48 +394,6 @@ def _build_chain(links: tuple[LinkSpec, ...], joints: tuple[JointSpec, ...]) -> 
                     f"found {len(fingers[name].joints)}")
 
     return KinematicChain(links=links, joints=joints, root=root, movable=movable, fingers=fingers)
-
-
-# --------------------------------------------------------------------------
-# serialization (inverse of parse; floats via repr for exact round trips)
-
-
-def _fmt(values) -> str:
-    return " ".join(repr(float(v)) for v in values)
-
-
-def serialize_robot_description(chain: KinematicChain) -> str:
-    out = ['<robot name="robot">']
-    for link in chain.links:
-        if link.geometry is None:
-            out.append(f'  <link name="{link.name}"/>')
-            continue
-        out.append(f'  <link name="{link.name}">')
-        out.append('    <collision>')
-        og = link.geometry_origin
-        out.append(f'      <origin xyz="{_fmt(og.xyz)}" rpy="{_fmt(og.rpy)}"/>')
-        g = link.geometry
-        if isinstance(g, BoxGeometry):
-            size = tuple(2.0 * h for h in g.half_extents)
-            shape = f'<box size="{_fmt(size)}"/>'
-        elif isinstance(g, SphereGeometry):
-            shape = f'<sphere radius="{repr(float(g.radius))}"/>'
-        else:
-            shape = f'<capsule radius="{repr(float(g.radius))}" length="{repr(float(g.length))}"/>'
-        out.append(f'      <geometry>{shape}</geometry>')
-        out.append('    </collision>')
-        out.append('  </link>')
-    for j in chain.joints:
-        out.append(f'  <joint name="{j.name}" type="{j.kind}">')
-        out.append(f'    <parent link="{chain.links[j.parent].name}"/>')
-        out.append(f'    <child link="{chain.links[j.child].name}"/>')
-        out.append(f'    <origin xyz="{_fmt(j.origin.xyz)}" rpy="{_fmt(j.origin.rpy)}"/>')
-        if j.kind == "revolute":
-            out.append(f'    <axis xyz="{_fmt(j.axis)}"/>')
-            out.append(f'    <limit lower="{repr(float(j.lower_limit))}" upper="{repr(float(j.upper_limit))}"/>')
-        out.append('  </joint>')
-    out.append('</robot>')
-    return "\n".join(out) + "\n"
 
 
 def load_robot_description(path: str) -> KinematicChain:

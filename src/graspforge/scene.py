@@ -52,7 +52,6 @@ class PhysicalParams:
 class SceneObject:
     """A box-shaped graspable body."""
 
-    id: str
     half_extents: tuple[float, float, float]
     pose: Pose
     mass: float
@@ -77,7 +76,6 @@ def make_box_object(
     pose: Pose,
     mass: float,
     params: PhysicalParams | None = None,
-    id: str = "box",
 ) -> SceneObject:
     """Build a box object, validating dimensions and mass."""
     hx, hy, hz = (float(v) for v in half_extents)
@@ -87,7 +85,6 @@ def make_box_object(
     if not math.isfinite(mass) or mass <= 0.0:
         raise SceneError(f"mass must be positive, got {mass!r}")
     return SceneObject(
-        id=id,
         half_extents=(hx, hy, hz),
         pose=pose,
         mass=float(mass),
@@ -130,13 +127,14 @@ def base_from_world(scene: Scene, p_world) -> np.ndarray:
     return R.T @ (np.asarray(p_world, dtype=float) - scene.hand_base.position)
 
 
-# Fingertip ball radius of the bundled hand; target points sit inside the box
-# surface by (ball radius - offset) so the servo presses until latched.
-_TIP_RADIUS = 0.008
-_TARGET_OFFSET = 0.0045  # ball-center distance from the surface feature (3.5 mm press)
+# Tip-frame distance from the surface feature.  On the bundled hand the
+# `<finger>_tip` frame is the center of the distal capsule's end cap (radius
+# 8 mm), so a target this close puts the cap 3.5 mm inside the box and the
+# servo presses until latched.
+_TARGET_OFFSET = 0.0045
 
 # Edge-press direction for index/pinky: mostly lateral with an upward tilt
-# that parks the ball ~0.9 mm palm-side of the top-face plane.  The lateral
+# that parks the tip frame ~0.9 mm palm-side of the top-face plane.  The lateral
 # sweep of these two fingers is the last motion before the grasp validates,
 # so the contact normals keep a z component between the first-touch value
 # (~0.15) and the at-rest value (0.20) -- enough out-of-plane stiffness to
@@ -146,7 +144,7 @@ _EDGE_TILT = (0.0, 0.9797958971132712, -0.2)
 
 
 def default_grasp_targets(scene: Scene) -> dict[str, Pose]:
-    """Per-finger fingertip ball-center targets for a four-contact box pinch.
+    """Per-finger tip-frame target positions for a four-contact box pinch.
 
     Index and pinky press the two palm-side lateral edges of the box, middle
     hooks over and presses the far face back toward the palm, the thumb

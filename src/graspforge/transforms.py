@@ -71,8 +71,8 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# fixed rigid transform stored as the authored (xyz, rpy) pair so that
-# parse -> serialize -> parse round-trips are field-identical
+# fixed rigid transform kept as the (xyz, rpy) pair the robot description
+# authors; rotation() and translation() give its matrix form
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ except ImportError:  # hypothesis is an optional test dependency
 
 from graspforge.config import default_scenario_path, load_scenario
 from graspforge.controller import execute_grasp
+from graspforge.kinematics import JointState
 from graspforge.robot_model import bundled_hand_path, load_robot_description
 
 if settings is not None:
@@ -49,6 +50,13 @@ TWO_LINK_ARM = """
   </joint>
 </robot>
 """
+
+
+def mid_range_state(chain):
+    """Every movable joint at the middle of its limits."""
+    return JointState(values={
+        ji: 0.5 * (chain.joints[ji].lower_limit + chain.joints[ji].upper_limit)
+        for ji in chain.movable})
 
 
 @pytest.fixture(scope="session")

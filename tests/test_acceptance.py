@@ -21,12 +21,13 @@ from graspforge.grasp_validation import (FAILURE_CLOSURE, FAILURE_NONE, FAILURE_
                                          FAILURE_TOO_FEW, ValidationConfig,
                                          validate_grasp)
 from graspforge.ik_solver import IkConfig, solve_finger_ik
-from graspforge.kinematics import (JointState, forward_kinematics, mid_range_state,
-                                   within_limits)
+from graspforge.kinematics import JointState, link_transform, within_limits
 from graspforge.metrics import movement_efficiency, summarize_run
 from graspforge.perturbation import PerturbConfig, perturb_contacts
 from graspforge.scene import PhysicalParams, make_box_object
 from graspforge.kinematics import Pose
+
+from conftest import mid_range_state
 
 STIFFNESS = 10000.0
 
@@ -66,7 +67,7 @@ def test_ik_convergence_contract(chain, report):
     for i in range(200):
         finger = fingers[i % len(fingers)]
         tip = chain.fingers[finger].end_effector
-        target = forward_kinematics(chain, _random_state(chain, rng), tip).position
+        target = link_transform(chain, _random_state(chain, rng), tip)[1]
         res = solve_finger_ik(chain, finger, target, seed, cfg)
         converged += bool(res.converged and res.residual <= 1e-5)
         in_limits += within_limits(chain, res.state)
@@ -90,8 +91,8 @@ def test_jacobian_matches_finite_differences(chain, report):
                 hi, lo = state.copy(), state.copy()
                 hi.values[ji] += h
                 lo.values[ji] -= h
-                fd = (forward_kinematics(chain, hi, tip).position
-                      - forward_kinematics(chain, lo, tip).position) / (2 * h)
+                fd = (link_transform(chain, hi, tip)[1]
+                      - link_transform(chain, lo, tip)[1]) / (2 * h)
                 worst = max(worst, float(np.max(np.abs(J[:, col] - fd))))
     report("jacobian vs central differences", worst <= 1e-5,
            f"max deviation {worst:.3e} over 100 random states (tolerance 1e-5)")
@@ -189,7 +190,7 @@ def test_published_distance_metrics(report):
     steps = [LogStep(time=0.0,
                      positions={f: np.array([PUBLISHED[f][0], 0.0, 0.0])
                                 for f in fingers},
-                     joints={}, contact_count=4, phase="monitor")]
+                     contact_count=4, phase="monitor")]
     log = TrajectoryLog(fingers=fingers, steps=steps)
     targets = {f: np.zeros(3) for f in fingers}
     _, summary = summarize_run(log, targets)

@@ -197,7 +197,8 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("key", ["ik.max_iterations=1.5", "perturb.iterations=2.5",
                                      "run.seed=1.7", "run.seed=true", "run.steps=2.5",
-                                     "run.log_every=1.5"])
+                                     "run.log_every=1.5", "validation.min_contacts=2.5",
+                                     "validation.min_contacts=true"])
     def test_non_integer_count_is_a_config_error(self, tmp_path, capsys, key):
         code = run_cli("perturb", "--set", key, "--out", str(tmp_path))
         assert code == EXIT_ERROR
@@ -209,6 +210,15 @@ class TestErrorHandling:
         code = run_cli("perturb", "--set", key, "--out", str(tmp_path))
         assert code == EXIT_ERROR
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("key", ["run.servo_gain=.nan", "run.joint_rate_limit=.nan",
+                                     "run.hz=.inf", "perturb.force_bound=.inf"])
+    def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, key):
+        code = run_cli("perturb", "--set", key, "--out", str(tmp_path))
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be a finite number" in err
 
     # argparse's own status for these is 2, which would read as an unstable grasp
     @pytest.mark.parametrize("argv", [

@@ -4,14 +4,24 @@ import logging
 import numpy as np
 import pytest
 
+from graspforge.contact import detect_contacts
 from graspforge.controller import (PHASE_CONTACT_OPT, PHASE_MONITOR, PHASE_PRE_GRASP,
                                    LogStep, RunConfig, RunConfigError, TrajectoryLog,
                                    execute_grasp, step_servo, write_trajectory_csv)
+from graspforge.grasp_validation import validate_grasp
 from graspforge.kinematics import link_frames, neutral_state
 from graspforge.scene import Scene, default_scene, make_box_object
 from graspforge.kinematics import Pose
 
 PHASE_ORDER = {PHASE_PRE_GRASP: 0, PHASE_CONTACT_OPT: 1, PHASE_MONITOR: 2}
+
+
+def _far_box_scene(scenario):
+    """The bundled scene with the box moved out of the hand's reach."""
+    scene = scenario.scene
+    far = make_box_object(scene.object.half_extents, Pose(position=(5.0, 0.0, 0.188)),
+                          scene.object.mass, scene.object.params)
+    return Scene(chain=scene.chain, hand_base=scene.hand_base, object=far)
 
 
 class TestRunConfig:
@@ -26,6 +36,12 @@ class TestRunConfig:
         {"max_steps": True},
         {"log_every": 1.5},
         {"log_every": True},
+        {"hz": float("inf")},
+        {"hz": float("nan")},
+        {"joint_rate_limit": float("nan")},
+        {"joint_rate_limit": float("inf")},
+        {"servo_gain": float("nan")},
+        {"servo_gain": float("inf")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(RunConfigError):
@@ -131,9 +147,9 @@ class TestExecuteGrasp:
         b = execute_grasp(scenario.scene, scenario.targets, run, scenario.ik,
                           scenario.validation)
         for sa, sb in zip(a[1].steps, b[1].steps):
-            assert sa.joints == sb.joints
             for f in sa.positions:
                 assert np.array_equal(sa.positions[f], sb.positions[f])
+        assert a[0].values == b[0].values
 
     def test_zero_rate_limit_freezes_the_hand(self, scenario):
         run = RunConfig(max_steps=5, joint_rate_limit=0.0)
@@ -145,13 +161,8 @@ class TestExecuteGrasp:
 
     def test_unreachable_object_reports_too_few_contacts(self, scenario):
         from graspforge.grasp_validation import FAILURE_TOO_FEW
-        scene = scenario.scene
-        far = make_box_object(scene.object.half_extents,
-                              Pose(position=(5.0, 0.0, 0.188)), scene.object.mass,
-                              scene.object.params)
-        far_scene = Scene(chain=scene.chain, hand_base=scene.hand_base, object=far)
         run = RunConfig(max_steps=30)
-        _, log, assessment = execute_grasp(far_scene, scenario.targets, run,
+        _, log, assessment = execute_grasp(_far_box_scene(scenario), scenario.targets, run,
                                            scenario.ik, scenario.validation)
         assert not assessment.stable
         assert assessment.failure_reason == FAILURE_TOO_FEW
@@ -171,9 +182,20 @@ class TestExecuteGrasp:
         monkeypatch.setattr(graspforge.contact, "link_frames", counted)
         _, log, _ = execute_grasp(scenario.scene, scenario.targets, scenario.run,
                                   scenario.ik, scenario.validation)
-        # ends in monitor, so no end-of-budget detection adds a pass
         assert log.steps[-1].phase == PHASE_MONITOR
         assert len(calls) == len(log.steps) == 165
+
+        # a run that ends by its step budget validates the contacts its last
+        # step detected, with no further pass
+        calls.clear()
+        far_scene = _far_box_scene(scenario)
+        state, log, assessment = execute_grasp(far_scene, scenario.targets,
+                                               RunConfig(max_steps=30), scenario.ik,
+                                               scenario.validation)
+        assert log.steps[-1].phase != PHASE_MONITOR
+        assert len(calls) == len(log.steps) == 30
+        expected = validate_grasp(detect_contacts(far_scene, state), scenario.validation)
+        assert assessment.to_dict() == expected.to_dict()
 
     def test_debug_log_reports_ik_outcomes_and_phase_steps(self, scenario, caplog, capsys):
         caplog.set_level(logging.DEBUG, logger="graspforge")
@@ -209,7 +231,7 @@ class TestExecuteGrasp:
 def test_trajectory_csv_golden():
     log = TrajectoryLog(fingers=("index",), steps=[
         LogStep(time=0.5, positions={"index": np.array([0.1, -0.2, 0.3])},
-                joints={0: 0.0}, contact_count=2, phase="monitor"),
+                contact_count=2, phase="monitor"),
     ])
     buf = io.StringIO()
     write_trajectory_csv(log, buf)

@@ -183,6 +183,8 @@ def test_assessment_to_dict_round_trips_through_json():
     {"distribution_threshold": 0.0},
     {"force_closure_threshold": -0.5},
     {"min_contact_force": 0.0},
+    {"min_contacts": 2.5},
+    {"min_contacts": True},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValidationConfigError):

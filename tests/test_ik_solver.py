@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from graspforge.ik_solver import (IkConfig, IkConfigError, IkResult, merge_hand_results,
                                   solve_finger_ik, solve_hand_ik)
-from graspforge.kinematics import (JointState, clamp_to_limits, forward_kinematics, jacobian,
-                                   link_transform, mid_range_state, within_limits)
+from graspforge.kinematics import (JointState, clamp_to_limits, jacobian, link_transform,
+                                   within_limits)
 from graspforge.robot_model import parse_robot_description
 
-from conftest import TWO_LINK_ARM
+from conftest import TWO_LINK_ARM, mid_range_state
 
 # A wrist joint above the index finger, so the frame the finger hangs from
 # depends on the seed; tilted axes, rpy origins and fixed joints between.
@@ -133,7 +133,7 @@ def test_two_link_analytic_solution(two_link):
 
 def test_target_at_seed_needs_no_iterations(two_link):
     seed = JointState(values={0: 0.1, 1: 0.1})
-    target = forward_kinematics(two_link, seed, "tip").position
+    target = link_transform(two_link, seed, "tip")[1]
     res = solve_finger_ik(two_link, "arm", target, seed)
     assert res.converged
     assert res.iterations <= 1
@@ -170,7 +170,7 @@ def test_only_the_fingers_joints_move(chain):
     state = JointState(values={
         ji: rngv for ji, rngv in zip(chain.movable,
                                      np.random.default_rng(5).uniform(-0.1, 0.3, 21))})
-    target = forward_kinematics(chain, state, "index_tip").position
+    target = link_transform(chain, state, "index_tip")[1]
     res = solve_finger_ik(chain, "index", target, seed)
     index_joints = set(chain.fingers["index"].joints)
     for ji in chain.movable:
@@ -186,14 +186,14 @@ def test_reachable_targets_converge_from_mid_range(chain):
             ji: rng.uniform(chain.joints[ji].lower_limit, chain.joints[ji].upper_limit)
             for ji in chain.movable})
         tip = chain.fingers[finger].end_effector
-        target = forward_kinematics(chain, random_state, tip).position
+        target = link_transform(chain, random_state, tip)[1]
         res = solve_finger_ik(chain, finger, target, seed)
         assert res.converged, f"{finger}: residual {res.residual}"
 
 
 def test_solve_hand_ik_runs_every_finger_independently(chain):
     seed = mid_range_state(chain)
-    targets = {f: forward_kinematics(chain, seed, chain.fingers[f].end_effector).position
+    targets = {f: link_transform(chain, seed, chain.fingers[f].end_effector)[1]
                for f in chain.fingers}
     results = solve_hand_ik(chain, targets, seed)
     assert set(results) == set(chain.fingers)
@@ -206,7 +206,7 @@ def test_merge_hand_results_folds_all_fingers(chain):
         ji: rng.uniform(chain.joints[ji].lower_limit, chain.joints[ji].upper_limit)
         for ji in chain.movable})
     seed = mid_range_state(chain)
-    targets = {f: forward_kinematics(chain, posture, chain.fingers[f].end_effector).position
+    targets = {f: link_transform(chain, posture, chain.fingers[f].end_effector)[1]
                for f in ("index", "thumb")}
     results = solve_hand_ik(chain, targets, seed)
     merged = merge_hand_results(chain, seed, results)
@@ -272,10 +272,10 @@ def _ik_problems(draw, chains):
     seed = JointState(values=posture())
     ee = chain.fingers[finger].end_effector
     if draw(st.booleans()):
-        target = forward_kinematics(chain, JointState(values=posture()), ee).position
+        target = link_transform(chain, JointState(values=posture()), ee)[1]
     else:  # well outside the finger's reach
         direction = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3))) + [0.0, 0.0, 1.5]
-        scale = float(np.linalg.norm(forward_kinematics(chain, seed, ee).position)) + 0.1
+        scale = float(np.linalg.norm(link_transform(chain, seed, ee)[1])) + 0.1
         target = 3.0 * scale * direction
     config = IkConfig(max_iterations=draw(st.integers(1, 100)),
                       damping_lambda=draw(st.sampled_from([0.05, 0.01, 0.3])),
@@ -303,8 +303,8 @@ def test_bundled_fingers_match_the_reference_loop(chain, finger):
                                                 chain.joints[ji].upper_limit)
                                 for ji in chain.movable})
     pinned = JointState(values={ji: chain.joints[ji].upper_limit + 0.4 for ji in chain.movable})
-    targets = [forward_kinematics(chain, inside, ee).position,
-               forward_kinematics(chain, pinned, ee).position,
+    targets = [link_transform(chain, inside, ee)[1],
+               link_transform(chain, pinned, ee)[1],
                np.array([0.0, 0.0, 1.0])]
     for target in targets:
         result = solve_finger_ik(chain, finger, target, seed)

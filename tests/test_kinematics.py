@@ -6,11 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graspforge.kinematics import (JointState, KinematicsError, Pose, clamp_to_limits,
-                                   finger_walk, forward_kinematics, jacobian, link_frames,
-                                   link_transform,
-                                   mid_range_state, neutral_state, within_limits,
-                                   zero_state)
+                                   finger_walk, jacobian, link_frames, link_transform,
+                                   neutral_state, within_limits, zero_state)
 from graspforge.robot_model import parse_robot_description
+
+from conftest import mid_range_state
 
 # A branching tree whose joints are listed tip-first, so file order is not
 # parent-first; tilted axes, rpy origins and fixed joints at every level.
@@ -88,7 +88,7 @@ def _reference_frame(chain, values, link):
 
 def test_two_link_fk_matches_planar_geometry(two_link):
     for q1, q2 in [(0.0, 0.0), (0.3, -0.4), (1.2, 0.5), (0.0, math.pi / 2)]:
-        p = forward_kinematics(two_link, JointState(values={0: q1, 1: q2}), "tip").position
+        p = link_transform(two_link, JointState(values={0: q1, 1: q2}), "tip")[1]
         expected = [math.cos(q1) + math.cos(q1 + q2),
                     math.sin(q1) + math.sin(q1 + q2), 0.0]
         assert np.allclose(p, expected, atol=1e-12)
@@ -119,8 +119,8 @@ def test_root_link_is_identity(chain):
 def test_link_accepts_name_or_index(chain):
     state = neutral_state(chain)
     li = chain.link_index["index_tip"]
-    by_name = forward_kinematics(chain, state, "index_tip").position
-    by_index = forward_kinematics(chain, state, li).position
+    by_name = link_transform(chain, state, "index_tip")[1]
+    by_index = link_transform(chain, state, li)[1]
     assert np.array_equal(by_name, by_index)
 
 
@@ -134,7 +134,7 @@ def test_unknown_link_raises(chain):
 def test_missing_joint_value_raises(chain):
     state = JointState(values={})
     with pytest.raises(KinematicsError):
-        forward_kinematics(chain, state, "index_tip")
+        link_transform(chain, state, "index_tip")
 
 
 def test_zero_state_covers_every_movable_joint(chain):
@@ -194,8 +194,8 @@ def test_jacobian_matches_finite_differences(chain, seed):
         lo = state.copy()
         hi.values[ji] += h
         lo.values[ji] -= h
-        fd = (forward_kinematics(chain, hi, tip).position
-              - forward_kinematics(chain, lo, tip).position) / (2 * h)
+        fd = (link_transform(chain, hi, tip)[1]
+              - link_transform(chain, lo, tip)[1]) / (2 * h)
         assert np.allclose(J[:, col], fd, atol=1e-6)
 
 

@@ -25,7 +25,7 @@ def make_log(tracks):
     steps = [LogStep(time=i * 0.1,
                      positions={f: np.asarray(tracks[f][i], dtype=float)
                                 for f in fingers},
-                     joints={}, contact_count=0, phase="monitor")
+                     contact_count=0, phase="monitor")
              for i in range(n)]
     return TrajectoryLog(fingers=fingers, steps=steps)
 

@@ -7,7 +7,7 @@ from graspforge.contact import ContactPoint, detect_contacts
 from graspforge.grasp_validation import ValidationConfig
 from graspforge.kinematics import Pose
 from graspforge.perturbation import (FREE_SLIDE_GAIN, PerturbConfig, PerturbConfigError,
-                                     PerturbationReport, object_response,
+                                     PerturbationReport, _compliance, _displacement,
                                      perturb_contacts, perturbation_test,
                                      write_samples_csv)
 from graspforge.scene import PhysicalParams, make_box_object
@@ -18,6 +18,11 @@ STIFFNESS = 10000.0
 def _obj():
     return make_box_object((0.03, 0.025, 0.03), Pose(position=(0, 0, 0)), 0.2,
                            PhysicalParams())
+
+
+def _response(obj, contacts, F):
+    """Object displacement under force F, computed as each perturbation round does."""
+    return _displacement(_compliance(obj, contacts), F)
 
 
 def _cp(position, normal, force=2.0):
@@ -40,36 +45,36 @@ def square_contacts():
 
 class TestObjectResponse:
     def test_aligned_force_moves_by_spring_compliance(self):
-        d = object_response(_obj(), [_cp((0, 0, 0.03), (0, 0, 1))],
-                            np.array([0.0, 0.0, -1.0]))
+        d = _response(_obj(), [_cp((0, 0, 0.03), (0, 0, 1))],
+                      np.array([0.0, 0.0, -1.0]))
         assert np.allclose(d, [0.0, 0.0, -1.0 / STIFFNESS], atol=1e-12)
 
     def test_unresisted_force_slides_freely(self):
-        d = object_response(_obj(), [_cp((0, 0, 0.03), (0, 0, 1))],
-                            np.array([1.0, 0.0, 0.0]))
+        d = _response(_obj(), [_cp((0, 0, 0.03), (0, 0, 1))],
+                      np.array([1.0, 0.0, 0.0]))
         assert np.allclose(d, [FREE_SLIDE_GAIN, 0.0, 0.0], atol=1e-12)
 
     def test_mixed_force_splits_into_both_regimes(self):
-        d = object_response(_obj(), [_cp((0, 0, 0.03), (0, 0, 1))],
-                            np.array([1.0, 0.0, -1.0]))
+        d = _response(_obj(), [_cp((0, 0, 0.03), (0, 0, 1))],
+                      np.array([1.0, 0.0, -1.0]))
         assert np.allclose(d, [FREE_SLIDE_GAIN, 0.0, -1.0 / STIFFNESS], atol=1e-12)
 
     def test_lateral_escape_threshold_sits_at_0_4_newtons(self):
         contact = [_cp((0, 0, 0.03), (0, 0, 1))]
-        slip_big = np.linalg.norm(object_response(_obj(), contact, np.array([0.41, 0, 0])))
-        slip_small = np.linalg.norm(object_response(_obj(), contact, np.array([0.39, 0, 0])))
+        slip_big = np.linalg.norm(_response(_obj(), contact, np.array([0.41, 0, 0])))
+        slip_small = np.linalg.norm(_response(_obj(), contact, np.array([0.39, 0, 0])))
         assert slip_big > 0.02
         assert slip_small < 0.02
 
     def test_tetrahedral_normals_resist_isotropically(self):
         contacts = tetra_contacts()
         for F in (np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([1.0, 1.0, 1.0])):
-            d = object_response(_obj(), contacts, F)
+            d = _response(_obj(), contacts, F)
             # K = (4/3) k I, so displacement is parallel to the force
             assert np.allclose(d, F / (4.0 / 3.0 * STIFFNESS), atol=1e-12)
 
     def test_no_contacts_means_pure_slide(self):
-        d = object_response(_obj(), [], np.array([0.2, -0.1, 0.3]))
+        d = _response(_obj(), [], np.array([0.2, -0.1, 0.3]))
         assert np.allclose(d, FREE_SLIDE_GAIN * np.array([0.2, -0.1, 0.3]), atol=1e-12)
 
 
@@ -112,7 +117,7 @@ class TestPerturbContacts:
 
     def test_samples_equal_object_response(self, scenario, grasp_run):
         # the rounds share one compliance build; each sample must still be
-        # exactly what object_response gives for its force
+        # exactly what a fresh compliance build gives for its force
         state, _, _ = grasp_run
         cases = [(_obj(), tetra_contacts(), PerturbConfig(seed=4)),
                  (_obj(), square_contacts(), PerturbConfig(force_bound=50.0, seed=3)),
@@ -122,7 +127,7 @@ class TestPerturbContacts:
             rep = perturb_contacts(obj, contacts, cfg)
             assert rep.samples
             for F, d in rep.samples:
-                assert d == np.linalg.norm(object_response(obj, contacts, F))
+                assert d == np.linalg.norm(_response(obj, contacts, F))
 
     def test_failure_stops_at_first_bad_round(self):
         # +-x/+-y square leaves z unresisted; a big bound slides past 0.02 m
@@ -192,6 +197,8 @@ def test_samples_csv_is_plain_numbers():
     {"iterations": True},
     {"seed": 1.7},
     {"seed": True},
+    {"force_bound": float("inf")},
+    {"force_bound": float("nan")},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(PerturbConfigError):
