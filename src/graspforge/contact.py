@@ -5,11 +5,18 @@ oriented box.  Each (finger link, box) pair contributes at most one contact:
 the deepest penetrating point of the link surface.  Forces follow the
 quasi-static spring law F = k * depth with the object's contact stiffness.
 
-Narrow phase, all in the box frame, after one forward-kinematics pass
-(`link_frames`) gives every finger link's frame:
-  * A shape whose bounding sphere cannot reach the box's bounding sphere,
-    |center - box center| > length/2 + radius + |half extents|, is skipped.
-    The test is exact: such a shape cannot touch the box.
+Front end, after one forward-kinematics pass (`link_frames`) gives every
+link's frame: the chain's table of finger shapes (`chain.finger_shapes`,
+built once with the chain) is processed as stacked arrays, with no loop
+over links.  Each stacked `matmul` rounds every slice exactly as a 2-D `@`
+does, so the probes are bit for bit those of a per-link loop.
+  * World transform of every shape, then the bounding-sphere reject: a
+    shape with |center - box center| > length/2 + radius + |half extents|
+    is skipped.  The test is exact: such a shape cannot touch the box.  Its
+    row-wise norm may differ from a 1-D norm in the last bit, which can
+    only flip a shape within an ulp of the bound, touching by ~1e-16 m.
+  * Box-frame probe point and capsule axis of the shapes that pass.
+Narrow phase, all in the box frame:
   * A sphere's deepest point is its center.  A capsule's is the point of
     its core segment with the smallest box signed distance, found in closed
     form (Ericson, Real-Time Collision Detection, 2005, ch. 5).  Along the
@@ -26,6 +33,9 @@ Narrow phase, all in the box frame, after one forward-kinematics pass
     face, or two candidates naming the same kink), the smallest t whose
     signed distance is within _TIE_TOLERANCE of the minimum wins, so float
     rounding of equal distances does not pick the winner.
+  * The surface point, normal and depth of each probe, one probe at a time
+    (`_closest_point_local`, whose 1-D norm a row-wise norm would not
+    reproduce bit for bit).
 """
 
 from __future__ import annotations
@@ -35,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import JointState, link_frames
-from .robot_model import CapsuleGeometry, SphereGeometry
 from .scene import Scene, SceneObject
 
 # Pairs of the seven affine functions of t whose crossings bound the pieces
@@ -161,56 +170,39 @@ def detect_contacts(scene: Scene, state: JointState, *, frames=None) -> list[Con
     has it; otherwise it is computed here.
     """
     chain = scene.chain
+    shapes = chain.finger_shapes
     box = scene.object
     R = box.pose.rotation()
     c = box.pose.position
     half = np.asarray(box.half_extents)
-    box_reach = float(np.linalg.norm(half))
     R_b = scene.hand_base.rotation()
     t_b = scene.hand_base.position
-    if frames is None:
-        frames = link_frames(chain, state)
-    # shapes that pass the reject: (finger, link, radius, probe point); a
-    # capsule's probe point is filled in by the batched segment minimum
-    probes = []
-    starts, directions, capsule_rows = [], [], []
-    for finger, links in chain.finger_links.items():
-        for link in links:
-            geom = chain.links[link].geometry
-            if isinstance(geom, CapsuleGeometry):
-                half_length = 0.5 * geom.length
-            elif isinstance(geom, SphereGeometry):
-                half_length = 0.0
-            else:  # bare links and finger-link boxes have no contact model
-                continue
-            R_l, t_l = frames[link]
-            R_w = R_b @ R_l
-            center = R_w @ chain.geometry_translation[link] + (R_b @ t_l + t_b)
-            offset = center - c
-            if np.linalg.norm(offset) > half_length + geom.radius + box_reach:
-                continue
-            p = R.T @ offset
-            if half_length > 0.0:
-                axis = R.T @ (R_w @ chain.geometry_axis[link])
-                starts.append(p - half_length * axis)
-                directions.append(geom.length * axis)
-                capsule_rows.append(len(probes))
-            probes.append([finger, link, geom.radius, p])
-    if capsule_rows:
-        a, d = np.array(starts), np.array(directions)
-        ts = _deepest_on_segments(a, d, half)
-        for row, a_i, d_i, t in zip(capsule_rows, a, d, ts):
-            probes[row][3] = a_i + t * d_i
+    R_l, t_l = link_frames(chain, state) if frames is None else frames
+    # every shape at once: world frame, the bounding-sphere reject, then the
+    # box-frame probe point (a sphere's center) and capsule axis
+    R_w = R_b @ R_l[shapes.links]
+    t_w = R_b @ t_l[shapes.links, :, None] + t_b[:, None]
+    offsets = (R_w @ shapes.translation[:, :, None] + t_w)[:, :, 0] - c
+    rows = np.flatnonzero(~(np.linalg.norm(offsets, axis=1)
+                            > shapes.reach + float(np.linalg.norm(half))))
+    probes = (R.T @ offsets[rows, :, None])[:, :, 0]
+    capsules = shapes.half_length[rows] > 0.0
+    if capsules.any():
+        segments = rows[capsules]
+        axes = (R.T @ (R_w[segments] @ shapes.axis[segments, :, None]))[:, :, 0]
+        a = probes[capsules] - shapes.half_length[segments, None] * axes
+        d = shapes.length[segments, None] * axes
+        probes[capsules] = a + _deepest_on_segments(a, d, half)[:, None] * d
     k = box.params.contact_stiffness
     contacts: list[ContactPoint] = []
-    for finger, link, radius, p in probes:
+    for row, p in zip(rows.tolist(), probes):
         surface, normal, sd = _closest_point_local(p, half)
-        depth = radius - sd
+        depth = shapes.radius[row] - sd
         if depth < 0.0:
             continue
         contacts.append(ContactPoint(
-            finger=finger,
-            link=link,
+            finger=shapes.fingers[row],
+            link=int(shapes.links[row]),
             position=R @ surface + c,
             normal=R @ normal,
             penetration_depth=float(depth),

@@ -9,6 +9,14 @@ Phases:
 
 The servo integrates theta' = clamp(gain * (goal - theta), +-rate) at 1/hz
 with explicit Euler and clamps every iterate to joint limits.
+
+Each control step makes one forward-kinematics pass (`link_frames`), which
+feeds both contact detection and the fingertip log.  In `monitor` the goal
+is the frozen posture, so the servo velocity is exactly 0 and a step usually
+returns the state it was given.  When every joint value keeps its bits
+(signed zeros included: a step from -0.0 returns +0.0), the step reuses the
+last step's frames, contacts and verdict, which are functions of the state
+alone, instead of computing them again.
 """
 
 from __future__ import annotations
@@ -103,12 +111,23 @@ def step_servo(state: JointState, goal: JointState, run: RunConfig,
     return clamp_to_limits(chain, JointState(values=new_values))
 
 
-def _ee_positions(scene: Scene, frames: list) -> dict:
+def _same_bits(a: JointState, b: JointState) -> bool:
+    """True when both states hold the same joints with bitwise equal values.
+
+    Signed zeros count: a servo step from -0.0 returns +0.0, whose frames
+    may differ in the last bit.
+    """
+    return a.values.keys() == b.values.keys() and all(
+        x == b.values[ji] and math.copysign(1.0, x) == math.copysign(1.0, b.values[ji])
+        for ji, x in a.values.items())
+
+
+def _ee_positions(scene: Scene, frames: tuple) -> dict:
     """World end-effector position per finger, from the step's `link_frames`."""
     R_b = scene.hand_base.rotation()
     t_b = scene.hand_base.position
-    return {finger: R_b @ frames[f.end_effector][1] + t_b
-            for finger, f in scene.chain.fingers.items()}
+    _, t = frames
+    return {finger: R_b @ t[f.end_effector] + t_b for finger, f in scene.chain.fingers.items()}
 
 
 def _approach_goal(scene: Scene, targets: dict) -> dict:
@@ -170,9 +189,14 @@ def execute_grasp(scene: Scene, targets: dict, run: RunConfig | None = None,
             for finger in latched:
                 ji = flexor_of[finger]
                 goal.values[ji] = state.values[ji]
-        state = step_servo(state, goal, run, chain)
-        frames = link_frames(chain, state)
-        contacts = detect_contacts(scene, state, frames=frames)
+        moved = step_servo(state, goal, run, chain)
+        # a monitor step that returns its input bit for bit reuses the last
+        # step's frames, contacts and verdict (contact_opt or monitor made them)
+        held = phase == PHASE_MONITOR and _same_bits(moved, state)
+        state = moved
+        if not held:
+            frames = link_frames(chain, state)
+            contacts = detect_contacts(scene, state, frames=frames)
 
         if phase == PHASE_PRE_GRASP:
             done = all(abs(state.values[ji] - pre_goal.values[ji]) < PRE_GRASP_JOINT_TOL
@@ -193,7 +217,8 @@ def execute_grasp(scene: Scene, targets: dict, run: RunConfig | None = None,
                 goal = state.copy()  # freeze: servo toward the current posture
                 hold_count = 0
         else:  # monitor
-            assessment = validate_grasp(contacts, validation)
+            if not held:
+                assessment = validate_grasp(contacts, validation)
             hold_count = hold_count + 1 if assessment.stable else 0
 
         if step % run.log_every == 0:

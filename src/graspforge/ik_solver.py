@@ -27,6 +27,8 @@ it as the reference).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +45,8 @@ _EYE3 = np.eye(3)
 
 
 class IkConfigError(ValueError):
-    """Non-integer or non-positive iteration budget, non-positive threshold or damping."""
+    """An iteration budget that is not a positive integer, or a threshold,
+    damping or step scale that is not a finite number in its range."""
 
 
 @dataclass
@@ -58,6 +61,10 @@ class IkConfig:
             raise IkConfigError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise IkConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        for name in ("residual_threshold", "damping_lambda", "step_scale"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise IkConfigError(f"{name} must be a finite number, got {value!r}")
         if not self.residual_threshold > 0.0:
             raise IkConfigError("residual_threshold must be positive")
         if not self.damping_lambda > 0.0:

@@ -5,19 +5,23 @@ composes in a base transform.  Positions are meters, orientations unit
 quaternions (x, y, z, w).
 
 The joint origins, axes and Jacobian columns are constants of the chain,
-computed once when it is built.  `link_frames` gives every link's frame in
-one pass over the tree (parent-first), with the rotations of all movable
-joints in one vectorized Rodrigues evaluation; callers that need many links
-per control step (contact detection, the controller's fingertip log) use it
-once.  `link_transform` and `jacobian` walk a single link's path from the
-root.  `finger_walk` serves the IK: it walks from the root to the frame a
-finger hangs from once, then each call walks only the finger's own joints
+computed once when it is built, as are the joints grouped by tree depth
+(`chain.fk_levels`).  `link_frames` gives every link's frame as stacked
+arrays, rotations (L, 3, 3) and translations (L, 3), composing one tree
+depth per batch with stacked `matmul`, with the rotations of all movable
+joints from one vectorized Rodrigues evaluation; callers that need many
+links per control step (contact detection, the controller's fingertip log)
+use it once.  `link_transform` and `jacobian` walk a single link's path from
+the root.  `finger_walk` serves the IK: it walks from the root to the frame
+a finger hangs from once, then each call walks only the finger's own joints
 from there, with their rotations from one vectorized Rodrigues evaluation,
 and returns the fingertip and its Jacobian together.
 
-Every route composes a joint in `_compose`, the one copy of the sequence
-R = R_parent @ R_origin, t = R_parent @ t_origin + t_parent, then
-R @ R_joint, so they agree bit for bit.  The vectorized Rodrigues and cross
+The walks compose a joint in `_compose`, the one per-joint copy of the
+sequence R = R_parent @ R_origin, t = R_parent @ t_origin + t_parent, then
+R @ R_joint for a movable joint.  `link_frames` makes the same sequence per
+level; a stacked `matmul` rounds each slice exactly as the 2-D product does,
+so every route agrees bit for bit.  The vectorized Rodrigues and cross
 products repeat `axis_angle_matrix`'s and `np.cross`'s arithmetic entry for
 entry, and a Jacobian keeps the memory layout of a column selection of
 `jacobian`'s result, so that products such as J @ J.T round the same way.
@@ -134,12 +138,12 @@ def _resolve_link(chain: KinematicChain, link) -> int:
 def _compose(chain: KinematicChain, ji: int, R: np.ndarray, t: np.ndarray, rotation):
     """Frame of joint `ji` from its parent link's frame (R, t).
 
-    The one compose sequence of this module: R, t = R @ R_origin,
-    R @ t_origin + t, then R @ rotation for a movable joint (`rotation` is
-    None for a fixed one).  Returns (R_joint, t, R_child): R_joint is the
-    frame the joint turns in (its world axis is R_joint @ axis), t the joint
-    origin, which is also the child link's origin, and R_child the child
-    link's rotation.
+    The per-joint compose sequence of this module (`link_frames` makes the
+    same one per tree depth): R, t = R @ R_origin, R @ t_origin + t, then
+    R @ rotation for a movable joint (`rotation` is None for a fixed one).
+    Returns (R_joint, t, R_child): R_joint is the frame the joint turns in
+    (its world axis is R_joint @ axis), t the joint origin, which is also the
+    child link's origin, and R_child the child link's rotation.
     """
     R, t = compose_rt(R, t, chain.origin_rotation[ji], chain.origin_translation[ji])
     return R, t, (R if rotation is None else R @ rotation)
@@ -212,23 +216,30 @@ def _rodrigues(terms: tuple[np.ndarray, np.ndarray], angle: np.ndarray) -> np.nd
     return rot.reshape(-1, 3, 3)
 
 
-def link_frames(chain: KinematicChain, state: JointState) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(rotation, translation) of every link in the root frame, indexed by link.
+def link_frames(chain: KinematicChain, state: JointState) -> tuple[np.ndarray, np.ndarray]:
+    """Rotations (L, 3, 3) and translations (L, 3) of every link in the root frame.
 
-    One pass over the joints in parent-first order.  Each joint composes its
-    parent link's frame exactly as `link_transform` does along its walk, so
-    every frame is bit-for-bit the one `link_transform` returns.
+    One batch per tree depth (`chain.fk_levels`), shallowest first, so each
+    level reads its parent frames from the levels before it.  A batch makes
+    the compose sequence of `_compose` with stacked `matmul`, which rounds
+    each slice exactly as a 2-D `@` does: R_parent @ R_origin, R_parent @
+    t_origin + t_parent, then R @ R_joint for the movable joints only (a
+    fixed joint makes no rotation product, as in the walk).  So every frame
+    is bit for bit the one `link_transform` returns.
     """
     rot = _rodrigues(_rodrigues_terms(chain.movable_axes),
                      np.array([state.get(ji) for ji in chain.movable], dtype=float))
-    frames: list = [None] * len(chain.links)
-    frames[chain.root] = (np.eye(3), np.zeros(3))
-    for ji in chain.joint_order:
-        j = chain.joints[ji]
-        col = chain.column_of.get(ji)
-        _, t, R = _compose(chain, ji, *frames[j.parent], None if col is None else rot[col])
-        frames[j.child] = (R, t)
-    return frames
+    R = np.empty((len(chain.links), 3, 3))
+    t = np.empty((len(chain.links), 3))
+    R[chain.root] = np.eye(3)
+    t[chain.root] = 0.0
+    for level in chain.fk_levels:
+        R_parent = R[level.parents]
+        R_joint = R_parent @ level.origin_rotation
+        t[level.children] = (R_parent @ level.origin_translation)[:, :, 0] + t[level.parents]
+        R_joint[level.moving] = R_joint[level.moving] @ rot[level.columns]
+        R[level.children] = R_joint
+    return R, t
 
 
 def finger_walk(chain: KinematicChain, joints, link, state: JointState):

@@ -94,6 +94,42 @@ class Finger:
     end_effector: int
 
 
+@dataclass(frozen=True)
+class FkLevel:
+    """The joints of one tree depth, composed in one batch by `link_frames`.
+
+    Per joint of the level: its parent and child link, and its origin
+    rotation (k, 3, 3) and translation (k, 3, 1).  `moving` are the rows of
+    the movable joints among them and `columns` their positions in
+    `KinematicChain.movable`.
+    """
+    parents: np.ndarray
+    children: np.ndarray
+    origin_rotation: np.ndarray
+    origin_translation: np.ndarray
+    moving: np.ndarray
+    columns: np.ndarray
+
+
+@dataclass(frozen=True)
+class FingerShapes:
+    """The finger links that carry a capsule or a sphere, in `finger_links` order.
+
+    Per row: its finger and link, the shape radius, the core length and half
+    of it (0 for a sphere), `reach` = half length + radius (the shape's
+    bounding-sphere radius), and the collision origin's translation and
+    local +Z axis (a capsule's core direction) in the link frame, (n, 3).
+    """
+    fingers: tuple[str, ...]
+    links: np.ndarray
+    radius: np.ndarray
+    length: np.ndarray
+    half_length: np.ndarray
+    reach: np.ndarray
+    translation: np.ndarray
+    axis: np.ndarray
+
+
 @dataclass
 class KinematicChain:
     """Immutable kinematic tree. Treat as read-only after construction."""
@@ -107,8 +143,6 @@ class KinematicChain:
     link_index: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
     path_to_link: dict[int, tuple[int, ...]] = field(default_factory=dict, compare=False, repr=False)
     finger_links: dict[str, tuple[int, ...]] = field(default_factory=dict, compare=False, repr=False)
-    # joints ordered parent-first (a joint's parent link is placed before it)
-    joint_order: tuple[int, ...] = field(default=(), compare=False, repr=False)
     # per joint: origin rotation and translation
     origin_rotation: tuple[np.ndarray, ...] = field(default=(), compare=False, repr=False)
     origin_translation: tuple[np.ndarray, ...] = field(default=(), compare=False, repr=False)
@@ -117,10 +151,10 @@ class KinematicChain:
     # movable joint index -> its position in `movable`: its row of
     # `movable_axes` and its Jacobian column
     column_of: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
-    # per link: collision-geometry origin translation and its local +Z axis
-    # (a capsule's core direction) in the link frame
-    geometry_translation: tuple[np.ndarray, ...] = field(default=(), compare=False, repr=False)
-    geometry_axis: tuple[np.ndarray, ...] = field(default=(), compare=False, repr=False)
+    # the joints grouped by the depth of their child link, shallowest first,
+    # so every parent link lies in an earlier level (or is the root)
+    fk_levels: tuple[FkLevel, ...] = field(default=(), compare=False, repr=False)
+    finger_shapes: FingerShapes = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         self.link_index = {l.name: i for i, l in enumerate(self.links)}
@@ -138,15 +172,46 @@ class KinematicChain:
             members = [li for li in range(len(self.links))
                        if base_link in {self.joints[j].child for j in self.path_to_link[li]}]
             self.finger_links[name] = tuple(sorted(members, key=lambda li: len(self.path_to_link[li])))
-        self.joint_order = tuple(sorted(range(len(self.joints)),
-                                        key=lambda ji: len(self.path_to_link[self.joints[ji].child])))
         self.origin_rotation = tuple(_frozen(j.origin.rotation()) for j in self.joints)
         self.origin_translation = tuple(_frozen(j.origin.translation()) for j in self.joints)
         self.movable_axes = _frozen(np.array([self.joints[ji].axis for ji in self.movable],
                                              dtype=float).reshape(-1, 3))
         self.column_of = {ji: c for c, ji in enumerate(self.movable)}
-        self.geometry_translation = tuple(_frozen(l.geometry_origin.translation()) for l in self.links)
-        self.geometry_axis = tuple(_frozen(l.geometry_origin.rotation()[:, 2].copy()) for l in self.links)
+        levels: dict[int, list[int]] = {}
+        for ji, j in enumerate(self.joints):
+            levels.setdefault(len(self.path_to_link[j.child]), []).append(ji)
+        self.fk_levels = tuple(self._fk_level(levels[depth]) for depth in sorted(levels))
+        self.finger_shapes = self._finger_shapes()
+
+    def _fk_level(self, level: list[int]) -> FkLevel:
+        moving = [row for row, ji in enumerate(level) if ji in self.column_of]
+        return FkLevel(
+            parents=_frozen(np.array([self.joints[ji].parent for ji in level])),
+            children=_frozen(np.array([self.joints[ji].child for ji in level])),
+            origin_rotation=_frozen(np.array([self.origin_rotation[ji] for ji in level])),
+            origin_translation=_frozen(
+                np.array([self.origin_translation[ji] for ji in level])[:, :, None]),
+            moving=_frozen(np.array(moving, dtype=int)),
+            columns=_frozen(np.array([self.column_of[level[row]] for row in moving], dtype=int)))
+
+    def _finger_shapes(self) -> FingerShapes:
+        rows = [(name, li) for name, members in self.finger_links.items() for li in members
+                if isinstance(self.links[li].geometry, (CapsuleGeometry, SphereGeometry))]
+        specs = [self.links[li] for _, li in rows]
+        length = np.array([l.geometry.length if isinstance(l.geometry, CapsuleGeometry) else 0.0
+                           for l in specs])
+        radius = np.array([l.geometry.radius for l in specs])
+        return FingerShapes(
+            fingers=tuple(name for name, _ in rows),
+            links=_frozen(np.array([li for _, li in rows], dtype=int)),
+            radius=_frozen(radius),
+            length=_frozen(length),
+            half_length=_frozen(0.5 * length),
+            reach=_frozen(0.5 * length + radius),
+            translation=_frozen(np.array([l.geometry_origin.translation() for l in specs],
+                                         dtype=float).reshape(-1, 3)),
+            axis=_frozen(np.array([l.geometry_origin.rotation()[:, 2] for l in specs],
+                                  dtype=float).reshape(-1, 3)))
 
     def finger(self, name: str) -> Finger:
         try:

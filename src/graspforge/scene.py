@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,8 +43,10 @@ class PhysicalParams:
     def __post_init__(self):
         for name in ("lateral_friction", "contact_stiffness"):
             value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise SceneError(f"{name} must be finite and >= 0, got {value!r}")
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise SceneError(f"{name} must be a finite number, got {value!r}")
+            if value < 0.0:
+                raise SceneError(f"{name} must be >= 0, got {value!r}")
         if self.contact_stiffness <= 0.0:
             raise SceneError("contact_stiffness must be > 0")
 

@@ -212,13 +212,17 @@ class TestErrorHandling:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("key", ["run.servo_gain=.nan", "run.joint_rate_limit=.nan",
-                                     "run.hz=.inf", "perturb.force_bound=.inf"])
+                                     "run.hz=.inf", "perturb.force_bound=.inf",
+                                     "ik.residual_threshold=.inf", "ik.damping_lambda=.inf",
+                                     "ik.step_scale=abc", "ik.damping_lambda=abc",
+                                     "physics.contact_stiffness=abc"])
     def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, key):
         code = run_cli("perturb", "--set", key, "--out", str(tmp_path))
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "must be a finite number" in err
+        assert key.split("=")[0].split(".")[-1] in err  # the message names the key
 
     # argparse's own status for these is 2, which would read as an unstable grasp
     @pytest.mark.parametrize("argv", [

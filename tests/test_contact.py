@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graspforge.contact import _deepest_on_segments, closest_point_box, detect_contacts
-from graspforge.kinematics import JointState, Pose
-from graspforge.robot_model import parse_robot_description
+from graspforge.contact import (_closest_point_local, _deepest_on_segments, closest_point_box,
+                                detect_contacts)
+from graspforge.kinematics import JointState, Pose, link_transform
+from graspforge.robot_model import CapsuleGeometry, SphereGeometry, parse_robot_description
 from graspforge.scene import PhysicalParams, Scene, make_box_object
 from graspforge.transforms import axis_angle_matrix, matrix_to_quat
 
@@ -266,6 +267,119 @@ class TestDeepestOnSegment:
             assert batch[i] == alone[0]
         # and in reverse order, so no row borrows another's padding
         assert np.array_equal(_deepest_on_segments(a[::-1], d[::-1], half), batch[::-1])
+
+
+def _reference_detect_contacts(scene, state):
+    """`detect_contacts` as a loop over the finger links, one shape at a time.
+
+    The front end of an earlier version, kept as the bitwise reference of
+    the array one: per link its frame from `link_transform`, the world
+    transform, the bounding-sphere reject and the box-frame probe point and
+    capsule axis; then the same batched segment minimum and surface probe.
+    """
+    chain = scene.chain
+    box = scene.object
+    R = box.pose.rotation()
+    c = box.pose.position
+    half = np.asarray(box.half_extents)
+    box_reach = float(np.linalg.norm(half))
+    R_b = scene.hand_base.rotation()
+    t_b = scene.hand_base.position
+    probes = []
+    starts, directions, capsule_rows = [], [], []
+    for finger, links in chain.finger_links.items():
+        for link in links:
+            spec = chain.links[link]
+            geom = spec.geometry
+            if isinstance(geom, CapsuleGeometry):
+                half_length = 0.5 * geom.length
+            elif isinstance(geom, SphereGeometry):
+                half_length = 0.0
+            else:
+                continue
+            R_l, t_l = link_transform(chain, state, link)
+            R_w = R_b @ R_l
+            center = R_w @ spec.geometry_origin.translation() + (R_b @ t_l + t_b)
+            offset = center - c
+            if np.linalg.norm(offset) > half_length + geom.radius + box_reach:
+                continue
+            p = R.T @ offset
+            if half_length > 0.0:
+                axis = R.T @ (R_w @ spec.geometry_origin.rotation()[:, 2].copy())
+                starts.append(p - half_length * axis)
+                directions.append(geom.length * axis)
+                capsule_rows.append(len(probes))
+            probes.append([finger, link, geom.radius, p])
+    if capsule_rows:
+        a, d = np.array(starts), np.array(directions)
+        ts = _deepest_on_segments(a, d, half)
+        for row, a_i, d_i, t in zip(capsule_rows, a, d, ts):
+            probes[row][3] = a_i + t * d_i
+    k = box.params.contact_stiffness
+    contacts = []
+    for finger, link, radius, p in probes:
+        surface, normal, sd = _closest_point_local(p, half)
+        depth = radius - sd
+        if depth < 0.0:
+            continue
+        contacts.append((finger, link, R @ surface + c, R @ normal, float(depth),
+                         float(k * depth)))
+    return contacts
+
+
+def _assert_same_contacts(scene, state):
+    got = detect_contacts(scene, state)
+    expected = _reference_detect_contacts(scene, state)
+    assert len(got) == len(expected)
+    for c, (finger, link, position, normal, depth, force) in zip(got, expected):
+        assert (c.finger, c.link, type(c.link)) == (finger, link, int)
+        assert c.position.tobytes() == position.tobytes()
+        assert c.normal.tobytes() == normal.tobytes()
+        assert c.penetration_depth.hex() == depth.hex()
+        assert c.normal_force.hex() == force.hex()
+    return got
+
+
+_unit = st.floats(0.0, 1.0)
+
+
+class TestArrayFrontEnd:
+    """The array front end of `detect_contacts` against the per-link loop, by bytes."""
+
+    @given(st.lists(_unit, min_size=21, max_size=21), st.booleans(),
+           st.lists(st.floats(-0.02, 0.02), min_size=3, max_size=3),
+           st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3),
+           st.lists(st.floats(0.5, 1.5), min_size=3, max_size=3))
+    def test_bundled_hand_matches_the_per_link_loop(self, scenario, grasp_run, fractions,
+                                                    near_grasp, offset, rpy, scale):
+        chain = scenario.scene.chain
+        box = scenario.scene.object
+        lower = np.array([chain.joints[ji].lower_limit for ji in chain.movable])
+        upper = np.array([chain.joints[ji].upper_limit for ji in chain.movable])
+        if near_grasp:  # the final grasp posture moved up to 0.1 rad per joint
+            grasp = np.array([grasp_run[0].values[ji] for ji in chain.movable])
+            q = np.clip(grasp + 0.2 * (np.array(fractions) - 0.5), lower, upper)
+        else:  # anywhere in the joint box
+            q = lower + np.array(fractions) * (upper - lower)
+        state = JointState(values=dict(zip(chain.movable, map(float, q))))
+        pose = Pose.from_rpy(box.pose.position + np.array(offset), rpy)
+        obj = make_box_object(tuple(np.array(box.half_extents) * scale), pose, box.mass,
+                              box.params)
+        _assert_same_contacts(dataclasses.replace(scenario.scene, object=obj), state)
+
+    @given(st.floats(-1.0, 1.0),
+           st.lists(st.floats(-0.03, 0.03), min_size=3, max_size=3),
+           st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3),
+           st.lists(st.floats(0.005, 0.04), min_size=3, max_size=3))
+    def test_sphere_finger_matches_the_per_link_loop(self, angle, offset, rpy, half):
+        chain = parse_robot_description(SPHERE_FINGER)
+        obj = make_box_object(half, Pose.from_rpy(np.array([0.075, 0.0, 0.0]) + offset, rpy),
+                              0.1, PhysicalParams())
+        scene = Scene(chain=chain, hand_base=Pose(position=(0, 0, 0)), object=obj)
+        _assert_same_contacts(scene, JointState(values={0: angle}))
+
+    def test_the_final_grasp_matches_the_per_link_loop(self, scenario, grasp_run):
+        assert len(_assert_same_contacts(scenario.scene, grasp_run[0])) >= 4
 
 
 class TestDetectContacts:

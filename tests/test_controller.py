@@ -1,5 +1,6 @@
 import io
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,38 @@ from graspforge.scene import Scene, default_scene, make_box_object
 from graspforge.kinematics import Pose
 
 PHASE_ORDER = {PHASE_PRE_GRASP: 0, PHASE_CONTACT_OPT: 1, PHASE_MONITOR: 2}
+
+
+def _bits(state):
+    return np.array([state.values[ji] for ji in sorted(state.values)]).tobytes()
+
+
+def _passes_per_step(events):
+    """Per control step: (servo left the state's bits unchanged, frames passes)."""
+    steps = []
+    for e in events:
+        if isinstance(e, bool):
+            steps.append([e, 0])
+        elif e == "frames":
+            steps[-1][1] += 1
+    return [tuple(s) for s in steps]
+
+
+def _assert_hold_matches_final_state(scenario, state, log, assessment, held_steps):
+    """The verdict and the given log entries equal a fresh pass on the final state."""
+    scene = scenario.scene
+    _, t = link_frames(scene.chain, state)
+    contacts = detect_contacts(scene, state)
+    expected = validate_grasp(contacts, scenario.validation)
+    assert assessment.to_dict() == expected.to_dict()
+    assert assessment.center.tobytes() == expected.center.tobytes()
+    R_b, t_b = scene.hand_base.rotation(), scene.hand_base.position
+    assert held_steps
+    for entry in held_steps:
+        assert entry.phase == PHASE_MONITOR
+        assert entry.contact_count == len(contacts)
+        for finger, f in scene.chain.fingers.items():
+            assert entry.positions[finger].tobytes() == (R_b @ t[f.end_effector] + t_b).tobytes()
 
 
 def _far_box_scene(scenario):
@@ -169,33 +202,93 @@ class TestExecuteGrasp:
         assert len(log.steps) == 30  # never validated, so never broke out early
 
     def test_one_link_frames_pass_per_control_step(self, scenario, monkeypatch):
-        """The step's frames feed both contact detection and the fingertip log."""
+        """The step's frames feed both contact detection and the fingertip log.
+
+        The 50 monitor steps of the bundled run are a bitwise fixed point of
+        the servo, so they make no pass: 165 steps, 115 passes, and 35
+        verdicts (the contact_opt steps 81-115).
+        """
         import graspforge.contact
         import graspforge.controller
-        calls = []
+        events = []
 
-        def counted(chain, state):
-            calls.append(state)
+        def counted_frames(chain, state):
+            events.append("frames")
             return link_frames(chain, state)
 
-        monkeypatch.setattr(graspforge.controller, "link_frames", counted)
-        monkeypatch.setattr(graspforge.contact, "link_frames", counted)
-        _, log, _ = execute_grasp(scenario.scene, scenario.targets, scenario.run,
-                                  scenario.ik, scenario.validation)
+        def counted_servo(state, goal, run, chain):
+            moved = step_servo(state, goal, run, chain)
+            events.append(_bits(moved) == _bits(state))
+            return moved
+
+        def counted_validate(contacts, config):
+            events.append("validate")
+            return validate_grasp(contacts, config)
+
+        monkeypatch.setattr(graspforge.controller, "link_frames", counted_frames)
+        monkeypatch.setattr(graspforge.contact, "link_frames", counted_frames)
+        monkeypatch.setattr(graspforge.controller, "step_servo", counted_servo)
+        monkeypatch.setattr(graspforge.controller, "validate_grasp", counted_validate)
+        state, log, assessment = execute_grasp(scenario.scene, scenario.targets, scenario.run,
+                                               scenario.ik, scenario.validation)
         assert log.steps[-1].phase == PHASE_MONITOR
-        assert len(calls) == len(log.steps) == 165
+        assert len(log.steps) == 165
+        assert events.count("frames") == 115
+        assert events.count("validate") == 35
+        passes = _passes_per_step(events)
+        for step, (unchanged, n) in enumerate(passes):
+            in_monitor = step > 0 and log.steps[step - 1].phase == PHASE_MONITOR
+            assert n == (0 if in_monitor and unchanged else 1)
+        assert [n for _, n in passes[115:]] == [0] * 50
+
+        # the reused verdict and every monitor log entry equal a recompute
+        # from the final state
+        _assert_hold_matches_final_state(scenario, state, log, assessment,
+                                         [s for s in log.steps if s.phase == PHASE_MONITOR])
 
         # a run that ends by its step budget validates the contacts its last
         # step detected, with no further pass
-        calls.clear()
+        events.clear()
         far_scene = _far_box_scene(scenario)
         state, log, assessment = execute_grasp(far_scene, scenario.targets,
                                                RunConfig(max_steps=30), scenario.ik,
                                                scenario.validation)
         assert log.steps[-1].phase != PHASE_MONITOR
-        assert len(calls) == len(log.steps) == 30
+        assert events.count("frames") == len(log.steps) == 30
         expected = validate_grasp(detect_contacts(far_scene, state), scenario.validation)
         assert assessment.to_dict() == expected.to_dict()
+
+    def test_a_signed_zero_makes_the_first_held_step_recompute(self, scenario, monkeypatch):
+        """A servo step from -0.0 returns +0.0: not the same bits, so no reuse."""
+        import graspforge.controller
+        chain = scenario.scene.chain
+        yaw = next(ji for ji in chain.movable if chain.joints[ji].name == "middle_yaw")
+        entry = 115  # the step that enters monitor (see the DEBUG-record test)
+        servo_steps, passes = [], []
+
+        def servo(state, goal, run, chain):
+            moved = step_servo(state, goal, run, chain)
+            servo_steps.append(state)
+            if len(servo_steps) == entry:
+                # middle_yaw is -7.3e-17 rad here; hold the posture at -0.0
+                moved.values[yaw] = -0.0
+            return moved
+
+        def counted_frames(chain, state):
+            passes.append(len(servo_steps))
+            return link_frames(chain, state)
+
+        monkeypatch.setattr(graspforge.controller, "step_servo", servo)
+        monkeypatch.setattr(graspforge.controller, "link_frames", counted_frames)
+        state, log, assessment = execute_grasp(scenario.scene, scenario.targets, scenario.run,
+                                               scenario.ik, scenario.validation)
+        assert [s.phase for s in log.steps[entry - 2:entry]] == [PHASE_CONTACT_OPT, PHASE_MONITOR]
+        assert len(log.steps) == 165
+        # the frozen goal holds -0.0; the first held step returns +0.0 and
+        # recomputes, the 49 after it reuse
+        assert math.copysign(1.0, state.values[yaw]) == 1.0 and state.values[yaw] == 0.0
+        assert passes == list(range(1, entry + 2))
+        _assert_hold_matches_final_state(scenario, state, log, assessment, log.steps[entry:])
 
     def test_debug_log_reports_ik_outcomes_and_phase_steps(self, scenario, caplog, capsys):
         caplog.set_level(logging.DEBUG, logger="graspforge")

@@ -238,9 +238,15 @@ def test_step_scale_shrinks_updates(two_link):
     {"step_scale": 1.5},
     {"max_iterations": 1.5},
     {"max_iterations": True},
+    {"residual_threshold": float("inf")},
+    {"damping_lambda": float("inf")},
+    {"residual_threshold": "abc"},
+    {"damping_lambda": "abc"},
+    {"step_scale": "abc"},
 ])
 def test_config_rejects_bad_values(kwargs):
-    with pytest.raises(IkConfigError):
+    (key,) = kwargs
+    with pytest.raises(IkConfigError, match=key):  # the message names the key
         IkConfig(**kwargs)
 
 

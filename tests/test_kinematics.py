@@ -228,11 +228,12 @@ _angles = st.floats(-3.2, 3.2, allow_nan=False)
 @given(st.lists(_angles, min_size=21, max_size=21))
 def test_link_frames_equal_link_transform_bitwise(chain, values):
     state = JointState(values=dict(zip(chain.movable, values)))
-    frames = link_frames(chain, state)
-    assert len(frames) == len(chain.links)
-    for li, (R, t) in enumerate(frames):
+    R, t = link_frames(chain, state)
+    assert R.shape == (len(chain.links), 3, 3) and t.shape == (len(chain.links), 3)
+    for li in range(len(chain.links)):
         R_walk, t_walk = link_transform(chain, state, li)
-        assert np.array_equal(R, R_walk) and np.array_equal(t, t_walk)
+        # bytes, so that a -0.0 where the walk has +0.0 counts
+        assert R[li].tobytes() == R_walk.tobytes() and t[li].tobytes() == t_walk.tobytes()
 
 
 @given(st.lists(_angles, min_size=3, max_size=3))
@@ -241,13 +242,14 @@ def test_link_frames_on_a_tip_first_tree(values):
     # file order is tip-first; the pass must still see parents first
     assert [j.name for j in tree.joints][0] == "a_tip"
     state = JointState(values=dict(zip(tree.movable, values)))
-    frames = link_frames(tree, state)
-    for li, (R, t) in enumerate(frames):
+    R, t = link_frames(tree, state)
+    assert R.shape == (len(tree.links), 3, 3) and t.shape == (len(tree.links), 3)
+    for li in range(len(tree.links)):
         R_walk, t_walk = link_transform(tree, state, li)
-        assert np.array_equal(R, R_walk) and np.array_equal(t, t_walk)
+        assert R[li].tobytes() == R_walk.tobytes() and t[li].tobytes() == t_walk.tobytes()
         R_ref, t_ref = _reference_frame(tree, state.values, li)
-        assert np.allclose(R, R_ref, rtol=0.0, atol=1e-12)
-        assert np.allclose(t, t_ref, rtol=0.0, atol=1e-12)
+        assert np.allclose(R[li], R_ref, rtol=0.0, atol=1e-12)
+        assert np.allclose(t[li], t_ref, rtol=0.0, atol=1e-12)
 
 
 @given(st.lists(_angles, min_size=21, max_size=21), st.lists(_angles, min_size=5, max_size=5))

@@ -53,27 +53,56 @@ class TestBundledHand:
 
     def test_chain_constants(self, chain):
         placed = {chain.root}
-        for ji in chain.joint_order:
-            assert chain.joints[ji].parent in placed
-            placed.add(chain.joints[ji].child)
-        assert sorted(chain.joint_order) == list(range(len(chain.joints)))
+        joint_of_child = {j.child: ji for ji, j in enumerate(chain.joints)}
+        for level in chain.fk_levels:
+            # a level reads only the frames of earlier levels
+            assert set(level.parents.tolist()) <= placed
+            placed.update(level.children.tolist())
+            joints = [joint_of_child[li] for li in level.children.tolist()]
+            assert level.parents.tolist() == [chain.joints[ji].parent for ji in joints]
+            for row, ji in enumerate(joints):
+                assert np.array_equal(level.origin_rotation[row], chain.origin_rotation[ji])
+                assert np.array_equal(level.origin_translation[row, :, 0],
+                                      chain.origin_translation[ji])
+            assert level.moving.tolist() == [row for row, ji in enumerate(joints)
+                                             if ji in chain.column_of]
+            assert level.columns.tolist() == [chain.column_of[joints[row]]
+                                              for row in level.moving.tolist()]
+        assert sorted(joint_of_child[li] for level in chain.fk_levels
+                      for li in level.children.tolist()) == list(range(len(chain.joints)))
         assert [chain.column_of[ji] for ji in chain.movable] == list(range(len(chain.movable)))
         for c, ji in enumerate(chain.movable):
             assert np.array_equal(chain.movable_axes[c], chain.joints[ji].axis)
         for j, R, t in zip(chain.joints, chain.origin_rotation, chain.origin_translation):
             assert np.array_equal(R, j.origin.rotation())
             assert np.array_equal(t, j.origin.translation())
-        for link, t, axis in zip(chain.links, chain.geometry_translation, chain.geometry_axis):
-            assert np.array_equal(t, link.geometry_origin.translation())
-            assert np.array_equal(axis, link.geometry_origin.rotation()[:, 2])
+        shapes = chain.finger_shapes
+        rows = [(finger, li) for finger, links in chain.finger_links.items() for li in links
+                if chain.links[li].geometry is not None]
+        assert list(zip(shapes.fingers, shapes.links.tolist())) == rows
+        for row, (_, li) in enumerate(rows):
+            link = chain.links[li]
+            assert shapes.radius[row] == link.geometry.radius
+            assert shapes.length[row] == link.geometry.length
+            assert shapes.half_length[row] == 0.5 * link.geometry.length
+            assert shapes.reach[row] == 0.5 * link.geometry.length + link.geometry.radius
+            assert np.array_equal(shapes.translation[row], link.geometry_origin.translation())
+            assert np.array_equal(shapes.axis[row], link.geometry_origin.rotation()[:, 2])
         with pytest.raises(ValueError):  # shared across callers, so read-only
             chain.origin_rotation[0][0, 0] = 2.0
+        with pytest.raises(ValueError):
+            chain.fk_levels[0].origin_rotation[0, 0, 0] = 2.0
+        with pytest.raises(ValueError):
+            shapes.translation[0, 0] = 2.0
 
     def test_joint_order_is_parent_first_when_the_file_is_not(self):
         links = "<link name='a'/><link name='b'/><link name='c'/>"
         joints = _rev("f_two", "b", "c") + _rev("f_one", "a", "b")
         chain = parse_robot_description(_doc(links, joints))
-        assert [chain.joints[ji].name for ji in chain.joint_order] == ["f_one", "f_two"]
+        levels = [[chain.joints[ji].name for ji, j in enumerate(chain.joints)
+                   if j.child in level.children.tolist()] for level in chain.fk_levels]
+        assert levels == [["f_one"], ["f_two"]]
+
 
 
 class TestParserErrors:
