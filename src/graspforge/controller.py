@@ -144,11 +144,18 @@ def _approach_goal(scene: Scene, targets: dict) -> dict:
 
 def _solve_goal(chain: KinematicChain, targets: dict, state: JointState, ik: IkConfig,
                 phase: str) -> JointState:
-    """Per-finger IK toward `targets` from `state`, merged into one goal posture."""
+    """Per-finger IK toward `targets` from `state`, merged into one goal posture.
+
+    Each finger's DEBUG record says why its solve ended: `converged`,
+    `plateau` (stopped early, its restarts spent) or `budget` (all
+    `max_iterations` used).
+    """
     results = solve_hand_ik(chain, targets, state, ik)
     for finger, r in results.items():
-        _log.debug("%s IK %s: residual %.3g m after %d iterations, converged=%s",
-                   phase, finger, r.residual, r.iterations, r.converged)
+        ended = ("converged" if r.converged
+                 else "plateau" if r.iterations < ik.max_iterations else "budget")
+        _log.debug("%s IK %s: residual %.3g m after %d iterations, converged=%s, ended by %s",
+                   phase, finger, r.residual, r.iterations, r.converged, ended)
     return merge_hand_results(chain, state, results)
 
 

@@ -7,6 +7,8 @@ normal force is below the minimum are ignored entirely (not established).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +22,8 @@ FAILURE_CLOSURE = "closure_exceeded"
 
 
 class ValidationConfigError(ValueError):
-    """Raised for non-positive thresholds or a non-integer or zero contact minimum."""
+    """Raised for a threshold that is not a finite positive number, or a
+    non-integer or zero contact minimum."""
 
 
 @dataclass(frozen=True)
@@ -37,7 +40,10 @@ class ValidationConfig:
         if self.min_contacts < 1:
             raise ValidationConfigError(f"min_contacts must be >= 1, got {self.min_contacts}")
         for name in ("distribution_threshold", "force_closure_threshold", "min_contact_force"):
-            if not getattr(self, name) > 0.0:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValidationConfigError(f"{name} must be a finite number, got {value!r}")
+            if not value > 0.0:
                 raise ValidationConfigError(f"{name} must be > 0")
 
 

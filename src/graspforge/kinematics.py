@@ -6,12 +6,14 @@ quaternions (x, y, z, w).
 
 The joint origins, axes and Jacobian columns are constants of the chain,
 computed once when it is built, as are the joints grouped by tree depth
-(`chain.fk_levels`).  `link_frames` gives every link's frame as stacked
-arrays, rotations (L, 3, 3) and translations (L, 3), composing one tree
-depth per batch with stacked `matmul`, with the rotations of all movable
-joints from one vectorized Rodrigues evaluation; callers that need many
-links per control step (contact detection, the controller's fingertip log)
-use it once.  `link_transform` and `jacobian` walk a single link's path from
+(`chain.fk_levels`) and the angle-free factors of the movable joints'
+rotations (`chain.movable_rodrigues`).  A `Pose` computes its rotation
+matrix once, when it is made.  `link_frames` gives every link's frame as
+stacked arrays, rotations (L, 3, 3) and translations (L, 3), composing one
+tree depth per batch with stacked `matmul`, with the rotations of all
+movable joints from one vectorized Rodrigues evaluation; callers that need
+many links per control step (contact detection, the controller's fingertip
+log) use it once.  `link_transform` and `jacobian` walk a single link's path from
 the root.  `finger_walk` serves the IK: it walks from the root to the frame
 a finger hangs from once, then each call walks only the finger's own joints
 from there, with their rotations from one vectorized Rodrigues evaluation,
@@ -37,13 +39,9 @@ from .robot_model import KinematicChain
 from .transforms import axis_angle_matrix, compose_rt, matrix_to_quat, quat_to_matrix, rpy_matrix
 
 
-# Component gathers (`take` keeps rows C-ordered): the cyclic shifts of a
-# cross product; the row and column factor of each entry of a row-major 3x3
-# outer product; and the axis component and sign of each skew-matrix entry.
+# The cyclic shifts of a cross product's components (`take` keeps rows
+# C-ordered).
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
-_ROW, _COLUMN = np.repeat(np.arange(3), 3), np.tile(np.arange(3), 3)
-_SKEW_AXIS = np.array([0, 2, 1, 2, 0, 0, 1, 0, 0])
-_SKEW_SIGN = np.array([0.0, -1.0, 1.0, 1.0, 0.0, -1.0, -1.0, 1.0, 0.0])
 
 
 class KinematicsError(ValueError):
@@ -64,6 +62,9 @@ class Pose:
         if abs(n - 1.0) > 1e-9:
             raise ValueError(f"orientation quaternion must be unit norm, got |q| = {n}")
         object.__setattr__(self, "orientation", q)
+        rotation = quat_to_matrix(q)
+        rotation.setflags(write=False)
+        object.__setattr__(self, "_rotation", rotation)
 
     def __eq__(self, other):
         if not isinstance(other, Pose):
@@ -72,7 +73,8 @@ class Pose:
                 and np.array_equal(self.orientation, other.orientation))
 
     def rotation(self) -> np.ndarray:
-        return quat_to_matrix(self.orientation)
+        """The orientation as a rotation matrix, computed once per pose (read-only)."""
+        return self._rotation
 
     @classmethod
     def from_rpy(cls, position, rpy=(0.0, 0.0, 0.0)) -> "Pose":
@@ -193,16 +195,9 @@ def link_transform(chain: KinematicChain, state: JointState, link) -> tuple[np.n
     return R, t
 
 
-def _rodrigues_terms(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per unit axis (x, y, z), the row-major 3x3 of products (xx xy xz / yx yy yz
-    / zx zy zz) and of the skew matrix (0 -z y / z 0 -x / -y x 0), shape (n, 9)."""
-    products = axes.take(_ROW, 1) * axes.take(_COLUMN, 1)
-    skew = axes.take(_SKEW_AXIS, 1) * _SKEW_SIGN
-    return products, skew
-
-
 def _rodrigues(terms: tuple[np.ndarray, np.ndarray], angle: np.ndarray) -> np.ndarray:
-    """Rotation about each axis of `terms` by its angle (n,), shape (n, 3, 3).
+    """Rotation about each axis of `terms` (`rodrigues_terms`) by its angle (n,),
+    shape (n, 3, 3).
 
     Entry for entry the arithmetic of `axis_angle_matrix`: c + xx C on the
     diagonal (the skew term there is a zero, which cannot change a sum that
@@ -227,7 +222,7 @@ def link_frames(chain: KinematicChain, state: JointState) -> tuple[np.ndarray, n
     fixed joint makes no rotation product, as in the walk).  So every frame
     is bit for bit the one `link_transform` returns.
     """
-    rot = _rodrigues(_rodrigues_terms(chain.movable_axes),
+    rot = _rodrigues(chain.movable_rodrigues,
                      np.array([state.get(ji) for ji in chain.movable], dtype=float))
     R = np.empty((len(chain.links), 3, 3))
     t = np.empty((len(chain.links), 3))
@@ -260,7 +255,8 @@ def finger_walk(chain: KinematicChain, joints, link, state: JointState):
     fixed = _path_rotations(chain, [ji for ji in path if ji not in joints], state)
     R0, t0, _, _ = _walk(chain, path[:start], np.eye(3), np.zeros(3), fixed)
     suffix = path[start:]
-    terms = _rodrigues_terms(chain.movable_axes[[chain.column_of[ji] for ji in joints]])
+    columns = [chain.column_of[ji] for ji in joints]
+    terms = tuple(a[columns] for a in chain.movable_rodrigues)
 
     def walk(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rotations = dict(fixed)

@@ -30,8 +30,9 @@ _NULL_SPACE_RTOL = 1e-9
 
 
 class PerturbConfigError(ValueError):
-    """Raised for a non-integer seed or iteration count, a non-positive count or
-    threshold, or a negative or non-finite force bound."""
+    """Raised for a non-integer seed or iteration count, a non-positive count,
+    a force bound or threshold that is not a finite number, a negative force
+    bound or a non-positive threshold."""
 
 
 @dataclass(frozen=True)
@@ -48,10 +49,13 @@ class PerturbConfig:
                 raise PerturbConfigError(f"{name} must be an integer, got {value!r}")
         if self.iterations < 1:
             raise PerturbConfigError(f"iterations must be >= 1, got {self.iterations}")
+        for name in ("force_bound", "displacement_threshold"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise PerturbConfigError(f"{name} must be a finite number, got {value!r}")
         # zero = degenerate no-force probe, allowed
-        if not (isinstance(self.force_bound, numbers.Real) and 0.0 <= self.force_bound < math.inf):
-            raise PerturbConfigError(
-                f"force_bound must be a finite number >= 0, got {self.force_bound!r}")
+        if self.force_bound < 0.0:
+            raise PerturbConfigError(f"force_bound must be >= 0, got {self.force_bound!r}")
         if not self.displacement_threshold > 0.0:
             raise PerturbConfigError("displacement_threshold must be > 0")
 

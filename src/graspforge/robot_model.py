@@ -26,7 +26,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .transforms import Transform
+from .transforms import Transform, rodrigues_terms
 
 THUMB_DOF = 5
 OTHER_FINGER_DOF = 4
@@ -148,6 +148,10 @@ class KinematicChain:
     origin_translation: tuple[np.ndarray, ...] = field(default=(), compare=False, repr=False)
     # unit axes of the movable joints stacked in `movable` order, shape (n, 3)
     movable_axes: np.ndarray = field(default=None, compare=False, repr=False)
+    # `rodrigues_terms(movable_axes)`: the angle-free factors of the
+    # movable joints' rotations, each (n, 9)
+    movable_rodrigues: tuple[np.ndarray, np.ndarray] = field(default=(), compare=False,
+                                                             repr=False)
     # movable joint index -> its position in `movable`: its row of
     # `movable_axes` and its Jacobian column
     column_of: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
@@ -176,6 +180,7 @@ class KinematicChain:
         self.origin_translation = tuple(_frozen(j.origin.translation()) for j in self.joints)
         self.movable_axes = _frozen(np.array([self.joints[ji].axis for ji in self.movable],
                                              dtype=float).reshape(-1, 3))
+        self.movable_rodrigues = tuple(_frozen(a) for a in rodrigues_terms(self.movable_axes))
         self.column_of = {ji: c for c, ji in enumerate(self.movable)}
         levels: dict[int, list[int]] = {}
         for ji, j in enumerate(self.joints):

@@ -37,6 +37,26 @@ def axis_angle_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
     ])
 
 
+# Component gathers (`take` keeps rows C-ordered): the row and column factor
+# of each entry of a row-major 3x3 outer product, and the axis component and
+# sign of each skew-matrix entry.
+_ROW, _COLUMN = np.repeat(np.arange(3), 3), np.tile(np.arange(3), 3)
+_SKEW_AXIS = np.array([0, 2, 1, 2, 0, 0, 1, 0, 0])
+_SKEW_SIGN = np.array([0.0, -1.0, 1.0, 1.0, 0.0, -1.0, -1.0, 1.0, 0.0])
+
+
+def rodrigues_terms(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per unit axis (x, y, z), the row-major 3x3 of products (xx xy xz / yx yy yz
+    / zx zy zz) and of the skew matrix (0 -z y / z 0 -x / -y x 0), shape (n, 9).
+
+    The angle-free factors of `axis_angle_matrix`, for evaluating the
+    rotations of many axes at once.  Each row depends only on its own axis.
+    """
+    products = axes.take(_ROW, 1) * axes.take(_COLUMN, 1)
+    skew = axes.take(_SKEW_AXIS, 1) * _SKEW_SIGN
+    return products, skew
+
+
 def matrix_to_quat(R: np.ndarray) -> np.ndarray:
     """Rotation matrix -> unit quaternion (x, y, z, w) with w >= 0."""
     t = np.trace(R)

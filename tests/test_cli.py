@@ -215,7 +215,12 @@ class TestErrorHandling:
                                      "run.hz=.inf", "perturb.force_bound=.inf",
                                      "ik.residual_threshold=.inf", "ik.damping_lambda=.inf",
                                      "ik.step_scale=abc", "ik.damping_lambda=abc",
-                                     "physics.contact_stiffness=abc"])
+                                     "physics.contact_stiffness=abc",
+                                     "validation.distribution_threshold=.inf",
+                                     "validation.force_closure_threshold=.inf",
+                                     "validation.min_contact_force=abc",
+                                     "perturb.displacement_threshold=.inf",
+                                     "perturb.displacement_threshold=abc"])
     def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, key):
         code = run_cli("perturb", "--set", key, "--out", str(tmp_path))
         assert code == EXIT_ERROR

@@ -10,6 +10,7 @@ from graspforge.controller import (PHASE_CONTACT_OPT, PHASE_MONITOR, PHASE_PRE_G
                                    LogStep, RunConfig, RunConfigError, TrajectoryLog,
                                    execute_grasp, step_servo, write_trajectory_csv)
 from graspforge.grasp_validation import validate_grasp
+from graspforge.ik_solver import IkConfig
 from graspforge.kinematics import link_frames, neutral_state
 from graspforge.scene import Scene, default_scene, make_box_object
 from graspforge.kinematics import Pose
@@ -299,19 +300,30 @@ class TestExecuteGrasp:
         ik = [r.args for r in records if " IK " in r.msg]
         assert len(ik) == 10  # five fingers, pre-grasp and contact solves
         assert [args[0] for args in ik] == [PHASE_PRE_GRASP] * 5 + [PHASE_CONTACT_OPT] * 5
-        pre_grasp = {finger: (iterations, converged)
-                     for phase, finger, _, iterations, converged in ik[:5]}
-        # middle and ring cannot reach their waypoints 3 cm off the box; index
-        # and pinky stop 0.3 mm short from the neutral seed, a pitch joint pinned
-        for finger in ("index", "middle", "ring", "pinky"):
-            assert pre_grasp[finger] == (100, False)
-        assert pre_grasp["thumb"][1]
-        assert all(converged for *_, converged in ik[5:])
+        pre_grasp = {finger: (iterations, converged, ended)
+                     for phase, finger, _, iterations, converged, ended in ik[:5]}
+        # middle and ring cannot reach their waypoints 3 cm off the box and
+        # stop on a plateau; index and pinky reach theirs with a pitch joint
+        # pinned at its limit
+        assert pre_grasp["middle"] == (24, False, "plateau")
+        assert pre_grasp["ring"] == (30, False, "plateau")
+        for finger in ("thumb", "index", "pinky"):
+            assert pre_grasp[finger][1:] == (True, "converged")
+        assert pre_grasp["index"][0] == pre_grasp["pinky"][0] == 9
+        assert all(args[4:] == (True, "converged") for args in ik[5:])
         assert [r.getMessage() for r in records if r.msg.startswith("phase")] == [
             "phase pre_grasp -> contact_opt at step 80",
             "phase contact_opt -> monitor at step 115",
         ]
         assert capsys.readouterr().out == ""
+
+    def test_debug_log_names_a_spent_iteration_budget(self, scenario, caplog):
+        caplog.set_level(logging.DEBUG, logger="graspforge")
+        execute_grasp(scenario.scene, scenario.targets, RunConfig(max_steps=1),
+                      IkConfig(max_iterations=2), scenario.validation)
+        ik = [r.args for r in caplog.records if r.name == "graspforge" and " IK " in r.msg]
+        assert len(ik) == 10
+        assert all(args[3:] == (2, False, "budget") for args in ik)
 
     def test_log_every_thins_the_log(self, scenario):
         run = RunConfig(max_steps=7, log_every=3)

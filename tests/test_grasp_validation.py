@@ -185,9 +185,16 @@ def test_assessment_to_dict_round_trips_through_json():
     {"min_contact_force": 0.0},
     {"min_contacts": 2.5},
     {"min_contacts": True},
+    {"distribution_threshold": math.inf},
+    {"force_closure_threshold": math.inf},
+    {"min_contact_force": math.inf},
+    {"distribution_threshold": "abc"},
+    {"force_closure_threshold": "abc"},
+    {"min_contact_force": "abc"},
 ])
 def test_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValidationConfigError):
+    (key,) = kwargs
+    with pytest.raises(ValidationConfigError, match=key):  # the message names the key
         ValidationConfig(**kwargs)
 
 

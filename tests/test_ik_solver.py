@@ -56,21 +56,43 @@ WRIST_HAND = """
 """
 
 
+@pytest.fixture()
+def two_link_pinned():
+    """The two-link arm with its shoulder limited to [0, 1.5] rad."""
+    return parse_robot_description(TWO_LINK_ARM.replace(
+        'lower="-3.1415926535897931" upper="3.1415926535897931"', 'lower="0.0" upper="1.5"', 1))
+
+
 def _reference_solve(chain, finger, target, seed, cfg) -> IkResult:
     """The damped-least-squares loop on a joint dict and the public walks.
 
     Kept as the oracle for `solve_finger_ik`, which must return the same
     result bit for bit: one `link_transform` per damping trial, one
     `jacobian` per iteration and `clamp_to_limits` on every trial state.
+    A joint at a limit that a trial step pushes outward gets a zero Jacobian
+    column and the step is solved again, until no such joint is pushed out
+    (the clamping loop).  A stationary iterate, or an accepted step whose
+    gain, repeated over every remaining iteration, falls short of the
+    threshold (a stall), re-seeds the finger; the sixth such point ends the
+    solve with the best state seen.
     """
     f = chain.finger(finger)
     ee = f.end_effector
     target_p = np.asarray(target, dtype=float)
     cols = [chain.column_of[ji] for ji in f.joints]
+    limits = [(chain.joints[ji].lower_limit, chain.joints[ji].upper_limit) for ji in f.joints]
 
     def residual_of(s):
         _, p = link_transform(chain, s, ee)
         return float(np.linalg.norm(target_p - p)), p
+
+    def dls_step(J, lam, e):
+        A = J @ J.T + lam ** 2 * np.eye(3)
+        return cfg.step_scale * (J.T @ np.linalg.solve(A, e))
+
+    def pushed_out(state, dq):
+        return [(state.values[ji] <= lo and d < 0.0) or (state.values[ji] >= hi and d > 0.0)
+                for ji, (lo, hi), d in zip(f.joints, limits, dq)]
 
     state = clamp_to_limits(chain, seed.copy())
     residual, p = residual_of(state)
@@ -82,25 +104,33 @@ def _reference_solve(chain, finger, target, seed, cfg) -> IkResult:
         iterations = it
         e = target_p - p
         J = jacobian(chain, state, ee)[:, cols]
-        accepted = False
+        accepted = stalled = False
         trial_lam = lam
         for _ in range(13):
-            A = J @ J.T + trial_lam ** 2 * np.eye(3)
-            dq = cfg.step_scale * (J.T @ np.linalg.solve(A, e))
+            dq = dls_step(J, trial_lam, e)
+            free = np.ones(len(cols), dtype=bool)
+            while any(pushed_out(state, dq)):
+                free &= ~np.array(pushed_out(state, dq))
+                dq = dls_step(J * free, trial_lam, e)
             trial = state.copy()
             for ji, d in zip(f.joints, dq):
                 trial.values[ji] = trial.values[ji] + float(d)
             trial = clamp_to_limits(chain, trial)
             trial_residual, trial_p = residual_of(trial)
             if trial_residual < residual:
+                gain = residual - trial_residual
+                stalled = (gain * (cfg.max_iterations - it)
+                           < trial_residual - cfg.residual_threshold)
                 state, residual, p = trial, trial_residual, trial_p
                 lam = max(trial_lam / 1.5, 1e-6)
                 accepted = True
                 break
             trial_lam *= 2.0
-        if not accepted:
+        if stalled or not accepted:
             if residual < best_residual:
                 best_state, best_residual = state, residual
+            if restarts == 5:
+                break
             restarts += 1
             frac = (0.25, 0.75, 0.1, 0.9, 0.5)[restarts % 5]
             state = state.copy()
@@ -144,9 +174,59 @@ def test_unreachable_target_reports_honest_residual(two_link):
     seed = JointState(values={0: 0.1, 1: 0.1})
     res = solve_finger_ik(two_link, "arm", np.array([10.0, 0.0, 0.0]), seed)
     assert not res.converged
-    assert res.iterations == IkConfig().max_iterations
+    # it stalls at full extension and at each of the five re-seeds, then stops
+    assert res.iterations == 10
     # best it can do is full extension: residual = 10 - (1 + 1)
     assert res.residual == pytest.approx(8.0, abs=1e-3)
+
+
+def _two_link_tip(shoulder, elbow) -> np.ndarray:
+    """Tip of the two-link arm (unit links, planar) at the given angles; broadcasts."""
+    x = np.cos(shoulder) + np.cos(shoulder + elbow)
+    y = np.sin(shoulder) + np.sin(shoulder + elbow)
+    return np.stack(np.broadcast_arrays(x, y, 0.0), axis=-1)
+
+
+def test_a_pinned_joint_pushed_outward_leaves_the_step(two_link_pinned):
+    """The target is reachable only with the shoulder at its 0 limit, and the
+    seed sits there.  The plain clamped step keeps pushing the shoulder out
+    and creeps (0.63 m after 5 iterations, 0.49 m after 100); dropping the
+    shoulder's column lets the elbow move alone, and the solve converges."""
+    target = _two_link_tip(0.0, 2.0)
+    res = solve_finger_ik(two_link_pinned, "arm", target, JointState(values={0: 0.0, 1: -1.0}))
+    assert res.converged and res.iterations < 20
+    assert res.state.values[0] == 0.0
+    assert res.state.values[1] == pytest.approx(2.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("shoulder", [-0.6, -0.3, 1.8, 2.1])
+def test_limit_bound_targets_reach_the_brute_force_minimum(two_link_pinned, shoulder):
+    """Targets of postures with the shoulder past its [0, 1.5] limits: some are
+    reachable through the other elbow branch, some only at a limit, some not
+    at all.  The residual is at most the minimum over a grid of the joint box
+    plus the grid's error bound.
+
+    With spacing <= h on both joints, every posture lies within h/2 of a grid
+    point on each joint.  The tip moves at most |tip| <= 2 per radian of
+    shoulder and 1 per radian of elbow, so the grid minimum exceeds the true
+    minimum by at most (2 + 1) h / 2.
+
+    Targets far beyond the reach of both links are not covered: there a
+    stall can end a descent that is still improving, a few percent above
+    the least residual (the `ik_solver` module docstring).
+    """
+    h = 0.005
+    axes = []
+    for ji in two_link_pinned.movable:
+        lo, hi = two_link_pinned.joints[ji].lower_limit, two_link_pinned.joints[ji].upper_limit
+        axes.append(np.linspace(lo, hi, math.ceil((hi - lo) / h) + 1))
+    grid = _two_link_tip(axes[0][:, None], axes[1][None, :])
+    seed = JointState(values={0: 0.1, 1: 0.1})
+    for elbow in (-2.0, -1.0, 0.5, 1.5):
+        target = _two_link_tip(shoulder, elbow)
+        grid_min = float(np.linalg.norm(grid - target, axis=-1).min())
+        res = solve_finger_ik(two_link_pinned, "arm", target, seed)
+        assert res.residual <= grid_min + 1.5 * h, (elbow, res.residual, grid_min)
 
 
 def test_pose_target_accepted(two_link):

@@ -221,6 +221,15 @@ class TestPose:
         assert a == Pose(position=(1, 2, 3))
         assert a != Pose(position=(1, 2, 3.0000001))
 
+    def test_rotation_is_computed_once(self):
+        from graspforge.transforms import quat_to_matrix
+        p = Pose.from_rpy((1, 2, 3), (0.1, -0.7, 2.3))
+        R = p.rotation()
+        assert R is p.rotation()
+        assert R.tobytes() == quat_to_matrix(p.orientation).tobytes()
+        with pytest.raises(ValueError):  # shared by every caller, so read-only
+            R[0, 0] = 2.0
+
 
 _angles = st.floats(-3.2, 3.2, allow_nan=False)
 

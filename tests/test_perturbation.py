@@ -199,7 +199,10 @@ def test_samples_csv_is_plain_numbers():
     {"seed": True},
     {"force_bound": float("inf")},
     {"force_bound": float("nan")},
+    {"displacement_threshold": float("inf")},
+    {"displacement_threshold": "abc"},
 ])
 def test_config_rejects_bad_values(kwargs):
-    with pytest.raises(PerturbConfigError):
+    (key,) = kwargs
+    with pytest.raises(PerturbConfigError, match=key):  # the message names the key
         PerturbConfig(**kwargs)

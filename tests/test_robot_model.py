@@ -71,8 +71,12 @@ class TestBundledHand:
         assert sorted(joint_of_child[li] for level in chain.fk_levels
                       for li in level.children.tolist()) == list(range(len(chain.joints)))
         assert [chain.column_of[ji] for ji in chain.movable] == list(range(len(chain.movable)))
+        products, skew = chain.movable_rodrigues
         for c, ji in enumerate(chain.movable):
-            assert np.array_equal(chain.movable_axes[c], chain.joints[ji].axis)
+            x, y, z = axis = chain.joints[ji].axis
+            assert np.array_equal(chain.movable_axes[c], axis)
+            assert np.array_equal(products[c], np.outer(axis, axis).ravel())
+            assert np.array_equal(skew[c], [0.0, -z, y, z, 0.0, -x, -y, x, 0.0])
         for j, R, t in zip(chain.joints, chain.origin_rotation, chain.origin_translation):
             assert np.array_equal(R, j.origin.rotation())
             assert np.array_equal(t, j.origin.translation())
@@ -94,6 +98,8 @@ class TestBundledHand:
             chain.fk_levels[0].origin_rotation[0, 0, 0] = 2.0
         with pytest.raises(ValueError):
             shapes.translation[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            products[0, 0] = 2.0
 
     def test_joint_order_is_parent_first_when_the_file_is_not(self):
         links = "<link name='a'/><link name='b'/><link name='c'/>"
