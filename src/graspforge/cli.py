@@ -186,12 +186,19 @@ def _load_contact_file(path: str) -> list[ContactPoint]:
             force = float(entry.get("force", entry.get("normal_force", 0.0)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"contact {i}: {exc}") from None
+        link = entry.get("link", -1)
+        if isinstance(link, bool) or not isinstance(link, int):
+            raise ValueError(f"contact {i}: link must be an integer, got {link!r}")
+        for name, value in (("position", position), ("normal", normal), ("force", force)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"contact {i}: {name} must be finite, got "
+                                 f"{np.asarray(value).tolist()}")
         norm = float(np.linalg.norm(normal))
         if abs(norm - 1.0) > _NORMAL_TOL:
             raise ValueError(f"contact {i}: normal has length {norm:.6f}, not unit")
         contacts.append(ContactPoint(
             finger=str(entry.get("finger", "external")),
-            link=int(entry.get("link", -1)),
+            link=link,
             position=position, normal=normal,
             penetration_depth=0.0, normal_force=force))
     return contacts

@@ -10,12 +10,11 @@ link's frame: the chain's table of finger shapes (`chain.finger_shapes`,
 built once with the chain) is processed as stacked arrays, with no loop
 over links.  Each stacked `matmul` rounds every slice exactly as a 2-D `@`
 does, so the probes are bit for bit those of a per-link loop.
-  * World transform of every shape, then the bounding-sphere reject: a
-    shape with |center - box center| > length/2 + radius + |half extents|
-    is skipped.  The test is exact: such a shape cannot touch the box.  Its
-    row-wise norm may differ from a 1-D norm in the last bit, which can
-    only flip a shape within an ulp of the bound, touching by ~1e-16 m.
-  * Box-frame probe point and capsule axis of the shapes that pass.
+  * World transform of every shape, its box-frame center c (a sphere's probe
+    point) and core axis u, then the overlap reject (separating axes on the
+    box faces; Gottschalk, Lin & Manocha, "OBBTree", SIGGRAPH 1996): a shape
+    is kept only if |c_i| - (|u_i| length/2 + radius) <= h_i + _OVERLAP_SLACK
+    on each box axis i.  When none is kept, the narrow phase does not run.
 Narrow phase, all in the box frame:
   * A sphere's deepest point is its center.  A capsule's is the point of
     its core segment with the smallest box signed distance, found in closed
@@ -58,6 +57,10 @@ _PAIR_I, _PAIR_J = np.triu_indices(7, 1)
 # roundings from the segment data (crossing, a + t d, |p| - h, the norm), so
 # candidates whose distances differ by less than ~4.5 ulps are ties.
 _TIE_TOLERANCE = 1e-15
+
+# Slack of the overlap reject, in meters: far above the ~1e-16 m rounding of
+# a + t d and of its signed distance, so no shape that can touch is skipped.
+_OVERLAP_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -178,25 +181,25 @@ def detect_contacts(scene: Scene, state: JointState, *, frames=None) -> list[Con
     R_b = scene.hand_base.rotation()
     t_b = scene.hand_base.position
     R_l, t_l = link_frames(chain, state) if frames is None else frames
-    # every shape at once: world frame, the bounding-sphere reject, then the
-    # box-frame probe point (a sphere's center) and capsule axis
+    # every shape at once: world frame, box-frame center and axis, the reject;
+    # then a capsule's probe moves from its center to its deepest core point
     R_w = R_b @ R_l[shapes.links]
     t_w = R_b @ t_l[shapes.links, :, None] + t_b[:, None]
-    offsets = (R_w @ shapes.translation[:, :, None] + t_w)[:, :, 0] - c
-    rows = np.flatnonzero(~(np.linalg.norm(offsets, axis=1)
-                            > shapes.reach + float(np.linalg.norm(half))))
-    probes = (R.T @ offsets[rows, :, None])[:, :, 0]
-    capsules = shapes.half_length[rows] > 0.0
-    if capsules.any():
-        segments = rows[capsules]
-        axes = (R.T @ (R_w[segments] @ shapes.axis[segments, :, None]))[:, :, 0]
-        a = probes[capsules] - shapes.half_length[segments, None] * axes
-        d = shapes.length[segments, None] * axes
-        probes[capsules] = a + _deepest_on_segments(a, d, half)[:, None] * d
+    probes = (R.T @ ((R_w @ shapes.translation[:, :, None] + t_w)[:, :, 0] - c)[:, :, None])[:, :, 0]
+    axes = (R.T @ (R_w @ shapes.axis[:, :, None]))[:, :, 0]
+    gaps = np.abs(probes) - (np.abs(axes) * shapes.half_length[:, None] + shapes.radius[:, None])
+    rows = np.flatnonzero((gaps <= half + _OVERLAP_SLACK).all(axis=1))
+    if not len(rows):
+        return []
+    segments = rows[shapes.half_length[rows] > 0.0]
+    if len(segments):
+        a = probes[segments] - shapes.half_length[segments, None] * axes[segments]
+        d = shapes.length[segments, None] * axes[segments]
+        probes[segments] = a + _deepest_on_segments(a, d, half)[:, None] * d
     k = box.params.contact_stiffness
     contacts: list[ContactPoint] = []
-    for row, p in zip(rows.tolist(), probes):
-        surface, normal, sd = _closest_point_local(p, half)
+    for row in rows.tolist():
+        surface, normal, sd = _closest_point_local(probes[row], half)
         depth = shapes.radius[row] - sd
         if depth < 0.0:
             continue

@@ -2,8 +2,9 @@
 
 Phases:
   pre_grasp    stage fingertips 3 cm outside their contact targets
-  contact_opt  drive to the true targets; a finger in contact stops
-               advancing its flexor so it presses instead of shoving
+  contact_opt  drive to the true targets; a finger with an established
+               contact (`is_established`, the test validation counts by)
+               stops advancing its flexor so it presses instead of shoving
   monitor      freeze the posture and re-validate until 50 consecutive
                stable steps (or the step budget runs out)
 
@@ -27,7 +28,7 @@ import numbers
 from dataclasses import dataclass, field
 
 from .contact import closest_point_box, detect_contacts
-from .grasp_validation import ValidationConfig, validate_grasp
+from .grasp_validation import ValidationConfig, is_established, validate_grasp
 from .ik_solver import IkConfig, merge_hand_results, solve_hand_ik
 from .kinematics import JointState, clamp_to_limits, link_frames, neutral_state
 from .robot_model import KinematicChain
@@ -215,8 +216,7 @@ def execute_grasp(scene: Scene, targets: dict, run: RunConfig | None = None,
                                            PHASE_CONTACT_OPT)
                 goal = contact_goal
         elif phase == PHASE_CONTACT_OPT:
-            latched = {c.finger for c in contacts
-                       if c.normal_force > validation.min_contact_force}
+            latched = {c.finger for c in contacts if is_established(c, validation)}
             assessment = validate_grasp(contacts, validation)
             if assessment.stable:
                 phase = PHASE_MONITOR

@@ -2,7 +2,8 @@
 
 Checks run in a fixed order and the first failure names the verdict:
 too few contacts -> spread exceeded -> closure exceeded.  Contacts whose
-normal force is below the minimum are ignored entirely (not established).
+normal force is below the minimum are ignored entirely (not established,
+see `is_established`).
 """
 
 from __future__ import annotations
@@ -77,10 +78,16 @@ def grasp_center(contacts: list[ContactPoint]) -> np.ndarray:
     return np.mean([c.position for c in contacts], axis=0)
 
 
+def is_established(contact: ContactPoint, config: ValidationConfig) -> bool:
+    """A contact at or above the minimum force: it counts toward the verdict,
+    and the controller stops its finger's flexor."""
+    return contact.normal_force >= config.min_contact_force
+
+
 def validate_grasp(contacts: list[ContactPoint],
                    config: ValidationConfig | None = None) -> GraspAssessment:
     cfg = config or ValidationConfig()
-    held = [c for c in contacts if c.normal_force >= cfg.min_contact_force]
+    held = [c for c in contacts if is_established(c, cfg)]
 
     if held:
         center = grasp_center(held)

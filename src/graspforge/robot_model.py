@@ -116,16 +116,14 @@ class FingerShapes:
     """The finger links that carry a capsule or a sphere, in `finger_links` order.
 
     Per row: its finger and link, the shape radius, the core length and half
-    of it (0 for a sphere), `reach` = half length + radius (the shape's
-    bounding-sphere radius), and the collision origin's translation and
-    local +Z axis (a capsule's core direction) in the link frame, (n, 3).
+    of it (0 for a sphere), and the collision origin's translation and local
+    +Z axis (a capsule's core direction) in the link frame, (n, 3).
     """
     fingers: tuple[str, ...]
     links: np.ndarray
     radius: np.ndarray
     length: np.ndarray
     half_length: np.ndarray
-    reach: np.ndarray
     translation: np.ndarray
     axis: np.ndarray
 
@@ -212,7 +210,6 @@ class KinematicChain:
             radius=_frozen(radius),
             length=_frozen(length),
             half_length=_frozen(0.5 * length),
-            reach=_frozen(0.5 * length + radius),
             translation=_frozen(np.array([l.geometry_origin.translation() for l in specs],
                                          dtype=float).reshape(-1, 3)),
             axis=_frozen(np.array([l.geometry_origin.rotation()[:, 2] for l in specs],

@@ -156,6 +156,28 @@ class TestValidate:
         assert code == EXIT_UNSTABLE
         assert json.loads(capsys.readouterr().out)["contact_count"] == 3
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("position", [float("nan"), -0.03, 0], "contact 3: position must be finite"),
+        ("position", [0, float("-inf"), 0], "contact 3: position must be finite"),
+        ("normal", [0, float("nan"), 0], "contact 3: normal must be finite"),
+        ("normal", [float("inf"), 0, 0], "contact 3: normal must be finite"),
+        ("force", float("inf"), "contact 3: force must be finite"),
+        ("force", float("nan"), "contact 3: force must be finite"),
+        ("link", "abc", "contact 3: link must be an integer, got 'abc'"),
+        ("link", 2.7, "contact 3: link must be an integer, got 2.7"),
+        ("link", True, "contact 3: link must be an integer, got True"),
+    ])
+    def test_bad_contact_field_is_an_error(self, tmp_path, capsys, field, value, message):
+        # json writes NaN and Infinity, and json.load reads them back
+        contacts = stable_fixture()
+        contacts[3][field] = value
+        p = tmp_path / "contacts.json"
+        p.write_text(json.dumps(contacts))
+        assert run_cli("validate", str(p)) == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
+
     def test_missing_position_field(self, tmp_path, capsys):
         p = tmp_path / "contacts.json"
         p.write_text(json.dumps([{"normal": [0, 0, 1]}]))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from graspforge.contact import (_closest_point_local, _deepest_on_segments, closest_point_box,
                                 detect_contacts)
+from graspforge.controller import execute_grasp
 from graspforge.kinematics import JointState, Pose, link_transform
 from graspforge.robot_model import CapsuleGeometry, SphereGeometry, parse_robot_description
 from graspforge.scene import PhysicalParams, Scene, make_box_object
@@ -269,13 +270,17 @@ class TestDeepestOnSegment:
         assert np.array_equal(_deepest_on_segments(a[::-1], d[::-1], half), batch[::-1])
 
 
-def _reference_detect_contacts(scene, state):
+def _reference_detect_contacts(scene, state, sphere_reject=True):
     """`detect_contacts` as a loop over the finger links, one shape at a time.
 
     The front end of an earlier version, kept as the bitwise reference of
     the array one: per link its frame from `link_transform`, the world
-    transform, the bounding-sphere reject and the box-frame probe point and
-    capsule axis; then the same batched segment minimum and surface probe.
+    transform, the bounding-sphere reject (a shape with |center - box
+    center| > length/2 + radius + |half extents| cannot touch the box; it is
+    looser than `detect_contacts`' box-axis reject) and the box-frame probe
+    point and capsule axis; then the same batched segment minimum and
+    surface probe.  With `sphere_reject=False` every shape goes to the
+    narrow phase.
     """
     chain = scene.chain
     box = scene.object
@@ -301,7 +306,7 @@ def _reference_detect_contacts(scene, state):
             R_w = R_b @ R_l
             center = R_w @ spec.geometry_origin.translation() + (R_b @ t_l + t_b)
             offset = center - c
-            if np.linalg.norm(offset) > half_length + geom.radius + box_reach:
+            if sphere_reject and np.linalg.norm(offset) > half_length + geom.radius + box_reach:
                 continue
             p = R.T @ offset
             if half_length > 0.0:
@@ -327,9 +332,9 @@ def _reference_detect_contacts(scene, state):
     return contacts
 
 
-def _assert_same_contacts(scene, state):
+def _assert_same_contacts(scene, state, sphere_reject=True):
     got = detect_contacts(scene, state)
-    expected = _reference_detect_contacts(scene, state)
+    expected = _reference_detect_contacts(scene, state, sphere_reject)
     assert len(got) == len(expected)
     for c, (finger, link, position, normal, depth, force) in zip(got, expected):
         assert (c.finger, c.link, type(c.link)) == (finger, link, int)
@@ -343,6 +348,32 @@ def _assert_same_contacts(scene, state):
 _unit = st.floats(0.0, 1.0)
 
 
+def _hand_state(chain, grasp, fractions, near_grasp):
+    """A bundled-hand posture: `grasp` moved up to 0.1 rad per joint, or
+    anywhere in the joint box, by 21 fractions in [0, 1]."""
+    lower = np.array([chain.joints[ji].lower_limit for ji in chain.movable])
+    upper = np.array([chain.joints[ji].upper_limit for ji in chain.movable])
+    if near_grasp:
+        q = np.array([grasp.values[ji] for ji in chain.movable])
+        q = np.clip(q + 0.2 * (np.array(fractions) - 0.5), lower, upper)
+    else:
+        q = lower + np.array(fractions) * (upper - lower)
+    return JointState(values=dict(zip(chain.movable, map(float, q))))
+
+
+def _count_batches(monkeypatch):
+    """Record the row count of every narrow-phase batch `detect_contacts` runs."""
+    import graspforge.contact
+    batches = []
+
+    def counted(a, d, half):
+        batches.append(len(a))
+        return _deepest_on_segments(a, d, half)
+
+    monkeypatch.setattr(graspforge.contact, "_deepest_on_segments", counted)
+    return batches
+
+
 class TestArrayFrontEnd:
     """The array front end of `detect_contacts` against the per-link loop, by bytes."""
 
@@ -352,16 +383,8 @@ class TestArrayFrontEnd:
            st.lists(st.floats(0.5, 1.5), min_size=3, max_size=3))
     def test_bundled_hand_matches_the_per_link_loop(self, scenario, grasp_run, fractions,
                                                     near_grasp, offset, rpy, scale):
-        chain = scenario.scene.chain
         box = scenario.scene.object
-        lower = np.array([chain.joints[ji].lower_limit for ji in chain.movable])
-        upper = np.array([chain.joints[ji].upper_limit for ji in chain.movable])
-        if near_grasp:  # the final grasp posture moved up to 0.1 rad per joint
-            grasp = np.array([grasp_run[0].values[ji] for ji in chain.movable])
-            q = np.clip(grasp + 0.2 * (np.array(fractions) - 0.5), lower, upper)
-        else:  # anywhere in the joint box
-            q = lower + np.array(fractions) * (upper - lower)
-        state = JointState(values=dict(zip(chain.movable, map(float, q))))
+        state = _hand_state(scenario.scene.chain, grasp_run[0], fractions, near_grasp)
         pose = Pose.from_rpy(box.pose.position + np.array(offset), rpy)
         obj = make_box_object(tuple(np.array(box.half_extents) * scale), pose, box.mass,
                               box.params)
@@ -380,6 +403,104 @@ class TestArrayFrontEnd:
 
     def test_the_final_grasp_matches_the_per_link_loop(self, scenario, grasp_run):
         assert len(_assert_same_contacts(scenario.scene, grasp_run[0])) >= 4
+
+
+class TestOverlapReject:
+    """The box-axis reject skips only shapes that cannot touch the box."""
+
+    @given(st.lists(_unit, min_size=21, max_size=21), st.booleans(), st.integers(0, 14),
+           st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3),
+           st.lists(st.floats(0.5, 1.5), min_size=3, max_size=3),
+           st.sets(st.integers(0, 2), min_size=1),
+           st.lists(st.booleans(), min_size=3, max_size=3), st.floats(1e-9, 1e-6), st.booleans(),
+           st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+    def test_equals_the_narrow_phase_on_every_shape(self, scenario, grasp_run, fractions,
+                                                    near_grasp, row, rpy, scale, bound_axes,
+                                                    negative, offset, outside, inner):
+        # one shape placed just inside or just outside the reject bound on
+        # one box axis (at a face), two (an edge) or three (a corner), and
+        # inside the box's slab on the others
+        scene = scenario.scene
+        chain = scene.chain
+        shapes = chain.finger_shapes
+        assert len(shapes.links) == 15
+        state = _hand_state(chain, grasp_run[0], fractions, near_grasp)
+        R_l, t_l = link_transform(chain, state, int(shapes.links[row]))
+        R_b, t_b = scene.hand_base.rotation(), scene.hand_base.position
+        center = R_b @ (R_l @ shapes.translation[row] + t_l) + t_b
+        axis = R_b @ R_l @ shapes.axis[row]
+        box = scene.object
+        half = np.array(box.half_extents) * scale
+        orientation = Pose.from_rpy((0.0, 0.0, 0.0), rpy).orientation
+        R = Pose(position=(0.0, 0.0, 0.0), orientation=orientation).rotation()
+        extent = np.abs(R.T @ axis) * shapes.half_length[row] + shapes.radius[row]
+        local = np.array(inner) * half
+        for i in bound_axes:
+            bound = half[i] + extent[i] + (offset if outside else -offset)
+            local[i] = -bound if negative[i] else bound
+        pose = Pose(position=center - R @ local, orientation=orientation)
+        obj = make_box_object(tuple(half), pose, box.mass, box.params)
+        _assert_same_contacts(dataclasses.replace(scene, object=obj), state, sphere_reject=False)
+
+    @pytest.mark.parametrize("slack, touches", [(1e-6, True), (-1e-6, False)])
+    def test_tight_at_a_face(self, monkeypatch, slack, touches):
+        # the rod tip (0.07, 0, 0) against the box's -x face: the face axis
+        # bound |c_x| - (length/2 + radius) <= h_x is exact here, so a rod
+        # 1e-6 m short of the face never reaches the narrow phase
+        batches = _count_batches(monkeypatch)
+        scene, state = _mini_scene(CAPSULE_FINGER, box_center=(0.1 - slack, 0.0, 0.0))
+        contacts = detect_contacts(scene, state)
+        if not touches:
+            assert contacts == [] and batches == []
+            return
+        assert batches == [1]
+        (c,) = contacts
+        assert np.allclose(c.position, [0.08 - slack, 0.0, 0.0], atol=1e-12)
+        assert np.allclose(c.normal, [-1.0, 0.0, 0.0], atol=1e-12)
+        assert c.penetration_depth == pytest.approx(slack, abs=1e-12)
+
+    @pytest.mark.parametrize("slack, touches", [(1e-6, True), (-1e-6, False)])
+    def test_edge_contact_is_decided_by_the_narrow_phase(self, monkeypatch, slack, touches):
+        # a box yawed 45 degrees turns its (-x, -y) edge to the rod tip; the
+        # box-axis bound lets the rod pass up to (sqrt 2 - 1) radius beyond
+        # the edge, so the narrow phase runs on both sides of contact
+        batches = _count_batches(monkeypatch)
+        h = 0.02
+        center = (0.07 + 0.01 + h * np.sqrt(2.0) - slack, 0.0, 0.0)
+        scene, state = _mini_scene(CAPSULE_FINGER, box_center=center, half=(h, h, h),
+                                   orientation=(0.0, 0.0, np.sin(np.pi / 8), np.cos(np.pi / 8)))
+        contacts = detect_contacts(scene, state)
+        assert batches == [1]
+        if not touches:
+            assert contacts == []
+            return
+        (c,) = contacts
+        assert np.allclose(c.position, [0.08 - slack, 0.0, 0.0], atol=1e-12)
+        assert np.allclose(c.normal, [-1.0, 0.0, 0.0], atol=1e-12)
+        assert c.penetration_depth == pytest.approx(slack, abs=1e-12)
+
+    def test_bundled_grasp_runs_the_narrow_phase_only_near_the_box(self, scenario, monkeypatch):
+        """22 batches of 39 capsules per bundled grasp, none before step 94:
+        no shape is within reach of the box in the 80 pre_grasp steps."""
+        import graspforge.controller
+        batches = _count_batches(monkeypatch)
+        first_batch_step = []
+
+        def detect(scene, state, *, frames=None):
+            before = len(batches)
+            contacts = detect_contacts(scene, state, frames=frames)
+            if len(batches) > before and not first_batch_step:
+                first_batch_step.append(len(steps) + 1)
+            steps.append(None)
+            return contacts
+
+        steps = []
+        monkeypatch.setattr(graspforge.controller, "detect_contacts", detect)
+        execute_grasp(scenario.scene, scenario.targets, scenario.run, scenario.ik,
+                      scenario.validation)
+        assert len(steps) == 115  # one detection per step up to the held monitor steps
+        assert (len(batches), sum(batches)) == (22, 39)
+        assert first_batch_step == [94]
 
 
 class TestDetectContacts:
@@ -425,10 +546,14 @@ class TestDetectContacts:
         assert c.penetration_depth == pytest.approx(0.015, abs=1e-12)
 
     @pytest.mark.parametrize("slack, touches", [(1e-6, True), (-1e-6, False)])
-    def test_bounding_sphere_reject_is_tight_at_a_corner(self, slack, touches):
+    def test_bounding_sphere_reject_is_tight_at_a_corner(self, monkeypatch, slack, touches):
         # box corner pointing straight at the rod tip: the capsule reaches the
         # box only along this line, where |center - box center| is exactly
-        # length/2 + radius + |half|, so the reject bound has no slack
+        # length/2 + radius + |half|, the bounding-sphere bound of the
+        # reference.  The box-axis reject lets the rod pass up to
+        # (sqrt 3 - 1) radius beyond the corner, so here the narrow phase
+        # decides, on both sides of contact.
+        batches = _count_batches(monkeypatch)
         half = np.array([0.02, 0.02, 0.02])
         diagonal = np.ones(3) / np.sqrt(3.0)
         x = np.array([1.0, 0.0, 0.0])
@@ -439,6 +564,7 @@ class TestDetectContacts:
         scene, state = _mini_scene(CAPSULE_FINGER, box_center=center, half=half,
                                    orientation=matrix_to_quat(R))
         contacts = detect_contacts(scene, state)
+        assert batches == [1]
         if not touches:
             assert contacts == []
             return

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import logging
 import math
@@ -290,6 +291,46 @@ class TestExecuteGrasp:
         assert math.copysign(1.0, state.values[yaw]) == 1.0 and state.values[yaw] == 0.0
         assert passes == list(range(1, entry + 2))
         _assert_hold_matches_final_state(scenario, state, log, assessment, log.steps[entry:])
+
+    def test_a_contact_at_the_minimum_force_latches_its_finger(self, scenario, monkeypatch):
+        """A contact exactly at `min_contact_force` is established for both
+        validation and the flexor latch: the next step's goal holds the
+        finger's flexor where it is."""
+        import graspforge.controller
+        chain = scenario.scene.chain
+        servo_calls, detected = [], []
+
+        def servo(state, goal, run, chain):
+            servo_calls.append((state, goal))
+            return step_servo(state, goal, run, chain)
+
+        def detect(scene, state, *, frames=None):
+            detected.append(detect_contacts(scene, state, frames=frames))
+            return detected[-1]
+
+        monkeypatch.setattr(graspforge.controller, "step_servo", servo)
+        monkeypatch.setattr(graspforge.controller, "detect_contacts", detect)
+        execute_grasp(scenario.scene, scenario.targets, scenario.run, scenario.ik,
+                      scenario.validation)
+        # the first step with contacts, and the finger whose strongest contact
+        # there is the weakest of all fingers: with the minimum at exactly that
+        # force, only an inclusive test latches it
+        step, contacts = next((i, c) for i, c in enumerate(detected) if c)
+        strongest = {}
+        for c in contacts:
+            strongest[c.finger] = max(strongest.get(c.finger, 0.0), c.normal_force)
+        finger = min(strongest, key=strongest.get)
+        flexor = chain.fingers[finger].joints[-2]
+        validation = dataclasses.replace(scenario.validation,
+                                         min_contact_force=strongest[finger])
+        servo_calls.clear()
+        detected.clear()
+        execute_grasp(scenario.scene, scenario.targets, scenario.run, scenario.ik, validation)
+        assert [c.normal_force for c in detected[step]] == [c.normal_force for c in contacts]
+        state, goal = servo_calls[step + 1]
+        assert goal.values[flexor] == state.values[flexor]
+        assert validate_grasp(contacts, validation).contact_count == sum(
+            c.normal_force >= strongest[finger] for c in contacts)
 
     def test_debug_log_reports_ik_outcomes_and_phase_steps(self, scenario, caplog, capsys):
         caplog.set_level(logging.DEBUG, logger="graspforge")

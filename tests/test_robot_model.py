@@ -89,7 +89,6 @@ class TestBundledHand:
             assert shapes.radius[row] == link.geometry.radius
             assert shapes.length[row] == link.geometry.length
             assert shapes.half_length[row] == 0.5 * link.geometry.length
-            assert shapes.reach[row] == 0.5 * link.geometry.length + link.geometry.radius
             assert np.array_equal(shapes.translation[row], link.geometry_origin.translation())
             assert np.array_equal(shapes.axis[row], link.geometry_origin.rotation()[:, 2])
         with pytest.raises(ValueError):  # shared across callers, so read-only
