@@ -169,6 +169,11 @@ def cmd_perturb(args) -> int:
     return EXIT_OK if all_passed else EXIT_UNSTABLE
 
 
+def _holds_bool(value) -> bool:
+    """A JSON boolean, bare or in a list, which float() and numpy read as 1 or 0."""
+    return isinstance(value, bool) or (isinstance(value, list) and any(map(_holds_bool, value)))
+
+
 def _load_contact_file(path: str) -> list[ContactPoint]:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -180,6 +185,10 @@ def _load_contact_file(path: str) -> list[ContactPoint]:
     for i, entry in enumerate(data):
         if not isinstance(entry, dict):
             raise ValueError(f"contact {i}: expected a mapping")
+        for name in ("position", "normal", "force", "normal_force"):
+            if _holds_bool(entry.get(name)):
+                raise ValueError(f"contact {i}: {name} must be numeric, "
+                                 f"got {json.dumps(entry[name])}")
         try:
             position = np.asarray(entry["position"], dtype=float).reshape(3)
             normal = np.asarray(entry["normal"], dtype=float).reshape(3)

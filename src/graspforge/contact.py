@@ -5,11 +5,14 @@ oriented box.  Each (finger link, box) pair contributes at most one contact:
 the deepest penetrating point of the link surface.  Forces follow the
 quasi-static spring law F = k * depth with the object's contact stiffness.
 
-Front end, after one forward-kinematics pass (`link_frames`) gives every
-link's frame: the chain's table of finger shapes (`chain.finger_shapes`,
-built once with the chain) is processed as stacked arrays, with no loop
-over links.  Each stacked `matmul` rounds every slice exactly as a 2-D `@`
-does, so the probes are bit for bit those of a per-link loop.
+Front end, after a forward-kinematics pass gives every link's frame: the
+chain's table of finger shapes (`chain.finger_shapes`, built once with the
+chain) is processed as stacked arrays, with no loop over links, for T
+joint-angle rows at once (`_stacked_contacts`, over frames of shape
+(T, L, ...); the controller's `pre_grasp` phase detects all its steps in
+one call).  `detect_contacts` is its one-row call.  Each stacked `matmul`
+rounds every slice exactly as a 2-D `@` does, so the probes are bit for
+bit those of a per-link loop, whatever the number of rows.
   * World transform of every shape, its box-frame center c (a sphere's probe
     point) and core axis u, then the overlap reject (separating axes on the
     box faces; Gottschalk, Lin & Manocha, "OBBTree", SIGGRAPH 1996): a shape
@@ -26,8 +29,8 @@ Narrow phase, all in the box frame:
     max_i(+-p_i(t) - h_i), a convex piecewise-linear function whose minimum
     lies at an endpoint or where two of the six affine pieces are equal.
     The signed distance is evaluated at this candidate set and the minimum
-    taken.  All capsules that pass the reject are solved in one batch; rows
-    with fewer candidates are padded with inf.
+    taken.  The capsules of all T rows that pass the reject are solved in
+    one batch; batch rows with fewer candidates are padded with inf.
   * Tie rule: when the minimizer is not unique (a segment parallel to a
     face, or two candidates naming the same kink), the smallest t whose
     signed distance is within _TIE_TOLERANCE of the minimum wins, so float
@@ -162,15 +165,13 @@ def _deepest_on_segments(a: np.ndarray, d: np.ndarray, half: np.ndarray) -> np.n
     return t[np.arange(len(t)), np.argmax(near, axis=1)]
 
 
-def detect_contacts(scene: Scene, state: JointState, *, frames=None) -> list[ContactPoint]:
-    """One contact per penetrating (finger link, box) pair.
+def _stacked_contacts(scene: Scene, frames: tuple) -> list[list[ContactPoint]]:
+    """`detect_contacts` for each row of stacked link frames, rotations
+    (T, L, 3, 3) and translations (T, L, 3) as `_stacked_frames` gives them.
 
-    A link touches when its shape surface reaches the box: signed distance of
-    the deepest probe point minus the shape radius is <= 0.  Output order is
-    deterministic: fingers in chain order, links base-to-tip within a finger.
-    No force threshold is applied here; validation filters weak contacts.
-    `frames` is `link_frames(scene.chain, state)` when the caller already
-    has it; otherwise it is computed here.
+    Every shape of every row goes through the front end at once; the
+    capsules of all rows that pass the reject are solved in one narrow-phase
+    batch, whose rows are independent of each other.
     """
     chain = scene.chain
     shapes = chain.finger_shapes
@@ -180,30 +181,29 @@ def detect_contacts(scene: Scene, state: JointState, *, frames=None) -> list[Con
     half = np.asarray(box.half_extents)
     R_b = scene.hand_base.rotation()
     t_b = scene.hand_base.position
-    R_l, t_l = link_frames(chain, state) if frames is None else frames
+    R_l, t_l = frames
     # every shape at once: world frame, box-frame center and axis, the reject;
     # then a capsule's probe moves from its center to its deepest core point
-    R_w = R_b @ R_l[shapes.links]
-    t_w = R_b @ t_l[shapes.links, :, None] + t_b[:, None]
-    probes = (R.T @ ((R_w @ shapes.translation[:, :, None] + t_w)[:, :, 0] - c)[:, :, None])[:, :, 0]
-    axes = (R.T @ (R_w @ shapes.axis[:, :, None]))[:, :, 0]
+    R_w = R_b @ R_l[:, shapes.links]
+    t_w = R_b @ t_l[:, shapes.links, :, None] + t_b[:, None]
+    probes = (R.T @ ((R_w @ shapes.translation[:, :, None] + t_w)[..., 0] - c)[..., None])[..., 0]
+    axes = (R.T @ (R_w @ shapes.axis[:, :, None]))[..., 0]
     gaps = np.abs(probes) - (np.abs(axes) * shapes.half_length[:, None] + shapes.radius[:, None])
-    rows = np.flatnonzero((gaps <= half + _OVERLAP_SLACK).all(axis=1))
-    if not len(rows):
-        return []
-    segments = rows[shapes.half_length[rows] > 0.0]
-    if len(segments):
-        a = probes[segments] - shapes.half_length[segments, None] * axes[segments]
-        d = shapes.length[segments, None] * axes[segments]
-        probes[segments] = a + _deepest_on_segments(a, d, half)[:, None] * d
+    steps, rows = np.nonzero((gaps <= half + _OVERLAP_SLACK).all(axis=-1))
+    contacts: list[list[ContactPoint]] = [[] for _ in range(len(R_l))]
+    capsule = shapes.half_length[rows] > 0.0
+    if capsule.any():
+        at = steps[capsule], rows[capsule]
+        a = probes[at] - shapes.half_length[at[1], None] * axes[at]
+        d = shapes.length[at[1], None] * axes[at]
+        probes[at] = a + _deepest_on_segments(a, d, half)[:, None] * d
     k = box.params.contact_stiffness
-    contacts: list[ContactPoint] = []
-    for row in rows.tolist():
-        surface, normal, sd = _closest_point_local(probes[row], half)
+    for step, row in zip(steps.tolist(), rows.tolist()):
+        surface, normal, sd = _closest_point_local(probes[step, row], half)
         depth = shapes.radius[row] - sd
         if depth < 0.0:
             continue
-        contacts.append(ContactPoint(
+        contacts[step].append(ContactPoint(
             finger=shapes.fingers[row],
             link=int(shapes.links[row]),
             position=R @ surface + c,
@@ -212,3 +212,18 @@ def detect_contacts(scene: Scene, state: JointState, *, frames=None) -> list[Con
             normal_force=float(k * depth),
         ))
     return contacts
+
+
+def detect_contacts(scene: Scene, state: JointState, *, frames=None) -> list[ContactPoint]:
+    """One contact per penetrating (finger link, box) pair.
+
+    A link touches when its shape surface reaches the box: signed distance of
+    the deepest probe point minus the shape radius is <= 0.  Output order is
+    deterministic: fingers in chain order, links base-to-tip within a finger.
+    No force threshold is applied here; validation filters weak contacts.
+    `frames` is `link_frames(scene.chain, state)` when the caller already
+    has it; otherwise it is computed here.  This is the one-row call of
+    `_stacked_contacts`.
+    """
+    R_l, t_l = link_frames(scene.chain, state) if frames is None else frames
+    return _stacked_contacts(scene, (R_l[None], t_l[None]))[0]

@@ -11,13 +11,20 @@ Phases:
 The servo integrates theta' = clamp(gain * (goal - theta), +-rate) at 1/hz
 with explicit Euler and clamps every iterate to joint limits.
 
-Each control step makes one forward-kinematics pass (`link_frames`), which
-feeds both contact detection and the fingertip log.  In `monitor` the goal
-is the frozen posture, so the servo velocity is exactly 0 and a step usually
+The goal of `pre_grasp` is fixed and the phase reads no contacts, so it
+is a function of the servo's states alone: the servo runs step by step,
+each state becomes a row, and the rows (up to _APPROACH_BLOCK at a time)
+go through one stacked forward-kinematics pass and one stacked contact
+detection, from which the log entries are written.  The last row gives the
+frames and contacts of the step that leaves the phase.  Each `contact_opt`
+step makes one forward-kinematics pass (`link_frames`), which feeds both
+contact detection and the fingertip log.  In `monitor` the goal is the
+frozen posture, so the servo velocity is exactly 0 and a step usually
 returns the state it was given.  When every joint value keeps its bits
 (signed zeros included: a step from -0.0 returns +0.0), the step reuses the
-last step's frames, contacts and verdict, which are functions of the state
-alone, instead of computing them again.
+last step's frames, contacts, verdict and fingertip positions, which are
+functions of the state alone, instead of computing them again.  Every
+output is bit for bit that of one pass per step.
 """
 
 from __future__ import annotations
@@ -27,10 +34,12 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
-from .contact import closest_point_box, detect_contacts
+import numpy as np
+
+from .contact import _stacked_contacts, closest_point_box, detect_contacts
 from .grasp_validation import ValidationConfig, is_established, validate_grasp
 from .ik_solver import IkConfig, merge_hand_results, solve_hand_ik
-from .kinematics import JointState, clamp_to_limits, link_frames, neutral_state
+from .kinematics import JointState, _stacked_frames, clamp_to_limits, link_frames, neutral_state
 from .robot_model import KinematicChain
 from .scene import Scene, base_from_world
 
@@ -42,6 +51,10 @@ PRE_GRASP_OFFSET = 0.03  # m outward along the approach normal
 PRE_GRASP_JOINT_TOL = 1e-3  # rad; phase-1 convergence test
 PRE_GRASP_BUDGET_FRACTION = 0.2
 VALIDATED_HOLD_STEPS = 50
+
+# Most pre_grasp steps stacked into one kinematics and contact pass, which
+# bounds the pass's memory whatever the step budget
+_APPROACH_BLOCK = 256
 
 # DEBUG records: each finger's IK outcome per solve and each phase transition
 _log = logging.getLogger("graspforge")
@@ -165,6 +178,39 @@ def _base_targets(scene: Scene, targets: dict) -> dict:
             for finger, pose in targets.items()}
 
 
+def _approach(scene: Scene, state: JointState, goal: JointState, run: RunConfig,
+              budget: int, log: TrajectoryLog):
+    """The pre_grasp phase: servo toward `goal` until every joint is within
+    PRE_GRASP_JOINT_TOL of it or `budget` steps are spent (at least one),
+    with one stacked pass per _APPROACH_BLOCK steps (see the module notes).
+
+    Returns the last state, its step, frames and contacts.  The last step
+    leaves the phase, so its log entry reads PHASE_CONTACT_OPT.
+    """
+    chain = scene.chain
+    step, done = 0, False
+    while not done:
+        rows = []
+        while not done and len(rows) < _APPROACH_BLOCK:
+            state = step_servo(state, goal, run, chain)
+            step += 1
+            rows.append([state.values[ji] for ji in chain.movable])
+            done = step >= budget or all(
+                abs(state.values[ji] - goal.values[ji]) < PRE_GRASP_JOINT_TOL
+                for ji in state.values)
+        R, t = _stacked_frames(chain, np.array(rows, dtype=float))
+        contacts = _stacked_contacts(scene, (R, t))
+        for i, logged in enumerate(range(step - len(rows) + 1, step + 1)):
+            if logged % run.log_every == 0:
+                log.steps.append(LogStep(
+                    time=logged * (1.0 / run.hz),
+                    positions=_ee_positions(scene, (R[i], t[i])),
+                    contact_count=len(contacts[i]),
+                    phase=PHASE_CONTACT_OPT if done and logged == step else PHASE_PRE_GRASP,
+                ))
+    return state, step, (R[-1], t[-1]), contacts[-1]
+
+
 def execute_grasp(scene: Scene, targets: dict, run: RunConfig | None = None,
                   ik: IkConfig | None = None,
                   validation: ValidationConfig | None = None):
@@ -179,17 +225,18 @@ def execute_grasp(scene: Scene, targets: dict, run: RunConfig | None = None,
     dt = 1.0 / run.hz
 
     pre_goal = _solve_goal(chain, _approach_goal(scene, targets), state, ik, PHASE_PRE_GRASP)
-
-    phase = PHASE_PRE_GRASP
-    phase1_budget = int(PRE_GRASP_BUDGET_FRACTION * run.max_steps)
-    goal = pre_goal
+    state, step, frames, contacts = _approach(
+        scene, state, pre_goal, run, int(PRE_GRASP_BUDGET_FRACTION * run.max_steps), log)
+    phase = PHASE_CONTACT_OPT
+    _log.debug("phase %s -> %s at step %d", PHASE_PRE_GRASP, phase, step)
+    contact_goal = _solve_goal(chain, _base_targets(scene, targets), state, ik,
+                               PHASE_CONTACT_OPT)
+    goal = contact_goal
     # flexor = second-to-last joint of each finger chain (before the distal)
     flexor_of = {name: f.joints[-2] for name, f in chain.fingers.items()}
     latched: set = set()
     hold_count = 0
 
-    contact_goal = None
-    step = 0
     while step < run.max_steps:
         step += 1
         if phase == PHASE_CONTACT_OPT and latched:
@@ -199,23 +246,15 @@ def execute_grasp(scene: Scene, targets: dict, run: RunConfig | None = None,
                 goal.values[ji] = state.values[ji]
         moved = step_servo(state, goal, run, chain)
         # a monitor step that returns its input bit for bit reuses the last
-        # step's frames, contacts and verdict (contact_opt or monitor made them)
+        # step's frames, contacts, verdict and fingertip positions
         held = phase == PHASE_MONITOR and _same_bits(moved, state)
         state = moved
         if not held:
             frames = link_frames(chain, state)
             contacts = detect_contacts(scene, state, frames=frames)
+            positions = None
 
-        if phase == PHASE_PRE_GRASP:
-            done = all(abs(state.values[ji] - pre_goal.values[ji]) < PRE_GRASP_JOINT_TOL
-                       for ji in state.values)
-            if done or step >= phase1_budget:
-                phase = PHASE_CONTACT_OPT
-                _log.debug("phase %s -> %s at step %d", PHASE_PRE_GRASP, phase, step)
-                contact_goal = _solve_goal(chain, _base_targets(scene, targets), state, ik,
-                                           PHASE_CONTACT_OPT)
-                goal = contact_goal
-        elif phase == PHASE_CONTACT_OPT:
+        if phase == PHASE_CONTACT_OPT:
             latched = {c.finger for c in contacts if is_established(c, validation)}
             assessment = validate_grasp(contacts, validation)
             if assessment.stable:
@@ -229,9 +268,11 @@ def execute_grasp(scene: Scene, targets: dict, run: RunConfig | None = None,
             hold_count = hold_count + 1 if assessment.stable else 0
 
         if step % run.log_every == 0:
+            if positions is None:
+                positions = _ee_positions(scene, frames)
             log.steps.append(LogStep(
                 time=step * dt,
-                positions=_ee_positions(scene, frames),
+                positions=positions,
                 contact_count=len(contacts),
                 phase=phase,
             ))

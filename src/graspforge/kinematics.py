@@ -8,25 +8,28 @@ The joint origins, axes and Jacobian columns are constants of the chain,
 computed once when it is built, as are the joints grouped by tree depth
 (`chain.fk_levels`) and the angle-free factors of the movable joints'
 rotations (`chain.movable_rodrigues`).  A `Pose` computes its rotation
-matrix once, when it is made.  `link_frames` gives every link's frame as
-stacked arrays, rotations (L, 3, 3) and translations (L, 3), composing one
-tree depth per batch with stacked `matmul`, with the rotations of all
-movable joints from one vectorized Rodrigues evaluation; callers that need
-many links per control step (contact detection, the controller's fingertip
-log) use it once.  `link_transform` and `jacobian` walk a single link's path from
-the root.  `finger_walk` serves the IK: it walks from the root to the frame
-a finger hangs from once, then each call walks only the finger's own joints
-from there, with their rotations from one vectorized Rodrigues evaluation,
-and returns the fingertip and its Jacobian together.
+matrix once, when it is made.  `_stacked_frames` gives every link's frame
+for each of T joint-angle rows as stacked arrays, rotations (T, L, 3, 3)
+and translations (T, L, 3), composing one tree depth per batch with stacked
+`matmul`, with the rotations of all movable joints of all rows from one
+vectorized Rodrigues evaluation.  The controller's `pre_grasp` phase makes
+one such pass over all its steps; `link_frames` is its one-row call, which
+contact detection and a `contact_opt` step use once per state.
+`link_transform` and `jacobian` walk a single link's path from the root.
+`finger_walk` serves the IK: it walks from the root to the frame a finger
+hangs from once, then each call walks only the finger's own joints from
+there, with their rotations from one vectorized Rodrigues evaluation, and
+returns the fingertip and its Jacobian together.
 
 The walks compose a joint in `_compose`, the one per-joint copy of the
 sequence R = R_parent @ R_origin, t = R_parent @ t_origin + t_parent, then
-R @ R_joint for a movable joint.  `link_frames` makes the same sequence per
-level; a stacked `matmul` rounds each slice exactly as the 2-D product does,
-so every route agrees bit for bit.  The vectorized Rodrigues and cross
-products repeat `axis_angle_matrix`'s and `np.cross`'s arithmetic entry for
-entry, and a Jacobian keeps the memory layout of a column selection of
-`jacobian`'s result, so that products such as J @ J.T round the same way.
+R @ R_joint for a movable joint.  `_stacked_frames` makes the same sequence
+per level; a stacked `matmul` rounds each slice exactly as the 2-D product
+does, whatever the number of rows, so every route agrees bit for bit.  The
+vectorized Rodrigues and cross products repeat `axis_angle_matrix`'s and
+`np.cross`'s arithmetic entry for entry, and a Jacobian keeps the memory
+layout of a column selection of `jacobian`'s result, so that products such
+as J @ J.T round the same way.
 """
 
 from __future__ import annotations
@@ -196,23 +199,25 @@ def link_transform(chain: KinematicChain, state: JointState, link) -> tuple[np.n
 
 
 def _rodrigues(terms: tuple[np.ndarray, np.ndarray], angle: np.ndarray) -> np.ndarray:
-    """Rotation about each axis of `terms` (`rodrigues_terms`) by its angle (n,),
-    shape (n, 3, 3).
+    """Rotation about each axis of `terms` (`rodrigues_terms`, n axes) by its
+    angle, for angles of shape (..., n): shape (..., n, 3, 3).
 
     Entry for entry the arithmetic of `axis_angle_matrix`: c + xx C on the
     diagonal (the skew term there is a zero, which cannot change a sum that
     is >= +0) and xy C - z s off it (as xy C + (-z) s, the same IEEE
     operation), so each slice equals that function's result bit for bit.
+    The terms broadcast over the leading axes of `angle`.
     """
     products, skew = terms
-    c, s = np.cos(angle), np.sin(angle)
-    rot = products * (1.0 - c)[:, None] + skew * s[:, None]
-    rot[:, ::4] += c[:, None]
-    return rot.reshape(-1, 3, 3)
+    c, s = np.cos(angle)[..., None], np.sin(angle)[..., None]
+    rot = products * (1.0 - c) + skew * s
+    rot[..., ::4] += c
+    return rot.reshape(*angle.shape, 3, 3)
 
 
-def link_frames(chain: KinematicChain, state: JointState) -> tuple[np.ndarray, np.ndarray]:
-    """Rotations (L, 3, 3) and translations (L, 3) of every link in the root frame.
+def _stacked_frames(chain: KinematicChain, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotations (T, L, 3, 3) and translations (T, L, 3) of every link in the
+    root frame, one row per row of `angles` (T, n), angles in `chain.movable` order.
 
     One batch per tree depth (`chain.fk_levels`), shallowest first, so each
     level reads its parent frames from the levels before it.  A batch makes
@@ -220,21 +225,31 @@ def link_frames(chain: KinematicChain, state: JointState) -> tuple[np.ndarray, n
     each slice exactly as a 2-D `@` does: R_parent @ R_origin, R_parent @
     t_origin + t_parent, then R @ R_joint for the movable joints only (a
     fixed joint makes no rotation product, as in the walk).  So every frame
-    is bit for bit the one `link_transform` returns.
+    of every row is bit for bit the one `link_transform` returns.
     """
-    rot = _rodrigues(chain.movable_rodrigues,
-                     np.array([state.get(ji) for ji in chain.movable], dtype=float))
-    R = np.empty((len(chain.links), 3, 3))
-    t = np.empty((len(chain.links), 3))
-    R[chain.root] = np.eye(3)
-    t[chain.root] = 0.0
+    rot = _rodrigues(chain.movable_rodrigues, angles)
+    R = np.empty((len(angles), len(chain.links), 3, 3))
+    t = np.empty((len(angles), len(chain.links), 3))
+    R[:, chain.root] = np.eye(3)
+    t[:, chain.root] = 0.0
+    # `take` along the link axis: a fancy index after a slice costs more
     for level in chain.fk_levels:
-        R_parent = R[level.parents]
+        R_parent = R.take(level.parents, axis=1)
         R_joint = R_parent @ level.origin_rotation
-        t[level.children] = (R_parent @ level.origin_translation)[:, :, 0] + t[level.parents]
-        R_joint[level.moving] = R_joint[level.moving] @ rot[level.columns]
-        R[level.children] = R_joint
+        t[:, level.children] = ((R_parent @ level.origin_translation)[..., 0]
+                                + t.take(level.parents, axis=1))
+        moving = R_joint.take(level.moving, axis=1)
+        R_joint[:, level.moving] = moving @ rot.take(level.columns, axis=1)
+        R[:, level.children] = R_joint
     return R, t
+
+
+def link_frames(chain: KinematicChain, state: JointState) -> tuple[np.ndarray, np.ndarray]:
+    """Rotations (L, 3, 3) and translations (L, 3) of every link in the root
+    frame: the one-row call of `_stacked_frames`."""
+    R, t = _stacked_frames(chain, np.array([[state.get(ji) for ji in chain.movable]],
+                                           dtype=float))
+    return R[0], t[0]
 
 
 def finger_walk(chain: KinematicChain, joints, link, state: JointState):

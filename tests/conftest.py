@@ -4,6 +4,7 @@ The controller run takes a few seconds, so it is computed once per session
 and treated as read-only by every test that inspects it.
 """
 
+import numpy as np
 import pytest
 
 try:
@@ -57,6 +58,30 @@ def mid_range_state(chain):
     return JointState(values={
         ji: 0.5 * (chain.joints[ji].lower_limit + chain.joints[ji].upper_limit)
         for ji in chain.movable})
+
+
+def joint_rows(chain, center=None, spread=0.05, max_rows=4):
+    """Hypothesis strategy: a (T, n) float array of joint-angle rows in
+    `chain.movable` order, all within the joint limits.
+
+    Each angle is either drawn from its range (within `spread` of `center`'s
+    value when a center state is given) or is one of its limits, +0.0 or
+    -0.0 where they lie in range.  Up to `max_rows` distinct rows are drawn,
+    and the stack picks from them with repeats, up to twice that many rows.
+    """
+    from hypothesis import strategies as st
+
+    def angle(ji):
+        lo, hi = chain.joints[ji].lower_limit, chain.joints[ji].upper_limit
+        special = [v for v in (lo, hi, 0.0, -0.0) if lo <= v <= hi]
+        if center is not None:
+            c = center.values[ji]
+            lo, hi = max(lo, c - spread), min(hi, c + spread)
+        return st.floats(lo, hi) | st.sampled_from(special)
+
+    distinct = st.lists(st.tuples(*map(angle, chain.movable)), min_size=1, max_size=max_rows)
+    return distinct.flatmap(lambda rows: st.lists(
+        st.sampled_from(rows), min_size=1, max_size=2 * max_rows).map(np.array))
 
 
 @pytest.fixture(scope="session")

@@ -166,6 +166,11 @@ class TestValidate:
         ("link", "abc", "contact 3: link must be an integer, got 'abc'"),
         ("link", 2.7, "contact 3: link must be an integer, got 2.7"),
         ("link", True, "contact 3: link must be an integer, got True"),
+        # booleans would read as 1 and 0: a 1 N contact, a coordinate of 1 m
+        ("force", True, "contact 3: force must be numeric, got true"),
+        ("normal_force", False, "contact 3: normal_force must be numeric, got false"),
+        ("position", [0, True, 0], "contact 3: position must be numeric, got [0, true, 0]"),
+        ("normal", [False, 0, 1], "contact 3: normal must be numeric, got [false, 0, 1]"),
     ])
     def test_bad_contact_field_is_an_error(self, tmp_path, capsys, field, value, message):
         # json writes NaN and Infinity, and json.load reads them back

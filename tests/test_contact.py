@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graspforge.contact import (_closest_point_local, _deepest_on_segments, closest_point_box,
-                                detect_contacts)
-from graspforge.controller import execute_grasp
-from graspforge.kinematics import JointState, Pose, link_transform
+from graspforge.contact import (_closest_point_local, _deepest_on_segments, _stacked_contacts,
+                                closest_point_box, detect_contacts)
+from graspforge.controller import execute_grasp, step_servo
+from graspforge.kinematics import JointState, Pose, _stacked_frames, link_transform
 from graspforge.robot_model import CapsuleGeometry, SphereGeometry, parse_robot_description
 from graspforge.scene import PhysicalParams, Scene, make_box_object
 from graspforge.transforms import axis_angle_matrix, matrix_to_quat
+
+from conftest import joint_rows
 
 # single revolute finger carrying a sphere fingertip 50 mm out along +x
 SPHERE_FINGER = """
@@ -405,6 +407,34 @@ class TestArrayFrontEnd:
         assert len(_assert_same_contacts(scenario.scene, grasp_run[0])) >= 4
 
 
+def _contact_bytes(c):
+    return (c.finger, c.link, c.position.tobytes(), c.normal.tobytes(),
+            c.penetration_depth.hex(), c.normal_force.hex())
+
+
+class TestStackedContacts:
+    @given(st.data(), st.floats(-np.radians(10.0), np.radians(10.0)),
+           st.lists(st.floats(-0.0005, 0.0005), min_size=3, max_size=3))
+    def test_each_row_equals_detect_contacts(self, scenario, grasp_run, data, yaw, offset):
+        """Stacked rows near the final grasp, on a box yawed and moved as in
+        the hold probes, give per row the bytes of a one-row detection.  The
+        final grasp is the last row, so the stack always holds contacts."""
+        chain = scenario.scene.chain
+        final = grasp_run[0]
+        rows = np.vstack([data.draw(joint_rows(chain, center=final)),
+                          [final.values[ji] for ji in chain.movable]])
+        box = scenario.scene.object
+        obj = make_box_object(box.half_extents,
+                              Pose.from_rpy(box.pose.position + offset, (0.0, 0.0, yaw)),
+                              box.mass, box.params)
+        scene = dataclasses.replace(scenario.scene, object=obj)
+        stacked = _stacked_contacts(scene, _stacked_frames(chain, rows))
+        assert len(stacked) == len(rows) and stacked[-1]
+        for row, contacts in zip(rows.tolist(), stacked):
+            one = detect_contacts(scene, JointState(values=dict(zip(chain.movable, row))))
+            assert list(map(_contact_bytes, contacts)) == list(map(_contact_bytes, one))
+
+
 class TestOverlapReject:
     """The box-axis reject skips only shapes that cannot touch the box."""
 
@@ -481,24 +511,37 @@ class TestOverlapReject:
 
     def test_bundled_grasp_runs_the_narrow_phase_only_near_the_box(self, scenario, monkeypatch):
         """22 batches of 39 capsules per bundled grasp, none before step 94:
-        no shape is within reach of the box in the 80 pre_grasp steps."""
+        no shape is within reach of the box in the 80 pre_grasp steps, whose
+        one stacked detection runs no batch."""
         import graspforge.controller
         batches = _count_batches(monkeypatch)
-        first_batch_step = []
+        first_batch_step, stacked, detections, servo_calls = [], [], [], []
+
+        def servo(*args):
+            servo_calls.append(None)
+            return step_servo(*args)
+
+        def stacked_detect(scene, frames):
+            before = len(batches)
+            contacts = _stacked_contacts(scene, frames)
+            stacked.append((len(servo_calls), len(contacts), len(batches) - before))
+            return contacts
 
         def detect(scene, state, *, frames=None):
             before = len(batches)
             contacts = detect_contacts(scene, state, frames=frames)
             if len(batches) > before and not first_batch_step:
-                first_batch_step.append(len(steps) + 1)
-            steps.append(None)
+                first_batch_step.append(len(servo_calls))
+            detections.append(None)
             return contacts
 
-        steps = []
+        monkeypatch.setattr(graspforge.controller, "step_servo", servo)
+        monkeypatch.setattr(graspforge.controller, "_stacked_contacts", stacked_detect)
         monkeypatch.setattr(graspforge.controller, "detect_contacts", detect)
         execute_grasp(scenario.scene, scenario.targets, scenario.run, scenario.ik,
                       scenario.validation)
-        assert len(steps) == 115  # one detection per step up to the held monitor steps
+        assert stacked == [(80, 80, 0)]  # after step 80: 80 rows, no batch
+        assert len(detections) == 35  # one per contact_opt step, none in the held monitor
         assert (len(batches), sum(batches)) == (22, 39)
         assert first_batch_step == [94]
 

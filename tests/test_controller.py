@@ -1,11 +1,14 @@
 import dataclasses
+import hashlib
 import io
+import json
 import logging
 import math
 
 import numpy as np
 import pytest
 
+from graspforge.config import default_scenario_path, load_scenario
 from graspforge.contact import detect_contacts
 from graspforge.controller import (PHASE_CONTACT_OPT, PHASE_MONITOR, PHASE_PRE_GRASP,
                                    LogStep, RunConfig, RunConfigError, TrajectoryLog,
@@ -206,17 +209,25 @@ class TestExecuteGrasp:
     def test_one_link_frames_pass_per_control_step(self, scenario, monkeypatch):
         """The step's frames feed both contact detection and the fingertip log.
 
-        The 50 monitor steps of the bundled run are a bitwise fixed point of
-        the servo, so they make no pass: 165 steps, 115 passes, and 35
-        verdicts (the contact_opt steps 81-115).
+        The 80 pre_grasp steps make one stacked pass, after their last servo
+        step.  The 50 monitor steps of the bundled run are a bitwise fixed
+        point of the servo, so they make no pass and reuse the fingertip
+        positions: 165 steps, 36 passes (1 stacked and the contact_opt steps
+        81-115), 35 verdicts and 115 fingertip evaluations.
         """
         import graspforge.contact
         import graspforge.controller
+        from graspforge.controller import _ee_positions
+        from graspforge.kinematics import _stacked_frames
         events = []
 
         def counted_frames(chain, state):
             events.append("frames")
             return link_frames(chain, state)
+
+        def counted_stacked(chain, angles):
+            events.append("frames")
+            return _stacked_frames(chain, angles)
 
         def counted_servo(state, goal, run, chain):
             moved = step_servo(state, goal, run, chain)
@@ -227,19 +238,27 @@ class TestExecuteGrasp:
             events.append("validate")
             return validate_grasp(contacts, config)
 
+        def counted_positions(scene, frames):
+            events.append("positions")
+            return _ee_positions(scene, frames)
+
         monkeypatch.setattr(graspforge.controller, "link_frames", counted_frames)
         monkeypatch.setattr(graspforge.contact, "link_frames", counted_frames)
+        monkeypatch.setattr(graspforge.controller, "_stacked_frames", counted_stacked)
         monkeypatch.setattr(graspforge.controller, "step_servo", counted_servo)
         monkeypatch.setattr(graspforge.controller, "validate_grasp", counted_validate)
+        monkeypatch.setattr(graspforge.controller, "_ee_positions", counted_positions)
         state, log, assessment = execute_grasp(scenario.scene, scenario.targets, scenario.run,
                                                scenario.ik, scenario.validation)
         assert log.steps[-1].phase == PHASE_MONITOR
         assert len(log.steps) == 165
-        assert events.count("frames") == 115
+        assert events.count("frames") == 36
         assert events.count("validate") == 35
+        assert events.count("positions") == 115
         passes = _passes_per_step(events)
-        for step, (unchanged, n) in enumerate(passes):
-            in_monitor = step > 0 and log.steps[step - 1].phase == PHASE_MONITOR
+        assert [n for _, n in passes[:80]] == [0] * 79 + [1]
+        for step, (unchanged, n) in enumerate(passes[80:], start=80):
+            in_monitor = log.steps[step - 1].phase == PHASE_MONITOR
             assert n == (0 if in_monitor and unchanged else 1)
         assert [n for _, n in passes[115:]] == [0] * 50
 
@@ -249,20 +268,23 @@ class TestExecuteGrasp:
                                          [s for s in log.steps if s.phase == PHASE_MONITOR])
 
         # a run that ends by its step budget validates the contacts its last
-        # step detected, with no further pass
+        # step detected, with no further pass: one stacked pass for the 6
+        # pre_grasp steps, then one per step
         events.clear()
         far_scene = _far_box_scene(scenario)
         state, log, assessment = execute_grasp(far_scene, scenario.targets,
                                                RunConfig(max_steps=30), scenario.ik,
                                                scenario.validation)
         assert log.steps[-1].phase != PHASE_MONITOR
-        assert events.count("frames") == len(log.steps) == 30
+        assert len(log.steps) == 30
+        assert [n for _, n in _passes_per_step(events)] == [0] * 5 + [1] * 25
         expected = validate_grasp(detect_contacts(far_scene, state), scenario.validation)
         assert assessment.to_dict() == expected.to_dict()
 
     def test_a_signed_zero_makes_the_first_held_step_recompute(self, scenario, monkeypatch):
         """A servo step from -0.0 returns +0.0: not the same bits, so no reuse."""
         import graspforge.controller
+        from graspforge.kinematics import _stacked_frames
         chain = scenario.scene.chain
         yaw = next(ji for ji in chain.movable if chain.joints[ji].name == "middle_yaw")
         entry = 115  # the step that enters monitor (see the DEBUG-record test)
@@ -280,16 +302,22 @@ class TestExecuteGrasp:
             passes.append(len(servo_steps))
             return link_frames(chain, state)
 
+        def counted_stacked(chain, angles):
+            passes.append(len(servo_steps))
+            return _stacked_frames(chain, angles)
+
         monkeypatch.setattr(graspforge.controller, "step_servo", servo)
         monkeypatch.setattr(graspforge.controller, "link_frames", counted_frames)
+        monkeypatch.setattr(graspforge.controller, "_stacked_frames", counted_stacked)
         state, log, assessment = execute_grasp(scenario.scene, scenario.targets, scenario.run,
                                                scenario.ik, scenario.validation)
         assert [s.phase for s in log.steps[entry - 2:entry]] == [PHASE_CONTACT_OPT, PHASE_MONITOR]
         assert len(log.steps) == 165
         # the frozen goal holds -0.0; the first held step returns +0.0 and
-        # recomputes, the 49 after it reuse
+        # recomputes, the 49 after it reuse; pre_grasp steps 1-80 make one
+        # stacked pass
         assert math.copysign(1.0, state.values[yaw]) == 1.0 and state.values[yaw] == 0.0
-        assert passes == list(range(1, entry + 2))
+        assert passes == list(range(80, entry + 2))
         _assert_hold_matches_final_state(scenario, state, log, assessment, log.steps[entry:])
 
     def test_a_contact_at_the_minimum_force_latches_its_finger(self, scenario, monkeypatch):
@@ -298,24 +326,25 @@ class TestExecuteGrasp:
         finger's flexor where it is."""
         import graspforge.controller
         chain = scenario.scene.chain
-        servo_calls, detected = [], []
+        servo_calls, detected = [], {}
 
         def servo(state, goal, run, chain):
             servo_calls.append((state, goal))
             return step_servo(state, goal, run, chain)
 
         def detect(scene, state, *, frames=None):
-            detected.append(detect_contacts(scene, state, frames=frames))
-            return detected[-1]
+            # keyed by step: the pre_grasp steps detect in one stacked pass
+            detected[len(servo_calls)] = detect_contacts(scene, state, frames=frames)
+            return detected[len(servo_calls)]
 
         monkeypatch.setattr(graspforge.controller, "step_servo", servo)
         monkeypatch.setattr(graspforge.controller, "detect_contacts", detect)
         execute_grasp(scenario.scene, scenario.targets, scenario.run, scenario.ik,
                       scenario.validation)
-        # the first step with contacts, and the finger whose strongest contact
-        # there is the weakest of all fingers: with the minimum at exactly that
-        # force, only an inclusive test latches it
-        step, contacts = next((i, c) for i, c in enumerate(detected) if c)
+        # the first contact_opt step with contacts, and the finger whose
+        # strongest contact there is the weakest of all fingers: with the
+        # minimum at exactly that force, only an inclusive test latches it
+        step, contacts = next((s, c) for s, c in detected.items() if c)
         strongest = {}
         for c in contacts:
             strongest[c.finger] = max(strongest.get(c.finger, 0.0), c.normal_force)
@@ -327,7 +356,7 @@ class TestExecuteGrasp:
         detected.clear()
         execute_grasp(scenario.scene, scenario.targets, scenario.run, scenario.ik, validation)
         assert [c.normal_force for c in detected[step]] == [c.normal_force for c in contacts]
-        state, goal = servo_calls[step + 1]
+        state, goal = servo_calls[step]  # the call of the step after it
         assert goal.values[flexor] == state.values[flexor]
         assert validate_grasp(contacts, validation).contact_count == sum(
             c.normal_force >= strongest[finger] for c in contacts)
@@ -372,6 +401,88 @@ class TestExecuteGrasp:
                                   scenario.ik, scenario.validation)
         times = [s.time for s in log.steps]
         assert times == pytest.approx([3 / 240.0, 6 / 240.0])
+
+
+def _grasp_outputs(overrides, caplog):
+    """(log rows, CSV digest, assessment digest, final-state digest, phase
+    records) of `execute_grasp` on the bundled scenario with `overrides`."""
+    sc = load_scenario(default_scenario_path(), overrides)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="graspforge"):
+        state, log, assessment = execute_grasp(sc.scene, sc.targets, sc.run, sc.ik,
+                                               sc.validation)
+    csv = io.StringIO()
+    write_trajectory_csv(log, csv)
+    final = np.array([state.values[ji] for ji in sorted(state.values)])
+
+    def digest(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()[:16]
+
+    return (len(log.steps), digest(csv.getvalue().encode()),
+            digest(json.dumps(assessment.to_dict(), sort_keys=True).encode()),
+            digest(final.tobytes()),
+            [r.getMessage() for r in caplog.records if r.msg.startswith("phase")])
+
+
+_STABLE_AT_80 = ["phase pre_grasp -> contact_opt at step 80",
+                 "phase contact_opt -> monitor at step 115"]
+_STABLE_AT_118 = ["phase pre_grasp -> contact_opt at step 118",
+                  "phase contact_opt -> monitor at step 154"]
+_AT_1 = ["phase pre_grasp -> contact_opt at step 1"]
+
+
+class TestRunConfigCorners:
+    """`execute_grasp` outputs pinned to their float64 bits (x86-64): the log
+    length, SHA-256 prefixes of the trajectory CSV, the assessment and the
+    final joint values, and the phase records.
+
+    Budgets of 1, 3 and 6 steps end pre_grasp at step 1; 1000 and 2000 steps
+    give pre_grasp a budget it does not use up (it converges at step 118);
+    log_every 7 and 3 log steps that straddle the phase transitions; a zero
+    rate limit never moves the hand and runs out of steps in contact_opt.
+    """
+
+    @pytest.mark.parametrize("overrides, expected", [
+        ([], (165, "a102ad28e0b50426", "9aa4d4093c5f1271", "52b4fce868af9674",
+              _STABLE_AT_80)),
+        (["run.steps=1"], (1, "88591802345de394", "25c51a52070eda65", "da3546e2ed156095",
+                           _AT_1)),
+        (["run.steps=3"], (3, "62ebde9537ab4a18", "25c51a52070eda65", "4e107ef3d7515ef3",
+                           _AT_1)),
+        (["run.steps=6"], (6, "3f582e9b74d3133e", "25c51a52070eda65", "6d930c231457b7b8",
+                           _AT_1)),
+        (["run.steps=1000"], (204, "1a21a203711107e8", "3f402ddda4dd3b17", "eb5bcd5d7652204c",
+                              _STABLE_AT_118)),
+        (["run.log_every=7"], (23, "9e0264b4740b8daf", "9aa4d4093c5f1271", "52b4fce868af9674",
+                               _STABLE_AT_80)),
+        (["run.steps=2000", "run.log_every=3"],
+         (68, "e16455f2330c6bc9", "3f402ddda4dd3b17", "eb5bcd5d7652204c", _STABLE_AT_118)),
+        (["run.joint_rate_limit=0"],
+         (400, "74d55e588cbfae15", "25c51a52070eda65", "0388ce834d5783b4",
+          _STABLE_AT_80[:1])),
+    ])
+    def test_outputs_are_pinned(self, overrides, expected, caplog):
+        assert _grasp_outputs(overrides, caplog) == expected
+
+    @pytest.mark.parametrize("overrides, transition", [
+        ([], 80), (["run.steps=2000", "run.log_every=3"], 118)])
+    def test_a_small_approach_block_changes_no_output(self, overrides, transition, caplog,
+                                                      monkeypatch):
+        """pre_grasp stacked 7 steps at a time, so its 80 or 118 steps span
+        12 or 17 passes, the last one partial, gives the bytes of the default."""
+        import graspforge.controller
+        from graspforge.kinematics import _stacked_frames
+        default = _grasp_outputs(overrides, caplog)
+        passes = []
+
+        def counted_stacked(chain, angles):
+            passes.append(len(angles))
+            return _stacked_frames(chain, angles)
+
+        monkeypatch.setattr(graspforge.controller, "_APPROACH_BLOCK", 7)
+        monkeypatch.setattr(graspforge.controller, "_stacked_frames", counted_stacked)
+        assert _grasp_outputs(overrides, caplog) == default
+        assert passes == [7] * (transition // 7) + [transition % 7]
 
 
 def test_trajectory_csv_golden():

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graspforge.kinematics import (JointState, KinematicsError, Pose, clamp_to_limits,
-                                   finger_walk, jacobian, link_frames, link_transform,
+from graspforge.kinematics import (JointState, KinematicsError, Pose, _stacked_frames,
+                                   clamp_to_limits, finger_walk, jacobian, link_frames, link_transform,
                                    neutral_state, within_limits, zero_state)
 from graspforge.robot_model import parse_robot_description
 
-from conftest import mid_range_state
+from conftest import joint_rows, mid_range_state
 
 # A branching tree whose joints are listed tip-first, so file order is not
 # parent-first; tilted axes, rpy origins and fixed joints at every level.
@@ -243,6 +243,20 @@ def test_link_frames_equal_link_transform_bitwise(chain, values):
         R_walk, t_walk = link_transform(chain, state, li)
         # bytes, so that a -0.0 where the walk has +0.0 counts
         assert R[li].tobytes() == R_walk.tobytes() and t[li].tobytes() == t_walk.tobytes()
+
+
+@given(st.data())
+def test_stacked_frames_equal_link_frames_bitwise(chain, data):
+    """Every row of one stacked pass, on the bundled hand and on a tip-first
+    tree, is bit for bit the one-row `link_frames` of that row."""
+    for tree in (chain, parse_robot_description(TIP_FIRST_TREE)):
+        rows = data.draw(joint_rows(tree))
+        R, t = _stacked_frames(tree, rows)
+        assert R.shape == (len(rows), len(tree.links), 3, 3)
+        assert t.shape == (len(rows), len(tree.links), 3)
+        for i, row in enumerate(rows.tolist()):
+            R_one, t_one = link_frames(tree, JointState(values=dict(zip(tree.movable, row))))
+            assert R[i].tobytes() == R_one.tobytes() and t[i].tobytes() == t_one.tobytes()
 
 
 @given(st.lists(_angles, min_size=3, max_size=3))
