@@ -8,7 +8,8 @@ silently running defaults.
   object:     half_extents, pose {position, rpy}, mass
   physics:    contact_stiffness (k in the contact force F = k * depth),
               lateral_friction (validated; no computation reads it yet)
-  targets:    finger -> {position, rpy}   (world frame; omit for built-ins)
+  targets:    finger -> {position, rpy}   (world frame, every finger; omit
+              the section for built-ins)
   run:        seed (the perturbation seed), steps, hz, joint_rate_limit,
               servo_gain, log_every; seed, steps and log_every are integers
   ik:         max_iterations, residual_threshold, damping_lambda, step_scale
@@ -71,6 +72,8 @@ class ScenarioConfig:
 def _require_vec3(value, where: str):
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ConfigError(f"{where}: expected a 3-element list, got {value!r}")
+    if any(isinstance(v, bool) for v in value):
+        raise ConfigError(f"{where}: entries must be numbers, got {value!r}")
     try:
         return tuple(float(v) for v in value)
     except (TypeError, ValueError):
@@ -93,6 +96,8 @@ def _check_keys(data: dict) -> None:
 
 def apply_overrides(data: dict, overrides: list[str]) -> dict:
     """Apply --set key.path=value pairs; values parse as YAML scalars."""
+    if not isinstance(data, dict):
+        raise ConfigError("scenario root must be a mapping")
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} must look like key.path=value")
@@ -183,6 +188,10 @@ def build_scenario(data: dict, scenario_dir: str | None = None) -> ScenarioConfi
             if finger not in chain.fingers:
                 raise ConfigError(f"targets: unknown finger {finger!r}")
             targets[finger] = _pose_from_mapping(value, f"targets.{finger}")
+        missing = [finger for finger in chain.fingers if finger not in targets]
+        if missing:
+            raise ConfigError(f"targets: no target given for finger(s) "
+                              f"{', '.join(map(repr, missing))}; give every finger a target")
     else:
         targets = default_grasp_targets(scene)
 

@@ -9,10 +9,11 @@ Front end, after a forward-kinematics pass gives every link's frame: the
 chain's table of finger shapes (`chain.finger_shapes`, built once with the
 chain) is processed as stacked arrays, with no loop over links, for T
 joint-angle rows at once (`_stacked_contacts`, over frames of shape
-(T, L, ...); the controller's `pre_grasp` phase detects all its steps in
-one call).  `detect_contacts` is its one-row call.  Each stacked `matmul`
-rounds every slice exactly as a 2-D `@` does, so the probes are bit for
-bit those of a per-link loop, whatever the number of rows.
+(T, L, ...)).  The controller calls it on the rows of a block of
+`pre_grasp` steps and on the one row of each `contact_opt` step;
+`detect_contacts` is its one-row call from a joint state.  Each stacked
+`matmul` rounds every slice exactly as a 2-D `@` does, so the probes are
+bit for bit those of a per-link loop, whatever the number of rows.
   * World transform of every shape, its box-frame center c (a sphere's probe
     point) and core axis u, then the overlap reject (separating axes on the
     box faces; Gottschalk, Lin & Manocha, "OBBTree", SIGGRAPH 1996): a shape
@@ -214,16 +215,14 @@ def _stacked_contacts(scene: Scene, frames: tuple) -> list[list[ContactPoint]]:
     return contacts
 
 
-def detect_contacts(scene: Scene, state: JointState, *, frames=None) -> list[ContactPoint]:
+def detect_contacts(scene: Scene, state: JointState) -> list[ContactPoint]:
     """One contact per penetrating (finger link, box) pair.
 
     A link touches when its shape surface reaches the box: signed distance of
     the deepest probe point minus the shape radius is <= 0.  Output order is
     deterministic: fingers in chain order, links base-to-tip within a finger.
     No force threshold is applied here; validation filters weak contacts.
-    `frames` is `link_frames(scene.chain, state)` when the caller already
-    has it; otherwise it is computed here.  This is the one-row call of
-    `_stacked_contacts`.
+    This is the one-row call of `_stacked_contacts`.
     """
-    R_l, t_l = link_frames(scene.chain, state) if frames is None else frames
+    R_l, t_l = link_frames(scene.chain, state)
     return _stacked_contacts(scene, (R_l[None], t_l[None]))[0]

@@ -9,21 +9,23 @@ Phases:
                stable steps (or the step budget runs out)
 
 The servo integrates theta' = clamp(gain * (goal - theta), +-rate) at 1/hz
-with explicit Euler and clamps every iterate to joint limits.
+with explicit Euler and clamps every iterate to joint limits.  The loop
+carries one array of joint angles in `chain.movable` order; a `JointState`
+is made only for the IK's seed and merged goal and for the final state.
 
 The goal of `pre_grasp` is fixed and the phase reads no contacts, so it
-is a function of the servo's states alone: the servo runs step by step,
-each state becomes a row, and the rows (up to _APPROACH_BLOCK at a time)
-go through one stacked forward-kinematics pass and one stacked contact
-detection, from which the log entries are written.  The last row gives the
-frames and contacts of the step that leaves the phase.  Each `contact_opt`
-step makes one forward-kinematics pass (`link_frames`), which feeds both
-contact detection and the fingertip log.  In `monitor` the goal is the
+is a function of the servo's states alone: the servo runs step by step, and
+the rows that are read (the logged steps and the last step of each block of
+up to _APPROACH_BLOCK) go through one stacked forward-kinematics pass and
+one stacked contact detection, from which the log entries are written.  The
+last row gives the contacts of the step that leaves the phase.  Each
+`contact_opt` step makes the same two calls on its one row; the frames feed
+both contact detection and the fingertip log.  In `monitor` the goal is the
 frozen posture, so the servo velocity is exactly 0 and a step usually
-returns the state it was given.  When every joint value keeps its bits
-(signed zeros included: a step from -0.0 returns +0.0), the step reuses the
-last step's frames, contacts, verdict and fingertip positions, which are
-functions of the state alone, instead of computing them again.  Every
+returns the angles it was given.  When every angle keeps its bits (signed
+zeros included: a step from -0.0 returns +0.0), the step reuses the last
+step's frames, contacts, verdict and fingertip positions, which are
+functions of the angles alone, instead of computing them again.  Every
 output is bit for bit that of one pass per step.
 """
 
@@ -36,10 +38,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contact import _stacked_contacts, closest_point_box, detect_contacts
+from .contact import _stacked_contacts, closest_point_box
 from .grasp_validation import ValidationConfig, is_established, validate_grasp
 from .ik_solver import IkConfig, merge_hand_results, solve_hand_ik
-from .kinematics import JointState, _stacked_frames, clamp_to_limits, link_frames, neutral_state
+from .kinematics import _angles, _clamp, _joint_state, _stacked_frames
 from .robot_model import KinematicChain
 from .scene import Scene, base_from_world
 
@@ -79,7 +81,8 @@ class RunConfig:
                 raise RunConfigError(f"{name} must be an integer, got {value!r}")
         for name in ("hz", "joint_rate_limit", "servo_gain"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
                 raise RunConfigError(f"{name} must be a finite number, got {value!r}")
         if not self.hz > 0.0:
             raise RunConfigError("hz must be > 0")
@@ -107,40 +110,23 @@ class TrajectoryLog:
     steps: list[LogStep] = field(default_factory=list)
 
 
-def step_servo(state: JointState, goal: JointState, run: RunConfig,
-               chain: KinematicChain) -> JointState:
-    """One explicit-Euler servo step toward `goal`, limit-clamped.
+def step_servo(q: np.ndarray, goal: np.ndarray, run: RunConfig,
+               chain: KinematicChain) -> np.ndarray:
+    """One explicit-Euler servo step from angles `q` toward `goal` (both in
+    `chain.movable` order), limit-clamped.
 
-    Joints absent from `goal` hold their current value.  With the rate limit
-    inactive the per-step error decay factor is 1 - servo_gain/hz.
+    With the rate limit inactive the per-step error decay factor is
+    1 - servo_gain/hz.
     """
-    dt = 1.0 / run.hz
     rate = run.joint_rate_limit
-    new_values = {}
-    for ji, theta in state.values.items():
-        target = goal.values.get(ji, theta)
-        velocity = run.servo_gain * (target - theta)
-        velocity = min(max(velocity, -rate), rate)
-        new_values[ji] = theta + velocity * dt
-    return clamp_to_limits(chain, JointState(values=new_values))
+    velocity = _clamp(run.servo_gain * (goal - q), -rate, rate)
+    return _clamp(q + velocity * (1.0 / run.hz), chain.lower, chain.upper)
 
 
-def _same_bits(a: JointState, b: JointState) -> bool:
-    """True when both states hold the same joints with bitwise equal values.
-
-    Signed zeros count: a servo step from -0.0 returns +0.0, whose frames
-    may differ in the last bit.
-    """
-    return a.values.keys() == b.values.keys() and all(
-        x == b.values[ji] and math.copysign(1.0, x) == math.copysign(1.0, b.values[ji])
-        for ji, x in a.values.items())
-
-
-def _ee_positions(scene: Scene, frames: tuple) -> dict:
-    """World end-effector position per finger, from the step's `link_frames`."""
+def _ee_positions(scene: Scene, t: np.ndarray) -> dict:
+    """World end-effector position per finger, from one row's link origins (L, 3)."""
     R_b = scene.hand_base.rotation()
     t_b = scene.hand_base.position
-    _, t = frames
     return {finger: R_b @ t[f.end_effector] + t_b for finger, f in scene.chain.fingers.items()}
 
 
@@ -156,21 +142,23 @@ def _approach_goal(scene: Scene, targets: dict) -> dict:
     return staged
 
 
-def _solve_goal(chain: KinematicChain, targets: dict, state: JointState, ik: IkConfig,
-                phase: str) -> JointState:
-    """Per-finger IK toward `targets` from `state`, merged into one goal posture.
+def _solve_goal(chain: KinematicChain, targets: dict, q: np.ndarray, ik: IkConfig,
+                phase: str) -> np.ndarray:
+    """Per-finger IK toward `targets` from angles `q`, merged into one goal
+    posture, returned as angles.
 
     Each finger's DEBUG record says why its solve ended: `converged`,
     `plateau` (stopped early, its restarts spent) or `budget` (all
     `max_iterations` used).
     """
-    results = solve_hand_ik(chain, targets, state, ik)
+    seed = _joint_state(chain, q)
+    results = solve_hand_ik(chain, targets, seed, ik)
     for finger, r in results.items():
         ended = ("converged" if r.converged
                  else "plateau" if r.iterations < ik.max_iterations else "budget")
         _log.debug("%s IK %s: residual %.3g m after %d iterations, converged=%s, ended by %s",
                    phase, finger, r.residual, r.iterations, r.converged, ended)
-    return merge_hand_results(chain, state, results)
+    return _angles(chain, merge_hand_results(chain, seed, results))
 
 
 def _base_targets(scene: Scene, targets: dict) -> dict:
@@ -178,37 +166,38 @@ def _base_targets(scene: Scene, targets: dict) -> dict:
             for finger, pose in targets.items()}
 
 
-def _approach(scene: Scene, state: JointState, goal: JointState, run: RunConfig,
+def _approach(scene: Scene, q: np.ndarray, goal: np.ndarray, run: RunConfig,
               budget: int, log: TrajectoryLog):
     """The pre_grasp phase: servo toward `goal` until every joint is within
     PRE_GRASP_JOINT_TOL of it or `budget` steps are spent (at least one),
-    with one stacked pass per _APPROACH_BLOCK steps (see the module notes).
+    with one stacked pass per _APPROACH_BLOCK steps over the steps it reads:
+    the logged ones and the block's last (see the module notes).
 
-    Returns the last state, its step, frames and contacts.  The last step
-    leaves the phase, so its log entry reads PHASE_CONTACT_OPT.
+    Returns the last angles, their step and contacts.  The last step leaves
+    the phase, so its log entry reads PHASE_CONTACT_OPT.
     """
     chain = scene.chain
     step, done = 0, False
     while not done:
-        rows = []
-        while not done and len(rows) < _APPROACH_BLOCK:
-            state = step_servo(state, goal, run, chain)
+        block = []
+        while not done and len(block) < _APPROACH_BLOCK:
+            q = step_servo(q, goal, run, chain)
             step += 1
-            rows.append([state.values[ji] for ji in chain.movable])
-            done = step >= budget or all(
-                abs(state.values[ji] - goal.values[ji]) < PRE_GRASP_JOINT_TOL
-                for ji in state.values)
-        R, t = _stacked_frames(chain, np.array(rows, dtype=float))
+            block.append(q)
+            done = step >= budget or (abs(q - goal) < PRE_GRASP_JOINT_TOL).all()
+        first = step - len(block) + 1
+        read = [s for s in range(first, step + 1) if s % run.log_every == 0 or s == step]
+        R, t = _stacked_frames(chain, np.array([block[s - first] for s in read]))
         contacts = _stacked_contacts(scene, (R, t))
-        for i, logged in enumerate(range(step - len(rows) + 1, step + 1)):
+        for i, logged in enumerate(read):
             if logged % run.log_every == 0:
                 log.steps.append(LogStep(
                     time=logged * (1.0 / run.hz),
-                    positions=_ee_positions(scene, (R[i], t[i])),
+                    positions=_ee_positions(scene, t[i]),
                     contact_count=len(contacts[i]),
                     phase=PHASE_CONTACT_OPT if done and logged == step else PHASE_PRE_GRASP,
                 ))
-    return state, step, (R[-1], t[-1]), contacts[-1]
+    return q, step, contacts[-1]
 
 
 def execute_grasp(scene: Scene, targets: dict, run: RunConfig | None = None,
@@ -219,21 +208,20 @@ def execute_grasp(scene: Scene, targets: dict, run: RunConfig | None = None,
     ik = ik or IkConfig()
     validation = validation or ValidationConfig()
     chain = scene.chain
-    state = neutral_state(chain)
+    q = _clamp(np.zeros(len(chain.movable)), chain.lower, chain.upper)  # neutral_state
 
     log = TrajectoryLog(fingers=tuple(chain.fingers))
     dt = 1.0 / run.hz
 
-    pre_goal = _solve_goal(chain, _approach_goal(scene, targets), state, ik, PHASE_PRE_GRASP)
-    state, step, frames, contacts = _approach(
-        scene, state, pre_goal, run, int(PRE_GRASP_BUDGET_FRACTION * run.max_steps), log)
+    pre_goal = _solve_goal(chain, _approach_goal(scene, targets), q, ik, PHASE_PRE_GRASP)
+    q, step, contacts = _approach(
+        scene, q, pre_goal, run, int(PRE_GRASP_BUDGET_FRACTION * run.max_steps), log)
     phase = PHASE_CONTACT_OPT
     _log.debug("phase %s -> %s at step %d", PHASE_PRE_GRASP, phase, step)
-    contact_goal = _solve_goal(chain, _base_targets(scene, targets), state, ik,
-                               PHASE_CONTACT_OPT)
+    contact_goal = _solve_goal(chain, _base_targets(scene, targets), q, ik, PHASE_CONTACT_OPT)
     goal = contact_goal
     # flexor = second-to-last joint of each finger chain (before the distal)
-    flexor_of = {name: f.joints[-2] for name, f in chain.fingers.items()}
+    flexor_of = {name: chain.column_of[f.joints[-2]] for name, f in chain.fingers.items()}
     latched: set = set()
     hold_count = 0
 
@@ -241,17 +229,16 @@ def execute_grasp(scene: Scene, targets: dict, run: RunConfig | None = None,
         step += 1
         if phase == PHASE_CONTACT_OPT and latched:
             goal = contact_goal.copy()
-            for finger in latched:
-                ji = flexor_of[finger]
-                goal.values[ji] = state.values[ji]
-        moved = step_servo(state, goal, run, chain)
+            flexors = [flexor_of[finger] for finger in latched]
+            goal[flexors] = q[flexors]
+        moved = step_servo(q, goal, run, chain)
         # a monitor step that returns its input bit for bit reuses the last
         # step's frames, contacts, verdict and fingertip positions
-        held = phase == PHASE_MONITOR and _same_bits(moved, state)
-        state = moved
+        held = phase == PHASE_MONITOR and moved.tobytes() == q.tobytes()
+        q = moved
         if not held:
-            frames = link_frames(chain, state)
-            contacts = detect_contacts(scene, state, frames=frames)
+            R, t = _stacked_frames(chain, q[None])
+            contacts = _stacked_contacts(scene, (R, t))[0]
             positions = None
 
         if phase == PHASE_CONTACT_OPT:
@@ -260,7 +247,7 @@ def execute_grasp(scene: Scene, targets: dict, run: RunConfig | None = None,
             if assessment.stable:
                 phase = PHASE_MONITOR
                 _log.debug("phase %s -> %s at step %d", PHASE_CONTACT_OPT, phase, step)
-                goal = state.copy()  # freeze: servo toward the current posture
+                goal = q  # freeze: servo toward the current posture
                 hold_count = 0
         else:  # monitor
             if not held:
@@ -269,7 +256,7 @@ def execute_grasp(scene: Scene, targets: dict, run: RunConfig | None = None,
 
         if step % run.log_every == 0:
             if positions is None:
-                positions = _ee_positions(scene, frames)
+                positions = _ee_positions(scene, t[0])
             log.steps.append(LogStep(
                 time=step * dt,
                 positions=positions,
@@ -283,7 +270,7 @@ def execute_grasp(scene: Scene, targets: dict, run: RunConfig | None = None,
         # budget ran out before validation ever passed: report the end state,
         # whose contacts the last step detected
         assessment = validate_grasp(contacts, validation)
-    return state, log, assessment
+    return _joint_state(chain, q), log, assessment
 
 
 def write_trajectory_csv(log: TrajectoryLog, fh) -> None:

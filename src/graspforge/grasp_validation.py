@@ -42,7 +42,8 @@ class ValidationConfig:
             raise ValidationConfigError(f"min_contacts must be >= 1, got {self.min_contacts}")
         for name in ("distribution_threshold", "force_closure_threshold", "min_contact_force"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
                 raise ValidationConfigError(f"{name} must be a finite number, got {value!r}")
             if not value > 0.0:
                 raise ValidationConfigError(f"{name} must be > 0")

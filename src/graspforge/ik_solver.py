@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import JointState, Pose, clamp_to_limits, finger_walk
+from .kinematics import JointState, Pose, _clamp, clamp_to_limits, finger_walk
 from .robot_model import KinematicChain
 
 # damping retries per iteration before declaring the state stationary
@@ -80,7 +80,8 @@ class IkConfig:
             raise IkConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
         for name in ("residual_threshold", "damping_lambda", "step_scale"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
                 raise IkConfigError(f"{name} must be a finite number, got {value!r}")
         if not self.residual_threshold > 0.0:
             raise IkConfigError("residual_threshold must be positive")
@@ -96,16 +97,6 @@ class IkResult:
     residual: float
     iterations: int
     converged: bool
-
-
-def _clamp(q: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """min(max(q, lower), upper) per joint, with Python's min/max semantics.
-
-    A value equal to a limit is kept as it is (-0.0 at a 0.0 limit stays
-    -0.0) and a NaN stays NaN, as in `clamp_to_limits`.
-    """
-    q = np.where(lower > q, lower, q)
-    return np.where(upper < q, upper, q)
 
 
 def _dls_step(J: np.ndarray, JJt: np.ndarray, lam: float, e: np.ndarray,
@@ -140,8 +131,8 @@ def solve_finger_ik(chain: KinematicChain, finger: str, target,
 
     start = clamp_to_limits(chain, seed)
     walk = finger_walk(chain, f.joints, f.end_effector, start)
-    lower = np.array([chain.joints[ji].lower_limit for ji in f.joints])
-    upper = np.array([chain.joints[ji].upper_limit for ji in f.joints])
+    columns = [chain.column_of[ji] for ji in f.joints]
+    lower, upper = chain.lower[columns], chain.upper[columns]
     # limits as Python floats for the pinned-joint tests: on a handful of
     # joints, numpy's per-call overhead would cost more than the comparisons
     lower_l, upper_l = lower.tolist(), upper.tolist()

@@ -12,9 +12,9 @@ matrix once, when it is made.  `_stacked_frames` gives every link's frame
 for each of T joint-angle rows as stacked arrays, rotations (T, L, 3, 3)
 and translations (T, L, 3), composing one tree depth per batch with stacked
 `matmul`, with the rotations of all movable joints of all rows from one
-vectorized Rodrigues evaluation.  The controller's `pre_grasp` phase makes
-one such pass over all its steps; `link_frames` is its one-row call, which
-contact detection and a `contact_opt` step use once per state.
+vectorized Rodrigues evaluation.  The controller calls it on its angle
+rows (`_angles` and `_joint_state` convert a `JointState` to and from angles
+in `chain.movable` order); `link_frames` is its one-row call.
 `link_transform` and `jacobian` walk a single link's path from the root.
 `finger_walk` serves the IK: it walks from the root to the frame a finger
 hangs from once, then each call walks only the finger's own joints from
@@ -117,6 +117,23 @@ def clamp_to_limits(chain: KinematicChain, state: JointState) -> JointState:
         j = chain.joints[ji]
         clamped[ji] = min(max(value, j.lower_limit), j.upper_limit)
     return JointState(values=clamped)
+
+
+def _clamp(q: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """min(max(q, lower), upper) per entry, as Python's min/max: a value equal
+    to a limit is kept (-0.0 at a 0.0 limit stays -0.0), a NaN stays NaN."""
+    q = np.where(lower > q, lower, q)
+    return np.where(upper < q, upper, q)
+
+
+def _angles(chain: KinematicChain, state: JointState) -> np.ndarray:
+    """The angles of `state` as a float array in `chain.movable` order."""
+    return np.array([state.get(ji) for ji in chain.movable], dtype=float)
+
+
+def _joint_state(chain: KinematicChain, q: np.ndarray) -> JointState:
+    """The JointState of angles `q` in `chain.movable` order."""
+    return JointState(values=dict(zip(chain.movable, q.tolist())))
 
 
 def within_limits(chain: KinematicChain, state: JointState, tol: float = 0.0) -> bool:
@@ -247,8 +264,7 @@ def _stacked_frames(chain: KinematicChain, angles: np.ndarray) -> tuple[np.ndarr
 def link_frames(chain: KinematicChain, state: JointState) -> tuple[np.ndarray, np.ndarray]:
     """Rotations (L, 3, 3) and translations (L, 3) of every link in the root
     frame: the one-row call of `_stacked_frames`."""
-    R, t = _stacked_frames(chain, np.array([[state.get(ji) for ji in chain.movable]],
-                                           dtype=float))
+    R, t = _stacked_frames(chain, _angles(chain, state)[None])
     return R[0], t[0]
 
 

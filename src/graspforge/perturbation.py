@@ -51,7 +51,8 @@ class PerturbConfig:
             raise PerturbConfigError(f"iterations must be >= 1, got {self.iterations}")
         for name in ("force_bound", "displacement_threshold"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
                 raise PerturbConfigError(f"{name} must be a finite number, got {value!r}")
         # zero = degenerate no-force probe, allowed
         if self.force_bound < 0.0:

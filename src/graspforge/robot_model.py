@@ -96,7 +96,7 @@ class Finger:
 
 @dataclass(frozen=True)
 class FkLevel:
-    """The joints of one tree depth, composed in one batch by `link_frames`.
+    """The joints of one tree depth, composed in one batch by `_stacked_frames`.
 
     Per joint of the level: its parent and child link, and its origin
     rotation (k, 3, 3) and translation (k, 3, 1).  `moving` are the rows of
@@ -146,6 +146,9 @@ class KinematicChain:
     origin_translation: tuple[np.ndarray, ...] = field(default=(), compare=False, repr=False)
     # unit axes of the movable joints stacked in `movable` order, shape (n, 3)
     movable_axes: np.ndarray = field(default=None, compare=False, repr=False)
+    # joint limits in `movable` order, each shape (n,)
+    lower: np.ndarray = field(default=None, compare=False, repr=False)
+    upper: np.ndarray = field(default=None, compare=False, repr=False)
     # `rodrigues_terms(movable_axes)`: the angle-free factors of the
     # movable joints' rotations, each (n, 9)
     movable_rodrigues: tuple[np.ndarray, np.ndarray] = field(default=(), compare=False,
@@ -176,8 +179,11 @@ class KinematicChain:
             self.finger_links[name] = tuple(sorted(members, key=lambda li: len(self.path_to_link[li])))
         self.origin_rotation = tuple(_frozen(j.origin.rotation()) for j in self.joints)
         self.origin_translation = tuple(_frozen(j.origin.translation()) for j in self.joints)
-        self.movable_axes = _frozen(np.array([self.joints[ji].axis for ji in self.movable],
-                                             dtype=float).reshape(-1, 3))
+        movable = [self.joints[ji] for ji in self.movable]
+        self.movable_axes = _frozen(np.array([j.axis for j in movable], dtype=float).reshape(-1, 3))
+        self.lower, self.upper = _frozen(np.array(
+            [[j.lower_limit for j in movable], [j.upper_limit for j in movable]],
+            dtype=float).reshape(2, -1))
         self.movable_rodrigues = tuple(_frozen(a) for a in rodrigues_terms(self.movable_axes))
         self.column_of = {ji: c for c, ji in enumerate(self.movable)}
         levels: dict[int, list[int]] = {}

@@ -43,7 +43,8 @@ class PhysicalParams:
     def __post_init__(self):
         for name in ("lateral_friction", "contact_stiffness"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
                 raise SceneError(f"{name} must be a finite number, got {value!r}")
             if value < 0.0:
                 raise SceneError(f"{name} must be >= 0, got {value!r}")

@@ -60,9 +60,9 @@ def mid_range_state(chain):
         for ji in chain.movable})
 
 
-def joint_rows(chain, center=None, spread=0.05, max_rows=4):
+def joint_rows(chain, center=None, spread=0.05, max_rows=4, margin=0.0):
     """Hypothesis strategy: a (T, n) float array of joint-angle rows in
-    `chain.movable` order, all within the joint limits.
+    `chain.movable` order, all within the joint limits widened by `margin`.
 
     Each angle is either drawn from its range (within `spread` of `center`'s
     value when a center state is given) or is one of its limits, +0.0 or
@@ -73,7 +73,8 @@ def joint_rows(chain, center=None, spread=0.05, max_rows=4):
 
     def angle(ji):
         lo, hi = chain.joints[ji].lower_limit, chain.joints[ji].upper_limit
-        special = [v for v in (lo, hi, 0.0, -0.0) if lo <= v <= hi]
+        special = [v for v in (lo, hi, 0.0, -0.0) if lo - margin <= v <= hi + margin]
+        lo, hi = lo - margin, hi + margin
         if center is not None:
             c = center.values[ji]
             lo, hi = max(lo, c - spread), min(hi, c + spread)

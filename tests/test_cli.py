@@ -232,7 +232,10 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "must be an integer" in err
 
-    @pytest.mark.parametrize("key", ["run.seed=[1]", "run.steps=[1]", "object.mass=[1]"])
+    @pytest.mark.parametrize("key", ["run.seed=[1]", "run.steps=[1]", "object.mass=[1]",
+                                     "object.half_extents=[true, 0.025, 0.03]",
+                                     "hand.base_position=[0.0, false, 0.1]",
+                                     "targets.index.position=[0.08, true, 0.22]"])
     def test_list_for_a_number_is_a_config_error(self, tmp_path, capsys, key):
         code = run_cli("perturb", "--set", key, "--out", str(tmp_path))
         assert code == EXIT_ERROR
@@ -247,7 +250,18 @@ class TestErrorHandling:
                                      "validation.force_closure_threshold=.inf",
                                      "validation.min_contact_force=abc",
                                      "perturb.displacement_threshold=.inf",
-                                     "perturb.displacement_threshold=abc"])
+                                     "perturb.displacement_threshold=abc",
+                                     # YAML booleans are not numbers
+                                     "run.hz=true", "run.joint_rate_limit=false",
+                                     "run.servo_gain=true", "ik.residual_threshold=true",
+                                     "ik.damping_lambda=true", "ik.step_scale=true",
+                                     "validation.distribution_threshold=true",
+                                     "validation.force_closure_threshold=true",
+                                     "validation.min_contact_force=true",
+                                     "perturb.force_bound=true",
+                                     "perturb.displacement_threshold=true",
+                                     "physics.lateral_friction=true",
+                                     "physics.contact_stiffness=true"])
     def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, key):
         code = run_cli("perturb", "--set", key, "--out", str(tmp_path))
         assert code == EXIT_ERROR
@@ -255,6 +269,26 @@ class TestErrorHandling:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "must be a finite number" in err
         assert key.split("=")[0].split(".")[-1] in err  # the message names the key
+
+    def test_non_mapping_scenario_root_with_overrides(self, tmp_path, capsys):
+        scenario = tmp_path / "list.yaml"
+        scenario.write_text("- run\n- steps\n")
+        code = run_cli("run", "--scenario", str(scenario), "--set", "run.steps=3",
+                       "--out", str(tmp_path / "out"))
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: scenario root must be a mapping\n"
+
+    def test_partial_targets_name_the_missing_fingers(self, tmp_path, capsys):
+        scenario = tmp_path / "partial.yaml"
+        scenario.write_text("targets:\n"
+                            "  index: {position: [0.08, -0.03, 0.22]}\n"
+                            "  thumb: {position: [0.0, 0.05, 0.2]}\n")
+        code = run_cli("run", "--scenario", str(scenario), "--out", str(tmp_path / "out"))
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: targets: ") and err.count("\n") == 1
+        assert "'middle', 'ring', 'pinky'" in err
+        assert not (tmp_path / "out").exists()
 
     # argparse's own status for these is 2, which would read as an unstable grasp
     @pytest.mark.parametrize("argv", [

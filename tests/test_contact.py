@@ -515,7 +515,7 @@ class TestOverlapReject:
         one stacked detection runs no batch."""
         import graspforge.controller
         batches = _count_batches(monkeypatch)
-        first_batch_step, stacked, detections, servo_calls = [], [], [], []
+        detections, servo_calls = [], []
 
         def servo(*args):
             servo_calls.append(None)
@@ -524,26 +524,19 @@ class TestOverlapReject:
         def stacked_detect(scene, frames):
             before = len(batches)
             contacts = _stacked_contacts(scene, frames)
-            stacked.append((len(servo_calls), len(contacts), len(batches) - before))
-            return contacts
-
-        def detect(scene, state, *, frames=None):
-            before = len(batches)
-            contacts = detect_contacts(scene, state, frames=frames)
-            if len(batches) > before and not first_batch_step:
-                first_batch_step.append(len(servo_calls))
-            detections.append(None)
+            detections.append((len(servo_calls), len(contacts), len(batches) - before))
             return contacts
 
         monkeypatch.setattr(graspforge.controller, "step_servo", servo)
         monkeypatch.setattr(graspforge.controller, "_stacked_contacts", stacked_detect)
-        monkeypatch.setattr(graspforge.controller, "detect_contacts", detect)
         execute_grasp(scenario.scene, scenario.targets, scenario.run, scenario.ik,
                       scenario.validation)
-        assert stacked == [(80, 80, 0)]  # after step 80: 80 rows, no batch
-        assert len(detections) == 35  # one per contact_opt step, none in the held monitor
+        assert detections[0] == (80, 80, 0)  # after step 80: 80 rows, no batch
+        # then one row per contact_opt step, none in the held monitor
+        assert [(step, rows) for step, rows, _ in detections[1:]] == [
+            (step, 1) for step in range(81, 116)]
         assert (len(batches), sum(batches)) == (22, 39)
-        assert first_batch_step == [94]
+        assert next(step for step, _, n in detections if n) == 94
 
 
 class TestDetectContacts:

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from graspforge.config import default_scenario_path, load_scenario
 from graspforge.contact import detect_contacts
@@ -15,15 +17,13 @@ from graspforge.controller import (PHASE_CONTACT_OPT, PHASE_MONITOR, PHASE_PRE_G
                                    execute_grasp, step_servo, write_trajectory_csv)
 from graspforge.grasp_validation import validate_grasp
 from graspforge.ik_solver import IkConfig
-from graspforge.kinematics import link_frames, neutral_state
+from graspforge.kinematics import (JointState, Pose, _angles, _joint_state, clamp_to_limits,
+                                   link_frames, neutral_state)
 from graspforge.scene import Scene, default_scene, make_box_object
-from graspforge.kinematics import Pose
+
+from conftest import joint_rows
 
 PHASE_ORDER = {PHASE_PRE_GRASP: 0, PHASE_CONTACT_OPT: 1, PHASE_MONITOR: 2}
-
-
-def _bits(state):
-    return np.array([state.values[ji] for ji in sorted(state.values)]).tobytes()
 
 
 def _passes_per_step(events):
@@ -91,40 +91,66 @@ class TestRunConfig:
         assert run.log_every == 1
 
 
+def _reference_step_servo(state, goal, run, chain):
+    """The servo on joint dicts, one joint at a time: the bitwise reference
+    of the array `step_servo`."""
+    dt = 1.0 / run.hz
+    rate = run.joint_rate_limit
+    new_values = {}
+    for ji, theta in state.values.items():
+        velocity = run.servo_gain * (goal.values[ji] - theta)
+        velocity = min(max(velocity, -rate), rate)
+        new_values[ji] = theta + velocity * dt
+    return clamp_to_limits(chain, JointState(values=new_values))
+
+
 class TestStepServo:
     def test_small_error_decays_by_gain_over_hz(self, chain):
-        state = neutral_state(chain)
-        ji = chain.fingers["index"].joints[1]
-        goal = state.copy()
-        goal.values[ji] = state.values[ji] + 0.001
+        q = _angles(chain, neutral_state(chain))
+        c = chain.column_of[chain.fingers["index"].joints[1]]
+        goal = q.copy()
+        goal[c] += 0.001
         run = RunConfig(servo_gain=20.0, hz=240.0, joint_rate_limit=4.0)
-        nxt = step_servo(state, goal, run, chain)
+        nxt = step_servo(q, goal, run, chain)
         # velocity = gain * err, well below the rate limit
-        assert nxt.values[ji] - state.values[ji] == pytest.approx(0.001 * 20.0 / 240.0)
+        assert nxt[c] - q[c] == pytest.approx(0.001 * 20.0 / 240.0)
+        assert np.delete(nxt, c).tobytes() == np.delete(q, c).tobytes()
 
     def test_large_error_hits_the_rate_limit(self, chain):
-        state = neutral_state(chain)
-        ji = chain.fingers["index"].joints[1]
-        goal = state.copy()
-        goal.values[ji] = state.values[ji] + 10.0
+        q = _angles(chain, neutral_state(chain))
+        c = chain.column_of[chain.fingers["index"].joints[1]]
+        goal = q.copy()
+        goal[c] += 10.0
         run = RunConfig(servo_gain=20.0, hz=240.0, joint_rate_limit=4.0)
-        nxt = step_servo(state, goal, run, chain)
-        assert nxt.values[ji] - state.values[ji] == pytest.approx(4.0 / 240.0)
-
-    def test_joints_missing_from_goal_hold_still(self, chain):
-        state = neutral_state(chain)
-        from graspforge.kinematics import JointState
-        nxt = step_servo(state, JointState(values={}), RunConfig(), chain)
-        assert nxt.values == state.values
+        nxt = step_servo(q, goal, run, chain)
+        assert nxt[c] - q[c] == pytest.approx(4.0 / 240.0)
 
     def test_result_is_always_within_limits(self, chain):
-        state = neutral_state(chain)
-        ji = chain.fingers["index"].joints[1]
-        goal = state.copy()
-        goal.values[ji] = 100.0
+        q = _angles(chain, neutral_state(chain))
+        c = chain.column_of[chain.fingers["index"].joints[1]]
+        goal = q.copy()
+        goal[c] = 100.0
         run = RunConfig(joint_rate_limit=1e6, servo_gain=1e6)
-        nxt = step_servo(state, goal, run, chain)
-        assert nxt.values[ji] == chain.joints[ji].upper_limit
+        nxt = step_servo(q, goal, run, chain)
+        assert nxt[c] == chain.upper[c]
+
+    @given(st.data(),
+           st.sampled_from([0, 0.0, 1e-3, 0.5, 4.0, 1e6]) | st.floats(0.0, 10.0),
+           st.sampled_from([0.0, 20.0, 1e6]) | st.floats(0.0, 100.0),
+           st.sampled_from([240.0, 1.0]) | st.floats(1.0, 1000.0))
+    def test_equals_the_dict_reference_bitwise(self, chain, data, rate, gain, hz):
+        """Angles drawn as `conftest.joint_rows` (+-0.0 and limit-pinned
+        values), goals up to 1 rad outside the limits or equal to the angles
+        (zero velocity), and rates that freeze, bind or stay loose."""
+        run = RunConfig(hz=hz, joint_rate_limit=rate, servo_gain=gain)
+        rows = data.draw(joint_rows(chain))
+        goals = data.draw(joint_rows(chain, margin=1.0))
+        still = data.draw(st.integers(0, len(rows) - 1))
+        for k, q in enumerate(rows):
+            goal = q if k == still else goals[k % len(goals)]
+            expected = _reference_step_servo(_joint_state(chain, q), _joint_state(chain, goal),
+                                             run, chain)
+            assert step_servo(q, goal, run, chain).tobytes() == _angles(chain, expected).tobytes()
 
 
 class TestExecuteGrasp:
@@ -210,28 +236,30 @@ class TestExecuteGrasp:
         """The step's frames feed both contact detection and the fingertip log.
 
         The 80 pre_grasp steps make one stacked pass, after their last servo
-        step.  The 50 monitor steps of the bundled run are a bitwise fixed
-        point of the servo, so they make no pass and reuse the fingertip
-        positions: 165 steps, 36 passes (1 stacked and the contact_opt steps
-        81-115), 35 verdicts and 115 fingertip evaluations.
+        step, and each contact_opt step a one-row pass; a pass is a
+        `_stacked_frames` call and a `_stacked_contacts` call on its frames.
+        The 50 monitor steps of the bundled run are a bitwise fixed point of
+        the servo, so they make no pass and reuse the fingertip positions:
+        165 steps, 36 passes (1 stacked and the contact_opt steps 81-115),
+        35 verdicts and 115 fingertip evaluations.
         """
-        import graspforge.contact
         import graspforge.controller
+        from graspforge.contact import _stacked_contacts
         from graspforge.controller import _ee_positions
         from graspforge.kinematics import _stacked_frames
         events = []
-
-        def counted_frames(chain, state):
-            events.append("frames")
-            return link_frames(chain, state)
 
         def counted_stacked(chain, angles):
             events.append("frames")
             return _stacked_frames(chain, angles)
 
-        def counted_servo(state, goal, run, chain):
-            moved = step_servo(state, goal, run, chain)
-            events.append(_bits(moved) == _bits(state))
+        def counted_contacts(scene, frames):
+            events.append("contacts")
+            return _stacked_contacts(scene, frames)
+
+        def counted_servo(q, goal, run, chain):
+            moved = step_servo(q, goal, run, chain)
+            events.append(moved.tobytes() == q.tobytes())
             return moved
 
         def counted_validate(contacts, config):
@@ -242,9 +270,8 @@ class TestExecuteGrasp:
             events.append("positions")
             return _ee_positions(scene, frames)
 
-        monkeypatch.setattr(graspforge.controller, "link_frames", counted_frames)
-        monkeypatch.setattr(graspforge.contact, "link_frames", counted_frames)
         monkeypatch.setattr(graspforge.controller, "_stacked_frames", counted_stacked)
+        monkeypatch.setattr(graspforge.controller, "_stacked_contacts", counted_contacts)
         monkeypatch.setattr(graspforge.controller, "step_servo", counted_servo)
         monkeypatch.setattr(graspforge.controller, "validate_grasp", counted_validate)
         monkeypatch.setattr(graspforge.controller, "_ee_positions", counted_positions)
@@ -252,7 +279,7 @@ class TestExecuteGrasp:
                                                scenario.ik, scenario.validation)
         assert log.steps[-1].phase == PHASE_MONITOR
         assert len(log.steps) == 165
-        assert events.count("frames") == 36
+        assert events.count("frames") == events.count("contacts") == 36
         assert events.count("validate") == 35
         assert events.count("positions") == 115
         passes = _passes_per_step(events)
@@ -290,24 +317,19 @@ class TestExecuteGrasp:
         entry = 115  # the step that enters monitor (see the DEBUG-record test)
         servo_steps, passes = [], []
 
-        def servo(state, goal, run, chain):
-            moved = step_servo(state, goal, run, chain)
-            servo_steps.append(state)
+        def servo(q, goal, run, chain):
+            moved = step_servo(q, goal, run, chain)
+            servo_steps.append(q)
             if len(servo_steps) == entry:
                 # middle_yaw is -7.3e-17 rad here; hold the posture at -0.0
-                moved.values[yaw] = -0.0
+                moved[chain.column_of[yaw]] = -0.0
             return moved
-
-        def counted_frames(chain, state):
-            passes.append(len(servo_steps))
-            return link_frames(chain, state)
 
         def counted_stacked(chain, angles):
             passes.append(len(servo_steps))
             return _stacked_frames(chain, angles)
 
         monkeypatch.setattr(graspforge.controller, "step_servo", servo)
-        monkeypatch.setattr(graspforge.controller, "link_frames", counted_frames)
         monkeypatch.setattr(graspforge.controller, "_stacked_frames", counted_stacked)
         state, log, assessment = execute_grasp(scenario.scene, scenario.targets, scenario.run,
                                                scenario.ik, scenario.validation)
@@ -325,20 +347,23 @@ class TestExecuteGrasp:
         validation and the flexor latch: the next step's goal holds the
         finger's flexor where it is."""
         import graspforge.controller
+        from graspforge.contact import _stacked_contacts
         chain = scenario.scene.chain
         servo_calls, detected = [], {}
 
-        def servo(state, goal, run, chain):
-            servo_calls.append((state, goal))
-            return step_servo(state, goal, run, chain)
+        def servo(q, goal, run, chain):
+            servo_calls.append((q, goal))
+            return step_servo(q, goal, run, chain)
 
-        def detect(scene, state, *, frames=None):
-            # keyed by step: the pre_grasp steps detect in one stacked pass
-            detected[len(servo_calls)] = detect_contacts(scene, state, frames=frames)
-            return detected[len(servo_calls)]
+        def detect(scene, frames):
+            # keyed by the step of the last row: the pre_grasp steps detect in
+            # one stacked pass, each contact_opt step in a one-row pass
+            contacts = _stacked_contacts(scene, frames)
+            detected[len(servo_calls)] = contacts[-1]
+            return contacts
 
         monkeypatch.setattr(graspforge.controller, "step_servo", servo)
-        monkeypatch.setattr(graspforge.controller, "detect_contacts", detect)
+        monkeypatch.setattr(graspforge.controller, "_stacked_contacts", detect)
         execute_grasp(scenario.scene, scenario.targets, scenario.run, scenario.ik,
                       scenario.validation)
         # the first contact_opt step with contacts, and the finger whose
@@ -349,15 +374,15 @@ class TestExecuteGrasp:
         for c in contacts:
             strongest[c.finger] = max(strongest.get(c.finger, 0.0), c.normal_force)
         finger = min(strongest, key=strongest.get)
-        flexor = chain.fingers[finger].joints[-2]
+        flexor = chain.column_of[chain.fingers[finger].joints[-2]]
         validation = dataclasses.replace(scenario.validation,
                                          min_contact_force=strongest[finger])
         servo_calls.clear()
         detected.clear()
         execute_grasp(scenario.scene, scenario.targets, scenario.run, scenario.ik, validation)
         assert [c.normal_force for c in detected[step]] == [c.normal_force for c in contacts]
-        state, goal = servo_calls[step]  # the call of the step after it
-        assert goal.values[flexor] == state.values[flexor]
+        q, goal = servo_calls[step]  # the call of the step after it
+        assert goal[flexor] == q[flexor]
         assert validate_grasp(contacts, validation).contact_count == sum(
             c.normal_force >= strongest[finger] for c in contacts)
 
@@ -464,25 +489,38 @@ class TestRunConfigCorners:
     def test_outputs_are_pinned(self, overrides, expected, caplog):
         assert _grasp_outputs(overrides, caplog) == expected
 
-    @pytest.mark.parametrize("overrides, transition", [
-        ([], 80), (["run.steps=2000", "run.log_every=3"], 118)])
-    def test_a_small_approach_block_changes_no_output(self, overrides, transition, caplog,
-                                                      monkeypatch):
+    @pytest.mark.parametrize("overrides, transition, sizes", [
+        ([], 80, [7] * 11 + [3]),
+        # every block of 7 steps reads 3 rows: its multiples of 3 and its last
+        # step (steps 3, 6 and 7 of the first), and so does the last block,
+        # steps 113-118 (114, 117 and 118)
+        (["run.steps=2000", "run.log_every=3"], 118, [3] * 17)])
+    def test_a_small_approach_block_changes_no_output(self, overrides, transition, sizes,
+                                                      caplog, monkeypatch):
         """pre_grasp stacked 7 steps at a time, so its 80 or 118 steps span
-        12 or 17 passes, the last one partial, gives the bytes of the default."""
+        12 or 17 passes, the last one partial, gives the bytes of the default.
+        A pass stacks only the rows it reads: the logged steps and the
+        block's last."""
         import graspforge.controller
         from graspforge.kinematics import _stacked_frames
         default = _grasp_outputs(overrides, caplog)
-        passes = []
+        servo_calls, passes = [], []
+
+        def servo(*args):
+            servo_calls.append(None)
+            return step_servo(*args)
 
         def counted_stacked(chain, angles):
-            passes.append(len(angles))
+            # the approach passes; the one-row contact_opt passes come after
+            if len(servo_calls) <= transition:
+                passes.append(len(angles))
             return _stacked_frames(chain, angles)
 
         monkeypatch.setattr(graspforge.controller, "_APPROACH_BLOCK", 7)
+        monkeypatch.setattr(graspforge.controller, "step_servo", servo)
         monkeypatch.setattr(graspforge.controller, "_stacked_frames", counted_stacked)
         assert _grasp_outputs(overrides, caplog) == default
-        assert passes == [7] * (transition // 7) + [transition % 7]
+        assert passes == sizes
 
 
 def test_trajectory_csv_golden():

@@ -77,6 +77,9 @@ class TestBundledHand:
             assert np.array_equal(chain.movable_axes[c], axis)
             assert np.array_equal(products[c], np.outer(axis, axis).ravel())
             assert np.array_equal(skew[c], [0.0, -z, y, z, 0.0, -x, -y, x, 0.0])
+            assert chain.lower[c] == chain.joints[ji].lower_limit
+            assert chain.upper[c] == chain.joints[ji].upper_limit
+        assert chain.lower.shape == chain.upper.shape == (len(chain.movable),)
         for j, R, t in zip(chain.joints, chain.origin_rotation, chain.origin_translation):
             assert np.array_equal(R, j.origin.rotation())
             assert np.array_equal(t, j.origin.translation())
@@ -97,6 +100,8 @@ class TestBundledHand:
             chain.fk_levels[0].origin_rotation[0, 0, 0] = 2.0
         with pytest.raises(ValueError):
             shapes.translation[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            chain.upper[0] = 2.0
         with pytest.raises(ValueError):
             products[0, 0] = 2.0
 
