@@ -17,15 +17,22 @@ silently running defaults.
               min_contact_force
   perturb:    iterations, force_bound, displacement_threshold
   output_dir: path for reports
+
+Every number, in every field and every vec3 entry, must be finite, and a
+boolean is not a number; an integer field takes an int only.  The key sets
+of physics, ik, validation and perturb are the fields of their dataclasses,
+which check their own values (`_checks.check_numbers`).  A bad value raises
+ConfigError naming its key.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import yaml
 
+from ._checks import ConfigError, is_finite_number
 from .controller import RunConfig
 from .grasp_validation import ValidationConfig
 from .ik_solver import IkConfig
@@ -33,23 +40,23 @@ from .kinematics import Pose
 from .perturbation import PerturbConfig
 from .robot_model import bundled_data_dir, load_robot_description
 from .scene import (DEFAULT_HAND_BASE_POSITION, DEFAULT_HAND_BASE_RPY, PhysicalParams,
-                    Scene, default_grasp_targets, default_scene, make_box_object)
+                    Scene, SceneError, default_grasp_targets, default_scene, make_box_object)
 
 
-class ConfigError(ValueError):
-    """Malformed scenario file, unknown key, or invalid parameter value."""
+def _field_names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
 
 
 _SCHEMA = {
     "hand": {"description_path", "base_position", "base_rpy"},
     "object": {"half_extents", "pose", "mass"},
-    "physics": {"lateral_friction", "contact_stiffness"},
+    "physics": _field_names(PhysicalParams),
     "targets": None,  # free finger names, each {position, rpy}
+    # `seed` goes to perturb.seed, `steps` to RunConfig.max_steps
     "run": {"seed", "steps", "hz", "joint_rate_limit", "servo_gain", "log_every"},
-    "ik": {"max_iterations", "residual_threshold", "damping_lambda", "step_scale"},
-    "validation": {"min_contacts", "distribution_threshold",
-                   "force_closure_threshold", "min_contact_force"},
-    "perturb": {"iterations", "force_bound", "displacement_threshold"},
+    "ik": _field_names(IkConfig),
+    "validation": _field_names(ValidationConfig),
+    "perturb": _field_names(PerturbConfig) - {"seed"},
     "output_dir": None,
 }
 
@@ -72,12 +79,9 @@ class ScenarioConfig:
 def _require_vec3(value, where: str):
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ConfigError(f"{where}: expected a 3-element list, got {value!r}")
-    if any(isinstance(v, bool) for v in value):
-        raise ConfigError(f"{where}: entries must be numbers, got {value!r}")
-    try:
-        return tuple(float(v) for v in value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: entries must be numbers, got {value!r}") from None
+    if not all(map(is_finite_number, value)):
+        raise ConfigError(f"{where}: entries must be finite numbers, got {value!r}")
+    return tuple(float(v) for v in value)
 
 
 def _check_keys(data: dict) -> None:
@@ -147,14 +151,16 @@ def build_scenario(data: dict, scenario_dir: str | None = None) -> ScenarioConfi
         raise ConfigError("scenario root must be a mapping")
     _check_keys(data)
 
-    physics_kwargs = dict(data.get("physics", {}))
     try:
-        params = PhysicalParams(**physics_kwargs)
-    except (TypeError, ValueError) as exc:
+        params = PhysicalParams(**data.get("physics", {}))
+    except SceneError as exc:
         raise ConfigError(f"physics: {exc}") from None
 
     hand = data.get("hand", {})
-    description_path = _resolve_path(hand.get("description_path", "hand.urdf"), scenario_dir)
+    description_path = hand.get("description_path", "hand.urdf")
+    if not isinstance(description_path, str):
+        raise ConfigError(f"hand.description_path must be a string path, got {description_path!r}")
+    description_path = _resolve_path(description_path, scenario_dir)
     try:
         chain = load_robot_description(description_path)
     except OSError as exc:
@@ -170,11 +176,11 @@ def build_scenario(data: dict, scenario_dir: str | None = None) -> ScenarioConfi
     pose = _pose_from_mapping(obj_data.get("pose", {"position": list(defaults.object.pose.position)}),
                               "object.pose")
     mass = obj_data.get("mass", defaults.object.mass)
-    if isinstance(mass, bool) or not isinstance(mass, (int, float)):
-        raise ConfigError(f"object.mass must be a number, got {mass!r}")
+    if not is_finite_number(mass):
+        raise ConfigError(f"object.mass must be a finite number, got {mass!r}")
     try:
         obj = make_box_object(half_extents, pose, float(mass), params)
-    except ValueError as exc:
+    except SceneError as exc:
         raise ConfigError(f"object: {exc}") from None
 
     scene = Scene(chain=chain, hand_base=Pose.from_rpy(base_position, base_rpy),
@@ -199,13 +205,10 @@ def build_scenario(data: dict, scenario_dir: str | None = None) -> ScenarioConfi
     seed = run_data.pop("seed", 0)
     if "steps" in run_data:
         run_data["max_steps"] = run_data.pop("steps")
-    try:
-        run = RunConfig(**run_data)
-        ik = IkConfig(**data.get("ik", {}))
-        validation = ValidationConfig(**data.get("validation", {}))
-        perturb = PerturbConfig(seed=seed, **data.get("perturb", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+    run = RunConfig(**run_data)
+    ik = IkConfig(**data.get("ik", {}))
+    validation = ValidationConfig(**data.get("validation", {}))
+    perturb = PerturbConfig(seed=seed, **data.get("perturb", {}))
 
     output_dir = data.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):

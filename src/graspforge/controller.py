@@ -32,12 +32,11 @@ output is bit for bit that of one pass per step.
 from __future__ import annotations
 
 import logging
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import ConfigError, check_numbers
 from .contact import _stacked_contacts, closest_point_box
 from .grasp_validation import ValidationConfig, is_established, validate_grasp
 from .ik_solver import IkConfig, merge_hand_results, solve_hand_ik
@@ -62,10 +61,6 @@ _APPROACH_BLOCK = 256
 _log = logging.getLogger("graspforge")
 
 
-class RunConfigError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class RunConfig:
     hz: float = 240.0
@@ -75,25 +70,17 @@ class RunConfig:
     log_every: int = 1
 
     def __post_init__(self):
-        for name in ("max_steps", "log_every"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise RunConfigError(f"{name} must be an integer, got {value!r}")
-        for name in ("hz", "joint_rate_limit", "servo_gain"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise RunConfigError(f"{name} must be a finite number, got {value!r}")
+        check_numbers(self)
         if not self.hz > 0.0:
-            raise RunConfigError("hz must be > 0")
+            raise ConfigError("hz must be > 0")
         if self.max_steps < 1:
-            raise RunConfigError("max_steps must be >= 1")
+            raise ConfigError("max_steps must be >= 1")
         if self.joint_rate_limit < 0.0:
-            raise RunConfigError("joint_rate_limit must be >= 0")
+            raise ConfigError("joint_rate_limit must be >= 0")
         if self.servo_gain < 0.0:
-            raise RunConfigError("servo_gain must be >= 0")
+            raise ConfigError("servo_gain must be >= 0")
         if self.log_every < 1:
-            raise RunConfigError("log_every must be >= 1")
+            raise ConfigError("log_every must be >= 1")
 
 
 @dataclass(frozen=True)

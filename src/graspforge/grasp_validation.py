@@ -8,23 +8,17 @@ see `is_established`).
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import ConfigError, check_numbers
 from .contact import ContactPoint
 
 FAILURE_NONE = "none"
 FAILURE_TOO_FEW = "too_few_contacts"
 FAILURE_SPREAD = "spread_exceeded"
 FAILURE_CLOSURE = "closure_exceeded"
-
-
-class ValidationConfigError(ValueError):
-    """Raised for a threshold that is not a finite positive number, or a
-    non-integer or zero contact minimum."""
 
 
 @dataclass(frozen=True)
@@ -35,18 +29,12 @@ class ValidationConfig:
     min_contact_force: float = 0.5  # N; weaker contacts are not established
 
     def __post_init__(self):
-        value = self.min_contacts
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationConfigError(f"min_contacts must be an integer, got {value!r}")
+        check_numbers(self)
         if self.min_contacts < 1:
-            raise ValidationConfigError(f"min_contacts must be >= 1, got {self.min_contacts}")
+            raise ConfigError(f"min_contacts must be >= 1, got {self.min_contacts}")
         for name in ("distribution_threshold", "force_closure_threshold", "min_contact_force"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise ValidationConfigError(f"{name} must be a finite number, got {value!r}")
-            if not value > 0.0:
-                raise ValidationConfigError(f"{name} must be > 0")
+            if not getattr(self, name) > 0.0:
+                raise ConfigError(f"{name} must be > 0")
 
 
 @dataclass(frozen=True)

@@ -43,13 +43,12 @@ it as the reference).
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import JointState, Pose, _clamp, clamp_to_limits, finger_walk
+from ._checks import ConfigError, check_numbers
+from .kinematics import JointState, _clamp, _target_position, clamp_to_limits, finger_walk
 from .robot_model import KinematicChain
 
 # damping retries per iteration before declaring the state stationary
@@ -61,11 +60,6 @@ _RESTART_FRACTIONS = (0.25, 0.75, 0.1, 0.9, 0.5)
 _EYE3 = np.eye(3)
 
 
-class IkConfigError(ValueError):
-    """An iteration budget that is not a positive integer, or a threshold,
-    damping or step scale that is not a finite number in its range."""
-
-
 @dataclass
 class IkConfig:
     max_iterations: int = 100
@@ -74,21 +68,15 @@ class IkConfig:
     step_scale: float = 1.0
 
     def __post_init__(self):
-        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, int):
-            raise IkConfigError(f"max_iterations must be an integer, got {self.max_iterations!r}")
+        check_numbers(self)
         if self.max_iterations < 1:
-            raise IkConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        for name in ("residual_threshold", "damping_lambda", "step_scale"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise IkConfigError(f"{name} must be a finite number, got {value!r}")
+            raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not self.residual_threshold > 0.0:
-            raise IkConfigError("residual_threshold must be positive")
+            raise ConfigError("residual_threshold must be positive")
         if not self.damping_lambda > 0.0:
-            raise IkConfigError("damping_lambda must be positive")
+            raise ConfigError("damping_lambda must be positive")
         if not 0.0 < self.step_scale <= 1.0:
-            raise IkConfigError("step_scale must lie in (0, 1]")
+            raise ConfigError("step_scale must lie in (0, 1]")
 
 
 @dataclass
@@ -109,12 +97,6 @@ def _pushed_out(at_lower: list, at_upper: list, dq: np.ndarray) -> list:
     """Per joint: pinned at a limit, and moved further outward by `dq`."""
     return [(lo and d < 0.0) or (hi and d > 0.0)
             for lo, hi, d in zip(at_lower, at_upper, dq.tolist())]
-
-
-def _target_position(target) -> np.ndarray:
-    if isinstance(target, Pose):
-        return np.asarray(target.position, dtype=float)
-    return np.asarray(target, dtype=float).reshape(3)
 
 
 def solve_finger_ik(chain: KinematicChain, finger: str, target,

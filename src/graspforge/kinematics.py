@@ -62,7 +62,7 @@ class Pose:
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float).reshape(3))
         q = np.asarray(self.orientation, dtype=float).reshape(4)
         n = np.linalg.norm(q)
-        if abs(n - 1.0) > 1e-9:
+        if not abs(n - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError(f"orientation quaternion must be unit norm, got |q| = {n}")
         object.__setattr__(self, "orientation", q)
         rotation = quat_to_matrix(q)
@@ -83,6 +83,13 @@ class Pose:
     def from_rpy(cls, position, rpy=(0.0, 0.0, 0.0)) -> "Pose":
         return cls(position=np.asarray(position, dtype=float),
                    orientation=matrix_to_quat(rpy_matrix(*rpy)))
+
+
+def _target_position(target) -> np.ndarray:
+    """The position of a `Pose` target, or a bare 3-vector as a float array."""
+    if isinstance(target, Pose):
+        return target.position
+    return np.asarray(target, dtype=float).reshape(3)
 
 
 @dataclass

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controller import TrajectoryLog
-from .kinematics import Pose
+from .kinematics import _target_position
 
 EPSILON = 1e-6
 SUCCESS_THRESHOLD = 0.1  # m
@@ -93,15 +93,8 @@ def positional_error(final, target):
     return e, float(np.linalg.norm(e))
 
 
-def _target_position(target) -> np.ndarray:
-    if isinstance(target, Pose):
-        return target.position
-    return np.asarray(target, dtype=float).reshape(3)
-
-
 def summarize_run(log: TrajectoryLog, targets: dict,
-                  efficiency_basis: str = EFFICIENCY_FINAL_ERROR,
-                  success_threshold: float = SUCCESS_THRESHOLD):
+                  efficiency_basis: str = EFFICIENCY_FINAL_ERROR):
     """Per-finger metrics plus the aggregate: (list of FingerMetrics, RunSummary)."""
     if not log.steps:
         raise MetricsError("trajectory log is empty")
@@ -125,7 +118,7 @@ def summarize_run(log: TrajectoryLog, targets: dict,
             distance_to_target=e_d,
             total_movement=d_m,
             efficiency=movement_efficiency(d_t, d_m),
-            success=e_d < success_threshold,
+            success=e_d < SUCCESS_THRESHOLD,
             directional_error=e,
         ))
 

@@ -9,13 +9,12 @@ displacement above the threshold.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from ._checks import ConfigError, check_numbers
 from .contact import ContactPoint, detect_contacts
 from .grasp_validation import ValidationConfig, validate_grasp
 from .kinematics import JointState
@@ -29,12 +28,6 @@ FREE_SLIDE_GAIN = 0.05
 _NULL_SPACE_RTOL = 1e-9
 
 
-class PerturbConfigError(ValueError):
-    """Raised for a non-integer seed or iteration count, a non-positive count,
-    a force bound or threshold that is not a finite number, a negative force
-    bound or a non-positive threshold."""
-
-
 @dataclass(frozen=True)
 class PerturbConfig:
     iterations: int = 100
@@ -43,22 +36,14 @@ class PerturbConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("iterations", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise PerturbConfigError(f"{name} must be an integer, got {value!r}")
+        check_numbers(self)
         if self.iterations < 1:
-            raise PerturbConfigError(f"iterations must be >= 1, got {self.iterations}")
-        for name in ("force_bound", "displacement_threshold"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise PerturbConfigError(f"{name} must be a finite number, got {value!r}")
+            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         # zero = degenerate no-force probe, allowed
         if self.force_bound < 0.0:
-            raise PerturbConfigError(f"force_bound must be >= 0, got {self.force_bound!r}")
+            raise ConfigError(f"force_bound must be >= 0, got {self.force_bound!r}")
         if not self.displacement_threshold > 0.0:
-            raise PerturbConfigError("displacement_threshold must be > 0")
+            raise ConfigError("displacement_threshold must be > 0")
 
 
 @dataclass

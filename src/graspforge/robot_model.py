@@ -3,7 +3,8 @@
 Reads a URDF-style XML subset (links with optional box / capsule / sphere
 collision geometry, revolute and fixed joints with origin / axis / limit
 tags) into an immutable kinematic tree.  Visual, inertial, material and
-joint dynamics elements are ignored; anything else unrecognized is an error.
+joint dynamics elements are ignored; anything else unrecognized is an error,
+and so is a number that is not finite.
 
 Finger grouping is inferred from joint names: every movable joint named
 ``<finger>_<something>`` belongs to finger ``<finger>``.  When a finger
@@ -19,6 +20,7 @@ walk that reaches it.
 
 from __future__ import annotations
 
+import math
 import os
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -237,16 +239,25 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 # parsing
 
 
+def _parse_float(text: Optional[str], what: str) -> float:
+    """One finite number from attribute text."""
+    try:
+        value = float(text)
+    except (TypeError, ValueError):
+        pass
+    else:
+        if math.isfinite(value):
+            return value
+    raise RobotDescriptionError(f"{what}: expected a finite number, got {text!r}")
+
+
 def _parse_vec3(text: Optional[str], default=(0.0, 0.0, 0.0), what: str = "vector") -> tuple[float, float, float]:
     if text is None:
         return tuple(float(v) for v in default)
     parts = text.split()
     if len(parts) != 3:
         raise RobotDescriptionError(f"{what}: expected 3 numbers, got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise RobotDescriptionError(f"{what}: {exc}") from None
+    return tuple(_parse_float(p, what) for p in parts)
 
 
 def _parse_origin(elem: Optional[ET.Element], where: str) -> Transform:
@@ -268,13 +279,13 @@ def _parse_geometry(geom: ET.Element, where: str) -> Geometry:
             raise RobotDescriptionError(f"{where}: box size must be positive, got {size}")
         return BoxGeometry(half_extents=tuple(s / 2.0 for s in size))
     if shape.tag == "sphere":
-        radius = float(shape.get("radius", "nan"))
+        radius = _parse_float(shape.get("radius"), f"{where} sphere radius")
         if not radius > 0.0:
             raise RobotDescriptionError(f"{where}: sphere radius must be positive")
         return SphereGeometry(radius=radius)
     if shape.tag == "capsule":
-        radius = float(shape.get("radius", "nan"))
-        length = float(shape.get("length", "nan"))
+        radius = _parse_float(shape.get("radius"), f"{where} capsule radius")
+        length = _parse_float(shape.get("length"), f"{where} capsule length")
         if not radius > 0.0 or not length >= 0.0:
             raise RobotDescriptionError(f"{where}: capsule needs radius > 0 and length >= 0")
         return CapsuleGeometry(radius=radius, length=length)
@@ -370,7 +381,8 @@ def parse_robot_description(text: str) -> KinematicChain:
         limit_el = elem.find("limit")
         if limit_el is None or limit_el.get("lower") is None or limit_el.get("upper") is None:
             raise ValidationError(f"revolute joint {name!r} is missing lower/upper limits")
-        lower, upper = float(limit_el.get("lower")), float(limit_el.get("upper"))
+        lower = _parse_float(limit_el.get("lower"), f"joint {name!r} lower limit")
+        upper = _parse_float(limit_el.get("upper"), f"joint {name!r} upper limit")
         if lower > upper:
             raise ValidationError(f"joint {name!r}: lower limit exceeds upper limit")
         joints.append(JointSpec(name=name, kind=kind, parent=parent, child=child_link,

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import check_numbers, is_finite_number
 from .kinematics import Pose
 from .robot_model import KinematicChain, bundled_hand_path, load_robot_description
 
@@ -41,13 +41,9 @@ class PhysicalParams:
     contact_stiffness: float = 10000.0  # N/m
 
     def __post_init__(self):
-        for name in ("lateral_friction", "contact_stiffness"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise SceneError(f"{name} must be a finite number, got {value!r}")
-            if value < 0.0:
-                raise SceneError(f"{name} must be >= 0, got {value!r}")
+        check_numbers(self, SceneError)
+        if self.lateral_friction < 0.0:
+            raise SceneError(f"lateral_friction must be >= 0, got {self.lateral_friction!r}")
         if self.contact_stiffness <= 0.0:
             raise SceneError("contact_stiffness must be > 0")
 
@@ -82,14 +78,12 @@ def make_box_object(
     params: PhysicalParams | None = None,
 ) -> SceneObject:
     """Build a box object, validating dimensions and mass."""
-    hx, hy, hz = (float(v) for v in half_extents)
-    for v in (hx, hy, hz):
-        if not math.isfinite(v) or v <= 0.0:
-            raise SceneError(f"box half-extents must be positive, got {half_extents!r}")
-    if not math.isfinite(mass) or mass <= 0.0:
+    if len(half_extents) != 3 or not all(is_finite_number(v) and v > 0.0 for v in half_extents):
+        raise SceneError(f"box half-extents must be 3 positive numbers, got {half_extents!r}")
+    if not (is_finite_number(mass) and mass > 0.0):
         raise SceneError(f"mass must be positive, got {mass!r}")
     return SceneObject(
-        half_extents=(hx, hy, hz),
+        half_extents=tuple(float(v) for v in half_extents),
         pose=pose,
         mass=float(mass),
         params=params if params is not None else PhysicalParams(),

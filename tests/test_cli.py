@@ -241,11 +241,37 @@ class TestErrorHandling:
         assert code == EXIT_ERROR
         assert capsys.readouterr().err.startswith("error: ")
 
+    # NaN, infinity or a quoted number in any entry of any vector
+    @pytest.mark.parametrize("bad", [".nan", ".inf", '"0.0"'])
+    @pytest.mark.parametrize("key,vector", [
+        ("hand.base_position", "[{}, 0.0, 0.25]"),
+        ("hand.base_rpy", "[3.14, {}, 0.0]"),
+        ("object.half_extents", "[0.03, 0.025, {}]"),
+        ("object.pose.position", "[{}, 0.0, 0.188]"),
+        ("object.pose.rpy", "[0.0, 0.0, {}]"),
+        ("targets.index.position", "[0.08, {}, 0.22]"),
+        ("targets.index.rpy", "[{}, 0.0, 0.0]"),
+    ])
+    def test_bad_vector_entry_is_a_config_error(self, tmp_path, capsys, key, vector, bad):
+        code = run_cli("run", "--steps", "3", "--set", f"{key}={vector.format(bad)}",
+                       "--out", str(tmp_path))
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: entries must be finite numbers")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["123", "[a]", "null"])
+    def test_non_string_description_path_is_a_config_error(self, tmp_path, capsys, value):
+        code = run_cli("run", "--set", f"hand.description_path={value}", "--out", str(tmp_path))
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: hand.description_path must be a string")
+
     @pytest.mark.parametrize("key", ["run.servo_gain=.nan", "run.joint_rate_limit=.nan",
                                      "run.hz=.inf", "perturb.force_bound=.inf",
                                      "ik.residual_threshold=.inf", "ik.damping_lambda=.inf",
                                      "ik.step_scale=abc", "ik.damping_lambda=abc",
                                      "physics.contact_stiffness=abc",
+                                     "object.mass=.nan", 'object.mass="0.2"',
                                      "validation.distribution_threshold=.inf",
                                      "validation.force_closure_threshold=.inf",
                                      "validation.min_contact_force=abc",

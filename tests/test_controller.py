@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graspforge.config import default_scenario_path, load_scenario
+from graspforge.config import ConfigError, default_scenario_path, load_scenario
 from graspforge.contact import detect_contacts
 from graspforge.controller import (PHASE_CONTACT_OPT, PHASE_MONITOR, PHASE_PRE_GRASP,
-                                   LogStep, RunConfig, RunConfigError, TrajectoryLog,
+                                   LogStep, RunConfig, TrajectoryLog,
                                    execute_grasp, step_servo, write_trajectory_csv)
 from graspforge.grasp_validation import validate_grasp
 from graspforge.ik_solver import IkConfig
@@ -82,7 +82,7 @@ class TestRunConfig:
         {"servo_gain": float("inf")},
     ])
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(RunConfigError):
+        with pytest.raises(ConfigError):
             RunConfig(**kwargs)
 
     def test_defaults(self):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from graspforge.config import ConfigError
 from graspforge.contact import ContactPoint
 from graspforge.grasp_validation import (FAILURE_CLOSURE, FAILURE_NONE, FAILURE_SPREAD,
                                          FAILURE_TOO_FEW, GraspAssessment,
-                                         ValidationConfig, ValidationConfigError,
+                                         ValidationConfig,
                                          grasp_center, validate_grasp)
 
 
@@ -194,7 +195,7 @@ def test_assessment_to_dict_round_trips_through_json():
 ])
 def test_config_rejects_bad_values(kwargs):
     (key,) = kwargs
-    with pytest.raises(ValidationConfigError, match=key):  # the message names the key
+    with pytest.raises(ConfigError, match=key):  # the message names the key
         ValidationConfig(**kwargs)
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graspforge.ik_solver import (IkConfig, IkConfigError, IkResult, merge_hand_results,
+from graspforge.config import ConfigError
+from graspforge.ik_solver import (IkConfig, IkResult, merge_hand_results,
                                   solve_finger_ik, solve_hand_ik)
 from graspforge.kinematics import (JointState, clamp_to_limits, jacobian, link_transform,
                                    within_limits)
@@ -326,7 +327,7 @@ def test_step_scale_shrinks_updates(two_link):
 ])
 def test_config_rejects_bad_values(kwargs):
     (key,) = kwargs
-    with pytest.raises(IkConfigError, match=key):  # the message names the key
+    with pytest.raises(ConfigError, match=key):  # the message names the key
         IkConfig(**kwargs)
 
 

@@ -216,6 +216,12 @@ class TestPose:
         with pytest.raises(ValueError, match="unit norm"):
             Pose(position=(0, 0, 0), orientation=(0, 0, 0, 2))
 
+    def test_rejects_non_finite_orientation(self):
+        with pytest.raises(ValueError, match="unit norm"):
+            Pose(position=(0, 0, 0), orientation=(float("nan"), 0, 0, 1))
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="unit norm"):
+            Pose.from_rpy((0, 0, 0), (0, 0, float("inf")))  # an all-NaN quaternion
+
     def test_equality_is_exact(self):
         a = Pose(position=(1, 2, 3))
         assert a == Pose(position=(1, 2, 3))

@@ -3,10 +3,11 @@ import io
 import numpy as np
 import pytest
 
+from graspforge.config import ConfigError
 from graspforge.contact import ContactPoint, detect_contacts
 from graspforge.grasp_validation import ValidationConfig
 from graspforge.kinematics import Pose
-from graspforge.perturbation import (FREE_SLIDE_GAIN, PerturbConfig, PerturbConfigError,
+from graspforge.perturbation import (FREE_SLIDE_GAIN, PerturbConfig,
                                      PerturbationReport, _compliance, _displacement,
                                      perturb_contacts, perturbation_test,
                                      write_samples_csv)
@@ -204,5 +205,5 @@ def test_samples_csv_is_plain_numbers():
 ])
 def test_config_rejects_bad_values(kwargs):
     (key,) = kwargs
-    with pytest.raises(PerturbConfigError, match=key):  # the message names the key
+    with pytest.raises(ConfigError, match=key):  # the message names the key
         PerturbConfig(**kwargs)

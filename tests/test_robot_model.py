@@ -177,6 +177,45 @@ class TestParserErrors:
             parse_robot_description(doc)
 
 
+    @pytest.mark.parametrize("attr,where", [
+        ("lower='nan' upper='1'", "lower limit"),
+        ("lower='-1' upper='inf'", "upper limit"),
+        ("lower='abc' upper='1'", "lower limit"),
+    ])
+    def test_non_finite_limit(self, attr, where):
+        doc = _doc("<link name='a'/><link name='b'/>",
+                   _rev("f_j", "a", "b").replace("lower='-1' upper='1'", attr))
+        with pytest.raises(RobotDescriptionError, match=f"joint 'f_j' {where}: expected a finite"):
+            parse_robot_description(doc)
+
+    @pytest.mark.parametrize("extra,where", [
+        ("<origin xyz='nan 0 0'/>", "joint 'f_j' origin xyz"),
+        ("<origin rpy='0 inf 0'/>", "joint 'f_j' origin rpy"),
+    ])
+    def test_non_finite_origin(self, extra, where):
+        doc = _doc("<link name='a'/><link name='b'/>", _rev("f_j", "a", "b", extra))
+        with pytest.raises(RobotDescriptionError, match=f"{where}: expected a finite"):
+            parse_robot_description(doc)
+
+    def test_non_finite_axis(self):
+        doc = _doc("<link name='a'/><link name='b'/>",
+                   _rev("f_j", "a", "b").replace("xyz='0 0 1'", "xyz='0 0 inf'"))
+        with pytest.raises(RobotDescriptionError, match="joint 'f_j' axis: expected a finite"):
+            parse_robot_description(doc)
+
+    @pytest.mark.parametrize("shape,where", [
+        ("<sphere radius='inf'/>", "sphere radius"),
+        ("<sphere radius='abc'/>", "sphere radius"),
+        ("<capsule radius='nan' length='0.1'/>", "capsule radius"),
+        ("<capsule radius='0.01' length='inf'/>", "capsule length"),
+        ("<box size='nan 1 1'/>", "box size"),
+    ])
+    def test_non_finite_geometry(self, shape, where):
+        doc = _doc(f"<link name='a'><collision><geometry>{shape}</geometry></collision></link>", "")
+        with pytest.raises(RobotDescriptionError, match=f"link 'a' {where}: expected a finite"):
+            parse_robot_description(doc)
+
+
 class TestStructuralValidation:
     def test_missing_revolute_limits(self):
         doc = _doc("<link name='a'/><link name='b'/>",
