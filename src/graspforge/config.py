@@ -38,9 +38,11 @@ from .grasp_validation import ValidationConfig
 from .ik_solver import IkConfig
 from .kinematics import Pose
 from .perturbation import PerturbConfig
-from .robot_model import bundled_data_dir, load_robot_description
-from .scene import (DEFAULT_HAND_BASE_POSITION, DEFAULT_HAND_BASE_RPY, PhysicalParams,
-                    Scene, SceneError, default_grasp_targets, default_scene, make_box_object)
+from .robot_model import (RobotDescriptionError, ValidationError, bundled_data_dir,
+                          load_robot_description)
+from .scene import (DEFAULT_BOX_HALF_EXTENTS, DEFAULT_BOX_MASS, DEFAULT_BOX_POSITION,
+                    DEFAULT_HAND_BASE_POSITION, DEFAULT_HAND_BASE_RPY, PhysicalParams, Scene,
+                    SceneError, default_grasp_targets, make_box_object)
 
 
 def _field_names(cls) -> set[str]:
@@ -165,17 +167,18 @@ def build_scenario(data: dict, scenario_dir: str | None = None) -> ScenarioConfi
         chain = load_robot_description(description_path)
     except OSError as exc:
         raise ConfigError(f"hand.description_path: {exc}") from None
+    except (RobotDescriptionError, ValidationError) as exc:
+        raise ConfigError(f"hand.description_path {description_path!r}: {exc}") from None
     base_position = _require_vec3(hand.get("base_position", DEFAULT_HAND_BASE_POSITION),
                                   "hand.base_position")
     base_rpy = _require_vec3(hand.get("base_rpy", DEFAULT_HAND_BASE_RPY), "hand.base_rpy")
 
     obj_data = data.get("object", {})
-    defaults = default_scene(chain)
-    half_extents = _require_vec3(obj_data.get("half_extents", defaults.object.half_extents),
+    half_extents = _require_vec3(obj_data.get("half_extents", DEFAULT_BOX_HALF_EXTENTS),
                                  "object.half_extents")
-    pose = _pose_from_mapping(obj_data.get("pose", {"position": list(defaults.object.pose.position)}),
+    pose = _pose_from_mapping(obj_data.get("pose", {"position": DEFAULT_BOX_POSITION}),
                               "object.pose")
-    mass = obj_data.get("mass", defaults.object.mass)
+    mass = obj_data.get("mass", DEFAULT_BOX_MASS)
     if not is_finite_number(mass):
         raise ConfigError(f"object.mass must be a finite number, got {mass!r}")
     try:

@@ -38,7 +38,9 @@ Narrow phase, all in the box frame:
     rounding of equal distances does not pick the winner.
   * The surface point, normal and depth of each probe, one probe at a time
     (`_closest_point_local`, whose 1-D norm a row-wise norm would not
-    reproduce bit for bit).
+    reproduce bit for bit).  An interior probe leaves through its nearest
+    face, under the same tie rule: of the faces whose gaps are within
+    _TIE_TOLERANCE of the smallest, the lowest axis wins.
 """
 
 from __future__ import annotations
@@ -88,9 +90,9 @@ def _closest_point_local(p: np.ndarray, half: np.ndarray):
         offset = p - q
         dist = float(np.linalg.norm(offset))
         return q, offset / dist, dist
-    # inside: push out through the nearest face, ties broken by axis order
+    # inside: push out through the nearest face, near-ties to the lowest axis
     gaps = half - np.abs(p)
-    axis = int(np.argmin(gaps))
+    axis = int(np.argmax(gaps <= gaps.min() + _TIE_TOLERANCE))
     normal = np.zeros(3)
     normal[axis] = 1.0 if p[axis] >= 0.0 else -1.0
     surface = p.copy()
@@ -104,7 +106,8 @@ def closest_point_box(point, box: SceneObject):
     Returns (surface point, outward normal, signed distance); the distance is
     negative for points inside the box.  Face regions yield the face normal,
     edge/corner regions the normalized offset, interior points the nearest
-    face normal with ties broken in x, y, z order.
+    face normal; faces within _TIE_TOLERANCE of the nearest tie, and the
+    lowest of x, y, z among them wins.
     """
     R = box.pose.rotation()
     c = box.pose.position

@@ -12,10 +12,11 @@ named "thumb" exists the hand-layout rule is enforced: the thumb has
 exactly 5 movable joints and every finger other than the thumb has
 exactly 4.
 
-Fixed joints stay in the tree as zero-DOF constant transforms.  Every walk
-composes them like any other joint (one origin rotation and translation
-each), so a fingertip frame attached by a fixed joint costs one compose per
-walk that reaches it.
+Each link's joint path from the root (`path_to_link`) is built once, in one
+memoized upward walk that also rejects a cycle; finger order, the serial-chain
+check, end effectors, `finger_links` and the FK levels all read that table.
+Fixed joints stay in the tree as zero-DOF constant transforms, composed like
+any other joint (one origin rotation and translation each).
 """
 
 from __future__ import annotations
@@ -139,9 +140,10 @@ class KinematicChain:
     root: int
     movable: tuple[int, ...]  # joint indices, tree order
     fingers: dict[str, Finger]
+    # link -> its joints from the root, in link order; built by `_build_chain`
+    path_to_link: dict[int, tuple[int, ...]] = field(compare=False, repr=False)
     # derived lookups and per-joint / per-link constants, excluded from equality
     link_index: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
-    path_to_link: dict[int, tuple[int, ...]] = field(default_factory=dict, compare=False, repr=False)
     finger_links: dict[str, tuple[int, ...]] = field(default_factory=dict, compare=False, repr=False)
     # per joint: origin rotation and translation
     origin_rotation: tuple[np.ndarray, ...] = field(default=(), compare=False, repr=False)
@@ -165,19 +167,8 @@ class KinematicChain:
 
     def __post_init__(self):
         self.link_index = {l.name: i for i, l in enumerate(self.links)}
-        parent_joint = {j.child: i for i, j in enumerate(self.joints)}
-        for li in range(len(self.links)):
-            path = []
-            cur = li
-            while cur in parent_joint:
-                ji = parent_joint[cur]
-                path.append(ji)
-                cur = self.joints[ji].parent
-            self.path_to_link[li] = tuple(reversed(path))
         for name, finger in self.fingers.items():
-            base_link = self.joints[finger.joints[0]].child
-            members = [li for li in range(len(self.links))
-                       if base_link in {self.joints[j].child for j in self.path_to_link[li]}]
+            members = [li for li, path in self.path_to_link.items() if finger.joints[0] in path]
             self.finger_links[name] = tuple(sorted(members, key=lambda li: len(self.path_to_link[li])))
         self.origin_rotation = tuple(_frozen(j.origin.rotation()) for j in self.joints)
         self.origin_translation = tuple(_frozen(j.origin.translation()) for j in self.joints)
@@ -405,68 +396,45 @@ def _build_chain(links: tuple[LinkSpec, ...], joints: tuple[JointSpec, ...]) -> 
         names = [links[li].name for li in roots]
         raise ValidationError(f"expected a single root link, found {names or 'none (cycle)'}")
     root = roots[0]
-    # cycle / reachability check: every link must walk up to the root
+    # with one root and one parent joint per other link, a walk up either
+    # reaches a link whose path is known or revisits a link
+    path_to_link: dict[int, tuple[int, ...]] = {root: ()}
     for li in range(len(links)):
-        seen = set()
+        walk = []
         cur = li
-        while cur in parent_of:
-            if cur in seen:
+        while cur not in path_to_link:
+            if cur in walk:
                 raise ValidationError(f"cycle detected at link {links[cur].name!r}")
-            seen.add(cur)
+            walk.append(cur)
             cur = joints[parent_of[cur]].parent
-        if cur != root:
-            raise ValidationError(f"link {links[li].name!r} is not connected to the root")
+        for link in reversed(walk):
+            path_to_link[link] = path_to_link[cur] + (parent_of[link],)
+            cur = link
+    path_to_link = dict(sorted(path_to_link.items()))  # in link order
 
     movable = tuple(ji for ji, j in enumerate(joints) if j.kind == "revolute")
-
-    # depth of each joint (count of all joints above it, fixed ones included)
-    # for base-to-tip ordering
-    def depth_of(ji: int) -> int:
-        d = 0
-        cur = joints[ji].parent
-        while cur in parent_of:
-            d += 1
-            cur = joints[parent_of[cur]].parent
-        return d
-
     groups: dict[str, list[int]] = {}
     for ji in movable:
-        finger_name = joints[ji].name.split("_", 1)[0]
-        groups.setdefault(finger_name, []).append(ji)
-
-    children_joints: dict[int, list[int]] = {}
-    for ji, j in enumerate(joints):
-        children_joints.setdefault(j.parent, []).append(ji)
+        groups.setdefault(joints[ji].name.split("_", 1)[0], []).append(ji)
 
     fingers: dict[str, Finger] = {}
     for name, members in groups.items():
-        members.sort(key=depth_of)
-        # consecutive joints must chain: each one's parent link reachable from
-        # the previous child link through fixed joints only
+        # base to tip: by the number of joints above each one, fixed included
+        members.sort(key=lambda ji: len(path_to_link[joints[ji].parent]))
+        # consecutive joints must chain: each one's parent link lies below
+        # the previous one through fixed joints only
         for a, b in zip(members, members[1:]):
-            cur = joints[b].parent
-            ok = False
-            while True:
-                if cur == joints[a].child:
-                    ok = True
-                    break
-                ji = parent_of.get(cur)
-                if ji is None or joints[ji].kind != "fixed":
-                    break
-                cur = joints[ji].parent
-            if not ok:
+            above = path_to_link[joints[b].parent]
+            if a not in above or any(joints[ji].kind != "fixed"
+                                     for ji in above[above.index(a) + 1:]):
                 raise ValidationError(f"finger {name!r}: joints do not form a single serial chain")
-        # end effector: walk down from the last joint's child through
-        # single-child links to the leaf
-        ee = joints[members[-1]].child
-        while True:
-            below = children_joints.get(ee, [])
-            if not below:
-                break
-            if len(below) > 1:
-                raise ValidationError(f"finger {name!r}: branches below its last joint")
-            ee = joints[below[0]].child
-        fingers[name] = Finger(joints=tuple(members), end_effector=ee)
+        # end effector: the leaf of the links below the last joint, which
+        # must form a path, one link per depth
+        tail = [li for li, path in path_to_link.items() if members[-1] in path]
+        by_depth = {len(path_to_link[li]): li for li in tail}
+        if len(by_depth) < len(tail):
+            raise ValidationError(f"finger {name!r}: branches below its last joint")
+        fingers[name] = Finger(joints=tuple(members), end_effector=by_depth[max(by_depth)])
 
     if "thumb" in fingers:
         if len(fingers["thumb"].joints) != THUMB_DOF:
@@ -478,7 +446,8 @@ def _build_chain(links: tuple[LinkSpec, ...], joints: tuple[JointSpec, ...]) -> 
                     f"finger {name!r} must have {OTHER_FINGER_DOF} movable joints, "
                     f"found {len(fingers[name].joints)}")
 
-    return KinematicChain(links=links, joints=joints, root=root, movable=movable, fingers=fingers)
+    return KinematicChain(links=links, joints=joints, root=root, movable=movable, fingers=fingers,
+                          path_to_link=path_to_link)
 
 
 def load_robot_description(path: str) -> KinematicChain:

@@ -1,9 +1,11 @@
 import json
 import os
+import re
 
 import pytest
 
 from graspforge.cli import EXIT_ERROR, EXIT_OK, EXIT_UNSTABLE, main
+from graspforge.robot_model import bundled_hand_path
 
 # a box the hand cannot reach: cheap runs that exercise the full pipeline
 FAR_BOX = "object.pose.position=[5.0, 0.0, 0.188]"
@@ -265,6 +267,16 @@ class TestErrorHandling:
         code = run_cli("run", "--set", f"hand.description_path={value}", "--out", str(tmp_path))
         assert code == EXIT_ERROR
         assert capsys.readouterr().err.startswith("error: hand.description_path must be a string")
+
+    def test_bad_description_names_the_key_and_the_file(self, tmp_path, capsys):
+        urdf = tmp_path / "nan_limits.urdf"
+        with open(bundled_hand_path(), encoding="utf-8") as fh:
+            urdf.write_text(re.sub(r'lower="[^"]*"', 'lower="nan"', fh.read()))
+        code = run_cli("run", "--set", f"hand.description_path={urdf}", "--out", str(tmp_path))
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: hand.description_path {str(urdf)!r}: joint 'index_yaw' lower limit: "
+            "expected a finite number, got 'nan'\n")
 
     @pytest.mark.parametrize("key", ["run.servo_gain=.nan", "run.joint_rate_limit=.nan",
                                      "run.hz=.inf", "perturb.force_bound=.inf",

@@ -87,6 +87,16 @@ class TestClosestPointBox:
         assert np.allclose(cp, [0.1, 0.0, 0.0])
         assert sd == pytest.approx(-0.1)
 
+    def test_inside_near_tie_breaks_on_x(self):
+        # z's gap is smaller than x's by one rounding step (3.5e-18 m), which
+        # is within _TIE_TOLERANCE, so x wins; a 1e-12 m lead is not a tie
+        half = np.array([0.03, 0.025, 0.03])
+        x = 0.0221
+        _, n, sd = _closest_point_local(np.array([x, 0.0, np.nextafter(x, 1.0)]), half)
+        assert n.tolist() == [1.0, 0.0, 0.0] and sd == x - 0.03
+        _, n, _ = _closest_point_local(np.array([x, 0.0, x + 1e-12]), half)
+        assert n.tolist() == [0.0, 0.0, 1.0]
+
     def test_oriented_box_rotates_the_answer(self):
         box = _box(rpy=(0.0, 0.0, np.pi / 4))
         R = box.pose.rotation()
@@ -634,15 +644,16 @@ class TestDetectContacts:
             local = R.T @ (c.position - center)
             assert (np.abs(local) <= half + 1e-9).all()
 
-    def test_near_tie_goes_to_the_smallest_t(self, scenario):
+    def test_near_tie_goes_to_the_smallest_t(self, scenario, monkeypatch):
         # A benchmark probe (hold_probe, seed 1, probe 21): the ring finger's
         # middle capsule lies inside the box, deepest where its +x and +z face
         # gaps are equal (h_x = h_z).  Two candidates, the crossings of the
         # +x/+z and the -x/-z pieces, name that point; rounding puts them at
         # t = 0.5810656781970722 and ...0724, with signed distances 4e-18 m
         # apart.  Under exact-equality ties the second one, deeper only by
-        # rounding, would win and the contact would sit on the +x face; the
-        # tie rule takes the smaller t, where the contact is on the +z face.
+        # rounding, would win; the tie rule takes the smaller t.  At that
+        # point the two face gaps differ only by rounding, so the face tie
+        # rule puts the contact on the lower axis, +x.
         q = [-0.4589573982073162, 0.8631101419175071, 0.8641307642834559, 0.8836538087531643,
              0.44643498500146206, 1.2912518236946715, 1.635739218370535, 1.540412184599325,
              0.0988012960951481, 0.5651488777290232, 0.4024731560637122, 0.16093530017810298,
@@ -657,15 +668,28 @@ class TestDetectContacts:
         scene = dataclasses.replace(
             scenario.scene, object=make_box_object(box.half_extents, pose, box.mass, box.params))
         ring_middle = chain.finger_links["ring"][2]
+        segments = []
+
+        def recorded(a, d, half):
+            t = _deepest_on_segments(a, d, half)
+            segments.extend(zip(a, d, t))
+            return t
+
+        import graspforge.contact
+        monkeypatch.setattr(graspforge.contact, "_deepest_on_segments", recorded)
         (c,) = [c for c in detect_contacts(scene, JointState(values=dict(zip(chain.movable, q))))
                 if c.link == ring_middle]
         R = pose.rotation()
-        assert np.allclose(c.normal, R[:, 2], atol=1e-12)
+        assert np.allclose(c.normal, R[:, 0], atol=1e-12)
         local = R.T @ (c.position - pose.position)
-        assert local[2] == pytest.approx(box.half_extents[2], abs=1e-12)
+        assert local[0] == pytest.approx(box.half_extents[0], abs=1e-12)
         # the deepest point: 7.91 mm under both the +x and the +z face
-        assert box.half_extents[0] - local[0] == pytest.approx(0.0079102, abs=1e-7)
-        assert c.penetration_depth == pytest.approx(0.015910231868418626, abs=1e-15)
+        assert box.half_extents[2] - local[2] == pytest.approx(0.0079102, abs=1e-7)
+        assert c.penetration_depth == pytest.approx(0.015910231868418633, abs=1e-15)
+        # the capsule's probe is its core point at the smaller t
+        (t,) = [t for a, d, t in segments
+                if np.allclose((a + t * d)[1:], local[1:], atol=1e-12)]
+        assert t == 0.5810656781970722
 
     def test_detection_is_deterministic_and_ordered(self, scenario, grasp_run):
         state, _, _ = grasp_run

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graspforge.robot_model import (OTHER_FINGER_DOF, THUMB_DOF, CapsuleGeometry,
+from graspforge.robot_model import (OTHER_FINGER_DOF, THUMB_DOF, CapsuleGeometry, Finger,
                                     RobotDescriptionError, UnknownFingerError,
                                     ValidationError, bundled_data_dir, bundled_hand_path,
                                     load_robot_description, parse_robot_description)
@@ -17,6 +17,10 @@ _REV = ("<joint name='{name}' type='revolute'><parent link='{p}'/><child link='{
 
 def _rev(name, p, c, extra=""):
     return _REV.format(name=name, p=p, c=c, extra=extra)
+
+
+def _fixed(name, p, c):
+    return f"<joint name='{name}' type='fixed'><parent link='{p}'/><child link='{c}'/></joint>"
 
 
 class TestBundledHand:
@@ -112,6 +116,22 @@ class TestBundledHand:
         levels = [[chain.joints[ji].name for ji, j in enumerate(chain.joints)
                    if j.child in level.children.tolist()] for level in chain.fk_levels]
         assert levels == [["f_one"], ["f_two"]]
+
+    def test_fixed_joint_inside_a_finger(self):
+        # f_one -> fixed mount -> f_two -> fixed tip, listed out of order:
+        # one serial finger, base to tip, ending at the leaf
+        links = "".join(f"<link name='{n}'/>" for n in ("palm", "tip", "p2", "p1b", "p1"))
+        joints = (_fixed("f_tip", "p2", "tip") + _rev("f_two", "p1b", "p2")
+                  + _fixed("f_mount", "p1", "p1b") + _rev("f_one", "palm", "p1"))
+        chain = parse_robot_description(_doc(links, joints))
+        ji = {j.name: i for i, j in enumerate(chain.joints)}
+        li = chain.link_index
+        assert chain.fingers == {"f": Finger(joints=(ji["f_one"], ji["f_two"]),
+                                             end_effector=li["tip"])}
+        assert chain.finger_links["f"] == (li["p1"], li["p1b"], li["p2"], li["tip"])
+        assert chain.path_to_link[li["tip"]] == (ji["f_one"], ji["f_mount"], ji["f_two"],
+                                                 ji["f_tip"])
+        assert list(chain.path_to_link) == list(range(len(chain.links)))
 
 
 
@@ -243,6 +263,13 @@ class TestStructuralValidation:
         with pytest.raises(ValidationError, match="multiple parent"):
             parse_robot_description(doc)
 
+    def test_cycle_beside_the_root(self):
+        # 'a' is the one root; 'c' and 'd' are each other's parent
+        doc = _doc("<link name='a'/><link name='b'/><link name='c'/><link name='d'/>",
+                   _rev("f_j", "a", "b") + _rev("g_j", "c", "d") + _rev("g_k", "d", "c"))
+        with pytest.raises(ValidationError, match="cycle detected at link 'c'"):
+            parse_robot_description(doc)
+
     def test_thumb_dof_enforced_when_thumb_present(self):
         # a 1-dof "thumb" plus nothing else must be rejected
         doc = _doc("<link name='a'/><link name='b'/>", _rev("thumb_yaw", "a", "b"))
@@ -254,6 +281,19 @@ class TestStructuralValidation:
                    _rev("f_one", "a", "b") + _rev("f_two", "a", "c")
                    + _rev("f_three", "b", "d"))
         with pytest.raises(ValidationError, match="serial chain"):
+            parse_robot_description(doc)
+
+    @pytest.mark.parametrize("joints,message", [
+        # another finger's revolute joint between two of f's
+        (_rev("f_one", "a", "b") + _rev("g_one", "b", "c") + _rev("f_two", "c", "d"),
+         "finger 'f': joints do not form a single serial chain"),
+        # two fixed branches below f's last joint
+        (_rev("f_one", "a", "b") + _fixed("f_c", "b", "c") + _fixed("f_d", "b", "d"),
+         "finger 'f': branches below its last joint"),
+    ], ids=["other_finger_between", "branch_below_last"])
+    def test_finger_that_is_not_one_chain(self, joints, message):
+        doc = _doc("<link name='a'/><link name='b'/><link name='c'/><link name='d'/>", joints)
+        with pytest.raises(ValidationError, match=message):
             parse_robot_description(doc)
 
 
