@@ -10,7 +10,8 @@ chain's table of finger shapes (`chain.finger_shapes`, built once with the
 chain) is processed as stacked arrays, with no loop over links, for T
 joint-angle rows at once (`_stacked_contacts`, over frames of shape
 (T, L, ...)).  The controller calls it on the rows of a block of
-`pre_grasp` steps and on the one row of each `contact_opt` step;
+`pre_grasp` steps, on the speculated rows of a block of `contact_opt`
+steps and on the one row of a `monitor` step that must recompute;
 `detect_contacts` is its one-row call from a joint state.  Each stacked
 `matmul` rounds every slice exactly as a 2-D `@` does, so the probes are
 bit for bit those of a per-link loop, whatever the number of rows.

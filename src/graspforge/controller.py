@@ -18,15 +18,26 @@ is a function of the servo's states alone: the servo runs step by step, and
 the rows that are read (the logged steps and the last step of each block of
 up to _APPROACH_BLOCK) go through one stacked forward-kinematics pass and
 one stacked contact detection, from which the log entries are written.  The
-last row gives the contacts of the step that leaves the phase.  Each
-`contact_opt` step makes the same two calls on its one row; the frames feed
-both contact detection and the fingertip log.  In `monitor` the goal is the
-frozen posture, so the servo velocity is exactly 0 and a step usually
-returns the angles it was given.  When every angle keeps its bits (signed
-zeros included: a step from -0.0 returns +0.0), the step reuses the last
-step's frames, contacts, verdict and fingertip positions, which are
-functions of the angles alone, instead of computing them again.  Every
-output is bit for bit that of one pass per step.
+last row gives the contacts of the step that leaves the phase.
+
+Between events a `contact_opt` step is a function of the angles alone too:
+its goal is the contact goal with each latched finger's flexor held at its
+current angle.  So the phase speculates, then rolls back.  The servo runs
+ahead up to _CONTACT_BLOCK rows under the current latched set, the rows go
+through one stacked pass, and they are checked in order: each row's
+established fingers, verdict and log entry.  The first row whose
+established set differs from the assumed one, or whose verdict is stable,
+is the event; the rows after it are dropped and the next block starts from
+its angles.  Each block leaves one DEBUG record: its first step, the rows
+it ran and the rows it kept.
+
+In `monitor` the goal is the frozen posture, so the servo velocity is
+exactly 0 and a step usually returns the angles it was given.  When every
+angle keeps its bits (signed zeros included: a step from -0.0 returns
++0.0), the step reuses the last step's contacts, verdict and fingertip
+positions, which are functions of the angles alone, instead of computing
+them again; otherwise it makes the one-row pass.  Every output is bit for
+bit that of one pass per step.
 """
 
 from __future__ import annotations
@@ -56,8 +67,12 @@ VALIDATED_HOLD_STEPS = 50
 # Most pre_grasp steps stacked into one kinematics and contact pass, which
 # bounds the pass's memory whatever the step budget
 _APPROACH_BLOCK = 256
+# Most contact_opt rows run ahead of the next event in one stacked pass;
+# rows after the event are rolled back, so a longer block wastes more
+_CONTACT_BLOCK = 16
 
-# DEBUG records: each finger's IK outcome per solve and each phase transition
+# DEBUG records: each finger's IK outcome per solve, each phase transition and
+# each contact_opt block
 _log = logging.getLogger("graspforge")
 
 
@@ -153,6 +168,12 @@ def _base_targets(scene: Scene, targets: dict) -> dict:
             for finger, pose in targets.items()}
 
 
+def _log_step(log: TrajectoryLog, run: RunConfig, step: int, positions: dict,
+              contacts: list, phase: str) -> None:
+    log.steps.append(LogStep(time=step * (1.0 / run.hz), positions=positions,
+                             contact_count=len(contacts), phase=phase))
+
+
 def _approach(scene: Scene, q: np.ndarray, goal: np.ndarray, run: RunConfig,
               budget: int, log: TrajectoryLog):
     """The pre_grasp phase: servo toward `goal` until every joint is within
@@ -178,13 +199,83 @@ def _approach(scene: Scene, q: np.ndarray, goal: np.ndarray, run: RunConfig,
         contacts = _stacked_contacts(scene, (R, t))
         for i, logged in enumerate(read):
             if logged % run.log_every == 0:
-                log.steps.append(LogStep(
-                    time=logged * (1.0 / run.hz),
-                    positions=_ee_positions(scene, t[i]),
-                    contact_count=len(contacts[i]),
-                    phase=PHASE_CONTACT_OPT if done and logged == step else PHASE_PRE_GRASP,
-                ))
+                _log_step(log, run, logged, _ee_positions(scene, t[i]), contacts[i],
+                          PHASE_CONTACT_OPT if done and logged == step else PHASE_PRE_GRASP)
     return q, step, contacts[-1]
+
+
+def _close(scene: Scene, q: np.ndarray, step: int, contact_goal: np.ndarray,
+           run: RunConfig, validation: ValidationConfig, log: TrajectoryLog):
+    """The contact_opt phase from angles `q` at `step`, at least one step:
+    servo toward `contact_goal`, each latched finger's flexor held where it
+    is, until the verdict is stable or the step budget is spent, in
+    speculated blocks of up to _CONTACT_BLOCK rows (see the module notes).
+
+    Returns the angles, step, contacts, verdict and fingertip positions of
+    the last kept row; the positions are None unless the row was logged or
+    its verdict is stable.
+    """
+    chain = scene.chain
+    # flexor = second-to-last joint of each finger chain (before the distal)
+    flexor_of = {name: chain.column_of[f.joints[-2]] for name, f in chain.fingers.items()}
+    goal, latched = contact_goal, set()
+    while True:
+        flexors = [flexor_of[finger] for finger in latched]
+        rows, goals = [], []
+        for _ in range(min(_CONTACT_BLOCK, run.max_steps - step)):
+            if latched:
+                goal = contact_goal.copy()
+                goal[flexors] = q[flexors]
+            q = step_servo(q, goal, run, chain)
+            rows.append(q)
+            goals.append(goal)
+        R, t = _stacked_frames(chain, np.array(rows))
+        for kept, contacts in enumerate(_stacked_contacts(scene, (R, t)), start=1):
+            step += 1
+            assessment = validate_grasp(contacts, validation)
+            logged = step % run.log_every == 0
+            positions = (_ee_positions(scene, t[kept - 1])
+                         if logged or assessment.stable else None)
+            if logged:
+                _log_step(log, run, step, positions, contacts,
+                          PHASE_MONITOR if assessment.stable else PHASE_CONTACT_OPT)
+            established = {c.finger for c in contacts if is_established(c, validation)}
+            if established != latched or assessment.stable:
+                break
+        _log.debug("contact_opt block from step %d: %d rows run, %d kept",
+                   step - kept + 1, len(rows), kept)
+        q, goal, latched = rows[kept - 1], goals[kept - 1], established
+        if assessment.stable or step >= run.max_steps:
+            return q, step, contacts, assessment, positions
+
+
+def _monitor(scene: Scene, q: np.ndarray, step: int, contacts: list, assessment,
+             positions: dict, run: RunConfig, validation: ValidationConfig,
+             log: TrajectoryLog):
+    """The monitor phase from the stable posture `q` at `step`, with its
+    contacts, verdict and fingertip positions: hold the posture until
+    VALIDATED_HOLD_STEPS consecutive stable steps or the step budget is
+    spent.  A step that returns its angles bit for bit reuses the last
+    step's contacts, verdict and positions.  Returns the angles and verdict.
+    """
+    chain = scene.chain
+    goal, hold_count = q, 0  # freeze: servo toward the current posture
+    while step < run.max_steps and hold_count < VALIDATED_HOLD_STEPS:
+        step += 1
+        moved = step_servo(q, goal, run, chain)
+        held = moved.tobytes() == q.tobytes()
+        q = moved
+        if not held:
+            R, t = _stacked_frames(chain, q[None])
+            contacts = _stacked_contacts(scene, (R, t))[0]
+            assessment = validate_grasp(contacts, validation)
+            positions = None
+        hold_count = hold_count + 1 if assessment.stable else 0
+        if step % run.log_every == 0:
+            if positions is None:
+                positions = _ee_positions(scene, t[0])
+            _log_step(log, run, step, positions, contacts, PHASE_MONITOR)
+    return q, assessment
 
 
 def execute_grasp(scene: Scene, targets: dict, run: RunConfig | None = None,
@@ -198,65 +289,22 @@ def execute_grasp(scene: Scene, targets: dict, run: RunConfig | None = None,
     q = _clamp(np.zeros(len(chain.movable)), chain.lower, chain.upper)  # neutral_state
 
     log = TrajectoryLog(fingers=tuple(chain.fingers))
-    dt = 1.0 / run.hz
 
     pre_goal = _solve_goal(chain, _approach_goal(scene, targets), q, ik, PHASE_PRE_GRASP)
     q, step, contacts = _approach(
         scene, q, pre_goal, run, int(PRE_GRASP_BUDGET_FRACTION * run.max_steps), log)
-    phase = PHASE_CONTACT_OPT
-    _log.debug("phase %s -> %s at step %d", PHASE_PRE_GRASP, phase, step)
+    _log.debug("phase %s -> %s at step %d", PHASE_PRE_GRASP, PHASE_CONTACT_OPT, step)
     contact_goal = _solve_goal(chain, _base_targets(scene, targets), q, ik, PHASE_CONTACT_OPT)
-    goal = contact_goal
-    # flexor = second-to-last joint of each finger chain (before the distal)
-    flexor_of = {name: chain.column_of[f.joints[-2]] for name, f in chain.fingers.items()}
-    latched: set = set()
-    hold_count = 0
-
-    while step < run.max_steps:
-        step += 1
-        if phase == PHASE_CONTACT_OPT and latched:
-            goal = contact_goal.copy()
-            flexors = [flexor_of[finger] for finger in latched]
-            goal[flexors] = q[flexors]
-        moved = step_servo(q, goal, run, chain)
-        # a monitor step that returns its input bit for bit reuses the last
-        # step's frames, contacts, verdict and fingertip positions
-        held = phase == PHASE_MONITOR and moved.tobytes() == q.tobytes()
-        q = moved
-        if not held:
-            R, t = _stacked_frames(chain, q[None])
-            contacts = _stacked_contacts(scene, (R, t))[0]
-            positions = None
-
-        if phase == PHASE_CONTACT_OPT:
-            latched = {c.finger for c in contacts if is_established(c, validation)}
-            assessment = validate_grasp(contacts, validation)
-            if assessment.stable:
-                phase = PHASE_MONITOR
-                _log.debug("phase %s -> %s at step %d", PHASE_CONTACT_OPT, phase, step)
-                goal = q  # freeze: servo toward the current posture
-                hold_count = 0
-        else:  # monitor
-            if not held:
-                assessment = validate_grasp(contacts, validation)
-            hold_count = hold_count + 1 if assessment.stable else 0
-
-        if step % run.log_every == 0:
-            if positions is None:
-                positions = _ee_positions(scene, t[0])
-            log.steps.append(LogStep(
-                time=step * dt,
-                positions=positions,
-                contact_count=len(contacts),
-                phase=phase,
-            ))
-        if hold_count >= VALIDATED_HOLD_STEPS:
-            break
-
-    if phase != PHASE_MONITOR:
-        # budget ran out before validation ever passed: report the end state,
-        # whose contacts the last step detected
-        assessment = validate_grasp(contacts, validation)
+    if step >= run.max_steps:
+        # the approach spent the step budget: report the contacts its last
+        # step detected
+        return _joint_state(chain, q), log, validate_grasp(contacts, validation)
+    q, step, contacts, assessment, positions = _close(
+        scene, q, step, contact_goal, run, validation, log)
+    if assessment.stable:
+        _log.debug("phase %s -> %s at step %d", PHASE_CONTACT_OPT, PHASE_MONITOR, step)
+        q, assessment = _monitor(scene, q, step, contacts, assessment, positions, run,
+                                 validation, log)
     return _joint_state(chain, q), log, assessment
 
 
@@ -264,6 +312,6 @@ def write_trajectory_csv(log: TrajectoryLog, fh) -> None:
     fh.write("time,finger,x,y,z,contact_count,phase\n")
     for entry in log.steps:
         for finger in log.fingers:
-            x, y, z = (float(v) for v in entry.positions[finger])
+            x, y, z = entry.positions[finger].tolist()
             fh.write(f"{entry.time!r},{finger},{x!r},{y!r},{z!r},"
                      f"{entry.contact_count},{entry.phase}\n")

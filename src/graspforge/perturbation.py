@@ -141,5 +141,5 @@ def write_samples_csv(report: PerturbationReport, fh) -> None:
     """Per-sample force/displacement table: iteration, fx, fy, fz, displacement."""
     fh.write("iteration,fx,fy,fz,displacement\n")
     for i, (f, d) in enumerate(report.samples, start=1):
-        fx, fy, fz = (float(v) for v in f)
+        fx, fy, fz = f.tolist()
         fh.write(f"{i},{fx!r},{fy!r},{fz!r},{d!r}\n")

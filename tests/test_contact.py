@@ -520,9 +520,16 @@ class TestOverlapReject:
         assert c.penetration_depth == pytest.approx(slack, abs=1e-12)
 
     def test_bundled_grasp_runs_the_narrow_phase_only_near_the_box(self, scenario, monkeypatch):
-        """22 batches of 39 capsules per bundled grasp, none before step 94:
+        """22 steps of 39 capsules per bundled grasp, none before step 94:
         no shape is within reach of the box in the 80 pre_grasp steps, whose
-        one stacked detection runs no batch."""
+        one stacked detection runs no batch.
+
+        The contact_opt steps 81-115 are detected in three blocks of 16
+        speculated rows, whose first 14, 13 and 8 rows are kept (steps
+        81-94, 95-107 and 108-115); each block solves its capsules in one
+        batch.  Replayed one row at a time, the kept rows run the narrow
+        phase as one pass per step does.
+        """
         import graspforge.controller
         batches = _count_batches(monkeypatch)
         detections, servo_calls = [], []
@@ -534,19 +541,31 @@ class TestOverlapReject:
         def stacked_detect(scene, frames):
             before = len(batches)
             contacts = _stacked_contacts(scene, frames)
-            detections.append((len(servo_calls), len(contacts), len(batches) - before))
+            detections.append((len(servo_calls), frames, batches[before:]))
             return contacts
 
         monkeypatch.setattr(graspforge.controller, "step_servo", servo)
         monkeypatch.setattr(graspforge.controller, "_stacked_contacts", stacked_detect)
         execute_grasp(scenario.scene, scenario.targets, scenario.run, scenario.ik,
                       scenario.validation)
-        assert detections[0] == (80, 80, 0)  # after step 80: 80 rows, no batch
-        # then one row per contact_opt step, none in the held monitor
-        assert [(step, rows) for step, rows, _ in detections[1:]] == [
-            (step, 1) for step in range(81, 116)]
-        assert (len(batches), sum(batches)) == (22, 39)
-        assert next(step for step, _, n in detections if n) == 94
+        # (servo calls so far, rows, batch sizes) per stacked detection: 3
+        # batches of 88 capsule rows, 49 of them in rolled-back rows
+        assert [(calls, len(R), sizes) for calls, (R, _), sizes in detections] == [
+            (80, 80, []), (96, 16, [3]), (112, 16, [21]), (128, 16, [64])]
+        capsules = {}  # kept step -> capsule rows of its one-row replay
+        for (_, (R, t), sizes), first, kept in zip(detections[1:], (81, 95, 108), (14, 13, 8)):
+            replayed = []
+            for i in range(len(R)):
+                before = len(batches)
+                _stacked_contacts(scenario.scene, (R[i:i + 1], t[i:i + 1]))
+                replayed.append(sum(batches[before:]))
+                if i < kept:
+                    capsules[first + i] = replayed[-1]
+            assert sum(replayed) == sum(sizes)  # the rows are independent
+        assert sorted(capsules) == list(range(81, 116))
+        assert sum(n > 0 for n in capsules.values()) == 22
+        assert sum(capsules.values()) == 39
+        assert min(step for step, n in capsules.items() if n) == 94
 
 
 class TestDetectContacts:

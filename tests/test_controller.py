@@ -236,21 +236,24 @@ class TestExecuteGrasp:
         """The step's frames feed both contact detection and the fingertip log.
 
         The 80 pre_grasp steps make one stacked pass, after their last servo
-        step, and each contact_opt step a one-row pass; a pass is a
-        `_stacked_frames` call and a `_stacked_contacts` call on its frames.
-        The 50 monitor steps of the bundled run are a bitwise fixed point of
-        the servo, so they make no pass and reuse the fingertip positions:
-        165 steps, 36 passes (1 stacked and the contact_opt steps 81-115),
+        step.  The contact_opt steps 81-115 make one stacked pass per block
+        of 16 speculated rows: 81-96 keeps 14 (middle is established at
+        step 94), 95-110 keeps 13 (thumb too at step 107) and 108-123 keeps
+        8 (stable at step 115), so 13 servo rows are rolled back and only
+        the 35 kept rows are validated.  A pass is a `_stacked_frames` call
+        and a `_stacked_contacts` call on its frames.  The 50 monitor steps
+        of the bundled run are a bitwise fixed point of the servo, so they
+        make no pass and reuse the fingertip positions: 165 steps, 4 passes,
         35 verdicts and 115 fingertip evaluations.
         """
         import graspforge.controller
         from graspforge.contact import _stacked_contacts
         from graspforge.controller import _ee_positions
         from graspforge.kinematics import _stacked_frames
-        events = []
+        events, servo = [], []
 
         def counted_stacked(chain, angles):
-            events.append("frames")
+            events.append(("frames", len(servo), len(angles)))
             return _stacked_frames(chain, angles)
 
         def counted_contacts(scene, frames):
@@ -259,7 +262,7 @@ class TestExecuteGrasp:
 
         def counted_servo(q, goal, run, chain):
             moved = step_servo(q, goal, run, chain)
-            events.append(moved.tobytes() == q.tobytes())
+            servo.append(moved.tobytes() == q.tobytes())
             return moved
 
         def counted_validate(contacts, config):
@@ -279,15 +282,15 @@ class TestExecuteGrasp:
                                                scenario.ik, scenario.validation)
         assert log.steps[-1].phase == PHASE_MONITOR
         assert len(log.steps) == 165
-        assert events.count("frames") == events.count("contacts") == 36
+        passes = [e[1:] for e in events if e[0] == "frames"]
+        # (servo calls so far, rows): pre_grasp, then three contact_opt blocks
+        assert passes == [(80, 80), (96, 16), (112, 16), (128, 16)]
+        assert events.count("contacts") == 4
         assert events.count("validate") == 35
         assert events.count("positions") == 115
-        passes = _passes_per_step(events)
-        assert [n for _, n in passes[:80]] == [0] * 79 + [1]
-        for step, (unchanged, n) in enumerate(passes[80:], start=80):
-            in_monitor = log.steps[step - 1].phase == PHASE_MONITOR
-            assert n == (0 if in_monitor and unchanged else 1)
-        assert [n for _, n in passes[115:]] == [0] * 50
+        # 80 + 48 speculated rows (35 kept) + 50 held monitor steps
+        assert len(servo) == 178
+        assert servo[128:] == [True] * 50
 
         # the reused verdict and every monitor log entry equal a recompute
         # from the final state
@@ -296,50 +299,58 @@ class TestExecuteGrasp:
 
         # a run that ends by its step budget validates the contacts its last
         # step detected, with no further pass: one stacked pass for the 6
-        # pre_grasp steps, then one per step
+        # pre_grasp steps, then a full block and one the budget cuts to 8
         events.clear()
+        servo.clear()
         far_scene = _far_box_scene(scenario)
         state, log, assessment = execute_grasp(far_scene, scenario.targets,
                                                RunConfig(max_steps=30), scenario.ik,
                                                scenario.validation)
         assert log.steps[-1].phase != PHASE_MONITOR
         assert len(log.steps) == 30
-        assert [n for _, n in _passes_per_step(events)] == [0] * 5 + [1] * 25
+        assert [e[1:] for e in events if e[0] == "frames"] == [(6, 6), (22, 16), (30, 8)]
+        assert len(servo) == 30
         expected = validate_grasp(detect_contacts(far_scene, state), scenario.validation)
         assert assessment.to_dict() == expected.to_dict()
 
     def test_a_signed_zero_makes_the_first_held_step_recompute(self, scenario, monkeypatch):
         """A servo step from -0.0 returns +0.0: not the same bits, so no reuse."""
         import graspforge.controller
+        from graspforge.controller import _monitor
         from graspforge.kinematics import _stacked_frames
         chain = scenario.scene.chain
         yaw = next(ji for ji in chain.movable if chain.joints[ji].name == "middle_yaw")
         entry = 115  # the step that enters monitor (see the DEBUG-record test)
-        servo_steps, passes = [], []
+        servo_calls, passes = [], []
 
         def servo(q, goal, run, chain):
-            moved = step_servo(q, goal, run, chain)
-            servo_steps.append(q)
-            if len(servo_steps) == entry:
-                # middle_yaw is -7.3e-17 rad here; hold the posture at -0.0
-                moved[chain.column_of[yaw]] = -0.0
-            return moved
+            servo_calls.append(None)
+            return step_servo(q, goal, run, chain)
+
+        def monitor(scene, q, step, *args):
+            # middle_yaw is 8.4e-6 rad here; hold the posture at -0.0
+            assert step == entry
+            q = q.copy()
+            q[chain.column_of[yaw]] = -0.0
+            return _monitor(scene, q, step, *args)
 
         def counted_stacked(chain, angles):
-            passes.append(len(servo_steps))
+            passes.append(len(servo_calls))
             return _stacked_frames(chain, angles)
 
         monkeypatch.setattr(graspforge.controller, "step_servo", servo)
+        monkeypatch.setattr(graspforge.controller, "_monitor", monitor)
         monkeypatch.setattr(graspforge.controller, "_stacked_frames", counted_stacked)
         state, log, assessment = execute_grasp(scenario.scene, scenario.targets, scenario.run,
                                                scenario.ik, scenario.validation)
         assert [s.phase for s in log.steps[entry - 2:entry]] == [PHASE_CONTACT_OPT, PHASE_MONITOR]
         assert len(log.steps) == 165
-        # the frozen goal holds -0.0; the first held step returns +0.0 and
-        # recomputes, the 49 after it reuse; pre_grasp steps 1-80 make one
-        # stacked pass
+        # the frozen goal holds -0.0; the first held step (servo call 129,
+        # after 80 pre_grasp and 48 speculated contact_opt calls) returns
+        # +0.0 and recomputes, the 49 after it reuse
         assert math.copysign(1.0, state.values[yaw]) == 1.0 and state.values[yaw] == 0.0
-        assert passes == list(range(80, entry + 2))
+        assert passes == [80, 96, 112, 128, 129]
+        assert len(servo_calls) == 178
         _assert_hold_matches_final_state(scenario, state, log, assessment, log.steps[entry:])
 
     def test_a_contact_at_the_minimum_force_latches_its_finger(self, scenario, monkeypatch):
@@ -364,6 +375,9 @@ class TestExecuteGrasp:
 
         monkeypatch.setattr(graspforge.controller, "step_servo", servo)
         monkeypatch.setattr(graspforge.controller, "_stacked_contacts", detect)
+        # one contact_opt row per block, so that each servo call and each
+        # detection is one step (the block size changes no output)
+        monkeypatch.setattr(graspforge.controller, "_CONTACT_BLOCK", 1)
         execute_grasp(scenario.scene, scenario.targets, scenario.run, scenario.ik,
                       scenario.validation)
         # the first contact_opt step with contacts, and the finger whose
@@ -412,6 +426,21 @@ class TestExecuteGrasp:
         ]
         assert capsys.readouterr().out == ""
 
+    def test_debug_log_reports_each_contact_block(self, scenario, caplog):
+        """One DEBUG record per speculated contact_opt block: its first step,
+        the rows it ran and the rows it kept.  The bundled grasp runs three
+        blocks of 16 and rolls back 13 rows: 2 after step 94, 3 after step
+        107 and 8 after step 115."""
+        caplog.set_level(logging.DEBUG, logger="graspforge")
+        execute_grasp(scenario.scene, scenario.targets, scenario.run, scenario.ik,
+                      scenario.validation)
+        blocks = [r.args for r in caplog.records
+                  if r.name == "graspforge" and r.msg.startswith("contact_opt block")]
+        assert blocks == [(81, 16, 14), (95, 16, 13), (108, 16, 8)]
+        assert sum(run - kept for _, run, kept in blocks) == 13
+        # the kept rows are the contact_opt steps 81-115, back to back
+        assert [first + kept for first, _, kept in blocks] == [95, 108, 116]
+
     def test_debug_log_names_a_spent_iteration_budget(self, scenario, caplog):
         caplog.set_level(logging.DEBUG, logger="graspforge")
         execute_grasp(scenario.scene, scenario.targets, RunConfig(max_steps=1),
@@ -447,6 +476,27 @@ def _grasp_outputs(overrides, caplog):
             digest(json.dumps(assessment.to_dict(), sort_keys=True).encode()),
             digest(final.tobytes()),
             [r.getMessage() for r in caplog.records if r.msg.startswith("phase")])
+
+
+def _grasp_snapshot(overrides, caplog):
+    """Every output of `execute_grasp` on the bundled scenario with
+    `overrides`, floats by their bits: each log entry, the final state, the
+    assessment and the DEBUG records other than the contact_opt block
+    records; and, apart, the (first step, rows run, rows kept) of each block."""
+    sc = load_scenario(default_scenario_path(), overrides)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="graspforge"):
+        state, log, assessment = execute_grasp(sc.scene, sc.targets, sc.run, sc.ik,
+                                               sc.validation)
+    entries = [(s.time, s.contact_count, s.phase,
+                [s.positions[finger].tobytes() for finger in log.fingers])
+               for s in log.steps]
+    final = np.array([state.values[ji] for ji in sorted(state.values)]).tobytes()
+    verdict = (json.dumps(assessment.to_dict(), sort_keys=True), assessment.center.tobytes())
+    records = [r for r in caplog.records if r.name == "graspforge"]
+    blocks = [r.args for r in records if r.msg.startswith("contact_opt block")]
+    others = [r.getMessage() for r in records if not r.msg.startswith("contact_opt block")]
+    return (entries, final, verdict, others), blocks
 
 
 _STABLE_AT_80 = ["phase pre_grasp -> contact_opt at step 80",
@@ -521,6 +571,61 @@ class TestRunConfigCorners:
         monkeypatch.setattr(graspforge.controller, "_stacked_frames", counted_stacked)
         assert _grasp_outputs(overrides, caplog) == default
         assert passes == sizes
+
+
+    @pytest.mark.parametrize("overrides", [
+        [], ["run.steps=100"], ["run.steps=120"], ["run.log_every=3"], ["run.log_every=7"],
+        ["run.steps=1000", "run.log_every=7"]])
+    def test_the_contact_block_size_changes_no_output(self, overrides, caplog, monkeypatch):
+        """contact_opt speculated 1, 2, 7 or the default number of rows at a
+        time gives the same log entries, final state, verdict and phase and
+        IK records.  Budgets of 100 and 120 steps end contact_opt in a block
+        the budget cuts short; log_every 3 and 7 log rows inside blocks."""
+        import graspforge.controller
+        from graspforge.controller import _CONTACT_BLOCK
+        reference, blocks = _grasp_snapshot(overrides, caplog)
+        for size in (1, 2, 7):
+            monkeypatch.setattr(graspforge.controller, "_CONTACT_BLOCK", size)
+            outputs, size_blocks = _grasp_snapshot(overrides, caplog)
+            assert outputs == reference, size
+            if size == 1:
+                # every contact_opt step is a block of its own
+                assert [b[1:] for b in size_blocks] == [(1, 1)] * len(size_blocks)
+                steps = [first for first, _, _ in size_blocks]
+        # the default keeps the same contact_opt steps, block after block
+        assert [first for first, _, _ in blocks] == [steps[0]] + [
+            first + kept for first, _, kept in blocks[:-1]]
+        assert sum(kept for _, _, kept in blocks) == len(steps)
+        assert all(kept <= run <= _CONTACT_BLOCK for _, run, kept in blocks)
+
+    def test_a_stable_verdict_is_an_event_on_its_own(self, caplog, monkeypatch):
+        """A row whose verdict is stable ends its block even when its set of
+        established fingers is the assumed one.  Here every verdict from
+        step 100 on reads stable, while only middle has been established
+        since step 94: each block size enters monitor at step 100."""
+        import graspforge.controller
+        from graspforge.controller import _CONTACT_BLOCK
+        verdicts = []
+
+        def stable_from_step_100(contacts, config):
+            # the contact_opt rows are validated in step order from step 81
+            verdicts.append(validate_grasp(contacts, config))
+            if len(verdicts) < 20:
+                return verdicts[-1]
+            return dataclasses.replace(verdicts[-1], stable=True)
+
+        monkeypatch.setattr(graspforge.controller, "validate_grasp", stable_from_step_100)
+        outputs = []
+        for size in (1, 7, _CONTACT_BLOCK):
+            monkeypatch.setattr(graspforge.controller, "_CONTACT_BLOCK", size)
+            verdicts.clear()
+            outputs.append(_grasp_snapshot([], caplog))
+            assert [v.contact_count for v in verdicts[18:20]] == [1, 1]  # middle only
+        (entries, _, _, records), blocks = outputs[-1]
+        assert all(out[0] == outputs[0][0] for out in outputs)
+        assert "phase contact_opt -> monitor at step 100" in records
+        assert [e[2] for e in entries[98:100]] == [PHASE_CONTACT_OPT, PHASE_MONITOR]
+        assert blocks == [(81, 16, 14), (95, 16, 6)]
 
 
 def test_trajectory_csv_golden():
