@@ -31,25 +31,45 @@ its re-seeds are spent, usually well inside the budget.  Its residual is the
 best of the stall points, which can lie a few percent above the least
 reachable residual, because a stall stops a descent that is still improving.
 
-A solve works on a float array of the finger's own joints.  `finger_walk`
-walks from the root to the frame the finger's first joint hangs from once,
-for the clamped seed; each damping trial then makes one walk from that
-frame, which returns the fingertip and the Jacobian together.  No
-`link_transform`, `jacobian` or `clamp_to_limits` call remains in the
-iterations, and every result equals, bit for bit, that of the same loop
-written on those functions and a joint dict (tests/test_ik_solver.py keeps
-it as the reference).
+The fingers of a solve run in lockstep rounds (`_solve`): in each round
+every live finger walks one posture, its start, a damping trial or a
+re-seed.  Fingers of one walk shape (the same sequence of own, other and
+fixed joints below the frame their first joint hangs from) share one
+stacked walk, `finger_walk`, which gives their fingertips and Jacobians; on
+the bundled hand that is the four long fingers, with the thumb alone.  The
+trials of a group come from one batched damping step (`_stacked_dls_step`),
+then the clamping loop for the fingers with a pinned joint; a finger that
+steps alone takes the 2-D `_dls_step`, which the batched step matches row
+for row.  A finger that has finished is walked at its last posture and
+ignored, and a Jacobian is made only when some finger goes on from the
+walked posture.  Each finger keeps its own damping, residual, retries,
+re-seeds, iteration count and best posture, so its result is the one it
+would reach alone: `solve_finger_ik` is the core's one-row call, and
+`solve_hand_ik` runs every target through one core.  The bundled grasp's
+two hand solves take 46 rounds and 60 stacked walks where the fingers one
+at a time make 130 walks.  `solve_hand_ik` leaves one DEBUG record on the
+`graspforge` logger with its rounds, stacked walks and finger trials.
+
+Every result equals, bit for bit, that of the same loop written on
+`link_transform`, `jacobian` and `clamp_to_limits` and a joint dict, one
+finger at a time (tests/test_ik_solver.py keeps it as the reference).  The
+stacked walk and step round like the 2-D ones because each stacked slice
+is computed by the same operations on an array of the same memory layout
+(see the `kinematics` module notes).
 """
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._checks import ConfigError, check_numbers
-from .kinematics import JointState, _clamp, _target_position, clamp_to_limits, finger_walk
-from .robot_model import KinematicChain
+from .kinematics import (_EYE3, JointState, _clamp, _stack, _target_position, _walk_shape,
+                         clamp_to_limits, finger_walk)
+from .robot_model import Finger, KinematicChain
 
 # damping retries per iteration before declaring the state stationary
 _MAX_RETRIES = 12
@@ -57,7 +77,8 @@ _MIN_LAMBDA = 1e-6
 # finger re-seed fractions, tried in turn at stationary or stalled states
 # (escapes fold minima); the next such state after the last one ends the solve
 _RESTART_FRACTIONS = (0.25, 0.75, 0.1, 0.9, 0.5)
-_EYE3 = np.eye(3)
+
+_log = logging.getLogger("graspforge")
 
 
 @dataclass
@@ -93,10 +114,209 @@ def _dls_step(J: np.ndarray, JJt: np.ndarray, lam: float, e: np.ndarray,
     return scale * (J.T @ np.linalg.solve(JJt + lam ** 2 * _EYE3, e))
 
 
+def _stacked_dls_step(J: np.ndarray, lams: list, e: np.ndarray, scale: float) -> np.ndarray:
+    """`_dls_step` of each row of J (g, 3, n), damping `lams` and errors e
+    (g, 3): one batched solve and one stacked J^T @ x.
+
+    A stacked `matmul` and a batched solve round each row as the 2-D calls
+    do, provided each row of J has their layout: the transpose of a
+    C-ordered (n, 3) array, as the stacked walk makes it.  So each row
+    equals `_dls_step`'s result bit for bit.
+    """
+    Jt = J.transpose(0, 2, 1)
+    damping = np.array([lam ** 2 for lam in lams])[:, None, None] * _EYE3
+    return scale * (Jt @ np.linalg.solve(J @ Jt + damping, e[..., None]))[..., 0]
+
+
 def _pushed_out(at_lower: list, at_upper: list, dq: np.ndarray) -> list:
     """Per joint: pinned at a limit, and moved further outward by `dq`."""
     return [(lo and d < 0.0) or (hi and d > 0.0)
             for lo, hi, d in zip(at_lower, at_upper, dq.tolist())]
+
+
+class _FingerSolve:
+    """One finger's solve in the lockstep core: a state machine fed one walk
+    per round.
+
+    `pending` is the posture the next round walks: the start or a re-seed
+    posture while `seeding`, else a damping trial of the current iteration
+    (`it`), which `_steps` makes.  The accepted posture `q` keeps its
+    Jacobian `J` and error `e` for the trials that follow it.
+    """
+
+    __slots__ = ("finger", "target", "lower", "upper", "lower_l", "upper_l", "pending",
+                 "seeding", "done", "it", "iterations", "restarts", "retries", "q", "J", "e",
+                 "residual", "lam", "trial_lam", "best_q", "best_residual", "pinned",
+                 "at_lower", "at_upper")
+
+    def __init__(self, chain: KinematicChain, finger: Finger, target, start: JointState):
+        self.finger = finger
+        self.target = _target_position(target)
+        columns = [chain.column_of[ji] for ji in finger.joints]
+        self.lower, self.upper = chain.lower[columns], chain.upper[columns]
+        # limits as Python floats for the pinned-joint tests: on a handful of
+        # joints, numpy's per-call overhead would cost more than the comparisons
+        self.lower_l, self.upper_l = self.lower.tolist(), self.upper.tolist()
+        self.pending = np.array([start.get(ji) for ji in finger.joints], dtype=float)
+        self.seeding, self.done = True, False
+        self.it = self.iterations = self.restarts = 0
+        self.best_q = None
+
+    def walked(self, e: np.ndarray, residual: float, cfg: IkConfig) -> bool:
+        """Take the walk of `pending`: its error and residual.  True when the
+        finger goes on from `pending`, and so needs its Jacobian as `J`."""
+        if self.seeding:
+            self.q, self.e, self.residual = self.pending, e, residual
+            if self.best_q is None:
+                self.best_q, self.best_residual = self.q, residual
+            self.lam = cfg.damping_lambda
+            return self._iterate(cfg)
+        if residual < self.residual:
+            # stalled: the remaining iterations, each gaining as much as
+            # this one, could not bring the residual to the threshold
+            stalled = ((self.residual - residual) * (cfg.max_iterations - self.it)
+                       < residual - cfg.residual_threshold)
+            self.q, self.e, self.residual = self.pending, e, residual
+            self.lam = max(self.trial_lam / 1.5, _MIN_LAMBDA)
+            if not stalled:
+                return self._iterate(cfg)
+            self._reseed()
+            return False
+        self.trial_lam *= 2.0
+        self.retries += 1
+        if self.retries > _MAX_RETRIES:  # stationary at every damping level
+            self._reseed()
+        return False
+
+    def _iterate(self, cfg: IkConfig) -> bool:
+        """Start the next iteration from `q`; False when the solve ends instead."""
+        self.it += 1
+        if self.it > cfg.max_iterations or self.residual <= cfg.residual_threshold:
+            self._keep_best()
+            self.done = True
+            return False
+        self.iterations = self.it
+        self.seeding = False
+        self.trial_lam, self.retries = self.lam, 0
+        qs = self.q.tolist()
+        self.pinned = any(a <= lo or a >= hi for a, lo, hi in zip(qs, self.lower_l, self.upper_l))
+        if self.pinned:
+            self.at_lower = [a <= lo for a, lo in zip(qs, self.lower_l)]
+            self.at_upper = [a >= hi for a, hi in zip(qs, self.upper_l)]
+        return True
+
+    def _reseed(self) -> None:
+        """Stationary or stalled: remember the best posture, then re-seed the
+        finger to hunt for another solution branch, or stop once every
+        re-seed has been tried."""
+        self._keep_best()
+        if self.restarts == len(_RESTART_FRACTIONS):
+            self.done = True
+            return
+        self.restarts += 1
+        frac = _RESTART_FRACTIONS[self.restarts % len(_RESTART_FRACTIONS)]
+        self.pending = self.lower + frac * (self.upper - self.lower)
+        self.seeding = True
+
+    def _keep_best(self) -> None:
+        if self.residual < self.best_residual:
+            self.best_q, self.best_residual = self.q, self.residual
+
+    def clamped_step(self, dq: np.ndarray, cfg: IkConfig) -> np.ndarray:
+        """The clamping loop: a pinned joint the step pushes outward loses its
+        Jacobian column (a zero column moves it by +-0.0), and the step is
+        solved again, until no pinned joint is pushed out."""
+        free_J = self.J
+        pushed = _pushed_out(self.at_lower, self.at_upper, dq)
+        while any(pushed):
+            free_J = free_J * [0.0 if k else 1.0 for k in pushed]
+            dq = _dls_step(free_J, free_J @ free_J.T, self.trial_lam, self.e, cfg.step_scale)
+            pushed = _pushed_out(self.at_lower, self.at_upper, dq)
+        return dq
+
+    def result(self, start: JointState, cfg: IkConfig) -> IkResult:
+        values = dict(start.values)
+        values.update(zip(self.finger.joints, map(float, self.best_q)))
+        return IkResult(state=JointState(values=values), residual=self.best_residual,
+                        iterations=self.iterations,
+                        converged=self.best_residual <= cfg.residual_threshold)
+
+
+def _steps(solves: list, cfg: IkConfig) -> None:
+    """The next damping trial of each of `solves` (one walk shape): one
+    batched DLS step, the clamping loop for the fingers with a pinned joint,
+    then the clamp into the joint limits.
+
+    The batched step rounds each row as `_dls_step` does, so one row takes
+    that cheaper 2-D call.
+    """
+    if len(solves) == 1:
+        (s,) = solves
+        dq = _dls_step(s.J, s.J @ s.J.T, s.trial_lam, s.e, cfg.step_scale)
+        if s.pinned:
+            dq = s.clamped_step(dq, cfg)
+        s.pending = _clamp(s.q + dq, s.lower, s.upper)
+        return
+    J = _stack([s.J.T for s in solves]).transpose(0, 2, 1)  # rows laid out as the walk's
+    dq = _stacked_dls_step(J, [s.trial_lam for s in solves], _stack([s.e for s in solves]),
+                           cfg.step_scale)
+    for s, row in zip(solves, dq):
+        if s.pinned:
+            row[:] = s.clamped_step(row, cfg)
+    trials = _clamp(_stack([s.q for s in solves]) + dq, _stack([s.lower for s in solves]),
+                    _stack([s.upper for s in solves]))
+    for s, trial in zip(solves, trials):
+        s.pending = trial
+
+
+def _solve(chain: KinematicChain, targets: dict, seed: JointState,
+           config: IkConfig | None) -> tuple[dict[str, IkResult], tuple[int, int, int]]:
+    """The lockstep core: every finger of `targets` solved from `seed`.
+
+    Returns the results in the order of `targets`, and the rounds, stacked
+    walks and finger trials (postures walked) it made.
+    """
+    cfg = config or IkConfig()
+    start = clamp_to_limits(chain, seed)
+    shapes: dict[tuple, list[_FingerSolve]] = {}
+    solves = {}
+    for name, target in targets.items():
+        finger = chain.finger(name)
+        solves[name] = _FingerSolve(chain, finger, target, start)
+        shapes.setdefault(_walk_shape(chain, finger), []).append(solves[name])
+    groups = [(members, finger_walk(chain, [s.finger for s in members], start),
+               _stack([s.target for s in members])) for members in shapes.values()]
+
+    rounds = walks = trials = 0
+    while True:
+        round_walks = 0
+        for members, walk, target in groups:
+            live = [s for s in members if not s.done]
+            if not live:
+                continue
+            stepping = [s for s in live if not s.seeding]
+            if stepping:
+                _steps(stepping, cfg)
+            # done fingers are walked at their last posture and ignored
+            p, jacobian = walk(_stack([s.pending for s in members]))
+            e = target - p
+            going_on = []
+            for i, (s, e_s) in enumerate(zip(members, e)):
+                # the residual as np.linalg.norm takes it
+                if not s.done and s.walked(e_s, math.sqrt(e_s.dot(e_s)), cfg):
+                    going_on.append(i)
+            if going_on:
+                J = jacobian()
+                for i in going_on:
+                    members[i].J = J[i]
+            round_walks += 1
+            trials += len(live)
+        if not round_walks:
+            break
+        rounds += 1
+        walks += round_walks
+    results = {name: s.result(start, cfg) for name, s in solves.items()}
+    return results, (rounds, walks, trials)
 
 
 def solve_finger_ik(chain: KinematicChain, finger: str, target,
@@ -105,99 +325,25 @@ def solve_finger_ik(chain: KinematicChain, finger: str, target,
 
     Only the finger's own joints move; all other values in `seed` are
     carried through untouched.  Every iterate is clamped to joint limits, so
-    the result is always a feasible posture.
+    the result is always a feasible posture.  The one-row call of the
+    lockstep core.
     """
-    cfg = config or IkConfig()
-    f = chain.finger(finger)
-    target_p = _target_position(target)
-
-    start = clamp_to_limits(chain, seed)
-    walk = finger_walk(chain, f.joints, f.end_effector, start)
-    columns = [chain.column_of[ji] for ji in f.joints]
-    lower, upper = chain.lower[columns], chain.upper[columns]
-    # limits as Python floats for the pinned-joint tests: on a handful of
-    # joints, numpy's per-call overhead would cost more than the comparisons
-    lower_l, upper_l = lower.tolist(), upper.tolist()
-
-    q = np.array([start.get(ji) for ji in f.joints], dtype=float)
-    p, J = walk(q)
-    residual = float(np.linalg.norm(target_p - p))
-    iterations = 0
-    lam = cfg.damping_lambda
-    best_q, best_residual = q, residual
-    restarts = 0
-
-    for it in range(1, cfg.max_iterations + 1):
-        if residual <= cfg.residual_threshold:
-            break
-        iterations = it
-        e = target_p - p
-        JJt = J @ J.T
-        qs = q.tolist()
-        pinned = any(a <= lo or a >= hi for a, lo, hi in zip(qs, lower_l, upper_l))
-        if pinned:
-            at_lower = [a <= lo for a, lo in zip(qs, lower_l)]
-            at_upper = [a >= hi for a, hi in zip(qs, upper_l)]
-
-        accepted = stalled = False
-        trial_lam = lam
-        for _ in range(_MAX_RETRIES + 1):
-            dq = _dls_step(J, JJt, trial_lam, e, cfg.step_scale)
-            if pinned:
-                # clamping loop: a pinned joint the step pushes outward loses
-                # its Jacobian column (a zero column moves it by +-0.0), and
-                # the step is solved again, until no pinned joint is pushed out
-                free_J = J
-                pushed = _pushed_out(at_lower, at_upper, dq)
-                while any(pushed):
-                    free_J = free_J * [0.0 if k else 1.0 for k in pushed]
-                    dq = _dls_step(free_J, free_J @ free_J.T, trial_lam, e, cfg.step_scale)
-                    pushed = _pushed_out(at_lower, at_upper, dq)
-            trial = _clamp(q + dq, lower, upper)
-            trial_p, trial_J = walk(trial)
-            trial_residual = float(np.linalg.norm(target_p - trial_p))
-            if trial_residual < residual:
-                # stalled: the remaining iterations, each gaining as much as
-                # this one, could not bring the residual to the threshold
-                stalled = ((residual - trial_residual) * (cfg.max_iterations - it)
-                           < trial_residual - cfg.residual_threshold)
-                q, p, J, residual = trial, trial_p, trial_J, trial_residual
-                lam = max(trial_lam / 1.5, _MIN_LAMBDA)
-                accepted = True
-                break
-            trial_lam *= 2.0
-        if stalled or not accepted:
-            # stationary at every damping level, or stalled: remember the best
-            # posture, then re-seed the finger to hunt for another solution
-            # branch, or stop once every re-seed has been tried
-            if residual < best_residual:
-                best_q, best_residual = q, residual
-            if restarts == len(_RESTART_FRACTIONS):
-                break
-            restarts += 1
-            frac = _RESTART_FRACTIONS[restarts % len(_RESTART_FRACTIONS)]
-            q = lower + frac * (upper - lower)
-            p, J = walk(q)
-            residual = float(np.linalg.norm(target_p - p))
-            lam = cfg.damping_lambda
-
-    if residual < best_residual:
-        best_q, best_residual = q, residual
-    values = dict(start.values)
-    values.update(zip(f.joints, map(float, best_q)))
-    return IkResult(state=JointState(values=values), residual=best_residual,
-                    iterations=iterations, converged=best_residual <= cfg.residual_threshold)
+    results, _ = _solve(chain, {finger: target}, seed, config)
+    return results[finger]
 
 
 def solve_hand_ik(chain: KinematicChain, targets: dict, seed: JointState,
                   config: IkConfig | None = None) -> dict[str, IkResult]:
-    """Independent per-finger solves from a shared seed.
+    """Per-finger solves from a shared seed, in lockstep rounds.
 
     Fingers do not interact mechanically (separate serial chains off the
-    palm), so each solve only touches its own joints.
+    palm), so each solve only touches its own joints, and each result is
+    the one `solve_finger_ik` gives for its finger alone.  Leaves one DEBUG
+    record: the rounds, stacked walks and finger trials.
     """
-    return {finger: solve_finger_ik(chain, finger, target, seed, config)
-            for finger, target in targets.items()}
+    results, counts = _solve(chain, targets, seed, config)
+    _log.debug("IK lockstep: %d rounds, %d stacked walks, %d finger trials", *counts)
+    return results
 
 
 def merge_hand_results(chain: KinematicChain, seed: JointState,

@@ -16,20 +16,26 @@ vectorized Rodrigues evaluation.  The controller calls it on its angle
 rows (`_angles` and `_joint_state` convert a `JointState` to and from angles
 in `chain.movable` order); `link_frames` is its one-row call.
 `link_transform` and `jacobian` walk a single link's path from the root.
-`finger_walk` serves the IK: it walks from the root to the frame a finger
-hangs from once, then each call walks only the finger's own joints from
-there, with their rotations from one vectorized Rodrigues evaluation, and
-returns the fingertip and its Jacobian together.
+`finger_walk` serves the IK: for G fingers of one walk shape (the kinds of
+the joints from a finger's first joint to its tip: its own, another movable
+one held at its angle, or fixed), it walks from the root to the frame each
+finger hangs from once, then each call makes one stacked walk from there
+to the fingertips, with the rotations of all the fingers' own joints from
+one vectorized Rodrigues evaluation, and gives the fingertips (G, 3) and,
+when asked, their Jacobians (G, 3, n).
 
 The walks compose a joint in `_compose`, the one per-joint copy of the
 sequence R = R_parent @ R_origin, t = R_parent @ t_origin + t_parent, then
 R @ R_joint for a movable joint.  `_stacked_frames` makes the same sequence
-per level; a stacked `matmul` rounds each slice exactly as the 2-D product
-does, whatever the number of rows, so every route agrees bit for bit.  The
+per level, and `finger_walk` per joint on (G, 3, 3) and (G, 3, 1) stacks; a
+stacked `matmul` rounds each slice exactly as the 2-D product does,
+whatever the number of rows, so every route agrees bit for bit.  The
 vectorized Rodrigues and cross products repeat `axis_angle_matrix`'s and
-`np.cross`'s arithmetic entry for entry, and a Jacobian keeps the memory
-layout of a column selection of `jacobian`'s result, so that products such
-as J @ J.T round the same way.
+`np.cross`'s arithmetic entry for entry.  A Jacobian, alone or as a row of
+a stack, keeps the memory layout of a column selection of `jacobian`'s
+result (the transpose of a C-ordered (n, 3) array, which `take` gives the
+cross products): products such as J @ J.T and J.T @ x take another route
+on another layout, and round differently.
 """
 
 from __future__ import annotations
@@ -38,13 +44,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .robot_model import KinematicChain
+from .robot_model import Finger, KinematicChain
 from .transforms import axis_angle_matrix, compose_rt, matrix_to_quat, quat_to_matrix, rpy_matrix
 
 
 # The cyclic shifts of a cross product's components (`take` keeps rows
 # C-ordered).
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+# the identity and the zero vector (the root frame), read-only
+_EYE3, _ZERO3 = np.eye(3), np.zeros(3)
+_EYE3.setflags(write=False)
+_ZERO3.setflags(write=False)
 
 
 class KinematicsError(ValueError):
@@ -275,32 +285,97 @@ def link_frames(chain: KinematicChain, state: JointState) -> tuple[np.ndarray, n
     return R[0], t[0]
 
 
-def finger_walk(chain: KinematicChain, joints, link, state: JointState):
-    """Position and Jacobian of `link` as a function of the angles of `joints`.
+# The kinds of the steps of a finger walk, from the frame the finger hangs
+# from to its end effector: a joint of the finger, another movable joint
+# (held at its angle in the state) and a fixed joint.
+_OWN, _HELD, _FIXED = 0, 1, 2
 
-    `joints` are a finger's movable joints, base to tip, all on the path to
-    `link`; every other joint keeps its angle in `state`.  The frame the
-    first of `joints` hangs from is walked from the root once, here.  The
-    returned `walk(q)` takes the angles of `joints` as a float array and
-    makes one walk from that frame, with all their rotations from one
-    vectorized Rodrigues evaluation.  It returns `link`'s root-frame
-    position and its positional Jacobian over `joints`, shape (3, len(q)),
-    both bit for bit what `link_transform` and `jacobian(...)[:, cols]`
-    give for the same state.
+
+def _stack(arrays: list) -> np.ndarray:
+    """The arrays stacked on a new first axis; one array is only viewed so.
+
+    `np.array` stacks a short list of small arrays several times faster than
+    `np.stack`, and gives the same C-ordered copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
+def _walk_shape(chain: KinematicChain, finger: Finger) -> tuple[int, ...]:
+    """The kinds of the joints from `finger`'s first joint to its end effector.
+
+    Fingers of one walk shape share one stacked walk (`finger_walk`).
     """
-    path = chain.path_to_link[_resolve_link(chain, link)]
-    start = path.index(joints[0])
-    fixed = _path_rotations(chain, [ji for ji in path if ji not in joints], state)
-    R0, t0, _, _ = _walk(chain, path[:start], np.eye(3), np.zeros(3), fixed)
-    suffix = path[start:]
-    columns = [chain.column_of[ji] for ji in joints]
-    terms = tuple(a[columns] for a in chain.movable_rodrigues)
+    path = chain.path_to_link[finger.end_effector]
+    return tuple(_OWN if ji in finger.joints else _HELD if ji in chain.column_of else _FIXED
+                 for ji in path[path.index(finger.joints[0]):])
 
-    def walk(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rotations = dict(fixed)
-        rotations.update(zip(joints, _rodrigues(terms, q)))
-        _, p, joint_axes, origins = _walk(chain, suffix, R0, t0, rotations, joints)
-        return p, _jacobian_columns(joint_axes, origins, p)
+
+def finger_walk(chain: KinematicChain, fingers, state: JointState):
+    """End-effector positions and Jacobians of G fingers of one walk shape
+    (`_walk_shape`), as a function of the fingers' own angles.
+
+    Every joint other than the fingers' own keeps its angle in `state`.  The
+    frame each finger's first joint hangs from is walked from the root once,
+    here, so a joint above the finger (a wrist) moves it.  The returned
+    `walk(q)` takes the fingers' angles, shape (G, n) with each row base to
+    tip, and makes one stacked walk from those frames: a stacked `matmul`
+    per joint, with all rotations from one vectorized Rodrigues evaluation.
+    It returns the positions (G, 3) and a `jacobian()` that gives the
+    Jacobians over the fingers' joints (G, 3, n) from the same walk, so a
+    caller that reads no Jacobian (a rejected damping trial) makes none.
+    Each row is bit for bit what `link_transform` and
+    `jacobian(...)[:, cols]` give for the same state.  A Jacobian row keeps
+    the memory layout of that column selection (the transpose of a
+    C-ordered (n, 3) array), so that J @ J.T and J.T @ x round the same way.
+    """
+    paths = [chain.path_to_link[f.end_effector] for f in fingers]
+    starts = [path.index(f.joints[0]) for path, f in zip(paths, fingers)]
+    hangs = [_walk(chain, path[:k], _EYE3, _ZERO3, _path_rotations(chain, path[:k], state))
+             for path, k in zip(paths, starts)]
+    R0, t0 = _stack([h[0] for h in hangs]), _stack([h[1] for h in hangs])[..., None]
+    shape = _walk_shape(chain, fingers[0])
+    # per step of the walk, the joint of each finger; positions are carried
+    # as (G, 3, 1) columns, the shape R @ t_origin takes
+    steps = list(zip(*(path[k:] for path, k in zip(paths, starts))))
+    origin_rotation = [_stack([chain.origin_rotation[ji] for ji in js]) for js in steps]
+    origin_translation = [_stack([chain.origin_translation[ji] for ji in js])[..., None]
+                          for js in steps]
+    held = {s: np.array([axis_angle_matrix(chain.movable_axes[chain.column_of[ji]], state.get(ji))
+                         for ji in js])
+            for s, js in enumerate(steps) if shape[s] == _HELD}
+    columns = np.array([[chain.column_of[ji] for ji in f.joints] for f in fingers])
+    terms = tuple(a.take(columns, 0) for a in chain.movable_rodrigues)
+    # the joints' axes, (n, G, 3, 1), as the stacked joint frames take them
+    axes = chain.movable_axes.take(columns.T, 0)[..., None]
+    last = len(shape) - 1
+
+    def walk(q: np.ndarray):
+        rotations = _rodrigues(terms, q)
+        R, t = R0, t0
+        frames, origins = [], []
+        for s, kind in enumerate(shape):
+            # the compose sequence of `_compose`; the last joint's child
+            # rotation is not needed
+            t = R @ origin_translation[s] + t
+            if kind == _OWN:
+                R = R @ origin_rotation[s]
+                frames.append(R)
+                origins.append(t)
+                if s < last:
+                    R = R @ rotations[:, len(frames) - 1]
+            elif s < last:
+                R = R @ origin_rotation[s]
+                if kind == _HELD:
+                    R = R @ held[s]
+
+        def jacobian() -> np.ndarray:
+            # the cross products axis x (p - origin) of `_jacobian_columns`,
+            # (G, n, 3): `take` gathers C-ordered copies of the (n, G, 3) stacks
+            a = (np.array(frames) @ axes)[..., 0].transpose(1, 0, 2)
+            b = (t - np.array(origins))[..., 0].transpose(1, 0, 2)
+            J = a.take(_NEXT, 2) * b.take(_PREV, 2) - a.take(_PREV, 2) * b.take(_NEXT, 2)
+            return J.transpose(0, 2, 1)
+
+        return t[..., 0], jacobian
 
     return walk
 

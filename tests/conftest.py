@@ -53,6 +53,49 @@ TWO_LINK_ARM = """
 """
 
 
+# A wrist joint above the index finger, so the frame the finger hangs from
+# depends on the seed; tilted axes, rpy origins and fixed joints between.
+WRIST_HAND = """
+<robot name="wrist_hand">
+  <link name="forearm"/>
+  <link name="wrist"/>
+  <link name="palm"/>
+  <link name="proximal"/>
+  <link name="middle"/>
+  <link name="distal"/>
+  <link name="tip"/>
+  <joint name="wrist_roll" type="revolute">
+    <parent link="forearm"/><child link="wrist"/>
+    <origin xyz="0.0 0.0 0.05" rpy="0.1 -0.2 0.3"/>
+    <axis xyz="0.6 0.0 0.8"/><limit lower="-1.5" upper="1.5"/>
+  </joint>
+  <joint name="palm_mount" type="fixed">
+    <parent link="wrist"/><child link="palm"/>
+    <origin xyz="0.02 -0.01 0.06" rpy="-0.4 0.2 0.9"/>
+  </joint>
+  <joint name="index_base" type="revolute">
+    <parent link="palm"/><child link="proximal"/>
+    <origin xyz="0.03 0.01 0.02" rpy="0.0 0.3 0.0"/>
+    <axis xyz="0 1 0"/><limit lower="-0.5" upper="1.6"/>
+  </joint>
+  <joint name="index_middle" type="revolute">
+    <parent link="proximal"/><child link="middle"/>
+    <origin xyz="0.04 0.0 0.0" rpy="0.2 0.0 -0.1"/>
+    <axis xyz="0 0.8 0.6"/><limit lower="0.0" upper="1.7"/>
+  </joint>
+  <joint name="index_distal" type="revolute">
+    <parent link="middle"/><child link="distal"/>
+    <origin xyz="0.03 0.0 0.0"/>
+    <axis xyz="0 1 0"/><limit lower="0.0" upper="1.4"/>
+  </joint>
+  <joint name="index_tip" type="fixed">
+    <parent link="distal"/><child link="tip"/>
+    <origin xyz="0.02 0.0 0.005" rpy="0.5 0.0 0.0"/>
+  </joint>
+</robot>
+"""
+
+
 def mid_range_state(chain):
     """Every movable joint at the middle of its limits."""
     return JointState(values={

@@ -426,6 +426,21 @@ class TestExecuteGrasp:
         ]
         assert capsys.readouterr().out == ""
 
+    def test_debug_log_reports_each_lockstep_hand_solve(self, scenario, caplog):
+        """One DEBUG record per hand solve: its rounds, stacked walks and
+        finger trials.  The pre-grasp solve runs 38 rounds, the ring finger's
+        38 walks, in 45 stacked walks (the thumb walks alone in 7); the
+        contact solve runs 8 rounds in 15.  130 finger trials in all, one
+        per walk the fingers would make one at a time.  The per-finger IK
+        records keep their text."""
+        caplog.set_level(logging.DEBUG, logger="graspforge")
+        execute_grasp(scenario.scene, scenario.targets, scenario.run, scenario.ik,
+                      scenario.validation)
+        records = [r for r in caplog.records if r.name == "graspforge"]
+        assert [r.args for r in records if r.msg.startswith("IK lockstep")] == [
+            (38, 45, 96), (8, 15, 34)]
+        assert [r.getMessage() for r in records if " IK " in r.msg] == _BUNDLED_IK_RECORDS
+
     def test_debug_log_reports_each_contact_block(self, scenario, caplog):
         """One DEBUG record per speculated contact_opt block: its first step,
         the rows it ran and the rows it kept.  The bundled grasp runs three
@@ -504,6 +519,18 @@ _STABLE_AT_80 = ["phase pre_grasp -> contact_opt at step 80",
 _STABLE_AT_118 = ["phase pre_grasp -> contact_opt at step 118",
                   "phase contact_opt -> monitor at step 154"]
 _AT_1 = ["phase pre_grasp -> contact_opt at step 1"]
+_BUNDLED_IK_RECORDS = [
+    "pre_grasp IK thumb: residual 2.62e-06 m after 6 iterations, converged=True, ended by converged",
+    "pre_grasp IK index: residual 8.15e-07 m after 9 iterations, converged=True, ended by converged",
+    "pre_grasp IK middle: residual 0.0209 m after 24 iterations, converged=False, ended by plateau",
+    "pre_grasp IK ring: residual 0.0141 m after 30 iterations, converged=False, ended by plateau",
+    "pre_grasp IK pinky: residual 8.15e-07 m after 9 iterations, converged=True, ended by converged",
+    "contact_opt IK thumb: residual 1.19e-06 m after 6 iterations, converged=True, ended by converged",
+    "contact_opt IK index: residual 8.87e-06 m after 5 iterations, converged=True, ended by converged",
+    "contact_opt IK middle: residual 1.64e-06 m after 6 iterations, converged=True, ended by converged",
+    "contact_opt IK ring: residual 7.41e-07 m after 7 iterations, converged=True, ended by converged",
+    "contact_opt IK pinky: residual 8.87e-06 m after 5 iterations, converged=True, ended by converged",
+]
 
 
 class TestRunConfigCorners:
@@ -515,6 +542,10 @@ class TestRunConfigCorners:
     give pre_grasp a budget it does not use up (it converges at step 118);
     log_every 7 and 3 log steps that straddle the phase transitions; a zero
     rate limit never moves the hand and runs out of steps in contact_opt.
+    Two IK corners: a budget of 7 iterations, which the thumb's pre-grasp
+    solve converges within and the other four fingers' spend; and damping
+    0.3 with half steps, whose solves take 16 to 39 iterations, two of them
+    ending on a plateau.
     """
 
     @pytest.mark.parametrize("overrides, expected", [
@@ -535,6 +566,10 @@ class TestRunConfigCorners:
         (["run.joint_rate_limit=0"],
          (400, "74d55e588cbfae15", "25c51a52070eda65", "0388ce834d5783b4",
           _STABLE_AT_80[:1])),
+        (["ik.max_iterations=7"],
+         (165, "983e4eea2b7d34ac", "e3430a0184cb0136", "99e32762658646b9", _STABLE_AT_80)),
+        (["ik.damping_lambda=0.3", "ik.step_scale=0.5"],
+         (165, "4786055fbfbe57c5", "5080df3d09fc2bf0", "9877fb11f5817567", _STABLE_AT_80)),
     ])
     def test_outputs_are_pinned(self, overrides, expected, caplog):
         assert _grasp_outputs(overrides, caplog) == expected

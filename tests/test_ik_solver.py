@@ -12,50 +12,7 @@ from graspforge.kinematics import (JointState, clamp_to_limits, jacobian, link_t
                                    within_limits)
 from graspforge.robot_model import parse_robot_description
 
-from conftest import TWO_LINK_ARM, mid_range_state
-
-# A wrist joint above the index finger, so the frame the finger hangs from
-# depends on the seed; tilted axes, rpy origins and fixed joints between.
-WRIST_HAND = """
-<robot name="wrist_hand">
-  <link name="forearm"/>
-  <link name="wrist"/>
-  <link name="palm"/>
-  <link name="proximal"/>
-  <link name="middle"/>
-  <link name="distal"/>
-  <link name="tip"/>
-  <joint name="wrist_roll" type="revolute">
-    <parent link="forearm"/><child link="wrist"/>
-    <origin xyz="0.0 0.0 0.05" rpy="0.1 -0.2 0.3"/>
-    <axis xyz="0.6 0.0 0.8"/><limit lower="-1.5" upper="1.5"/>
-  </joint>
-  <joint name="palm_mount" type="fixed">
-    <parent link="wrist"/><child link="palm"/>
-    <origin xyz="0.02 -0.01 0.06" rpy="-0.4 0.2 0.9"/>
-  </joint>
-  <joint name="index_base" type="revolute">
-    <parent link="palm"/><child link="proximal"/>
-    <origin xyz="0.03 0.01 0.02" rpy="0.0 0.3 0.0"/>
-    <axis xyz="0 1 0"/><limit lower="-0.5" upper="1.6"/>
-  </joint>
-  <joint name="index_middle" type="revolute">
-    <parent link="proximal"/><child link="middle"/>
-    <origin xyz="0.04 0.0 0.0" rpy="0.2 0.0 -0.1"/>
-    <axis xyz="0 0.8 0.6"/><limit lower="0.0" upper="1.7"/>
-  </joint>
-  <joint name="index_distal" type="revolute">
-    <parent link="middle"/><child link="distal"/>
-    <origin xyz="0.03 0.0 0.0"/>
-    <axis xyz="0 1 0"/><limit lower="0.0" upper="1.4"/>
-  </joint>
-  <joint name="index_tip" type="fixed">
-    <parent link="distal"/><child link="tip"/>
-    <origin xyz="0.02 0.0 0.005" rpy="0.5 0.0 0.0"/>
-  </joint>
-</robot>
-"""
-
+from conftest import TWO_LINK_ARM, WRIST_HAND, mid_range_state
 
 @pytest.fixture()
 def two_link_pinned():
@@ -412,3 +369,99 @@ def test_the_wrist_angle_moves_the_finger_frame():
         assert result.state.values[wrist] == min(angle, 1.5)
         results.append(result)
     assert len({_bits(r)[0] for r in results}) == 3
+
+
+def _assert_hand_matches_reference(chain, targets, seed, config):
+    """`solve_hand_ik` keeps the targets' order, and each finger's result is
+    the reference loop's for that finger alone, bit for bit."""
+    results = solve_hand_ik(chain, targets, seed, config)
+    assert list(results) == list(targets)
+    for finger, target in targets.items():
+        assert _bits(results[finger]) == _bits(
+            _reference_solve(chain, finger, target, seed, config or IkConfig()))
+
+
+def test_the_bundled_hand_solves_match_the_reference_loop(monkeypatch):
+    """The two solves of the bundled grasp, as `execute_grasp` makes them:
+    the pre-grasp waypoints from neutral, then the contact targets from the
+    posture that ends pre_grasp (step 80)."""
+    import graspforge.controller as controller
+    from graspforge.config import default_scenario_path, load_scenario
+    from graspforge.kinematics import neutral_state
+
+    sc = load_scenario(default_scenario_path(), [])
+    calls = []
+
+    def recording(chain, targets, seed, config):
+        calls.append((targets, seed.copy(), config))
+        return solve_hand_ik(chain, targets, seed, config)
+
+    monkeypatch.setattr(controller, "solve_hand_ik", recording)
+    controller.execute_grasp(sc.scene, sc.targets, sc.run, sc.ik, sc.validation)
+    chain = sc.scene.chain
+    assert len(calls) == 2
+    assert calls[0][1] == neutral_state(chain) and calls[1][1] != calls[0][1]
+    for targets, seed, config in calls:
+        assert set(targets) == set(chain.fingers)
+        _assert_hand_matches_reference(chain, targets, seed, config)
+
+
+@st.composite
+def _hand_problems(draw, chains):
+    """(chain, targets, seed, config): one drawn problem per finger of one
+    chain, in a drawn order, with a shared seed and config.
+
+    A finger's target is the fingertip of a posture within its limits
+    (reachable), of a posture up to 0.5 rad past them (limit-pinned), or a
+    point well outside its reach (far).
+    """
+    chain = draw(st.sampled_from(chains))
+
+    def posture(margin):
+        return JointState(values={
+            ji: draw(st.floats(chain.joints[ji].lower_limit - margin,
+                               chain.joints[ji].upper_limit + margin))
+            for ji in chain.movable})
+
+    seed = posture(0.5)
+    targets = {}
+    for finger in draw(st.permutations(sorted(chain.fingers))):
+        ee = chain.fingers[finger].end_effector
+        kind = draw(st.sampled_from(["reachable", "pinned", "far"]))
+        if kind == "far":
+            direction = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3))) + [0.0, 0.0, 1.5]
+            scale = float(np.linalg.norm(link_transform(chain, seed, ee)[1])) + 0.1
+            targets[finger] = 3.0 * scale * direction
+        else:
+            targets[finger] = link_transform(
+                chain, posture(0.0 if kind == "reachable" else 0.5), ee)[1]
+    config = IkConfig(max_iterations=draw(st.integers(1, 100)),
+                      damping_lambda=draw(st.sampled_from([0.05, 0.01, 0.3])),
+                      step_scale=draw(st.sampled_from([1.0, 0.5])))
+    return chain, targets, seed, config
+
+
+@settings(max_examples=25)
+@given(problem=st.data())
+def test_hand_solves_match_the_reference_loop_bitwise(chain, problem):
+    """Bundled hand, the two-link arm and a finger below a wrist joint."""
+    robot, targets, seed, config = problem.draw(_hand_problems([chain, _TWO_LINK, _WRIST_HAND]))
+    _assert_hand_matches_reference(robot, targets, seed, config)
+
+
+def test_a_finger_subset_keeps_the_targets_order(chain):
+    rng = np.random.default_rng(23)
+    posture = JointState(values={
+        ji: rng.uniform(chain.joints[ji].lower_limit, chain.joints[ji].upper_limit)
+        for ji in chain.movable})
+    targets = {f: link_transform(chain, posture, chain.fingers[f].end_effector)[1]
+               for f in ("ring", "thumb", "index")}
+    targets["middle"] = np.array([0.0, 0.0, 1.0])  # out of reach
+    _assert_hand_matches_reference(chain, targets, mid_range_state(chain), None)
+
+
+def test_an_unknown_finger_in_a_hand_solve_raises(chain):
+    from graspforge.robot_model import UnknownFingerError
+    with pytest.raises(UnknownFingerError):
+        solve_hand_ik(chain, {"index": np.zeros(3), "tentacle": np.zeros(3)},
+                      mid_range_state(chain))

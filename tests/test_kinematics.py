@@ -10,7 +10,7 @@ from graspforge.kinematics import (JointState, KinematicsError, Pose, _stacked_f
                                    neutral_state, within_limits, zero_state)
 from graspforge.robot_model import parse_robot_description
 
-from conftest import joint_rows, mid_range_state
+from conftest import WRIST_HAND, joint_rows, mid_range_state
 
 # A branching tree whose joints are listed tip-first, so file order is not
 # parent-first; tilted axes, rpy origins and fixed joints at every level.
@@ -281,19 +281,51 @@ def test_link_frames_on_a_tip_first_tree(values):
         assert np.allclose(t[li], t_ref, rtol=0.0, atol=1e-12)
 
 
-@given(st.lists(_angles, min_size=21, max_size=21), st.lists(_angles, min_size=5, max_size=5))
-def test_finger_walk_equals_link_transform_and_jacobian_bitwise(chain, values, finger_values):
-    """Same bits and the same memory layout as a column selection of `jacobian`."""
-    base = JointState(values=dict(zip(chain.movable, values)))
-    for name, f in chain.fingers.items():
-        walk = finger_walk(chain, f.joints, f.end_effector, base)
-        state = base.copy()
-        state.values.update(zip(f.joints, finger_values))
-        p, J = walk(np.array([state.values[ji] for ji in f.joints]))
-        J_ref = jacobian(chain, state, f.end_effector)[:, [chain.column_of[ji] for ji in f.joints]]
-        assert p.tobytes() == link_transform(chain, state, f.end_effector)[1].tobytes()
-        assert J.tobytes(order="A") == J_ref.tobytes(order="A")
-        assert J.strides == J_ref.strides
+@given(st.data())
+def test_stacked_finger_walks_and_steps_equal_the_one_row_routes_bitwise(chain, data):
+    """The fingers of each walk shape, walked together from a drawn posture:
+    each row's fingertip and Jacobian are the bits of `link_transform` and a
+    column selection of `jacobian`, in that selection's memory layout, and
+    the stacked DLS step on the stacked Jacobians is `_dls_step`'s on each
+    row.  The bundled hand walks its four long fingers in one stack and the
+    thumb alone; on the wrist hand, the wrist finger's walk holds the index
+    joints below it.
+
+    Cross products gathered with `take` keep the rows C-ordered; gathered
+    with fancy indexing, they leave J in another layout, in which J @ J.T
+    and J.T @ x round differently, and this test fails.
+    """
+    from graspforge.ik_solver import _dls_step, _stacked_dls_step
+    from graspforge.kinematics import _walk_shape
+
+    for robot, group_sizes in ((chain, [1, 4]), (parse_robot_description(WRIST_HAND), [1, 1])):
+        base = JointState(values={ji: data.draw(_angles) for ji in robot.movable})
+        groups = {}
+        for f in robot.fingers.values():
+            groups.setdefault(_walk_shape(robot, f), []).append(f)
+        assert sorted(map(len, groups.values())) == group_sizes
+        for fingers in groups.values():
+            q = np.array([[data.draw(_angles) for _ in f.joints] for f in fingers])
+            p, jacobian = finger_walk(robot, fingers, base)(q)
+            J = jacobian()
+            lams = [data.draw(st.floats(1e-6, 1.0)) for _ in fingers]
+            e = np.array([[data.draw(st.floats(-0.2, 0.2)) for _ in range(3)] for _ in fingers])
+            dq = _stacked_dls_step(J, lams, e, 0.5)
+            for i, f in enumerate(fingers):
+                state = base.copy()
+                state.values.update(zip(f.joints, q[i].tolist()))
+                J_ref = _own_jacobian(robot, state, f)
+                assert p[i].tobytes() == link_transform(robot, state, f.end_effector)[1].tobytes()
+                assert J[i].tobytes(order="A") == J_ref.tobytes(order="A")
+                assert J[i].strides == J_ref.strides
+                step = _dls_step(J_ref, J_ref @ J_ref.T, lams[i], e[i], 0.5)
+                assert dq[i].tobytes() == step.tobytes()
+
+
+def _own_jacobian(robot, state, finger):
+    """`jacobian`'s columns of the finger's own joints."""
+    return jacobian(robot, state, finger.end_effector)[
+        :, [robot.column_of[ji] for ji in finger.joints]]
 
 
 def test_link_frames_needs_every_movable_joint(chain):
