@@ -110,14 +110,20 @@ def _out_dir(args, scenario) -> str:
 def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario or default_scenario_path(),
                              _flag_overrides(args))
-    out_dir = _out_dir(args, scenario)
-    os.makedirs(out_dir, exist_ok=True)
+    run = scenario.run
+    if run.log_every > run.max_steps:
+        raise ConfigError(f"run.log_every ({run.log_every}) exceeds run.steps "
+                          f"({run.max_steps}): the run would log no step")
     _, log, assessment = execute_grasp(
-        scenario.scene, scenario.targets, scenario.run, scenario.ik,
-        scenario.validation)
+        scenario.scene, scenario.targets, run, scenario.ik, scenario.validation)
+    if not len(log.control_steps):
+        raise ConfigError(f"run.log_every ({run.log_every}) logs no step: the run "
+                          f"ended at step {log.end_step}")
     metrics, summary = summarize_run(log, scenario.targets,
                                      efficiency_basis=args.efficiency_basis)
 
+    out_dir = _out_dir(args, scenario)
+    os.makedirs(out_dir, exist_ok=True)
     timestamp = not args.no_timestamp
     _write_text(os.path.join(out_dir, "trajectory.csv"),
                 lambda fh: write_trajectory_csv(log, fh), timestamp)

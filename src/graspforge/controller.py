@@ -32,18 +32,29 @@ its angles.  Each block leaves one DEBUG record: its first step, the rows
 it ran and the rows it kept.
 
 In `monitor` the goal is the frozen posture, so the servo velocity is
-exactly 0 and a step usually returns the angles it was given.  When every
-angle keeps its bits (signed zeros included: a step from -0.0 returns
-+0.0), the step reuses the last step's contacts, verdict and fingertip
-positions, which are functions of the angles alone, instead of computing
-them again; otherwise it makes the one-row pass.  Every output is bit for
-bit that of one pass per step.
+exactly 0 and a step usually returns the angles it was given.  A step
+whose output keeps every bit of its input (signed zeros included: a step
+from -0.0 returns +0.0) is held, and since `step_servo` is a function of
+the angles and the goal alone, every later step repeats it.  So the phase
+runs the servo, with a one-row pass per step that changes bits, only until
+its first held step; the held posture's contacts, verdict and fingertip
+positions then stand for every remaining step, up to VALIDATED_HOLD_STEPS
+stable ones or the step budget, and its logged rows are one broadcast of
+the held row.  Every output is bit for bit that of one pass per step.
+
+The log is kept as arrays (see `TrajectoryLog`).  Each stacked pass writes
+the fingertip positions of its logged rows with one gather of the
+end-effector origins and one stacked product with the hand base, which
+rounds each row as the one-row `R_b @ t + t_b` does.  The CSV writer
+formats each row's time once, and a row whose positions keep the bits of
+the row before it reuses that row's formatted positions.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,10 +117,50 @@ class LogStep:
     phase: str
 
 
+# a log row's phase code indexes this tuple
+PHASES = (PHASE_PRE_GRASP, PHASE_CONTACT_OPT, PHASE_MONITOR)
+_PRE_GRASP, _CONTACT_OPT, _MONITOR = range(len(PHASES))
+
+
 @dataclass
 class TrajectoryLog:
+    """The logged control steps, one row each, as arrays: the step indices
+    (T,), the world end-effector position of each finger in `fingers` order
+    (T, F, 3), the contact counts (T,) and the phase codes (T,), indices
+    into PHASES.  A row's time is its step * (1.0 / hz).  `end_step` is the
+    step the run ended at, logged or not.
+    """
+
     fingers: tuple[str, ...]
-    steps: list[LogStep] = field(default_factory=list)
+    hz: float
+    end_step: int
+    control_steps: np.ndarray
+    positions: np.ndarray
+    contact_counts: np.ndarray
+    phases: np.ndarray
+
+    def __post_init__(self):
+        self.control_steps = np.asarray(self.control_steps, dtype=np.int64)
+        self.contact_counts = np.asarray(self.contact_counts, dtype=np.int64)
+        self.phases = np.asarray(self.phases, dtype=np.int8)
+        self.positions = np.asarray(self.positions, dtype=float).reshape(
+            len(self.control_steps), len(self.fingers), 3)
+
+    @property
+    def times(self) -> np.ndarray:
+        """Each row's time in seconds, step * (1.0 / hz) as the servo counts it."""
+        return self.control_steps * (1.0 / self.hz)
+
+    @property
+    def steps(self) -> tuple[LogStep, ...]:
+        """The rows as `LogStep`s, built on each read from copies of the
+        arrays: a view for readers that want records, not one to compute on."""
+        return tuple(
+            LogStep(time=time, positions=dict(zip(self.fingers, tips.copy())),
+                    contact_count=count, phase=PHASES[code])
+            for time, tips, count, code in zip(self.times.tolist(), self.positions,
+                                               self.contact_counts.tolist(),
+                                               self.phases.tolist()))
 
 
 def step_servo(q: np.ndarray, goal: np.ndarray, run: RunConfig,
@@ -125,11 +176,12 @@ def step_servo(q: np.ndarray, goal: np.ndarray, run: RunConfig,
     return _clamp(q + velocity * (1.0 / run.hz), chain.lower, chain.upper)
 
 
-def _ee_positions(scene: Scene, t: np.ndarray) -> dict:
-    """World end-effector position per finger, from one row's link origins (L, 3)."""
-    R_b = scene.hand_base.rotation()
-    t_b = scene.hand_base.position
-    return {finger: R_b @ t[f.end_effector] + t_b for finger, f in scene.chain.fingers.items()}
+def _fingertips(scene: Scene, t: np.ndarray) -> np.ndarray:
+    """World end-effector positions (N, F, 3), fingers in `chain.fingers`
+    order, from N rows of link origins (N, L, 3): one gather and one stacked
+    product with the hand base, which rounds each row as `R_b @ t + t_b`."""
+    ee = [f.end_effector for f in scene.chain.fingers.values()]
+    return (scene.hand_base.rotation() @ t[:, ee, :, None])[..., 0] + scene.hand_base.position
 
 
 def _approach_goal(scene: Scene, targets: dict) -> dict:
@@ -168,21 +220,15 @@ def _base_targets(scene: Scene, targets: dict) -> dict:
             for finger, pose in targets.items()}
 
 
-def _log_step(log: TrajectoryLog, run: RunConfig, step: int, positions: dict,
-              contacts: list, phase: str) -> None:
-    log.steps.append(LogStep(time=step * (1.0 / run.hz), positions=positions,
-                             contact_count=len(contacts), phase=phase))
-
-
 def _approach(scene: Scene, q: np.ndarray, goal: np.ndarray, run: RunConfig,
-              budget: int, log: TrajectoryLog):
+              budget: int, rows: list):
     """The pre_grasp phase: servo toward `goal` until every joint is within
     PRE_GRASP_JOINT_TOL of it or `budget` steps are spent (at least one),
     with one stacked pass per _APPROACH_BLOCK steps over the steps it reads:
     the logged ones and the block's last (see the module notes).
 
     Returns the last angles, their step and contacts.  The last step leaves
-    the phase, so its log entry reads PHASE_CONTACT_OPT.
+    the phase, so its log row reads PHASE_CONTACT_OPT.
     """
     chain = scene.chain
     step, done = 0, False
@@ -197,23 +243,22 @@ def _approach(scene: Scene, q: np.ndarray, goal: np.ndarray, run: RunConfig,
         read = [s for s in range(first, step + 1) if s % run.log_every == 0 or s == step]
         R, t = _stacked_frames(chain, np.array([block[s - first] for s in read]))
         contacts = _stacked_contacts(scene, (R, t))
-        for i, logged in enumerate(read):
-            if logged % run.log_every == 0:
-                _log_step(log, run, logged, _ee_positions(scene, t[i]), contacts[i],
-                          PHASE_CONTACT_OPT if done and logged == step else PHASE_PRE_GRASP)
+        logged = [i for i, s in enumerate(read) if s % run.log_every == 0]
+        steps = [read[i] for i in logged]
+        rows.append((steps, _fingertips(scene, t[logged]), [len(contacts[i]) for i in logged],
+                     [_CONTACT_OPT if done and s == step else _PRE_GRASP for s in steps]))
     return q, step, contacts[-1]
 
 
 def _close(scene: Scene, q: np.ndarray, step: int, contact_goal: np.ndarray,
-           run: RunConfig, validation: ValidationConfig, log: TrajectoryLog):
+           run: RunConfig, validation: ValidationConfig, rows: list):
     """The contact_opt phase from angles `q` at `step`, at least one step:
     servo toward `contact_goal`, each latched finger's flexor held where it
     is, until the verdict is stable or the step budget is spent, in
     speculated blocks of up to _CONTACT_BLOCK rows (see the module notes).
 
-    Returns the angles, step, contacts, verdict and fingertip positions of
-    the last kept row; the positions are None unless the row was logged or
-    its verdict is stable.
+    Returns the angles, step, contacts, verdict and fingertip positions
+    (F, 3) of the last kept row.
     """
     chain = scene.chain
     # flexor = second-to-last joint of each finger chain (before the distal)
@@ -221,61 +266,68 @@ def _close(scene: Scene, q: np.ndarray, step: int, contact_goal: np.ndarray,
     goal, latched = contact_goal, set()
     while True:
         flexors = [flexor_of[finger] for finger in latched]
-        rows, goals = [], []
+        block, goals = [], []
         for _ in range(min(_CONTACT_BLOCK, run.max_steps - step)):
             if latched:
                 goal = contact_goal.copy()
                 goal[flexors] = q[flexors]
             q = step_servo(q, goal, run, chain)
-            rows.append(q)
+            block.append(q)
             goals.append(goal)
-        R, t = _stacked_frames(chain, np.array(rows))
-        for kept, contacts in enumerate(_stacked_contacts(scene, (R, t)), start=1):
-            step += 1
+        R, t = _stacked_frames(chain, np.array(block))
+        detected = _stacked_contacts(scene, (R, t))
+        for kept, contacts in enumerate(detected, start=1):
             assessment = validate_grasp(contacts, validation)
-            logged = step % run.log_every == 0
-            positions = (_ee_positions(scene, t[kept - 1])
-                         if logged or assessment.stable else None)
-            if logged:
-                _log_step(log, run, step, positions, contacts,
-                          PHASE_MONITOR if assessment.stable else PHASE_CONTACT_OPT)
             established = {c.finger for c in contacts if is_established(c, validation)}
             if established != latched or assessment.stable:
                 break
+        first, step = step + 1, step + kept
         _log.debug("contact_opt block from step %d: %d rows run, %d kept",
-                   step - kept + 1, len(rows), kept)
-        q, goal, latched = rows[kept - 1], goals[kept - 1], established
+                   first, len(block), kept)
+        tips = _fingertips(scene, t[:kept])
+        logged = [i for i in range(kept) if (first + i) % run.log_every == 0]
+        # only the last kept row can be stable: a stable verdict ends the block
+        rows.append(([first + i for i in logged], tips[logged],
+                     [len(detected[i]) for i in logged],
+                     [_MONITOR if assessment.stable and i == kept - 1 else _CONTACT_OPT
+                      for i in logged]))
+        q, goal, latched = block[kept - 1], goals[kept - 1], established
         if assessment.stable or step >= run.max_steps:
-            return q, step, contacts, assessment, positions
+            return q, step, contacts, assessment, tips[kept - 1]
 
 
 def _monitor(scene: Scene, q: np.ndarray, step: int, contacts: list, assessment,
-             positions: dict, run: RunConfig, validation: ValidationConfig,
-             log: TrajectoryLog):
+             tips: np.ndarray, run: RunConfig, validation: ValidationConfig, rows: list):
     """The monitor phase from the stable posture `q` at `step`, with its
-    contacts, verdict and fingertip positions: hold the posture until
+    contacts, verdict and fingertip positions (F, 3): hold the posture until
     VALIDATED_HOLD_STEPS consecutive stable steps or the step budget is
-    spent.  A step that returns its angles bit for bit reuses the last
-    step's contacts, verdict and positions.  Returns the angles and verdict.
+    spent.  The servo runs until its first held step; the steps from there
+    on repeat the held row (see the module notes).  Returns the angles, the
+    step the phase ended at and the verdict.
     """
     chain = scene.chain
     goal, hold_count = q, 0  # freeze: servo toward the current posture
     while step < run.max_steps and hold_count < VALIDATED_HOLD_STEPS:
-        step += 1
         moved = step_servo(q, goal, run, chain)
-        held = moved.tobytes() == q.tobytes()
-        q = moved
-        if not held:
-            R, t = _stacked_frames(chain, q[None])
-            contacts = _stacked_contacts(scene, (R, t))[0]
-            assessment = validate_grasp(contacts, validation)
-            positions = None
+        if moved.tobytes() == q.tobytes():
+            break  # held: this step and every later one repeat the last
+        step, q = step + 1, moved
+        R, t = _stacked_frames(chain, q[None])
+        contacts = _stacked_contacts(scene, (R, t))[0]
+        assessment = validate_grasp(contacts, validation)
+        tips = _fingertips(scene, t)[0]
         hold_count = hold_count + 1 if assessment.stable else 0
         if step % run.log_every == 0:
-            if positions is None:
-                positions = _ee_positions(scene, t[0])
-            _log_step(log, run, step, positions, contacts, PHASE_MONITOR)
-    return q, assessment
+            rows.append(([step], tips[None], [len(contacts)], [_MONITOR]))
+    # the steps left repeat the last one, so their logged rows are one
+    # broadcast; none are left unless the loop stopped at a held step
+    end = run.max_steps
+    if assessment.stable:
+        end = min(end, step + VALIDATED_HOLD_STEPS - hold_count)
+    steps = range((step // run.log_every + 1) * run.log_every, end + 1, run.log_every)
+    rows.append((steps, np.broadcast_to(tips, (len(steps),) + tips.shape),
+                 [len(contacts)] * len(steps), [_MONITOR] * len(steps)))
+    return q, end, assessment
 
 
 def execute_grasp(scene: Scene, targets: dict, run: RunConfig | None = None,
@@ -287,31 +339,46 @@ def execute_grasp(scene: Scene, targets: dict, run: RunConfig | None = None,
     validation = validation or ValidationConfig()
     chain = scene.chain
     q = _clamp(np.zeros(len(chain.movable)), chain.lower, chain.upper)  # neutral_state
-
-    log = TrajectoryLog(fingers=tuple(chain.fingers))
+    # the log's rows, a block of (steps, positions, contact counts, phase
+    # codes) per pass
+    rows = []
 
     pre_goal = _solve_goal(chain, _approach_goal(scene, targets), q, ik, PHASE_PRE_GRASP)
     q, step, contacts = _approach(
-        scene, q, pre_goal, run, int(PRE_GRASP_BUDGET_FRACTION * run.max_steps), log)
+        scene, q, pre_goal, run, int(PRE_GRASP_BUDGET_FRACTION * run.max_steps), rows)
     _log.debug("phase %s -> %s at step %d", PHASE_PRE_GRASP, PHASE_CONTACT_OPT, step)
     contact_goal = _solve_goal(chain, _base_targets(scene, targets), q, ik, PHASE_CONTACT_OPT)
-    if step >= run.max_steps:
+    if step < run.max_steps:
+        q, step, contacts, assessment, tips = _close(
+            scene, q, step, contact_goal, run, validation, rows)
+        if assessment.stable:
+            _log.debug("phase %s -> %s at step %d", PHASE_CONTACT_OPT, PHASE_MONITOR, step)
+            q, step, assessment = _monitor(scene, q, step, contacts, assessment, tips, run,
+                                           validation, rows)
+    else:
         # the approach spent the step budget: report the contacts its last
         # step detected
-        return _joint_state(chain, q), log, validate_grasp(contacts, validation)
-    q, step, contacts, assessment, positions = _close(
-        scene, q, step, contact_goal, run, validation, log)
-    if assessment.stable:
-        _log.debug("phase %s -> %s at step %d", PHASE_CONTACT_OPT, PHASE_MONITOR, step)
-        q, assessment = _monitor(scene, q, step, contacts, assessment, positions, run,
-                                 validation, log)
+        assessment = validate_grasp(contacts, validation)
+    steps, tips, counts, phases = zip(*rows)
+    flat = itertools.chain.from_iterable
+    log = TrajectoryLog(fingers=tuple(chain.fingers), hz=run.hz, end_step=step,
+                        control_steps=list(flat(steps)), positions=np.concatenate(tips),
+                        contact_counts=list(flat(counts)), phases=list(flat(phases)))
     return _joint_state(chain, q), log, assessment
 
 
 def write_trajectory_csv(log: TrajectoryLog, fh) -> None:
-    fh.write("time,finger,x,y,z,contact_count,phase\n")
-    for entry in log.steps:
-        for finger in log.fingers:
-            x, y, z = entry.positions[finger].tolist()
-            fh.write(f"{entry.time!r},{finger},{x!r},{y!r},{z!r},"
-                     f"{entry.contact_count},{entry.phase}\n")
+    """One line per finger per logged row.  Each row's time is formatted
+    once, and a row whose positions keep every bit of the row before it
+    (the held monitor rows) reuses that row's formatted positions."""
+    lines = ["time,finger,x,y,z,contact_count,phase\n"]
+    bits = np.ascontiguousarray(log.positions).view(np.uint64)
+    repeats = [False] + (bits[1:] == bits[:-1]).all(axis=(1, 2)).tolist()
+    for time, tips, count, code, repeat in zip(
+            log.times.tolist(), log.positions.tolist(), log.contact_counts.tolist(),
+            log.phases.tolist(), repeats):
+        if not repeat:
+            xyz = [f"{x!r},{y!r},{z!r}" for x, y, z in tips]
+        head, tail = f"{time!r},", f",{count},{PHASES[code]}\n"
+        lines.extend(f"{head}{finger},{p}{tail}" for finger, p in zip(log.fingers, xyz))
+    fh.write("".join(lines))

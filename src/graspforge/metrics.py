@@ -96,23 +96,23 @@ def positional_error(final, target):
 def summarize_run(log: TrajectoryLog, targets: dict,
                   efficiency_basis: str = EFFICIENCY_FINAL_ERROR):
     """Per-finger metrics plus the aggregate: (list of FingerMetrics, RunSummary)."""
-    if not log.steps:
+    if not len(log.control_steps):
         raise MetricsError("trajectory log is empty")
     if efficiency_basis not in (EFFICIENCY_FINAL_ERROR, EFFICIENCY_STRAIGHT_LINE):
         raise MetricsError(f"unknown efficiency basis {efficiency_basis!r}")
 
     per_finger: list[FingerMetrics] = []
-    for finger in log.fingers:
+    for f, finger in enumerate(log.fingers):
         if finger not in targets:
             raise MetricsError(f"no target given for logged finger {finger!r}")
         target_p = _target_position(targets[finger])
-        track = [entry.positions[finger] for entry in log.steps]
+        track = log.positions[:, f]
         e, e_d = positional_error(track[-1], target_p)
         d_m = path_length(track)
         if efficiency_basis == EFFICIENCY_FINAL_ERROR:
             d_t = e_d
         else:
-            d_t = float(np.linalg.norm(target_p - np.asarray(track[0])))
+            d_t = float(np.linalg.norm(target_p - track[0]))
         per_finger.append(FingerMetrics(
             finger=finger,
             distance_to_target=e_d,

@@ -16,7 +16,7 @@ import pytest
 
 from graspforge.cli import main as cli_main
 from graspforge.contact import ContactPoint, closest_point_box
-from graspforge.controller import PHASE_MONITOR
+from graspforge.controller import PHASE_MONITOR, PHASES, TrajectoryLog
 from graspforge.grasp_validation import (FAILURE_CLOSURE, FAILURE_NONE, FAILURE_SPREAD,
                                          FAILURE_TOO_FEW, ValidationConfig,
                                          validate_grasp)
@@ -185,13 +185,10 @@ def test_perturbation_fixtures(report):
 
 
 def test_published_distance_metrics(report):
-    from graspforge.controller import LogStep, TrajectoryLog
     fingers = tuple(PUBLISHED)
-    steps = [LogStep(time=0.0,
-                     positions={f: np.array([PUBLISHED[f][0], 0.0, 0.0])
-                                for f in fingers},
-                     contact_count=4, phase="monitor")]
-    log = TrajectoryLog(fingers=fingers, steps=steps)
+    log = TrajectoryLog(fingers=fingers, hz=240.0, end_step=0, control_steps=[0],
+                        positions=[[[PUBLISHED[f][0], 0.0, 0.0] for f in fingers]],
+                        contact_counts=[4], phases=[PHASES.index("monitor")])
     targets = {f: np.zeros(3) for f in fingers}
     _, summary = summarize_run(log, targets)
     ok = (summary.success_rate == 1.0
@@ -203,23 +200,22 @@ def test_published_distance_metrics(report):
 
 def test_grasp_execution_run(scenario, grasp_run, report):
     state, log, assessment = grasp_run
-    steps = len(log.steps)
+    steps = len(log.control_steps)
     errors = {}
-    last = log.steps[-1]
+    last = dict(zip(log.fingers, log.positions[-1]))
     for finger, pose in scenario.targets.items():
-        errors[finger] = float(np.linalg.norm(last.positions[finger] - pose.position))
+        errors[finger] = float(np.linalg.norm(last[finger] - pose.position))
 
     plateau_violation = 0.0
-    for prev, cur in zip(log.steps, log.steps[1:]):
-        step_no = round(cur.time * scenario.run.hz)
-        if step_no <= 150:
+    for i in range(1, steps):
+        if log.control_steps[i] <= 150:
             continue
-        delta = max(float(np.linalg.norm(cur.positions[f] - prev.positions[f]))
-                    for f in log.fingers)
+        delta = max(float(np.linalg.norm(cur - prev))
+                    for prev, cur in zip(log.positions[i - 1], log.positions[i]))
         plateau_violation = max(plateau_violation, delta)
 
     ok = (assessment.stable
-          and log.steps[-1].phase == PHASE_MONITOR
+          and PHASES[log.phases[-1]] == PHASE_MONITOR
           and steps <= 1000
           and scenario.run.hz == 240.0
           and all(e < 0.1 for e in errors.values())

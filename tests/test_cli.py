@@ -243,6 +243,39 @@ class TestErrorHandling:
         assert code == EXIT_ERROR
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_a_log_period_past_the_budget_is_rejected_before_the_grasp(self, tmp_path,
+                                                                          capsys, monkeypatch):
+        import graspforge.cli
+
+        def no_grasp(*args):
+            raise AssertionError("the grasp ran")
+
+        monkeypatch.setattr(graspforge.cli, "execute_grasp", no_grasp)
+        code = run_cli("run", "--steps", "3", "--set", "run.log_every=7",
+                       "--out", str(tmp_path / "out"))
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "run.log_every (7)" in err
+        assert not (tmp_path / "out").exists()
+        # perturb writes no trajectory, so the same settings still run it
+        monkeypatch.undo()
+        code = run_cli("perturb", "--set", FAR_BOX, "--steps", "3", "--set", "run.log_every=7",
+                       "--out", str(tmp_path / "perturb"))
+        assert code == EXIT_UNSTABLE
+        assert (tmp_path / "perturb" / "perturbation.json").exists()
+
+    def test_a_run_that_ends_before_its_first_logged_step(self, tmp_path, capsys):
+        """The 1000-step bundled grasp completes its hold at step 204, before
+        step 250: the error names the setting and that step, and no output
+        directory is left behind."""
+        code = run_cli("run", "--steps", "1000", "--set", "run.log_every=250",
+                       "--out", str(tmp_path / "out"))
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "run.log_every (250)" in err and "ended at step 204" in err
+        assert not (tmp_path / "out").exists()
+
     # NaN, infinity or a quoted number in any entry of any vector
     @pytest.mark.parametrize("bad", [".nan", ".inf", '"0.0"'])
     @pytest.mark.parametrize("key,vector", [

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from graspforge.config import ConfigError, default_scenario_path, load_scenario
 from graspforge.contact import detect_contacts
-from graspforge.controller import (PHASE_CONTACT_OPT, PHASE_MONITOR, PHASE_PRE_GRASP,
-                                   LogStep, RunConfig, TrajectoryLog,
+from graspforge.controller import (PHASE_CONTACT_OPT, PHASE_MONITOR, PHASE_PRE_GRASP, PHASES,
+                                   VALIDATED_HOLD_STEPS, RunConfig, TrajectoryLog,
                                    execute_grasp, step_servo, write_trajectory_csv)
 from graspforge.grasp_validation import validate_grasp
 from graspforge.ik_solver import IkConfig
@@ -24,6 +24,11 @@ from graspforge.scene import Scene, default_scene, make_box_object
 from conftest import joint_rows
 
 PHASE_ORDER = {PHASE_PRE_GRASP: 0, PHASE_CONTACT_OPT: 1, PHASE_MONITOR: 2}
+
+
+def _phases(log):
+    """The phase name of each log row."""
+    return [PHASES[code] for code in log.phases.tolist()]
 
 
 def _passes_per_step(events):
@@ -37,21 +42,27 @@ def _passes_per_step(events):
     return [tuple(s) for s in steps]
 
 
-def _assert_hold_matches_final_state(scenario, state, log, assessment, held_steps):
-    """The verdict and the given log entries equal a fresh pass on the final state."""
-    scene = scenario.scene
+def _fresh_tips(scene, state):
+    """World fingertip positions (F, 3) of `state`, one `R_b @ t + t_b` per finger."""
     _, t = link_frames(scene.chain, state)
+    R_b, t_b = scene.hand_base.rotation(), scene.hand_base.position
+    return np.array([R_b @ t[f.end_effector] + t_b for f in scene.chain.fingers.values()])
+
+
+def _assert_hold_matches_final_state(scenario, state, log, assessment, held):
+    """The verdict and the log rows `held` (a slice or mask) equal a fresh
+    pass on the final state."""
+    scene = scenario.scene
     contacts = detect_contacts(scene, state)
     expected = validate_grasp(contacts, scenario.validation)
     assert assessment.to_dict() == expected.to_dict()
     assert assessment.center.tobytes() == expected.center.tobytes()
-    R_b, t_b = scene.hand_base.rotation(), scene.hand_base.position
-    assert held_steps
-    for entry in held_steps:
-        assert entry.phase == PHASE_MONITOR
-        assert entry.contact_count == len(contacts)
-        for finger, f in scene.chain.fingers.items():
-            assert entry.positions[finger].tobytes() == (R_b @ t[f.end_effector] + t_b).tobytes()
+    tips = _fresh_tips(scene, state)
+    assert len(log.control_steps[held])
+    assert (log.phases[held] == PHASES.index(PHASE_MONITOR)).all()
+    assert (log.contact_counts[held] == len(contacts)).all()
+    for row in log.positions[held]:
+        assert row.tobytes() == tips.tobytes()
 
 
 def _far_box_scene(scenario):
@@ -158,51 +169,49 @@ class TestExecuteGrasp:
         state, log, assessment = grasp_run
         assert assessment.stable
         assert assessment.contact_count >= scenario.validation.min_contacts
-        assert len(log.steps) <= scenario.run.max_steps
+        assert len(log.control_steps) <= scenario.run.max_steps
 
     def test_bundled_run_steps_are_pinned(self, scenario, grasp_run):
         """The bundled grasp first validates at step 115 and holds 50 steps."""
         _, log, _ = grasp_run
         assert scenario.run.log_every == 1  # one log entry per control step
-        assert len(log.steps) == 165
-        first_monitor = next(step for step, s in enumerate(log.steps, start=1)
-                             if s.phase == PHASE_MONITOR)
+        assert log.control_steps.tolist() == list(range(1, 166))
+        assert log.end_step == 165
+        first_monitor = log.control_steps[_phases(log).index(PHASE_MONITOR)]
         assert first_monitor == 115
 
     def test_phases_advance_in_order(self, grasp_run):
         _, log, _ = grasp_run
-        ranks = [PHASE_ORDER[s.phase] for s in log.steps]
+        ranks = [PHASE_ORDER[phase] for phase in _phases(log)]
         assert ranks[0] == PHASE_ORDER[PHASE_PRE_GRASP]
         assert ranks[-1] == PHASE_ORDER[PHASE_MONITOR]
         assert all(b - a in (0, 1) for a, b in zip(ranks, ranks[1:]))
 
     def test_contact_count_never_drops_during_the_run(self, grasp_run):
         _, log, _ = grasp_run
-        counts = [s.contact_count for s in log.steps]
+        counts = log.contact_counts.tolist()
         assert counts == sorted(counts)
         assert counts[-1] >= 4
 
     def test_monitor_phase_holds_every_finger_still(self, grasp_run):
         _, log, _ = grasp_run
-        monitor = [s for s in log.steps if s.phase == PHASE_MONITOR]
+        monitor = log.positions[log.phases == PHASES.index(PHASE_MONITOR)]
         assert len(monitor) >= 2
-        first = monitor[0]
-        for s in monitor[1:]:
-            for finger, p in s.positions.items():
-                assert np.array_equal(p, first.positions[finger])
+        for tips in monitor[1:]:
+            assert np.array_equal(tips, monitor[0])
 
     def test_final_fingertips_land_near_their_targets(self, scenario, grasp_run):
         _, log, _ = grasp_run
-        last = log.steps[-1]
+        last = dict(zip(log.fingers, log.positions[-1]))
         for finger, pose in scenario.targets.items():
-            err = np.linalg.norm(last.positions[finger] - pose.position)
+            err = np.linalg.norm(last[finger] - pose.position)
             assert err < 0.1, f"{finger} missed by {err:.4f} m"
 
     def test_log_timing_matches_the_rate(self, scenario, grasp_run):
         _, log, _ = grasp_run
         dt = 1.0 / scenario.run.hz
-        for i, s in enumerate(log.steps, start=1):
-            assert s.time == pytest.approx(i * dt)
+        for i, time in enumerate(log.times.tolist(), start=1):
+            assert time == pytest.approx(i * dt)
 
     def test_runs_are_bit_deterministic(self, scenario):
         run = RunConfig(max_steps=25)
@@ -210,9 +219,8 @@ class TestExecuteGrasp:
                           scenario.validation)
         b = execute_grasp(scenario.scene, scenario.targets, run, scenario.ik,
                           scenario.validation)
-        for sa, sb in zip(a[1].steps, b[1].steps):
-            for f in sa.positions:
-                assert np.array_equal(sa.positions[f], sb.positions[f])
+        assert len(a[1].control_steps) == 25
+        assert np.array_equal(a[1].positions, b[1].positions)
         assert a[0].values == b[0].values
 
     def test_zero_rate_limit_freezes_the_hand(self, scenario):
@@ -230,7 +238,7 @@ class TestExecuteGrasp:
                                            scenario.ik, scenario.validation)
         assert not assessment.stable
         assert assessment.failure_reason == FAILURE_TOO_FEW
-        assert len(log.steps) == 30  # never validated, so never broke out early
+        assert len(log.control_steps) == 30  # never validated, so never broke out early
 
     def test_one_link_frames_pass_per_control_step(self, scenario, monkeypatch):
         """The step's frames feed both contact detection and the fingertip log.
@@ -241,14 +249,16 @@ class TestExecuteGrasp:
         step 94), 95-110 keeps 13 (thumb too at step 107) and 108-123 keeps
         8 (stable at step 115), so 13 servo rows are rolled back and only
         the 35 kept rows are validated.  A pass is a `_stacked_frames` call
-        and a `_stacked_contacts` call on its frames.  The 50 monitor steps
-        of the bundled run are a bitwise fixed point of the servo, so they
-        make no pass and reuse the fingertip positions: 165 steps, 4 passes,
-        35 verdicts and 115 fingertip evaluations.
+        and a `_stacked_contacts` call on its frames, and each pass gathers
+        the fingertips of its logged rows once.  The bundled posture is a
+        bitwise fixed point of the servo from the first monitor step on, so
+        the hold runs the servo once and its 50 steps make no pass: 165
+        steps, 129 servo steps, 4 passes, 35 verdicts and 4 fingertip
+        gathers.
         """
         import graspforge.controller
         from graspforge.contact import _stacked_contacts
-        from graspforge.controller import _ee_positions
+        from graspforge.controller import _fingertips
         from graspforge.kinematics import _stacked_frames
         events, servo = [], []
 
@@ -269,33 +279,34 @@ class TestExecuteGrasp:
             events.append("validate")
             return validate_grasp(contacts, config)
 
-        def counted_positions(scene, frames):
-            events.append("positions")
-            return _ee_positions(scene, frames)
+        def counted_tips(scene, t):
+            events.append(("tips", len(t)))
+            return _fingertips(scene, t)
 
         monkeypatch.setattr(graspforge.controller, "_stacked_frames", counted_stacked)
         monkeypatch.setattr(graspforge.controller, "_stacked_contacts", counted_contacts)
         monkeypatch.setattr(graspforge.controller, "step_servo", counted_servo)
         monkeypatch.setattr(graspforge.controller, "validate_grasp", counted_validate)
-        monkeypatch.setattr(graspforge.controller, "_ee_positions", counted_positions)
+        monkeypatch.setattr(graspforge.controller, "_fingertips", counted_tips)
         state, log, assessment = execute_grasp(scenario.scene, scenario.targets, scenario.run,
                                                scenario.ik, scenario.validation)
-        assert log.steps[-1].phase == PHASE_MONITOR
-        assert len(log.steps) == 165
+        assert _phases(log)[-1] == PHASE_MONITOR
+        assert len(log.control_steps) == 165
         passes = [e[1:] for e in events if e[0] == "frames"]
         # (servo calls so far, rows): pre_grasp, then three contact_opt blocks
         assert passes == [(80, 80), (96, 16), (112, 16), (128, 16)]
         assert events.count("contacts") == 4
         assert events.count("validate") == 35
-        assert events.count("positions") == 115
-        # 80 + 48 speculated rows (35 kept) + 50 held monitor steps
-        assert len(servo) == 178
-        assert servo[128:] == [True] * 50
+        # one gather per pass, over its logged rows (the kept ones in contact_opt)
+        assert [e[1] for e in events if e[0] == "tips"] == [80, 14, 13, 8]
+        # 80 + 48 speculated rows (35 kept) + the first held monitor step
+        assert len(servo) == 129
+        assert servo[128:] == [True]
 
-        # the reused verdict and every monitor log entry equal a recompute
+        # the reused verdict and every monitor log row equal a recompute
         # from the final state
         _assert_hold_matches_final_state(scenario, state, log, assessment,
-                                         [s for s in log.steps if s.phase == PHASE_MONITOR])
+                                         log.phases == PHASES.index(PHASE_MONITOR))
 
         # a run that ends by its step budget validates the contacts its last
         # step detected, with no further pass: one stacked pass for the 6
@@ -306,8 +317,8 @@ class TestExecuteGrasp:
         state, log, assessment = execute_grasp(far_scene, scenario.targets,
                                                RunConfig(max_steps=30), scenario.ik,
                                                scenario.validation)
-        assert log.steps[-1].phase != PHASE_MONITOR
-        assert len(log.steps) == 30
+        assert _phases(log)[-1] != PHASE_MONITOR
+        assert len(log.control_steps) == 30
         assert [e[1:] for e in events if e[0] == "frames"] == [(6, 6), (22, 16), (30, 8)]
         assert len(servo) == 30
         expected = validate_grasp(detect_contacts(far_scene, state), scenario.validation)
@@ -343,15 +354,16 @@ class TestExecuteGrasp:
         monkeypatch.setattr(graspforge.controller, "_stacked_frames", counted_stacked)
         state, log, assessment = execute_grasp(scenario.scene, scenario.targets, scenario.run,
                                                scenario.ik, scenario.validation)
-        assert [s.phase for s in log.steps[entry - 2:entry]] == [PHASE_CONTACT_OPT, PHASE_MONITOR]
-        assert len(log.steps) == 165
-        # the frozen goal holds -0.0; the first held step (servo call 129,
+        assert _phases(log)[entry - 2:entry] == [PHASE_CONTACT_OPT, PHASE_MONITOR]
+        assert len(log.control_steps) == 165
+        # the frozen goal holds -0.0; the first monitor step (servo call 129,
         # after 80 pre_grasp and 48 speculated contact_opt calls) returns
-        # +0.0 and recomputes, the 49 after it reuse
+        # +0.0 and recomputes; the second is held, and the 48 after it repeat
+        # it without a servo call
         assert math.copysign(1.0, state.values[yaw]) == 1.0 and state.values[yaw] == 0.0
         assert passes == [80, 96, 112, 128, 129]
-        assert len(servo_calls) == 178
-        _assert_hold_matches_final_state(scenario, state, log, assessment, log.steps[entry:])
+        assert len(servo_calls) == 130
+        _assert_hold_matches_final_state(scenario, state, log, assessment, slice(entry, None))
 
     def test_a_contact_at_the_minimum_force_latches_its_finger(self, scenario, monkeypatch):
         """A contact exactly at `min_contact_force` is established for both
@@ -468,8 +480,7 @@ class TestExecuteGrasp:
         run = RunConfig(max_steps=7, log_every=3)
         _, log, _ = execute_grasp(scenario.scene, scenario.targets, run,
                                   scenario.ik, scenario.validation)
-        times = [s.time for s in log.steps]
-        assert times == pytest.approx([3 / 240.0, 6 / 240.0])
+        assert log.times.tolist() == pytest.approx([3 / 240.0, 6 / 240.0])
 
 
 def _grasp_outputs(overrides, caplog):
@@ -487,7 +498,7 @@ def _grasp_outputs(overrides, caplog):
     def digest(data: bytes) -> str:
         return hashlib.sha256(data).hexdigest()[:16]
 
-    return (len(log.steps), digest(csv.getvalue().encode()),
+    return (len(log.control_steps), digest(csv.getvalue().encode()),
             digest(json.dumps(assessment.to_dict(), sort_keys=True).encode()),
             digest(final.tobytes()),
             [r.getMessage() for r in caplog.records if r.msg.startswith("phase")])
@@ -495,17 +506,17 @@ def _grasp_outputs(overrides, caplog):
 
 def _grasp_snapshot(overrides, caplog):
     """Every output of `execute_grasp` on the bundled scenario with
-    `overrides`, floats by their bits: each log entry, the final state, the
-    assessment and the DEBUG records other than the contact_opt block
-    records; and, apart, the (first step, rows run, rows kept) of each block."""
+    `overrides`, floats by their bits: each log row and the step the run
+    ended at, the final state, the assessment and the DEBUG records other
+    than the contact_opt block records; and, apart, the (first step, rows
+    run, rows kept) of each block."""
     sc = load_scenario(default_scenario_path(), overrides)
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="graspforge"):
         state, log, assessment = execute_grasp(sc.scene, sc.targets, sc.run, sc.ik,
                                                sc.validation)
-    entries = [(s.time, s.contact_count, s.phase,
-                [s.positions[finger].tobytes() for finger in log.fingers])
-               for s in log.steps]
+    entries = list(zip(log.times.tolist(), log.contact_counts.tolist(), _phases(log),
+                       [tips.tobytes() for tips in log.positions])) + [log.end_step]
     final = np.array([state.values[ji] for ji in sorted(state.values)]).tobytes()
     verdict = (json.dumps(assessment.to_dict(), sort_keys=True), assessment.center.tobytes())
     records = [r for r in caplog.records if r.name == "graspforge"]
@@ -663,11 +674,122 @@ class TestRunConfigCorners:
         assert blocks == [(81, 16, 14), (95, 16, 6)]
 
 
+def _stepwise_hold(scene, q, step, run, validate):
+    """The monitor phase from posture `q` at `step`, one servo step and one
+    fresh one-row pass per step, verdicts by `validate`: the reference the
+    broadcast of the held rows must equal.  Returns its logged rows (step,
+    fingertip bits, contact count), the step it ended at, the angles and
+    the verdict."""
+    chain = scene.chain
+    goal, hold_count, rows = q, 0, []
+    while step < run.max_steps and hold_count < VALIDATED_HOLD_STEPS:
+        step += 1
+        q = step_servo(q, goal, run, chain)
+        state = _joint_state(chain, q)
+        contacts = detect_contacts(scene, state)
+        verdict = validate(contacts)
+        hold_count = hold_count + 1 if verdict.stable else 0
+        if step % run.log_every == 0:
+            rows.append((step, _fresh_tips(scene, state).tobytes(), len(contacts)))
+    return rows, step, q, verdict
+
+
+@pytest.mark.parametrize("overrides, unstable", [
+    ([], False), (["run.log_every=7"], False), (["run.steps=1000", "run.log_every=7"], False),
+    ([], True)])
+def test_the_held_broadcast_equals_the_stepwise_hold(overrides, unstable, monkeypatch):
+    """The monitor rows written as one broadcast of the held row equal the
+    hold run step by step, bit for bit: the logged rows, the end step, the
+    final angles and the verdict.  With the held verdict forced unstable the
+    hold never completes and runs to the step budget."""
+    import graspforge.controller
+    from graspforge.controller import _monitor
+    sc = load_scenario(default_scenario_path(), overrides)
+    entries = []
+
+    def validate(contacts, config=sc.validation):
+        verdict = validate_grasp(contacts, config)
+        return dataclasses.replace(verdict, stable=False) if unstable else verdict
+
+    def monitor(scene, q, step, contacts, assessment, *args):
+        entries.append((q, step))
+        if unstable:
+            monkeypatch.setattr(graspforge.controller, "validate_grasp", validate)
+            assessment = dataclasses.replace(assessment, stable=False)
+        return _monitor(scene, q, step, contacts, assessment, *args)
+
+    monkeypatch.setattr(graspforge.controller, "_monitor", monitor)
+    state, log, assessment = execute_grasp(sc.scene, sc.targets, sc.run, sc.ik, sc.validation)
+    (q, entry), = entries
+    rows, end, q_end, verdict = _stepwise_hold(sc.scene, q, entry, sc.run, validate)
+    held = log.control_steps > entry
+    assert rows == list(zip(log.control_steps[held].tolist(),
+                            [tips.tobytes() for tips in log.positions[held]],
+                            log.contact_counts[held].tolist()))
+    assert _phases(log)[-len(rows):] == [PHASE_MONITOR] * len(rows)
+    assert log.end_step == end == (sc.run.max_steps if unstable else entry + VALIDATED_HOLD_STEPS)
+    assert _angles(sc.scene.chain, state).tobytes() == q_end.tobytes()
+    assert assessment.to_dict() == verdict.to_dict()
+    assert assessment.center.tobytes() == verdict.center.tobytes()
+    assert assessment.stable is not unstable
+
+
+def test_the_time_column_is_the_step_times_the_period(scenario, grasp_run):
+    """A row's time is step * (1.0 / hz), not step / hz: at 240 Hz the two
+    differ in the last bit at step 23, which the bundled run logs.  The
+    `steps` view and the CSV carry the same bits."""
+    _, log, _ = grasp_run
+    hz = scenario.run.hz
+    steps = log.control_steps.tolist()
+    row = steps.index(23)
+    assert (23 * (1.0 / hz)).hex() != (23 / hz).hex()
+    assert [t.hex() for t in log.times.tolist()] == [(s * (1.0 / hz)).hex() for s in steps]
+    assert log.steps[row].time.hex() == (23 * (1.0 / hz)).hex()
+    buf = io.StringIO()
+    write_trajectory_csv(log, buf)
+    lines = buf.getvalue().splitlines()[1:]
+    times = {float(line.split(",")[0]).hex() for line in lines[5 * row:5 * row + 5]}
+    assert times == {(23 * (1.0 / hz)).hex()}
+
+
+def test_the_steps_view_builds_records_from_the_arrays(grasp_run):
+    _, log, _ = grasp_run
+    view = log.steps
+    assert len(view) == len(log.control_steps)
+    for i, entry in enumerate(view):
+        assert entry.time == log.times[i]
+        assert entry.contact_count == log.contact_counts[i]
+        assert entry.phase == PHASES[log.phases[i]]
+        assert list(entry.positions) == list(log.fingers)
+        assert np.array([entry.positions[f] for f in log.fingers]).tobytes() == \
+            log.positions[i].tobytes()
+    # the records hold copies: writing to one leaves the log as it was
+    before = log.positions.tobytes()
+    view[0].positions[log.fingers[0]][:] = 9.0
+    assert log.positions.tobytes() == before
+
+
+def test_the_csv_writer_compares_rows_by_their_bits():
+    """Rows that differ only in the sign of a zero are equal as values but
+    not as bits: the writer formats each of them anew."""
+    tips = [[[0.0, 0.1, -0.0]], [[-0.0, 0.1, -0.0]], [[-0.0, 0.1, -0.0]], [[0.0, 0.1, 0.0]]]
+    log = TrajectoryLog(fingers=("index",), hz=4.0, end_step=4, control_steps=[1, 2, 3, 4],
+                        positions=tips, contact_counts=[0, 0, 1, 1],
+                        phases=[PHASES.index("monitor")] * 4)
+    buf = io.StringIO()
+    write_trajectory_csv(log, buf)
+    assert buf.getvalue().splitlines()[1:] == [
+        "0.25,index,0.0,0.1,-0.0,0,monitor",
+        "0.5,index,-0.0,0.1,-0.0,0,monitor",
+        "0.75,index,-0.0,0.1,-0.0,1,monitor",
+        "1.0,index,0.0,0.1,0.0,1,monitor",
+    ]
+
+
 def test_trajectory_csv_golden():
-    log = TrajectoryLog(fingers=("index",), steps=[
-        LogStep(time=0.5, positions={"index": np.array([0.1, -0.2, 0.3])},
-                contact_count=2, phase="monitor"),
-    ])
+    log = TrajectoryLog(fingers=("index",), hz=2.0, end_step=1, control_steps=[1],
+                        positions=[[[0.1, -0.2, 0.3]]], contact_counts=[2],
+                        phases=[PHASES.index("monitor")])
     buf = io.StringIO()
     write_trajectory_csv(log, buf)
     assert buf.getvalue() == ("time,finger,x,y,z,contact_count,phase\n"
@@ -681,4 +803,4 @@ def test_trajectory_csv_has_no_numpy_reprs(grasp_run):
     text = buf.getvalue()
     assert "np.float64" not in text
     # one row per finger per logged step, plus the header
-    assert len(text.splitlines()) == 1 + 5 * len(log.steps)
+    assert len(text.splitlines()) == 1 + 5 * len(log.control_steps)

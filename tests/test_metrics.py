@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from graspforge.controller import LogStep, TrajectoryLog
+from graspforge.controller import PHASES, TrajectoryLog
 from graspforge.metrics import (EPSILON, SUCCESS_THRESHOLD, MetricsError,
                                 movement_efficiency, path_length, positional_error,
                                 summarize_run, write_metrics_csv)
@@ -19,15 +19,15 @@ TABLE = {
 
 
 def make_log(tracks):
-    """TrajectoryLog from {finger: [positions]}; all tracks equal length."""
+    """TrajectoryLog from {finger: [positions]}, one row per position every
+    0.1 s; all tracks equal length."""
     fingers = tuple(tracks)
     n = len(next(iter(tracks.values())))
-    steps = [LogStep(time=i * 0.1,
-                     positions={f: np.asarray(tracks[f][i], dtype=float)
-                                for f in fingers},
-                     contact_count=0, phase="monitor")
-             for i in range(n)]
-    return TrajectoryLog(fingers=fingers, steps=steps)
+    positions = np.stack([np.asarray(tracks[f], dtype=float).reshape(n, 3) for f in fingers],
+                         axis=1)
+    return TrajectoryLog(fingers=fingers, hz=10.0, end_step=n - 1, control_steps=range(n),
+                         positions=positions, contact_counts=[0] * n,
+                         phases=[PHASES.index("monitor")] * n)
 
 
 class TestMovementEfficiency:
@@ -124,7 +124,8 @@ class TestSummarizeRun:
         assert all(v > 1.4 for v in computed.values())
 
     def test_empty_log_rejected(self):
-        log = TrajectoryLog(fingers=("a",), steps=[])
+        log = TrajectoryLog(fingers=("a",), hz=10.0, end_step=0, control_steps=[],
+                            positions=[], contact_counts=[], phases=[])
         with pytest.raises(MetricsError, match="empty"):
             summarize_run(log, {"a": np.zeros(3)})
 
