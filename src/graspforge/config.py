@@ -9,9 +9,11 @@ silently running defaults.
   physics:    contact_stiffness (k in the contact force F = k * depth),
               lateral_friction (validated; no computation reads it yet)
   targets:    finger -> {position, rpy}   (world frame, every finger; omit
-              the section for built-ins)
-  run:        seed (the perturbation seed), steps, hz, joint_rate_limit,
-              servo_gain, log_every; seed, steps and log_every are integers
+              the section for the built-ins, which name the bundled hand's
+              five fingers)
+  run:        seed (the perturbation seed, >= 0), steps, hz,
+              joint_rate_limit, servo_gain, log_every; seed, steps and
+              log_every are integers
   ik:         max_iterations, residual_threshold, damping_lambda, step_scale
   validation: min_contacts, distribution_threshold, force_closure_threshold,
               min_contact_force
@@ -192,20 +194,24 @@ def build_scenario(data: dict, scenario_dir: str | None = None) -> ScenarioConfi
     if "targets" in data:
         if not isinstance(data["targets"], dict) or not data["targets"]:
             raise ConfigError("targets must map finger names to poses")
-        targets = {}
-        for finger, value in data["targets"].items():
-            if finger not in chain.fingers:
-                raise ConfigError(f"targets: unknown finger {finger!r}")
-            targets[finger] = _pose_from_mapping(value, f"targets.{finger}")
-        missing = [finger for finger in chain.fingers if finger not in targets]
-        if missing:
-            raise ConfigError(f"targets: no target given for finger(s) "
-                              f"{', '.join(map(repr, missing))}; give every finger a target")
+        targets = {finger: _pose_from_mapping(value, f"targets.{finger}")
+                   for finger, value in data["targets"].items()}
+        source = ""
     else:
         targets = default_grasp_targets(scene)
+        source = " (the built-in targets; give this hand a targets section)"
+    unknown = [finger for finger in targets if finger not in chain.fingers]
+    if unknown:
+        raise ConfigError(f"targets: unknown finger {unknown[0]!r}{source}")
+    missing = [finger for finger in chain.fingers if finger not in targets]
+    if missing:
+        raise ConfigError(f"targets: no target given for finger(s) "
+                          f"{', '.join(map(repr, missing))}; give every finger a target")
 
     run_data = dict(data.get("run", {}))
     seed = run_data.pop("seed", 0)
+    if is_finite_number(seed) and seed < 0:  # numpy's generators take no negative seed
+        raise ConfigError(f"run.seed must be >= 0, got {seed!r}")
     if "steps" in run_data:
         run_data["max_steps"] = run_data.pop("steps")
     run = RunConfig(**run_data)

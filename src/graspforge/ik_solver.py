@@ -50,9 +50,10 @@ two hand solves take 46 rounds and 60 stacked walks where the fingers one
 at a time make 130 walks.  `solve_hand_ik` leaves one DEBUG record on the
 `graspforge` logger with its rounds, stacked walks and finger trials.
 
-Every result equals, bit for bit, that of the same loop written on
-`link_transform`, `jacobian` and `clamp_to_limits` and a joint dict, one
-finger at a time (tests/test_ik_solver.py keeps it as the reference).  The
+Every result equals, bit for bit, that of the same loop written on a
+per-joint walk of one fingertip and its Jacobian, `clamp_to_limits` and a
+joint dict, one finger at a time (`reference_solve` in tests/reference.py,
+the oracle of the bitwise tests).  The
 stacked walk and step round like the 2-D ones because each stacked slice
 is computed by the same operations on an array of the same memory layout
 (see the `kinematics` module notes).

@@ -8,34 +8,37 @@ The joint origins, axes and Jacobian columns are constants of the chain,
 computed once when it is built, as are the joints grouped by tree depth
 (`chain.fk_levels`) and the angle-free factors of the movable joints'
 rotations (`chain.movable_rodrigues`).  A `Pose` computes its rotation
-matrix once, when it is made.  `_stacked_frames` gives every link's frame
-for each of T joint-angle rows as stacked arrays, rotations (T, L, 3, 3)
-and translations (T, L, 3), composing one tree depth per batch with stacked
-`matmul`, with the rotations of all movable joints of all rows from one
-vectorized Rodrigues evaluation.  The controller calls it on its angle
-rows (`_angles` and `_joint_state` convert a `JointState` to and from angles
-in `chain.movable` order); `link_frames` is its one-row call.
-`link_transform` and `jacobian` walk a single link's path from the root.
-`finger_walk` serves the IK: for G fingers of one walk shape (the kinds of
-the joints from a finger's first joint to its tip: its own, another movable
-one held at its angle, or fixed), it walks from the root to the frame each
-finger hangs from once, then each call makes one stacked walk from there
-to the fingertips, with the rotations of all the fingers' own joints from
-one vectorized Rodrigues evaluation, and gives the fingertips (G, 3) and,
-when asked, their Jacobians (G, 3, n).
+matrix once, when it is made.  Two routes compute frames:
 
-The walks compose a joint in `_compose`, the one per-joint copy of the
-sequence R = R_parent @ R_origin, t = R_parent @ t_origin + t_parent, then
-R @ R_joint for a movable joint.  `_stacked_frames` makes the same sequence
-per level, and `finger_walk` per joint on (G, 3, 3) and (G, 3, 1) stacks; a
-stacked `matmul` rounds each slice exactly as the 2-D product does,
-whatever the number of rows, so every route agrees bit for bit.  The
-vectorized Rodrigues and cross products repeat `axis_angle_matrix`'s and
-`np.cross`'s arithmetic entry for entry.  A Jacobian, alone or as a row of
-a stack, keeps the memory layout of a column selection of `jacobian`'s
-result (the transpose of a C-ordered (n, 3) array, which `take` gives the
-cross products): products such as J @ J.T and J.T @ x take another route
-on another layout, and round differently.
+- `_stacked_frames` gives every link's frame for each of T joint-angle rows
+  as stacked arrays, rotations (T, L, 3, 3) and translations (T, L, 3),
+  composing one tree depth per batch with stacked `matmul`, with the
+  rotations of all movable joints of all rows from one vectorized Rodrigues
+  evaluation.  The controller calls it on its angle rows (`_angles` and
+  `_joint_state` convert a `JointState` to and from angles in
+  `chain.movable` order); `link_frames` is its one-row call, and
+  `link_transform` and `jacobian` read their link's frames from it.
+- `finger_walk` serves the IK: for G fingers of one walk shape (the kinds
+  of the joints from a finger's first joint to its tip: its own, another
+  movable one held at its angle, or fixed), each call makes one stacked
+  walk from the frames the fingers hang from (the root's, or below a wrist
+  the `link_frames` row of the first joint's parent link) to the
+  fingertips, with the rotations of all the fingers' own joints from one
+  vectorized Rodrigues evaluation, and gives the fingertips (G, 3) and,
+  when asked, their Jacobians (G, 3, n).
+
+Both make the compose sequence R = R_parent @ R_origin, t = R_parent @
+t_origin + t_parent, then R @ R_joint for a movable joint:
+`_stacked_frames` per level, `finger_walk` per joint on (G, 3, 3) and
+(G, 3, 1) stacks.  A stacked `matmul` rounds each slice exactly as the 2-D
+product does, whatever the number of rows, so both routes agree bit for bit
+with a per-joint walk of 2-D products, which tests/reference.py keeps as
+their oracle.  The vectorized Rodrigues and cross products repeat
+`axis_angle_matrix`'s and `np.cross`'s arithmetic entry for entry.  A
+Jacobian, alone or as a row of a stack, keeps the memory layout of a column
+selection of `jacobian`'s result (the transpose of a C-ordered (n, 3) array,
+which `take` gives the cross products): products such as J @ J.T and J.T @
+x take another route on another layout, and round differently.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .robot_model import Finger, KinematicChain
-from .transforms import axis_angle_matrix, compose_rt, matrix_to_quat, quat_to_matrix, rpy_matrix
+from .transforms import axis_angle_matrix, matrix_to_quat, quat_to_matrix, rpy_matrix
 
 
 # The cyclic shifts of a cross product's components (`take` keeps rows
@@ -154,8 +157,9 @@ def _joint_state(chain: KinematicChain, q: np.ndarray) -> JointState:
 
 
 def within_limits(chain: KinematicChain, state: JointState, tol: float = 0.0) -> bool:
-    return all(chain.joints[ji].lower_limit - tol <= v <= chain.joints[ji].upper_limit + tol
-               for ji, v in state.values.items())
+    """Every movable joint's angle lies within its limits widened by `tol`."""
+    q = _angles(chain, state)
+    return bool(np.all((chain.lower - tol <= q) & (q <= chain.upper + tol)))
 
 
 # --------------------------------------------------------------------------
@@ -174,43 +178,6 @@ def _resolve_link(chain: KinematicChain, link) -> int:
     return li
 
 
-def _compose(chain: KinematicChain, ji: int, R: np.ndarray, t: np.ndarray, rotation):
-    """Frame of joint `ji` from its parent link's frame (R, t).
-
-    The per-joint compose sequence of this module (`link_frames` makes the
-    same one per tree depth): R, t = R @ R_origin, R @ t_origin + t, then
-    R @ rotation for a movable joint (`rotation` is None for a fixed one).
-    Returns (R_joint, t, R_child): R_joint is the frame the joint turns in
-    (its world axis is R_joint @ axis), t the joint origin, which is also the
-    child link's origin, and R_child the child link's rotation.
-    """
-    R, t = compose_rt(R, t, chain.origin_rotation[ji], chain.origin_translation[ji])
-    return R, t, (R if rotation is None else R @ rotation)
-
-
-def _walk(chain: KinematicChain, path, R: np.ndarray, t: np.ndarray, rotations: dict,
-          record=()):
-    """Compose (R, t) through the joints of `path`, parent first.
-
-    `rotations` maps every movable joint of `path` to its rotation.  Returns
-    the final (R, t) and, for the joints of `record` in path order, their
-    world axes and origins: the inputs of `_jacobian_columns`.
-    """
-    axes, origins = [], []
-    for ji in path:
-        R_joint, t, R = _compose(chain, ji, R, t, rotations.get(ji))
-        if ji in record:
-            axes.append(R_joint @ chain.movable_axes[chain.column_of[ji]])
-            origins.append(t)
-    return R, t, axes, origins
-
-
-def _path_rotations(chain: KinematicChain, path, state: JointState) -> dict:
-    """Rotation of each movable joint of `path` at its `state` angle, in path order."""
-    return {ji: axis_angle_matrix(chain.movable_axes[chain.column_of[ji]], state.get(ji))
-            for ji in path if ji in chain.column_of}
-
-
 def _jacobian_columns(axes: list, origins: list, p: np.ndarray) -> np.ndarray:
     """Columns axis x (p - origin), shape (3, k).
 
@@ -223,13 +190,6 @@ def _jacobian_columns(axes: list, origins: list, p: np.ndarray) -> np.ndarray:
     a = np.array(axes)
     b = p - np.array(origins)
     return (a.take(_NEXT, 1) * b.take(_PREV, 1) - a.take(_PREV, 1) * b.take(_NEXT, 1)).T
-
-
-def link_transform(chain: KinematicChain, state: JointState, link) -> tuple[np.ndarray, np.ndarray]:
-    """(rotation, translation) of `link` in the root frame, walked from the root."""
-    path = chain.path_to_link[_resolve_link(chain, link)]
-    R, t, _, _ = _walk(chain, path, np.eye(3), np.zeros(3), _path_rotations(chain, path, state))
-    return R, t
 
 
 def _rodrigues(terms: tuple[np.ndarray, np.ndarray], angle: np.ndarray) -> np.ndarray:
@@ -255,11 +215,11 @@ def _stacked_frames(chain: KinematicChain, angles: np.ndarray) -> tuple[np.ndarr
 
     One batch per tree depth (`chain.fk_levels`), shallowest first, so each
     level reads its parent frames from the levels before it.  A batch makes
-    the compose sequence of `_compose` with stacked `matmul`, which rounds
-    each slice exactly as a 2-D `@` does: R_parent @ R_origin, R_parent @
-    t_origin + t_parent, then R @ R_joint for the movable joints only (a
-    fixed joint makes no rotation product, as in the walk).  So every frame
-    of every row is bit for bit the one `link_transform` returns.
+    the compose sequence with stacked `matmul`, which rounds each slice
+    exactly as a 2-D `@` does: R_parent @ R_origin, R_parent @ t_origin +
+    t_parent, then R @ R_joint for the movable joints only (a fixed joint
+    makes no rotation product).  So every frame of every row is bit for bit
+    the one a per-joint walk of 2-D products gives.
     """
     rot = _rodrigues(chain.movable_rodrigues, angles)
     R = np.empty((len(angles), len(chain.links), 3, 3))
@@ -283,6 +243,13 @@ def link_frames(chain: KinematicChain, state: JointState) -> tuple[np.ndarray, n
     frame: the one-row call of `_stacked_frames`."""
     R, t = _stacked_frames(chain, _angles(chain, state)[None])
     return R[0], t[0]
+
+
+def link_transform(chain: KinematicChain, state: JointState, link) -> tuple[np.ndarray, np.ndarray]:
+    """(rotation, translation) of `link` in the root frame: its row of `link_frames`."""
+    li = _resolve_link(chain, link)
+    R, t = link_frames(chain, state)
+    return R[li], t[li]
 
 
 # The kinds of the steps of a finger walk, from the frame the finger hangs
@@ -314,11 +281,12 @@ def finger_walk(chain: KinematicChain, fingers, state: JointState):
     (`_walk_shape`), as a function of the fingers' own angles.
 
     Every joint other than the fingers' own keeps its angle in `state`.  The
-    frame each finger's first joint hangs from is walked from the root once,
-    here, so a joint above the finger (a wrist) moves it.  The returned
-    `walk(q)` takes the fingers' angles, shape (G, n) with each row base to
-    tip, and makes one stacked walk from those frames: a stacked `matmul`
-    per joint, with all rotations from one vectorized Rodrigues evaluation.
+    frame each finger's first joint hangs from is the root's, or, below a
+    wrist, its parent link's `link_frames` row, read once, here, so a joint
+    above the finger moves it.  The returned `walk(q)` takes the fingers'
+    angles, shape (G, n) with each row base to tip, and makes one stacked
+    walk from those frames: a stacked `matmul` per joint, with all
+    rotations from one vectorized Rodrigues evaluation.
     It returns the positions (G, 3) and a `jacobian()` that gives the
     Jacobians over the fingers' joints (G, 3, n) from the same walk, so a
     caller that reads no Jacobian (a rejected damping trial) makes none.
@@ -329,9 +297,12 @@ def finger_walk(chain: KinematicChain, fingers, state: JointState):
     """
     paths = [chain.path_to_link[f.end_effector] for f in fingers]
     starts = [path.index(f.joints[0]) for path, f in zip(paths, fingers)]
-    hangs = [_walk(chain, path[:k], _EYE3, _ZERO3, _path_rotations(chain, path[:k], state))
-             for path, k in zip(paths, starts)]
-    R0, t0 = _stack([h[0] for h in hangs]), _stack([h[1] for h in hangs])[..., None]
+    if any(starts):  # below a wrist: the frames of the first joints' parent links
+        R, t = link_frames(chain, state)
+        parents = [chain.joints[f.joints[0]].parent for f in fingers]
+        R0, t0 = R[parents], t[parents][..., None]
+    else:  # every finger hangs from the root
+        R0, t0 = _stack([_EYE3] * len(fingers)), _stack([_ZERO3] * len(fingers))[..., None]
     shape = _walk_shape(chain, fingers[0])
     # per step of the walk, the joint of each finger; positions are carried
     # as (G, 3, 1) columns, the shape R @ t_origin takes
@@ -353,8 +324,8 @@ def finger_walk(chain: KinematicChain, fingers, state: JointState):
         R, t = R0, t0
         frames, origins = [], []
         for s, kind in enumerate(shape):
-            # the compose sequence of `_compose`; the last joint's child
-            # rotation is not needed
+            # the compose sequence; the last joint's child rotation is not
+            # needed
             t = R @ origin_translation[s] + t
             if kind == _OWN:
                 R = R @ origin_rotation[s]
@@ -386,10 +357,15 @@ def jacobian(chain: KinematicChain, state: JointState, link) -> np.ndarray:
     Column for movable joint j is axis_j x (p_link - p_joint_j) when j lies
     on the path to the link, zero otherwise.
     """
-    path = chain.path_to_link[_resolve_link(chain, link)]
-    rotations = _path_rotations(chain, path, state)
-    _, t, axes, origins = _walk(chain, path, np.eye(3), np.zeros(3), rotations, rotations)
+    li = _resolve_link(chain, link)
+    R, t = link_frames(chain, state)
+    joints = [ji for ji in chain.path_to_link[li] if ji in chain.column_of]
     J = np.zeros((3, len(chain.movable)))
-    if axes:
-        J[:, [chain.column_of[ji] for ji in rotations]] = _jacobian_columns(axes, origins, t)
+    if joints:
+        # a joint's world axis is (R_parent @ R_origin) @ axis, the frame
+        # the tree pass forms first; its origin is its child link's
+        axes = [R[chain.joints[ji].parent] @ chain.origin_rotation[ji]
+                @ chain.movable_axes[chain.column_of[ji]] for ji in joints]
+        origins = [t[chain.joints[ji].child] for ji in joints]
+        J[:, [chain.column_of[ji] for ji in joints]] = _jacobian_columns(axes, origins, t[li])
     return J

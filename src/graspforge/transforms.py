@@ -107,9 +107,3 @@ class Transform:
 
     def translation(self) -> np.ndarray:
         return np.array(self.xyz, dtype=float)
-
-
-def compose_rt(Ra: np.ndarray, ta: np.ndarray,
-               Rb: np.ndarray, tb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Compose two (rotation, translation) pairs: result = A ∘ B."""
-    return Ra @ Rb, Ra @ tb + ta

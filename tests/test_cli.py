@@ -361,6 +361,29 @@ class TestErrorHandling:
         assert "'middle', 'ring', 'pinky'" in err
         assert not (tmp_path / "out").exists()
 
+    def test_built_in_targets_on_other_finger_names(self, tmp_path, capsys):
+        # no targets section, and a hand whose thumb joints are named thb_
+        hand = tmp_path / "thb.urdf"
+        hand.write_text(open(bundled_hand_path()).read().replace(
+            '<joint name="thumb_', '<joint name="thb_'))
+        scenario = tmp_path / "no_targets.yaml"
+        scenario.write_text("hand: {description_path: thb.urdf}\n")
+        code = run_cli("run", "--scenario", str(scenario), "--out", str(tmp_path / "out"))
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: targets: unknown finger 'thumb'") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["perturb", "--seed", "-3", "--repeat", "2"],
+                                      ["perturb", "--set", "run.seed=-1"],
+                                      ["run", "--set", "run.seed=-1"]])
+    def test_negative_seed_names_run_seed(self, tmp_path, capsys, argv):
+        code = run_cli(*argv, "--out", str(tmp_path / "out"))
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: run.seed") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     # argparse's own status for these is 2, which would read as an unstable grasp
     @pytest.mark.parametrize("argv", [
         ["run", "--bogus"],

@@ -9,11 +9,12 @@ from graspforge.contact import (_closest_point_local, _deepest_on_segments, _sta
                                 closest_point_box, detect_contacts)
 from graspforge.controller import execute_grasp, step_servo
 from graspforge.kinematics import JointState, Pose, _stacked_frames, link_transform
-from graspforge.robot_model import CapsuleGeometry, SphereGeometry, parse_robot_description
+from graspforge.robot_model import parse_robot_description
 from graspforge.scene import PhysicalParams, Scene, make_box_object
 from graspforge.transforms import axis_angle_matrix, matrix_to_quat
 
 from conftest import joint_rows
+from reference import reference_detect_contacts
 
 # single revolute finger carrying a sphere fingertip 50 mm out along +x
 SPHERE_FINGER = """
@@ -282,71 +283,9 @@ class TestDeepestOnSegment:
         assert np.array_equal(_deepest_on_segments(a[::-1], d[::-1], half), batch[::-1])
 
 
-def _reference_detect_contacts(scene, state, sphere_reject=True):
-    """`detect_contacts` as a loop over the finger links, one shape at a time.
-
-    The front end of an earlier version, kept as the bitwise reference of
-    the array one: per link its frame from `link_transform`, the world
-    transform, the bounding-sphere reject (a shape with |center - box
-    center| > length/2 + radius + |half extents| cannot touch the box; it is
-    looser than `detect_contacts`' box-axis reject) and the box-frame probe
-    point and capsule axis; then the same batched segment minimum and
-    surface probe.  With `sphere_reject=False` every shape goes to the
-    narrow phase.
-    """
-    chain = scene.chain
-    box = scene.object
-    R = box.pose.rotation()
-    c = box.pose.position
-    half = np.asarray(box.half_extents)
-    box_reach = float(np.linalg.norm(half))
-    R_b = scene.hand_base.rotation()
-    t_b = scene.hand_base.position
-    probes = []
-    starts, directions, capsule_rows = [], [], []
-    for finger, links in chain.finger_links.items():
-        for link in links:
-            spec = chain.links[link]
-            geom = spec.geometry
-            if isinstance(geom, CapsuleGeometry):
-                half_length = 0.5 * geom.length
-            elif isinstance(geom, SphereGeometry):
-                half_length = 0.0
-            else:
-                continue
-            R_l, t_l = link_transform(chain, state, link)
-            R_w = R_b @ R_l
-            center = R_w @ spec.geometry_origin.translation() + (R_b @ t_l + t_b)
-            offset = center - c
-            if sphere_reject and np.linalg.norm(offset) > half_length + geom.radius + box_reach:
-                continue
-            p = R.T @ offset
-            if half_length > 0.0:
-                axis = R.T @ (R_w @ spec.geometry_origin.rotation()[:, 2].copy())
-                starts.append(p - half_length * axis)
-                directions.append(geom.length * axis)
-                capsule_rows.append(len(probes))
-            probes.append([finger, link, geom.radius, p])
-    if capsule_rows:
-        a, d = np.array(starts), np.array(directions)
-        ts = _deepest_on_segments(a, d, half)
-        for row, a_i, d_i, t in zip(capsule_rows, a, d, ts):
-            probes[row][3] = a_i + t * d_i
-    k = box.params.contact_stiffness
-    contacts = []
-    for finger, link, radius, p in probes:
-        surface, normal, sd = _closest_point_local(p, half)
-        depth = radius - sd
-        if depth < 0.0:
-            continue
-        contacts.append((finger, link, R @ surface + c, R @ normal, float(depth),
-                         float(k * depth)))
-    return contacts
-
-
 def _assert_same_contacts(scene, state, sphere_reject=True):
     got = detect_contacts(scene, state)
-    expected = _reference_detect_contacts(scene, state, sphere_reject)
+    expected = reference_detect_contacts(scene, state, sphere_reject)
     assert len(got) == len(expected)
     for c, (finger, link, position, normal, depth, force) in zip(got, expected):
         assert (c.finger, c.link, type(c.link)) == (finger, link, int)

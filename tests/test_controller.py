@@ -17,11 +17,11 @@ from graspforge.controller import (PHASE_CONTACT_OPT, PHASE_MONITOR, PHASE_PRE_G
                                    execute_grasp, step_servo, write_trajectory_csv)
 from graspforge.grasp_validation import validate_grasp
 from graspforge.ik_solver import IkConfig
-from graspforge.kinematics import (JointState, Pose, _angles, _joint_state, clamp_to_limits,
-                                   link_frames, neutral_state)
+from graspforge.kinematics import Pose, _angles, _joint_state, link_frames, neutral_state
 from graspforge.scene import Scene, default_scene, make_box_object
 
 from conftest import joint_rows
+from reference import reference_step_servo
 
 PHASE_ORDER = {PHASE_PRE_GRASP: 0, PHASE_CONTACT_OPT: 1, PHASE_MONITOR: 2}
 
@@ -102,19 +102,6 @@ class TestRunConfig:
         assert run.log_every == 1
 
 
-def _reference_step_servo(state, goal, run, chain):
-    """The servo on joint dicts, one joint at a time: the bitwise reference
-    of the array `step_servo`."""
-    dt = 1.0 / run.hz
-    rate = run.joint_rate_limit
-    new_values = {}
-    for ji, theta in state.values.items():
-        velocity = run.servo_gain * (goal.values[ji] - theta)
-        velocity = min(max(velocity, -rate), rate)
-        new_values[ji] = theta + velocity * dt
-    return clamp_to_limits(chain, JointState(values=new_values))
-
-
 class TestStepServo:
     def test_small_error_decays_by_gain_over_hz(self, chain):
         q = _angles(chain, neutral_state(chain))
@@ -159,7 +146,7 @@ class TestStepServo:
         still = data.draw(st.integers(0, len(rows) - 1))
         for k, q in enumerate(rows):
             goal = q if k == still else goals[k % len(goals)]
-            expected = _reference_step_servo(_joint_state(chain, q), _joint_state(chain, goal),
+            expected = reference_step_servo(_joint_state(chain, q), _joint_state(chain, goal),
                                              run, chain)
             assert step_servo(q, goal, run, chain).tobytes() == _angles(chain, expected).tobytes()
 

@@ -8,99 +8,18 @@ from hypothesis import strategies as st
 from graspforge.config import ConfigError
 from graspforge.ik_solver import (IkConfig, IkResult, merge_hand_results,
                                   solve_finger_ik, solve_hand_ik)
-from graspforge.kinematics import (JointState, clamp_to_limits, jacobian, link_transform,
-                                   within_limits)
+from graspforge.kinematics import JointState, link_transform, within_limits
 from graspforge.robot_model import parse_robot_description
 
 from conftest import TWO_LINK_ARM, WRIST_HAND, mid_range_state
+from reference import reference_solve
+
 
 @pytest.fixture()
 def two_link_pinned():
     """The two-link arm with its shoulder limited to [0, 1.5] rad."""
     return parse_robot_description(TWO_LINK_ARM.replace(
         'lower="-3.1415926535897931" upper="3.1415926535897931"', 'lower="0.0" upper="1.5"', 1))
-
-
-def _reference_solve(chain, finger, target, seed, cfg) -> IkResult:
-    """The damped-least-squares loop on a joint dict and the public walks.
-
-    Kept as the oracle for `solve_finger_ik`, which must return the same
-    result bit for bit: one `link_transform` per damping trial, one
-    `jacobian` per iteration and `clamp_to_limits` on every trial state.
-    A joint at a limit that a trial step pushes outward gets a zero Jacobian
-    column and the step is solved again, until no such joint is pushed out
-    (the clamping loop).  A stationary iterate, or an accepted step whose
-    gain, repeated over every remaining iteration, falls short of the
-    threshold (a stall), re-seeds the finger; the sixth such point ends the
-    solve with the best state seen.
-    """
-    f = chain.finger(finger)
-    ee = f.end_effector
-    target_p = np.asarray(target, dtype=float)
-    cols = [chain.column_of[ji] for ji in f.joints]
-    limits = [(chain.joints[ji].lower_limit, chain.joints[ji].upper_limit) for ji in f.joints]
-
-    def residual_of(s):
-        _, p = link_transform(chain, s, ee)
-        return float(np.linalg.norm(target_p - p)), p
-
-    def dls_step(J, lam, e):
-        A = J @ J.T + lam ** 2 * np.eye(3)
-        return cfg.step_scale * (J.T @ np.linalg.solve(A, e))
-
-    def pushed_out(state, dq):
-        return [(state.values[ji] <= lo and d < 0.0) or (state.values[ji] >= hi and d > 0.0)
-                for ji, (lo, hi), d in zip(f.joints, limits, dq)]
-
-    state = clamp_to_limits(chain, seed.copy())
-    residual, p = residual_of(state)
-    iterations, lam, restarts = 0, cfg.damping_lambda, 0
-    best_state, best_residual = state, residual
-    for it in range(1, cfg.max_iterations + 1):
-        if residual <= cfg.residual_threshold:
-            break
-        iterations = it
-        e = target_p - p
-        J = jacobian(chain, state, ee)[:, cols]
-        accepted = stalled = False
-        trial_lam = lam
-        for _ in range(13):
-            dq = dls_step(J, trial_lam, e)
-            free = np.ones(len(cols), dtype=bool)
-            while any(pushed_out(state, dq)):
-                free &= ~np.array(pushed_out(state, dq))
-                dq = dls_step(J * free, trial_lam, e)
-            trial = state.copy()
-            for ji, d in zip(f.joints, dq):
-                trial.values[ji] = trial.values[ji] + float(d)
-            trial = clamp_to_limits(chain, trial)
-            trial_residual, trial_p = residual_of(trial)
-            if trial_residual < residual:
-                gain = residual - trial_residual
-                stalled = (gain * (cfg.max_iterations - it)
-                           < trial_residual - cfg.residual_threshold)
-                state, residual, p = trial, trial_residual, trial_p
-                lam = max(trial_lam / 1.5, 1e-6)
-                accepted = True
-                break
-            trial_lam *= 2.0
-        if stalled or not accepted:
-            if residual < best_residual:
-                best_state, best_residual = state, residual
-            if restarts == 5:
-                break
-            restarts += 1
-            frac = (0.25, 0.75, 0.1, 0.9, 0.5)[restarts % 5]
-            state = state.copy()
-            for ji in f.joints:
-                j = chain.joints[ji]
-                state.values[ji] = j.lower_limit + frac * (j.upper_limit - j.lower_limit)
-            residual, p = residual_of(state)
-            lam = cfg.damping_lambda
-    if residual < best_residual:
-        best_state, best_residual = state, residual
-    return IkResult(state=best_state, residual=best_residual, iterations=iterations,
-                    converged=best_residual <= cfg.residual_threshold)
 
 
 def _bits(result: IkResult):
@@ -334,7 +253,7 @@ def test_matches_the_reference_loop_bitwise(chain, problem):
     robot, finger, target, seed, config = problem.draw(
         _ik_problems([chain, _TWO_LINK, _WRIST_HAND]))
     result = solve_finger_ik(robot, finger, target, seed, config)
-    assert _bits(result) == _bits(_reference_solve(robot, finger, target, seed, config))
+    assert _bits(result) == _bits(reference_solve(robot, finger, target, seed, config))
 
 
 @pytest.mark.parametrize("finger", ["thumb", "index", "middle", "ring", "pinky"])
@@ -352,7 +271,7 @@ def test_bundled_fingers_match_the_reference_loop(chain, finger):
                np.array([0.0, 0.0, 1.0])]
     for target in targets:
         result = solve_finger_ik(chain, finger, target, seed)
-        assert _bits(result) == _bits(_reference_solve(chain, finger, target, seed, IkConfig()))
+        assert _bits(result) == _bits(reference_solve(chain, finger, target, seed, IkConfig()))
 
 
 def test_the_wrist_angle_moves_the_finger_frame():
@@ -365,7 +284,7 @@ def test_the_wrist_angle_moves_the_finger_frame():
         seed.values[wrist] = angle
         result = solve_finger_ik(_WRIST_HAND, "index", target, seed)
         assert _bits(result) == _bits(
-            _reference_solve(_WRIST_HAND, "index", target, seed, IkConfig()))
+            reference_solve(_WRIST_HAND, "index", target, seed, IkConfig()))
         assert result.state.values[wrist] == min(angle, 1.5)
         results.append(result)
     assert len({_bits(r)[0] for r in results}) == 3
@@ -378,7 +297,7 @@ def _assert_hand_matches_reference(chain, targets, seed, config):
     assert list(results) == list(targets)
     for finger, target in targets.items():
         assert _bits(results[finger]) == _bits(
-            _reference_solve(chain, finger, target, seed, config or IkConfig()))
+            reference_solve(chain, finger, target, seed, config or IkConfig()))
 
 
 def test_the_bundled_hand_solves_match_the_reference_loop(monkeypatch):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graspforge.kinematics import (JointState, KinematicsError, Pose, _stacked_frames,
@@ -10,7 +10,8 @@ from graspforge.kinematics import (JointState, KinematicsError, Pose, _stacked_f
                                    neutral_state, within_limits, zero_state)
 from graspforge.robot_model import parse_robot_description
 
-from conftest import WRIST_HAND, joint_rows, mid_range_state
+from conftest import TWO_LINK_ARM, WRIST_HAND, joint_rows, mid_range_state
+from reference import reference_frame, reference_jacobian, reference_link_transform
 
 # A branching tree whose joints are listed tip-first, so file order is not
 # parent-first; tilted axes, rpy origins and fixed joints at every level.
@@ -47,43 +48,6 @@ TIP_FIRST_TREE = """
   </joint>
 </robot>
 """
-
-
-def _rpy_reference(roll, pitch, yaw):
-    def rx(a):
-        return np.array([[1, 0, 0], [0, math.cos(a), -math.sin(a)], [0, math.sin(a), math.cos(a)]])
-
-    def ry(a):
-        return np.array([[math.cos(a), 0, math.sin(a)], [0, 1, 0], [-math.sin(a), 0, math.cos(a)]])
-
-    def rz(a):
-        return np.array([[math.cos(a), -math.sin(a), 0], [math.sin(a), math.cos(a), 0], [0, 0, 1]])
-
-    return rz(yaw) @ ry(pitch) @ rx(roll)
-
-
-def _axis_angle_reference(axis, angle):
-    """exp of the skew matrix of `angle * axis`, by its Taylor series."""
-    k = angle * np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]])
-    R, term = np.eye(3), np.eye(3)
-    for n in range(1, 40):
-        term = term @ k / n
-        R = R + term
-    return R
-
-
-def _reference_frame(chain, values, link):
-    """(R, t) of `link` from the raw joint table, recursing to the root."""
-    parent = {j.child: j for j in chain.joints}
-    if link not in parent:
-        return np.eye(3), np.zeros(3)
-    j = parent[link]
-    R, t = _reference_frame(chain, values, j.parent)
-    t = R @ np.array(j.origin.xyz) + t
-    R = R @ _rpy_reference(*j.origin.rpy)
-    if j.kind == "revolute":
-        R = R @ _axis_angle_reference(np.array(j.axis), values[chain.joints.index(j)])
-    return R, t
 
 
 def test_two_link_fk_matches_planar_geometry(two_link):
@@ -132,9 +96,14 @@ def test_unknown_link_raises(chain):
 
 
 def test_missing_joint_value_raises(chain):
-    state = JointState(values={})
-    with pytest.raises(KinematicsError):
-        link_transform(chain, state, "index_tip")
+    partial = neutral_state(chain)
+    del partial.values[chain.movable[3]]
+    for state in (JointState(values={}), partial):
+        for read in (lambda s: link_transform(chain, s, "index_tip"),
+                     lambda s: jacobian(chain, s, "index_tip"),
+                     lambda s: within_limits(chain, s)):
+            with pytest.raises(KinematicsError):
+                read(state)
 
 
 def test_zero_state_covers_every_movable_joint(chain):
@@ -189,13 +158,13 @@ def test_jacobian_matches_finite_differences(chain, seed):
     tip = "middle_tip"
     J = jacobian(chain, state, tip)
     h = 1e-6
-    for col, ji in enumerate(chain.movable):
-        hi = state.copy()
-        lo = state.copy()
-        hi.values[ji] += h
-        lo.values[ji] -= h
-        fd = (link_transform(chain, hi, tip)[1]
-              - link_transform(chain, lo, tip)[1]) / (2 * h)
+    # one stacked pass over the rows q + h e_j, then the rows q - h e_j
+    q = np.array([state.values[ji] for ji in chain.movable])
+    steps = h * np.eye(len(q))
+    _, t = _stacked_frames(chain, np.concatenate([q + steps, q - steps]))
+    p = t[:, chain.link_index[tip]]
+    for col in range(len(q)):
+        fd = (p[col] - p[len(q) + col]) / (2 * h)
         assert np.allclose(J[:, col], fd, atol=1e-6)
 
 
@@ -242,11 +211,12 @@ _angles = st.floats(-3.2, 3.2, allow_nan=False)
 
 @given(st.lists(_angles, min_size=21, max_size=21))
 def test_link_frames_equal_link_transform_bitwise(chain, values):
+    """Every row of `link_frames` is the reference walk's frame of its link."""
     state = JointState(values=dict(zip(chain.movable, values)))
     R, t = link_frames(chain, state)
     assert R.shape == (len(chain.links), 3, 3) and t.shape == (len(chain.links), 3)
     for li in range(len(chain.links)):
-        R_walk, t_walk = link_transform(chain, state, li)
+        R_walk, t_walk = reference_link_transform(chain, state, li)
         # bytes, so that a -0.0 where the walk has +0.0 counts
         assert R[li].tobytes() == R_walk.tobytes() and t[li].tobytes() == t_walk.tobytes()
 
@@ -274,9 +244,9 @@ def test_link_frames_on_a_tip_first_tree(values):
     R, t = link_frames(tree, state)
     assert R.shape == (len(tree.links), 3, 3) and t.shape == (len(tree.links), 3)
     for li in range(len(tree.links)):
-        R_walk, t_walk = link_transform(tree, state, li)
+        R_walk, t_walk = reference_link_transform(tree, state, li)
         assert R[li].tobytes() == R_walk.tobytes() and t[li].tobytes() == t_walk.tobytes()
-        R_ref, t_ref = _reference_frame(tree, state.values, li)
+        R_ref, t_ref = reference_frame(tree, state.values, li)
         assert np.allclose(R[li], R_ref, rtol=0.0, atol=1e-12)
         assert np.allclose(t[li], t_ref, rtol=0.0, atol=1e-12)
 
@@ -284,12 +254,12 @@ def test_link_frames_on_a_tip_first_tree(values):
 @given(st.data())
 def test_stacked_finger_walks_and_steps_equal_the_one_row_routes_bitwise(chain, data):
     """The fingers of each walk shape, walked together from a drawn posture:
-    each row's fingertip and Jacobian are the bits of `link_transform` and a
-    column selection of `jacobian`, in that selection's memory layout, and
-    the stacked DLS step on the stacked Jacobians is `_dls_step`'s on each
-    row.  The bundled hand walks its four long fingers in one stack and the
-    thumb alone; on the wrist hand, the wrist finger's walk holds the index
-    joints below it.
+    each row's fingertip and Jacobian are the bits of the reference walk's
+    fingertip and a column selection of its Jacobian, in that selection's
+    memory layout, and the stacked DLS step on the stacked Jacobians is
+    `_dls_step`'s on each row.  The bundled hand walks its four long fingers
+    in one stack and the thumb alone; on the wrist hand, the wrist finger's
+    walk holds the index joints below it.
 
     Cross products gathered with `take` keep the rows C-ordered; gathered
     with fancy indexing, they leave J in another layout, in which J @ J.T
@@ -315,7 +285,8 @@ def test_stacked_finger_walks_and_steps_equal_the_one_row_routes_bitwise(chain, 
                 state = base.copy()
                 state.values.update(zip(f.joints, q[i].tolist()))
                 J_ref = _own_jacobian(robot, state, f)
-                assert p[i].tobytes() == link_transform(robot, state, f.end_effector)[1].tobytes()
+                tip = reference_link_transform(robot, state, f.end_effector)[1]
+                assert p[i].tobytes() == tip.tobytes()
                 assert J[i].tobytes(order="A") == J_ref.tobytes(order="A")
                 assert J[i].strides == J_ref.strides
                 step = _dls_step(J_ref, J_ref @ J_ref.T, lams[i], e[i], 0.5)
@@ -323,8 +294,8 @@ def test_stacked_finger_walks_and_steps_equal_the_one_row_routes_bitwise(chain, 
 
 
 def _own_jacobian(robot, state, finger):
-    """`jacobian`'s columns of the finger's own joints."""
-    return jacobian(robot, state, finger.end_effector)[
+    """The reference Jacobian's columns of the finger's own joints."""
+    return reference_jacobian(robot, state, finger.end_effector)[
         :, [robot.column_of[ji] for ji in finger.joints]]
 
 
@@ -333,3 +304,22 @@ def test_link_frames_needs_every_movable_joint(chain):
     del state.values[chain.movable[-1]]
     with pytest.raises(KinematicsError):
         link_frames(chain, state)
+
+
+@settings(max_examples=30)  # each example makes two passes per link of three hands
+@given(st.data())
+def test_link_transform_and_jacobian_equal_the_reference_walk_bitwise(chain, data):
+    """The public one-link reads of `link_frames`, on the bundled hand, the
+    two-link arm and the wrist hand: every link's frame and Jacobian are the
+    bits of the per-joint reference walk, the Jacobian in its memory layout."""
+    for robot in (chain, parse_robot_description(TWO_LINK_ARM),
+                  parse_robot_description(WRIST_HAND)):
+        row = data.draw(joint_rows(robot, max_rows=1))[0]
+        state = JointState(values=dict(zip(robot.movable, row.tolist())))
+        for li in range(len(robot.links)):
+            R, t = link_transform(robot, state, li)
+            R_ref, t_ref = reference_link_transform(robot, state, li)
+            assert R.tobytes() == R_ref.tobytes() and t.tobytes() == t_ref.tobytes()
+            J, J_ref = jacobian(robot, state, li), reference_jacobian(robot, state, li)
+            assert J.tobytes(order="A") == J_ref.tobytes(order="A")
+            assert J.strides == J_ref.strides

