@@ -10,7 +10,7 @@ silently running defaults.
               lateral_friction (validated; no computation reads it yet)
   targets:    finger -> {position, rpy}   (world frame, every finger; omit
               the section for the built-ins, which name the bundled hand's
-              five fingers)
+              five fingers, so a hand with other or more needs it)
   run:        seed (the perturbation seed, >= 0), steps, hz,
               joint_rate_limit, servo_gain, log_every; seed, steps and
               log_every are integers
@@ -206,12 +206,14 @@ def build_scenario(data: dict, scenario_dir: str | None = None) -> ScenarioConfi
     missing = [finger for finger in chain.fingers if finger not in targets]
     if missing:
         raise ConfigError(f"targets: no target given for finger(s) "
-                          f"{', '.join(map(repr, missing))}; give every finger a target")
+                          f"{', '.join(map(repr, missing))}"
+                          f"{source or '; give every finger a target'}")
 
     run_data = dict(data.get("run", {}))
-    seed = run_data.pop("seed", 0)
-    if is_finite_number(seed) and seed < 0:  # numpy's generators take no negative seed
-        raise ConfigError(f"run.seed must be >= 0, got {seed!r}")
+    try:  # run.seed is the perturbation seed, which PerturbConfig checks
+        seed = PerturbConfig(seed=run_data.pop("seed", 0)).seed
+    except ConfigError as exc:
+        raise ConfigError(f"run.{exc}") from None
     if "steps" in run_data:
         run_data["max_steps"] = run_data.pop("steps")
     run = RunConfig(**run_data)

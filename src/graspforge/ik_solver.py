@@ -34,9 +34,9 @@ reachable residual, because a stall stops a descent that is still improving.
 The fingers of a solve run in lockstep rounds (`_solve`): in each round
 every live finger walks one posture, its start, a damping trial or a
 re-seed.  Fingers of one walk shape (the same sequence of own, other and
-fixed joints below the frame their first joint hangs from) share one
-stacked walk, `finger_walk`, which gives their fingertips and Jacobians; on
-the bundled hand that is the four long fingers, with the thumb alone.  The
+fixed joints from the root to the fingertip) share one stacked walk,
+`finger_walk`, which gives their fingertips and Jacobians; on the bundled
+hand that is the four long fingers, with the thumb alone.  The
 trials of a group come from one batched damping step (`_stacked_dls_step`),
 then the clamping loop for the fingers with a pinned joint; a finger that
 steps alone takes the 2-D `_dls_step`, which the batched step matches row

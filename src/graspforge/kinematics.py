@@ -19,13 +19,11 @@ matrix once, when it is made.  Two routes compute frames:
   `chain.movable` order); `link_frames` is its one-row call, and
   `link_transform` and `jacobian` read their link's frames from it.
 - `finger_walk` serves the IK: for G fingers of one walk shape (the kinds
-  of the joints from a finger's first joint to its tip: its own, another
-  movable one held at its angle, or fixed), each call makes one stacked
-  walk from the frames the fingers hang from (the root's, or below a wrist
-  the `link_frames` row of the first joint's parent link) to the
-  fingertips, with the rotations of all the fingers' own joints from one
-  vectorized Rodrigues evaluation, and gives the fingertips (G, 3) and,
-  when asked, their Jacobians (G, 3, n).
+  of the joints from the root to a finger's tip: its own, another movable
+  one held at its angle, or fixed), each call makes one stacked walk from
+  the root to the fingertips, with the rotations of all the fingers' own
+  joints from one vectorized Rodrigues evaluation, and gives the
+  fingertips (G, 3) and, when asked, their Jacobians (G, 3, n).
 
 Both make the compose sequence R = R_parent @ R_origin, t = R_parent @
 t_origin + t_parent, then R @ R_joint for a movable joint:
@@ -54,10 +52,9 @@ from .transforms import axis_angle_matrix, matrix_to_quat, quat_to_matrix, rpy_m
 # The cyclic shifts of a cross product's components (`take` keeps rows
 # C-ordered).
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
-# the identity and the zero vector (the root frame), read-only
-_EYE3, _ZERO3 = np.eye(3), np.zeros(3)
+# the identity, read-only
+_EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
-_ZERO3.setflags(write=False)
 
 
 class KinematicsError(ValueError):
@@ -252,9 +249,9 @@ def link_transform(chain: KinematicChain, state: JointState, link) -> tuple[np.n
     return R[li], t[li]
 
 
-# The kinds of the steps of a finger walk, from the frame the finger hangs
-# from to its end effector: a joint of the finger, another movable joint
-# (held at its angle in the state) and a fixed joint.
+# The kinds of the steps of a finger walk, from the root to the finger's
+# end effector: a joint of the finger, another movable joint (held at its
+# angle in the state) and a fixed joint.
 _OWN, _HELD, _FIXED = 0, 1, 2
 
 
@@ -267,26 +264,23 @@ def _stack(arrays: list) -> np.ndarray:
 
 
 def _walk_shape(chain: KinematicChain, finger: Finger) -> tuple[int, ...]:
-    """The kinds of the joints from `finger`'s first joint to its end effector.
+    """The kinds of the joints from the root to `finger`'s end effector.
 
     Fingers of one walk shape share one stacked walk (`finger_walk`).
     """
-    path = chain.path_to_link[finger.end_effector]
     return tuple(_OWN if ji in finger.joints else _HELD if ji in chain.column_of else _FIXED
-                 for ji in path[path.index(finger.joints[0]):])
+                 for ji in chain.path_to_link[finger.end_effector])
 
 
 def finger_walk(chain: KinematicChain, fingers, state: JointState):
     """End-effector positions and Jacobians of G fingers of one walk shape
     (`_walk_shape`), as a function of the fingers' own angles.
 
-    Every joint other than the fingers' own keeps its angle in `state`.  The
-    frame each finger's first joint hangs from is the root's, or, below a
-    wrist, its parent link's `link_frames` row, read once, here, so a joint
-    above the finger moves it.  The returned `walk(q)` takes the fingers'
-    angles, shape (G, n) with each row base to tip, and makes one stacked
-    walk from those frames: a stacked `matmul` per joint, with all
-    rotations from one vectorized Rodrigues evaluation.
+    Every other joint on a finger's path, such as a wrist above it, keeps
+    its angle in `state`; no other joint is read.  The returned `walk(q)`
+    takes the fingers' angles, shape (G, n) with each row base to tip, and
+    makes one stacked walk from the root: a stacked `matmul` per joint,
+    with all rotations from one vectorized Rodrigues evaluation.
     It returns the positions (G, 3) and a `jacobian()` that gives the
     Jacobians over the fingers' joints (G, 3, n) from the same walk, so a
     caller that reads no Jacobian (a rejected damping trial) makes none.
@@ -295,18 +289,10 @@ def finger_walk(chain: KinematicChain, fingers, state: JointState):
     the memory layout of that column selection (the transpose of a
     C-ordered (n, 3) array), so that J @ J.T and J.T @ x round the same way.
     """
-    paths = [chain.path_to_link[f.end_effector] for f in fingers]
-    starts = [path.index(f.joints[0]) for path, f in zip(paths, fingers)]
-    if any(starts):  # below a wrist: the frames of the first joints' parent links
-        R, t = link_frames(chain, state)
-        parents = [chain.joints[f.joints[0]].parent for f in fingers]
-        R0, t0 = R[parents], t[parents][..., None]
-    else:  # every finger hangs from the root
-        R0, t0 = _stack([_EYE3] * len(fingers)), _stack([_ZERO3] * len(fingers))[..., None]
     shape = _walk_shape(chain, fingers[0])
     # per step of the walk, the joint of each finger; positions are carried
     # as (G, 3, 1) columns, the shape R @ t_origin takes
-    steps = list(zip(*(path[k:] for path, k in zip(paths, starts))))
+    steps = list(zip(*(chain.path_to_link[f.end_effector] for f in fingers)))
     origin_rotation = [_stack([chain.origin_rotation[ji] for ji in js]) for js in steps]
     origin_translation = [_stack([chain.origin_translation[ji] for ji in js])[..., None]
                           for js in steps]
@@ -318,10 +304,11 @@ def finger_walk(chain: KinematicChain, fingers, state: JointState):
     # the joints' axes, (n, G, 3, 1), as the stacked joint frames take them
     axes = chain.movable_axes.take(columns.T, 0)[..., None]
     last = len(shape) - 1
+    root = _stack([_EYE3] * len(fingers)), np.zeros((len(fingers), 3, 1))
 
     def walk(q: np.ndarray):
         rotations = _rodrigues(terms, q)
-        R, t = R0, t0
+        R, t = root
         frames, origins = [], []
         for s, kind in enumerate(shape):
             # the compose sequence; the last joint's child rotation is not

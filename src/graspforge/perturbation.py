@@ -44,6 +44,8 @@ class PerturbConfig:
             raise ConfigError(f"force_bound must be >= 0, got {self.force_bound!r}")
         if not self.displacement_threshold > 0.0:
             raise ConfigError("displacement_threshold must be > 0")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass

@@ -53,8 +53,8 @@ TWO_LINK_ARM = """
 """
 
 
-# A wrist joint above the index finger, so the frame the finger hangs from
-# depends on the seed; tilted axes, rpy origins and fixed joints between.
+# A wrist joint above the index finger, so the finger's walk holds a joint
+# at its seed angle; tilted axes, rpy origins and fixed joints between.
 WRIST_HAND = """
 <robot name="wrist_hand">
   <link name="forearm"/>

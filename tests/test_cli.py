@@ -374,6 +374,22 @@ class TestErrorHandling:
         assert err.startswith("error: targets: unknown finger 'thumb'") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_built_in_targets_on_a_hand_with_an_extra_finger(self, tmp_path, capsys):
+        # no targets section, and the bundled hand with a copy of its pinky
+        urdf = open(bundled_hand_path()).read()
+        start, end = urdf.index("  <!-- pinky -->"), urdf.index("  <!-- thumb")
+        hand = tmp_path / "six.urdf"
+        hand.write_text(urdf.replace("</robot>",
+                                     urdf[start:end].replace("pinky", "sixth") + "</robot>"))
+        scenario = tmp_path / "no_targets.yaml"
+        scenario.write_text("hand: {description_path: six.urdf}\n")
+        code = run_cli("run", "--scenario", str(scenario), "--out", str(tmp_path / "out"))
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: targets: no target given for finger(s) 'sixth' "
+            "(the built-in targets; give this hand a targets section)\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [["perturb", "--seed", "-3", "--repeat", "2"],
                                       ["perturb", "--set", "run.seed=-1"],
                                       ["run", "--set", "run.seed=-1"]])

@@ -275,7 +275,7 @@ def test_bundled_fingers_match_the_reference_loop(chain, finger):
 
 
 def test_the_wrist_angle_moves_the_finger_frame():
-    """The cached frame the index finger hangs from follows the seed's wrist angle."""
+    """The index finger's walk follows the seed's wrist angle."""
     wrist = _WRIST_HAND.fingers["wrist"].joints[0]
     target = np.array([0.05, 0.02, 0.15])
     results = []
@@ -288,6 +288,23 @@ def test_the_wrist_angle_moves_the_finger_frame():
         assert result.state.values[wrist] == min(angle, 1.5)
         results.append(result)
     assert len({_bits(r)[0] for r in results}) == 3
+
+
+def test_a_seed_with_only_the_finger_path_solves_the_same(chain):
+    """Only the joints on the finger's path are read from the seed: a seed
+    without the others (the other fingers') gives the same result bits."""
+    target = np.array([0.05, 0.02, 0.15])
+    for robot, finger in ((chain, "index"), (chain, "thumb")):
+        full = mid_range_state(robot)
+        path = robot.path_to_link[robot.fingers[finger].end_effector]
+        partial = JointState(values={ji: v for ji, v in full.values.items() if ji in path})
+        assert len(partial.values) < len(robot.movable)
+        on_path = [ji for ji in robot.movable if ji in path]
+        a = solve_finger_ik(robot, finger, target, full)
+        b = solve_finger_ik(robot, finger, target, partial)
+        assert [a.state.values[ji] for ji in on_path] == [b.state.values[ji] for ji in on_path]
+        assert (a.residual, a.iterations, a.converged) == (b.residual, b.iterations, b.converged)
+        assert set(b.state.values) == set(partial.values)
 
 
 def _assert_hand_matches_reference(chain, targets, seed, config):

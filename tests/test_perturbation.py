@@ -198,6 +198,7 @@ def test_samples_csv_is_plain_numbers():
     {"iterations": True},
     {"seed": 1.7},
     {"seed": True},
+    {"seed": -1},
     {"force_bound": float("inf")},
     {"force_bound": float("nan")},
     {"displacement_threshold": float("inf")},
