@@ -198,8 +198,11 @@ def build_scenario(data: dict, scenario_dir: str | None = None) -> ScenarioConfi
                    for finger, value in data["targets"].items()}
         source = ""
     else:
-        targets = default_grasp_targets(scene)
         source = " (the built-in targets; give this hand a targets section)"
+        try:
+            targets = default_grasp_targets(scene)
+        except SceneError as exc:
+            raise ConfigError(f"targets: {exc}, and object.pose rotates it{source}") from None
     unknown = [finger for finger in targets if finger not in chain.fingers]
     if unknown:
         raise ConfigError(f"targets: unknown finger {unknown[0]!r}{source}")

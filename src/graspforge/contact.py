@@ -37,11 +37,16 @@ Narrow phase, all in the box frame:
     face, or two candidates naming the same kink), the smallest t whose
     signed distance is within _TIE_TOLERANCE of the minimum wins, so float
     rounding of equal distances does not pick the winner.
-  * The surface point, normal and depth of each probe, one probe at a time
-    (`_closest_point_local`, whose 1-D norm a row-wise norm would not
-    reproduce bit for bit).  An interior probe leaves through its nearest
-    face, under the same tie rule: of the faces whose gaps are within
-    _TIE_TOLERANCE of the smallest, the lowest axis wins.
+  * The surface point, normal and depth of every kept probe of every row
+    at once (`_closest_point_local` over the (M, 3) probes).  A probe's
+    distance is the square root of its own self-product, `(D[:, None, :] @
+    D[:, :, None])`, and its world point and normal are stacked
+    matrix-vector products, `(R @ S[:, :, None])`; each rounds as the
+    one-probe `np.linalg.norm` and `R @ s` do, where a row-wise
+    `np.linalg.norm`, the 2-D `S @ R.T` or `einsum` can differ in the last
+    bit.  An interior probe leaves through its nearest face, under the same
+    tie rule: of the faces whose gaps are within _TIE_TOLERANCE of the
+    smallest, the lowest axis wins.
 """
 
 from __future__ import annotations
@@ -85,20 +90,25 @@ class ContactPoint:
 
 
 def _closest_point_local(p: np.ndarray, half: np.ndarray):
-    """Closest surface point / outward normal / signed distance, box frame."""
-    q = p.clip(-half, half)
-    if (np.abs(p) > half).any():  # outside: clamp projects onto the surface
-        offset = p - q
-        dist = float(np.linalg.norm(offset))
-        return q, offset / dist, dist
-    # inside: push out through the nearest face, near-ties to the lowest axis
+    """Closest surface points / outward normals / signed distances of the
+    (M, 3) box-frame points `p`."""
     gaps = half - np.abs(p)
-    axis = int(np.argmax(gaps <= gaps.min() + _TIE_TOLERANCE))
-    normal = np.zeros(3)
-    normal[axis] = 1.0 if p[axis] >= 0.0 else -1.0
+    nearest = gaps.min(axis=1)
+    outside = (nearest < 0.0)[:, None]  # h - |p| < 0 exactly where |p| > h
+    # outside: clamp projects onto the surface
+    q = p.clip(-half, half)
+    offset = p - q
+    dist = np.sqrt((offset[:, None, :] @ offset[:, :, None])[:, 0, 0])
+    # inside: push out through the nearest face, near-ties to the lowest axis
+    rows = np.arange(len(p))
+    axis = np.argmax(gaps <= nearest[:, None] + _TIE_TOLERANCE, axis=1)
+    normal = np.zeros_like(p)
+    normal[rows, axis] = np.where(p[rows, axis] >= 0.0, 1.0, -1.0)
     surface = p.copy()
-    surface[axis] = half[axis] * normal[axis]
-    return surface, normal, -float(gaps[axis])
+    surface[rows, axis] = half[axis] * normal[rows, axis]
+    np.divide(offset, dist[:, None], out=normal, where=outside)
+    np.copyto(surface, q, where=outside)
+    return surface, normal, np.where(outside[:, 0], dist, -gaps[rows, axis])
 
 
 def closest_point_box(point, box: SceneObject):
@@ -113,8 +123,8 @@ def closest_point_box(point, box: SceneObject):
     R = box.pose.rotation()
     c = box.pose.position
     p_local = R.T @ (np.asarray(point, dtype=float) - c)
-    q_local, n_local, sd = _closest_point_local(p_local, np.asarray(box.half_extents))
-    return R @ q_local + c, R @ n_local, sd
+    q_local, n_local, sd = _closest_point_local(p_local[None], np.asarray(box.half_extents))
+    return R @ q_local[0] + c, R @ n_local[0], float(sd[0])
 
 
 def _box_sdf(points: np.ndarray, half: np.ndarray) -> np.ndarray:
@@ -202,20 +212,19 @@ def _stacked_contacts(scene: Scene, frames: tuple) -> list[list[ContactPoint]]:
         a = probes[at] - shapes.half_length[at[1], None] * axes[at]
         d = shapes.length[at[1], None] * axes[at]
         probes[at] = a + _deepest_on_segments(a, d, half)[:, None] * d
+    surface, normal, sd = _closest_point_local(probes[steps, rows], half)
+    depth = shapes.radius[rows] - sd
+    hit = ~(depth < 0.0)
+    steps, rows, depth = steps[hit], rows[hit], depth[hit]
+    positions = (R @ surface[hit, :, None])[..., 0] + c
+    normals = (R @ normal[hit, :, None])[..., 0]
     k = box.params.contact_stiffness
-    for step, row in zip(steps.tolist(), rows.tolist()):
-        surface, normal, sd = _closest_point_local(probes[step, row], half)
-        depth = shapes.radius[row] - sd
-        if depth < 0.0:
-            continue
-        contacts[step].append(ContactPoint(
-            finger=shapes.fingers[row],
-            link=int(shapes.links[row]),
-            position=R @ surface + c,
-            normal=R @ normal,
-            penetration_depth=float(depth),
-            normal_force=float(k * depth),
-        ))
+    for step, row, link, position, n, d, force in zip(
+            steps.tolist(), rows.tolist(), shapes.links[rows].tolist(), positions, normals,
+            depth.tolist(), (k * depth).tolist()):
+        contacts[step].append(ContactPoint(finger=shapes.fingers[row], link=link,
+                                           position=position, normal=n,
+                                           penetration_depth=d, normal_force=force))
     return contacts
 
 

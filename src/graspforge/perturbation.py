@@ -5,6 +5,17 @@ object would move: directions resisted by contact normals respond with
 spring compliance (displacement = K^+ F with K = sum k n n^T), unresisted
 directions slide freely at a fixed gain.  The test fails on the first
 displacement above the threshold.
+
+The contacts, and so K, are fixed over the rounds, so all rounds run in one
+stacked pass: one draw of shape (iterations, 3) gives every round's force
+(the stream of one three-value draw per round), `_displacements` maps them
+through K's eigenbasis at once, and the report is cut at the first round
+over the threshold.  Each round's projection `(F[:, None, :] @ v[:, None])`
+and self-product `(D[:, None, :] @ D[:, :, None])` is a 1-D dot product of
+its own row, rounded as the one-round `v @ F` and `np.linalg.norm` are; the
+2-D `F @ v` rounds some rows differently.  The displacement sum starts from
+zeros and adds the free-slide term as `(FREE_SLIDE_GAIN * component) * v`,
+so every sample keeps the bits of a per-round loop (`tests/reference.py`).
 """
 
 from __future__ import annotations
@@ -65,7 +76,7 @@ class PerturbationReport:
             "failure_iteration": self.failure_iteration,
             "seed": self.seed,
             "samples": [
-                {"force": [float(v) for v in f], "displacement": float(d)}
+                {"force": f.tolist(), "displacement": float(d)}
                 for f, d in self.samples
             ],
         }
@@ -82,16 +93,17 @@ def _compliance(obj: SceneObject, contacts: list[ContactPoint]):
     return eigenvalues, eigenvectors, eigenvalues[-1] * _NULL_SPACE_RTOL
 
 
-def _displacement(compliance, F: np.ndarray) -> np.ndarray:
+def _displacements(compliance, forces: np.ndarray) -> np.ndarray:
+    """Object displacement under each row of `forces`, (N, 3) -> (N, 3)."""
     eigenvalues, eigenvectors, cutoff = compliance
-    displacement = np.zeros(3)
+    displacements = np.zeros((len(forces), 3))
     for lam, v in zip(eigenvalues, eigenvectors.T):
-        component = float(v @ F)
+        components = (forces[:, None, :] @ v[:, None])[:, 0]
         if lam > cutoff:
-            displacement += (component / lam) * v
+            displacements += (components / lam) * v
         else:
-            displacement += FREE_SLIDE_GAIN * component * v
-    return displacement
+            displacements += FREE_SLIDE_GAIN * components * v
+    return displacements
 
 
 def perturb_contacts(obj: SceneObject, contacts: list[ContactPoint],
@@ -100,8 +112,8 @@ def perturb_contacts(obj: SceneObject, contacts: list[ContactPoint],
     """Seeded perturbation rounds against an explicit contact set.
 
     Precheck: the contacts must validate as a stable grasp before any force
-    is applied; otherwise the report fails with zero rounds run.  Early exit
-    on the first displacement above the threshold.  Deterministic for a
+    is applied; otherwise the report fails with zero rounds run.  The report
+    ends at the first displacement above the threshold.  Deterministic for a
     given seed.
     """
     cfg = config or PerturbConfig()
@@ -111,24 +123,18 @@ def perturb_contacts(obj: SceneObject, contacts: list[ContactPoint],
                                   max_displacement=0.0, samples=[],
                                   failure_iteration=None, seed=cfg.seed)
 
-    compliance = _compliance(obj, contacts)  # the contacts are fixed over the rounds
     rng = np.random.default_rng(cfg.seed)
-    samples: list[tuple[np.ndarray, float]] = []
-    max_displacement = 0.0
-    for i in range(1, cfg.iterations + 1):
-        F = rng.uniform(-cfg.force_bound, cfg.force_bound, size=3)
-        d = float(np.linalg.norm(_displacement(compliance, F)))
-        samples.append((F, d))
-        max_displacement = max(max_displacement, d)
-        if d > cfg.displacement_threshold:
-            return PerturbationReport(passed=False, iterations_run=i,
-                                      max_displacement=max_displacement,
-                                      samples=samples, failure_iteration=i,
-                                      seed=cfg.seed)
-    return PerturbationReport(passed=True, iterations_run=cfg.iterations,
-                              max_displacement=max_displacement,
-                              samples=samples, failure_iteration=None,
-                              seed=cfg.seed)
+    forces = rng.uniform(-cfg.force_bound, cfg.force_bound, size=(cfg.iterations, 3))
+    D = _displacements(_compliance(obj, contacts), forces)
+    norms = np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0])
+    over = np.flatnonzero(norms > cfg.displacement_threshold)
+    failure = int(over[0]) + 1 if len(over) else None
+    rounds = failure or cfg.iterations
+    displacements = norms[:rounds].tolist()
+    return PerturbationReport(passed=failure is None, iterations_run=rounds,
+                              max_displacement=max(0.0, *displacements),
+                              samples=list(zip(forces[:rounds], displacements)),
+                              failure_iteration=failure, seed=cfg.seed)
 
 
 def perturbation_test(scene: Scene, state: JointState,
@@ -141,7 +147,8 @@ def perturbation_test(scene: Scene, state: JointState,
 
 def write_samples_csv(report: PerturbationReport, fh) -> None:
     """Per-sample force/displacement table: iteration, fx, fy, fz, displacement."""
-    fh.write("iteration,fx,fy,fz,displacement\n")
+    lines = ["iteration,fx,fy,fz,displacement\n"]
     for i, (f, d) in enumerate(report.samples, start=1):
         fx, fy, fz = f.tolist()
-        fh.write(f"{i},{fx!r},{fy!r},{fz!r},{d!r}\n")
+        lines.append(f"{i},{fx!r},{fy!r},{fz!r},{d!r}\n")
+    fh.write("".join(lines))

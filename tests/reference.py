@@ -11,7 +11,11 @@ finger at a time, what `graspforge` computes on stacked arrays.
 - `reference_step_servo` is the servo on joint dicts, `reference_solve` the
   damped-least-squares loop of one finger on a joint dict and
   `reference_detect_contacts` contact detection as a loop over the finger
-  links.
+  links, with `reference_closest_point_local` its surface probe, one probe
+  at a time.
+- `reference_perturb` runs the perturbation rounds one at a time, one force
+  draw and one `reference_displacement` per round, and stops at the first
+  displacement above the threshold.
 
 Tests import them as `from reference import ...`.
 """
@@ -20,9 +24,11 @@ import math
 
 import numpy as np
 
-from graspforge.contact import _closest_point_local, _deepest_on_segments
+from graspforge.contact import _TIE_TOLERANCE, _deepest_on_segments
+from graspforge.grasp_validation import validate_grasp
 from graspforge.ik_solver import IkResult
 from graspforge.kinematics import JointState, _jacobian_columns, _resolve_link, clamp_to_limits
+from graspforge.perturbation import FREE_SLIDE_GAIN, PerturbationReport, _compliance
 from graspforge.robot_model import CapsuleGeometry, KinematicChain, SphereGeometry
 from graspforge.transforms import axis_angle_matrix
 
@@ -233,6 +239,24 @@ def reference_solve(chain, finger, target, seed, cfg) -> IkResult:
                     converged=best_residual <= cfg.residual_threshold)
 
 
+def reference_closest_point_local(p: np.ndarray, half: np.ndarray):
+    """Closest surface point / outward normal / signed distance of one
+    box-frame point `p`."""
+    q = p.clip(-half, half)
+    if (np.abs(p) > half).any():  # outside: clamp projects onto the surface
+        offset = p - q
+        dist = float(np.linalg.norm(offset))
+        return q, offset / dist, dist
+    # inside: push out through the nearest face, near-ties to the lowest axis
+    gaps = half - np.abs(p)
+    axis = int(np.argmax(gaps <= gaps.min() + _TIE_TOLERANCE))
+    normal = np.zeros(3)
+    normal[axis] = 1.0 if p[axis] >= 0.0 else -1.0
+    surface = p.copy()
+    surface[axis] = half[axis] * normal[axis]
+    return surface, normal, -float(gaps[axis])
+
+
 def reference_detect_contacts(scene, state, sphere_reject=True):
     """`detect_contacts` as a loop over the finger links, one shape at a time.
 
@@ -286,10 +310,54 @@ def reference_detect_contacts(scene, state, sphere_reject=True):
     k = box.params.contact_stiffness
     contacts = []
     for finger, link, radius, p in probes:
-        surface, normal, sd = _closest_point_local(p, half)
+        surface, normal, sd = reference_closest_point_local(p, half)
         depth = radius - sd
         if depth < 0.0:
             continue
         contacts.append((finger, link, R @ surface + c, R @ normal, float(depth),
                          float(k * depth)))
     return contacts
+
+
+# --------------------------------------------------------------------------
+# perturbation, one round at a time
+
+
+def reference_displacement(compliance, F: np.ndarray) -> np.ndarray:
+    """Object displacement under one force, summed over K's eigenpairs."""
+    eigenvalues, eigenvectors, cutoff = compliance
+    displacement = np.zeros(3)
+    for lam, v in zip(eigenvalues, eigenvectors.T):
+        component = float(v @ F)
+        if lam > cutoff:
+            displacement += (component / lam) * v
+        else:
+            displacement += FREE_SLIDE_GAIN * component * v
+    return displacement
+
+
+def reference_perturb(obj, contacts, cfg, validation=None) -> PerturbationReport:
+    """`perturb_contacts` as a loop over the rounds: one draw of three
+    values per round, and a stop at the first round over the threshold."""
+    if not validate_grasp(contacts, validation).stable:
+        return PerturbationReport(passed=False, iterations_run=0,
+                                  max_displacement=0.0, samples=[],
+                                  failure_iteration=None, seed=cfg.seed)
+    compliance = _compliance(obj, contacts)
+    rng = np.random.default_rng(cfg.seed)
+    samples = []
+    max_displacement = 0.0
+    for i in range(1, cfg.iterations + 1):
+        F = rng.uniform(-cfg.force_bound, cfg.force_bound, size=3)
+        d = float(np.linalg.norm(reference_displacement(compliance, F)))
+        samples.append((F, d))
+        max_displacement = max(max_displacement, d)
+        if d > cfg.displacement_threshold:
+            return PerturbationReport(passed=False, iterations_run=i,
+                                      max_displacement=max_displacement,
+                                      samples=samples, failure_iteration=i,
+                                      seed=cfg.seed)
+    return PerturbationReport(passed=True, iterations_run=cfg.iterations,
+                              max_displacement=max_displacement,
+                              samples=samples, failure_iteration=None,
+                              seed=cfg.seed)

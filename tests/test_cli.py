@@ -390,6 +390,16 @@ class TestErrorHandling:
             "(the built-in targets; give this hand a targets section)\n")
         assert not (tmp_path / "out").exists()
 
+    def test_built_in_targets_on_a_rotated_box(self, tmp_path, capsys):
+        scenario = tmp_path / "rotated.yaml"
+        scenario.write_text("object: {pose: {position: [0.06, 0.0, 0.19], rpy: [0, 0, 0.3]}}\n")
+        code = run_cli("perturb", "--scenario", str(scenario), "--out", str(tmp_path / "out"))
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: targets: default grasp targets require an axis-aligned box, and "
+            "object.pose rotates it (the built-in targets; give this hand a targets section)\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [["perturb", "--seed", "-3", "--repeat", "2"],
                                       ["perturb", "--set", "run.seed=-1"],
                                       ["run", "--set", "run.seed=-1"]])

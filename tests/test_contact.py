@@ -14,7 +14,7 @@ from graspforge.scene import PhysicalParams, Scene, make_box_object
 from graspforge.transforms import axis_angle_matrix, matrix_to_quat
 
 from conftest import joint_rows
-from reference import reference_detect_contacts
+from reference import reference_closest_point_local, reference_detect_contacts
 
 # single revolute finger carrying a sphere fingertip 50 mm out along +x
 SPHERE_FINGER = """
@@ -63,6 +63,37 @@ def _box(center=(0.0, 0.0, 0.0), half=(0.1, 0.1, 0.1), rpy=(0.0, 0.0, 0.0)):
     return make_box_object(half, Pose.from_rpy(center, rpy), 1.0, PhysicalParams())
 
 
+@st.composite
+def _box_probes(draw):
+    """Half extents and (M, 3) box-frame probes, M in [0, 8]: in a face,
+    edge or corner region (one, two or three axes outside the slab), inside,
+    on a face, or inside with two face gaps a few ulps apart, a near-tie
+    within _TIE_TOLERANCE."""
+    half = np.array(draw(st.lists(st.floats(0.005, 0.05), min_size=3, max_size=3)))
+    probes = []
+    for kind in draw(st.lists(st.sampled_from(["face", "edge", "corner", "inside", "surface",
+                                               "near_tie"]), max_size=8)):
+        inner = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
+        p = inner * half
+        sign = np.where(draw(st.lists(st.booleans(), min_size=3, max_size=3)), 1.0, -1.0)
+        axes = draw(st.permutations(range(3)))
+        if kind in ("face", "edge", "corner"):
+            out = axes[:{"face": 1, "edge": 2, "corner": 3}[kind]]
+            beyond = np.array(draw(st.lists(st.floats(1e-9, 0.05), min_size=3, max_size=3)))
+            p[out] = sign[out] * (half[out] + beyond[out])
+        elif kind == "surface":
+            p[axes[0]] = sign[axes[0]] * half[axes[0]]
+        elif kind == "near_tie":
+            i, j = axes[:2]
+            gap = draw(st.floats(0.0, 0.9)) * min(half[i], half[j])
+            p[i], p[j] = half[i] - gap, half[j] - gap
+            for _ in range(draw(st.integers(0, 3))):
+                p[j] = np.nextafter(p[j], 0.0 if draw(st.booleans()) else 1.0)
+            p[[i, j]] *= sign[[i, j]]
+        probes.append(p)
+    return half, np.array(probes).reshape(-1, 3)
+
+
 class TestClosestPointBox:
     def test_outside_face_region(self):
         cp, n, sd = closest_point_box([0.3, 0.0, 0.0], _box())
@@ -93,10 +124,9 @@ class TestClosestPointBox:
         # is within _TIE_TOLERANCE, so x wins; a 1e-12 m lead is not a tie
         half = np.array([0.03, 0.025, 0.03])
         x = 0.0221
-        _, n, sd = _closest_point_local(np.array([x, 0.0, np.nextafter(x, 1.0)]), half)
-        assert n.tolist() == [1.0, 0.0, 0.0] and sd == x - 0.03
-        _, n, _ = _closest_point_local(np.array([x, 0.0, x + 1e-12]), half)
-        assert n.tolist() == [0.0, 0.0, 1.0]
+        _, n, sd = _closest_point_local(np.array([[x, 0.0, np.nextafter(x, 1.0)],
+                                                  [x, 0.0, x + 1e-12]]), half)
+        assert n.tolist() == [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]] and sd[0] == x - 0.03
 
     def test_oriented_box_rotates_the_answer(self):
         box = _box(rpy=(0.0, 0.0, np.pi / 4))
@@ -121,6 +151,26 @@ class TestClosestPointBox:
         gaps = np.asarray(box.half_extents) - np.abs(local)
         assert gaps.min() == pytest.approx(0.0, abs=1e-9)
         assert gaps.max() >= -1e-9
+
+    @given(_box_probes(), st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3))
+    def test_stacked_probes_equal_the_one_probe_reference_bitwise(self, box_probes, rpy):
+        """Every row of the stacked surface probe, and `closest_point_box`
+        on each probe's world point, give the bytes of the one-probe loop."""
+        half, probes = box_probes
+        surface, normal, sd = _closest_point_local(probes, half)
+        assert (surface.shape, normal.shape, sd.shape) == (probes.shape, probes.shape,
+                                                           probes.shape[:1])
+        box = _box(center=(0.01, -0.02, 0.03), half=tuple(half), rpy=rpy)
+        R, c = box.pose.rotation(), box.pose.position
+        for p, q, n, d in zip(probes, surface, normal, sd.tolist()):
+            q_ref, n_ref, d_ref = reference_closest_point_local(p, half)
+            assert (q.tobytes(), n.tobytes(), d.hex()) == (q_ref.tobytes(), n_ref.tobytes(),
+                                                           d_ref.hex())
+            point = R @ p + c
+            q_ref, n_ref, d_ref = reference_closest_point_local(R.T @ (point - c), half)
+            cp, n_box, d_box = closest_point_box(point, box)
+            assert (cp.tobytes(), n_box.tobytes(), d_box.hex()) == (
+                (R @ q_ref + c).tobytes(), (R @ n_ref).tobytes(), d_ref.hex())
 
     def test_matches_dense_surface_sampling(self):
         box = _box(half=(0.03, 0.025, 0.03))

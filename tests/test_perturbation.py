@@ -2,16 +2,20 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from graspforge.config import ConfigError
 from graspforge.contact import ContactPoint, detect_contacts
 from graspforge.grasp_validation import ValidationConfig
 from graspforge.kinematics import Pose
 from graspforge.perturbation import (FREE_SLIDE_GAIN, PerturbConfig,
-                                     PerturbationReport, _compliance, _displacement,
+                                     PerturbationReport, _compliance, _displacements,
                                      perturb_contacts, perturbation_test,
                                      write_samples_csv)
 from graspforge.scene import PhysicalParams, make_box_object
+
+from reference import reference_displacement, reference_perturb
 
 STIFFNESS = 10000.0
 
@@ -22,8 +26,8 @@ def _obj():
 
 
 def _response(obj, contacts, F):
-    """Object displacement under force F, computed as each perturbation round does."""
-    return _displacement(_compliance(obj, contacts), F)
+    """Object displacement under force F, computed as the perturbation rounds are."""
+    return _displacements(_compliance(obj, contacts), F[None])[0]
 
 
 def _cp(position, normal, force=2.0):
@@ -157,6 +161,103 @@ class TestPerturbContacts:
                                ValidationConfig(min_contacts=2))
         assert not strict.passed and strict.iterations_run == 0
         assert lax.passed
+
+
+_direction = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+    lambda v: np.linalg.norm(v) > 1e-3)
+
+
+@st.composite
+def _normal_sets(draw):
+    """1 to 6 contact normals: drawn directions, antipodal pairs, normals in
+    one plane, or box-axis normals.  Fewer than three independent normals
+    leave K a null space, where the free-slide gain applies."""
+    kind = draw(st.sampled_from(["drawn", "antipodal", "coplanar", "axes"]))
+    n = draw(st.integers(1, 6))
+    if kind == "axes":
+        normals = [np.eye(3)[i] * s for i, s in
+                   draw(st.lists(st.tuples(st.integers(0, 2), st.sampled_from([1.0, -1.0])),
+                                 min_size=n, max_size=n))]
+    else:
+        normals = [np.array(draw(_direction)) for _ in range(n)]
+    if kind == "antipodal":
+        normals = normals[:(n + 1) // 2]
+        normals = (normals + [-v for v in normals])[:n]
+    elif kind == "coplanar":  # the plane z = 0, and a rotation of it
+        R = np.linalg.qr(np.array([draw(_direction) for _ in range(3)]))[0]
+        normals = [R @ np.array([v[0], v[1], 0.0]) for v in normals
+                   if np.hypot(v[0], v[1]) > 1e-3] or [R[:, 0]]
+    return normals
+
+
+_force_component = st.floats(-50.0, 50.0) | st.sampled_from([0.0, -0.0])
+
+
+@given(_normal_sets(),
+       st.lists(st.lists(_force_component, min_size=3, max_size=3), min_size=1, max_size=8))
+def test_displacement_rows_equal_the_one_round_reference_bitwise(normals, forces):
+    compliance = _compliance(_obj(), [_cp(np.zeros(3), n) for n in normals])
+    forces = np.array(forces)
+    rows = _displacements(compliance, forces)
+    assert rows.shape == forces.shape
+    for F, row in zip(forces, rows):
+        assert row.tobytes() == reference_displacement(compliance, F).tobytes()
+
+
+def _report_bytes(rep):
+    return (rep.passed, rep.iterations_run, type(rep.max_displacement),
+            rep.max_displacement.hex(), rep.failure_iteration, rep.seed,
+            [(type(F), F.shape, F.tobytes(), type(d), d.hex()) for F, d in rep.samples])
+
+
+# validates any nonempty set of the drawn unit normals as stable
+_LAX = ValidationConfig(min_contacts=1, distribution_threshold=1.0,
+                        force_closure_threshold=10.0)
+
+
+_TETRA_NORMALS = [c.normal for c in tetra_contacts()]
+
+
+@example(normals=_TETRA_NORMALS, seed=0, iterations=1, force_bound=1.0, exit_at="none",
+         lax=True)
+@example(normals=_TETRA_NORMALS, seed=5, iterations=100, force_bound=0.0, exit_at="none",
+         lax=True)
+@example(normals=_TETRA_NORMALS, seed=5, iterations=100, force_bound=1.0, exit_at="first",
+         lax=True)
+@example(normals=_TETRA_NORMALS, seed=5, iterations=100, force_bound=1.0, exit_at="last",
+         lax=True)
+@example(normals=_TETRA_NORMALS, seed=5, iterations=1, force_bound=1.0, exit_at="last",
+         lax=True)
+@given(_normal_sets(), st.integers(0, 2**32 - 1), st.integers(1, 100),
+       st.just(0.0) | st.floats(0.0, 50.0), st.sampled_from(["none", "first", "last"]),
+       st.sampled_from([True, True, True, False]))  # mostly past the precheck
+def test_perturb_contacts_equals_the_per_round_reference_bitwise(normals, seed, iterations,
+                                                                   force_bound, exit_at, lax):
+    """Every field and sample byte of the stacked report equal the per-round
+    loop's, whether the rounds pass, stop at round 1 or stop at the last
+    round, on one round, at zero force, and when the precheck fails."""
+    obj = _obj()
+    contacts = [_cp(np.zeros(3), n) for n in normals]
+    validation = _LAX if lax else None
+    threshold, failure = 1e-3, None
+    if exit_at != "none":
+        # the norms of an uncut run place the threshold just below round 1,
+        # or just below the largest round, which then ends the run
+        uncut = reference_perturb(obj, contacts, PerturbConfig(
+            iterations, force_bound, np.finfo(float).max, seed), validation)
+        norms = [d for _, d in uncut.samples]
+        failure = 1 if exit_at == "first" else int(np.argmax(norms or [0.0])) + 1
+        if norms and norms[failure - 1] > 0.0:
+            threshold = max(norms[:failure - 1], default=np.nextafter(norms[0], 0.0))
+            if exit_at == "last":
+                iterations = failure
+        else:
+            failure = None
+    cfg = PerturbConfig(iterations, force_bound, threshold, seed)
+    rep = perturb_contacts(obj, contacts, cfg, validation)
+    assert _report_bytes(rep) == _report_bytes(reference_perturb(obj, contacts, cfg, validation))
+    if failure is not None:
+        assert rep.failure_iteration == rep.iterations_run == failure
 
 
 def test_perturbation_test_on_the_executed_grasp(scenario, grasp_run):
