@@ -8,7 +8,7 @@ silently running defaults.
   object:     half_extents, pose {position, rpy}, mass
   physics:    contact_stiffness (k in the contact force F = k * depth),
               lateral_friction (validated; no computation reads it yet)
-  targets:    finger -> {position, rpy}   (world frame, every finger; omit
+  targets:    finger -> {position}   (world frame, every finger; omit
               the section for the built-ins, which name the bundled hand's
               five fingers, so a hand with other or more needs it)
   run:        seed (the perturbation seed, >= 0), steps, hz,
@@ -55,7 +55,7 @@ _SCHEMA = {
     "hand": {"description_path", "base_position", "base_rpy"},
     "object": {"half_extents", "pose", "mass"},
     "physics": _field_names(PhysicalParams),
-    "targets": None,  # free finger names, each {position, rpy}
+    "targets": None,  # free finger names, each {position}
     # `seed` goes to perturb.seed, `steps` to RunConfig.max_steps
     "run": {"seed", "steps", "hz", "joint_rate_limit", "servo_gain", "log_every"},
     "ik": _field_names(IkConfig),
@@ -136,13 +136,17 @@ def _resolve_path(path: str, scenario_dir: str | None) -> str:
     return os.path.join(bundled_data_dir(), path)
 
 
-def _pose_from_mapping(value, where: str) -> Pose:
+def _pose_from_mapping(value, where: str, keys=("position", "rpy")) -> Pose:
+    """The pose of a mapping of `keys`.  A target's mapping has no rpy (the
+    IK is position-only), and its pose keeps the identity rotation."""
     if not isinstance(value, dict):
-        raise ConfigError(f"{where}: expected a mapping with position/rpy")
-    unknown = set(value) - {"position", "rpy"}
+        raise ConfigError(f"{where}: expected a mapping with {'/'.join(keys)}")
+    unknown = set(value) - set(keys)
     if unknown:
         raise ConfigError(f"{where}: unknown key {unknown.pop()!r}")
     position = _require_vec3(value.get("position", (0.0, 0.0, 0.0)), f"{where}.position")
+    if "rpy" not in keys:
+        return Pose(position=position)
     rpy = _require_vec3(value.get("rpy", (0.0, 0.0, 0.0)), f"{where}.rpy")
     return Pose.from_rpy(position, rpy)
 
@@ -194,7 +198,7 @@ def build_scenario(data: dict, scenario_dir: str | None = None) -> ScenarioConfi
     if "targets" in data:
         if not isinstance(data["targets"], dict) or not data["targets"]:
             raise ConfigError("targets must map finger names to poses")
-        targets = {finger: _pose_from_mapping(value, f"targets.{finger}")
+        targets = {finger: _pose_from_mapping(value, f"targets.{finger}", ("position",))
                    for finger, value in data["targets"].items()}
         source = ""
     else:

@@ -1,14 +1,14 @@
 """Forward kinematics and Jacobians over a parsed kinematic chain.
 
 All poses are expressed in the chain's root-link frame unless a caller
-composes in a base transform.  Positions are meters, orientations unit
-quaternions (x, y, z, w).
+composes in a base transform.  Positions are meters, rotations 3x3
+matrices.
 
 The joint origins, axes and Jacobian columns are constants of the chain,
 computed once when it is built, as are the joints grouped by tree depth
 (`chain.fk_levels`) and the angle-free factors of the movable joints'
-rotations (`chain.movable_rodrigues`).  A `Pose` computes its rotation
-matrix once, when it is made.  Two routes compute frames:
+rotations (`chain.movable_rodrigues`).  A `Pose` keeps one read-only
+rotation matrix, checked when it is made.  Two routes compute frames:
 
 - `_stacked_frames` gives every link's frame for each of T joint-angle rows
   as stacked arrays, rotations (T, L, 3, 3) and translations (T, L, 3),
@@ -31,8 +31,10 @@ t_origin + t_parent, then R @ R_joint for a movable joint:
 (G, 3, 1) stacks.  A stacked `matmul` rounds each slice exactly as the 2-D
 product does, whatever the number of rows, so both routes agree bit for bit
 with a per-joint walk of 2-D products, which tests/reference.py keeps as
-their oracle.  The vectorized Rodrigues and cross products repeat
-`axis_angle_matrix`'s and `np.cross`'s arithmetic entry for entry.  A
+their oracle.  Every joint rotation, a held joint's too, comes from the
+vectorized Rodrigues (`_rodrigues`); it and the cross products repeat the
+arithmetic of the one-axis Rodrigues formula (its oracle in
+tests/reference.py) and of `np.cross` entry for entry.  A
 Jacobian, alone or as a row of a stack, keeps the memory layout of a column
 selection of `jacobian`'s result (the transpose of a C-ordered (n, 3) array,
 which `take` gives the cross products): products such as J @ J.T and J.T @
@@ -46,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .robot_model import Finger, KinematicChain
-from .transforms import axis_angle_matrix, matrix_to_quat, quat_to_matrix, rpy_matrix
+from .transforms import rpy_matrix
 
 
 # The cyclic shifts of a cross product's components (`take` keeps rows
@@ -63,36 +65,35 @@ class KinematicsError(ValueError):
 
 @dataclass(frozen=True)
 class Pose:
-    """Position + orientation quaternion (x, y, z, w)."""
+    """Position + rotation matrix (3x3, orthonormal with det +1, read-only)."""
 
     position: np.ndarray
-    orientation: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 0.0, 1.0]))
+    rotation_matrix: np.ndarray = field(default_factory=lambda: _EYE3)
 
     def __post_init__(self):
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float).reshape(3))
-        q = np.asarray(self.orientation, dtype=float).reshape(4)
-        n = np.linalg.norm(q)
-        if not abs(n - 1.0) <= 1e-9:  # NaN fails too
-            raise ValueError(f"orientation quaternion must be unit norm, got |q| = {n}")
-        object.__setattr__(self, "orientation", q)
-        rotation = quat_to_matrix(q)
-        rotation.setflags(write=False)
-        object.__setattr__(self, "_rotation", rotation)
+        R = np.array(self.rotation_matrix, dtype=float)
+        if R.shape != (3, 3) or not np.isfinite(R).all():
+            raise ValueError(f"rotation must be a finite 3x3 matrix, got {R.tolist()}")
+        # orthonormal with det +1; NaN fails too
+        if not (np.abs(R.T @ R - _EYE3).max() <= 1e-9 and abs(np.linalg.det(R) - 1.0) <= 1e-9):
+            raise ValueError(f"rotation must be orthonormal with det +1, got {R.tolist()}")
+        R.setflags(write=False)
+        object.__setattr__(self, "rotation_matrix", R)
 
     def __eq__(self, other):
         if not isinstance(other, Pose):
             return NotImplemented
         return (np.array_equal(self.position, other.position)
-                and np.array_equal(self.orientation, other.orientation))
+                and np.array_equal(self.rotation_matrix, other.rotation_matrix))
 
     def rotation(self) -> np.ndarray:
-        """The orientation as a rotation matrix, computed once per pose (read-only)."""
-        return self._rotation
+        """The rotation matrix, made once per pose (read-only)."""
+        return self.rotation_matrix
 
     @classmethod
     def from_rpy(cls, position, rpy=(0.0, 0.0, 0.0)) -> "Pose":
-        return cls(position=np.asarray(position, dtype=float),
-                   orientation=matrix_to_quat(rpy_matrix(*rpy)))
+        return cls(position=position, rotation_matrix=rpy_matrix(*rpy))
 
 
 def _target_position(target) -> np.ndarray:
@@ -193,10 +194,11 @@ def _rodrigues(terms: tuple[np.ndarray, np.ndarray], angle: np.ndarray) -> np.nd
     """Rotation about each axis of `terms` (`rodrigues_terms`, n axes) by its
     angle, for angles of shape (..., n): shape (..., n, 3, 3).
 
-    Entry for entry the arithmetic of `axis_angle_matrix`: c + xx C on the
-    diagonal (the skew term there is a zero, which cannot change a sum that
-    is >= +0) and xy C - z s off it (as xy C + (-z) s, the same IEEE
-    operation), so each slice equals that function's result bit for bit.
+    Entry for entry the arithmetic of the one-axis formula (its oracle in
+    tests/reference.py): c + xx C on the diagonal (the skew
+    term there is a zero, which cannot change a sum that is >= +0) and
+    xy C - z s off it (as xy C + (-z) s, the same IEEE operation), so each
+    slice equals that function's result bit for bit.
     The terms broadcast over the leading axes of `angle`.
     """
     products, skew = terms
@@ -296,9 +298,14 @@ def finger_walk(chain: KinematicChain, fingers, state: JointState):
     origin_rotation = [_stack([chain.origin_rotation[ji] for ji in js]) for js in steps]
     origin_translation = [_stack([chain.origin_translation[ji] for ji in js])[..., None]
                           for js in steps]
-    held = {s: np.array([axis_angle_matrix(chain.movable_axes[chain.column_of[ji]], state.get(ji))
-                         for ji in js])
-            for s, js in enumerate(steps) if shape[s] == _HELD}
+    # the rotations of the held joints at their angles in `state`, (G, 3, 3)
+    # per held step
+    held = {}
+    for s, js in enumerate(steps):
+        if shape[s] == _HELD:
+            held_columns = [chain.column_of[ji] for ji in js]
+            held[s] = _rodrigues(tuple(a.take(held_columns, 0) for a in chain.movable_rodrigues),
+                                 np.array([state.get(ji) for ji in js], dtype=float))
     columns = np.array([[chain.column_of[ji] for ji in f.joints] for f in fingers])
     terms = tuple(a.take(columns, 0) for a in chain.movable_rodrigues)
     # the joints' axes, (n, G, 3, 1), as the stacked joint frames take them

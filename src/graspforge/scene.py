@@ -62,8 +62,9 @@ class SceneObject:
 class Scene:
     """Hand + object world.
 
-    The object must not start out penetrating the hand by more than 1 mm;
-    the bundled defaults keep 2 cm of clearance between palm surface and box.
+    The bundled defaults keep 2 cm of clearance between palm surface and
+    box.  A scenario's initial overlap of hand and object is not checked:
+    a box placed into the hand starts with contacts at `neutral_state`.
     """
 
     chain: KinematicChain
@@ -174,8 +175,4 @@ def default_grasp_targets(scene: Scene) -> dict[str, Pose]:
         "ring": ring_c,
         "pinky": pinky_c,
     }
-    identity = (0.0, 0.0, 0.0, 1.0)
-    return {
-        name: Pose(position=world_from_base(scene, p), orientation=identity)
-        for name, p in targets_base.items()
-    }
+    return {name: Pose(position=world_from_base(scene, p)) for name, p in targets_base.items()}

@@ -16,6 +16,9 @@ finger at a time, what `graspforge` computes on stacked arrays.
 - `reference_perturb` runs the perturbation rounds one at a time, one force
   draw and one `reference_displacement` per round, and stops at the first
   displacement above the threshold.
+- `axis_angle_matrix` is the one-axis Rodrigues rotation, the oracle of the
+  vectorized `kinematics._rodrigues`, and `quat_to_matrix` the rotation of a
+  unit quaternion, for tests that pin a box built from one.
 
 Tests import them as `from reference import ...`.
 """
@@ -30,7 +33,32 @@ from graspforge.ik_solver import IkResult
 from graspforge.kinematics import JointState, _jacobian_columns, _resolve_link, clamp_to_limits
 from graspforge.perturbation import FREE_SLIDE_GAIN, PerturbationReport, _compliance
 from graspforge.robot_model import CapsuleGeometry, KinematicChain, SphereGeometry
-from graspforge.transforms import axis_angle_matrix
+
+
+# --------------------------------------------------------------------------
+# one rotation at a time
+
+
+def axis_angle_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
+    """Rodrigues rotation about a unit axis."""
+    x, y, z = axis
+    c, s = np.cos(angle), np.sin(angle)
+    C = 1.0 - c
+    return np.array([
+        [c + x * x * C, x * y * C - z * s, x * z * C + y * s],
+        [y * x * C + z * s, c + y * y * C, y * z * C - x * s],
+        [z * x * C - y * s, z * y * C + x * s, c + z * z * C],
+    ])
+
+
+def quat_to_matrix(q) -> np.ndarray:
+    """Unit quaternion (x, y, z, w) -> rotation matrix."""
+    x, y, z, w = q
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+    ])
 
 
 # --------------------------------------------------------------------------

@@ -285,7 +285,6 @@ class TestErrorHandling:
         ("object.pose.position", "[{}, 0.0, 0.188]"),
         ("object.pose.rpy", "[0.0, 0.0, {}]"),
         ("targets.index.position", "[0.08, {}, 0.22]"),
-        ("targets.index.rpy", "[{}, 0.0, 0.0]"),
     ])
     def test_bad_vector_entry_is_a_config_error(self, tmp_path, capsys, key, vector, bad):
         code = run_cli("run", "--steps", "3", "--set", f"{key}={vector.format(bad)}",
@@ -294,6 +293,15 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key}: entries must be finite numbers")
         assert err.count("\n") == 1
+
+    # the IK is position-only: a target takes no rpy, whatever its value
+    @pytest.mark.parametrize("bad", [".nan", ".inf", '"0.0"', "0.0"])
+    def test_a_target_rpy_is_an_unknown_key(self, tmp_path, capsys, bad):
+        code = run_cli("run", "--steps", "3", "--set", f"targets.index.rpy=[{bad}, 0.0, 0.0]",
+                       "--out", str(tmp_path / "out"))
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: targets.index: unknown key 'rpy'\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["123", "[a]", "null"])
     def test_non_string_description_path_is_a_config_error(self, tmp_path, capsys, value):

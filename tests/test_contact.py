@@ -11,10 +11,11 @@ from graspforge.controller import execute_grasp, step_servo
 from graspforge.kinematics import JointState, Pose, _stacked_frames, link_transform
 from graspforge.robot_model import parse_robot_description
 from graspforge.scene import PhysicalParams, Scene, make_box_object
-from graspforge.transforms import axis_angle_matrix, matrix_to_quat
+from graspforge.transforms import rpy_matrix
 
 from conftest import joint_rows
-from reference import reference_closest_point_local, reference_detect_contacts
+from reference import (axis_angle_matrix, quat_to_matrix, reference_closest_point_local,
+                       reference_detect_contacts)
 
 # single revolute finger carrying a sphere fingertip 50 mm out along +x
 SPHERE_FINGER = """
@@ -51,10 +52,10 @@ CAPSULE_FINGER = """
 """
 
 
-def _mini_scene(urdf, box_center, half=(0.02, 0.02, 0.02), orientation=(0.0, 0.0, 0.0, 1.0)):
+def _mini_scene(urdf, box_center, half=(0.02, 0.02, 0.02), rotation=np.eye(3)):
     chain = parse_robot_description(urdf)
     params = PhysicalParams()
-    obj = make_box_object(half, Pose(position=box_center, orientation=orientation), 0.1, params)
+    obj = make_box_object(half, Pose(position=box_center, rotation_matrix=rotation), 0.1, params)
     scene = Scene(chain=chain, hand_base=Pose(position=(0, 0, 0)), object=obj)
     return scene, JointState(values={0: 0.0})
 
@@ -460,14 +461,13 @@ class TestOverlapReject:
         axis = R_b @ R_l @ shapes.axis[row]
         box = scene.object
         half = np.array(box.half_extents) * scale
-        orientation = Pose.from_rpy((0.0, 0.0, 0.0), rpy).orientation
-        R = Pose(position=(0.0, 0.0, 0.0), orientation=orientation).rotation()
+        R = rpy_matrix(*rpy)
         extent = np.abs(R.T @ axis) * shapes.half_length[row] + shapes.radius[row]
         local = np.array(inner) * half
         for i in bound_axes:
             bound = half[i] + extent[i] + (offset if outside else -offset)
             local[i] = -bound if negative[i] else bound
-        pose = Pose(position=center - R @ local, orientation=orientation)
+        pose = Pose(position=center - R @ local, rotation_matrix=R)
         obj = make_box_object(tuple(half), pose, box.mass, box.params)
         _assert_same_contacts(dataclasses.replace(scene, object=obj), state, sphere_reject=False)
 
@@ -497,7 +497,8 @@ class TestOverlapReject:
         h = 0.02
         center = (0.07 + 0.01 + h * np.sqrt(2.0) - slack, 0.0, 0.0)
         scene, state = _mini_scene(CAPSULE_FINGER, box_center=center, half=(h, h, h),
-                                   orientation=(0.0, 0.0, np.sin(np.pi / 8), np.cos(np.pi / 8)))
+                                   rotation=quat_to_matrix((0.0, 0.0, np.sin(np.pi / 8),
+                                                            np.cos(np.pi / 8))))
         contacts = detect_contacts(scene, state)
         assert batches == [1]
         if not touches:
@@ -616,7 +617,7 @@ class TestDetectContacts:
         reach = 0.02 + 0.01 + np.linalg.norm(half)  # length/2 + radius + |half|
         center = (0.05 + reach - slack, 0.0, 0.0)
         scene, state = _mini_scene(CAPSULE_FINGER, box_center=center, half=half,
-                                   orientation=matrix_to_quat(R))
+                                   rotation=R)
         contacts = detect_contacts(scene, state)
         assert batches == [1]
         if not touches:
@@ -669,7 +670,8 @@ class TestDetectContacts:
              -0.3452362725657961, 0.4159526691516302, -0.12983724518131878, 0.6284089875417862,
              0.4485771568636173]
         pose = Pose(position=(0.05972624785755627, -0.0003373486350292923, 0.18784760417535556),
-                    orientation=(0.0, 0.0, 0.07852080514001814, 0.9969124751753101))
+                    rotation_matrix=quat_to_matrix(
+                        (0.0, 0.0, 0.07852080514001814, 0.9969124751753101)))
         chain = scenario.scene.chain
         box = scenario.scene.object
         assert box.half_extents[0] == box.half_extents[2]

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graspforge.kinematics import (JointState, KinematicsError, Pose, _stacked_frames,
-                                   clamp_to_limits, finger_walk, jacobian, link_frames, link_transform,
-                                   neutral_state, within_limits, zero_state)
+from graspforge.kinematics import (JointState, KinematicsError, Pose, _rodrigues,
+                                   _stacked_frames, clamp_to_limits, finger_walk, jacobian,
+                                   link_frames, link_transform, neutral_state, within_limits,
+                                   zero_state)
 from graspforge.robot_model import parse_robot_description
+from graspforge.transforms import rodrigues_terms, rpy_matrix
 
 from conftest import TWO_LINK_ARM, WRIST_HAND, joint_rows, mid_range_state
-from reference import reference_frame, reference_jacobian, reference_link_transform
+from reference import (axis_angle_matrix, reference_frame, reference_jacobian,
+                       reference_link_transform)
 
 # A branching tree whose joints are listed tip-first, so file order is not
 # parent-first; tilted axes, rpy origins and fixed joints at every level.
@@ -176,34 +179,77 @@ def test_jacobian_zero_for_unrelated_fingers(chain):
 
 
 class TestPose:
-    def test_from_rpy_produces_unit_quaternion(self):
-        p = Pose.from_rpy((1, 2, 3), (0.1, 0.2, 0.3))
-        assert np.linalg.norm(p.orientation) == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(p.position, [1, 2, 3])
+    @pytest.mark.parametrize("rpy", [(math.pi, 0.0, 0.0), (0.0, 0.0, 0.3), (0.2, -0.4, 1.1),
+                                     (0.0, 0.0, 0.0), (-0.0, 0.0, -0.0)])
+    def test_from_rpy_keeps_the_rpy_matrix_bitwise(self, rpy):
+        p = Pose.from_rpy((1, 2, 3), rpy)
+        assert p.rotation().tobytes() == rpy_matrix(*rpy).tobytes()
+        assert p.position.tobytes() == np.array([1.0, 2.0, 3.0]).tobytes()
 
-    def test_rejects_non_unit_quaternion(self):
-        with pytest.raises(ValueError, match="unit norm"):
-            Pose(position=(0, 0, 0), orientation=(0, 0, 0, 2))
+    @given(st.lists(st.floats(-math.pi, math.pi), min_size=3, max_size=3))
+    def test_from_rpy_keeps_drawn_rpy_matrices_bitwise(self, rpy):
+        assert Pose.from_rpy((0, 0, 0), rpy).rotation().tobytes() == rpy_matrix(*rpy).tobytes()
 
-    def test_rejects_non_finite_orientation(self):
-        with pytest.raises(ValueError, match="unit norm"):
-            Pose(position=(0, 0, 0), orientation=(float("nan"), 0, 0, 1))
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="unit norm"):
-            Pose.from_rpy((0, 0, 0), (0, 0, float("inf")))  # an all-NaN quaternion
+    @pytest.mark.parametrize("rotation, match", [
+        (np.full((3, 3), np.nan), "finite 3x3"),
+        (np.where(np.eye(3) > 0, np.inf, 0.0), "finite 3x3"),
+        (np.eye(2), "finite 3x3"),
+        (np.eye(4), "finite 3x3"),
+        (2.0 * np.eye(3), "orthonormal"),
+        (np.diag([1.0, 1.0, -1.0]), "orthonormal"),  # a reflection, det -1
+        (np.eye(3) + 1e-8, "orthonormal"),
+    ])
+    def test_rejects_a_rotation_that_is_not_one(self, rotation, match):
+        with pytest.raises(ValueError, match=match):
+            Pose(position=(0, 0, 0), rotation_matrix=rotation)
+
+    def test_rejects_a_non_finite_rpy(self):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite 3x3"):
+            Pose.from_rpy((0, 0, 0), (0, 0, float("inf")))
+
+    def test_accepts_a_rotation_within_the_tolerance(self):
+        R = rpy_matrix(0.2, -0.4, 1.1)
+        R[0, 0] += 1e-12
+        assert Pose(position=(0, 0, 0), rotation_matrix=R).rotation()[0, 0] == R[0, 0]
 
     def test_equality_is_exact(self):
         a = Pose(position=(1, 2, 3))
         assert a == Pose(position=(1, 2, 3))
         assert a != Pose(position=(1, 2, 3.0000001))
+        b = Pose.from_rpy((1, 2, 3), (0.0, 0.0, 0.3))
+        assert b == Pose(position=(1, 2, 3), rotation_matrix=rpy_matrix(0.0, 0.0, 0.3))
+        R = rpy_matrix(0.0, 0.0, 0.3)
+        R[0, 1] = np.nextafter(R[0, 1], 1.0)
+        assert b != Pose(position=(1, 2, 3), rotation_matrix=R)
+        assert a != Pose.from_rpy((1, 2, 3), (0.0, 0.0, 0.3))
 
-    def test_rotation_is_computed_once(self):
-        from graspforge.transforms import quat_to_matrix
-        p = Pose.from_rpy((1, 2, 3), (0.1, -0.7, 2.3))
+    def test_rotation_is_made_once_and_read_only(self):
+        R_in = rpy_matrix(0.1, -0.7, 2.3)
+        p = Pose(position=(1, 2, 3), rotation_matrix=R_in)
         R = p.rotation()
         assert R is p.rotation()
-        assert R.tobytes() == quat_to_matrix(p.orientation).tobytes()
+        assert R.tobytes() == rpy_matrix(0.1, -0.7, 2.3).tobytes()
         with pytest.raises(ValueError):  # shared by every caller, so read-only
             R[0, 0] = 2.0
+        R_in[0, 0] = 2.0  # the pose keeps its own copy
+        assert R.tobytes() == rpy_matrix(0.1, -0.7, 2.3).tobytes()
+
+
+@given(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+                .filter(lambda v: 1e-3 < math.hypot(*v)), min_size=1, max_size=6),
+       st.data())
+def test_rodrigues_equals_the_one_axis_formula_bitwise(raw_axes, data):
+    """`_rodrigues` on `rodrigues_terms`, the route of every joint rotation
+    (a held joint's too), is `axis_angle_matrix` on each axis and angle bit
+    for bit, at +-0 and +-pi and on a stack of rows."""
+    axes = np.array([np.array(v) / math.hypot(*v) for v in raw_axes])
+    angle = st.one_of(st.sampled_from([0.0, -0.0, math.pi, -math.pi]), st.floats(-3.2, 3.2))
+    angles = np.array([[data.draw(angle) for _ in axes] for _ in range(2)])
+    rot = _rodrigues(rodrigues_terms(axes), angles)
+    assert rot.shape == (2, len(axes), 3, 3)
+    for row, a in zip(rot, angles):
+        for R, axis, theta in zip(row, axes, a.tolist()):
+            assert R.tobytes() == axis_angle_matrix(axis, theta).tobytes()
 
 
 _angles = st.floats(-3.2, 3.2, allow_nan=False)

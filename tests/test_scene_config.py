@@ -40,7 +40,7 @@ class TestScene:
         assert set(targets) == set(chain.fingers)
         for pose in targets.values():
             assert isinstance(pose, Pose)
-            assert np.allclose(pose.orientation, [0, 0, 0, 1])
+            assert np.array_equal(pose.rotation(), np.eye(3))
 
     def test_index_and_pinky_mirror_across_xz(self, chain):
         targets = default_grasp_targets(default_scene(chain))
