@@ -18,11 +18,11 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .config import ConfigError, default_scenario_path, load_scenario
-from .contact import ContactPoint
+from .contact import ContactPoint, detect_contacts
 from .controller import execute_grasp, write_trajectory_csv
 from .grasp_validation import ValidationConfig, validate_grasp
 from .metrics import summarize_run, write_metrics_csv
-from .perturbation import perturbation_test, write_samples_csv
+from .perturbation import perturb_contacts, write_samples_csv
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -156,15 +156,16 @@ def cmd_perturb(args) -> int:
     scenario = load_scenario(args.scenario or default_scenario_path(), overrides)
     out_root = _out_dir(args, scenario)
 
-    # the seed reaches only the perturbation rounds, so one grasp serves every repeat
+    # the seed reaches only the rounds: one grasp and its contacts serve every repeat
     state, _, _ = execute_grasp(scenario.scene, scenario.targets,
                                 scenario.run, scenario.ik, scenario.validation)
+    contacts = detect_contacts(scenario.scene, state)
     all_passed = True
     for i in range(args.repeat):
         out_dir = out_root if args.repeat == 1 else os.path.join(out_root, f"{i:03d}")
         os.makedirs(out_dir, exist_ok=True)
         config = replace(scenario.perturb, seed=scenario.perturb.seed + i)
-        report = perturbation_test(scenario.scene, state, config, scenario.validation)
+        report = perturb_contacts(scenario.scene.object, contacts, config, scenario.validation)
         _write_json(os.path.join(out_dir, "perturbation.json"), report.to_dict())
         _write_text(os.path.join(out_dir, "perturbation_samples.csv"),
                     lambda fh: write_samples_csv(report, fh), not args.no_timestamp)

@@ -1,8 +1,8 @@
 """Scenario configuration: YAML schema, overrides, and object construction.
 
-A scenario file is a nested mapping with the sections below; every key is
-optional and unknown keys are rejected so typos fail loudly instead of
-silently running defaults.
+A scenario file is a nested mapping with the sections below; every key but
+a given pose's position is optional, and unknown keys are rejected so typos
+fail loudly instead of silently running defaults.
 
   hand:       description_path, base_position, base_rpy
   object:     half_extents, pose {position, rpy}, mass
@@ -137,14 +137,16 @@ def _resolve_path(path: str, scenario_dir: str | None) -> str:
 
 
 def _pose_from_mapping(value, where: str, keys=("position", "rpy")) -> Pose:
-    """The pose of a mapping of `keys`.  A target's mapping has no rpy (the
-    IK is position-only), and its pose keeps the identity rotation."""
+    """The pose of a mapping of `keys`, position required.  A target's mapping
+    has no rpy (the IK is position-only), and its pose keeps the identity."""
     if not isinstance(value, dict):
         raise ConfigError(f"{where}: expected a mapping with {'/'.join(keys)}")
     unknown = set(value) - set(keys)
     if unknown:
         raise ConfigError(f"{where}: unknown key {unknown.pop()!r}")
-    position = _require_vec3(value.get("position", (0.0, 0.0, 0.0)), f"{where}.position")
+    if "position" not in value:
+        raise ConfigError(f"{where}: missing key 'position'")
+    position = _require_vec3(value["position"], f"{where}.position")
     if "rpy" not in keys:
         return Pose(position=position)
     rpy = _require_vec3(value.get("rpy", (0.0, 0.0, 0.0)), f"{where}.rpy")

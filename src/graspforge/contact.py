@@ -9,12 +9,11 @@ Front end, after a forward-kinematics pass gives every link's frame: the
 chain's table of finger shapes (`chain.finger_shapes`, built once with the
 chain) is processed as stacked arrays, with no loop over links, for T
 joint-angle rows at once (`_stacked_contacts`, over frames of shape
-(T, L, ...)).  The controller calls it on the rows of a block of
-`pre_grasp` steps, on the speculated rows of a block of `contact_opt`
-steps and on the one row of a `monitor` step that must recompute;
-`detect_contacts` is its one-row call from a joint state.  Each stacked
-`matmul` rounds every slice exactly as a 2-D `@` does, so the probes are
-bit for bit those of a per-link loop, whatever the number of rows.
+(T, L, ...)), and the contacts of every row come out as one set of arrays,
+which the controller validates as they are.  `detect_contacts`, the one-row
+call from a joint state, is the one place that makes `ContactPoint`s.  Each
+stacked `matmul` rounds every slice exactly as a 2-D `@` does, so the
+probes are bit for bit those of a per-link loop, whatever the number of rows.
   * World transform of every shape, its box-frame center c (a sphere's probe
     point) and core axis u, then the overlap reject (separating axes on the
     box faces; Gottschalk, Lin & Manocha, "OBBTree", SIGGRAPH 1996): a shape
@@ -89,6 +88,11 @@ class ContactPoint:
         object.__setattr__(self, "normal", np.asarray(self.normal, dtype=float).reshape(3))
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """The length of each row of `v` (N, 3), rounded as `np.linalg.norm` is."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
 def _closest_point_local(p: np.ndarray, half: np.ndarray):
     """Closest surface points / outward normals / signed distances of the
     (M, 3) box-frame points `p`."""
@@ -98,7 +102,7 @@ def _closest_point_local(p: np.ndarray, half: np.ndarray):
     # outside: clamp projects onto the surface
     q = p.clip(-half, half)
     offset = p - q
-    dist = np.sqrt((offset[:, None, :] @ offset[:, :, None])[:, 0, 0])
+    dist = _norms(offset)
     # inside: push out through the nearest face, near-ties to the lowest axis
     rows = np.arange(len(p))
     axis = np.argmax(gaps <= nearest[:, None] + _TIE_TOLERANCE, axis=1)
@@ -180,13 +184,12 @@ def _deepest_on_segments(a: np.ndarray, d: np.ndarray, half: np.ndarray) -> np.n
     return t[np.arange(len(t)), np.argmax(near, axis=1)]
 
 
-def _stacked_contacts(scene: Scene, frames: tuple) -> list[list[ContactPoint]]:
-    """`detect_contacts` for each row of stacked link frames, rotations
-    (T, L, 3, 3) and translations (T, L, 3) as `_stacked_frames` gives them.
-
-    Every shape of every row goes through the front end at once; the
-    capsules of all rows that pass the reject are solved in one narrow-phase
-    batch, whose rows are independent of each other.
+def _stacked_contacts(scene: Scene, frames: tuple) -> tuple:
+    """`detect_contacts` for each row of stacked link frames, rotations (T, L,
+    3, 3) and translations (T, L, 3), as arrays over every contact of every
+    row: its row (M,), ascending, `chain.finger_shapes` row (M,), position
+    (M, 3), normal (M, 3), depth (M,) and force k * depth (M,).  The rows
+    go through the front end and the narrow phase together, independently.
     """
     chain = scene.chain
     shapes = chain.finger_shapes
@@ -205,7 +208,6 @@ def _stacked_contacts(scene: Scene, frames: tuple) -> list[list[ContactPoint]]:
     axes = (R.T @ (R_w @ shapes.axis[:, :, None]))[..., 0]
     gaps = np.abs(probes) - (np.abs(axes) * shapes.half_length[:, None] + shapes.radius[:, None])
     steps, rows = np.nonzero((gaps <= half + _OVERLAP_SLACK).all(axis=-1))
-    contacts: list[list[ContactPoint]] = [[] for _ in range(len(R_l))]
     capsule = shapes.half_length[rows] > 0.0
     if capsule.any():
         at = steps[capsule], rows[capsule]
@@ -218,14 +220,7 @@ def _stacked_contacts(scene: Scene, frames: tuple) -> list[list[ContactPoint]]:
     steps, rows, depth = steps[hit], rows[hit], depth[hit]
     positions = (R @ surface[hit, :, None])[..., 0] + c
     normals = (R @ normal[hit, :, None])[..., 0]
-    k = box.params.contact_stiffness
-    for step, row, link, position, n, d, force in zip(
-            steps.tolist(), rows.tolist(), shapes.links[rows].tolist(), positions, normals,
-            depth.tolist(), (k * depth).tolist()):
-        contacts[step].append(ContactPoint(finger=shapes.fingers[row], link=link,
-                                           position=position, normal=n,
-                                           penetration_depth=d, normal_force=force))
-    return contacts
+    return steps, rows, positions, normals, depth, box.params.contact_stiffness * depth
 
 
 def detect_contacts(scene: Scene, state: JointState) -> list[ContactPoint]:
@@ -238,4 +233,9 @@ def detect_contacts(scene: Scene, state: JointState) -> list[ContactPoint]:
     This is the one-row call of `_stacked_contacts`.
     """
     R_l, t_l = link_frames(scene.chain, state)
-    return _stacked_contacts(scene, (R_l[None], t_l[None]))[0]
+    _, rows, positions, normals, depths, forces = _stacked_contacts(scene, (R_l[None], t_l[None]))
+    shapes = scene.chain.finger_shapes
+    return [ContactPoint(shapes.fingers[row], link, position, n, depth, force)
+            for row, link, position, n, depth, force in zip(
+                rows.tolist(), shapes.links[rows].tolist(), positions, normals, depths.tolist(),
+                forces.tolist())]

@@ -3,8 +3,8 @@
 Phases:
   pre_grasp    stage fingertips 3 cm outside their contact targets
   contact_opt  drive to the true targets; a finger with an established
-               contact (`is_established`, the test validation counts by)
-               stops advancing its flexor so it presses instead of shoving
+               contact stops advancing its flexor so it presses instead of
+               shoving
   monitor      freeze the posture and re-validate until 50 consecutive
                stable steps (or the step budget runs out)
 
@@ -13,23 +13,22 @@ with explicit Euler and clamps every iterate to joint limits.  The loop
 carries one array of joint angles in `chain.movable` order; a `JointState`
 is made only for the IK's seed and merged goal and for the final state.
 
-The goal of `pre_grasp` is fixed and the phase reads no contacts, so it
-is a function of the servo's states alone: the servo runs step by step, and
+The goal of `pre_grasp` is fixed and the phase reads no contacts, so it is
+a function of the servo's states alone: the servo runs step by step, and
 the rows that are read (the logged steps and the last step of each block of
-up to _APPROACH_BLOCK) go through one stacked forward-kinematics pass and
-one stacked contact detection, from which the log entries are written.  The
-last row gives the contacts of the step that leaves the phase.
+up to _APPROACH_BLOCK) go through one pass.  The last row gives the
+contacts of the step that leaves the phase.
 
 Between events a `contact_opt` step is a function of the angles alone too:
 its goal is the contact goal with each latched finger's flexor held at its
 current angle.  So the phase speculates, then rolls back.  The servo runs
-ahead up to _CONTACT_BLOCK rows under the current latched set, the rows go
-through one stacked pass, and they are checked in order: each row's
-established fingers, verdict and log entry.  The first row whose
-established set differs from the assumed one, or whose verdict is stable,
-is the event; the rows after it are dropped and the next block starts from
-its angles.  Each block leaves one DEBUG record: its first step, the rows
-it ran and the rows it kept.
+ahead up to _CONTACT_BLOCK rows under the current latched set; one pass
+detects their contacts as arrays and one `_assess_rows` call gives every
+row's verdict and established fingers, a mask (rows, fingers).  The first
+row whose mask differs from the latched one, or whose verdict is stable, is
+the event; the rows after it are dropped and the next block starts from its
+angles.  Each block leaves one DEBUG record: its first step, the rows it ran
+and the rows it kept.
 
 In `monitor` the goal is the frozen posture, so the servo velocity is
 exactly 0 and a step usually returns the angles it was given.  A step
@@ -60,7 +59,7 @@ import numpy as np
 
 from ._checks import ConfigError, check_numbers
 from .contact import _stacked_contacts, closest_point_box
-from .grasp_validation import ValidationConfig, is_established, validate_grasp
+from .grasp_validation import ValidationConfig, _assess_rows, _assessment
 from .ik_solver import IkConfig, merge_hand_results, solve_hand_ik
 from .kinematics import _angles, _clamp, _joint_state, _stacked_frames
 from .robot_model import KinematicChain
@@ -227,8 +226,9 @@ def _approach(scene: Scene, q: np.ndarray, goal: np.ndarray, run: RunConfig,
     with one stacked pass per _APPROACH_BLOCK steps over the steps it reads:
     the logged ones and the block's last (see the module notes).
 
-    Returns the last angles, their step and contacts.  The last step leaves
-    the phase, so its log row reads PHASE_CONTACT_OPT.
+    Returns the last angles, their step and the arguments of a one-row
+    `_assess_rows` call on its contacts.  The last step leaves the phase, so
+    its log row reads PHASE_CONTACT_OPT.
     """
     chain = scene.chain
     step, done = 0, False
@@ -242,12 +242,14 @@ def _approach(scene: Scene, q: np.ndarray, goal: np.ndarray, run: RunConfig,
         first = step - len(block) + 1
         read = [s for s in range(first, step + 1) if s % run.log_every == 0 or s == step]
         R, t = _stacked_frames(chain, np.array([block[s - first] for s in read]))
-        contacts = _stacked_contacts(scene, (R, t))
+        at, _, positions, normals, _, forces = _stacked_contacts(scene, (R, t))
+        counts = np.bincount(at, minlength=len(read))
         logged = [i for i, s in enumerate(read) if s % run.log_every == 0]
         steps = [read[i] for i in logged]
-        rows.append((steps, _fingertips(scene, t[logged]), [len(contacts[i]) for i in logged],
+        rows.append((steps, _fingertips(scene, t[logged]), counts[logged].tolist(),
                      [_CONTACT_OPT if done and s == step else _PRE_GRASP for s in steps]))
-    return q, step, contacts[-1]
+    last = at == len(read) - 1
+    return q, step, (at[last] - (len(read) - 1), positions[last], normals[last], forces[last])
 
 
 def _close(scene: Scene, q: np.ndarray, step: int, contact_goal: np.ndarray,
@@ -257,50 +259,52 @@ def _close(scene: Scene, q: np.ndarray, step: int, contact_goal: np.ndarray,
     is, until the verdict is stable or the step budget is spent, in
     speculated blocks of up to _CONTACT_BLOCK rows (see the module notes).
 
-    Returns the angles, step, contacts, verdict and fingertip positions
-    (F, 3) of the last kept row.
+    Returns the angles, step, contact count, verdict and fingertip
+    positions (F, 3) of the last kept row.
     """
     chain = scene.chain
     # flexor = second-to-last joint of each finger chain (before the distal)
-    flexor_of = {name: chain.column_of[f.joints[-2]] for name, f in chain.fingers.items()}
-    goal, latched = contact_goal, set()
+    flexors = np.array([chain.column_of[f.joints[-2]] for f in chain.fingers.values()])
+    finger_of = np.array([list(chain.fingers).index(f) for f in chain.finger_shapes.fingers], int)
+    goal, latched = contact_goal, np.zeros(len(flexors), dtype=bool)
     while True:
-        flexors = [flexor_of[finger] for finger in latched]
         block, goals = [], []
         for _ in range(min(_CONTACT_BLOCK, run.max_steps - step)):
-            if latched:
+            if latched.any():
                 goal = contact_goal.copy()
-                goal[flexors] = q[flexors]
+                goal[flexors[latched]] = q[flexors[latched]]
             q = step_servo(q, goal, run, chain)
             block.append(q)
             goals.append(goal)
         R, t = _stacked_frames(chain, np.array(block))
-        detected = _stacked_contacts(scene, (R, t))
-        for kept, contacts in enumerate(detected, start=1):
-            assessment = validate_grasp(contacts, validation)
-            established = {c.finger for c in contacts if is_established(c, validation)}
-            if established != latched or assessment.stable:
-                break
+        at, shape_rows, positions, normals, _, forces = _stacked_contacts(scene, (R, t))
+        verdicts = _assess_rows(at, positions, normals, forces, len(block), validation)
+        held = verdicts[0]
+        established = np.zeros((len(block), len(flexors)), dtype=bool)
+        established[at[held], finger_of[shape_rows[held]]] = True
+        event = (established != latched).any(axis=1) | (verdicts[-1] == 0)
+        kept = int(np.argmax(event)) + 1 if event.any() else len(block)
+        assessment = _assessment(verdicts, kept - 1)
+        counts = np.bincount(at, minlength=len(block))
         first, step = step + 1, step + kept
         _log.debug("contact_opt block from step %d: %d rows run, %d kept",
                    first, len(block), kept)
         tips = _fingertips(scene, t[:kept])
         logged = [i for i in range(kept) if (first + i) % run.log_every == 0]
         # only the last kept row can be stable: a stable verdict ends the block
-        rows.append(([first + i for i in logged], tips[logged],
-                     [len(detected[i]) for i in logged],
+        rows.append(([first + i for i in logged], tips[logged], counts[logged].tolist(),
                      [_MONITOR if assessment.stable and i == kept - 1 else _CONTACT_OPT
                       for i in logged]))
-        q, goal, latched = block[kept - 1], goals[kept - 1], established
+        q, goal, latched = block[kept - 1], goals[kept - 1], established[kept - 1]
         if assessment.stable or step >= run.max_steps:
-            return q, step, contacts, assessment, tips[kept - 1]
+            return q, step, int(counts[kept - 1]), assessment, tips[kept - 1]
 
 
-def _monitor(scene: Scene, q: np.ndarray, step: int, contacts: list, assessment,
+def _monitor(scene: Scene, q: np.ndarray, step: int, count: int, assessment,
              tips: np.ndarray, run: RunConfig, validation: ValidationConfig, rows: list):
     """The monitor phase from the stable posture `q` at `step`, with its
-    contacts, verdict and fingertip positions (F, 3): hold the posture until
-    VALIDATED_HOLD_STEPS consecutive stable steps or the step budget is
+    contact count, verdict and fingertip positions (F, 3): hold the posture
+    until VALIDATED_HOLD_STEPS consecutive stable steps or the step budget is
     spent.  The servo runs until its first held step; the steps from there
     on repeat the held row (see the module notes).  Returns the angles, the
     step the phase ended at and the verdict.
@@ -313,12 +317,13 @@ def _monitor(scene: Scene, q: np.ndarray, step: int, contacts: list, assessment,
             break  # held: this step and every later one repeat the last
         step, q = step + 1, moved
         R, t = _stacked_frames(chain, q[None])
-        contacts = _stacked_contacts(scene, (R, t))[0]
-        assessment = validate_grasp(contacts, validation)
+        at, _, positions, normals, _, forces = _stacked_contacts(scene, (R, t))
+        assessment = _assessment(_assess_rows(at, positions, normals, forces, 1, validation), 0)
+        count = len(at)
         tips = _fingertips(scene, t)[0]
         hold_count = hold_count + 1 if assessment.stable else 0
         if step % run.log_every == 0:
-            rows.append(([step], tips[None], [len(contacts)], [_MONITOR]))
+            rows.append(([step], tips[None], [count], [_MONITOR]))
     # the steps left repeat the last one, so their logged rows are one
     # broadcast; none are left unless the loop stopped at a held step
     end = run.max_steps
@@ -326,7 +331,7 @@ def _monitor(scene: Scene, q: np.ndarray, step: int, contacts: list, assessment,
         end = min(end, step + VALIDATED_HOLD_STEPS - hold_count)
     steps = range((step // run.log_every + 1) * run.log_every, end + 1, run.log_every)
     rows.append((steps, np.broadcast_to(tips, (len(steps),) + tips.shape),
-                 [len(contacts)] * len(steps), [_MONITOR] * len(steps)))
+                 [count] * len(steps), [_MONITOR] * len(steps)))
     return q, end, assessment
 
 
@@ -349,16 +354,16 @@ def execute_grasp(scene: Scene, targets: dict, run: RunConfig | None = None,
     _log.debug("phase %s -> %s at step %d", PHASE_PRE_GRASP, PHASE_CONTACT_OPT, step)
     contact_goal = _solve_goal(chain, _base_targets(scene, targets), q, ik, PHASE_CONTACT_OPT)
     if step < run.max_steps:
-        q, step, contacts, assessment, tips = _close(
+        q, step, count, assessment, tips = _close(
             scene, q, step, contact_goal, run, validation, rows)
         if assessment.stable:
             _log.debug("phase %s -> %s at step %d", PHASE_CONTACT_OPT, PHASE_MONITOR, step)
-            q, step, assessment = _monitor(scene, q, step, contacts, assessment, tips, run,
+            q, step, assessment = _monitor(scene, q, step, count, assessment, tips, run,
                                            validation, rows)
     else:
         # the approach spent the step budget: report the contacts its last
         # step detected
-        assessment = validate_grasp(contacts, validation)
+        assessment = _assessment(_assess_rows(*contacts, 1, validation), 0)
     steps, tips, counts, phases = zip(*rows)
     flat = itertools.chain.from_iterable
     log = TrajectoryLog(fingers=tuple(chain.fingers), hz=run.hz, end_step=step,

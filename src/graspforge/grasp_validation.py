@@ -1,9 +1,12 @@
 """Force-closure grasp validation: count, spread, and normal-balance checks.
 
-Checks run in a fixed order and the first failure names the verdict:
-too few contacts -> spread exceeded -> closure exceeded.  Contacts whose
-normal force is below the minimum are ignored entirely (not established,
-see `is_established`).
+Contacts below `min_contact_force` are not established and are ignored;
+checks run on the rest in a fixed order and the first failure names the
+verdict: too few contacts -> spread exceeded -> closure exceeded.
+`_assess_rows` judges every row of a stacked contact set at once, and
+`validate_grasp` is its one-row call.  Sums add a row's contacts in order
+from +0.0 and norms are self-product square roots, so every field keeps the
+bits of the per-contact loop in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -13,12 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import ConfigError, check_numbers
-from .contact import ContactPoint
+from .contact import ContactPoint, _norms
 
 FAILURE_NONE = "none"
 FAILURE_TOO_FEW = "too_few_contacts"
 FAILURE_SPREAD = "spread_exceeded"
 FAILURE_CLOSURE = "closure_exceeded"
+
+# a row's failure code indexes this tuple, in the order the checks run
+_REASONS = (FAILURE_NONE, FAILURE_TOO_FEW, FAILURE_SPREAD, FAILURE_CLOSURE)
 
 
 @dataclass(frozen=True)
@@ -50,59 +56,49 @@ class GraspAssessment:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float).reshape(3))
 
     def to_dict(self) -> dict:
-        return {
-            "stable": self.stable,
-            "contact_count": self.contact_count,
-            "center": [float(v) for v in self.center],
-            "max_distance": float(self.max_distance),
-            "closure_residual": float(self.closure_residual),
-            "failure_reason": self.failure_reason,
-        }
+        return dict(vars(self), center=[float(v) for v in self.center],
+                    max_distance=float(self.max_distance),
+                    closure_residual=float(self.closure_residual))
 
 
-def grasp_center(contacts: list[ContactPoint]) -> np.ndarray:
-    """Arithmetic mean of contact positions."""
-    if not contacts:
-        raise ValueError("grasp_center requires at least one contact")
-    return np.mean([c.position for c in contacts], axis=0)
+def _assess_rows(rows: np.ndarray, positions: np.ndarray, normals: np.ndarray,
+                 forces: np.ndarray, count: int, config: ValidationConfig):
+    """The verdicts of `count` rows from each contact's row, position, normal
+    and normal force: the established mask (M,) and per row the established
+    count, center, spread (largest distance from the center), closure
+    residual (norm of the summed unit normals) and code, an index into _REASONS."""
+    held = forces >= config.min_contact_force
+    # the contacts that are not established go to an extra row, dropped at the end
+    rows = np.where(held, rows, count)
+    counts = np.bincount(rows, minlength=count + 1)
+    sums = np.zeros((2, count + 1, 3))
+    np.add.at(sums[0], rows, positions)
+    # defensive re-normalization: closure is defined over unit normals
+    np.add.at(sums[1], rows, normals / _norms(normals)[:, None])
+    centers = sums[0] / np.maximum(counts, 1)[:, None]
+    spreads = np.zeros(count + 1)
+    np.maximum.at(spreads, rows, _norms(positions - centers.take(rows, axis=0)))
+    closures = _norms(sums[1])
+    # each check overrides the ones after it, so the first failure names the row
+    reasons = 3 * (closures > config.force_closure_threshold)
+    reasons[spreads > config.distribution_threshold] = 2
+    reasons[counts < config.min_contacts] = 1
+    return held, counts[:-1], centers[:-1], spreads[:-1], closures[:-1], reasons[:-1]
 
 
-def is_established(contact: ContactPoint, config: ValidationConfig) -> bool:
-    """A contact at or above the minimum force: it counts toward the verdict,
-    and the controller stops its finger's flexor."""
-    return contact.normal_force >= config.min_contact_force
+def _assessment(verdicts: tuple, row: int) -> GraspAssessment:
+    """The `GraspAssessment` of one row of `_assess_rows`' verdicts."""
+    _, counts, centers, spreads, closures, reasons = verdicts
+    reason = _REASONS[reasons[row]]
+    return GraspAssessment(reason == FAILURE_NONE, int(counts[row]), centers[row],
+                           float(spreads[row]), float(closures[row]), reason)
 
 
 def validate_grasp(contacts: list[ContactPoint],
                    config: ValidationConfig | None = None) -> GraspAssessment:
-    cfg = config or ValidationConfig()
-    held = [c for c in contacts if is_established(c, cfg)]
-
-    if held:
-        center = grasp_center(held)
-        max_distance = max(float(np.linalg.norm(c.position - center)) for c in held)
-        # defensive re-normalization: closure is defined over unit normals
-        normals = [c.normal / np.linalg.norm(c.normal) for c in held]
-        closure_residual = float(np.linalg.norm(np.sum(normals, axis=0)))
-    else:
-        center = np.zeros(3)
-        max_distance = 0.0
-        closure_residual = 0.0
-
-    if len(held) < cfg.min_contacts:
-        reason = FAILURE_TOO_FEW
-    elif max_distance > cfg.distribution_threshold:
-        reason = FAILURE_SPREAD
-    elif closure_residual > cfg.force_closure_threshold:
-        reason = FAILURE_CLOSURE
-    else:
-        reason = FAILURE_NONE
-
-    return GraspAssessment(
-        stable=reason == FAILURE_NONE,
-        contact_count=len(held),
-        center=center,
-        max_distance=max_distance,
-        closure_residual=closure_residual,
-        failure_reason=reason,
-    )
+    """The verdict of one contact set: the one-row call of `_assess_rows`."""
+    positions = np.array([c.position for c in contacts], dtype=float).reshape(-1, 3)
+    normals = np.array([c.normal for c in contacts], dtype=float).reshape(-1, 3)
+    forces = np.array([c.normal_force for c in contacts], dtype=float)
+    return _assessment(_assess_rows(np.zeros(len(contacts), dtype=np.intp), positions,
+                                    normals, forces, 1, config or ValidationConfig()), 0)

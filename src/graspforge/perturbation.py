@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from ._checks import ConfigError, check_numbers
-from .contact import ContactPoint, detect_contacts
+from .contact import ContactPoint, _norms, detect_contacts
 from .grasp_validation import ValidationConfig, validate_grasp
 from .kinematics import JointState
 from .scene import Scene, SceneObject
@@ -82,13 +82,11 @@ class PerturbationReport:
         }
 
 
-def _compliance(obj: SceneObject, contacts: list[ContactPoint]):
-    """Eigen-decomposition of K = sum_i k n_i n_i^T and its null-space cutoff."""
-    k = obj.params.contact_stiffness
-    K = np.zeros((3, 3))
-    for c in contacts:
-        n = c.normal / np.linalg.norm(c.normal)
-        K += k * np.outer(n, n)
+def _compliance(obj: SceneObject, normals: np.ndarray):
+    """Eigen-decomposition of K = sum_i k n_i n_i^T over the normals (M, 3),
+    summed from zero as a per-contact loop adds them, and its null-space cutoff."""
+    unit = normals / _norms(normals)[:, None]
+    K = (obj.params.contact_stiffness * (unit[:, :, None] * unit[:, None, :])).sum(axis=0)
     eigenvalues, eigenvectors = np.linalg.eigh(K)
     return eigenvalues, eigenvectors, eigenvalues[-1] * _NULL_SPACE_RTOL
 
@@ -125,8 +123,8 @@ def perturb_contacts(obj: SceneObject, contacts: list[ContactPoint],
 
     rng = np.random.default_rng(cfg.seed)
     forces = rng.uniform(-cfg.force_bound, cfg.force_bound, size=(cfg.iterations, 3))
-    D = _displacements(_compliance(obj, contacts), forces)
-    norms = np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0])
+    D = _displacements(_compliance(obj, np.array([c.normal for c in contacts])), forces)
+    norms = _norms(D)
     over = np.flatnonzero(norms > cfg.displacement_threshold)
     failure = int(over[0]) + 1 if len(over) else None
     rounds = failure or cfg.iterations

@@ -13,9 +13,15 @@ finger at a time, what `graspforge` computes on stacked arrays.
   `reference_detect_contacts` contact detection as a loop over the finger
   links, with `reference_closest_point_local` its surface probe, one probe
   at a time.
+- `reference_validate` is the grasp verdict as a loop over the contacts of
+  one set, with one `np.linalg.norm` per contact and per normal, and
+  `reference_compliance` the stiffness K = sum k n n^T summed one contact
+  at a time: the oracles of `grasp_validation._assess_rows` and
+  `perturbation._compliance`.
 - `reference_perturb` runs the perturbation rounds one at a time, one force
   draw and one `reference_displacement` per round, and stops at the first
-  displacement above the threshold.
+  displacement above the threshold; its precheck and K are
+  `reference_validate` and `reference_compliance`.
 - `axis_angle_matrix` is the one-axis Rodrigues rotation, the oracle of the
   vectorized `kinematics._rodrigues`, and `quat_to_matrix` the rotation of a
   unit quaternion, for tests that pin a box built from one.
@@ -28,10 +34,11 @@ import math
 import numpy as np
 
 from graspforge.contact import _TIE_TOLERANCE, _deepest_on_segments
-from graspforge.grasp_validation import validate_grasp
+from graspforge.grasp_validation import (FAILURE_CLOSURE, FAILURE_NONE, FAILURE_SPREAD,
+                                         FAILURE_TOO_FEW, GraspAssessment, ValidationConfig)
 from graspforge.ik_solver import IkResult
 from graspforge.kinematics import JointState, _jacobian_columns, _resolve_link, clamp_to_limits
-from graspforge.perturbation import FREE_SLIDE_GAIN, PerturbationReport, _compliance
+from graspforge.perturbation import _NULL_SPACE_RTOL, FREE_SLIDE_GAIN, PerturbationReport
 from graspforge.robot_model import CapsuleGeometry, KinematicChain, SphereGeometry
 
 
@@ -348,6 +355,50 @@ def reference_detect_contacts(scene, state, sphere_reject=True):
 
 
 # --------------------------------------------------------------------------
+# validation and the stiffness, one contact at a time
+
+
+def reference_validate(contacts, config=None) -> GraspAssessment:
+    """The verdict of a list of `ContactPoint`s, one contact at a time: the
+    established ones (force >= min_contact_force), their mean position, the
+    largest distance from it and the norm of their summed unit normals."""
+    cfg = config or ValidationConfig()
+    held = [c for c in contacts if c.normal_force >= cfg.min_contact_force]
+    if held:
+        center = np.mean([c.position for c in held], axis=0)
+        max_distance = max(float(np.linalg.norm(c.position - center)) for c in held)
+        normals = [c.normal / np.linalg.norm(c.normal) for c in held]
+        closure_residual = float(np.linalg.norm(np.sum(normals, axis=0)))
+    else:
+        center = np.zeros(3)
+        max_distance = 0.0
+        closure_residual = 0.0
+    if len(held) < cfg.min_contacts:
+        reason = FAILURE_TOO_FEW
+    elif max_distance > cfg.distribution_threshold:
+        reason = FAILURE_SPREAD
+    elif closure_residual > cfg.force_closure_threshold:
+        reason = FAILURE_CLOSURE
+    else:
+        reason = FAILURE_NONE
+    return GraspAssessment(stable=reason == FAILURE_NONE, contact_count=len(held),
+                           center=center, max_distance=max_distance,
+                           closure_residual=closure_residual, failure_reason=reason)
+
+
+def reference_compliance(obj, contacts):
+    """Eigen-decomposition of K = sum_i k n_i n_i^T, added one contact at a
+    time from zero, and its null-space cutoff."""
+    k = obj.params.contact_stiffness
+    K = np.zeros((3, 3))
+    for c in contacts:
+        n = c.normal / np.linalg.norm(c.normal)
+        K += k * np.outer(n, n)
+    eigenvalues, eigenvectors = np.linalg.eigh(K)
+    return eigenvalues, eigenvectors, eigenvalues[-1] * _NULL_SPACE_RTOL
+
+
+# --------------------------------------------------------------------------
 # perturbation, one round at a time
 
 
@@ -367,11 +418,11 @@ def reference_displacement(compliance, F: np.ndarray) -> np.ndarray:
 def reference_perturb(obj, contacts, cfg, validation=None) -> PerturbationReport:
     """`perturb_contacts` as a loop over the rounds: one draw of three
     values per round, and a stop at the first round over the threshold."""
-    if not validate_grasp(contacts, validation).stable:
+    if not reference_validate(contacts, validation).stable:
         return PerturbationReport(passed=False, iterations_run=0,
                                   max_displacement=0.0, samples=[],
                                   failure_iteration=None, seed=cfg.seed)
-    compliance = _compliance(obj, contacts)
+    compliance = reference_compliance(obj, contacts)
     rng = np.random.default_rng(cfg.seed)
     samples = []
     max_displacement = 0.0

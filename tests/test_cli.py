@@ -113,6 +113,23 @@ class TestPerturb:
         assert seeds == [10, 11]
         assert not (tmp_path / "002").exists()
 
+    def test_repeats_detect_the_final_contacts_once(self, tmp_path, monkeypatch):
+        """The seed reaches only the rounds: one detection serves every repeat."""
+        import graspforge.contact
+        detections = []
+        detect = graspforge.contact._stacked_contacts
+
+        def counted(scene, frames):
+            detections.append(len(frames[0]))
+            return detect(scene, frames)
+
+        monkeypatch.setattr(graspforge.contact, "_stacked_contacts", counted)
+        code = run_cli("perturb", "--no-timestamp", "--repeat", "3", "--iterations", "1",
+                       "--out", str(tmp_path))
+        assert code == EXIT_OK
+        assert detections == [1]
+        assert len(list(tmp_path.glob("00[0-2]/perturbation.json"))) == 3
+
 
 class TestValidate:
     def test_stable_contacts(self, tmp_path, capsys):
@@ -301,6 +318,17 @@ class TestErrorHandling:
                        "--out", str(tmp_path / "out"))
         assert code == EXIT_ERROR
         assert capsys.readouterr().err == "error: targets.index: unknown key 'rpy'\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("targets.index", "{}"), ("object.pose", "{}"),
+        ("object.pose", "{rpy: [0, 0, 0.05]}")])
+    def test_a_pose_without_a_position_is_rejected(self, tmp_path, capsys, key, value):
+        # no default position: the world origin is not a target or a box pose
+        code = run_cli("run", "--steps", "3", "--set", f"{key}={value}",
+                       "--out", str(tmp_path / "out"))
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {key}: missing key 'position'\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["123", "[a]", "null"])

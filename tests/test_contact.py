@@ -417,7 +417,8 @@ class TestStackedContacts:
            st.lists(st.floats(-0.0005, 0.0005), min_size=3, max_size=3))
     def test_each_row_equals_detect_contacts(self, scenario, grasp_run, data, yaw, offset):
         """Stacked rows near the final grasp, on a box yawed and moved as in
-        the hold probes, give per row the bytes of a one-row detection.  The
+        the hold probes, give per row the bytes of a one-row detection: the
+        contacts of row i are the ones whose row index is i, in order.  The
         final grasp is the last row, so the stack always holds contacts."""
         chain = scenario.scene.chain
         final = grasp_run[0]
@@ -428,11 +429,19 @@ class TestStackedContacts:
                               Pose.from_rpy(box.pose.position + offset, (0.0, 0.0, yaw)),
                               box.mass, box.params)
         scene = dataclasses.replace(scenario.scene, object=obj)
-        stacked = _stacked_contacts(scene, _stacked_frames(chain, rows))
-        assert len(stacked) == len(rows) and stacked[-1]
-        for row, contacts in zip(rows.tolist(), stacked):
+        at, shape_rows, positions, normals, depths, forces = _stacked_contacts(
+            scene, _stacked_frames(chain, rows))
+        assert (np.diff(at) >= 0).all() and at[-1] == len(rows) - 1
+        shapes = chain.finger_shapes
+        for i, row in enumerate(rows.tolist()):
             one = detect_contacts(scene, JointState(values=dict(zip(chain.movable, row))))
-            assert list(map(_contact_bytes, contacts)) == list(map(_contact_bytes, one))
+            mine = at == i
+            stacked = [(shapes.fingers[s], int(shapes.links[s]), p.tobytes(), n.tobytes(),
+                        d.hex(), f.hex())
+                       for s, p, n, d, f in zip(shape_rows[mine].tolist(), positions[mine],
+                                                normals[mine], depths[mine].tolist(),
+                                                forces[mine].tolist())]
+            assert stacked == list(map(_contact_bytes, one))
 
 
 class TestOverlapReject:

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graspforge.config import ConfigError, default_scenario_path, load_scenario
-from graspforge.contact import detect_contacts
+from graspforge.contact import ContactPoint, detect_contacts
 from graspforge.controller import (PHASE_CONTACT_OPT, PHASE_MONITOR, PHASE_PRE_GRASP, PHASES,
                                    VALIDATED_HOLD_STEPS, RunConfig, TrajectoryLog,
                                    execute_grasp, step_servo, write_trajectory_csv)
@@ -47,6 +47,16 @@ def _fresh_tips(scene, state):
     _, t = link_frames(scene.chain, state)
     R_b, t_b = scene.hand_base.rotation(), scene.hand_base.position
     return np.array([R_b @ t[f.end_effector] + t_b for f in scene.chain.fingers.values()])
+
+
+def _row_contacts(chain, contacts, row):
+    """The `ContactPoint`s of one row of a `_stacked_contacts` set, in order."""
+    at, shape_rows, positions, normals, depths, forces = contacts
+    shapes, mine = chain.finger_shapes, at == row
+    return [ContactPoint(finger=shapes.fingers[s], link=int(shapes.links[s]), position=p,
+                         normal=n, penetration_depth=d, normal_force=f)
+            for s, p, n, d, f in zip(shape_rows[mine].tolist(), positions[mine], normals[mine],
+                                     depths[mine].tolist(), forces[mine].tolist())]
 
 
 def _assert_hold_matches_final_state(scenario, state, log, assessment, held):
@@ -234,18 +244,19 @@ class TestExecuteGrasp:
         step.  The contact_opt steps 81-115 make one stacked pass per block
         of 16 speculated rows: 81-96 keeps 14 (middle is established at
         step 94), 95-110 keeps 13 (thumb too at step 107) and 108-123 keeps
-        8 (stable at step 115), so 13 servo rows are rolled back and only
-        the 35 kept rows are validated.  A pass is a `_stacked_frames` call
-        and a `_stacked_contacts` call on its frames, and each pass gathers
-        the fingertips of its logged rows once.  The bundled posture is a
-        bitwise fixed point of the servo from the first monitor step on, so
-        the hold runs the servo once and its 50 steps make no pass: 165
-        steps, 129 servo steps, 4 passes, 35 verdicts and 4 fingertip
-        gathers.
+        8 (stable at step 115), so 13 servo rows are rolled back.  Each
+        block's 16 rows are validated in one call of the validation core.
+        A pass is a `_stacked_frames` call and a `_stacked_contacts` call on
+        its frames, and each pass gathers the fingertips of its logged rows
+        once.  The bundled posture is a bitwise fixed point of the servo
+        from the first monitor step on, so the hold runs the servo once and
+        its 50 steps make no pass: 165 steps, 129 servo steps, 4 passes, 3
+        validation calls of 16 rows each and 4 fingertip gathers.
         """
         import graspforge.controller
         from graspforge.contact import _stacked_contacts
         from graspforge.controller import _fingertips
+        from graspforge.grasp_validation import _assess_rows
         from graspforge.kinematics import _stacked_frames
         events, servo = [], []
 
@@ -262,9 +273,9 @@ class TestExecuteGrasp:
             servo.append(moved.tobytes() == q.tobytes())
             return moved
 
-        def counted_validate(contacts, config):
-            events.append("validate")
-            return validate_grasp(contacts, config)
+        def counted_assess(rows, positions, normals, forces, count, config):
+            events.append(("assess", count))
+            return _assess_rows(rows, positions, normals, forces, count, config)
 
         def counted_tips(scene, t):
             events.append(("tips", len(t)))
@@ -273,7 +284,7 @@ class TestExecuteGrasp:
         monkeypatch.setattr(graspforge.controller, "_stacked_frames", counted_stacked)
         monkeypatch.setattr(graspforge.controller, "_stacked_contacts", counted_contacts)
         monkeypatch.setattr(graspforge.controller, "step_servo", counted_servo)
-        monkeypatch.setattr(graspforge.controller, "validate_grasp", counted_validate)
+        monkeypatch.setattr(graspforge.controller, "_assess_rows", counted_assess)
         monkeypatch.setattr(graspforge.controller, "_fingertips", counted_tips)
         state, log, assessment = execute_grasp(scenario.scene, scenario.targets, scenario.run,
                                                scenario.ik, scenario.validation)
@@ -283,7 +294,8 @@ class TestExecuteGrasp:
         # (servo calls so far, rows): pre_grasp, then three contact_opt blocks
         assert passes == [(80, 80), (96, 16), (112, 16), (128, 16)]
         assert events.count("contacts") == 4
-        assert events.count("validate") == 35
+        # one validation call per contact_opt block, over all of its rows
+        assert [e[1] for e in events if e[0] == "assess"] == [16, 16, 16]
         # one gather per pass, over its logged rows (the kept ones in contact_opt)
         assert [e[1] for e in events if e[0] == "tips"] == [80, 14, 13, 8]
         # 80 + 48 speculated rows (35 kept) + the first held monitor step
@@ -297,7 +309,8 @@ class TestExecuteGrasp:
 
         # a run that ends by its step budget validates the contacts its last
         # step detected, with no further pass: one stacked pass for the 6
-        # pre_grasp steps, then a full block and one the budget cuts to 8
+        # pre_grasp steps, then a full block and one the budget cuts to 8,
+        # each validated in one call
         events.clear()
         servo.clear()
         far_scene = _far_box_scene(scenario)
@@ -307,6 +320,7 @@ class TestExecuteGrasp:
         assert _phases(log)[-1] != PHASE_MONITOR
         assert len(log.control_steps) == 30
         assert [e[1:] for e in events if e[0] == "frames"] == [(6, 6), (22, 16), (30, 8)]
+        assert [e[1] for e in events if e[0] == "assess"] == [16, 8]
         assert len(servo) == 30
         expected = validate_grasp(detect_contacts(far_scene, state), scenario.validation)
         assert assessment.to_dict() == expected.to_dict()
@@ -369,7 +383,7 @@ class TestExecuteGrasp:
             # keyed by the step of the last row: the pre_grasp steps detect in
             # one stacked pass, each contact_opt step in a one-row pass
             contacts = _stacked_contacts(scene, frames)
-            detected[len(servo_calls)] = contacts[-1]
+            detected[len(servo_calls)] = _row_contacts(chain, contacts, len(frames[0]) - 1)
             return contacts
 
         monkeypatch.setattr(graspforge.controller, "step_servo", servo)
@@ -635,25 +649,42 @@ class TestRunConfigCorners:
         """A row whose verdict is stable ends its block even when its set of
         established fingers is the assumed one.  Here every verdict from
         step 100 on reads stable, while only middle has been established
-        since step 94: each block size enters monitor at step 100."""
+        since step 94: each block size enters monitor at step 100.  The
+        servo's calls give each row's step: a row's angles are those of the
+        step after the angles it was stepped from."""
         import graspforge.controller
         from graspforge.controller import _CONTACT_BLOCK
-        verdicts = []
+        from graspforge.grasp_validation import _REASONS, FAILURE_NONE, _assess_rows
+        from graspforge.kinematics import _stacked_frames
+        step_of, block_steps, counts = {}, [], {}
+        stable = _REASONS.index(FAILURE_NONE)
 
-        def stable_from_step_100(contacts, config):
-            # the contact_opt rows are validated in step order from step 81
-            verdicts.append(validate_grasp(contacts, config))
-            if len(verdicts) < 20:
-                return verdicts[-1]
-            return dataclasses.replace(verdicts[-1], stable=True)
+        def servo(q, goal, run, chain):
+            moved = step_servo(q, goal, run, chain)
+            step_of[moved.tobytes()] = step_of.get(q.tobytes(), 0) + 1
+            return moved
 
-        monkeypatch.setattr(graspforge.controller, "validate_grasp", stable_from_step_100)
+        def frames(chain, angles):
+            block_steps.append([step_of[q.tobytes()] for q in angles])
+            return _stacked_frames(chain, angles)
+
+        def stable_from_step_100(rows, positions, normals, forces, count, config):
+            held, n, centers, spreads, closures, reasons = _assess_rows(
+                rows, positions, normals, forces, count, config)
+            steps = np.array(block_steps[-1])
+            counts.update(zip(steps.tolist(), n.tolist()))
+            return held, n, centers, spreads, closures, np.where(steps >= 100, stable, reasons)
+
+        monkeypatch.setattr(graspforge.controller, "step_servo", servo)
+        monkeypatch.setattr(graspforge.controller, "_stacked_frames", frames)
+        monkeypatch.setattr(graspforge.controller, "_assess_rows", stable_from_step_100)
         outputs = []
         for size in (1, 7, _CONTACT_BLOCK):
             monkeypatch.setattr(graspforge.controller, "_CONTACT_BLOCK", size)
-            verdicts.clear()
+            step_of.clear()
+            counts.clear()
             outputs.append(_grasp_snapshot([], caplog))
-            assert [v.contact_count for v in verdicts[18:20]] == [1, 1]  # middle only
+            assert [counts[99], counts[100]] == [1, 1]  # middle only
         (entries, _, _, records), blocks = outputs[-1]
         assert all(out[0] == outputs[0][0] for out in outputs)
         assert "phase contact_opt -> monitor at step 100" in records
@@ -691,19 +722,28 @@ def test_the_held_broadcast_equals_the_stepwise_hold(overrides, unstable, monkey
     hold never completes and runs to the step budget."""
     import graspforge.controller
     from graspforge.controller import _monitor
+    from graspforge.grasp_validation import _REASONS, FAILURE_CLOSURE, _assess_rows
     sc = load_scenario(default_scenario_path(), overrides)
     entries = []
 
+    def unstable_verdict(verdict):
+        return dataclasses.replace(verdict, stable=False, failure_reason=FAILURE_CLOSURE)
+
     def validate(contacts, config=sc.validation):
         verdict = validate_grasp(contacts, config)
-        return dataclasses.replace(verdict, stable=False) if unstable else verdict
+        return unstable_verdict(verdict) if unstable else verdict
 
-    def monitor(scene, q, step, contacts, assessment, *args):
+    def assess_unstable(*args):
+        held, counts, centers, spreads, closures, reasons = _assess_rows(*args)
+        return (held, counts, centers, spreads, closures,
+                np.full_like(reasons, _REASONS.index(FAILURE_CLOSURE)))
+
+    def monitor(scene, q, step, count, assessment, *args):
         entries.append((q, step))
         if unstable:
-            monkeypatch.setattr(graspforge.controller, "validate_grasp", validate)
-            assessment = dataclasses.replace(assessment, stable=False)
-        return _monitor(scene, q, step, contacts, assessment, *args)
+            monkeypatch.setattr(graspforge.controller, "_assess_rows", assess_unstable)
+            assessment = unstable_verdict(assessment)
+        return _monitor(scene, q, step, count, assessment, *args)
 
     monkeypatch.setattr(graspforge.controller, "_monitor", monitor)
     state, log, assessment = execute_grasp(sc.scene, sc.targets, sc.run, sc.ik, sc.validation)

@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from graspforge.config import ConfigError
 from graspforge.contact import ContactPoint
+from graspforge.controller import execute_grasp
 from graspforge.grasp_validation import (FAILURE_CLOSURE, FAILURE_NONE, FAILURE_SPREAD,
                                          FAILURE_TOO_FEW, GraspAssessment,
-                                         ValidationConfig,
-                                         grasp_center, validate_grasp)
+                                         ValidationConfig, _REASONS, _assess_rows,
+                                         _assessment, validate_grasp)
+
+from reference import reference_validate
 
 
 def cp(position, normal, force=1.0, finger="f", link=0):
@@ -155,10 +160,12 @@ def test_closure_residual_bounded_by_contact_count():
         assert a.closure_residual <= a.contact_count + 1e-9
 
 
-def test_grasp_center_mean_and_empty():
-    assert np.allclose(grasp_center(opposing_square()), 0.0, atol=1e-12)
-    with pytest.raises(ValueError):
-        grasp_center([])
+def test_center_is_the_mean_of_the_held_positions():
+    contacts = [cp((0.01, 0.02, 0.0), (1, 0, 0)), cp((0.03, 0.0, 0.0), (-1, 0, 0)),
+                cp((0.5, 0.5, 0.5), (0, 0, 1), force=0.1)]
+    a = validate_grasp(contacts)
+    assert a.contact_count == 2
+    assert np.allclose(a.center, [0.02, 0.01, 0.0], atol=1e-15)
 
 
 def test_no_contacts_at_all():
@@ -210,3 +217,94 @@ def test_assessment_center_matches_held_contacts_only():
     contacts = opposing_square() + [cp((1.0, 1.0, 1.0), (0, 0, 1), force=0.1)]
     a = validate_grasp(contacts)
     assert np.allclose(a.center, 0.0, atol=1e-12)
+
+
+# --------------------------------------------------------------------------
+# the validation core against the per-contact oracle, bit for bit
+
+
+def _bits(a):
+    return (a.stable, a.contact_count, a.center.tobytes(), float(a.max_distance).hex(),
+            float(a.closure_residual).hex(), a.failure_reason)
+
+
+def _assert_rows_equal_the_oracle(at, positions, normals, forces, count, cfg):
+    """Every row of one `_assess_rows` call equals `reference_validate` on
+    that row's contacts, and so does `validate_grasp` on them as a list."""
+    verdicts = _assess_rows(at, positions, normals, forces, count, cfg)
+    assert verdicts[0].tolist() == (forces >= cfg.min_contact_force).tolist()
+    for row in range(count):
+        mine = at == row
+        contacts = [cp(p, n, f) for p, n, f in zip(positions[mine], normals[mine],
+                                                   forces[mine].tolist())]
+        expected = _bits(reference_validate(contacts, cfg))
+        assert _bits(_assessment(verdicts, row)) == expected
+        assert _bits(validate_grasp(contacts, cfg)) == expected
+
+
+_CONFIGS = [ValidationConfig(),
+            ValidationConfig(min_contacts=1, distribution_threshold=0.03,
+                             force_closure_threshold=1.0),
+            ValidationConfig(min_contacts=2, distribution_threshold=10.0,
+                             force_closure_threshold=10.0)]
+
+
+def _drawn_rows(seed: int):
+    """A contact set of 1 to 40 rows as arrays, from one seed: rows of 0 to
+    8 contacts, and now and then 15; coordinates of +-0.0 and of a few
+    grid values, so that rows repeat contacts; unit, axis and slightly
+    long normals; forces at, just under and above the 0.5 N minimum."""
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(1, 41))
+    sizes = np.where(rng.random(count) < 0.1, 15, rng.integers(0, 9, size=count))
+    at = np.repeat(np.arange(count), sizes)
+    m = len(at)
+    grid = np.array([0.0, -0.0, 0.01, -0.01, 0.025, 0.0125])
+    positions = np.where(rng.random((m, 3)) < 0.5, rng.choice(grid, size=(m, 3)),
+                         rng.normal(0.0, 0.04, size=(m, 3)))
+    normals = rng.normal(size=(m, 3))
+    normals /= np.sqrt((normals * normals).sum(axis=1))[:, None]
+    axis = rng.random(m) < 0.3
+    normals[axis] = np.eye(3)[rng.integers(0, 3, size=axis.sum())] * rng.choice(
+        [1.0, -1.0], size=(axis.sum(), 1))
+    normals[rng.random(m) < 0.1] *= 1.0 + 1e-6
+    forces = rng.choice([0.5, np.nextafter(0.5, 0.0), 0.2, 1.0, 16.0], size=m)
+    return at, positions, normals, forces, count
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(_CONFIGS))
+def test_every_row_of_the_core_equals_the_oracle_bitwise(seed, cfg):
+    _assert_rows_equal_the_oracle(*_drawn_rows(seed), cfg)
+
+
+def test_the_oracle_cases_reach_every_verdict():
+    """The drawn sets reach every failure reason, and rows of 0 and 1
+    established contacts."""
+    reasons, held = set(), set()
+    for seed in range(40):
+        for cfg in _CONFIGS:
+            at, positions, normals, forces, count = _drawn_rows(seed)
+            _, counts, _, _, _, codes = _assess_rows(at, positions, normals, forces, count, cfg)
+            reasons.update(_REASONS[code] for code in codes.tolist())
+            held.update(counts.tolist())
+    assert reasons == {FAILURE_NONE, FAILURE_TOO_FEW, FAILURE_SPREAD, FAILURE_CLOSURE}
+    assert {0, 1} <= held
+
+
+def test_the_bundled_speculated_rows_equal_the_oracle_bitwise(scenario, monkeypatch):
+    """The 48 rows of the bundled grasp's three contact_opt blocks, the 13
+    rolled-back rows among them, each equal the per-contact oracle."""
+    import graspforge.controller
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return _assess_rows(*args)
+
+    monkeypatch.setattr(graspforge.controller, "_assess_rows", recorded)
+    execute_grasp(scenario.scene, scenario.targets, scenario.run, scenario.ik,
+                  scenario.validation)
+    assert [args[4] for args in calls] == [16, 16, 16]
+    assert sum(len(args[0]) for args in calls) > 0
+    for args in calls:
+        _assert_rows_equal_the_oracle(*args)

@@ -15,7 +15,7 @@ from graspforge.perturbation import (FREE_SLIDE_GAIN, PerturbConfig,
                                      write_samples_csv)
 from graspforge.scene import PhysicalParams, make_box_object
 
-from reference import reference_displacement, reference_perturb
+from reference import reference_compliance, reference_displacement, reference_perturb
 
 STIFFNESS = 10000.0
 
@@ -27,7 +27,8 @@ def _obj():
 
 def _response(obj, contacts, F):
     """Object displacement under force F, computed as the perturbation rounds are."""
-    return _displacements(_compliance(obj, contacts), F[None])[0]
+    normals = np.array([c.normal for c in contacts]).reshape(-1, 3)
+    return _displacements(_compliance(obj, normals), F[None])[0]
 
 
 def _cp(position, normal, force=2.0):
@@ -196,12 +197,23 @@ _force_component = st.floats(-50.0, 50.0) | st.sampled_from([0.0, -0.0])
 @given(_normal_sets(),
        st.lists(st.lists(_force_component, min_size=3, max_size=3), min_size=1, max_size=8))
 def test_displacement_rows_equal_the_one_round_reference_bitwise(normals, forces):
-    compliance = _compliance(_obj(), [_cp(np.zeros(3), n) for n in normals])
+    compliance = _compliance(_obj(), np.array(normals))
     forces = np.array(forces)
     rows = _displacements(compliance, forces)
     assert rows.shape == forces.shape
     for F, row in zip(forces, rows):
         assert row.tobytes() == reference_displacement(compliance, F).tobytes()
+
+
+@given(_normal_sets())
+def test_compliance_equals_the_per_contact_reference_bitwise(normals):
+    """K summed over the normals array, and so its eigenpairs and cutoff,
+    keep the bits of the loop that adds one contact at a time; the box-axis
+    normals carry signed zeros."""
+    obj = _obj()
+    ours = _compliance(obj, np.array(normals))
+    theirs = reference_compliance(obj, [_cp(np.zeros(3), n) for n in normals])
+    assert [np.asarray(v).tobytes() for v in ours] == [np.asarray(v).tobytes() for v in theirs]
 
 
 def _report_bytes(rep):
