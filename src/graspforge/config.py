@@ -35,10 +35,11 @@ from dataclasses import dataclass, fields
 import yaml
 
 from ._checks import ConfigError, is_finite_number
+from .contact import detect_contacts
 from .controller import RunConfig
 from .grasp_validation import ValidationConfig
 from .ik_solver import IkConfig
-from .kinematics import Pose
+from .kinematics import Pose, neutral_state
 from .perturbation import PerturbConfig
 from .robot_model import (RobotDescriptionError, ValidationError, bundled_data_dir,
                           load_robot_description)
@@ -196,6 +197,10 @@ def build_scenario(data: dict, scenario_dir: str | None = None) -> ScenarioConfi
 
     scene = Scene(chain=chain, hand_base=Pose.from_rpy(base_position, base_rpy),
                   object=obj)
+    inside = len(detect_contacts(scene, neutral_state(chain)))
+    if inside:
+        raise ConfigError(f"object.pose: the box starts inside the hand, with {inside} contacts "
+                          "at the neutral posture")
 
     if "targets" in data:
         if not isinstance(data["targets"], dict) or not data["targets"]:

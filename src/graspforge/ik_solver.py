@@ -11,8 +11,8 @@ the residual is accepted and relaxes the damping, a step that does not is
 retried with the damping doubled, so the residual never increases across
 accepted iterations.
 
-Every iterate is clamped into the joint limits.  When an iterate has joints
-at a limit (tested once per iterate), a trial step that pushes one of them
+Every iterate is clamped into the joint limits.  When the iterate a trial
+steps from has joints at a limit, a trial step that pushes one of them
 outward is solved again with that joint's Jacobian column zeroed, until no
 pinned joint is pushed outward: the clamping loop of Baerlocher & Boulic,
 "An inverse kinematics architecture enforcing an arbitrary number of strict
@@ -31,24 +31,41 @@ its re-seeds are spent, usually well inside the budget.  Its residual is the
 best of the stall points, which can lie a few percent above the least
 reachable residual, because a stall stops a descent that is still improving.
 
-The fingers of a solve run in lockstep rounds (`_solve`): in each round
-every live finger walks one posture, its start, a damping trial or a
-re-seed.  Fingers of one walk shape (the same sequence of own, other and
-fixed joints from the root to the fingertip) share one stacked walk,
-`finger_walk`, which gives their fingertips and Jacobians; on the bundled
-hand that is the four long fingers, with the thumb alone.  The
-trials of a group come from one batched damping step (`_stacked_dls_step`),
-then the clamping loop for the fingers with a pinned joint; a finger that
-steps alone takes the 2-D `_dls_step`, which the batched step matches row
-for row.  A finger that has finished is walked at its last posture and
-ignored, and a Jacobian is made only when some finger goes on from the
-walked posture.  Each finger keeps its own damping, residual, retries,
-re-seeds, iteration count and best posture, so its result is the one it
-would reach alone: `solve_finger_ik` is the core's one-row call, and
-`solve_hand_ik` runs every target through one core.  The bundled grasp's
-two hand solves take 46 rounds and 60 stacked walks where the fingers one
-at a time make 130 walks.  `solve_hand_ik` leaves one DEBUG record on the
-`graspforge` logger with its rounds, stacked walks and finger trials.
+A solve runs in lockstep rounds over rows (`_solve`).  A row is one descent
+of one finger, from its start or from one re-seed, and in each round every
+live row walks one posture: its seed or a damping trial.  Rows of one walk
+group (fingers with the same sequence of own, other and fixed joints from
+the root to the fingertip) share one stacked walk, `finger_walk`, which
+gathers the group's walk constants, built with the chain, for its rows and
+gives their fingertips and Jacobians; on the bundled hand the four long
+fingers form one group and the thumb another.  The trials of a group come
+from one batched damping step (`_stacked_dls_step`), and each pass of the
+clamping loop re-solves all of its rows with a pushed pinned joint in one
+batch; a row that steps alone takes the 2-D `_dls_step`, which the batched
+step matches row for row.  A Jacobian is made only for the rows that go on
+from the walked posture.
+
+A descent's path depends only on its seed, since its damping starts afresh:
+of its tests, only the stall test and the budget read the solve's iteration
+count.  So when a finger first re-seeds, every re-seed that the budget
+leaves room for starts at once, as a row of its own.  Rows run without
+those two tests and record each accepted posture and residual.  The
+finger's arbiter (`_FingerSolve.recorded`) replays the records in re-seed
+order, each descent's as soon as the count it starts at is known: the stall
+test at the record's true count, then the budget and convergence tests,
+keeping the best posture by strict `<` in order.  It drops a row once the
+row is decided, an earlier descent converges or the budget is spent, and
+stops a later row once its last record would end it at the least count it
+can start at.  Each finger keeps its own damping, residuals, re-seeds,
+iteration count and best posture, so its result is the one it would reach
+alone: `solve_finger_ik` is the core's call on one finger, and
+`solve_hand_ik` runs every target through one core.  An unreachable
+target's re-seeds thus take about as many rounds as its longest one, not as
+all of them together.  The bundled grasp's two hand solves take 19 rounds
+and 33 stacked walks, where one descent at a time took 46 rounds and 60
+walks, and the fingers one at a time 130 walks.  `solve_hand_ik` leaves one
+DEBUG record on the `graspforge` logger with its rounds, stacked walks and
+row trials (postures walked, speculative rows included).
 
 Every result equals, bit for bit, that of the same loop written on a
 per-joint walk of one fingertip and its Jacobian, `clamp_to_limits` and a
@@ -68,9 +85,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import ConfigError, check_numbers
-from .kinematics import (_EYE3, JointState, _clamp, _stack, _target_position, _walk_shape,
-                         clamp_to_limits, finger_walk)
-from .robot_model import Finger, KinematicChain
+from .kinematics import (_EYE3, JointState, _clamp, _stack, _target_position, clamp_to_limits,
+                         finger_walk)
+from .robot_model import KinematicChain
 
 # damping retries per iteration before declaring the state stationary
 _MAX_RETRIES = 12
@@ -135,105 +152,163 @@ def _pushed_out(at_lower: list, at_upper: list, dq: np.ndarray) -> list:
             for lo, hi, d in zip(at_lower, at_upper, dq.tolist())]
 
 
-class _FingerSolve:
-    """One finger's solve in the lockstep core: a state machine fed one walk
-    per round.
+class _Row:
+    """One descent of one finger, from its seed posture: a state machine fed
+    one walk per round.
 
-    `pending` is the posture the next round walks: the start or a re-seed
-    posture while `seeding`, else a damping trial of the current iteration
-    (`it`), which `_steps` makes.  The accepted posture `q` keeps its
-    Jacobian `J` and error `e` for the trials that follow it.
+    The descent runs without the stall test and the iteration budget, the
+    two tests that read the solve's iteration count.  It records each
+    accepted posture and residual, the seed's first, and hands each record
+    to its finger's arbiter (`_FingerSolve.recorded`).  It stops (`live`
+    False) when it converges or is stationary, or when the arbiter drops
+    it.  `pending` is the posture the next round walks: the seed while
+    `seeding`, else a damping trial, which `_steps` makes.  The accepted
+    posture `q` keeps its Jacobian `J` and error `e` for the trials that
+    follow it.
     """
 
-    __slots__ = ("finger", "target", "lower", "upper", "lower_l", "upper_l", "pending",
-                 "seeding", "done", "it", "iterations", "restarts", "retries", "q", "J", "e",
-                 "residual", "lam", "trial_lam", "best_q", "best_residual", "pinned",
-                 "at_lower", "at_upper")
+    __slots__ = ("solve", "index", "pending", "seeding", "live", "stationary", "q", "J", "e",
+                 "residual", "lam", "trial_lam", "retries", "residuals", "postures")
 
-    def __init__(self, chain: KinematicChain, finger: Finger, target, start: JointState):
-        self.finger = finger
+    def __init__(self, solve: "_FingerSolve", index: int, seed: np.ndarray):
+        self.solve, self.index, self.pending = solve, index, seed
+        self.seeding = self.live = True
+        self.stationary = False
+        self.residuals, self.postures = [], []
+
+    def walked(self, e: np.ndarray, residual: float, cfg: IkConfig) -> bool:
+        """Take the walk of `pending`: its error and residual.  True when the
+        descent goes on from `pending`, and so needs its Jacobian as `J`."""
+        if self.seeding:
+            self.seeding = False
+            self.lam = cfg.damping_lambda
+        elif residual < self.residual:
+            self.lam = max(self.trial_lam / 1.5, _MIN_LAMBDA)
+        else:
+            self.trial_lam *= 2.0
+            self.retries += 1
+            if self.retries > _MAX_RETRIES:  # stationary at every damping level
+                self.stationary, self.live = True, False
+                self.solve.recorded(self, cfg)
+            return False
+        self.q, self.e, self.residual = self.pending, e, residual
+        self.residuals.append(residual)
+        self.postures.append(self.pending)
+        if residual <= cfg.residual_threshold:
+            self.live = False
+        self.solve.recorded(self, cfg)
+        if not self.live:
+            return False
+        self.trial_lam, self.retries = self.lam, 0
+        return True
+
+
+class _FingerSolve:
+    """One finger's solve: its descent rows, the start's and, from its first
+    re-seed on, every re-seed's, and the arbiter that replays on their
+    records the decisions of the one-descent-at-a-time loop.
+
+    Descent `descent` started at iteration count `offset`, and the arbiter
+    has taken `consumed` of its records.  Replaying a record applies the
+    stall test at the record's true iteration count, then the budget and
+    convergence tests; a descent that stalls or is stationary hands over to
+    the next one at its end count.
+    """
+
+    __slots__ = ("name", "finger", "target", "lower", "upper", "lower_l", "upper_l", "group",
+                 "rows", "descent", "offset", "consumed", "iterations", "best_q",
+                 "best_residual", "done")
+
+    def __init__(self, chain: KinematicChain, name: str, target, start: JointState):
+        self.name, self.finger = name, chain.finger(name)
         self.target = _target_position(target)
-        columns = [chain.column_of[ji] for ji in finger.joints]
+        columns = [chain.column_of[ji] for ji in self.finger.joints]
         self.lower, self.upper = chain.lower[columns], chain.upper[columns]
         # limits as Python floats for the pinned-joint tests: on a handful of
         # joints, numpy's per-call overhead would cost more than the comparisons
         self.lower_l, self.upper_l = self.lower.tolist(), self.upper.tolist()
-        self.pending = np.array([start.get(ji) for ji in finger.joints], dtype=float)
-        self.seeding, self.done = True, False
-        self.it = self.iterations = self.restarts = 0
+        self.rows = [_Row(self, 0, np.array([start.get(ji) for ji in self.finger.joints],
+                                            dtype=float))]
+        self.descent = self.offset = self.consumed = self.iterations = 0
         self.best_q = None
+        self.done = False
 
-    def walked(self, e: np.ndarray, residual: float, cfg: IkConfig) -> bool:
-        """Take the walk of `pending`: its error and residual.  True when the
-        finger goes on from `pending`, and so needs its Jacobian as `J`."""
-        if self.seeding:
-            self.q, self.e, self.residual = self.pending, e, residual
-            if self.best_q is None:
-                self.best_q, self.best_residual = self.q, residual
-            self.lam = cfg.damping_lambda
-            return self._iterate(cfg)
-        if residual < self.residual:
-            # stalled: the remaining iterations, each gaining as much as
-            # this one, could not bring the residual to the threshold
-            stalled = ((self.residual - residual) * (cfg.max_iterations - self.it)
-                       < residual - cfg.residual_threshold)
-            self.q, self.e, self.residual = self.pending, e, residual
-            self.lam = max(self.trial_lam / 1.5, _MIN_LAMBDA)
-            if not stalled:
-                return self._iterate(cfg)
-            self._reseed()
-            return False
-        self.trial_lam *= 2.0
-        self.retries += 1
-        if self.retries > _MAX_RETRIES:  # stationary at every damping level
-            self._reseed()
-        return False
-
-    def _iterate(self, cfg: IkConfig) -> bool:
-        """Start the next iteration from `q`; False when the solve ends instead."""
-        self.it += 1
-        if self.it > cfg.max_iterations or self.residual <= cfg.residual_threshold:
-            self._keep_best()
-            self.done = True
-            return False
-        self.iterations = self.it
-        self.seeding = False
-        self.trial_lam, self.retries = self.lam, 0
-        qs = self.q.tolist()
-        self.pinned = any(a <= lo or a >= hi for a, lo, hi in zip(qs, self.lower_l, self.upper_l))
-        if self.pinned:
-            self.at_lower = [a <= lo for a, lo in zip(qs, self.lower_l)]
-            self.at_upper = [a >= hi for a, hi in zip(qs, self.upper_l)]
-        return True
-
-    def _reseed(self) -> None:
-        """Stationary or stalled: remember the best posture, then re-seed the
-        finger to hunt for another solution branch, or stop once every
-        re-seed has been tried."""
-        self._keep_best()
-        if self.restarts == len(_RESTART_FRACTIONS):
-            self.done = True
+    def recorded(self, row: _Row, cfg: IkConfig) -> None:
+        """Take a new record of `row`, or its stop: the current descent's
+        row is replayed.  A later row stops once its last record would end
+        its descent at the least count it can start at, and so at every
+        later count too; each descent starts at least one iteration after
+        the one before it."""
+        if row.index == self.descent:
+            self._replay(cfg)
             return
-        self.restarts += 1
-        frac = _RESTART_FRACTIONS[self.restarts % len(_RESTART_FRACTIONS)]
-        self.pending = self.lower + frac * (self.upper - self.lower)
-        self.seeding = True
+        top, residuals, n = cfg.max_iterations, row.residuals, len(row.residuals)
+        least = self.offset + max(self.consumed, 1) + row.index - self.descent - 1
+        if least + n > top or n > 1 and ((residuals[-2] - residuals[-1]) * (top - (least + n - 1))
+                                         < residuals[-1] - cfg.residual_threshold):
+            row.live = False
 
-    def _keep_best(self) -> None:
-        if self.residual < self.best_residual:
-            self.best_q, self.best_residual = self.q, self.residual
+    def _replay(self, cfg: IkConfig) -> None:
+        """Replay the current descent's new records, then each later
+        descent's as the count it starts at becomes known."""
+        top, threshold = cfg.max_iterations, cfg.residual_threshold
+        while not self.done:
+            row, o = self.rows[self.descent], self.offset
+            residuals = row.residuals
+            for k in range(self.consumed, len(residuals)):
+                r = residuals[k]
+                if self.best_q is None:  # the start
+                    self.best_q, self.best_residual = row.postures[0], r
+                # stalled: the remaining iterations, each gaining as much as
+                # this one, could not bring the residual to the threshold
+                elif k and (residuals[k - 1] - r) * (top - (o + k)) < r - threshold:
+                    self.iterations = o + k
+                    self._end_descent(k, o + k, cfg)
+                    break
+                if o + k + 1 > top or r <= threshold:
+                    self.iterations = o + k
+                    self._keep_best(row, k)
+                    self._finish()
+                    return
+            else:
+                # every record started an iteration
+                k = self.consumed = len(residuals)
+                self.iterations = o + k
+                if not row.stationary:
+                    return
+                self._end_descent(k - 1, o + k, cfg)  # in iteration o + k
 
-    def clamped_step(self, dq: np.ndarray, cfg: IkConfig) -> np.ndarray:
-        """The clamping loop: a pinned joint the step pushes outward loses its
-        Jacobian column (a zero column moves it by +-0.0), and the step is
-        solved again, until no pinned joint is pushed out."""
-        free_J = self.J
-        pushed = _pushed_out(self.at_lower, self.at_upper, dq)
-        while any(pushed):
-            free_J = free_J * [0.0 if k else 1.0 for k in pushed]
-            dq = _dls_step(free_J, free_J @ free_J.T, self.trial_lam, self.e, cfg.step_scale)
-            pushed = _pushed_out(self.at_lower, self.at_upper, dq)
-        return dq
+    def _end_descent(self, k: int, offset: int, cfg: IkConfig) -> None:
+        """Descent `descent` ends at its record k, stalled or stationary, with
+        the iteration count at `offset`: remember the best posture, then hand
+        over to the next re-seed, or stop once every re-seed has been tried.
+        The first re-seed starts every later re-seed that the budget leaves
+        room for, each as a row of its own."""
+        row = self.rows[self.descent]
+        self._keep_best(row, k)
+        row.live = False
+        if self.descent == len(_RESTART_FRACTIONS):
+            self._finish()
+            return
+        if self.descent == 0:
+            # re-seed r starts at a count of at least offset + r - 1
+            spawned = min(len(_RESTART_FRACTIONS), cfg.max_iterations - offset + 1)
+            for restarts in range(1, spawned + 1):
+                frac = _RESTART_FRACTIONS[restarts % len(_RESTART_FRACTIONS)]
+                self.rows.append(_Row(self, restarts,
+                                      self.lower + frac * (self.upper - self.lower)))
+                self.group.rows.append(self.rows[-1])
+        self.descent += 1
+        self.offset, self.consumed = offset, 0
+
+    def _keep_best(self, row: _Row, k: int) -> None:
+        if row.residuals[k] < self.best_residual:
+            self.best_q, self.best_residual = row.postures[k], row.residuals[k]
+
+    def _finish(self) -> None:
+        self.done = True
+        for row in self.rows:
+            row.live = False
 
     def result(self, start: JointState, cfg: IkConfig) -> IkResult:
         values = dict(start.values)
@@ -243,31 +318,68 @@ class _FingerSolve:
                         converged=self.best_residual <= cfg.residual_threshold)
 
 
-def _steps(solves: list, cfg: IkConfig) -> None:
-    """The next damping trial of each of `solves` (one walk shape): one
-    batched DLS step, the clamping loop for the fingers with a pinned joint,
-    then the clamp into the joint limits.
+def _steps(rows: list, cfg: IkConfig) -> None:
+    """The next damping trial of each of `rows` (one walk group): the DLS
+    step, the clamping loop for the rows with a pinned joint, then the clamp
+    into the joint limits.
 
-    The batched step rounds each row as `_dls_step` does, so one row takes
-    that cheaper 2-D call.
+    The clamping loop drops the Jacobian column of each pinned joint that
+    the step pushes outward (a zero column moves it by +-0.0), and solves
+    the step again, until no pinned joint is pushed out.  Several rows take
+    one batched step, and every pass of the loop re-solves all their pushed
+    rows in one batch; the batched step rounds each row as `_dls_step`
+    does, so one row takes that cheaper 2-D call, and its loop runs on
+    Python lists.
     """
-    if len(solves) == 1:
-        (s,) = solves
-        dq = _dls_step(s.J, s.J @ s.J.T, s.trial_lam, s.e, cfg.step_scale)
-        if s.pinned:
-            dq = s.clamped_step(dq, cfg)
-        s.pending = _clamp(s.q + dq, s.lower, s.upper)
+    if len(rows) == 1:
+        (r,) = rows
+        s = r.solve
+        dq = _dls_step(r.J, r.J @ r.J.T, r.trial_lam, r.e, cfg.step_scale)
+        qs = r.q.tolist()
+        if any(a <= lo or a >= hi for a, lo, hi in zip(qs, s.lower_l, s.upper_l)):
+            at_lower = [a <= lo for a, lo in zip(qs, s.lower_l)]
+            at_upper = [a >= hi for a, hi in zip(qs, s.upper_l)]
+            free_J = r.J
+            pushed = _pushed_out(at_lower, at_upper, dq)
+            while any(pushed):
+                free_J = free_J * [0.0 if k else 1.0 for k in pushed]
+                dq = _dls_step(free_J, free_J @ free_J.T, r.trial_lam, r.e, cfg.step_scale)
+                pushed = _pushed_out(at_lower, at_upper, dq)
+        r.pending = _clamp(r.q + dq, s.lower, s.upper)
         return
-    J = _stack([s.J.T for s in solves]).transpose(0, 2, 1)  # rows laid out as the walk's
-    dq = _stacked_dls_step(J, [s.trial_lam for s in solves], _stack([s.e for s in solves]),
-                           cfg.step_scale)
-    for s, row in zip(solves, dq):
-        if s.pinned:
-            row[:] = s.clamped_step(row, cfg)
-    trials = _clamp(_stack([s.q for s in solves]) + dq, _stack([s.lower for s in solves]),
-                    _stack([s.upper for s in solves]))
-    for s, trial in zip(solves, trials):
-        s.pending = trial
+    # each row of Jt is the transpose of the walk's layout, as J.T
+    Jt, e = _stack([r.J.T for r in rows]), _stack([r.e for r in rows])
+    lams = [r.trial_lam for r in rows]
+    dq = _stacked_dls_step(Jt.transpose(0, 2, 1), lams, e, cfg.step_scale)
+    solves = [r.solve for r in rows]
+    q, lower, upper = (_stack([r.q for r in rows]), _stack([s.lower for s in solves]),
+                       _stack([s.upper for s in solves]))
+    at_lower, at_upper = q <= lower, q >= upper
+    pushed = (at_lower & (dq < 0.0)) | (at_upper & (dq > 0.0))
+    active = np.arange(len(rows))
+    while True:
+        keep = np.logical_or.reduce(pushed, 1)
+        active = active[keep]
+        if not len(active):
+            break
+        at_lower, at_upper = at_lower[keep], at_upper[keep]
+        Jt = Jt[keep] * ~pushed[keep][..., None]  # x False is the zero of x's sign
+        step = _stacked_dls_step(Jt.transpose(0, 2, 1), [lams[i] for i in active], e[active],
+                                 cfg.step_scale)
+        dq[active] = step
+        pushed = (at_lower & (step < 0.0)) | (at_upper & (step > 0.0))
+    for r, trial in zip(rows, _clamp(q + dq, lower, upper)):
+        r.pending = trial
+
+
+class _Group:
+    """Every row started in one walk group, and the walk and targets it
+    last gathered, for the live rows `walked`."""
+
+    __slots__ = ("rows", "walked", "walk", "target")
+
+    def __init__(self):
+        self.rows, self.walked = [], None
 
 
 def _solve(chain: KinematicChain, targets: dict, seed: JointState,
@@ -275,43 +387,44 @@ def _solve(chain: KinematicChain, targets: dict, seed: JointState,
     """The lockstep core: every finger of `targets` solved from `seed`.
 
     Returns the results in the order of `targets`, and the rounds, stacked
-    walks and finger trials (postures walked) it made.
+    walks and row trials (postures walked) it made.
     """
     cfg = config or IkConfig()
     start = clamp_to_limits(chain, seed)
-    shapes: dict[tuple, list[_FingerSolve]] = {}
+    groups: dict[tuple, _Group] = {}
     solves = {}
     for name, target in targets.items():
-        finger = chain.finger(name)
-        solves[name] = _FingerSolve(chain, finger, target, start)
-        shapes.setdefault(_walk_shape(chain, finger), []).append(solves[name])
-    groups = [(members, finger_walk(chain, [s.finger for s in members], start),
-               _stack([s.target for s in members])) for members in shapes.values()]
+        solves[name] = solve = _FingerSolve(chain, name, target, start)
+        solve.group = groups.setdefault(chain.finger_walks[name][0].fingers, _Group())
+        solve.group.rows.append(solve.rows[0])
 
     rounds = walks = trials = 0
     while True:
         round_walks = 0
-        for members, walk, target in groups:
-            live = [s for s in members if not s.done]
-            if not live:
+        for group in groups.values():
+            rows = [r for r in group.rows if r.live]
+            if not rows:
                 continue
-            stepping = [s for s in live if not s.seeding]
+            stepping = [r for r in rows if not r.seeding]
             if stepping:
                 _steps(stepping, cfg)
-            # done fingers are walked at their last posture and ignored
-            p, jacobian = walk(_stack([s.pending for s in members]))
-            e = target - p
-            going_on = []
-            for i, (s, e_s) in enumerate(zip(members, e)):
-                # the residual as np.linalg.norm takes it
-                if not s.done and s.walked(e_s, math.sqrt(e_s.dot(e_s)), cfg):
-                    going_on.append(i)
+            if rows != group.walked:
+                group.walked = rows
+                group.walk = finger_walk(chain, [r.solve.name for r in rows], start)
+                group.target = _stack([r.solve.target for r in rows])
+            p, jacobian = group.walk(_stack([r.pending for r in rows]))
+            e = group.target - p
+            # the residual as np.linalg.norm takes it; a row that the arbiter
+            # dropped earlier in this round, replaying the rows before it,
+            # ignores its walk
+            going_on = [i for i, (r, e_r) in enumerate(zip(rows, e))
+                        if r.live and r.walked(e_r, math.sqrt(e_r.dot(e_r)), cfg)]
             if going_on:
                 J = jacobian()
                 for i in going_on:
-                    members[i].J = J[i]
+                    rows[i].J = J[i]
             round_walks += 1
-            trials += len(live)
+            trials += len(rows)
         if not round_walks:
             break
         rounds += 1
@@ -340,10 +453,10 @@ def solve_hand_ik(chain: KinematicChain, targets: dict, seed: JointState,
     Fingers do not interact mechanically (separate serial chains off the
     palm), so each solve only touches its own joints, and each result is
     the one `solve_finger_ik` gives for its finger alone.  Leaves one DEBUG
-    record: the rounds, stacked walks and finger trials.
+    record: the rounds, stacked walks and row trials.
     """
     results, counts = _solve(chain, targets, seed, config)
-    _log.debug("IK lockstep: %d rounds, %d stacked walks, %d finger trials", *counts)
+    _log.debug("IK lockstep: %d rounds, %d stacked walks, %d row trials", *counts)
     return results
 
 

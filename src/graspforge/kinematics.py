@@ -6,9 +6,10 @@ matrices.
 
 The joint origins, axes and Jacobian columns are constants of the chain,
 computed once when it is built, as are the joints grouped by tree depth
-(`chain.fk_levels`) and the angle-free factors of the movable joints'
-rotations (`chain.movable_rodrigues`).  A `Pose` keeps one read-only
-rotation matrix, checked when it is made.  Two routes compute frames:
+(`chain.fk_levels`), the angle-free factors of the movable joints'
+rotations (`chain.movable_rodrigues`) and the fingers' walk groups
+(`chain.finger_walks`).  A `Pose` keeps one read-only rotation matrix,
+checked when it is made.  Two routes compute frames:
 
 - `_stacked_frames` gives every link's frame for each of T joint-angle rows
   as stacked arrays, rotations (T, L, 3, 3) and translations (T, L, 3),
@@ -18,27 +19,30 @@ rotation matrix, checked when it is made.  Two routes compute frames:
   `_joint_state` convert a `JointState` to and from angles in
   `chain.movable` order); `link_frames` is its one-row call, and
   `link_transform` and `jacobian` read their link's frames from it.
-- `finger_walk` serves the IK: for G fingers of one walk shape (the kinds
-  of the joints from the root to a finger's tip: its own, another movable
-  one held at its angle, or fixed), each call makes one stacked walk from
-  the root to the fingertips, with the rotations of all the fingers' own
+- `finger_walk` serves the IK: for G rows of fingers of one walk group
+  (fingers with the same kinds of joints from the root to the tip: their
+  own, another movable one held at its angle, or fixed), it gathers the
+  group's constants for the rows, and each call makes one stacked walk
+  from the root to the fingertips, with the rotations of all the rows' own
   joints from one vectorized Rodrigues evaluation, and gives the
   fingertips (G, 3) and, when asked, their Jacobians (G, 3, n).
 
 Both make the compose sequence R = R_parent @ R_origin, t = R_parent @
 t_origin + t_parent, then R @ R_joint for a movable joint:
 `_stacked_frames` per level, `finger_walk` per joint on (G, 3, 3) and
-(G, 3, 1) stacks.  A stacked `matmul` rounds each slice exactly as the 2-D
-product does, whatever the number of rows, so both routes agree bit for bit
-with a per-joint walk of 2-D products, which tests/reference.py keeps as
-their oracle.  Every joint rotation, a held joint's too, comes from the
-vectorized Rodrigues (`_rodrigues`); it and the cross products repeat the
-arithmetic of the one-axis Rodrigues formula (its oracle in
-tests/reference.py) and of `np.cross` entry for entry.  A
-Jacobian, alone or as a row of a stack, keeps the memory layout of a column
-selection of `jacobian`'s result (the transpose of a C-ordered (n, 3) array,
-which `take` gives the cross products): products such as J @ J.T and J.T @
-x take another route on another layout, and round differently.
+(G, 3, 1) stacks, from its first joint's frame, which the chain composes
+once from the identity root by the same products.  A stacked `matmul`
+rounds each slice exactly as the 2-D product does, whatever the number of
+rows, so both routes agree bit for bit with a per-joint walk of 2-D
+products, which tests/reference.py keeps as their oracle.  Every joint
+rotation, a held joint's too, comes from the vectorized Rodrigues
+(`_rodrigues`); it and the cross products repeat the arithmetic of the
+one-axis Rodrigues formula (its oracle in tests/reference.py) and of
+`np.cross` entry for entry.  A Jacobian, alone or as a row of a stack,
+keeps the memory layout of a column selection of `jacobian`'s result (the
+transpose of a C-ordered (n, 3) array, which `take` gives the cross
+products): products such as J @ J.T and J.T @ x take another route on
+another layout, and round differently.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .robot_model import Finger, KinematicChain
+from .robot_model import _HELD, _OWN, KinematicChain
 from .transforms import rpy_matrix
 
 
@@ -251,12 +255,6 @@ def link_transform(chain: KinematicChain, state: JointState, link) -> tuple[np.n
     return R[li], t[li]
 
 
-# The kinds of the steps of a finger walk, from the root to the finger's
-# end effector: a joint of the finger, another movable joint (held at its
-# angle in the state) and a fixed joint.
-_OWN, _HELD, _FIXED = 0, 1, 2
-
-
 def _stack(arrays: list) -> np.ndarray:
     """The arrays stacked on a new first axis; one array is only viewed so.
 
@@ -265,24 +263,18 @@ def _stack(arrays: list) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
-def _walk_shape(chain: KinematicChain, finger: Finger) -> tuple[int, ...]:
-    """The kinds of the joints from the root to `finger`'s end effector.
-
-    Fingers of one walk shape share one stacked walk (`finger_walk`).
-    """
-    return tuple(_OWN if ji in finger.joints else _HELD if ji in chain.column_of else _FIXED
-                 for ji in chain.path_to_link[finger.end_effector])
-
-
 def finger_walk(chain: KinematicChain, fingers, state: JointState):
-    """End-effector positions and Jacobians of G fingers of one walk shape
-    (`_walk_shape`), as a function of the fingers' own angles.
+    """End-effector positions and Jacobians of G rows of fingers of one walk
+    group (`chain.finger_walks`), as a function of the rows' own angles.
 
+    `fingers` names the finger of each row; a finger may fill several rows.
     Every other joint on a finger's path, such as a wrist above it, keeps
-    its angle in `state`; no other joint is read.  The returned `walk(q)`
-    takes the fingers' angles, shape (G, n) with each row base to tip, and
-    makes one stacked walk from the root: a stacked `matmul` per joint,
-    with all rotations from one vectorized Rodrigues evaluation.
+    its angle in `state`; no other joint is read.  The walk constants are
+    the group's, built with the chain, and gathered here for the rows.  The
+    returned `walk(q)` takes the rows' angles, shape (G, n) with each row
+    base to tip, and makes one stacked walk from the root: a stacked
+    `matmul` per joint, with all rotations from one vectorized Rodrigues
+    evaluation.
     It returns the positions (G, 3) and a `jacobian()` that gives the
     Jacobians over the fingers' joints (G, 3, n) from the same walk, so a
     caller that reads no Jacobian (a rejected damping trial) makes none.
@@ -291,46 +283,44 @@ def finger_walk(chain: KinematicChain, fingers, state: JointState):
     the memory layout of that column selection (the transpose of a
     C-ordered (n, 3) array), so that J @ J.T and J.T @ x round the same way.
     """
-    shape = _walk_shape(chain, fingers[0])
-    # per step of the walk, the joint of each finger; positions are carried
-    # as (G, 3, 1) columns, the shape R @ t_origin takes
-    steps = list(zip(*(chain.path_to_link[f.end_effector] for f in fingers)))
-    origin_rotation = [_stack([chain.origin_rotation[ji] for ji in js]) for js in steps]
-    origin_translation = [_stack([chain.origin_translation[ji] for ji in js])[..., None]
-                          for js in steps]
+    group = chain.finger_walks[fingers[0]][0]
+    rows = [chain.finger_walks[f][1] for f in fingers]
+    shape = group.shape
+    # per step, (G, 3, 3) rotations and (G, 3, 1) positions, the shape
+    # R @ t_origin takes
+    origin_rotation = list(group.origin_rotation.take(rows, 1))
+    origin_translation = list(group.origin_translation.take(rows, 1)[..., None])
     # the rotations of the held joints at their angles in `state`, (G, 3, 3)
     # per held step
     held = {}
-    for s, js in enumerate(steps):
-        if shape[s] == _HELD:
-            held_columns = [chain.column_of[ji] for ji in js]
-            held[s] = _rodrigues(tuple(a.take(held_columns, 0) for a in chain.movable_rodrigues),
-                                 np.array([state.get(ji) for ji in js], dtype=float))
-    columns = np.array([[chain.column_of[ji] for ji in f.joints] for f in fingers])
-    terms = tuple(a.take(columns, 0) for a in chain.movable_rodrigues)
+    if group.held_steps:
+        angles = [[state.get(ji) for ji in js] for js in group.held_joints.take(rows, 1).tolist()]
+        held = dict(zip(group.held_steps, _rodrigues(
+            tuple(a.take(rows, 1) for a in group.held_terms), np.array(angles, dtype=float))))
+    terms = tuple(a.take(rows, 0) for a in group.terms)
     # the joints' axes, (n, G, 3, 1), as the stacked joint frames take them
-    axes = chain.movable_axes.take(columns.T, 0)[..., None]
+    axes = group.axes.take(rows, 1)[..., None]
     last = len(shape) - 1
-    root = _stack([_EYE3] * len(fingers)), np.zeros((len(fingers), 3, 1))
+    first = group.first_rotation.take(rows, 0), group.first_translation.take(rows, 0)
 
     def walk(q: np.ndarray):
         rotations = _rodrigues(terms, q)
-        R, t = root
+        R, t = first
         frames, origins = [], []
         for s, kind in enumerate(shape):
-            # the compose sequence; the last joint's child rotation is not
-            # needed
-            t = R @ origin_translation[s] + t
+            # the compose sequence, the first joint's made with the chain;
+            # the last joint's child rotation is not needed
+            if s:
+                t = R @ origin_translation[s] + t
+                if kind == _OWN or s < last:
+                    R = R @ origin_rotation[s]
             if kind == _OWN:
-                R = R @ origin_rotation[s]
                 frames.append(R)
                 origins.append(t)
                 if s < last:
                     R = R @ rotations[:, len(frames) - 1]
-            elif s < last:
-                R = R @ origin_rotation[s]
-                if kind == _HELD:
-                    R = R @ held[s]
+            elif kind == _HELD and s < last:
+                R = R @ held[s]
 
         def jacobian() -> np.ndarray:
             # the cross products axis x (p - origin) of `_jacobian_columns`,

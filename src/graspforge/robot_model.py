@@ -114,6 +114,41 @@ class FkLevel:
     columns: np.ndarray
 
 
+# The kinds of the steps of a finger walk, from the root to the finger's
+# end effector: a joint of the finger, another movable joint (held at its
+# angle in the state) and a fixed joint.
+_OWN, _HELD, _FIXED = 0, 1, 2
+
+
+@dataclass(frozen=True)
+class WalkGroup:
+    """The fingers of one walk shape, whose rows `kinematics.finger_walk`
+    walks in one stack.
+
+    `shape` is the kind of each joint from the root to the end effector
+    (the same for every finger of the group).  Per step and finger: the
+    joint's origin rotation (S, F, 3, 3) and translation (S, F, 3); per held
+    step and finger, the held joint (H, F) and its Rodrigues terms (H, F, 9);
+    per finger, the Rodrigues terms of its own joints (F, n, 9), and per own
+    joint and finger its axis (n, F, 3).  A walk gathers its rows with
+    `take` along the finger axis.  The first joint's frame, the root frame
+    (the identity at the origin) composed with the joint's origin, is a
+    constant too: `first_rotation` (F, 3, 3) and `first_translation` (F, 3,
+    1), made by the stacked products the walk would make.
+    """
+    fingers: tuple[str, ...]
+    shape: tuple[int, ...]
+    origin_rotation: np.ndarray
+    origin_translation: np.ndarray
+    first_rotation: np.ndarray
+    first_translation: np.ndarray
+    held_steps: tuple[int, ...]
+    held_joints: np.ndarray
+    held_terms: tuple[np.ndarray, np.ndarray]
+    terms: tuple[np.ndarray, np.ndarray]
+    axes: np.ndarray
+
+
 @dataclass(frozen=True)
 class FingerShapes:
     """The finger links that carry a capsule or a sphere, in `finger_links` order.
@@ -164,6 +199,9 @@ class KinematicChain:
     # so every parent link lies in an earlier level (or is the root)
     fk_levels: tuple[FkLevel, ...] = field(default=(), compare=False, repr=False)
     finger_shapes: FingerShapes = field(default=None, compare=False, repr=False)
+    # finger name -> its walk group and its row in it
+    finger_walks: dict[str, tuple[WalkGroup, int]] = field(default_factory=dict, compare=False,
+                                                           repr=False)
 
     def __post_init__(self):
         self.link_index = {l.name: i for i, l in enumerate(self.links)}
@@ -184,6 +222,14 @@ class KinematicChain:
             levels.setdefault(len(self.path_to_link[j.child]), []).append(ji)
         self.fk_levels = tuple(self._fk_level(levels[depth]) for depth in sorted(levels))
         self.finger_shapes = self._finger_shapes()
+        shapes: dict[tuple[int, ...], list[str]] = {}
+        for name, finger in self.fingers.items():
+            path = self.path_to_link[finger.end_effector]
+            shapes.setdefault(tuple(_OWN if ji in finger.joints else _HELD if ji in self.column_of
+                                    else _FIXED for ji in path), []).append(name)
+        for shape, names in shapes.items():
+            group = self._walk_group(shape, names)
+            self.finger_walks.update((name, (group, row)) for row, name in enumerate(names))
 
     def _fk_level(self, level: list[int]) -> FkLevel:
         moving = [row for row, ji in enumerate(level) if ji in self.column_of]
@@ -195,6 +241,30 @@ class KinematicChain:
                 np.array([self.origin_translation[ji] for ji in level])[:, :, None]),
             moving=_frozen(np.array(moving, dtype=int)),
             columns=_frozen(np.array([self.column_of[level[row]] for row in moving], dtype=int)))
+
+    def _walk_group(self, shape: tuple[int, ...], names: list[str]) -> WalkGroup:
+        # per step of the walk, the joint of each finger
+        steps = list(zip(*(self.path_to_link[self.fingers[f].end_effector] for f in names)))
+        held_steps = tuple(s for s, kind in enumerate(shape) if kind == _HELD)
+        held_joints = np.array([steps[s] for s in held_steps], dtype=int).reshape(-1, len(names))
+        columns = np.array([[self.column_of[ji] for ji in self.fingers[f].joints] for f in names])
+        held_columns = np.array([[self.column_of[ji] for ji in js] for js in held_joints.tolist()],
+                                dtype=int).reshape(held_joints.shape)
+        origin_rotation = np.array([[self.origin_rotation[ji] for ji in js] for js in steps])
+        origin_translation = np.array([[self.origin_translation[ji] for ji in js]
+                                       for js in steps])
+        root = np.array([np.eye(3)] * len(names))
+        return WalkGroup(
+            fingers=tuple(names), shape=shape,
+            origin_rotation=_frozen(origin_rotation),
+            origin_translation=_frozen(origin_translation),
+            first_rotation=_frozen(root @ origin_rotation[0]),
+            first_translation=_frozen(root @ origin_translation[0][..., None]
+                                      + np.zeros((len(names), 3, 1))),
+            held_steps=held_steps, held_joints=_frozen(held_joints),
+            held_terms=tuple(_frozen(a.take(held_columns, 0)) for a in self.movable_rodrigues),
+            terms=tuple(_frozen(a.take(columns, 0)) for a in self.movable_rodrigues),
+            axes=_frozen(self.movable_axes.take(columns.T, 0)))
 
     def _finger_shapes(self) -> FingerShapes:
         rows = [(name, li) for name, members in self.finger_links.items() for li in members

@@ -63,8 +63,9 @@ class Scene:
     """Hand + object world.
 
     The bundled defaults keep 2 cm of clearance between palm surface and
-    box.  A scenario's initial overlap of hand and object is not checked:
-    a box placed into the hand starts with contacts at `neutral_state`.
+    box.  `config.build_scenario` rejects a scenario whose box starts inside
+    the hand (with contacts at `neutral_state`); a `Scene` made directly is
+    not checked.
     """
 
     chain: KinematicChain

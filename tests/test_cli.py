@@ -114,7 +114,9 @@ class TestPerturb:
         assert not (tmp_path / "002").exists()
 
     def test_repeats_detect_the_final_contacts_once(self, tmp_path, monkeypatch):
-        """The seed reaches only the rounds: one detection serves every repeat."""
+        """The seed reaches only the rounds: one detection serves every repeat.
+        The scenario's load makes one more, its check that the box starts
+        clear of the hand."""
         import graspforge.contact
         detections = []
         detect = graspforge.contact._stacked_contacts
@@ -127,7 +129,7 @@ class TestPerturb:
         code = run_cli("perturb", "--no-timestamp", "--repeat", "3", "--iterations", "1",
                        "--out", str(tmp_path))
         assert code == EXIT_OK
-        assert detections == [1]
+        assert detections == [1, 1]
         assert len(list(tmp_path.glob("00[0-2]/perturbation.json"))) == 3
 
 
@@ -329,6 +331,18 @@ class TestErrorHandling:
                        "--out", str(tmp_path / "out"))
         assert code == EXIT_ERROR
         assert capsys.readouterr().err == f"error: {key}: missing key 'position'\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "perturb"])
+    def test_a_box_inside_the_hand_is_rejected(self, tmp_path, capsys, command):
+        # the bundled box starts clear of the hand; this one overlaps its
+        # fingers at the neutral posture, where 7 contacts are found
+        code = run_cli(command, "--set", "object.pose.position=[0.03, 0.0, 0.22]",
+                       "--out", str(tmp_path / "out"))
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: object.pose: the box starts inside the hand, with 7 contacts at the "
+            "neutral posture\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["123", "[a]", "null"])

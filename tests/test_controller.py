@@ -441,17 +441,19 @@ class TestExecuteGrasp:
 
     def test_debug_log_reports_each_lockstep_hand_solve(self, scenario, caplog):
         """One DEBUG record per hand solve: its rounds, stacked walks and
-        finger trials.  The pre-grasp solve runs 38 rounds, the ring finger's
-        38 walks, in 45 stacked walks (the thumb walks alone in 7); the
-        contact solve runs 8 rounds in 15.  130 finger trials in all, one
-        per walk the fingers would make one at a time.  The per-finger IK
-        records keep their text."""
+        row trials.  The pre-grasp solve runs 11 rounds in 18 stacked walks
+        (the thumb walks alone in 7): middle and ring run their five
+        re-seeds as parallel rows, where one descent at a time took 38
+        rounds, the ring finger's 38 walks.  Its 97 trials are the 96 walks
+        the fingers would make one at a time and one speculative row trial.
+        The contact solve runs 8 rounds in 15 walks and 34 trials, and
+        re-seeds no finger.  The per-finger IK records keep their text."""
         caplog.set_level(logging.DEBUG, logger="graspforge")
         execute_grasp(scenario.scene, scenario.targets, scenario.run, scenario.ik,
                       scenario.validation)
         records = [r for r in caplog.records if r.name == "graspforge"]
         assert [r.args for r in records if r.msg.startswith("IK lockstep")] == [
-            (38, 45, 96), (8, 15, 34)]
+            (11, 18, 97), (8, 15, 34)]
         assert [r.getMessage() for r in records if " IK " in r.msg] == _BUNDLED_IK_RECORDS
 
     def test_debug_log_reports_each_contact_block(self, scenario, caplog):
@@ -476,6 +478,28 @@ class TestExecuteGrasp:
         ik = [r.args for r in caplog.records if r.name == "graspforge" and " IK " in r.msg]
         assert len(ik) == 10
         assert all(args[3:] == (2, False, "budget") for args in ik)
+
+    @pytest.mark.parametrize("budget, middle, ring", [
+        (20, (19, "plateau"), (20, "budget")),
+        (27, (19, "plateau"), (23, "plateau")),
+        (100, (24, "plateau"), (30, "plateau"))])
+    def test_pre_grasp_plateaus_end_at_their_true_iteration_counts(self, scenario, caplog,
+                                                                   budget, middle, ring):
+        """Middle and ring re-seed in the pre-grasp solve, and their re-seeds
+        run as parallel rows; the stall test and the budget still read each
+        re-seed's true iteration count.  At a budget of 20, ring's last
+        re-seed is cut by the budget at 20 iterations; at 27 it stalls at 23,
+        where at 100 it stalls at 30.  Measured with one descent at a time."""
+        caplog.set_level(logging.DEBUG, logger="graspforge")
+        execute_grasp(scenario.scene, scenario.targets, RunConfig(max_steps=1),
+                      dataclasses.replace(scenario.ik, max_iterations=budget),
+                      scenario.validation)
+        pre_grasp = {args[1]: (args[3], args[5]) for args in (
+            r.args for r in caplog.records if r.name == "graspforge" and " IK " in r.msg)
+            if args[0] == PHASE_PRE_GRASP}
+        assert (pre_grasp["middle"], pre_grasp["ring"]) == (middle, ring)
+        assert all(pre_grasp[f] == (pre_grasp["index"][0], "converged")
+                   for f in ("index", "pinky"))
 
     def test_log_every_thins_the_log(self, scenario):
         run = RunConfig(max_steps=7, log_every=3)

@@ -401,3 +401,128 @@ def test_an_unknown_finger_in_a_hand_solve_raises(chain):
     with pytest.raises(UnknownFingerError):
         solve_hand_ik(chain, {"index": np.zeros(3), "tentacle": np.zeros(3)},
                       mid_range_state(chain))
+
+
+# --------------------------------------------------------------------------
+# re-seeds as parallel rows: every result equals the one-descent-at-a-time
+# reference loop's, bit for bit
+
+
+def _ik_reach_inputs(seed: int) -> list:
+    """The inputs of the benchmark's `ik_reach` workload for `seed`:
+    (index, finger, target, reachable), and its chain, start and config."""
+    import os
+    import sys
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    wl = workloads.make("ik_reach", seed)
+    return wl.inputs, wl.chain, wl.seed_state, wl.scenario.ik
+
+
+def test_the_far_ik_reach_inputs_match_the_reference_loop():
+    """Every out-of-reach input of `ik_reach` seed 1 runs its re-seeds as
+    parallel rows, and seed 18's input 12, a reachable target, stalls short
+    of the threshold: each result is the reference loop's."""
+    inputs, chain, start, config = _ik_reach_inputs(1)
+    far = [x for x in inputs if not x[3]]
+    assert len(far) == 40
+    inputs18, _, _, _ = _ik_reach_inputs(18)
+    for _, finger, target, _ in far + [inputs18[12]]:
+        result = solve_finger_ik(chain, finger, target, start, config)
+        assert _bits(result) == _bits(reference_solve(chain, finger, target, start, config))
+    assert not solve_finger_ik(chain, *inputs18[12][1:3], start, config).converged
+
+
+def _events(monkeypatch):
+    """Record, per descent that ends, (descent, its last record, its record
+    count), and per solve that finishes, (descent, whether a later row
+    still runs)."""
+    from graspforge.ik_solver import _FingerSolve
+    ended, finished = [], []
+    end_descent, finish = _FingerSolve._end_descent, _FingerSolve._finish
+
+    def recording_end(self, k, offset, cfg):
+        ended.append((self.descent, k, len(self.rows[self.descent].residuals)))
+        end_descent(self, k, offset, cfg)
+
+    def recording_finish(self):
+        finished.append((self.descent, any(r.live for r in self.rows[self.descent + 1:])))
+        finish(self)
+
+    monkeypatch.setattr(_FingerSolve, "_end_descent", recording_end)
+    monkeypatch.setattr(_FingerSolve, "_finish", recording_finish)
+    return ended, finished
+
+
+def _solve_once(chain, finger, target, seed, config):
+    """`_solve` on one finger, checked against the reference loop."""
+    from graspforge.ik_solver import _solve
+    results, counts = _solve(chain, {finger: target}, seed, config)
+    assert _bits(results[finger]) == _bits(reference_solve(chain, finger, target, seed, config))
+    return results[finger], counts
+
+
+@pytest.mark.parametrize("budget", range(1, 13))
+def test_a_budget_that_ends_inside_a_reseed_matches_the_reference_loop(monkeypatch, budget):
+    """The two-link arm toward a far target ends each descent after one
+    iteration; a budget of 2 to 5 iterations is spent at the start of
+    re-seed 2 to 5, whose row, like the start's, then ends the solve."""
+    ended, finished = _events(monkeypatch)
+    result, (rounds, _, trials) = _solve_once(
+        _TWO_LINK, "arm", np.array([10.0, 0.0, 0.0]), JointState(values={0: 0.1, 1: 0.1}),
+        IkConfig(max_iterations=budget))
+    assert not result.converged
+    if 2 <= budget <= 5:
+        assert result.iterations == budget
+        assert finished == [(budget, False)] and len(ended) == budget
+    if budget > 1:
+        assert trials > rounds  # the re-seeds ran as parallel rows
+
+
+def test_a_reseed_that_converges_ends_the_rows_after_it(monkeypatch):
+    """Found by a scan of the two-link arm: the start is stationary after one
+    step, and re-seed 1 converges while the rows of re-seeds 2-5 still run."""
+    ended, finished = _events(monkeypatch)
+    seed = JointState(values={0: 1.3769793659039902, 1: 0.261749948792537})
+    target = np.array([1.8161245400219759, 0.4691974133755914, 0.0])
+    result, _ = _solve_once(_TWO_LINK, "arm", target, seed, IkConfig(max_iterations=83))
+    assert result.converged and result.iterations == 9
+    assert ended == [(0, 1, 2)] and finished == [(1, True)]
+
+
+def test_a_row_that_runs_past_its_stall_matches_the_reference_loop(monkeypatch):
+    """Found by a scan of the two-link arm: re-seed 3's row has recorded
+    three postures when the arbiter reaches it, and the stall test at its
+    true start count ends it at its second."""
+    ended, finished = _events(monkeypatch)
+    seed = JointState(values={0: 2.6918966828234634, 1: -1.1290112879370873})
+    target = np.array([0.05910812350128358, 2.2523184816296764, 0.0])
+    result, _ = _solve_once(_TWO_LINK, "arm", target, seed, IkConfig(max_iterations=18))
+    assert not result.converged and result.iterations == 17
+    assert (3, 1, 3) in ended and finished == [(5, False)]
+
+
+@pytest.mark.parametrize("budget", [20, 27])
+def test_the_bundled_pre_grasp_solve_under_a_smaller_budget_matches_the_reference_loop(
+        monkeypatch, budget):
+    """Middle and ring re-seed in parallel rows; at these budgets the stall
+    test and the budget end ring's re-seeds at other counts than at 100."""
+    import graspforge.controller as controller
+    from graspforge.config import default_scenario_path, load_scenario
+    from graspforge.controller import RunConfig
+
+    sc = load_scenario(default_scenario_path(), [f"ik.max_iterations={budget}"])
+    calls = []
+
+    def recording(chain, targets, seed, config):
+        calls.append((targets, seed.copy(), config))
+        return solve_hand_ik(chain, targets, seed, config)
+
+    monkeypatch.setattr(controller, "solve_hand_ik", recording)
+    controller.execute_grasp(sc.scene, sc.targets, RunConfig(max_steps=1), sc.ik, sc.validation)
+    targets, seed, config = calls[0]
+    assert config.max_iterations == budget
+    _assert_hand_matches_reference(sc.scene.chain, targets, seed, config)

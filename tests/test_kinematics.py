@@ -299,12 +299,13 @@ def test_link_frames_on_a_tip_first_tree(values):
 
 @given(st.data())
 def test_stacked_finger_walks_and_steps_equal_the_one_row_routes_bitwise(chain, data):
-    """The fingers of each walk shape, walked together from a drawn posture:
+    """Rows of the fingers of each walk group, walked together from a drawn
+    posture, in a drawn order and often with a finger in two rows:
     each row's fingertip and Jacobian are the bits of the reference walk's
     fingertip and a column selection of its Jacobian, in that selection's
     memory layout, and the stacked DLS step on the stacked Jacobians is
     `_dls_step`'s on each row.  The bundled hand walks its four long fingers
-    in one stack and the thumb alone; on the wrist hand, the wrist finger's
+    in one group and the thumb alone; on the wrist hand, the wrist finger's
     walk holds the index joints below it.
 
     Cross products gathered with `take` keep the rows C-ordered; gathered
@@ -312,22 +313,23 @@ def test_stacked_finger_walks_and_steps_equal_the_one_row_routes_bitwise(chain, 
     and J.T @ x round differently, and this test fails.
     """
     from graspforge.ik_solver import _dls_step, _stacked_dls_step
-    from graspforge.kinematics import _walk_shape
 
     for robot, group_sizes in ((chain, [1, 4]), (parse_robot_description(WRIST_HAND), [1, 1])):
         base = JointState(values={ji: data.draw(_angles) for ji in robot.movable})
-        groups = {}
-        for f in robot.fingers.values():
-            groups.setdefault(_walk_shape(robot, f), []).append(f)
-        assert sorted(map(len, groups.values())) == group_sizes
-        for fingers in groups.values():
-            q = np.array([[data.draw(_angles) for _ in f.joints] for f in fingers])
-            p, jacobian = finger_walk(robot, fingers, base)(q)
+        groups = {group.fingers for group, _ in robot.finger_walks.values()}
+        assert sorted(map(len, groups)) == group_sizes
+        for fingers in groups:
+            # the group's fingers in a drawn order, the last row's finger redrawn
+            names = list(data.draw(st.permutations(fingers)))
+            names[-1] = data.draw(st.sampled_from(fingers))
+            q = np.array([[data.draw(_angles) for _ in robot.fingers[n].joints] for n in names])
+            p, jacobian = finger_walk(robot, names, base)(q)
             J = jacobian()
-            lams = [data.draw(st.floats(1e-6, 1.0)) for _ in fingers]
-            e = np.array([[data.draw(st.floats(-0.2, 0.2)) for _ in range(3)] for _ in fingers])
+            lams = [data.draw(st.floats(1e-6, 1.0)) for _ in names]
+            e = np.array([[data.draw(st.floats(-0.2, 0.2)) for _ in range(3)] for _ in names])
             dq = _stacked_dls_step(J, lams, e, 0.5)
-            for i, f in enumerate(fingers):
+            for i, name in enumerate(names):
+                f = robot.fingers[name]
                 state = base.copy()
                 state.values.update(zip(f.joints, q[i].tolist()))
                 J_ref = _own_jacobian(robot, state, f)

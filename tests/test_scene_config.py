@@ -100,6 +100,15 @@ class TestScenarioFile:
         assert scenario.validation.min_contacts == 4
         assert set(scenario.targets) == set(scenario.scene.chain.fingers)
 
+    def test_the_bundled_box_starts_clear_of_the_hand(self, scenario):
+        from graspforge.contact import detect_contacts
+        from graspforge.kinematics import neutral_state
+        assert detect_contacts(scenario.scene, neutral_state(scenario.scene.chain)) == []
+
+    def test_a_box_inside_the_hand_names_object_pose(self):
+        with pytest.raises(ConfigError, match=r"^object\.pose: .* with 7 contacts"):
+            build_scenario({"object": {"pose": {"position": [0.03, 0.0, 0.22]}}})
+
     def test_bundled_targets_match_the_procedural_ones(self, scenario):
         procedural = default_grasp_targets(scenario.scene)
         for finger, pose in scenario.targets.items():
