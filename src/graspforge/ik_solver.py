@@ -33,17 +33,24 @@ reachable residual, because a stall stops a descent that is still improving.
 
 A solve runs in lockstep rounds over rows (`_solve`).  A row is one descent
 of one finger, from its start or from one re-seed, and in each round every
-live row walks one posture: its seed or a damping trial.  Rows of one walk
-group (fingers with the same sequence of own, other and fixed joints from
-the root to the fingertip) share one stacked walk, `finger_walk`, which
-gathers the group's walk constants, built with the chain, for its rows and
-gives their fingertips and Jacobians; on the bundled hand the four long
-fingers form one group and the thumb another.  The trials of a group come
-from one batched damping step (`_stacked_dls_step`), and each pass of the
-clamping loop re-solves all of its rows with a pushed pinned joint in one
-batch; a row that steps alone takes the 2-D `_dls_step`, which the batched
-step matches row for row.  A Jacobian is made only for the rows that go on
-from the walked posture.
+live row walks one posture: its seed or a damping trial.  A seed that is a
+constant of the chain is not walked: the row takes its first record (the
+fingertip and Jacobian) from the finger's seed walks, built with the chain
+(`WalkGroup`), and steps from its first round on.  Such seeds are the start
+of a solve seeded at the neutral posture, compared by bytes (the
+controller's pre-grasp solve, and any solve from `neutral_state`), and
+every re-seed, provided the joints that the finger's walk holds, such as a
+wrist above it, are at their neutral angles too.  Rows of one walk group
+(fingers with the same sequence of own, other and fixed joints from the
+root to the fingertip) share one stacked walk, `finger_walk`, which gathers
+the group's walk constants, built with the chain, for its rows and gives
+their fingertips and Jacobians; on the bundled hand the four long fingers
+form one group and the thumb another.  The trials of a group come from one
+batched damping step (`_stacked_dls_step`), and each pass of the clamping
+loop re-solves all of its rows with a pushed pinned joint in one batch; a
+row that steps alone takes the 2-D `_dls_step`, which the batched step
+matches row for row.  A Jacobian is made only for the rows that go on from
+the walked posture.
 
 A descent's path depends only on its seed, since its damping starts afresh:
 of its tests, only the stall test and the budget read the solve's iteration
@@ -61,11 +68,12 @@ iteration count and best posture, so its result is the one it would reach
 alone: `solve_finger_ik` is the core's call on one finger, and
 `solve_hand_ik` runs every target through one core.  An unreachable
 target's re-seeds thus take about as many rounds as its longest one, not as
-all of them together.  The bundled grasp's two hand solves take 19 rounds
-and 33 stacked walks, where one descent at a time took 46 rounds and 60
-walks, and the fingers one at a time 130 walks.  `solve_hand_ik` leaves one
-DEBUG record on the `graspforge` logger with its rounds, stacked walks and
-row trials (postures walked, speculative rows included).
+all of them together.  The bundled grasp's two hand solves take 17 rounds
+and 30 stacked walks (19 and 33 when every row walked its seed), where one
+descent at a time took 46 rounds and 60 walks, and the fingers one at a
+time 130 walks.  `solve_hand_ik` leaves one DEBUG record on the
+`graspforge` logger with its rounds, stacked walks and row trials (postures
+walked, speculative rows included).
 
 Every result equals, bit for bit, that of the same loop written on a
 per-joint walk of one fingertip and its Jacobian, `clamp_to_limits` and a
@@ -73,7 +81,8 @@ joint dict, one finger at a time (`reference_solve` in tests/reference.py,
 the oracle of the bitwise tests).  The
 stacked walk and step round like the 2-D ones because each stacked slice
 is computed by the same operations on an array of the same memory layout
-(see the `kinematics` module notes).
+(see the `kinematics` module notes), and each seed walk is the bits of the
+walk of its posture alone.
 """
 
 from __future__ import annotations
@@ -85,16 +94,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import ConfigError, check_numbers
-from .kinematics import (_EYE3, JointState, _clamp, _stack, _target_position, clamp_to_limits,
-                         finger_walk)
+from .kinematics import (_EYE3, _RESTART_FRACTIONS, JointState, KinematicsError, _clamp, _stack,
+                         _target_position, clamp_to_limits, finger_walk)
 from .robot_model import KinematicChain
 
 # damping retries per iteration before declaring the state stationary
 _MAX_RETRIES = 12
 _MIN_LAMBDA = 1e-6
-# finger re-seed fractions, tried in turn at stationary or stalled states
-# (escapes fold minima); the next such state after the last one ends the solve
-_RESTART_FRACTIONS = (0.25, 0.75, 0.1, 0.9, 0.5)
 
 _log = logging.getLogger("graspforge")
 
@@ -215,23 +221,50 @@ class _FingerSolve:
     the next one at its end count.
     """
 
-    __slots__ = ("name", "finger", "target", "lower", "upper", "lower_l", "upper_l", "group",
-                 "rows", "descent", "offset", "consumed", "iterations", "best_q",
-                 "best_residual", "done")
+    __slots__ = ("name", "finger", "target", "walks", "row", "seeded", "lower", "upper",
+                 "lower_l", "upper_l", "group", "rows", "descent", "offset", "consumed",
+                 "iterations", "best_q", "best_residual", "done")
 
-    def __init__(self, chain: KinematicChain, name: str, target, start: JointState):
+    def __init__(self, chain: KinematicChain, name: str, target, start: JointState,
+                 groups: dict, cfg: IkConfig):
         self.name, self.finger = name, chain.finger(name)
-        self.target = _target_position(target)
-        columns = [chain.column_of[ji] for ji in self.finger.joints]
-        self.lower, self.upper = chain.lower[columns], chain.upper[columns]
+        self.target = _finger_target(name, target)
+        walks, row = self.walks, self.row = chain.finger_walks[name]
+        self.lower, self.upper = walks.lower[row], walks.upper[row]
         # limits as Python floats for the pinned-joint tests: on a handful of
         # joints, numpy's per-call overhead would cost more than the comparisons
-        self.lower_l, self.upper_l = self.lower.tolist(), self.upper.tolist()
-        self.rows = [_Row(self, 0, np.array([start.get(ji) for ji in self.finger.joints],
-                                            dtype=float))]
+        self.lower_l, self.upper_l = walks.lower_l[row], walks.upper_l[row]
+        # the seed walks hold while the joints the finger's walk holds are at
+        # their neutral angles, compared by bytes: a -0.0 can walk to other bits
+        self.seeded = not walks.held_steps or np.array(
+            [start.get(ji) for ji in walks.held_joints[:, row].tolist()],
+            dtype=float).tobytes() == walks.held_neutral[row]
+        self.group = groups.setdefault(walks.fingers, _Group())
+        self.rows = []
         self.descent = self.offset = self.consumed = self.iterations = 0
         self.best_q = None
         self.done = False
+        q = np.array([start.get(ji) for ji in self.finger.joints], dtype=float)
+        self._start_rows([_Row(self, 0, q)],
+                         self.seeded and q.tobytes() == walks.seed_postures[row, 0].tobytes(), cfg)
+
+    def _start_rows(self, rows: list, seeded: bool, cfg: IkConfig) -> None:
+        """Add new descent rows; when `seeded`, their seeds are the postures
+        of their seed walks (start: the neutral one, re-seed r: entry r),
+        and each takes its first record from its walk at once, so it steps
+        from the next round on.  The others walk their seed first.  The rows
+        join the solve before any record is taken: a record of the current
+        descent is replayed at once, and can end the solve and its rows
+        (whose own records are then never replayed)."""
+        self.rows += rows
+        self.group.rows += rows
+        if not seeded:
+            return
+        walks, row = self.walks, self.row
+        for r in rows:
+            e = self.target - walks.seed_tips[row, r.index]
+            if r.walked(e, math.sqrt(e.dot(e)), cfg):
+                r.J = walks.seed_jacobians[row, r.index]
 
     def recorded(self, row: _Row, cfg: IkConfig) -> None:
         """Take a new record of `row`, or its stop: the current descent's
@@ -283,23 +316,21 @@ class _FingerSolve:
         the iteration count at `offset`: remember the best posture, then hand
         over to the next re-seed, or stop once every re-seed has been tried.
         The first re-seed starts every later re-seed that the budget leaves
-        room for, each as a row of its own."""
+        room for, each as a row of its own, once the arbiter has moved on to
+        it: a first record taken from a seed walk is replayed at once."""
         row = self.rows[self.descent]
         self._keep_best(row, k)
         row.live = False
         if self.descent == len(_RESTART_FRACTIONS):
             self._finish()
             return
-        if self.descent == 0:
-            # re-seed r starts at a count of at least offset + r - 1
-            spawned = min(len(_RESTART_FRACTIONS), cfg.max_iterations - offset + 1)
-            for restarts in range(1, spawned + 1):
-                frac = _RESTART_FRACTIONS[restarts % len(_RESTART_FRACTIONS)]
-                self.rows.append(_Row(self, restarts,
-                                      self.lower + frac * (self.upper - self.lower)))
-                self.group.rows.append(self.rows[-1])
         self.descent += 1
         self.offset, self.consumed = offset, 0
+        if self.descent == 1:
+            # re-seed r starts at a count of at least offset + r - 1
+            spawned = min(len(_RESTART_FRACTIONS), cfg.max_iterations - offset + 1)
+            self._start_rows([_Row(self, r, self.walks.seed_postures[self.row, r])
+                              for r in range(1, spawned + 1)], self.seeded, cfg)
 
     def _keep_best(self, row: _Row, k: int) -> None:
         if row.residuals[k] < self.best_residual:
@@ -316,6 +347,18 @@ class _FingerSolve:
         return IkResult(state=JointState(values=values), residual=self.best_residual,
                         iterations=self.iterations,
                         converged=self.best_residual <= cfg.residual_threshold)
+
+
+def _finger_target(name: str, target) -> np.ndarray:
+    """The position of finger `name`'s target: three finite numbers."""
+    try:
+        p = _target_position(target)
+    except (TypeError, ValueError):
+        p = None
+    if p is None or not np.isfinite(p).all():
+        raise KinematicsError(f"finger {name!r}: IK target must be three finite numbers, "
+                              f"got {target!r}")
+    return p
 
 
 def _steps(rows: list, cfg: IkConfig) -> None:
@@ -392,11 +435,8 @@ def _solve(chain: KinematicChain, targets: dict, seed: JointState,
     cfg = config or IkConfig()
     start = clamp_to_limits(chain, seed)
     groups: dict[tuple, _Group] = {}
-    solves = {}
-    for name, target in targets.items():
-        solves[name] = solve = _FingerSolve(chain, name, target, start)
-        solve.group = groups.setdefault(chain.finger_walks[name][0].fingers, _Group())
-        solve.group.rows.append(solve.rows[0])
+    solves = {name: _FingerSolve(chain, name, target, start, groups, cfg)
+              for name, target in targets.items()}
 
     rounds = walks = trials = 0
     while True:

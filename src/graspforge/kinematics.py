@@ -22,10 +22,13 @@ checked when it is made.  Two routes compute frames:
 - `finger_walk` serves the IK: for G rows of fingers of one walk group
   (fingers with the same kinds of joints from the root to the tip: their
   own, another movable one held at its angle, or fixed), it gathers the
-  group's constants for the rows, and each call makes one stacked walk
-  from the root to the fingertips, with the rotations of all the rows' own
-  joints from one vectorized Rodrigues evaluation, and gives the
-  fingertips (G, 3) and, when asked, their Jacobians (G, 3, n).
+  group's constants for the rows (once per sequence of finger names), and
+  each call makes one stacked walk from the root to the fingertips, with
+  the rotations of all the rows' own joints from one vectorized Rodrigues
+  evaluation, and gives the fingertips (G, 3) and, when asked, their
+  Jacobians (G, 3, n).  `seed_walks` makes, with the chain, the walks of
+  every finger at the postures an IK descent starts from without reading
+  its seed: neutral and the five re-seeds.
 
 Both make the compose sequence R = R_parent @ R_origin, t = R_parent @
 t_origin + t_parent, then R @ R_joint for a movable joint:
@@ -51,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .robot_model import _HELD, _OWN, KinematicChain
+from .robot_model import _HELD, _OWN, KinematicChain, WalkGroup, _frozen
 from .transforms import rpy_matrix
 
 
@@ -263,6 +266,29 @@ def _stack(arrays: list) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
+# An IK descent re-seeds a finger at these fractions of its joints' ranges,
+# in turn (escapes fold minima)
+_RESTART_FRACTIONS = (0.25, 0.75, 0.1, 0.9, 0.5)
+# the gathers a walk group keeps; a walk past this many starts afresh
+_GATHERS = 256
+
+
+def _gather(chain: KinematicChain, group: WalkGroup, fingers: tuple) -> tuple:
+    """The group's walk constants gathered for the rows of `fingers`."""
+    rows = [chain.finger_walks[f][1] for f in fingers]
+    # per step, (G, 3, 3) rotations and (G, 3, 1) positions, the shape
+    # R @ t_origin takes
+    origin_rotation = list(group.origin_rotation.take(rows, 1))
+    origin_translation = list(group.origin_translation.take(rows, 1)[..., None])
+    held_joints = group.held_joints.take(rows, 1).tolist()
+    held_terms = tuple(a.take(rows, 1) for a in group.held_terms)
+    terms = tuple(a.take(rows, 0) for a in group.terms)
+    # the joints' axes, (n, G, 3, 1), as the stacked joint frames take them
+    axes = group.axes.take(rows, 1)[..., None]
+    first = group.first_rotation.take(rows, 0), group.first_translation.take(rows, 0)
+    return origin_rotation, origin_translation, held_joints, held_terms, terms, axes, first
+
+
 def finger_walk(chain: KinematicChain, fingers, state: JointState):
     """End-effector positions and Jacobians of G rows of fingers of one walk
     group (`chain.finger_walks`), as a function of the rows' own angles.
@@ -270,7 +296,9 @@ def finger_walk(chain: KinematicChain, fingers, state: JointState):
     `fingers` names the finger of each row; a finger may fill several rows.
     Every other joint on a finger's path, such as a wrist above it, keeps
     its angle in `state`; no other joint is read.  The walk constants are
-    the group's, built with the chain, and gathered here for the rows.  The
+    the group's, built with the chain, and gathered for the rows once per
+    sequence of names (`WalkGroup.gathers`); the held joints' rotations are
+    made on each call.  The
     returned `walk(q)` takes the rows' angles, shape (G, n) with each row
     base to tip, and makes one stacked walk from the root: a stacked
     `matmul` per joint, with all rotations from one vectorized Rodrigues
@@ -283,25 +311,22 @@ def finger_walk(chain: KinematicChain, fingers, state: JointState):
     the memory layout of that column selection (the transpose of a
     C-ordered (n, 3) array), so that J @ J.T and J.T @ x round the same way.
     """
+    fingers = tuple(fingers)
     group = chain.finger_walks[fingers[0]][0]
-    rows = [chain.finger_walks[f][1] for f in fingers]
-    shape = group.shape
-    # per step, (G, 3, 3) rotations and (G, 3, 1) positions, the shape
-    # R @ t_origin takes
-    origin_rotation = list(group.origin_rotation.take(rows, 1))
-    origin_translation = list(group.origin_translation.take(rows, 1)[..., None])
+    gathered = group.gathers.get(fingers)
+    if gathered is None:
+        if len(group.gathers) >= _GATHERS:
+            group.gathers.clear()
+        gathered = group.gathers[fingers] = _gather(chain, group, fingers)
+    origin_rotation, origin_translation, held_joints, held_terms, terms, axes, first = gathered
     # the rotations of the held joints at their angles in `state`, (G, 3, 3)
     # per held step
     held = {}
     if group.held_steps:
-        angles = [[state.get(ji) for ji in js] for js in group.held_joints.take(rows, 1).tolist()]
-        held = dict(zip(group.held_steps, _rodrigues(
-            tuple(a.take(rows, 1) for a in group.held_terms), np.array(angles, dtype=float))))
-    terms = tuple(a.take(rows, 0) for a in group.terms)
-    # the joints' axes, (n, G, 3, 1), as the stacked joint frames take them
-    axes = group.axes.take(rows, 1)[..., None]
+        angles = [[state.get(ji) for ji in js] for js in held_joints]
+        held = dict(zip(group.held_steps, _rodrigues(held_terms, np.array(angles, dtype=float))))
+    shape = group.shape
     last = len(shape) - 1
-    first = group.first_rotation.take(rows, 0), group.first_translation.take(rows, 0)
 
     def walk(q: np.ndarray):
         rotations = _rodrigues(terms, q)
@@ -333,6 +358,36 @@ def finger_walk(chain: KinematicChain, fingers, state: JointState):
         return t[..., 0], jacobian
 
     return walk
+
+
+def seed_walks(chain: KinematicChain, group: WalkGroup) -> dict:
+    """The seed walks of walk group `group`, for the chain to keep: per
+    finger, its posture, fingertip and Jacobian at the neutral posture and
+    at each re-seed posture, restart 1 to 5 (fraction
+    `_RESTART_FRACTIONS[r % 5]` of each joint's range from its lower limit),
+    with the held joints at their neutral angles.
+
+    The postures are the values an IK solve computes for them, and one
+    stacked `finger_walk` of all of them gives the tips and Jacobians, so
+    each entry equals the walk of its posture alone, bit for bit.
+    """
+    neutral = neutral_state(chain)
+    fractions = np.array([_RESTART_FRACTIONS[r % len(_RESTART_FRACTIONS)]
+                          for r in range(1, len(_RESTART_FRACTIONS) + 1)])[:, None]
+    lower, upper = group.lower[:, None], group.upper[:, None]
+    own = np.array([[neutral.values[ji] for ji in chain.fingers[f].joints]
+                    for f in group.fingers])
+    postures = np.concatenate([own[:, None], lower + fractions * (upper - lower)], axis=1)
+    F, k, n = postures.shape
+    p, jacobian = finger_walk(chain, [f for f in group.fingers for _ in range(k)],
+                              neutral)(postures.reshape(F * k, n))
+    held = np.array([[neutral.values[ji] for ji in js] for js in group.held_joints.T.tolist()],
+                    dtype=float)
+    # split the rows of the C-ordered (G, n, 3) cross products, so that every
+    # entry keeps the strides of a one-row walk's Jacobian, size-1 axes too
+    J = jacobian().transpose(0, 2, 1).reshape(F, k, n, 3).transpose(0, 1, 3, 2)
+    return dict(seed_postures=_frozen(postures), seed_tips=_frozen(p.reshape(F, k, 3)),
+                seed_jacobians=_frozen(J), held_neutral=tuple(h.tobytes() for h in held))
 
 
 def jacobian(chain: KinematicChain, state: JointState, link) -> np.ndarray:

@@ -441,19 +441,22 @@ class TestExecuteGrasp:
 
     def test_debug_log_reports_each_lockstep_hand_solve(self, scenario, caplog):
         """One DEBUG record per hand solve: its rounds, stacked walks and
-        row trials.  The pre-grasp solve runs 11 rounds in 18 stacked walks
-        (the thumb walks alone in 7): middle and ring run their five
-        re-seeds as parallel rows, where one descent at a time took 38
-        rounds, the ring finger's 38 walks.  Its 97 trials are the 96 walks
-        the fingers would make one at a time and one speculative row trial.
-        The contact solve runs 8 rounds in 15 walks and 34 trials, and
-        re-seeds no finger.  The per-finger IK records keep their text."""
+        row trials.  The pre-grasp solve starts from neutral, so every
+        start row takes its first record from the chain's seed walks, and
+        so do the five re-seeds that middle and ring run as parallel rows.
+        It runs 9 rounds in 15 stacked walks (the thumb walks alone in 6),
+        where one descent at a time took 38 rounds, the ring finger's 38
+        walks.  Its 82 trials are the 96 walks the fingers would make one
+        at a time, less those 15 seed walks, and one speculative row trial.
+        The contact solve seeds from step 80's posture, not from a seed
+        walk; it runs 8 rounds in 15 walks and 34 trials, and re-seeds no
+        finger.  The per-finger IK records keep their text."""
         caplog.set_level(logging.DEBUG, logger="graspforge")
         execute_grasp(scenario.scene, scenario.targets, scenario.run, scenario.ik,
                       scenario.validation)
         records = [r for r in caplog.records if r.name == "graspforge"]
         assert [r.args for r in records if r.msg.startswith("IK lockstep")] == [
-            (11, 18, 97), (8, 15, 34)]
+            (9, 15, 82), (8, 15, 34)]
         assert [r.getMessage() for r in records if " IK " in r.msg] == _BUNDLED_IK_RECORDS
 
     def test_debug_log_reports_each_contact_block(self, scenario, caplog):

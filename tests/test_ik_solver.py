@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from graspforge.config import ConfigError
 from graspforge.ik_solver import (IkConfig, IkResult, merge_hand_results,
                                   solve_finger_ik, solve_hand_ik)
-from graspforge.kinematics import JointState, link_transform, within_limits
+from graspforge.kinematics import (JointState, KinematicsError, link_transform, neutral_state,
+                                   within_limits)
 from graspforge.robot_model import parse_robot_description
 
 from conftest import TWO_LINK_ARM, WRIST_HAND, mid_range_state
@@ -223,6 +224,7 @@ def _ik_problems(draw, chains):
 
     Seeds and target postures reach 0.5 rad past the joint limits, so the
     seed is clamped and a target posture outside the limits pins a joint.
+    Half the seeds are the neutral posture, whose walk the chain keeps.
     """
     chain = draw(st.sampled_from(chains))
     finger = draw(st.sampled_from(sorted(chain.fingers)))
@@ -232,7 +234,7 @@ def _ik_problems(draw, chains):
                                    chain.joints[ji].upper_limit + 0.5))
                 for ji in chain.movable}
 
-    seed = JointState(values=posture())
+    seed = neutral_state(chain) if draw(st.booleans()) else JointState(values=posture())
     ee = chain.fingers[finger].end_effector
     if draw(st.booleans()):
         target = link_transform(chain, JointState(values=posture()), ee)[1]
@@ -317,15 +319,14 @@ def _assert_hand_matches_reference(chain, targets, seed, config):
             reference_solve(chain, finger, target, seed, config or IkConfig()))
 
 
-def test_the_bundled_hand_solves_match_the_reference_loop(monkeypatch):
-    """The two solves of the bundled grasp, as `execute_grasp` makes them:
-    the pre-grasp waypoints from neutral, then the contact targets from the
-    posture that ends pre_grasp (step 80)."""
+def _bundled_hand_solves(monkeypatch, overrides=(), run=None):
+    """The bundled scenario with `overrides`, and the (targets, seed,
+    config) of each hand solve its grasp makes (under `run`, or its own run
+    config)."""
     import graspforge.controller as controller
     from graspforge.config import default_scenario_path, load_scenario
-    from graspforge.kinematics import neutral_state
 
-    sc = load_scenario(default_scenario_path(), [])
+    sc = load_scenario(default_scenario_path(), list(overrides))
     calls = []
 
     def recording(chain, targets, seed, config):
@@ -333,7 +334,16 @@ def test_the_bundled_hand_solves_match_the_reference_loop(monkeypatch):
         return solve_hand_ik(chain, targets, seed, config)
 
     monkeypatch.setattr(controller, "solve_hand_ik", recording)
-    controller.execute_grasp(sc.scene, sc.targets, sc.run, sc.ik, sc.validation)
+    controller.execute_grasp(sc.scene, sc.targets, run or sc.run, sc.ik, sc.validation)
+    monkeypatch.undo()
+    return sc, calls
+
+
+def test_the_bundled_hand_solves_match_the_reference_loop(monkeypatch):
+    """The two solves of the bundled grasp, as `execute_grasp` makes them:
+    the pre-grasp waypoints from neutral, then the contact targets from the
+    posture that ends pre_grasp (step 80)."""
+    sc, calls = _bundled_hand_solves(monkeypatch)
     chain = sc.scene.chain
     assert len(calls) == 2
     assert calls[0][1] == neutral_state(chain) and calls[1][1] != calls[0][1]
@@ -349,7 +359,8 @@ def _hand_problems(draw, chains):
 
     A finger's target is the fingertip of a posture within its limits
     (reachable), of a posture up to 0.5 rad past them (limit-pinned), or a
-    point well outside its reach (far).
+    point well outside its reach (far).  Half the seeds are the neutral
+    posture.
     """
     chain = draw(st.sampled_from(chains))
 
@@ -359,7 +370,7 @@ def _hand_problems(draw, chains):
                                chain.joints[ji].upper_limit + margin))
             for ji in chain.movable})
 
-    seed = posture(0.5)
+    seed = neutral_state(chain) if draw(st.booleans()) else posture(0.5)
     targets = {}
     for finger in draw(st.permutations(sorted(chain.fingers))):
         ee = chain.fingers[finger].end_effector
@@ -469,7 +480,11 @@ def _solve_once(chain, finger, target, seed, config):
 def test_a_budget_that_ends_inside_a_reseed_matches_the_reference_loop(monkeypatch, budget):
     """The two-link arm toward a far target ends each descent after one
     iteration; a budget of 2 to 5 iterations is spent at the start of
-    re-seed 2 to 5, whose row, like the start's, then ends the solve."""
+    re-seed 2 to 5, whose row, like the start's, then ends the solve.
+
+    The re-seeds take their first records from the chain's seed walks.  At
+    a budget of 2 re-seed 2's row ends on that record, so only re-seed 1's
+    row walks; from 3 on, two or more re-seed rows walk in one round."""
     ended, finished = _events(monkeypatch)
     result, (rounds, _, trials) = _solve_once(
         _TWO_LINK, "arm", np.array([10.0, 0.0, 0.0]), JointState(values={0: 0.1, 1: 0.1}),
@@ -478,8 +493,10 @@ def test_a_budget_that_ends_inside_a_reseed_matches_the_reference_loop(monkeypat
     if 2 <= budget <= 5:
         assert result.iterations == budget
         assert finished == [(budget, False)] and len(ended) == budget
-    if budget > 1:
+    if budget > 2:
         assert trials > rounds  # the re-seeds ran as parallel rows
+    elif budget == 2:
+        assert trials == rounds
 
 
 def test_a_reseed_that_converges_ends_the_rows_after_it(monkeypatch):
@@ -510,19 +527,113 @@ def test_the_bundled_pre_grasp_solve_under_a_smaller_budget_matches_the_referenc
         monkeypatch, budget):
     """Middle and ring re-seed in parallel rows; at these budgets the stall
     test and the budget end ring's re-seeds at other counts than at 100."""
-    import graspforge.controller as controller
-    from graspforge.config import default_scenario_path, load_scenario
     from graspforge.controller import RunConfig
 
-    sc = load_scenario(default_scenario_path(), [f"ik.max_iterations={budget}"])
-    calls = []
-
-    def recording(chain, targets, seed, config):
-        calls.append((targets, seed.copy(), config))
-        return solve_hand_ik(chain, targets, seed, config)
-
-    monkeypatch.setattr(controller, "solve_hand_ik", recording)
-    controller.execute_grasp(sc.scene, sc.targets, RunConfig(max_steps=1), sc.ik, sc.validation)
+    sc, calls = _bundled_hand_solves(monkeypatch, [f"ik.max_iterations={budget}"],
+                                     RunConfig(max_steps=1))
     targets, seed, config = calls[0]
     assert config.max_iterations == budget
     _assert_hand_matches_reference(sc.scene.chain, targets, seed, config)
+
+
+# --------------------------------------------------------------------------
+# seed walks: a row seeded at the neutral posture, and every re-seed row,
+# takes its first record from the walks the chain keeps
+
+
+def _near_and_far(robot, finger):
+    """A reachable target of `finger` (its tip at mid-range) and one well
+    outside its reach."""
+    ee = robot.fingers[finger].end_effector
+    tip = link_transform(robot, mid_range_state(robot), ee)[1]
+    return tip, np.array([0.0, 0.0, 3.0 * (float(np.linalg.norm(tip)) + 0.1)])
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 100])
+def test_neutral_seeds_match_the_reference_loop(chain, budget):
+    """From the neutral posture, near and far targets on the three chains:
+    at a budget of 1 to 3 the solve ends on a record that came from a seed
+    walk (the start's, or a re-seed's)."""
+    config = IkConfig(max_iterations=budget)
+    for robot in (chain, _TWO_LINK, _WRIST_HAND):
+        seed = neutral_state(robot)
+        pairs = {f: _near_and_far(robot, f) for f in robot.fingers}
+        for k in (0, 1):
+            _assert_hand_matches_reference(robot, {f: p[k] for f, p in pairs.items()}, seed,
+                                           config)
+        for finger, (_, far) in pairs.items():
+            result = solve_finger_ik(robot, finger, far, seed, config)
+            assert _bits(result) == _bits(reference_solve(robot, finger, far, seed, config))
+
+
+@pytest.mark.parametrize("robot, finger, off_neutral", [
+    (TWO_LINK_ARM, "arm", {0: -0.0, 1: -0.0}),  # own joints
+    (WRIST_HAND, "index", {0: 0.4}),  # the wrist, which the index walk holds
+    (WRIST_HAND, "index", {0: -0.0}),
+], ids=["own joints at -0.0", "wrist at 0.4", "wrist at -0.0"])
+def test_a_seed_off_neutral_by_its_bytes_walks(robot, finger, off_neutral):
+    """A start row takes the neutral seed walk only when its seed and the
+    joints its walk holds are the neutral angles by their bytes (-0.0 is
+    not 0.0), and the re-seed rows take theirs only when the held joints
+    are.  The seed walks that must not be read here have NaN fingertips:
+    the results are the reference loop's, while a neutral seed reads them."""
+    from dataclasses import replace
+
+    robot = parse_robot_description(robot)
+    group, row = robot.finger_walks[finger]
+    tips = group.seed_tips.copy()
+    tips[row, slice(None) if group.held_steps else 0] = np.nan
+    robot.finger_walks[finger] = (replace(group, seed_tips=tips), row)
+    neutral = neutral_state(robot)
+    seed = neutral.copy()
+    seed.values.update(off_neutral)
+    for target in _near_and_far(robot, finger):
+        result = solve_finger_ik(robot, finger, target, seed)
+        assert _bits(result) == _bits(reference_solve(robot, finger, target, seed, IkConfig()))
+        assert math.isnan(solve_finger_ik(robot, finger, target, neutral).residual)
+
+
+@pytest.mark.parametrize("target", [[np.nan, 0.0, 0.1], [0.0, -np.inf, 0.1], [0.05, 0.02],
+                                    "far"])
+def test_a_bad_target_raises_naming_its_finger_before_any_walk(chain, monkeypatch, target):
+    """A target that is not three finite numbers, alone or among five."""
+    import graspforge.ik_solver as ik_solver
+
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(ik_solver, "finger_walk", no_walk)
+    seed = mid_range_state(chain)  # not neutral: every start row walks
+    with pytest.raises(KinematicsError, match="finger 'middle': IK target must be three finite"):
+        solve_finger_ik(chain, "middle", target, seed)
+    targets = {f: link_transform(chain, seed, chain.fingers[f].end_effector)[1]
+               for f in chain.fingers}
+    targets["ring"] = target
+    with pytest.raises(KinematicsError, match="finger 'ring'"):
+        solve_hand_ik(chain, targets, neutral_state(chain))
+
+
+def test_lockstep_counts_do_not_depend_on_earlier_solves(monkeypatch):
+    """The bundled grasp's two hand solves make the same rounds, stacked
+    walks and row trials on a freshly loaded chain as after other solves in
+    the process, on that chain and on another with the same finger names:
+    the seed walks are built with the chain, not filled by solves."""
+    from graspforge.ik_solver import _solve
+    from graspforge.robot_model import bundled_hand_path, load_robot_description
+
+    _, calls = _bundled_hand_solves(monkeypatch)
+
+    def counts(robot):
+        return [_solve(robot, targets, seed, config)[1] for targets, seed, config in calls]
+
+    fresh = counts(load_robot_description(bundled_hand_path()))
+    assert fresh == [(9, 15, 82), (8, 15, 34)]
+    used, other = (load_robot_description(bundled_hand_path()) for _ in range(2))
+    for robot in (used, other):
+        for finger in robot.fingers:
+            for target in _near_and_far(robot, finger):
+                solve_finger_ik(robot, finger, target, mid_range_state(robot))
+        solve_hand_ik(robot, {f: _near_and_far(robot, f)[1] for f in robot.fingers},
+                      neutral_state(robot))
+    assert counts(used) == fresh
+    assert counts(load_robot_description(bundled_hand_path())) == fresh
