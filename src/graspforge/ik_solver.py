@@ -36,7 +36,7 @@ of one finger, from its start or from one re-seed, and in each round every
 live row walks one posture: its seed or a damping trial.  A seed that is a
 constant of the chain is not walked: the row takes its first record (the
 fingertip and Jacobian) from the finger's seed walks, built with the chain
-(`WalkGroup`), and steps from its first round on.  Such seeds are the start
+(`FingerSeeds`), and steps from its first round on.  Such seeds are the start
 of a solve seeded at the neutral posture, compared by bytes (the
 controller's pre-grasp solve, and any solve from `neutral_state`), and
 every re-seed, provided the joints that the finger's walk holds, such as a
@@ -221,32 +221,32 @@ class _FingerSolve:
     the next one at its end count.
     """
 
-    __slots__ = ("name", "finger", "target", "walks", "row", "seeded", "lower", "upper",
-                 "lower_l", "upper_l", "group", "rows", "descent", "offset", "consumed",
-                 "iterations", "best_q", "best_residual", "done")
+    __slots__ = ("name", "finger", "target", "seeds", "seeded", "lower", "upper", "lower_l",
+                 "upper_l", "group", "rows", "descent", "offset", "consumed", "iterations",
+                 "best_q", "best_residual", "done")
 
     def __init__(self, chain: KinematicChain, name: str, target, start: JointState,
                  groups: dict, cfg: IkConfig):
         self.name, self.finger = name, chain.finger(name)
         self.target = _finger_target(name, target)
-        walks, row = self.walks, self.row = chain.finger_walks[name]
-        self.lower, self.upper = walks.lower[row], walks.upper[row]
+        seeds = self.seeds = chain.finger_seeds[name]
+        self.lower, self.upper = seeds.lower, seeds.upper
         # limits as Python floats for the pinned-joint tests: on a handful of
         # joints, numpy's per-call overhead would cost more than the comparisons
-        self.lower_l, self.upper_l = walks.lower_l[row], walks.upper_l[row]
+        self.lower_l, self.upper_l = seeds.lower_l, seeds.upper_l
         # the seed walks hold while the joints the finger's walk holds are at
         # their neutral angles, compared by bytes: a -0.0 can walk to other bits
-        self.seeded = not walks.held_steps or np.array(
-            [start.get(ji) for ji in walks.held_joints[:, row].tolist()],
-            dtype=float).tobytes() == walks.held_neutral[row]
-        self.group = groups.setdefault(walks.fingers, _Group())
+        self.seeded = not seeds.held_joints or np.array(
+            [start.get(ji) for ji in seeds.held_joints],
+            dtype=float).tobytes() == seeds.held_neutral
+        self.group = groups.setdefault(chain.finger_walks[name][0].fingers, _Group())
         self.rows = []
         self.descent = self.offset = self.consumed = self.iterations = 0
         self.best_q = None
         self.done = False
         q = np.array([start.get(ji) for ji in self.finger.joints], dtype=float)
         self._start_rows([_Row(self, 0, q)],
-                         self.seeded and q.tobytes() == walks.seed_postures[row, 0].tobytes(), cfg)
+                         self.seeded and q.tobytes() == seeds.postures[0].tobytes(), cfg)
 
     def _start_rows(self, rows: list, seeded: bool, cfg: IkConfig) -> None:
         """Add new descent rows; when `seeded`, their seeds are the postures
@@ -260,11 +260,10 @@ class _FingerSolve:
         self.group.rows += rows
         if not seeded:
             return
-        walks, row = self.walks, self.row
         for r in rows:
-            e = self.target - walks.seed_tips[row, r.index]
+            e = self.target - self.seeds.tips[r.index]
             if r.walked(e, math.sqrt(e.dot(e)), cfg):
-                r.J = walks.seed_jacobians[row, r.index]
+                r.J = self.seeds.jacobians[r.index]
 
     def recorded(self, row: _Row, cfg: IkConfig) -> None:
         """Take a new record of `row`, or its stop: the current descent's
@@ -329,7 +328,7 @@ class _FingerSolve:
         if self.descent == 1:
             # re-seed r starts at a count of at least offset + r - 1
             spawned = min(len(_RESTART_FRACTIONS), cfg.max_iterations - offset + 1)
-            self._start_rows([_Row(self, r, self.walks.seed_postures[self.row, r])
+            self._start_rows([_Row(self, r, self.seeds.postures[r])
                               for r in range(1, spawned + 1)], self.seeded, cfg)
 
     def _keep_best(self, row: _Row, k: int) -> None:

@@ -26,7 +26,7 @@ checked when it is made.  Two routes compute frames:
   each call makes one stacked walk from the root to the fingertips, with
   the rotations of all the rows' own joints from one vectorized Rodrigues
   evaluation, and gives the fingertips (G, 3) and, when asked, their
-  Jacobians (G, 3, n).  `seed_walks` makes, with the chain, the walks of
+  Jacobians (G, 3, n).  `finger_seeds` makes, with the chain, the walks of
   every finger at the postures an IK descent starts from without reading
   its seed: neutral and the five re-seeds.
 
@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .robot_model import _HELD, _OWN, KinematicChain, WalkGroup, _frozen
+from .robot_model import _HELD, _OWN, FingerSeeds, KinematicChain, WalkGroup, _frozen
 from .transforms import rpy_matrix
 
 
@@ -269,24 +269,11 @@ def _stack(arrays: list) -> np.ndarray:
 # An IK descent re-seeds a finger at these fractions of its joints' ranges,
 # in turn (escapes fold minima)
 _RESTART_FRACTIONS = (0.25, 0.75, 0.1, 0.9, 0.5)
-# the gathers a walk group keeps; a walk past this many starts afresh
-_GATHERS = 256
-
-
-def _gather(chain: KinematicChain, group: WalkGroup, fingers: tuple) -> tuple:
-    """The group's walk constants gathered for the rows of `fingers`."""
-    rows = [chain.finger_walks[f][1] for f in fingers]
-    # per step, (G, 3, 3) rotations and (G, 3, 1) positions, the shape
-    # R @ t_origin takes
-    origin_rotation = list(group.origin_rotation.take(rows, 1))
-    origin_translation = list(group.origin_translation.take(rows, 1)[..., None])
-    held_joints = group.held_joints.take(rows, 1).tolist()
-    held_terms = tuple(a.take(rows, 1) for a in group.held_terms)
-    terms = tuple(a.take(rows, 0) for a in group.terms)
-    # the joints' axes, (n, G, 3, 1), as the stacked joint frames take them
-    axes = group.axes.take(rows, 1)[..., None]
-    first = group.first_rotation.take(rows, 0), group.first_translation.take(rows, 0)
-    return origin_rotation, origin_translation, held_joints, held_terms, terms, axes, first
+# the gathers a walk group keeps; a walk past this many starts afresh.  A
+# one-finger solve uses at most 5 per finger (1 to 5 live rows of it): the
+# `ik_reach` benchmark uses 25 over the bundled hand's two groups, and the
+# bundled grasp's two hand solves 10
+_GATHERS = 64
 
 
 def finger_walk(chain: KinematicChain, fingers, state: JointState):
@@ -298,11 +285,10 @@ def finger_walk(chain: KinematicChain, fingers, state: JointState):
     its angle in `state`; no other joint is read.  The walk constants are
     the group's, built with the chain, and gathered for the rows once per
     sequence of names (`WalkGroup.gathers`); the held joints' rotations are
-    made on each call.  The
-    returned `walk(q)` takes the rows' angles, shape (G, n) with each row
-    base to tip, and makes one stacked walk from the root: a stacked
-    `matmul` per joint, with all rotations from one vectorized Rodrigues
-    evaluation.
+    made on each call.  The returned `walk(q)` takes the rows' angles,
+    shape (G, n) with each row base to tip, and makes one stacked walk from
+    the root: a stacked `matmul` per joint, with all rotations from one
+    vectorized Rodrigues evaluation.
     It returns the positions (G, 3) and a `jacobian()` that gives the
     Jacobians over the fingers' joints (G, 3, n) from the same walk, so a
     caller that reads no Jacobian (a rejected damping trial) makes none.
@@ -317,7 +303,29 @@ def finger_walk(chain: KinematicChain, fingers, state: JointState):
     if gathered is None:
         if len(group.gathers) >= _GATHERS:
             group.gathers.clear()
-        gathered = group.gathers[fingers] = _gather(chain, group, fingers)
+        gathered = group.gathers[fingers] = _gather(
+            group, [chain.finger_walks[f][1] for f in fingers])
+    return _group_walk(group, gathered, state)
+
+
+def _gather(group: WalkGroup, rows) -> tuple:
+    """Walk group `group`'s walk constants gathered for its rows `rows`."""
+    # per step, (G, 3, 3) rotations and (G, 3, 1) positions, the shape
+    # R @ t_origin takes
+    origin_rotation = list(group.origin_rotation.take(rows, 1))
+    origin_translation = list(group.origin_translation.take(rows, 1)[..., None])
+    held_joints = group.held_joints.take(rows, 1).tolist()
+    held_terms = tuple(a.take(rows, 1) for a in group.held_terms)
+    terms = tuple(a.take(rows, 0) for a in group.terms)
+    # the joints' axes, (n, G, 3, 1), as the stacked joint frames take them
+    axes = group.axes.take(rows, 1)[..., None]
+    first = group.first_rotation.take(rows, 0), group.first_translation.take(rows, 0)
+    return origin_rotation, origin_translation, held_joints, held_terms, terms, axes, first
+
+
+def _group_walk(group: WalkGroup, gathered: tuple, state: JointState):
+    """`finger_walk` of walk group `group`'s rows whose constants are
+    `gathered` (`_gather`)."""
     origin_rotation, origin_translation, held_joints, held_terms, terms, axes, first = gathered
     # the rotations of the held joints at their angles in `state`, (G, 3, 3)
     # per held step
@@ -360,34 +368,43 @@ def finger_walk(chain: KinematicChain, fingers, state: JointState):
     return walk
 
 
-def seed_walks(chain: KinematicChain, group: WalkGroup) -> dict:
-    """The seed walks of walk group `group`, for the chain to keep: per
-    finger, its posture, fingertip and Jacobian at the neutral posture and
-    at each re-seed posture, restart 1 to 5 (fraction
-    `_RESTART_FRACTIONS[r % 5]` of each joint's range from its lower limit),
-    with the held joints at their neutral angles.
+def finger_seeds(chain: KinematicChain, group: WalkGroup) -> dict[str, FingerSeeds]:
+    """The IK constants of walk group `group`'s fingers, for the chain to
+    keep (`FingerSeeds`): each finger's limits, and its posture, fingertip
+    and Jacobian at the neutral posture and at each re-seed posture,
+    restart 1 to 5 (fraction `_RESTART_FRACTIONS[r % 5]` of each joint's
+    range from its lower limit), with the held joints at their neutral
+    angles.
 
     The postures are the values an IK solve computes for them, and one
-    stacked `finger_walk` of all of them gives the tips and Jacobians, so
-    each entry equals the walk of its posture alone, bit for bit.
+    stacked walk of the group at all of them gives the tips and Jacobians,
+    so each entry equals the walk of its posture alone, bit for bit.
     """
     neutral = neutral_state(chain)
+    joints = [chain.fingers[f].joints for f in group.fingers]
+    columns = np.array([[chain.column_of[ji] for ji in js] for js in joints])
+    lower, upper = _frozen(chain.lower.take(columns, 0)), _frozen(chain.upper.take(columns, 0))
     fractions = np.array([_RESTART_FRACTIONS[r % len(_RESTART_FRACTIONS)]
                           for r in range(1, len(_RESTART_FRACTIONS) + 1)])[:, None]
-    lower, upper = group.lower[:, None], group.upper[:, None]
-    own = np.array([[neutral.values[ji] for ji in chain.fingers[f].joints]
-                    for f in group.fingers])
-    postures = np.concatenate([own[:, None], lower + fractions * (upper - lower)], axis=1)
+    own = np.array([[neutral.values[ji] for ji in js] for js in joints])
+    postures = _frozen(np.concatenate(
+        [own[:, None], lower[:, None] + fractions * (upper - lower)[:, None]], axis=1))
     F, k, n = postures.shape
-    p, jacobian = finger_walk(chain, [f for f in group.fingers for _ in range(k)],
-                              neutral)(postures.reshape(F * k, n))
-    held = np.array([[neutral.values[ji] for ji in js] for js in group.held_joints.T.tolist()],
-                    dtype=float)
+    p, jacobian = _group_walk(group, _gather(group, np.repeat(np.arange(F), k)), neutral)(
+        postures.reshape(F * k, n))
+    tips = _frozen(p.reshape(F, k, 3))
     # split the rows of the C-ordered (G, n, 3) cross products, so that every
     # entry keeps the strides of a one-row walk's Jacobian, size-1 axes too
-    J = jacobian().transpose(0, 2, 1).reshape(F, k, n, 3).transpose(0, 1, 3, 2)
-    return dict(seed_postures=_frozen(postures), seed_tips=_frozen(p.reshape(F, k, 3)),
-                seed_jacobians=_frozen(J), held_neutral=tuple(h.tobytes() for h in held))
+    J = _frozen(jacobian().transpose(0, 2, 1).reshape(F, k, n, 3).transpose(0, 1, 3, 2))
+    seeds = {}
+    for row, name in enumerate(group.fingers):
+        held = tuple(group.held_joints[:, row].tolist())
+        seeds[name] = FingerSeeds(
+            lower=lower[row], upper=upper[row],
+            lower_l=tuple(lower[row].tolist()), upper_l=tuple(upper[row].tolist()),
+            postures=postures[row], tips=tips[row], jacobians=J[row], held_joints=held,
+            held_neutral=np.array([neutral.values[ji] for ji in held], dtype=float).tobytes())
+    return seeds
 
 
 def jacobian(chain: KinematicChain, state: JointState, link) -> np.ndarray:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import os
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -136,18 +136,8 @@ class WalkGroup:
     root frame (the identity at the origin) composed with the joint's
     origin, is a constant too: `first_rotation` (F, 3, 3) and
     `first_translation` (F, 3, 1), made by the stacked products the walk
-    would make.
-
-    The IK's constants, per finger: its own joints' limits (F, n), as arrays
-    and as tuples of floats, and its seed walks (`kinematics.seed_walks`),
-    the walk at each posture an IK descent can start from without reading
-    the seed state: the neutral posture and the five re-seed postures, in
-    re-seed order (`seed_postures` (F, 6, n)), each walked with the held
-    joints at their neutral angles (`held_neutral`, per finger the bytes of
-    its held angles in `held_joints` order).  `seed_tips` (F, 6, 3) and
-    `seed_jacobians` (F, 6, 3, n) are one stacked walk of them all, so each
-    entry, a Jacobian's memory layout included, is what a walk of its
-    posture alone gives.
+    would make.  The IK constants that the chain builds with a walk of the
+    group are each finger's `FingerSeeds`.
     """
     fingers: tuple[str, ...]
     shape: tuple[int, ...]
@@ -160,15 +150,31 @@ class WalkGroup:
     held_terms: tuple[np.ndarray, np.ndarray]
     terms: tuple[np.ndarray, np.ndarray]
     axes: np.ndarray
+    gathers: dict = field(default_factory=dict, compare=False, repr=False)
+
+
+@dataclass(frozen=True)
+class FingerSeeds:
+    """A finger's IK constants, built with the chain by
+    `kinematics.finger_seeds`: its own joints' limits (n,), as arrays and as
+    tuples of floats, and its seed walks, the walk at each posture an IK
+    descent can start from without reading the seed state.  `postures` (6,
+    n) are the neutral posture and the five re-seed postures, in re-seed
+    order, each walked with the joints that the finger's walk holds
+    (`held_joints`, root to tip) at their neutral angles (`held_neutral`,
+    their bytes).  `tips` (6, 3) and `jacobians` (6, 3, n) come from one
+    stacked walk of the finger's walk group, so each entry, a Jacobian's
+    memory layout included, is what a walk of its posture alone gives.
+    """
     lower: np.ndarray
     upper: np.ndarray
-    lower_l: tuple[tuple[float, ...], ...]
-    upper_l: tuple[tuple[float, ...], ...]
-    seed_postures: np.ndarray = None
-    seed_tips: np.ndarray = None
-    seed_jacobians: np.ndarray = None
-    held_neutral: tuple[bytes, ...] = ()
-    gathers: dict = field(default_factory=dict, compare=False, repr=False)
+    lower_l: tuple[float, ...]
+    upper_l: tuple[float, ...]
+    postures: np.ndarray
+    tips: np.ndarray
+    jacobians: np.ndarray
+    held_joints: tuple[int, ...]
+    held_neutral: bytes
 
 
 @dataclass(frozen=True)
@@ -193,9 +199,10 @@ class KinematicChain:
     """Immutable kinematic tree. Treat as read-only after construction.
 
     Every derived constant is built here, once: the FK levels, the finger
-    shapes and the fingers' walk groups, each with its IK constants, the
-    seed walks included (`WalkGroup`).  Only a walk group's `gathers` fill
-    later, as walks ask for them; no result depends on what they hold.
+    shapes, the fingers' walk groups (`WalkGroup`) and each finger's IK
+    constants, its seed walks included (`FingerSeeds`).  Only a walk
+    group's `gathers` fill later, as walks ask for them; no result depends
+    on what they hold.
     """
 
     links: tuple[LinkSpec, ...]
@@ -227,10 +234,11 @@ class KinematicChain:
     # so every parent link lies in an earlier level (or is the root)
     fk_levels: tuple[FkLevel, ...] = field(default=(), compare=False, repr=False)
     finger_shapes: FingerShapes = field(default=None, compare=False, repr=False)
-    # finger name -> its walk group and its row in it; the group holds the
-    # finger's walk constants and its IK constants (limits, seed walks)
+    # finger name -> its walk group and its row in it
     finger_walks: dict[str, tuple[WalkGroup, int]] = field(default_factory=dict, compare=False,
                                                            repr=False)
+    # finger name -> its IK constants: its limits and seed walks
+    finger_seeds: dict[str, FingerSeeds] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         self.link_index = {l.name: i for i, l in enumerate(self.links)}
@@ -256,15 +264,13 @@ class KinematicChain:
             path = self.path_to_link[finger.end_effector]
             shapes.setdefault(tuple(_OWN if ji in finger.joints else _HELD if ji in self.column_of
                                     else _FIXED for ji in path), []).append(name)
-        groups = [self._walk_group(shape, names) for shape, names in shapes.items()]
-        for group in groups:
-            self.finger_walks.update((name, (group, row)) for row, name in enumerate(group.fingers))
-        # the seed walks are walks of the groups just registered; `kinematics`
-        # imports this module, so it is imported here
-        from .kinematics import seed_walks
-        for group in groups:
-            group = replace(group, **seed_walks(self, group))
-            self.finger_walks.update((name, (group, row)) for row, name in enumerate(group.fingers))
+        # the seed walks are walks of the groups; `kinematics` imports this
+        # module, so it is imported here
+        from .kinematics import finger_seeds
+        for shape, names in shapes.items():
+            group = self._walk_group(shape, names)
+            self.finger_walks.update((name, (group, row)) for row, name in enumerate(names))
+            self.finger_seeds.update(finger_seeds(self, group))
 
     def _fk_level(self, level: list[int]) -> FkLevel:
         moving = [row for row, ji in enumerate(level) if ji in self.column_of]
@@ -289,7 +295,6 @@ class KinematicChain:
         origin_translation = np.array([[self.origin_translation[ji] for ji in js]
                                        for js in steps])
         root = np.array([np.eye(3)] * len(names))
-        lower, upper = self.lower.take(columns, 0), self.upper.take(columns, 0)
         return WalkGroup(
             fingers=tuple(names), shape=shape,
             origin_rotation=_frozen(origin_rotation),
@@ -300,9 +305,7 @@ class KinematicChain:
             held_steps=held_steps, held_joints=_frozen(held_joints),
             held_terms=tuple(_frozen(a.take(held_columns, 0)) for a in self.movable_rodrigues),
             terms=tuple(_frozen(a.take(columns, 0)) for a in self.movable_rodrigues),
-            axes=_frozen(self.movable_axes.take(columns.T, 0)),
-            lower=_frozen(lower), upper=_frozen(upper),
-            lower_l=tuple(map(tuple, lower.tolist())), upper_l=tuple(map(tuple, upper.tolist())))
+            axes=_frozen(self.movable_axes.take(columns.T, 0)))
 
     def _finger_shapes(self) -> FingerShapes:
         rows = [(name, li) for name, members in self.finger_links.items() for li in members

@@ -219,12 +219,13 @@ _TWO_LINK = parse_robot_description(TWO_LINK_ARM)
 
 
 @st.composite
-def _ik_problems(draw, chains):
+def _ik_problems(draw, chains, neutral=False):
     """(chain, finger, target, seed, config) over reachable, limit-pinned and far targets.
 
     Seeds and target postures reach 0.5 rad past the joint limits, so the
     seed is clamped and a target posture outside the limits pins a joint.
-    Half the seeds are the neutral posture, whose walk the chain keeps.
+    With `neutral`, the seed is the neutral posture, whose walk the chain
+    keeps.
     """
     chain = draw(st.sampled_from(chains))
     finger = draw(st.sampled_from(sorted(chain.fingers)))
@@ -234,7 +235,7 @@ def _ik_problems(draw, chains):
                                    chain.joints[ji].upper_limit + 0.5))
                 for ji in chain.movable}
 
-    seed = neutral_state(chain) if draw(st.booleans()) else JointState(values=posture())
+    seed = neutral_state(chain) if neutral else JointState(values=posture())
     ee = chain.fingers[finger].end_effector
     if draw(st.booleans()):
         target = link_transform(chain, JointState(values=posture()), ee)[1]
@@ -254,6 +255,17 @@ def test_matches_the_reference_loop_bitwise(chain, problem):
     """Bundled fingers, the two-link arm and a finger below a wrist joint."""
     robot, finger, target, seed, config = problem.draw(
         _ik_problems([chain, _TWO_LINK, _WRIST_HAND]))
+    result = solve_finger_ik(robot, finger, target, seed, config)
+    assert _bits(result) == _bits(reference_solve(robot, finger, target, seed, config))
+
+
+@settings(max_examples=20)
+@given(problem=st.data())
+def test_neutral_seeded_solves_match_the_reference_loop_bitwise(chain, problem):
+    """As above, from the neutral posture: the start row and the re-seed
+    rows take their first records from the chain's seed walks."""
+    robot, finger, target, seed, config = problem.draw(
+        _ik_problems([chain, _TWO_LINK, _WRIST_HAND], neutral=True))
     result = solve_finger_ik(robot, finger, target, seed, config)
     assert _bits(result) == _bits(reference_solve(robot, finger, target, seed, config))
 
@@ -353,14 +365,14 @@ def test_the_bundled_hand_solves_match_the_reference_loop(monkeypatch):
 
 
 @st.composite
-def _hand_problems(draw, chains):
+def _hand_problems(draw, chains, neutral=False):
     """(chain, targets, seed, config): one drawn problem per finger of one
     chain, in a drawn order, with a shared seed and config.
 
     A finger's target is the fingertip of a posture within its limits
     (reachable), of a posture up to 0.5 rad past them (limit-pinned), or a
-    point well outside its reach (far).  Half the seeds are the neutral
-    posture.
+    point well outside its reach (far).  With `neutral`, the seed is the
+    neutral posture.
     """
     chain = draw(st.sampled_from(chains))
 
@@ -370,7 +382,7 @@ def _hand_problems(draw, chains):
                                chain.joints[ji].upper_limit + margin))
             for ji in chain.movable})
 
-    seed = neutral_state(chain) if draw(st.booleans()) else posture(0.5)
+    seed = neutral_state(chain) if neutral else posture(0.5)
     targets = {}
     for finger in draw(st.permutations(sorted(chain.fingers))):
         ee = chain.fingers[finger].end_effector
@@ -393,6 +405,15 @@ def _hand_problems(draw, chains):
 def test_hand_solves_match_the_reference_loop_bitwise(chain, problem):
     """Bundled hand, the two-link arm and a finger below a wrist joint."""
     robot, targets, seed, config = problem.draw(_hand_problems([chain, _TWO_LINK, _WRIST_HAND]))
+    _assert_hand_matches_reference(robot, targets, seed, config)
+
+
+@settings(max_examples=15)
+@given(problem=st.data())
+def test_neutral_seeded_hand_solves_match_the_reference_loop_bitwise(chain, problem):
+    """As above, from the neutral posture, whose walks the chain keeps."""
+    robot, targets, seed, config = problem.draw(
+        _hand_problems([chain, _TWO_LINK, _WRIST_HAND], neutral=True))
     _assert_hand_matches_reference(robot, targets, seed, config)
 
 
@@ -580,10 +601,10 @@ def test_a_seed_off_neutral_by_its_bytes_walks(robot, finger, off_neutral):
     from dataclasses import replace
 
     robot = parse_robot_description(robot)
-    group, row = robot.finger_walks[finger]
-    tips = group.seed_tips.copy()
-    tips[row, slice(None) if group.held_steps else 0] = np.nan
-    robot.finger_walks[finger] = (replace(group, seed_tips=tips), row)
+    seeds = robot.finger_seeds[finger]
+    tips = seeds.tips.copy()
+    tips[slice(None) if seeds.held_joints else 0] = np.nan
+    robot.finger_seeds[finger] = replace(seeds, tips=tips)
     neutral = neutral_state(robot)
     seed = neutral.copy()
     seed.values.update(off_neutral)

@@ -349,43 +349,52 @@ def _own_jacobian(robot, state, finger):
 
 @pytest.mark.parametrize("robot", ["bundled", "two_link", "wrist"])
 def test_each_seed_walk_equals_a_fresh_walk_of_its_posture(chain, robot):
-    """Each finger's seed walks, built with the chain: entry 0 at the
-    neutral posture, entry r at re-seed r's posture (the reference loop's
-    arithmetic), with the held joints at neutral.  Each tip and Jacobian is
-    the bits of a `finger_walk` of that posture alone, and the Jacobian has
-    its memory layout, which J @ J.T reads."""
+    """Each finger's IK constants, built with the chain: its limits, and its
+    seed walks, entry 0 at the neutral posture, entry r at re-seed r's
+    posture (the reference loop's arithmetic), with the held joints at
+    neutral.  Each tip and Jacobian is the bits of a `finger_walk` of that
+    posture alone, and the Jacobian has its memory layout, which J @ J.T
+    reads."""
     robot = {"bundled": chain, "two_link": parse_robot_description(TWO_LINK_ARM),
              "wrist": parse_robot_description(WRIST_HAND)}[robot]
     neutral = neutral_state(robot)
-    for finger, (group, row) in robot.finger_walks.items():
+    assert robot.finger_seeds.keys() == robot.fingers.keys()
+    for finger, seeds in robot.finger_seeds.items():
         joints = robot.fingers[finger].joints
-        held = group.held_joints[:, row].tolist()
-        assert group.held_neutral[row] == np.array([neutral.values[ji] for ji in held],
-                                                   dtype=float).tobytes()
+        lower = [robot.joints[ji].lower_limit for ji in joints]
+        upper = [robot.joints[ji].upper_limit for ji in joints]
+        assert seeds.lower.tolist() == list(seeds.lower_l) == lower
+        assert seeds.upper.tolist() == list(seeds.upper_l) == upper
+        group, row = robot.finger_walks[finger]
+        assert seeds.held_joints == tuple(group.held_joints[:, row].tolist())
+        assert seeds.held_neutral == np.array([neutral.values[ji] for ji in seeds.held_joints],
+                                              dtype=float).tobytes()
         postures = [[neutral.values[ji] for ji in joints]] + [
-            [robot.joints[ji].lower_limit + frac * (robot.joints[ji].upper_limit
-                                                    - robot.joints[ji].lower_limit)
-             for ji in joints] for frac in (0.75, 0.1, 0.9, 0.5, 0.25)]
+            [lo + frac * (hi - lo) for lo, hi in zip(lower, upper)]
+            for frac in (0.75, 0.1, 0.9, 0.5, 0.25)]
         for k, posture in enumerate(np.array(postures)):
-            assert group.seed_postures[row, k].tobytes() == posture.tobytes()
+            assert seeds.postures[k].tobytes() == posture.tobytes()
             p, jacobian = finger_walk(robot, [finger], neutral)(posture[None])
-            J, J_seed = jacobian()[0], group.seed_jacobians[row, k]
-            assert group.seed_tips[row, k].tobytes() == p[0].tobytes()
+            J, J_seed = jacobian()[0], seeds.jacobians[k]
+            assert seeds.tips[k].tobytes() == p[0].tobytes()
             assert J_seed.tobytes(order="A") == J.tobytes(order="A")
             assert J_seed.strides == J.strides
 
 
 def test_a_walk_group_keeps_a_bounded_number_of_gathers(chain):
-    """A walk keeps its gather per sequence of finger names; past 256 the
-    group starts afresh, and a walk gives the same bits either way."""
+    """A walk keeps its gather per sequence of finger names; past
+    `_GATHERS` the group starts afresh, and a walk gives the same bits
+    either way."""
     from itertools import product
+
+    from graspforge.kinematics import _GATHERS
 
     group = chain.finger_walks["index"][0]
     state = neutral_state(chain)
     q = np.array([[0.1, 0.2, 0.3, 0.4]] * 5)
-    names = list(product(group.fingers, repeat=5))[:300]
+    names = list(product(group.fingers, repeat=5))[:3 * _GATHERS]
     first = [finger_walk(chain, n, state)(q)[0].tobytes() for n in names]
-    assert 0 < len(group.gathers) <= 256
+    assert 0 < len(group.gathers) <= _GATHERS
     assert [finger_walk(chain, n, state)(q)[0].tobytes() for n in names] == first
 
 
