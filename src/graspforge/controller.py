@@ -10,8 +10,8 @@ Phases:
 
 The servo integrates theta' = clamp(gain * (goal - theta), +-rate) at 1/hz
 with explicit Euler and clamps every iterate to joint limits.  The loop
-carries one array of joint angles in `chain.movable` order; a `JointState`
-is made only for the IK's seed and merged goal and for the final state.
+and the IK core work on joint angles in `chain.movable` order; the one
+`JointState` made is the final state.
 
 The goal of `pre_grasp` is fixed and the phase reads no contacts, so it is
 a function of the servo's states alone: the servo runs step by step, and
@@ -60,8 +60,8 @@ import numpy as np
 from ._checks import ConfigError, check_numbers
 from .contact import _stacked_contacts, closest_point_box
 from .grasp_validation import ValidationConfig, _assess_rows, _assessment
-from .ik_solver import IkConfig, merge_hand_results, solve_hand_ik
-from .kinematics import _angles, _clamp, _joint_state, _stacked_frames
+from .ik_solver import _LOCKSTEP, IkConfig, _solve
+from .kinematics import _clamp, _joint_state, _neutral, _stacked_frames
 from .robot_model import KinematicChain
 from .scene import Scene, base_from_world
 
@@ -197,21 +197,22 @@ def _approach_goal(scene: Scene, targets: dict) -> dict:
 
 def _solve_goal(chain: KinematicChain, targets: dict, q: np.ndarray, ik: IkConfig,
                 phase: str) -> np.ndarray:
-    """Per-finger IK toward `targets` from angles `q`, merged into one goal
-    posture, returned as angles.
-
-    Each finger's DEBUG record says why its solve ended: `converged`,
+    """Per-finger IK toward `targets` from angles `q`: `q` clamped, each
+    finger's best posture in its columns.  Leaves `solve_hand_ik`'s DEBUG
+    record, then one per finger saying why its solve ended: `converged`,
     `plateau` (stopped early, its restarts spent) or `budget` (all
     `max_iterations` used).
     """
-    seed = _joint_state(chain, q)
-    results = solve_hand_ik(chain, targets, seed, ik)
-    for finger, r in results.items():
-        ended = ("converged" if r.converged
-                 else "plateau" if r.iterations < ik.max_iterations else "budget")
+    goal, solves, counts = _solve(chain, targets, q, ik)
+    _log.debug(_LOCKSTEP, *counts)
+    for finger, s in solves.items():
+        converged = s.converged(ik)
+        ended = ("converged" if converged
+                 else "plateau" if s.iterations < ik.max_iterations else "budget")
         _log.debug("%s IK %s: residual %.3g m after %d iterations, converged=%s, ended by %s",
-                   phase, finger, r.residual, r.iterations, r.converged, ended)
-    return _angles(chain, merge_hand_results(chain, seed, results))
+                   phase, finger, s.best_residual, s.iterations, converged, ended)
+        goal[s.seeds.columns] = s.best_q
+    return goal
 
 
 def _base_targets(scene: Scene, targets: dict) -> dict:
@@ -343,7 +344,7 @@ def execute_grasp(scene: Scene, targets: dict, run: RunConfig | None = None,
     ik = ik or IkConfig()
     validation = validation or ValidationConfig()
     chain = scene.chain
-    q = _clamp(np.zeros(len(chain.movable)), chain.lower, chain.upper)  # neutral_state
+    q = _neutral(chain)
     # the log's rows, a block of (steps, positions, contact counts, phase
     # codes) per pass
     rows = []

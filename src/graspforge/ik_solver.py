@@ -31,26 +31,28 @@ its re-seeds are spent, usually well inside the budget.  Its residual is the
 best of the stall points, which can lie a few percent above the least
 reachable residual, because a stall stops a descent that is still improving.
 
-A solve runs in lockstep rounds over rows (`_solve`).  A row is one descent
-of one finger, from its start or from one re-seed, and in each round every
-live row walks one posture: its seed or a damping trial.  A seed that is a
-constant of the chain is not walked: the row takes its first record (the
-fingertip and Jacobian) from the finger's seed walks, built with the chain
-(`FingerSeeds`), and steps from its first round on.  Such seeds are the start
-of a solve seeded at the neutral posture, compared by bytes (the
-controller's pre-grasp solve, and any solve from `neutral_state`), and
-every re-seed, provided the joints that the finger's walk holds, such as a
-wrist above it, are at their neutral angles too.  Rows of one walk group
-(fingers with the same sequence of own, other and fixed joints from the
-root to the fingertip) share one stacked walk, `finger_walk`, which gathers
-the group's walk constants, built with the chain, for its rows and gives
-their fingertips and Jacobians; on the bundled hand the four long fingers
-form one group and the thumb another.  The trials of a group come from one
-batched damping step (`_stacked_dls_step`), and each pass of the clamping
-loop re-solves all of its rows with a pushed pinned joint in one batch; a
-row that steps alone takes the 2-D `_dls_step`, which the batched step
-matches row for row.  A Jacobian is made only for the rows that go on from
-the walked posture.
+A solve runs in lockstep rounds over rows (`_solve`), on angle arrays in
+`chain.movable` order: the seed is clamped into the limits once, and each
+finger reads its own and its held joints by column (`FingerSeeds`).  The
+public functions convert a `JointState` at their edge; the controller calls
+the core on its angles.  A row is one descent of one finger, from its start
+or from one re-seed, and in each round every live row walks one posture:
+its seed or a damping trial.  A seed that is a constant of the chain is not
+walked: the row takes its first record (the fingertip and Jacobian) from
+the finger's seed walks, built with the chain, and steps from its first
+round on.  Such seeds are the start of a solve seeded at the neutral
+posture, compared by bytes (the controller's pre-grasp solve, and any solve
+from `neutral_state`), and every re-seed, provided the joints that the
+finger's walk holds, such as a wrist above it, are at their neutral angles
+too.  Rows of one walk group (fingers with the same sequence of own, other
+and fixed joints from the root to the fingertip) share one stacked walk,
+`finger_walk`; on the bundled hand the four long fingers form one group and
+the thumb another.  The trials of a group come from one batched damping
+step (`_stacked_dls_step`), and each pass of the clamping loop re-solves
+all of its rows with a pushed pinned joint in one batch; a row that steps
+alone takes the 2-D `_dls_step`, which the batched step matches row for
+row.  A Jacobian is made only for the rows that go on from the walked
+posture.
 
 A descent's path depends only on its seed, since its damping starts afresh:
 of its tests, only the stall test and the budget read the solve's iteration
@@ -65,24 +67,18 @@ row is decided, an earlier descent converges or the budget is spent, and
 stops a later row once its last record would end it at the least count it
 can start at.  Each finger keeps its own damping, residuals, re-seeds,
 iteration count and best posture, so its result is the one it would reach
-alone: `solve_finger_ik` is the core's call on one finger, and
-`solve_hand_ik` runs every target through one core.  An unreachable
-target's re-seeds thus take about as many rounds as its longest one, not as
-all of them together.  The bundled grasp's two hand solves take 17 rounds
-and 30 stacked walks (19 and 33 when every row walked its seed), where one
-descent at a time took 46 rounds and 60 walks, and the fingers one at a
-time 130 walks.  `solve_hand_ik` leaves one DEBUG record on the
-`graspforge` logger with its rounds, stacked walks and row trials (postures
-walked, speculative rows included).
+alone, and an unreachable target's re-seeds take about as many rounds as
+its longest one.  The bundled grasp's two hand solves take 17 rounds and 30
+stacked walks.  `solve_hand_ik` leaves one DEBUG record on the `graspforge`
+logger with its rounds, stacked walks and row trials (postures walked).
 
 Every result equals, bit for bit, that of the same loop written on a
 per-joint walk of one fingertip and its Jacobian, `clamp_to_limits` and a
 joint dict, one finger at a time (`reference_solve` in tests/reference.py,
-the oracle of the bitwise tests).  The
-stacked walk and step round like the 2-D ones because each stacked slice
-is computed by the same operations on an array of the same memory layout
-(see the `kinematics` module notes), and each seed walk is the bits of the
-walk of its posture alone.
+the oracle of the bitwise tests).  The stacked walk and step round like the
+2-D ones because each stacked slice is computed by the same operations on
+an array of the same memory layout (see the `kinematics` module notes), and
+each seed walk is the bits of the walk of its posture alone.
 """
 
 from __future__ import annotations
@@ -94,8 +90,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import ConfigError, check_numbers
-from .kinematics import (_EYE3, _RESTART_FRACTIONS, JointState, KinematicsError, _clamp, _stack,
-                         _target_position, clamp_to_limits, finger_walk)
+from .kinematics import (_EYE3, _RESTART_FRACTIONS, JointState, KinematicsError, _angles, _clamp,
+                         _joint_state, _stack, _target_position, finger_walk)
 from .robot_model import KinematicChain
 
 # damping retries per iteration before declaring the state stationary
@@ -103,6 +99,7 @@ _MAX_RETRIES = 12
 _MIN_LAMBDA = 1e-6
 
 _log = logging.getLogger("graspforge")
+_LOCKSTEP = "IK lockstep: %d rounds, %d stacked walks, %d row trials"
 
 
 @dataclass
@@ -221,30 +218,22 @@ class _FingerSolve:
     the next one at its end count.
     """
 
-    __slots__ = ("name", "finger", "target", "seeds", "seeded", "lower", "upper", "lower_l",
-                 "upper_l", "group", "rows", "descent", "offset", "consumed", "iterations",
-                 "best_q", "best_residual", "done")
+    __slots__ = ("name", "target", "seeds", "seeded", "group", "rows", "descent", "offset",
+                 "consumed", "iterations", "best_q", "best_residual", "done")
 
-    def __init__(self, chain: KinematicChain, name: str, target, start: JointState,
+    def __init__(self, chain: KinematicChain, name: str, target, start: np.ndarray,
                  groups: dict, cfg: IkConfig):
-        self.name, self.finger = name, chain.finger(name)
-        self.target = _finger_target(name, target)
+        chain.finger(name)  # an unknown name raises UnknownFingerError
+        self.name, self.target = name, _finger_target(name, target)
         seeds = self.seeds = chain.finger_seeds[name]
-        self.lower, self.upper = seeds.lower, seeds.upper
-        # limits as Python floats for the pinned-joint tests: on a handful of
-        # joints, numpy's per-call overhead would cost more than the comparisons
-        self.lower_l, self.upper_l = seeds.lower_l, seeds.upper_l
         # the seed walks hold while the joints the finger's walk holds are at
         # their neutral angles, compared by bytes: a -0.0 can walk to other bits
-        self.seeded = not seeds.held_joints or np.array(
-            [start.get(ji) for ji in seeds.held_joints],
-            dtype=float).tobytes() == seeds.held_neutral
+        self.seeded = start.take(seeds.held_columns).tobytes() == seeds.held_neutral
         self.group = groups.setdefault(chain.finger_walks[name][0].fingers, _Group())
         self.rows = []
         self.descent = self.offset = self.consumed = self.iterations = 0
-        self.best_q = None
-        self.done = False
-        q = np.array([start.get(ji) for ji in self.finger.joints], dtype=float)
+        self.best_q, self.done = None, False
+        q = start.take(seeds.columns)
         self._start_rows([_Row(self, 0, q)],
                          self.seeded and q.tobytes() == seeds.postures[0].tobytes(), cfg)
 
@@ -340,12 +329,15 @@ class _FingerSolve:
         for row in self.rows:
             row.live = False
 
-    def result(self, start: JointState, cfg: IkConfig) -> IkResult:
-        values = dict(start.values)
-        values.update(zip(self.finger.joints, map(float, self.best_q)))
-        return IkResult(state=JointState(values=values), residual=self.best_residual,
-                        iterations=self.iterations,
-                        converged=self.best_residual <= cfg.residual_threshold)
+    def converged(self, cfg: IkConfig) -> bool:
+        return self.best_residual <= cfg.residual_threshold
+
+    def result(self, chain: KinematicChain, start: np.ndarray, cfg: IkConfig) -> IkResult:
+        """The solve as an `IkResult`: its best posture in its columns of `start`."""
+        q = start.copy()
+        q[self.seeds.columns] = self.best_q
+        return IkResult(state=_joint_state(chain, q), residual=self.best_residual,
+                        iterations=self.iterations, converged=self.converged(cfg))
 
 
 def _finger_target(name: str, target) -> np.ndarray:
@@ -375,7 +367,7 @@ def _steps(rows: list, cfg: IkConfig) -> None:
     """
     if len(rows) == 1:
         (r,) = rows
-        s = r.solve
+        s = r.solve.seeds  # its limits as floats too: numpy costs more on a few joints
         dq = _dls_step(r.J, r.J @ r.J.T, r.trial_lam, r.e, cfg.step_scale)
         qs = r.q.tolist()
         if any(a <= lo or a >= hi for a, lo, hi in zip(qs, s.lower_l, s.upper_l)):
@@ -393,9 +385,9 @@ def _steps(rows: list, cfg: IkConfig) -> None:
     Jt, e = _stack([r.J.T for r in rows]), _stack([r.e for r in rows])
     lams = [r.trial_lam for r in rows]
     dq = _stacked_dls_step(Jt.transpose(0, 2, 1), lams, e, cfg.step_scale)
-    solves = [r.solve for r in rows]
-    q, lower, upper = (_stack([r.q for r in rows]), _stack([s.lower for s in solves]),
-                       _stack([s.upper for s in solves]))
+    seeds = [r.solve.seeds for r in rows]
+    q, lower, upper = (_stack([r.q for r in rows]), _stack([s.lower for s in seeds]),
+                       _stack([s.upper for s in seeds]))
     at_lower, at_upper = q <= lower, q >= upper
     pushed = (at_lower & (dq < 0.0)) | (at_upper & (dq > 0.0))
     active = np.arange(len(rows))
@@ -424,15 +416,14 @@ class _Group:
         self.rows, self.walked = [], None
 
 
-def _solve(chain: KinematicChain, targets: dict, seed: JointState,
-           config: IkConfig | None) -> tuple[dict[str, IkResult], tuple[int, int, int]]:
-    """The lockstep core: every finger of `targets` solved from `seed`.
-
-    Returns the results in the order of `targets`, and the rounds, stacked
-    walks and row trials (postures walked) it made.
+def _solve(chain: KinematicChain, targets: dict, q: np.ndarray,
+           cfg: IkConfig) -> tuple[np.ndarray, dict[str, _FingerSolve], tuple[int, int, int]]:
+    """The lockstep core: every finger of `targets` solved from angles `q`
+    (`chain.movable` order).  Returns the start (`q` clamped into the
+    limits), each finger's `_FingerSolve` in the order of `targets`, and
+    the rounds, stacked walks and row trials (postures walked) it made.
     """
-    cfg = config or IkConfig()
-    start = clamp_to_limits(chain, seed)
+    start = _clamp(q, chain.lower, chain.upper)
     groups: dict[tuple, _Group] = {}
     solves = {name: _FingerSolve(chain, name, target, start, groups, cfg)
               for name, target in targets.items()}
@@ -468,8 +459,21 @@ def _solve(chain: KinematicChain, targets: dict, seed: JointState,
             break
         rounds += 1
         walks += round_walks
-    results = {name: s.result(start, cfg) for name, s in solves.items()}
-    return results, (rounds, walks, trials)
+    return start, solves, (rounds, walks, trials)
+
+
+def _solve_state(chain: KinematicChain, targets: dict, seed: JointState,
+                 config: IkConfig | None) -> tuple[dict[str, IkResult], tuple[int, int, int]]:
+    """`_solve` on the angles of `seed`, its results as `IkResult`s, and its
+    counts.  A NaN seed angle raises: the start would stay the best posture,
+    as no residual is `< nan`.  The clamp takes +-inf to a limit."""
+    q = _angles(chain, seed)
+    if np.isnan(q).any():
+        ji = chain.movable[int(np.isnan(q).argmax())]
+        raise KinematicsError(f"IK seed angle of joint {chain.joints[ji].name!r} is NaN")
+    cfg = config or IkConfig()
+    start, solves, counts = _solve(chain, targets, q, cfg)
+    return {name: s.result(chain, start, cfg) for name, s in solves.items()}, counts
 
 
 def solve_finger_ik(chain: KinematicChain, finger: str, target,
@@ -481,8 +485,7 @@ def solve_finger_ik(chain: KinematicChain, finger: str, target,
     the result is always a feasible posture.  The one-row call of the
     lockstep core.
     """
-    results, _ = _solve(chain, {finger: target}, seed, config)
-    return results[finger]
+    return _solve_state(chain, {finger: target}, seed, config)[0][finger]
 
 
 def solve_hand_ik(chain: KinematicChain, targets: dict, seed: JointState,
@@ -494,16 +497,16 @@ def solve_hand_ik(chain: KinematicChain, targets: dict, seed: JointState,
     the one `solve_finger_ik` gives for its finger alone.  Leaves one DEBUG
     record: the rounds, stacked walks and row trials.
     """
-    results, counts = _solve(chain, targets, seed, config)
-    _log.debug("IK lockstep: %d rounds, %d stacked walks, %d row trials", *counts)
+    results, counts = _solve_state(chain, targets, seed, config)
+    _log.debug(_LOCKSTEP, *counts)
     return results
 
 
 def merge_hand_results(chain: KinematicChain, seed: JointState,
                        results: dict[str, IkResult]) -> JointState:
-    """Fold per-finger solutions into one full state on top of `seed`."""
-    merged = clamp_to_limits(chain, seed)
+    """Fold per-finger solutions into one full state on top of `seed`, clamped."""
+    q = _clamp(_angles(chain, seed), chain.lower, chain.upper)
     for finger, result in results.items():
-        for ji in chain.finger(finger).joints:
-            merged.values[ji] = result.state.values[ji]
-    return merged
+        columns = [chain.column_of[ji] for ji in chain.finger(finger).joints]
+        q[columns] = _angles(chain, result.state)[columns]
+    return _joint_state(chain, q)

@@ -15,20 +15,20 @@ checked when it is made.  Two routes compute frames:
   as stacked arrays, rotations (T, L, 3, 3) and translations (T, L, 3),
   composing one tree depth per batch with stacked `matmul`, with the
   rotations of all movable joints of all rows from one vectorized Rodrigues
-  evaluation.  The controller calls it on its angle rows (`_angles` and
-  `_joint_state` convert a `JointState` to and from angles in
-  `chain.movable` order); `link_frames` is its one-row call, and
-  `link_transform` and `jacobian` read their link's frames from it.
+  evaluation.  The controller calls it on its angle rows; `link_frames` is
+  its one-row call, and `link_transform` and `jacobian` read their link's
+  frames from it.
 - `finger_walk` serves the IK: for G rows of fingers of one walk group
   (fingers with the same kinds of joints from the root to the tip: their
   own, another movable one held at its angle, or fixed), it gathers the
-  group's constants for the rows (once per sequence of finger names), and
-  each call makes one stacked walk from the root to the fingertips, with
-  the rotations of all the rows' own joints from one vectorized Rodrigues
-  evaluation, and gives the fingertips (G, 3) and, when asked, their
-  Jacobians (G, 3, n).  `finger_seeds` makes, with the chain, the walks of
-  every finger at the postures an IK descent starts from without reading
-  its seed: neutral and the five re-seeds.
+  group's constants for the rows (once per sequence of finger names) and
+  reads the held angles by column; each call makes one stacked walk from
+  the root to the fingertips, with the rotations of all the rows' own
+  joints from one vectorized Rodrigues evaluation, and gives the
+  fingertips (G, 3) and, when asked, their Jacobians (G, 3, n).
+  `finger_seeds` makes, with the chain, the walks of every finger at the
+  postures an IK descent starts from without reading its seed: neutral
+  and the five re-seeds.
 
 Both make the compose sequence R = R_parent @ R_origin, t = R_parent @
 t_origin + t_parent, then R @ R_joint for a movable joint:
@@ -67,7 +67,7 @@ _EYE3.setflags(write=False)
 
 
 class KinematicsError(ValueError):
-    """Unknown link or a joint value missing from the state."""
+    """Unknown link, a joint value missing from the state, or a bad IK input."""
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,8 @@ def _target_position(target) -> np.ndarray:
 
 @dataclass
 class JointState:
-    """Joint angles in radians keyed by joint index into chain.joints."""
+    """Joint angles in radians keyed by joint index into chain.joints, the
+    public format; inside the package angles are arrays in `chain.movable` order."""
 
     values: dict[int, float]
 
@@ -126,15 +127,6 @@ class JointState:
             raise KinematicsError(f"state has no value for joint index {joint}") from None
 
 
-def zero_state(chain: KinematicChain) -> JointState:
-    return JointState(values={ji: 0.0 for ji in chain.movable})
-
-
-def neutral_state(chain: KinematicChain) -> JointState:
-    """All-zero angles clamped into limits: the controller's start posture."""
-    return clamp_to_limits(chain, zero_state(chain))
-
-
 def clamp_to_limits(chain: KinematicChain, state: JointState) -> JointState:
     """Clamp every provided joint value into its [lower, upper] range."""
     clamped = {}
@@ -145,8 +137,8 @@ def clamp_to_limits(chain: KinematicChain, state: JointState) -> JointState:
 
 
 def _clamp(q: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """min(max(q, lower), upper) per entry, as Python's min/max: a value equal
-    to a limit is kept (-0.0 at a 0.0 limit stays -0.0), a NaN stays NaN."""
+    """`clamp_to_limits`'s min(max(q, lower), upper) per entry, bit for bit: a
+    value at a limit is kept (-0.0 at a 0.0 limit stays -0.0), NaN stays NaN."""
     q = np.where(lower > q, lower, q)
     return np.where(upper < q, upper, q)
 
@@ -159,6 +151,16 @@ def _angles(chain: KinematicChain, state: JointState) -> np.ndarray:
 def _joint_state(chain: KinematicChain, q: np.ndarray) -> JointState:
     """The JointState of angles `q` in `chain.movable` order."""
     return JointState(values=dict(zip(chain.movable, q.tolist())))
+
+
+def _neutral(chain: KinematicChain) -> np.ndarray:
+    """All-zero angles clamped into limits: the controller's start posture."""
+    return _clamp(np.zeros(len(chain.movable)), chain.lower, chain.upper)
+
+
+def neutral_state(chain: KinematicChain) -> JointState:
+    """The JointState of the neutral posture (`_neutral`)."""
+    return _joint_state(chain, _neutral(chain))
 
 
 def within_limits(chain: KinematicChain, state: JointState, tol: float = 0.0) -> bool:
@@ -276,24 +278,24 @@ _RESTART_FRACTIONS = (0.25, 0.75, 0.1, 0.9, 0.5)
 _GATHERS = 64
 
 
-def finger_walk(chain: KinematicChain, fingers, state: JointState):
+def finger_walk(chain: KinematicChain, fingers, angles: np.ndarray):
     """End-effector positions and Jacobians of G rows of fingers of one walk
     group (`chain.finger_walks`), as a function of the rows' own angles.
 
     `fingers` names the finger of each row; a finger may fill several rows.
     Every other joint on a finger's path, such as a wrist above it, keeps
-    its angle in `state`; no other joint is read.  The walk constants are
-    the group's, built with the chain, and gathered for the rows once per
-    sequence of names (`WalkGroup.gathers`); the held joints' rotations are
-    made on each call.  The returned `walk(q)` takes the rows' angles,
-    shape (G, n) with each row base to tip, and makes one stacked walk from
-    the root: a stacked `matmul` per joint, with all rotations from one
-    vectorized Rodrigues evaluation.
-    It returns the positions (G, 3) and a `jacobian()` that gives the
-    Jacobians over the fingers' joints (G, 3, n) from the same walk, so a
-    caller that reads no Jacobian (a rejected damping trial) makes none.
-    Each row is bit for bit what `link_transform` and
-    `jacobian(...)[:, cols]` give for the same state.  A Jacobian row keeps
+    its angle in `angles` (`chain.movable` order), read by column; no other
+    joint is read.  The walk constants are the group's, built with the
+    chain, and gathered for the rows once per sequence of names
+    (`WalkGroup.gathers`); the held joints' rotations are made on each call.
+    The returned `walk(q)` takes the rows' angles, shape (G, n) with each
+    row base to tip, and makes one stacked walk from the root: a stacked
+    `matmul` per joint, with all rotations from one vectorized Rodrigues
+    evaluation.  It returns the positions (G, 3) and a `jacobian()` that
+    gives the Jacobians over the fingers' joints (G, 3, n) from the same
+    walk, so a caller that reads no Jacobian (a rejected damping trial)
+    makes none.  Each row is bit for bit what `link_transform` and
+    `jacobian(...)[:, cols]` give for the same angles.  A Jacobian row keeps
     the memory layout of that column selection (the transpose of a
     C-ordered (n, 3) array), so that J @ J.T and J.T @ x round the same way.
     """
@@ -305,7 +307,7 @@ def finger_walk(chain: KinematicChain, fingers, state: JointState):
             group.gathers.clear()
         gathered = group.gathers[fingers] = _gather(
             group, [chain.finger_walks[f][1] for f in fingers])
-    return _group_walk(group, gathered, state)
+    return _group_walk(group, gathered, angles)
 
 
 def _gather(group: WalkGroup, rows) -> tuple:
@@ -314,25 +316,23 @@ def _gather(group: WalkGroup, rows) -> tuple:
     # R @ t_origin takes
     origin_rotation = list(group.origin_rotation.take(rows, 1))
     origin_translation = list(group.origin_translation.take(rows, 1)[..., None])
-    held_joints = group.held_joints.take(rows, 1).tolist()
+    held_columns = group.held_columns.take(rows, 1)
     held_terms = tuple(a.take(rows, 1) for a in group.held_terms)
     terms = tuple(a.take(rows, 0) for a in group.terms)
     # the joints' axes, (n, G, 3, 1), as the stacked joint frames take them
     axes = group.axes.take(rows, 1)[..., None]
     first = group.first_rotation.take(rows, 0), group.first_translation.take(rows, 0)
-    return origin_rotation, origin_translation, held_joints, held_terms, terms, axes, first
+    return origin_rotation, origin_translation, held_columns, held_terms, terms, axes, first
 
 
-def _group_walk(group: WalkGroup, gathered: tuple, state: JointState):
+def _group_walk(group: WalkGroup, gathered: tuple, angles: np.ndarray):
     """`finger_walk` of walk group `group`'s rows whose constants are
-    `gathered` (`_gather`)."""
-    origin_rotation, origin_translation, held_joints, held_terms, terms, axes, first = gathered
-    # the rotations of the held joints at their angles in `state`, (G, 3, 3)
-    # per held step
+    `gathered` (`_gather`), the held joints at their `angles`."""
+    origin_rotation, origin_translation, held_columns, held_terms, terms, axes, first = gathered
+    # the rotations of the held joints, (G, 3, 3) per held step
     held = {}
     if group.held_steps:
-        angles = [[state.get(ji) for ji in js] for js in held_joints]
-        held = dict(zip(group.held_steps, _rodrigues(held_terms, np.array(angles, dtype=float))))
+        held = dict(zip(group.held_steps, _rodrigues(held_terms, angles.take(held_columns))))
     shape = group.shape
     last = len(shape) - 1
 
@@ -370,25 +370,25 @@ def _group_walk(group: WalkGroup, gathered: tuple, state: JointState):
 
 def finger_seeds(chain: KinematicChain, group: WalkGroup) -> dict[str, FingerSeeds]:
     """The IK constants of walk group `group`'s fingers, for the chain to
-    keep (`FingerSeeds`): each finger's limits, and its posture, fingertip
-    and Jacobian at the neutral posture and at each re-seed posture,
-    restart 1 to 5 (fraction `_RESTART_FRACTIONS[r % 5]` of each joint's
-    range from its lower limit), with the held joints at their neutral
-    angles.
+    keep (`FingerSeeds`): each finger's columns and limits, and its
+    posture, fingertip and Jacobian at the neutral posture and at each
+    re-seed posture, restart 1 to 5 (fraction `_RESTART_FRACTIONS[r % 5]`
+    of each joint's range from its lower limit), with the held joints at
+    their neutral angles.
 
     The postures are the values an IK solve computes for them, and one
     stacked walk of the group at all of them gives the tips and Jacobians,
     so each entry equals the walk of its posture alone, bit for bit.
     """
-    neutral = neutral_state(chain)
-    joints = [chain.fingers[f].joints for f in group.fingers]
-    columns = np.array([[chain.column_of[ji] for ji in js] for js in joints])
+    neutral = _neutral(chain)
+    columns = _frozen(np.array([[chain.column_of[ji] for ji in chain.fingers[f].joints]
+                                for f in group.fingers]))
     lower, upper = _frozen(chain.lower.take(columns, 0)), _frozen(chain.upper.take(columns, 0))
     fractions = np.array([_RESTART_FRACTIONS[r % len(_RESTART_FRACTIONS)]
                           for r in range(1, len(_RESTART_FRACTIONS) + 1)])[:, None]
-    own = np.array([[neutral.values[ji] for ji in js] for js in joints])
     postures = _frozen(np.concatenate(
-        [own[:, None], lower[:, None] + fractions * (upper - lower)[:, None]], axis=1))
+        [neutral.take(columns)[:, None], lower[:, None] + fractions * (upper - lower)[:, None]],
+        axis=1))
     F, k, n = postures.shape
     p, jacobian = _group_walk(group, _gather(group, np.repeat(np.arange(F), k)), neutral)(
         postures.reshape(F * k, n))
@@ -396,15 +396,12 @@ def finger_seeds(chain: KinematicChain, group: WalkGroup) -> dict[str, FingerSee
     # split the rows of the C-ordered (G, n, 3) cross products, so that every
     # entry keeps the strides of a one-row walk's Jacobian, size-1 axes too
     J = _frozen(jacobian().transpose(0, 2, 1).reshape(F, k, n, 3).transpose(0, 1, 3, 2))
-    seeds = {}
-    for row, name in enumerate(group.fingers):
-        held = tuple(group.held_joints[:, row].tolist())
-        seeds[name] = FingerSeeds(
-            lower=lower[row], upper=upper[row],
-            lower_l=tuple(lower[row].tolist()), upper_l=tuple(upper[row].tolist()),
-            postures=postures[row], tips=tips[row], jacobians=J[row], held_joints=held,
-            held_neutral=np.array([neutral.values[ji] for ji in held], dtype=float).tobytes())
-    return seeds
+    held = group.held_columns.T
+    return {name: FingerSeeds(
+        columns=columns[row], lower=lower[row], upper=upper[row],
+        lower_l=tuple(lower[row].tolist()), upper_l=tuple(upper[row].tolist()),
+        postures=postures[row], tips=tips[row], jacobians=J[row], held_columns=held[row],
+        held_neutral=neutral.take(held[row]).tobytes()) for row, name in enumerate(group.fingers)}
 
 
 def jacobian(chain: KinematicChain, state: JointState, link) -> np.ndarray:

@@ -116,7 +116,7 @@ class FkLevel:
 
 # The kinds of the steps of a finger walk, from the root to the finger's
 # end effector: a joint of the finger, another movable joint (held at its
-# angle in the state) and a fixed joint.
+# angle in the walk's angles) and a fixed joint.
 _OWN, _HELD, _FIXED = 0, 1, 2
 
 
@@ -128,16 +128,16 @@ class WalkGroup:
     `shape` is the kind of each joint from the root to the end effector
     (the same for every finger of the group).  Per step and finger: the
     joint's origin rotation (S, F, 3, 3) and translation (S, F, 3); per held
-    step and finger, the held joint (H, F) and its Rodrigues terms (H, F, 9);
-    per finger, the Rodrigues terms of its own joints (F, n, 9), and per own
-    joint and finger its axis (n, F, 3).  A walk gathers its rows with
-    `take` along the finger axis, and keeps what it gathered for each
-    sequence of finger names in `gathers`.  The first joint's frame, the
-    root frame (the identity at the origin) composed with the joint's
-    origin, is a constant too: `first_rotation` (F, 3, 3) and
-    `first_translation` (F, 3, 1), made by the stacked products the walk
-    would make.  The IK constants that the chain builds with a walk of the
-    group are each finger's `FingerSeeds`.
+    step and finger, the held joint's column in `KinematicChain.movable`
+    (H, F) and its Rodrigues terms (H, F, 9); per finger, the Rodrigues
+    terms of its own joints (F, n, 9), and per own joint and finger its axis
+    (n, F, 3).  A walk gathers its rows with `take` along the finger axis,
+    and keeps what it gathered for each sequence of finger names in
+    `gathers`.  The first joint's frame, the root frame (the identity at the
+    origin) composed with the joint's origin, is a constant too:
+    `first_rotation` (F, 3, 3) and `first_translation` (F, 3, 1), made by
+    the stacked products the walk would make.  The IK constants that the
+    chain builds with a walk of the group are each finger's `FingerSeeds`.
     """
     fingers: tuple[str, ...]
     shape: tuple[int, ...]
@@ -146,7 +146,7 @@ class WalkGroup:
     first_rotation: np.ndarray
     first_translation: np.ndarray
     held_steps: tuple[int, ...]
-    held_joints: np.ndarray
+    held_columns: np.ndarray
     held_terms: tuple[np.ndarray, np.ndarray]
     terms: tuple[np.ndarray, np.ndarray]
     axes: np.ndarray
@@ -156,16 +156,18 @@ class WalkGroup:
 @dataclass(frozen=True)
 class FingerSeeds:
     """A finger's IK constants, built with the chain by
-    `kinematics.finger_seeds`: its own joints' limits (n,), as arrays and as
-    tuples of floats, and its seed walks, the walk at each posture an IK
-    descent can start from without reading the seed state.  `postures` (6,
-    n) are the neutral posture and the five re-seed postures, in re-seed
-    order, each walked with the joints that the finger's walk holds
-    (`held_joints`, root to tip) at their neutral angles (`held_neutral`,
-    their bytes).  `tips` (6, 3) and `jacobians` (6, 3, n) come from one
-    stacked walk of the finger's walk group, so each entry, a Jacobian's
-    memory layout included, is what a walk of its posture alone gives.
+    `kinematics.finger_seeds`: its own joints' columns in
+    `KinematicChain.movable` (n,) and their limits, as arrays and as tuples
+    of floats, and its seed walks, the walk at each posture an IK descent
+    can start from without reading the seed angles.  `postures` (6, n) are
+    the neutral posture and the five re-seed postures, in re-seed order,
+    each walked with the joints that the finger's walk holds (columns
+    `held_columns`) at their neutral angles (`held_neutral`, their bytes).
+    `tips` (6, 3) and `jacobians` (6, 3, n) come from one stacked walk of
+    the finger's walk group, so each entry, a Jacobian's memory layout
+    included, is what a walk of its posture alone gives.
     """
+    columns: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     lower_l: tuple[float, ...]
@@ -173,7 +175,7 @@ class FingerSeeds:
     postures: np.ndarray
     tips: np.ndarray
     jacobians: np.ndarray
-    held_joints: tuple[int, ...]
+    held_columns: np.ndarray
     held_neutral: bytes
 
 
@@ -287,10 +289,9 @@ class KinematicChain:
         # per step of the walk, the joint of each finger
         steps = list(zip(*(self.path_to_link[self.fingers[f].end_effector] for f in names)))
         held_steps = tuple(s for s, kind in enumerate(shape) if kind == _HELD)
-        held_joints = np.array([steps[s] for s in held_steps], dtype=int).reshape(-1, len(names))
+        held_columns = np.array([[self.column_of[ji] for ji in steps[s]] for s in held_steps],
+                                dtype=int).reshape(-1, len(names))
         columns = np.array([[self.column_of[ji] for ji in self.fingers[f].joints] for f in names])
-        held_columns = np.array([[self.column_of[ji] for ji in js] for js in held_joints.tolist()],
-                                dtype=int).reshape(held_joints.shape)
         origin_rotation = np.array([[self.origin_rotation[ji] for ji in js] for js in steps])
         origin_translation = np.array([[self.origin_translation[ji] for ji in js]
                                        for js in steps])
@@ -302,7 +303,7 @@ class KinematicChain:
             first_rotation=_frozen(root @ origin_rotation[0]),
             first_translation=_frozen(root @ origin_translation[0][..., None]
                                       + np.zeros((len(names), 3, 1))),
-            held_steps=held_steps, held_joints=_frozen(held_joints),
+            held_steps=held_steps, held_columns=_frozen(held_columns),
             held_terms=tuple(_frozen(a.take(held_columns, 0)) for a in self.movable_rodrigues),
             terms=tuple(_frozen(a.take(columns, 0)) for a in self.movable_rodrigues),
             axes=_frozen(self.movable_axes.take(columns.T, 0)))

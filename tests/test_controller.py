@@ -237,6 +237,35 @@ class TestExecuteGrasp:
         assert assessment.failure_reason == FAILURE_TOO_FEW
         assert len(log.control_steps) == 30  # never validated, so never broke out early
 
+    def test_the_grasp_makes_one_joint_state_and_no_dict_clamp(self, scenario, monkeypatch):
+        """The servo, the IK core and the goal work on angle arrays: the one
+        JointState made is the final state, and `clamp_to_limits` is never
+        called, under any name a module binds it to."""
+        import sys
+
+        import graspforge.kinematics as kinematics
+
+        made, clamped = [], []
+        make, clamp = kinematics.JointState.__init__, kinematics.clamp_to_limits
+
+        def counting_make(self, *args, **kwargs):
+            made.append(1)
+            make(self, *args, **kwargs)
+
+        def counting_clamp(*args):
+            clamped.append(1)
+            return clamp(*args)
+
+        monkeypatch.setattr(kinematics.JointState, "__init__", counting_make)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "graspforge" and getattr(module, "clamp_to_limits",
+                                                               None) is clamp:
+                monkeypatch.setattr(module, "clamp_to_limits", counting_clamp)
+        state, _, assessment = execute_grasp(scenario.scene, scenario.targets, scenario.run,
+                                             scenario.ik, scenario.validation)
+        assert assessment.stable and len(state.values) == len(scenario.scene.chain.movable)
+        assert (len(made), len(clamped)) == (1, 0)
+
     def test_one_link_frames_pass_per_control_step(self, scenario, monkeypatch):
         """The step's frames feed both contact detection and the fingertip log.
 

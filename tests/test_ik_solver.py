@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from graspforge.config import ConfigError
 from graspforge.ik_solver import (IkConfig, IkResult, merge_hand_results,
                                   solve_finger_ik, solve_hand_ik)
-from graspforge.kinematics import (JointState, KinematicsError, link_transform, neutral_state,
-                                   within_limits)
+from graspforge.kinematics import (JointState, KinematicsError, _angles, _joint_state,
+                                   link_transform, neutral_state, within_limits)
 from graspforge.robot_model import parse_robot_description
 
 from conftest import TWO_LINK_ARM, WRIST_HAND, mid_range_state
@@ -304,27 +304,56 @@ def test_the_wrist_angle_moves_the_finger_frame():
     assert len({_bits(r)[0] for r in results}) == 3
 
 
-def test_a_seed_with_only_the_finger_path_solves_the_same(chain):
-    """Only the joints on the finger's path are read from the seed: a seed
-    without the others (the other fingers') gives the same result bits."""
+def test_a_seed_missing_a_movable_joint_raises(chain):
+    """A seed is every movable joint's angle: one with only the joints on
+    the finger's path (not the other fingers') names the first one missing,
+    in the solves and in the merge."""
     target = np.array([0.05, 0.02, 0.15])
-    for robot, finger in ((chain, "index"), (chain, "thumb")):
-        full = mid_range_state(robot)
-        path = robot.path_to_link[robot.fingers[finger].end_effector]
-        partial = JointState(values={ji: v for ji, v in full.values.items() if ji in path})
-        assert len(partial.values) < len(robot.movable)
-        on_path = [ji for ji in robot.movable if ji in path]
-        a = solve_finger_ik(robot, finger, target, full)
-        b = solve_finger_ik(robot, finger, target, partial)
-        assert [a.state.values[ji] for ji in on_path] == [b.state.values[ji] for ji in on_path]
-        assert (a.residual, a.iterations, a.converged) == (b.residual, b.iterations, b.converged)
-        assert set(b.state.values) == set(partial.values)
+    full = mid_range_state(chain)
+    path = chain.path_to_link[chain.fingers["index"].end_effector]
+    partial = JointState(values={ji: v for ji, v in full.values.items() if ji in path})
+    missing = next(ji for ji in chain.movable if ji not in path)
+    results = solve_hand_ik(chain, {"index": target}, full)
+    for call in (lambda: solve_finger_ik(chain, "index", target, partial),
+                 lambda: solve_hand_ik(chain, {"index": target}, partial),
+                 lambda: merge_hand_results(chain, partial, results)):
+        with pytest.raises(KinematicsError, match=f"no value for joint index {missing}$"):
+            call()
 
 
-def _assert_hand_matches_reference(chain, targets, seed, config):
-    """`solve_hand_ik` keeps the targets' order, and each finger's result is
-    the reference loop's for that finger alone, bit for bit."""
-    results = solve_hand_ik(chain, targets, seed, config)
+def test_a_nan_seed_angle_raises_naming_its_joint_before_any_walk(chain, monkeypatch):
+    """A NaN seed angle would stay the best posture, since no later residual
+    is `< nan`; +-inf is clamped to a limit and solves as the limit does."""
+    import graspforge.ik_solver as ik_solver
+
+    target = np.array([0.05, 0.02, 0.15])
+    ji = chain.fingers["index"].joints[1]
+    name = chain.joints[ji].name
+    seed = neutral_state(chain)
+    seed.values[ji] = math.nan
+
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    with monkeypatch.context() as m:
+        m.setattr(ik_solver, "finger_walk", no_walk)
+        with pytest.raises(KinematicsError, match=f"IK seed angle of joint '{name}' is NaN"):
+            solve_finger_ik(chain, "index", target, seed)
+        with pytest.raises(KinematicsError, match=f"joint '{name}'"):
+            solve_hand_ik(chain, {"thumb": target, "index": target}, seed)
+    for value in (math.inf, -math.inf):
+        seed.values[ji] = value
+        result = solve_finger_ik(chain, "index", target, seed)
+        assert np.isfinite(list(result.state.values.values())).all()
+        assert _bits(result) == _bits(reference_solve(chain, "index", target, seed, IkConfig()))
+
+
+def _assert_hand_matches_reference(chain, targets, seed, config, results=None):
+    """`solve_hand_ik`'s results, or `results`, keep the targets' order, and
+    each finger's result is the reference loop's for that finger alone, bit
+    for bit."""
+    if results is None:
+        results = solve_hand_ik(chain, targets, seed, config)
     assert list(results) == list(targets)
     for finger, target in targets.items():
         assert _bits(results[finger]) == _bits(
@@ -333,19 +362,24 @@ def _assert_hand_matches_reference(chain, targets, seed, config):
 
 def _bundled_hand_solves(monkeypatch, overrides=(), run=None):
     """The bundled scenario with `overrides`, and the (targets, seed,
-    config) of each hand solve its grasp makes (under `run`, or its own run
-    config)."""
+    config, results) of each lockstep core call its grasp makes (under
+    `run`, or its own run config): the seed angles as a JointState, and the
+    solves the controller took as IkResults."""
     import graspforge.controller as controller
     from graspforge.config import default_scenario_path, load_scenario
+    from graspforge.ik_solver import _solve
 
     sc = load_scenario(default_scenario_path(), list(overrides))
     calls = []
 
-    def recording(chain, targets, seed, config):
-        calls.append((targets, seed.copy(), config))
-        return solve_hand_ik(chain, targets, seed, config)
+    def recording(chain, targets, q, config):
+        seed = _joint_state(chain, q)
+        start, solves, counts = _solve(chain, targets, q, config)
+        calls.append((targets, seed, config,
+                      {name: s.result(chain, start, config) for name, s in solves.items()}))
+        return start, solves, counts
 
-    monkeypatch.setattr(controller, "solve_hand_ik", recording)
+    monkeypatch.setattr(controller, "_solve", recording)
     controller.execute_grasp(sc.scene, sc.targets, run or sc.run, sc.ik, sc.validation)
     monkeypatch.undo()
     return sc, calls
@@ -359,9 +393,9 @@ def test_the_bundled_hand_solves_match_the_reference_loop(monkeypatch):
     chain = sc.scene.chain
     assert len(calls) == 2
     assert calls[0][1] == neutral_state(chain) and calls[1][1] != calls[0][1]
-    for targets, seed, config in calls:
+    for targets, seed, config, results in calls:
         assert set(targets) == set(chain.fingers)
-        _assert_hand_matches_reference(chain, targets, seed, config)
+        _assert_hand_matches_reference(chain, targets, seed, config, results)
 
 
 @st.composite
@@ -491,8 +525,8 @@ def _events(monkeypatch):
 
 def _solve_once(chain, finger, target, seed, config):
     """`_solve` on one finger, checked against the reference loop."""
-    from graspforge.ik_solver import _solve
-    results, counts = _solve(chain, {finger: target}, seed, config)
+    from graspforge.ik_solver import _solve_state
+    results, counts = _solve_state(chain, {finger: target}, seed, config)
     assert _bits(results[finger]) == _bits(reference_solve(chain, finger, target, seed, config))
     return results[finger], counts
 
@@ -552,9 +586,9 @@ def test_the_bundled_pre_grasp_solve_under_a_smaller_budget_matches_the_referenc
 
     sc, calls = _bundled_hand_solves(monkeypatch, [f"ik.max_iterations={budget}"],
                                      RunConfig(max_steps=1))
-    targets, seed, config = calls[0]
+    targets, seed, config, results = calls[0]
     assert config.max_iterations == budget
-    _assert_hand_matches_reference(sc.scene.chain, targets, seed, config)
+    _assert_hand_matches_reference(sc.scene.chain, targets, seed, config, results)
 
 
 # --------------------------------------------------------------------------
@@ -603,7 +637,7 @@ def test_a_seed_off_neutral_by_its_bytes_walks(robot, finger, off_neutral):
     robot = parse_robot_description(robot)
     seeds = robot.finger_seeds[finger]
     tips = seeds.tips.copy()
-    tips[slice(None) if seeds.held_joints else 0] = np.nan
+    tips[slice(None) if len(seeds.held_columns) else 0] = np.nan
     robot.finger_seeds[finger] = replace(seeds, tips=tips)
     neutral = neutral_state(robot)
     seed = neutral.copy()
@@ -645,7 +679,8 @@ def test_lockstep_counts_do_not_depend_on_earlier_solves(monkeypatch):
     _, calls = _bundled_hand_solves(monkeypatch)
 
     def counts(robot):
-        return [_solve(robot, targets, seed, config)[1] for targets, seed, config in calls]
+        return [_solve(robot, targets, _angles(robot, seed), config)[2]
+                for targets, seed, config, _ in calls]
 
     fresh = counts(load_robot_description(bundled_hand_path()))
     assert fresh == [(9, 15, 82), (8, 15, 34)]

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graspforge.kinematics import (JointState, KinematicsError, Pose, _rodrigues,
-                                   _stacked_frames, clamp_to_limits, finger_walk, jacobian,
-                                   link_frames, link_transform, neutral_state, within_limits,
-                                   zero_state)
+from graspforge.kinematics import (JointState, KinematicsError, Pose, _joint_state, _neutral,
+                                   _rodrigues, _stacked_frames, clamp_to_limits, finger_walk,
+                                   jacobian, link_frames, link_transform, neutral_state,
+                                   within_limits)
 from graspforge.robot_model import parse_robot_description
 from graspforge.transforms import rodrigues_terms, rpy_matrix
 
@@ -109,8 +109,11 @@ def test_missing_joint_value_raises(chain):
                 read(state)
 
 
-def test_zero_state_covers_every_movable_joint(chain):
-    assert set(zero_state(chain).values) == set(chain.movable)
+def test_neutral_state_covers_every_movable_joint(chain):
+    """In `chain.movable` order, the bits of the controller's start posture."""
+    neutral = neutral_state(chain)
+    assert list(neutral.values) == list(chain.movable)
+    assert np.array(list(neutral.values.values())).tobytes() == _neutral(chain).tobytes()
 
 
 def test_neutral_state_is_clamped_zero(chain):
@@ -315,7 +318,8 @@ def test_stacked_finger_walks_and_steps_equal_the_one_row_routes_bitwise(chain, 
     from graspforge.ik_solver import _dls_step, _stacked_dls_step
 
     for robot, group_sizes in ((chain, [1, 4]), (parse_robot_description(WRIST_HAND), [1, 1])):
-        base = JointState(values={ji: data.draw(_angles) for ji in robot.movable})
+        base_q = np.array([data.draw(_angles) for _ in robot.movable])
+        base = _joint_state(robot, base_q)
         groups = {group.fingers for group, _ in robot.finger_walks.values()}
         assert sorted(map(len, groups)) == group_sizes
         for fingers in groups:
@@ -323,7 +327,7 @@ def test_stacked_finger_walks_and_steps_equal_the_one_row_routes_bitwise(chain, 
             names = list(data.draw(st.permutations(fingers)))
             names[-1] = data.draw(st.sampled_from(fingers))
             q = np.array([[data.draw(_angles) for _ in robot.fingers[n].joints] for n in names])
-            p, jacobian = finger_walk(robot, names, base)(q)
+            p, jacobian = finger_walk(robot, names, base_q)(q)
             J = jacobian()
             lams = [data.draw(st.floats(1e-6, 1.0)) for _ in names]
             e = np.array([[data.draw(st.floats(-0.2, 0.2)) for _ in range(3)] for _ in names])
@@ -358,6 +362,7 @@ def test_each_seed_walk_equals_a_fresh_walk_of_its_posture(chain, robot):
     robot = {"bundled": chain, "two_link": parse_robot_description(TWO_LINK_ARM),
              "wrist": parse_robot_description(WRIST_HAND)}[robot]
     neutral = neutral_state(robot)
+    neutral_q = np.array([neutral.values[ji] for ji in robot.movable])
     assert robot.finger_seeds.keys() == robot.fingers.keys()
     for finger, seeds in robot.finger_seeds.items():
         joints = robot.fingers[finger].joints
@@ -365,16 +370,20 @@ def test_each_seed_walk_equals_a_fresh_walk_of_its_posture(chain, robot):
         upper = [robot.joints[ji].upper_limit for ji in joints]
         assert seeds.lower.tolist() == list(seeds.lower_l) == lower
         assert seeds.upper.tolist() == list(seeds.upper_l) == upper
+        assert seeds.columns.tolist() == [robot.column_of[ji] for ji in joints]
         group, row = robot.finger_walks[finger]
-        assert seeds.held_joints == tuple(group.held_joints[:, row].tolist())
-        assert seeds.held_neutral == np.array([neutral.values[ji] for ji in seeds.held_joints],
+        held = [ji for ji in robot.path_to_link[robot.fingers[finger].end_effector]
+                if ji in robot.column_of and ji not in joints]
+        assert seeds.held_columns.tolist() == group.held_columns[:, row].tolist() == [
+            robot.column_of[ji] for ji in held]
+        assert seeds.held_neutral == np.array([neutral.values[ji] for ji in held],
                                               dtype=float).tobytes()
         postures = [[neutral.values[ji] for ji in joints]] + [
             [lo + frac * (hi - lo) for lo, hi in zip(lower, upper)]
             for frac in (0.75, 0.1, 0.9, 0.5, 0.25)]
         for k, posture in enumerate(np.array(postures)):
             assert seeds.postures[k].tobytes() == posture.tobytes()
-            p, jacobian = finger_walk(robot, [finger], neutral)(posture[None])
+            p, jacobian = finger_walk(robot, [finger], neutral_q)(posture[None])
             J, J_seed = jacobian()[0], seeds.jacobians[k]
             assert seeds.tips[k].tobytes() == p[0].tobytes()
             assert J_seed.tobytes(order="A") == J.tobytes(order="A")
@@ -390,12 +399,12 @@ def test_a_walk_group_keeps_a_bounded_number_of_gathers(chain):
     from graspforge.kinematics import _GATHERS
 
     group = chain.finger_walks["index"][0]
-    state = neutral_state(chain)
+    neutral = _neutral(chain)
     q = np.array([[0.1, 0.2, 0.3, 0.4]] * 5)
     names = list(product(group.fingers, repeat=5))[:3 * _GATHERS]
-    first = [finger_walk(chain, n, state)(q)[0].tobytes() for n in names]
+    first = [finger_walk(chain, n, neutral)(q)[0].tobytes() for n in names]
     assert 0 < len(group.gathers) <= _GATHERS
-    assert [finger_walk(chain, n, state)(q)[0].tobytes() for n in names] == first
+    assert [finger_walk(chain, n, neutral)(q)[0].tobytes() for n in names] == first
 
 
 def test_link_frames_needs_every_movable_joint(chain):
