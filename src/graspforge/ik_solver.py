@@ -367,7 +367,7 @@ def _steps(rows: list, cfg: IkConfig) -> None:
     """
     if len(rows) == 1:
         (r,) = rows
-        s = r.solve.seeds  # its limits as floats too: numpy costs more on a few joints
+        s = r.solve.seeds  # `lower_l`, `upper_l`: floats beat numpy on a few joints
         dq = _dls_step(r.J, r.J @ r.J.T, r.trial_lam, r.e, cfg.step_scale)
         qs = r.q.tolist()
         if any(a <= lo or a >= hi for a, lo, hi in zip(qs, s.lower_l, s.upper_l)):
@@ -480,10 +480,10 @@ def solve_finger_ik(chain: KinematicChain, finger: str, target,
                     seed: JointState, config: IkConfig | None = None) -> IkResult:
     """Solve one finger's joints so its end effector reaches `target`.
 
-    Only the finger's own joints move; all other values in `seed` are
-    carried through untouched.  Every iterate is clamped to joint limits, so
-    the result is always a feasible posture.  The one-row call of the
-    lockstep core.
+    Only the finger's own joints move; every other angle of `seed` is
+    carried through, clamped into its limits as every iterate is, so the
+    result is always a feasible posture.  The one-row call of the lockstep
+    core.
     """
     return _solve_state(chain, {finger: target}, seed, config)[0][finger]
 
