@@ -199,18 +199,16 @@ def _solve_goal(chain: KinematicChain, targets: dict, q: np.ndarray, ik: IkConfi
                 phase: str) -> np.ndarray:
     """Per-finger IK toward `targets` from angles `q`: `q` clamped, each
     finger's best posture in its columns.  Leaves `solve_hand_ik`'s DEBUG
-    record, then one per finger saying why its solve ended: `converged`,
-    `plateau` (stopped early, its restarts spent) or `budget` (all
-    `max_iterations` used).
+    record, then one per finger saying why its solve ended, as the solve
+    records it: `converged`, `plateau` (its re-seeds spent inside the
+    budget) or `budget` (cut by `max_iterations`).
     """
     goal, solves, counts = _solve(chain, targets, q, ik)
     _log.debug(_LOCKSTEP, *counts)
     for finger, s in solves.items():
-        converged = s.converged(ik)
-        ended = ("converged" if converged
-                 else "plateau" if s.iterations < ik.max_iterations else "budget")
         _log.debug("%s IK %s: residual %.3g m after %d iterations, converged=%s, ended by %s",
-                   phase, finger, s.best_residual, s.iterations, converged, ended)
+                   phase, finger, s.best_residual, s.iterations, s.ended_by == "converged",
+                   s.ended_by)
         goal[s.seeds.columns] = s.best_q
     return goal
 

@@ -21,15 +21,16 @@ joint limits.  So a pinned joint no longer absorbs the step the free joints
 need.  With no joint pinned the step is the plain DLS step.
 
 A state where no damping level helps (a fold local minimum, or limits that
-block every descent) is stationary.  An accepted step stalls when its gain,
-repeated over every remaining iteration, would not bring the residual down
-to the threshold.  At a stationary or stalled state the finger is re-seeded
-at the next of five fixed posture fractions; the sixth such state ends the
-solve.  The best state seen is reported, with converged = False when its
-residual is above the threshold.  An unreachable target therefore ends once
-its re-seeds are spent, usually well inside the budget.  Its residual is the
-best of the stall points, which can lie a few percent above the least
-reachable residual, because a stall stops a descent that is still improving.
+block every descent) is stationary.  An accepted step above the threshold
+stalls when it gains less than `_STALL_GAIN` (1 %) of its residual; like
+the stationary test, it reads the descent alone, not the solve's iteration
+count.  At a stationary or stalled state the finger is re-seeded at the
+next of five fixed posture fractions; the sixth such state ends the solve
+on a plateau.  The best state seen is reported, with converged = False when
+its residual is above the threshold.  An unreachable target therefore ends
+once its re-seeds are spent, usually well inside the budget.  Its residual
+is the best of the stall points, which can lie above the least reachable
+residual, because a stall stops a descent that still improves slowly.
 
 A solve runs in lockstep rounds over rows (`_solve`), on angle arrays in
 `chain.movable` order: the seed is clamped into the limits once, and each
@@ -54,23 +55,23 @@ alone takes the 2-D `_dls_step`, which the batched step matches row for
 row.  A Jacobian is made only for the rows that go on from the walked
 posture.
 
-A descent's path depends only on its seed, since its damping starts afresh:
-of its tests, only the stall test and the budget read the solve's iteration
-count.  So when a finger first re-seeds, every re-seed that the budget
-leaves room for starts at once, as a row of its own.  Rows run without
-those two tests and record each accepted posture and residual.  The
-finger's arbiter (`_FingerSolve.recorded`) replays the records in re-seed
-order, each descent's as soon as the count it starts at is known: the stall
-test at the record's true count, then the budget and convergence tests,
-keeping the best posture by strict `<` in order.  It drops a row once the
-row is decided, an earlier descent converges or the budget is spent, and
-stops a later row once its last record would end it at the least count it
-can start at.  Each finger keeps its own damping, residuals, re-seeds,
-iteration count and best posture, so its result is the one it would reach
-alone, and an unreachable target's re-seeds take about as many rounds as
-its longest one.  The bundled grasp's two hand solves take 17 rounds and 30
-stacked walks.  `solve_hand_ik` leaves one DEBUG record on the `graspforge`
-logger with its rounds, stacked walks and row trials (postures walked).
+A descent's path depends only on its seed, since its damping starts afresh
+and none of its tests reads the solve's iteration count.  So when a finger
+first re-seeds, every re-seed that the budget leaves room for starts at
+once, as a row of its own, and each row ends its own descent: converged,
+stationary or stalled.  The finger's result is one pass over the rows'
+records (`_FingerSolve.finish`): concatenated in re-seed order and cut at
+the budget, the first converged record, or else the best by strict `<`.
+While the rows run, the solve keeps only the bookkeeping on lengths that
+spares walks the pass would not read: it stops the rows after a descent
+that converged, and a row and the rows after it once the row's last record
+lies at or past the budget at the least count its descent can start at.
+Each finger keeps its own damping, residuals, re-seeds, iteration count
+and best posture, so its result is the one it would reach alone, and an
+unreachable target's re-seeds take about as many rounds as its longest
+one.  The bundled grasp's two hand solves take 17 rounds and 30 stacked
+walks.  `solve_hand_ik` leaves one DEBUG record on the `graspforge` logger
+with its rounds, stacked walks and row trials (postures walked).
 
 Every result equals, bit for bit, that of the same loop written on a
 per-joint walk of one fingertip and its Jacobian, `clamp_to_limits` and a
@@ -97,6 +98,12 @@ from .robot_model import KinematicChain
 # damping retries per iteration before declaring the state stationary
 _MAX_RETRIES = 12
 _MIN_LAMBDA = 1e-6
+# an accepted step above the threshold stalls when it gains less than this
+# fraction of its residual.  Over the `ik_reach` benchmark inputs of seeds
+# 1-6 every reachable target converges at 1 %; at 2 % two stall short of the
+# threshold, and at 0.5 % and 0.1 % the far targets take 11 % and 36 % more
+# iterations for residuals up to 1.1 and 2.3 mm lower.
+_STALL_GAIN = 1e-2
 
 _log = logging.getLogger("graspforge")
 _LOCKSTEP = "IK lockstep: %d rounds, %d stacked walks, %d row trials"
@@ -159,46 +166,49 @@ class _Row:
     """One descent of one finger, from its seed posture: a state machine fed
     one walk per round.
 
-    The descent runs without the stall test and the iteration budget, the
-    two tests that read the solve's iteration count.  It records each
-    accepted posture and residual, the seed's first, and hands each record
-    to its finger's arbiter (`_FingerSolve.recorded`).  It stops (`live`
-    False) when it converges or is stationary, or when the arbiter drops
-    it.  `pending` is the posture the next round walks: the seed while
-    `seeding`, else a damping trial, which `_steps` makes.  The accepted
-    posture `q` keeps its Jacobian `J` and error `e` for the trials that
-    follow it.
+    It records each accepted posture and residual, the seed's first, and
+    ends its own descent when it converges, is stationary or stalls; none
+    of these tests reads the solve's iteration count.  At its end it hands
+    its `length` to its finger's solve (`_FingerSolve.ended`): the
+    iterations from its seed to the re-seed after it, one past its last
+    record when stationary.  It also stops (`live` False) when the solve
+    drops it.  `pending` is the posture the next round walks: the seed
+    while `seeding`, else a damping trial, which `_steps` makes.  The
+    accepted posture `q` keeps its Jacobian `J` and error `e` for the
+    trials that follow it.
     """
 
-    __slots__ = ("solve", "index", "pending", "seeding", "live", "stationary", "q", "J", "e",
+    __slots__ = ("solve", "index", "pending", "seeding", "live", "length", "q", "J", "e",
                  "residual", "lam", "trial_lam", "retries", "residuals", "postures")
 
     def __init__(self, solve: "_FingerSolve", index: int, seed: np.ndarray):
         self.solve, self.index, self.pending = solve, index, seed
         self.seeding = self.live = True
-        self.stationary = False
+        self.length = None
         self.residuals, self.postures = [], []
 
     def walked(self, e: np.ndarray, residual: float, cfg: IkConfig) -> bool:
         """Take the walk of `pending`: its error and residual.  True when the
         descent goes on from `pending`, and so needs its Jacobian as `J`."""
+        stalled = False
         if self.seeding:
             self.seeding = False
             self.lam = cfg.damping_lambda
         elif residual < self.residual:
             self.lam = max(self.trial_lam / 1.5, _MIN_LAMBDA)
+            stalled = self.residual - residual < _STALL_GAIN * residual
         else:
             self.trial_lam *= 2.0
             self.retries += 1
             if self.retries > _MAX_RETRIES:  # stationary at every damping level
-                self.stationary, self.live = True, False
-                self.solve.recorded(self, cfg)
+                self.solve.ended(self, len(self.residuals), cfg)
             return False
         self.q, self.e, self.residual = self.pending, e, residual
         self.residuals.append(residual)
         self.postures.append(self.pending)
-        if residual <= cfg.residual_threshold:
-            self.live = False
+        if stalled or residual <= cfg.residual_threshold:
+            self.solve.ended(self, len(self.residuals) - 1, cfg)
+            return False
         self.solve.recorded(self, cfg)
         if not self.live:
             return False
@@ -208,18 +218,17 @@ class _Row:
 
 class _FingerSolve:
     """One finger's solve: its descent rows, the start's and, from its first
-    re-seed on, every re-seed's, and the arbiter that replays on their
-    records the decisions of the one-descent-at-a-time loop.
+    re-seed on, every re-seed's, and the pass over their records that gives
+    its result (`finish`).
 
-    Descent `descent` started at iteration count `offset`, and the arbiter
-    has taken `consumed` of its records.  Replaying a record applies the
-    stall test at the record's true iteration count, then the budget and
-    convergence tests; a descent that stalls or is stationary hands over to
-    the next one at its end count.
+    While the rows run, the solve only stops rows whose records the pass
+    would not read: the rows after a descent that converged, and a row and
+    the rows after it once the row's last record lies at or past the budget
+    at the least count its descent can start at.
     """
 
-    __slots__ = ("name", "target", "seeds", "seeded", "group", "rows", "descent", "offset",
-                 "consumed", "iterations", "best_q", "best_residual", "done")
+    __slots__ = ("name", "target", "seeds", "seeded", "group", "rows", "iterations",
+                 "best_q", "best_residual", "ended_by")
 
     def __init__(self, chain: KinematicChain, name: str, target, start: np.ndarray,
                  groups: dict, cfg: IkConfig):
@@ -231,8 +240,6 @@ class _FingerSolve:
         self.seeded = start.take(seeds.held_columns).tobytes() == seeds.held_neutral
         self.group = groups.setdefault(chain.finger_walks[name][0].fingers, _Group())
         self.rows = []
-        self.descent = self.offset = self.consumed = self.iterations = 0
-        self.best_q, self.done = None, False
         q = start.take(seeds.columns)
         self._start_rows([_Row(self, 0, q)],
                          self.seeded and q.tobytes() == seeds.postures[0].tobytes(), cfg)
@@ -241,103 +248,77 @@ class _FingerSolve:
         """Add new descent rows; when `seeded`, their seeds are the postures
         of their seed walks (start: the neutral one, re-seed r: entry r),
         and each takes its first record from its walk at once, so it steps
-        from the next round on.  The others walk their seed first.  The rows
-        join the solve before any record is taken: a record of the current
-        descent is replayed at once, and can end the solve and its rows
-        (whose own records are then never replayed)."""
+        from the next round on.  The others walk their seed first.  A seed
+        record that converges stops the rows after it."""
         self.rows += rows
         self.group.rows += rows
         if not seeded:
             return
         for r in rows:
             e = self.target - self.seeds.tips[r.index]
-            if r.walked(e, math.sqrt(e.dot(e)), cfg):
+            if r.live and r.walked(e, math.sqrt(e.dot(e)), cfg):
                 r.J = self.seeds.jacobians[r.index]
 
-    def recorded(self, row: _Row, cfg: IkConfig) -> None:
-        """Take a new record of `row`, or its stop: the current descent's
-        row is replayed.  A later row stops once its last record would end
-        its descent at the least count it can start at, and so at every
-        later count too; each descent starts at least one iteration after
-        the one before it."""
-        if row.index == self.descent:
-            self._replay(cfg)
-            return
-        top, residuals, n = cfg.max_iterations, row.residuals, len(row.residuals)
-        least = self.offset + max(self.consumed, 1) + row.index - self.descent - 1
-        if least + n > top or n > 1 and ((residuals[-2] - residuals[-1]) * (top - (least + n - 1))
-                                         < residuals[-1] - cfg.residual_threshold):
-            row.live = False
-
-    def _replay(self, cfg: IkConfig) -> None:
-        """Replay the current descent's new records, then each later
-        descent's as the count it starts at becomes known."""
-        top, threshold = cfg.max_iterations, cfg.residual_threshold
-        while not self.done:
-            row, o = self.rows[self.descent], self.offset
-            residuals = row.residuals
-            for k in range(self.consumed, len(residuals)):
-                r = residuals[k]
-                if self.best_q is None:  # the start
-                    self.best_q, self.best_residual = row.postures[0], r
-                # stalled: the remaining iterations, each gaining as much as
-                # this one, could not bring the residual to the threshold
-                elif k and (residuals[k - 1] - r) * (top - (o + k)) < r - threshold:
-                    self.iterations = o + k
-                    self._end_descent(k, o + k, cfg)
-                    break
-                if o + k + 1 > top or r <= threshold:
-                    self.iterations = o + k
-                    self._keep_best(row, k)
-                    self._finish()
-                    return
-            else:
-                # every record started an iteration
-                k = self.consumed = len(residuals)
-                self.iterations = o + k
-                if not row.stationary:
-                    return
-                self._end_descent(k - 1, o + k, cfg)  # in iteration o + k
-
-    def _end_descent(self, k: int, offset: int, cfg: IkConfig) -> None:
-        """Descent `descent` ends at its record k, stalled or stationary, with
-        the iteration count at `offset`: remember the best posture, then hand
-        over to the next re-seed, or stop once every re-seed has been tried.
-        The first re-seed starts every later re-seed that the budget leaves
-        room for, each as a row of its own, once the arbiter has moved on to
-        it: a first record taken from a seed walk is replayed at once."""
-        row = self.rows[self.descent]
-        self._keep_best(row, k)
-        row.live = False
-        if self.descent == len(_RESTART_FRACTIONS):
-            self._finish()
-            return
-        self.descent += 1
-        self.offset, self.consumed = offset, 0
-        if self.descent == 1:
-            # re-seed r starts at a count of at least offset + r - 1
-            spawned = min(len(_RESTART_FRACTIONS), cfg.max_iterations - offset + 1)
+    def ended(self, row: _Row, length: int, cfg: IkConfig) -> None:
+        """`row` ended its descent after `length` iterations.  A converged
+        descent stops the rows after it; the start's stall or stationary
+        state starts every re-seed that the budget leaves room for, each as
+        a row of its own (re-seed r starts at a count of at least
+        `length` + r - 1)."""
+        row.live, row.length = False, length
+        if row.residuals[-1] <= cfg.residual_threshold:
+            for r in self.rows[row.index + 1:]:
+                r.live = False
+        elif row.index == 0:
+            spawned = min(len(_RESTART_FRACTIONS), cfg.max_iterations - length + 1)
             self._start_rows([_Row(self, r, self.seeds.postures[r])
                               for r in range(1, spawned + 1)], self.seeded, cfg)
 
-    def _keep_best(self, row: _Row, k: int) -> None:
-        if row.residuals[k] < self.best_residual:
-            self.best_q, self.best_residual = row.postures[k], row.residuals[k]
+    def recorded(self, row: _Row, cfg: IkConfig) -> None:
+        """Stop `row` and the rows after it once the row's last record lies
+        at or past the budget at the least count its descent can start at.
+        An earlier descent takes at least its length when ended, else at
+        least as many iterations as it has records, and at least one."""
+        least = sum(max(len(r.residuals), 1) if r.length is None else r.length
+                    for r in self.rows[:row.index])
+        if least + len(row.residuals) > cfg.max_iterations:
+            for r in self.rows[row.index:]:
+                r.live = False
 
-    def _finish(self) -> None:
-        self.done = True
+    def finish(self, cfg: IkConfig) -> None:
+        """The result: the records of the descents concatenated in re-seed
+        order and cut at the budget, the first converged record or else the
+        best by strict `<`.  The solve ends `converged`, on a `plateau` (the
+        sixth descent ended inside the budget) or by its `budget`."""
+        top = cfg.max_iterations
+        self.best_q, self.best_residual = self.rows[0].postures[0], self.rows[0].residuals[0]
+        count = 0  # the iteration count at the start of each descent
         for row in self.rows:
-            row.live = False
+            for k, (q, r) in enumerate(zip(row.postures, row.residuals)):
+                if count + k > top:
+                    break
+                if r < self.best_residual:
+                    self.best_q, self.best_residual = q, r
+                if r <= cfg.residual_threshold:
+                    self.iterations, self.ended_by = count + k, "converged"
+                    return
+            if row.length is None or count + row.length > top:
+                break
+            count += row.length
+        else:
+            # all six descents ended inside the budget: when the budget left
+            # room for fewer re-seeds, the last one starts at or past it and
+            # cannot end inside it
+            self.iterations, self.ended_by = count, "plateau"
+            return
+        self.iterations, self.ended_by = top, "budget"
 
-    def converged(self, cfg: IkConfig) -> bool:
-        return self.best_residual <= cfg.residual_threshold
-
-    def result(self, chain: KinematicChain, start: np.ndarray, cfg: IkConfig) -> IkResult:
+    def result(self, chain: KinematicChain, start: np.ndarray) -> IkResult:
         """The solve as an `IkResult`: its best posture in its columns of `start`."""
         q = start.copy()
         q[self.seeds.columns] = self.best_q
         return IkResult(state=_joint_state(chain, q), residual=self.best_residual,
-                        iterations=self.iterations, converged=self.converged(cfg))
+                        iterations=self.iterations, converged=self.ended_by == "converged")
 
 
 def _finger_target(name: str, target) -> np.ndarray:
@@ -444,8 +425,8 @@ def _solve(chain: KinematicChain, targets: dict, q: np.ndarray,
                 group.target = _stack([r.solve.target for r in rows])
             p, jacobian = group.walk(_stack([r.pending for r in rows]))
             e = group.target - p
-            # the residual as np.linalg.norm takes it; a row that the arbiter
-            # dropped earlier in this round, replaying the rows before it,
+            # the residual as np.linalg.norm takes it; a row that its solve
+            # stopped earlier in this round, on a record of a row before it,
             # ignores its walk
             going_on = [i for i, (r, e_r) in enumerate(zip(rows, e))
                         if r.live and r.walked(e_r, math.sqrt(e_r.dot(e_r)), cfg)]
@@ -459,6 +440,8 @@ def _solve(chain: KinematicChain, targets: dict, q: np.ndarray,
             break
         rounds += 1
         walks += round_walks
+    for s in solves.values():
+        s.finish(cfg)
     return start, solves, (rounds, walks, trials)
 
 
@@ -473,7 +456,7 @@ def _solve_state(chain: KinematicChain, targets: dict, seed: JointState,
         raise KinematicsError(f"IK seed angle of joint {chain.joints[ji].name!r} is NaN")
     cfg = config or IkConfig()
     start, solves, counts = _solve(chain, targets, q, cfg)
-    return {name: s.result(chain, start, cfg) for name, s in solves.items()}, counts
+    return {name: s.result(chain, start) for name, s in solves.items()}, counts
 
 
 def solve_finger_ik(chain: KinematicChain, finger: str, target,

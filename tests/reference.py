@@ -36,7 +36,7 @@ import numpy as np
 from graspforge.contact import _TIE_TOLERANCE, _deepest_on_segments
 from graspforge.grasp_validation import (FAILURE_CLOSURE, FAILURE_NONE, FAILURE_SPREAD,
                                          FAILURE_TOO_FEW, GraspAssessment, ValidationConfig)
-from graspforge.ik_solver import IkResult
+from graspforge.ik_solver import _STALL_GAIN, IkResult
 from graspforge.kinematics import JointState, _jacobian_columns, _resolve_link, clamp_to_limits
 from graspforge.perturbation import _NULL_SPACE_RTOL, FREE_SLIDE_GAIN, PerturbationReport
 from graspforge.robot_model import CapsuleGeometry, KinematicChain, SphereGeometry
@@ -201,9 +201,10 @@ def reference_solve(chain, finger, target, seed, cfg) -> IkResult:
     trial state.  A joint at a limit that a trial step pushes outward gets a
     zero Jacobian column and the step is solved again, until no such joint
     is pushed out (the clamping loop).  A stationary iterate, or an accepted
-    step whose gain, repeated over every remaining iteration, falls short of
-    the threshold (a stall), re-seeds the finger; the sixth such point ends
-    the solve with the best state seen.
+    step above the threshold that gains less than `_STALL_GAIN` of its
+    residual (a stall), re-seeds the finger; the sixth such point ends the
+    solve with the best state seen.  One descent runs at a time, and no
+    test but the budget reads the iteration count.
     """
     f = chain.finger(finger)
     ee = f.end_effector
@@ -248,8 +249,8 @@ def reference_solve(chain, finger, target, seed, cfg) -> IkResult:
             trial_residual, trial_p = residual_of(trial)
             if trial_residual < residual:
                 gain = residual - trial_residual
-                stalled = (gain * (cfg.max_iterations - it)
-                           < trial_residual - cfg.residual_threshold)
+                stalled = (trial_residual > cfg.residual_threshold
+                           and gain < _STALL_GAIN * trial_residual)
                 state, residual, p = trial, trial_residual, trial_p
                 lam = max(trial_lam / 1.5, 1e-6)
                 accepted = True

@@ -13,14 +13,15 @@ from hypothesis import strategies as st
 from graspforge.config import ConfigError, default_scenario_path, load_scenario
 from graspforge.contact import ContactPoint, detect_contacts
 from graspforge.controller import (PHASE_CONTACT_OPT, PHASE_MONITOR, PHASE_PRE_GRASP, PHASES,
-                                   VALIDATED_HOLD_STEPS, RunConfig, TrajectoryLog,
+                                   VALIDATED_HOLD_STEPS, RunConfig, TrajectoryLog, _solve_goal,
                                    execute_grasp, step_servo, write_trajectory_csv)
 from graspforge.grasp_validation import validate_grasp
 from graspforge.ik_solver import IkConfig
 from graspforge.kinematics import Pose, _angles, _joint_state, link_frames, neutral_state
+from graspforge.robot_model import parse_robot_description
 from graspforge.scene import Scene, default_scene, make_box_object
 
-from conftest import joint_rows
+from conftest import TWO_LINK_ARM, joint_rows
 from reference import reference_step_servo
 
 PHASE_ORDER = {PHASE_PRE_GRASP: 0, PHASE_CONTACT_OPT: 1, PHASE_MONITOR: 2}
@@ -456,8 +457,8 @@ class TestExecuteGrasp:
         # middle and ring cannot reach their waypoints 3 cm off the box and
         # stop on a plateau; index and pinky reach theirs with a pitch joint
         # pinned at its limit
-        assert pre_grasp["middle"] == (24, False, "plateau")
-        assert pre_grasp["ring"] == (30, False, "plateau")
+        assert pre_grasp["middle"] == (25, False, "plateau")
+        assert pre_grasp["ring"] == (31, False, "plateau")
         for finger in ("thumb", "index", "pinky"):
             assert pre_grasp[finger][1:] == (True, "converged")
         assert pre_grasp["index"][0] == pre_grasp["pinky"][0] == 9
@@ -474,9 +475,10 @@ class TestExecuteGrasp:
         start row takes its first record from the chain's seed walks, and
         so do the five re-seeds that middle and ring run as parallel rows.
         It runs 9 rounds in 15 stacked walks (the thumb walks alone in 6),
-        where one descent at a time took 38 rounds, the ring finger's 38
-        walks.  Its 82 trials are the 96 walks the fingers would make one
-        at a time, less those 15 seed walks, and one speculative row trial.
+        where one descent at a time took 39 rounds, the ring finger's 39
+        walks.  Its 83 trials are the 98 walks the fingers would make one
+        at a time, less those 15 seed walks: no row walks a posture that
+        the result does not read.
         The contact solve seeds from step 80's posture, not from a seed
         walk; it runs 8 rounds in 15 walks and 34 trials, and re-seeds no
         finger.  The per-finger IK records keep their text."""
@@ -485,7 +487,7 @@ class TestExecuteGrasp:
                       scenario.validation)
         records = [r for r in caplog.records if r.name == "graspforge"]
         assert [r.args for r in records if r.msg.startswith("IK lockstep")] == [
-            (9, 15, 82), (8, 15, 34)]
+            (9, 15, 83), (8, 15, 34)]
         assert [r.getMessage() for r in records if " IK " in r.msg] == _BUNDLED_IK_RECORDS
 
     def test_debug_log_reports_each_contact_block(self, scenario, caplog):
@@ -511,17 +513,29 @@ class TestExecuteGrasp:
         assert len(ik) == 10
         assert all(args[3:] == (2, False, "budget") for args in ik)
 
+    @pytest.mark.parametrize("budget, ended", [(9, "budget"), (10, "plateau"), (11, "plateau")])
+    def test_debug_log_names_the_end_the_solve_recorded(self, caplog, budget, ended):
+        """The two-link arm toward a far target ends on its sixth descent's
+        stall at 10 iterations: at a budget of 10 that is a plateau, the
+        result it reaches at 11, not a spent budget."""
+        caplog.set_level(logging.DEBUG, logger="graspforge")
+        _solve_goal(parse_robot_description(TWO_LINK_ARM), {"arm": [10.0, 0.0, 0.0]},
+                    np.array([0.1, 0.1]), IkConfig(max_iterations=budget), PHASE_PRE_GRASP)
+        (args,) = [r.args for r in caplog.records if " IK " in r.msg]
+        assert args[1] == "arm" and args[3:] == (min(budget, 10), False, ended)
+
     @pytest.mark.parametrize("budget, middle, ring", [
-        (20, (19, "plateau"), (20, "budget")),
-        (27, (19, "plateau"), (23, "plateau")),
-        (100, (24, "plateau"), (30, "plateau"))])
+        (20, (20, "budget"), (20, "budget")),
+        (27, (25, "plateau"), (27, "budget")),
+        (100, (25, "plateau"), (31, "plateau"))])
     def test_pre_grasp_plateaus_end_at_their_true_iteration_counts(self, scenario, caplog,
                                                                    budget, middle, ring):
         """Middle and ring re-seed in the pre-grasp solve, and their re-seeds
-        run as parallel rows; the stall test and the budget still read each
-        re-seed's true iteration count.  At a budget of 20, ring's last
-        re-seed is cut by the budget at 20 iterations; at 27 it stalls at 23,
-        where at 100 it stalls at 30.  Measured with one descent at a time."""
+        run as parallel rows; the budget still reads each re-seed's true
+        iteration count.  At a budget of 20 it cuts middle inside its fifth
+        descent and ring at the start of its fifth; at 27 middle's sixth
+        descent stalls at 25, as at 100, and the budget cuts ring's sixth,
+        which at 100 stalls at 31.  Measured with one descent at a time."""
         caplog.set_level(logging.DEBUG, logger="graspforge")
         execute_grasp(scenario.scene, scenario.targets, RunConfig(max_steps=1),
                       dataclasses.replace(scenario.ik, max_iterations=budget),
@@ -590,8 +604,8 @@ _AT_1 = ["phase pre_grasp -> contact_opt at step 1"]
 _BUNDLED_IK_RECORDS = [
     "pre_grasp IK thumb: residual 2.62e-06 m after 6 iterations, converged=True, ended by converged",
     "pre_grasp IK index: residual 8.15e-07 m after 9 iterations, converged=True, ended by converged",
-    "pre_grasp IK middle: residual 0.0209 m after 24 iterations, converged=False, ended by plateau",
-    "pre_grasp IK ring: residual 0.0141 m after 30 iterations, converged=False, ended by plateau",
+    "pre_grasp IK middle: residual 0.0209 m after 25 iterations, converged=False, ended by plateau",
+    "pre_grasp IK ring: residual 0.0141 m after 31 iterations, converged=False, ended by plateau",
     "pre_grasp IK pinky: residual 8.15e-07 m after 9 iterations, converged=True, ended by converged",
     "contact_opt IK thumb: residual 1.19e-06 m after 6 iterations, converged=True, ended by converged",
     "contact_opt IK index: residual 8.87e-06 m after 5 iterations, converged=True, ended by converged",
@@ -612,32 +626,32 @@ class TestRunConfigCorners:
     rate limit never moves the hand and runs out of steps in contact_opt.
     Two IK corners: a budget of 7 iterations, which the thumb's pre-grasp
     solve converges within and the other four fingers' spend; and damping
-    0.3 with half steps, whose solves take 16 to 39 iterations, two of them
+    0.3 with half steps, whose solves take 16 to 50 iterations, two of them
     ending on a plateau.
     """
 
     @pytest.mark.parametrize("overrides, expected", [
-        ([], (165, "a102ad28e0b50426", "9aa4d4093c5f1271", "52b4fce868af9674",
+        ([], (165, "99e865ea3a31221e", "ca9bf72bbadb07f3", "ed69dc427d0a06b3",
               _STABLE_AT_80)),
-        (["run.steps=1"], (1, "88591802345de394", "25c51a52070eda65", "da3546e2ed156095",
+        (["run.steps=1"], (1, "782984c50c291ffa", "25c51a52070eda65", "ffc3dd42a6874b1a",
                            _AT_1)),
-        (["run.steps=3"], (3, "62ebde9537ab4a18", "25c51a52070eda65", "4e107ef3d7515ef3",
+        (["run.steps=3"], (3, "8f9c498d761a7042", "25c51a52070eda65", "3d92f9b109ad5d26",
                            _AT_1)),
-        (["run.steps=6"], (6, "3f582e9b74d3133e", "25c51a52070eda65", "6d930c231457b7b8",
+        (["run.steps=6"], (6, "086f3bff7ea8c756", "25c51a52070eda65", "0106fc922740a33b",
                            _AT_1)),
-        (["run.steps=1000"], (204, "1a21a203711107e8", "3f402ddda4dd3b17", "eb5bcd5d7652204c",
+        (["run.steps=1000"], (204, "2646eff5d3010f0c", "48d6997269698c83", "a1e1ed28f5922097",
                               _STABLE_AT_118)),
-        (["run.log_every=7"], (23, "9e0264b4740b8daf", "9aa4d4093c5f1271", "52b4fce868af9674",
+        (["run.log_every=7"], (23, "ab162e64232e4001", "ca9bf72bbadb07f3", "ed69dc427d0a06b3",
                                _STABLE_AT_80)),
         (["run.steps=2000", "run.log_every=3"],
-         (68, "e16455f2330c6bc9", "3f402ddda4dd3b17", "eb5bcd5d7652204c", _STABLE_AT_118)),
+         (68, "44e1134c8b1d4f87", "48d6997269698c83", "a1e1ed28f5922097", _STABLE_AT_118)),
         (["run.joint_rate_limit=0"],
          (400, "74d55e588cbfae15", "25c51a52070eda65", "0388ce834d5783b4",
           _STABLE_AT_80[:1])),
         (["ik.max_iterations=7"],
-         (165, "983e4eea2b7d34ac", "e3430a0184cb0136", "99e32762658646b9", _STABLE_AT_80)),
+         (165, "219c12883a4abe19", "b4a72a6efc72f81e", "7cd95f8a4dd34726", _STABLE_AT_80)),
         (["ik.damping_lambda=0.3", "ik.step_scale=0.5"],
-         (165, "4786055fbfbe57c5", "5080df3d09fc2bf0", "9877fb11f5817567", _STABLE_AT_80)),
+         (165, "49ecc54f9ec1ae55", "f68d727a73149c87", "1e0c92ea542a2a51", _STABLE_AT_80)),
     ])
     def test_outputs_are_pinned(self, overrides, expected, caplog):
         assert _grasp_outputs(overrides, caplog) == expected

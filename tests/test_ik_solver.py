@@ -376,7 +376,7 @@ def _bundled_hand_solves(monkeypatch, overrides=(), run=None):
         seed = _joint_state(chain, q)
         start, solves, counts = _solve(chain, targets, q, config)
         calls.append((targets, seed, config,
-                      {name: s.result(chain, start, config) for name, s in solves.items()}))
+                      {name: s.result(chain, start) for name, s in solves.items()}))
         return start, solves, counts
 
     monkeypatch.setattr(controller, "_solve", recording)
@@ -503,23 +503,25 @@ def test_the_far_ik_reach_inputs_match_the_reference_loop():
 
 
 def _events(monkeypatch):
-    """Record, per descent that ends, (descent, its last record, its record
-    count), and per solve that finishes, (descent, whether a later row
-    still runs)."""
+    """Record, per descent that ends itself, (descent, its length, its
+    record count, the later rows live before it ended, and after), and per
+    solve that finishes, (how it ended, its iterations)."""
     from graspforge.ik_solver import _FingerSolve
     ended, finished = [], []
-    end_descent, finish = _FingerSolve._end_descent, _FingerSolve._finish
+    end, finish = _FingerSolve.ended, _FingerSolve.finish
 
-    def recording_end(self, k, offset, cfg):
-        ended.append((self.descent, k, len(self.rows[self.descent].residuals)))
-        end_descent(self, k, offset, cfg)
+    def recording_end(self, row, length, cfg):
+        before = sum(r.live for r in self.rows[row.index + 1:])
+        end(self, row, length, cfg)  # the start's end adds the re-seed rows
+        after = sum(r.live for r in self.rows[row.index + 1:])
+        ended.append((row.index, length, len(row.residuals), before, after))
 
-    def recording_finish(self):
-        finished.append((self.descent, any(r.live for r in self.rows[self.descent + 1:])))
-        finish(self)
+    def recording_finish(self, cfg):
+        finish(self, cfg)
+        finished.append((self.ended_by, self.iterations))
 
-    monkeypatch.setattr(_FingerSolve, "_end_descent", recording_end)
-    monkeypatch.setattr(_FingerSolve, "_finish", recording_finish)
+    monkeypatch.setattr(_FingerSolve, "ended", recording_end)
+    monkeypatch.setattr(_FingerSolve, "finish", recording_finish)
     return ended, finished
 
 
@@ -531,57 +533,90 @@ def _solve_once(chain, finger, target, seed, config):
     return results[finger], counts
 
 
-@pytest.mark.parametrize("budget", range(1, 13))
-def test_a_budget_that_ends_inside_a_reseed_matches_the_reference_loop(monkeypatch, budget):
-    """The two-link arm toward a far target ends each descent after one
-    iteration; a budget of 2 to 5 iterations is spent at the start of
-    re-seed 2 to 5, whose row, like the start's, then ends the solve.
+@pytest.mark.parametrize("budget, walked", zip(range(1, 13),
+                                                [8, 9, 23, 24, 38, 39, 64, 64, 64, 77, 77, 77]))
+def test_a_budget_that_ends_inside_a_reseed_matches_the_reference_loop(monkeypatch, budget,
+                                                                       walked):
+    """The two-link arm toward a far target: the start stalls after one
+    iteration, re-seeds 1 to 3 and 5 after two and re-seed 4 after one, so
+    the solve ends on a plateau at 10 iterations, and a smaller budget cuts
+    it inside or at the start of a re-seed.
 
     The re-seeds take their first records from the chain's seed walks.  At
-    a budget of 2 re-seed 2's row ends on that record, so only re-seed 1's
-    row walks; from 3 on, two or more re-seed rows walk in one round."""
+    a budget of 1 or 2 only re-seed 1's row can reach the budget, so at
+    most it walks; from 3 on, two or more re-seed rows walk in one round.
+    A row stops once the least count its descent can start at, from the
+    lengths of the descents before it, puts its records past the budget:
+    `walked` row trials."""
     ended, finished = _events(monkeypatch)
     result, (rounds, _, trials) = _solve_once(
         _TWO_LINK, "arm", np.array([10.0, 0.0, 0.0]), JointState(values={0: 0.1, 1: 0.1}),
         IkConfig(max_iterations=budget))
     assert not result.converged
-    if 2 <= budget <= 5:
-        assert result.iterations == budget
-        assert finished == [(budget, False)] and len(ended) == budget
+    assert finished == [("budget", budget) if budget < 10 else ("plateau", 10)]
+    if budget >= 10:
+        assert sorted(e[:2] for e in ended) == [(0, 1), (1, 2), (2, 2), (3, 2), (4, 1), (5, 2)]
     if budget > 2:
         assert trials > rounds  # the re-seeds ran as parallel rows
-    elif budget == 2:
+    else:
         assert trials == rounds
+    assert trials == walked
+
+
+def test_a_result_does_not_depend_on_a_budget_it_did_not_reach():
+    """Every `ik_reach` seed 1 solve ends under its budget of 100, and gives
+    the same result at a budget of its own iteration count and one more; so
+    does the two-link arm toward a far target, which ends on its sixth
+    descent's stall at 10 iterations, at budgets 10, 11 and 100."""
+    from dataclasses import replace
+
+    inputs, chain, start, config = _ik_reach_inputs(1)
+    for _, finger, target, _ in inputs:
+        result = solve_finger_ik(chain, finger, target, start, config)
+        assert result.iterations < config.max_iterations
+        for budget in (max(result.iterations, 1), result.iterations + 1):
+            assert _bits(solve_finger_ik(chain, finger, target, start,
+                                         replace(config, max_iterations=budget))) == _bits(result)
+    seed = JointState(values={0: 0.1, 1: 0.1})
+    results = [_bits(solve_finger_ik(_TWO_LINK, "arm", np.array([10.0, 0.0, 0.0]), seed,
+                                     IkConfig(max_iterations=budget)))
+               for budget in (10, 11, 100)]
+    assert results[0][1] == 10 and results[1:] == results[:1] * 2
 
 
 def test_a_reseed_that_converges_ends_the_rows_after_it(monkeypatch):
     """Found by a scan of the two-link arm: the start is stationary after one
-    step, and re-seed 1 converges while the rows of re-seeds 2-5 still run."""
+    step, re-seed 4 converges while re-seed 5 still runs, and re-seed 1
+    converges while re-seeds 2 and 3 still run; each stops the rows after
+    it, and re-seed 1's is the result."""
     ended, finished = _events(monkeypatch)
     seed = JointState(values={0: 1.3769793659039902, 1: 0.261749948792537})
     target = np.array([1.8161245400219759, 0.4691974133755914, 0.0])
     result, _ = _solve_once(_TWO_LINK, "arm", target, seed, IkConfig(max_iterations=83))
     assert result.converged and result.iterations == 9
-    assert ended == [(0, 1, 2)] and finished == [(1, True)]
+    assert ended == [(0, 2, 2, 0, 5), (4, 5, 6, 1, 0), (1, 7, 8, 2, 0)]
+    assert finished == [("converged", 9)]
 
 
-def test_a_row_that_runs_past_its_stall_matches_the_reference_loop(monkeypatch):
-    """Found by a scan of the two-link arm: re-seed 3's row has recorded
-    three postures when the arbiter reaches it, and the stall test at its
-    true start count ends it at its second."""
+def test_a_reseed_row_stops_at_its_own_stall(monkeypatch):
+    """Found by a scan of the two-link arm: re-seeds 2 and 3 stall on their
+    third records while re-seed 1, whose end fixes the counts they start
+    at, still runs; each row ends there, its stall its last record, and
+    the result is the reference loop's."""
     ended, finished = _events(monkeypatch)
     seed = JointState(values={0: 2.6918966828234634, 1: -1.1290112879370873})
     target = np.array([0.05910812350128358, 2.2523184816296764, 0.0])
-    result, _ = _solve_once(_TWO_LINK, "arm", target, seed, IkConfig(max_iterations=18))
-    assert not result.converged and result.iterations == 17
-    assert (3, 1, 3) in ended and finished == [(5, False)]
+    result, _ = _solve_once(_TWO_LINK, "arm", target, seed, IkConfig())
+    assert not result.converged and result.iterations == 22
+    assert ended[1:4] == [(2, 2, 3, 3, 3), (3, 2, 3, 2, 2), (1, 6, 7, 2, 2)]
+    assert finished == [("plateau", 22)]
 
 
 @pytest.mark.parametrize("budget", [20, 27])
 def test_the_bundled_pre_grasp_solve_under_a_smaller_budget_matches_the_reference_loop(
         monkeypatch, budget):
-    """Middle and ring re-seed in parallel rows; at these budgets the stall
-    test and the budget end ring's re-seeds at other counts than at 100."""
+    """Middle and ring re-seed in parallel rows; the budget cuts both at 20,
+    inside and at the start of a re-seed, and ring's last re-seed at 27."""
     from graspforge.controller import RunConfig
 
     sc, calls = _bundled_hand_solves(monkeypatch, [f"ik.max_iterations={budget}"],
@@ -683,7 +718,7 @@ def test_lockstep_counts_do_not_depend_on_earlier_solves(monkeypatch):
                 for targets, seed, config, _ in calls]
 
     fresh = counts(load_robot_description(bundled_hand_path()))
-    assert fresh == [(9, 15, 82), (8, 15, 34)]
+    assert fresh == [(9, 15, 83), (8, 15, 34)]
     used, other = (load_robot_description(bundled_hand_path()) for _ in range(2))
     for robot in (used, other):
         for finger in robot.fingers:
