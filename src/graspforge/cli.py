@@ -162,10 +162,10 @@ def cmd_perturb(args) -> int:
     contacts = detect_contacts(scenario.scene, state)
     all_passed = True
     for i in range(args.repeat):
-        out_dir = out_root if args.repeat == 1 else os.path.join(out_root, f"{i:03d}")
-        os.makedirs(out_dir, exist_ok=True)
         config = replace(scenario.perturb, seed=scenario.perturb.seed + i)
         report = perturb_contacts(scenario.scene.object, contacts, config, scenario.validation)
+        out_dir = out_root if args.repeat == 1 else os.path.join(out_root, f"{i:03d}")
+        os.makedirs(out_dir, exist_ok=True)
         _write_json(os.path.join(out_dir, "perturbation.json"), report.to_dict())
         _write_text(os.path.join(out_dir, "perturbation_samples.csv"),
                     lambda fh: write_samples_csv(report, fh), not args.no_timestamp)
@@ -235,7 +235,9 @@ def main(argv=None) -> int:
         if args.command == "perturb":
             return cmd_perturb(args)
         return cmd_validate(args)
-    except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
+    # a MemoryError is an array too large to allocate, such as the rounds
+    # of a perturbation count no machine can hold
+    except (ConfigError, ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

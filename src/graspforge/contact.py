@@ -1,7 +1,8 @@
 """Analytic contact detection between finger geometry and the box object.
 
 Finger links carry sphere or capsule collision shapes; the object is an
-oriented box.  Each (finger link, box) pair contributes at most one contact:
+oriented box.  Geometry on the other links, such as the bundled palm's box,
+is not used.  Each (finger link, box) pair contributes at most one contact:
 the deepest penetrating point of the link surface.  Forces follow the
 quasi-static spring law F = k * depth with the object's contact stiffness.
 

@@ -56,16 +56,14 @@ row.  A Jacobian is made only for the rows that go on from the walked
 posture.
 
 A descent's path depends only on its seed, since its damping starts afresh
-and none of its tests reads the solve's iteration count.  So when a finger
-first re-seeds, every re-seed that the budget leaves room for starts at
-once, as a row of its own, and each row ends its own descent: converged,
-stationary or stalled.  The finger's result is one pass over the rows'
-records (`_FingerSolve.finish`): concatenated in re-seed order and cut at
-the budget, the first converged record, or else the best by strict `<`.
-While the rows run, the solve keeps only the bookkeeping on lengths that
-spares walks the pass would not read: it stops the rows after a descent
-that converged, and a row and the rows after it once the row's last record
-lies at or past the budget at the least count its descent can start at.
+and none of its tests reads the solve's iteration count.  So when the
+start's descent ends unconverged, all five re-seeds start at once, each as
+a row of its own, and each row ends its own descent: converged, stationary,
+stalled, or once it holds `max_iterations + 1` records, more than the
+result reads of any descent.  No row stops another.  The finger's result
+is one pass over the rows' records (`_FingerSolve.finish`), the only code
+that reads the budget across rows: concatenated in re-seed order and cut
+at the budget, the first converged record, or else the best by strict `<`.
 Each finger keeps its own damping, residuals, re-seeds, iteration count
 and best posture, so its result is the one it would reach alone, and an
 unreachable target's re-seeds take about as many rounds as its longest
@@ -167,15 +165,16 @@ class _Row:
     one walk per round.
 
     It records each accepted posture and residual, the seed's first, and
-    ends its own descent when it converges, is stationary or stalls; none
-    of these tests reads the solve's iteration count.  At its end it hands
-    its `length` to its finger's solve (`_FingerSolve.ended`): the
-    iterations from its seed to the re-seed after it, one past its last
-    record when stationary.  It also stops (`live` False) when the solve
-    drops it.  `pending` is the posture the next round walks: the seed
-    while `seeding`, else a damping trial, which `_steps` makes.  The
-    accepted posture `q` keeps its Jacobian `J` and error `e` for the
-    trials that follow it.
+    ends its own descent (`live` False) when it converges, is stationary
+    or stalls; none of these tests reads the solve's iteration count.  At
+    that end it hands its finger's solve its `length` (`_FingerSolve.ended`):
+    the iterations from its seed to the re-seed after it, one past its last
+    record when stationary.  It also stops, with no length, once it holds
+    `max_iterations + 1` records, as the result reads none past them.
+    `pending` is the posture the next round walks: the seed while
+    `seeding`, else a damping trial, which `_steps` makes.  The accepted
+    posture `q` keeps its Jacobian `J` and error `e` for the trials that
+    follow it.
     """
 
     __slots__ = ("solve", "index", "pending", "seeding", "live", "length", "q", "J", "e",
@@ -201,31 +200,26 @@ class _Row:
             self.trial_lam *= 2.0
             self.retries += 1
             if self.retries > _MAX_RETRIES:  # stationary at every damping level
+                self.live = False
                 self.solve.ended(self, len(self.residuals), cfg)
             return False
         self.q, self.e, self.residual = self.pending, e, residual
         self.residuals.append(residual)
         self.postures.append(self.pending)
         if stalled or residual <= cfg.residual_threshold:
+            self.live = False
             self.solve.ended(self, len(self.residuals) - 1, cfg)
-            return False
-        self.solve.recorded(self, cfg)
-        if not self.live:
-            return False
-        self.trial_lam, self.retries = self.lam, 0
-        return True
+        elif len(self.residuals) > cfg.max_iterations:
+            self.live = False
+        else:
+            self.trial_lam, self.retries = self.lam, 0
+        return self.live
 
 
 class _FingerSolve:
-    """One finger's solve: its descent rows, the start's and, from its first
-    re-seed on, every re-seed's, and the pass over their records that gives
-    its result (`finish`).
-
-    While the rows run, the solve only stops rows whose records the pass
-    would not read: the rows after a descent that converged, and a row and
-    the rows after it once the row's last record lies at or past the budget
-    at the least count its descent can start at.
-    """
+    """One finger's solve: its descent rows, the start's and, once the start
+    ends unconverged, all five re-seeds', and the pass over their records
+    that gives its result (`finish`)."""
 
     __slots__ = ("name", "target", "seeds", "seeded", "group", "rows", "iterations",
                  "best_q", "best_residual", "ended_by")
@@ -248,42 +242,23 @@ class _FingerSolve:
         """Add new descent rows; when `seeded`, their seeds are the postures
         of their seed walks (start: the neutral one, re-seed r: entry r),
         and each takes its first record from its walk at once, so it steps
-        from the next round on.  The others walk their seed first.  A seed
-        record that converges stops the rows after it."""
+        from the next round on.  The others walk their seed first."""
         self.rows += rows
         self.group.rows += rows
         if not seeded:
             return
         for r in rows:
             e = self.target - self.seeds.tips[r.index]
-            if r.live and r.walked(e, math.sqrt(e.dot(e)), cfg):
+            if r.walked(e, math.sqrt(e.dot(e)), cfg):
                 r.J = self.seeds.jacobians[r.index]
 
     def ended(self, row: _Row, length: int, cfg: IkConfig) -> None:
-        """`row` ended its descent after `length` iterations.  A converged
-        descent stops the rows after it; the start's stall or stationary
-        state starts every re-seed that the budget leaves room for, each as
-        a row of its own (re-seed r starts at a count of at least
-        `length` + r - 1)."""
-        row.live, row.length = False, length
-        if row.residuals[-1] <= cfg.residual_threshold:
-            for r in self.rows[row.index + 1:]:
-                r.live = False
-        elif row.index == 0:
-            spawned = min(len(_RESTART_FRACTIONS), cfg.max_iterations - length + 1)
+        """`row` ended its descent after `length` iterations.  When the start
+        ends unconverged, every re-seed starts, each as a row of its own."""
+        row.length = length
+        if row.index == 0 and row.residuals[-1] > cfg.residual_threshold:
             self._start_rows([_Row(self, r, self.seeds.postures[r])
-                              for r in range(1, spawned + 1)], self.seeded, cfg)
-
-    def recorded(self, row: _Row, cfg: IkConfig) -> None:
-        """Stop `row` and the rows after it once the row's last record lies
-        at or past the budget at the least count its descent can start at.
-        An earlier descent takes at least its length when ended, else at
-        least as many iterations as it has records, and at least one."""
-        least = sum(max(len(r.residuals), 1) if r.length is None else r.length
-                    for r in self.rows[:row.index])
-        if least + len(row.residuals) > cfg.max_iterations:
-            for r in self.rows[row.index:]:
-                r.live = False
+                              for r in range(1, len(_RESTART_FRACTIONS) + 1)], self.seeded, cfg)
 
     def finish(self, cfg: IkConfig) -> None:
         """The result: the records of the descents concatenated in re-seed
@@ -305,10 +280,7 @@ class _FingerSolve:
             if row.length is None or count + row.length > top:
                 break
             count += row.length
-        else:
-            # all six descents ended inside the budget: when the budget left
-            # room for fewer re-seeds, the last one starts at or past it and
-            # cannot end inside it
+        else:  # all six descents ended inside the budget
             self.iterations, self.ended_by = count, "plateau"
             return
         self.iterations, self.ended_by = top, "budget"
@@ -425,11 +397,9 @@ def _solve(chain: KinematicChain, targets: dict, q: np.ndarray,
                 group.target = _stack([r.solve.target for r in rows])
             p, jacobian = group.walk(_stack([r.pending for r in rows]))
             e = group.target - p
-            # the residual as np.linalg.norm takes it; a row that its solve
-            # stopped earlier in this round, on a record of a row before it,
-            # ignores its walk
+            # the residual as np.linalg.norm takes it
             going_on = [i for i, (r, e_r) in enumerate(zip(rows, e))
-                        if r.live and r.walked(e_r, math.sqrt(e_r.dot(e_r)), cfg)]
+                        if r.walked(e_r, math.sqrt(e_r.dot(e_r)), cfg)]
             if going_on:
                 J = jacobian()
                 for i in going_on:

@@ -272,9 +272,10 @@ def _stack(arrays: list) -> np.ndarray:
 # in turn (escapes fold minima)
 _RESTART_FRACTIONS = (0.25, 0.75, 0.1, 0.9, 0.5)
 # the gathers a walk group keeps; a walk past this many starts afresh.  A
-# one-finger solve uses at most 5 per finger (1 to 5 live rows of it): the
-# `ik_reach` benchmark uses 25 over the bundled hand's two groups, and the
-# bundled grasp's two hand solves 10
+# one-finger solve uses at most 5 per finger, one per count of its live rows
+# (its start's 1, then its five re-seeds' 5 down to 1): the `ik_reach`
+# benchmark uses 25 over the bundled hand's two groups, and the bundled
+# grasp's two hand solves 10
 _GATHERS = 64
 
 

@@ -4,7 +4,10 @@ Reads a URDF-style XML subset (links with optional box / capsule / sphere
 collision geometry, revolute and fixed joints with origin / axis / limit
 tags) into an immutable kinematic tree.  Visual, inertial, material and
 joint dynamics elements are ignored; anything else unrecognized is an error,
-and so is a number that is not finite.
+and so is a number that is not finite.  A finger link's collision geometry
+is a capsule or a sphere, which contact detection probes; a box there is a
+`ValidationError`.  A box on any other link, such as the bundled palm, is
+accepted, but contact detection does not use it.
 
 Finger grouping is inferred from joint names: every movable joint named
 ``<finger>_<something>`` belongs to finger ``<finger>``.  When a finger
@@ -310,7 +313,11 @@ class KinematicChain:
 
     def _finger_shapes(self) -> FingerShapes:
         rows = [(name, li) for name, members in self.finger_links.items() for li in members
-                if isinstance(self.links[li].geometry, (CapsuleGeometry, SphereGeometry))]
+                if self.links[li].geometry is not None]
+        for _, li in rows:
+            if isinstance(self.links[li].geometry, BoxGeometry):
+                raise ValidationError(f"finger link {self.links[li].name!r}: box collision "
+                                      f"geometry is not supported, only a capsule or a sphere")
         specs = [self.links[li] for _, li in rows]
         length = np.array([l.geometry.length if isinstance(l.geometry, CapsuleGeometry) else 0.0
                            for l in specs])
@@ -405,7 +412,8 @@ def parse_robot_description(text: str) -> KinematicChain:
 
     Raises RobotDescriptionError for malformed text and ValidationError for
     well-formed text that breaks a structural invariant (cycles, multiple
-    roots, missing revolute limits, bad finger layout).
+    roots, missing revolute limits, bad finger layout, a box on a finger
+    link).
     """
     try:
         root = ET.fromstring(text)

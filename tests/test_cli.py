@@ -361,6 +361,32 @@ class TestErrorHandling:
             f"error: hand.description_path {str(urdf)!r}: joint 'index_yaw' lower limit: "
             "expected a finite number, got 'nan'\n")
 
+    def test_a_box_on_a_finger_link_names_the_link(self, tmp_path, capsys):
+        with open(bundled_hand_path(), encoding="utf-8") as fh:
+            urdf = fh.read()
+        start = urdf.index('<link name="index_distal">')
+        end = urdf.index("</link>", start)
+        box = tmp_path / "box_distal.urdf"
+        box.write_text(urdf[:start] + re.sub(r"<capsule [^>]*/>", '<box size="0.02 0.02 0.02"/>',
+                                             urdf[start:end]) + urdf[end:])
+        code = run_cli("run", "--set", f"hand.description_path={box}",
+                       "--out", str(tmp_path / "out"))
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: hand.description_path {str(box)!r}: finger link 'index_distal': box "
+            "collision geometry is not supported, only a capsule or a sphere\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_rounds_too_many_to_allocate_are_an_error_line(self, tmp_path, capsys):
+        # 1e13 rounds of forces need 218 TiB, more than any address space
+        # maps, so the allocation fails at once
+        code = run_cli("perturb", "--iterations", "10000000000000",
+                       "--out", str(tmp_path / "out"))
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", ["run.servo_gain=.nan", "run.joint_rate_limit=.nan",
                                      "run.hz=.inf", "perturb.force_bound=.inf",
                                      "ik.residual_threshold=.inf", "ik.damping_lambda=.inf",

@@ -504,17 +504,16 @@ def test_the_far_ik_reach_inputs_match_the_reference_loop():
 
 def _events(monkeypatch):
     """Record, per descent that ends itself, (descent, its length, its
-    record count, the later rows live before it ended, and after), and per
-    solve that finishes, (how it ended, its iterations)."""
+    record count, the later rows live once it ended), and per solve that
+    finishes, (how it ended, its iterations)."""
     from graspforge.ik_solver import _FingerSolve
     ended, finished = [], []
     end, finish = _FingerSolve.ended, _FingerSolve.finish
 
     def recording_end(self, row, length, cfg):
-        before = sum(r.live for r in self.rows[row.index + 1:])
         end(self, row, length, cfg)  # the start's end adds the re-seed rows
-        after = sum(r.live for r in self.rows[row.index + 1:])
-        ended.append((row.index, length, len(row.residuals), before, after))
+        ended.append((row.index, length, len(row.residuals),
+                      sum(r.live for r in self.rows[row.index + 1:])))
 
     def recording_finish(self, cfg):
         finish(self, cfg)
@@ -533,33 +532,31 @@ def _solve_once(chain, finger, target, seed, config):
     return results[finger], counts
 
 
-@pytest.mark.parametrize("budget, walked", zip(range(1, 13),
-                                                [8, 9, 23, 24, 38, 39, 64, 64, 64, 77, 77, 77]))
+_FAR_SEED, _FAR_TARGET = JointState(values={0: 0.1, 1: 0.1}), np.array([10.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("budget, walked", zip(range(1, 13), [25] + [77] * 11))
 def test_a_budget_that_ends_inside_a_reseed_matches_the_reference_loop(monkeypatch, budget,
                                                                        walked):
     """The two-link arm toward a far target: the start stalls after one
-    iteration, re-seeds 1 to 3 and 5 after two and re-seed 4 after one, so
-    the solve ends on a plateau at 10 iterations, and a smaller budget cuts
-    it inside or at the start of a re-seed.
+    iteration, re-seeds 1 to 3 and 5 are stationary after two and re-seed 4
+    after one, so the solve ends on a plateau at 10 iterations, and a
+    smaller budget cuts it inside or at the start of a re-seed.
 
-    The re-seeds take their first records from the chain's seed walks.  At
-    a budget of 1 or 2 only re-seed 1's row can reach the budget, so at
-    most it walks; from 3 on, two or more re-seed rows walk in one round.
-    A row stops once the least count its descent can start at, from the
-    lengths of the descents before it, puts its records past the budget:
-    `walked` row trials."""
+    The re-seeds take their first records from the chain's seed walks, and
+    all five walk as parallel rows at every budget.  No row stops another:
+    each runs until it ends itself or holds `budget` + 1 records.  At a
+    budget of 1 that cap stops re-seeds 1 to 3 and 5 at their second
+    records; from 2 on every row ends itself, so the solve walks the 77 row
+    trials it walks with no budget cut."""
     ended, finished = _events(monkeypatch)
-    result, (rounds, _, trials) = _solve_once(
-        _TWO_LINK, "arm", np.array([10.0, 0.0, 0.0]), JointState(values={0: 0.1, 1: 0.1}),
-        IkConfig(max_iterations=budget))
+    result, (rounds, _, trials) = _solve_once(_TWO_LINK, "arm", _FAR_TARGET, _FAR_SEED,
+                                              IkConfig(max_iterations=budget))
     assert not result.converged
     assert finished == [("budget", budget) if budget < 10 else ("plateau", 10)]
-    if budget >= 10:
-        assert sorted(e[:2] for e in ended) == [(0, 1), (1, 2), (2, 2), (3, 2), (4, 1), (5, 2)]
-    if budget > 2:
-        assert trials > rounds  # the re-seeds ran as parallel rows
-    else:
-        assert trials == rounds
+    lengths = [(0, 1), (1, 2), (2, 2), (3, 2), (4, 1), (5, 2)]
+    assert sorted(e[:2] for e in ended) == (lengths if budget > 1 else [(0, 1), (4, 1)])
+    assert trials > rounds  # the re-seeds ran as parallel rows
     assert trials == walked
 
 
@@ -584,17 +581,19 @@ def test_a_result_does_not_depend_on_a_budget_it_did_not_reach():
     assert results[0][1] == 10 and results[1:] == results[:1] * 2
 
 
-def test_a_reseed_that_converges_ends_the_rows_after_it(monkeypatch):
+def test_a_converged_reseed_is_the_result_while_the_later_rows_run_on(monkeypatch):
     """Found by a scan of the two-link arm: the start is stationary after one
     step, re-seed 4 converges while re-seed 5 still runs, and re-seed 1
-    converges while re-seeds 2 and 3 still run; each stops the rows after
-    it, and re-seed 1's is the result."""
+    converges while re-seeds 2 and 3 still run.  Re-seeds 2, 3 and 5 run on
+    to their own ends, and the result is re-seed 1's converged record, the
+    first in re-seed order."""
     ended, finished = _events(monkeypatch)
     seed = JointState(values={0: 1.3769793659039902, 1: 0.261749948792537})
     target = np.array([1.8161245400219759, 0.4691974133755914, 0.0])
     result, _ = _solve_once(_TWO_LINK, "arm", target, seed, IkConfig(max_iterations=83))
     assert result.converged and result.iterations == 9
-    assert ended == [(0, 2, 2, 0, 5), (4, 5, 6, 1, 0), (1, 7, 8, 2, 0)]
+    assert ended == [(0, 2, 2, 5), (4, 5, 6, 1), (5, 6, 7, 0), (1, 7, 8, 2), (2, 2, 3, 1),
+                     (3, 2, 2, 0)]
     assert finished == [("converged", 9)]
 
 
@@ -608,8 +607,28 @@ def test_a_reseed_row_stops_at_its_own_stall(monkeypatch):
     target = np.array([0.05910812350128358, 2.2523184816296764, 0.0])
     result, _ = _solve_once(_TWO_LINK, "arm", target, seed, IkConfig())
     assert not result.converged and result.iterations == 22
-    assert ended[1:4] == [(2, 2, 3, 3, 3), (3, 2, 3, 2, 2), (1, 6, 7, 2, 2)]
+    assert ended[1:4] == [(2, 2, 3, 3), (3, 2, 3, 2), (1, 6, 7, 2)]
     assert finished == [("plateau", 22)]
+
+
+def test_no_row_records_more_than_the_budget_and_one(chain):
+    """The result reads no record past `max_iterations` of any descent, so a
+    row stops once it holds `max_iterations` + 1: the two-link far target
+    at budgets 1 to 12, and a far index target from the bundled neutral
+    posture, whose start row holds five records with no budget cut."""
+    from graspforge.ik_solver import _solve
+
+    def most_records(robot, finger, target, seed, budget):
+        _, solves, _ = _solve(robot, {finger: target}, _angles(robot, seed),
+                              IkConfig(max_iterations=budget))
+        return max(len(r.residuals) for r in solves[finger].rows)
+
+    for budget in range(1, 13):
+        assert most_records(_TWO_LINK, "arm", _FAR_TARGET, _FAR_SEED, budget) <= budget + 1
+    far, neutral = _near_and_far(chain, "index")[1], neutral_state(chain)
+    for budget in (1, 2, 3):
+        assert most_records(chain, "index", far, neutral, budget) == budget + 1
+    assert most_records(chain, "index", far, neutral, 100) == 5
 
 
 @pytest.mark.parametrize("budget", [20, 27])

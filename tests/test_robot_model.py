@@ -270,6 +270,15 @@ class TestStructuralValidation:
         with pytest.raises(ValidationError, match="cycle detected at link 'c'"):
             parse_robot_description(doc)
 
+    def test_a_box_on_a_finger_link_is_rejected(self):
+        # contact detection probes only capsules and spheres; a box on the
+        # root, which is no finger's link, is accepted as the palm's is
+        box = "<collision><geometry><box size='0.02 0.02 0.02'/></geometry></collision>"
+        joints = _rev("f_j", "a", "b")
+        parse_robot_description(_doc(f"<link name='a'>{box}</link><link name='b'/>", joints))
+        with pytest.raises(ValidationError, match="finger link 'b': box collision geometry"):
+            parse_robot_description(_doc(f"<link name='a'/><link name='b'>{box}</link>", joints))
+
     def test_thumb_dof_enforced_when_thumb_present(self):
         # a 1-dof "thumb" plus nothing else must be rejected
         doc = _doc("<link name='a'/><link name='b'/>", _rev("thumb_yaw", "a", "b"))
