@@ -34,26 +34,25 @@ residual, because a stall stops a descent that still improves slowly.
 
 A solve runs in lockstep rounds over rows (`_solve`), on angle arrays in
 `chain.movable` order: the seed is clamped into the limits once, and each
-finger reads its own and its held joints by column (`FingerSeeds`).  The
-public functions convert a `JointState` at their edge; the controller calls
-the core on its angles.  A row is one descent of one finger, from its start
-or from one re-seed, and in each round every live row walks one posture:
-its seed or a damping trial.  A seed that is a constant of the chain is not
-walked: the row takes its first record (the fingertip and Jacobian) from
-the finger's seed walks, built with the chain, and steps from its first
-round on.  Such seeds are the start of a solve seeded at the neutral
-posture, compared by bytes (the controller's pre-grasp solve, and any solve
-from `neutral_state`), and every re-seed, provided the joints that the
-finger's walk holds, such as a wrist above it, are at their neutral angles
-too.  Rows of one walk group (fingers with the same sequence of own, other
-and fixed joints from the root to the fingertip) share one stacked walk,
-`finger_walk`; on the bundled hand the four long fingers form one group and
-the thumb another.  The trials of a group come from one batched damping
-step (`_stacked_dls_step`), and each pass of the clamping loop re-solves
-all of its rows with a pushed pinned joint in one batch; a row that steps
-alone takes the 2-D `_dls_step`, which the batched step matches row for
-row.  A Jacobian is made only for the rows that go on from the walked
-posture.
+finger reads its own joints by column (`FingerSeeds`); the chain admits no
+other movable joint on a finger's path.  The public functions convert a
+`JointState` at their edge; the controller calls the core on its angles.
+A row is one descent of one finger, from its start or from one re-seed,
+and in each round every live row walks one posture: its seed or a damping
+trial.  A seed that is a constant of the chain is not walked: the row
+takes its first record (the fingertip and Jacobian) from the finger's seed
+walks, built with the chain, and steps from its first round on.  A row's
+seed is such a constant when it has the bytes of its seed walk's posture:
+every re-seed, and the start of a solve seeded at the neutral posture (the
+controller's pre-grasp solve, and any solve from `neutral_state`).  Rows
+of one walk group (fingers with the same sequence of own and fixed joints
+from the root to the fingertip) share one stacked walk, `finger_walk`; on
+the bundled hand the four long fingers form one group and the thumb
+another.  The trials of a group come from one batched damping step
+(`_stacked_dls_step`), and each pass of the clamping loop re-solves all of
+its rows with a pushed pinned joint in one batch; a row that steps alone
+takes the 2-D `_dls_step`, which the batched step matches row for row.  A
+Jacobian is made only for the rows that go on from the walked posture.
 
 A descent's path depends only on its seed, since its damping starts afresh
 and none of its tests reads the solve's iteration count.  So when the
@@ -221,33 +220,29 @@ class _FingerSolve:
     ends unconverged, all five re-seeds', and the pass over their records
     that gives its result (`finish`)."""
 
-    __slots__ = ("name", "target", "seeds", "seeded", "group", "rows", "iterations",
+    __slots__ = ("name", "target", "seeds", "group", "rows", "iterations",
                  "best_q", "best_residual", "ended_by")
 
     def __init__(self, chain: KinematicChain, name: str, target, start: np.ndarray,
                  groups: dict, cfg: IkConfig):
         chain.finger(name)  # an unknown name raises UnknownFingerError
         self.name, self.target = name, _finger_target(name, target)
-        seeds = self.seeds = chain.finger_seeds[name]
-        # the seed walks hold while the joints the finger's walk holds are at
-        # their neutral angles, compared by bytes: a -0.0 can walk to other bits
-        self.seeded = start.take(seeds.held_columns).tobytes() == seeds.held_neutral
+        self.seeds = chain.finger_seeds[name]
         self.group = groups.setdefault(chain.finger_walks[name][0].fingers, _Group())
         self.rows = []
-        q = start.take(seeds.columns)
-        self._start_rows([_Row(self, 0, q)],
-                         self.seeded and q.tobytes() == seeds.postures[0].tobytes(), cfg)
+        self._start_rows([_Row(self, 0, start.take(self.seeds.columns))], cfg)
 
-    def _start_rows(self, rows: list, seeded: bool, cfg: IkConfig) -> None:
-        """Add new descent rows; when `seeded`, their seeds are the postures
-        of their seed walks (start: the neutral one, re-seed r: entry r),
-        and each takes its first record from its walk at once, so it steps
-        from the next round on.  The others walk their seed first."""
+    def _start_rows(self, rows: list, cfg: IkConfig) -> None:
+        """Add new descent rows.  A row whose seed has the bytes of its seed
+        walk's posture (start: the neutral one, re-seed r: entry r; a -0.0
+        can walk to other bits than 0.0) takes its first record from that
+        walk at once, so it steps from the next round on.  The others walk
+        their seed first."""
         self.rows += rows
         self.group.rows += rows
-        if not seeded:
-            return
         for r in rows:
+            if r.pending.tobytes() != self.seeds.postures[r.index].tobytes():
+                continue
             e = self.target - self.seeds.tips[r.index]
             if r.walked(e, math.sqrt(e.dot(e)), cfg):
                 r.J = self.seeds.jacobians[r.index]
@@ -258,7 +253,7 @@ class _FingerSolve:
         row.length = length
         if row.index == 0 and row.residuals[-1] > cfg.residual_threshold:
             self._start_rows([_Row(self, r, self.seeds.postures[r])
-                              for r in range(1, len(_RESTART_FRACTIONS) + 1)], self.seeded, cfg)
+                              for r in range(1, len(_RESTART_FRACTIONS) + 1)], cfg)
 
     def finish(self, cfg: IkConfig) -> None:
         """The result: the records of the descents concatenated in re-seed
@@ -393,7 +388,7 @@ def _solve(chain: KinematicChain, targets: dict, q: np.ndarray,
                 _steps(stepping, cfg)
             if rows != group.walked:
                 group.walked = rows
-                group.walk = finger_walk(chain, [r.solve.name for r in rows], start)
+                group.walk = finger_walk(chain, [r.solve.name for r in rows])
                 group.target = _stack([r.solve.target for r in rows])
             p, jacobian = group.walk(_stack([r.pending for r in rows]))
             e = group.target - p
@@ -445,9 +440,10 @@ def solve_hand_ik(chain: KinematicChain, targets: dict, seed: JointState,
                   config: IkConfig | None = None) -> dict[str, IkResult]:
     """Per-finger solves from a shared seed, in lockstep rounds.
 
-    Fingers do not interact mechanically (separate serial chains off the
-    palm), so each solve only touches its own joints, and each result is
-    the one `solve_finger_ik` gives for its finger alone.  Leaves one DEBUG
+    Fingers do not interact mechanically: the parser admits only hands
+    whose fingers are separate serial chains off the palm, so each solve
+    only touches its own joints, and each result is the one
+    `solve_finger_ik` gives for its finger alone.  Leaves one DEBUG
     record: the rounds, stacked walks and row trials.
     """
     results, counts = _solve_state(chain, targets, seed, config)

@@ -20,12 +20,13 @@ checked when it is made.  Two routes compute frames:
   frames from it.
 - `finger_walk` serves the IK: for G rows of fingers of one walk group
   (fingers with the same kinds of joints from the root to the tip: their
-  own, another movable one held at its angle, or fixed), it gathers the
-  group's constants for the rows (once per sequence of finger names) and
-  reads the held angles by column; each call makes one stacked walk from
-  the root to the fingertips, with the rotations of all the rows' own
-  joints from one vectorized Rodrigues evaluation, and gives the
-  fingertips (G, 3) and, when asked, their Jacobians (G, 3, n).
+  own or fixed, as the chain admits no other finger's joint there), it
+  gathers the group's constants for the rows (once per sequence of finger
+  names); each call makes one stacked walk from the root to the
+  fingertips, with the rotations of all the rows' own joints from one
+  vectorized Rodrigues evaluation, and gives the fingertips (G, 3) and,
+  when asked, their Jacobians (G, 3, n).  A walk reads only its rows' own
+  angles.
   `finger_seeds` makes, with the chain, the walks of every finger at the
   postures an IK descent starts from without reading its seed: neutral
   and the five re-seeds.
@@ -38,14 +39,14 @@ once from the identity root by the same products.  A stacked `matmul`
 rounds each slice exactly as the 2-D product does, whatever the number of
 rows, so both routes agree bit for bit with a per-joint walk of 2-D
 products, which tests/reference.py keeps as their oracle.  Every joint
-rotation, a held joint's too, comes from the vectorized Rodrigues
-(`_rodrigues`); it and the cross products repeat the arithmetic of the
-one-axis Rodrigues formula (its oracle in tests/reference.py) and of
-`np.cross` entry for entry.  A Jacobian, alone or as a row of a stack,
-keeps the memory layout of a column selection of `jacobian`'s result (the
-transpose of a C-ordered (n, 3) array, which `take` gives the cross
-products): products such as J @ J.T and J.T @ x take another route on
-another layout, and round differently.
+rotation comes from the vectorized Rodrigues (`_rodrigues`); it and the
+cross products repeat the arithmetic of the one-axis Rodrigues formula
+(its oracle in tests/reference.py) and of `np.cross` entry for entry.  A
+Jacobian, alone or as a row of a stack, keeps the memory layout of a
+column selection of `jacobian`'s result (the transpose of a C-ordered
+(n, 3) array, which `take` gives the cross products): products such as
+J @ J.T and J.T @ x take another route on another layout, and round
+differently.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .robot_model import _HELD, _OWN, FingerSeeds, KinematicChain, WalkGroup, _frozen
+from .robot_model import FingerSeeds, KinematicChain, WalkGroup, _frozen
 from .transforms import rpy_matrix
 
 
@@ -279,16 +280,14 @@ _RESTART_FRACTIONS = (0.25, 0.75, 0.1, 0.9, 0.5)
 _GATHERS = 64
 
 
-def finger_walk(chain: KinematicChain, fingers, angles: np.ndarray):
+def finger_walk(chain: KinematicChain, fingers):
     """End-effector positions and Jacobians of G rows of fingers of one walk
     group (`chain.finger_walks`), as a function of the rows' own angles.
 
     `fingers` names the finger of each row; a finger may fill several rows.
-    Every other joint on a finger's path, such as a wrist above it, keeps
-    its angle in `angles` (`chain.movable` order), read by column; no other
-    joint is read.  The walk constants are the group's, built with the
-    chain, and gathered for the rows once per sequence of names
-    (`WalkGroup.gathers`); the held joints' rotations are made on each call.
+    Every other joint on a finger's path is fixed, so no other angle is
+    read.  The walk constants are the group's, built with the chain, and
+    gathered for the rows once per sequence of names (`WalkGroup.gathers`).
     The returned `walk(q)` takes the rows' angles, shape (G, n) with each
     row base to tip, and makes one stacked walk from the root: a stacked
     `matmul` per joint, with all rotations from one vectorized Rodrigues
@@ -308,7 +307,7 @@ def finger_walk(chain: KinematicChain, fingers, angles: np.ndarray):
             group.gathers.clear()
         gathered = group.gathers[fingers] = _gather(
             group, [chain.finger_walks[f][1] for f in fingers])
-    return _group_walk(group, gathered, angles)
+    return _group_walk(group, gathered)
 
 
 def _gather(group: WalkGroup, rows) -> tuple:
@@ -317,23 +316,17 @@ def _gather(group: WalkGroup, rows) -> tuple:
     # R @ t_origin takes
     origin_rotation = list(group.origin_rotation.take(rows, 1))
     origin_translation = list(group.origin_translation.take(rows, 1)[..., None])
-    held_columns = group.held_columns.take(rows, 1)
-    held_terms = tuple(a.take(rows, 1) for a in group.held_terms)
     terms = tuple(a.take(rows, 0) for a in group.terms)
     # the joints' axes, (n, G, 3, 1), as the stacked joint frames take them
     axes = group.axes.take(rows, 1)[..., None]
     first = group.first_rotation.take(rows, 0), group.first_translation.take(rows, 0)
-    return origin_rotation, origin_translation, held_columns, held_terms, terms, axes, first
+    return origin_rotation, origin_translation, terms, axes, first
 
 
-def _group_walk(group: WalkGroup, gathered: tuple, angles: np.ndarray):
+def _group_walk(group: WalkGroup, gathered: tuple):
     """`finger_walk` of walk group `group`'s rows whose constants are
-    `gathered` (`_gather`), the held joints at their `angles`."""
-    origin_rotation, origin_translation, held_columns, held_terms, terms, axes, first = gathered
-    # the rotations of the held joints, (G, 3, 3) per held step
-    held = {}
-    if group.held_steps:
-        held = dict(zip(group.held_steps, _rodrigues(held_terms, angles.take(held_columns))))
+    `gathered` (`_gather`)."""
+    origin_rotation, origin_translation, terms, axes, first = gathered
     shape = group.shape
     last = len(shape) - 1
 
@@ -341,20 +334,18 @@ def _group_walk(group: WalkGroup, gathered: tuple, angles: np.ndarray):
         rotations = _rodrigues(terms, q)
         R, t = first
         frames, origins = [], []
-        for s, kind in enumerate(shape):
+        for s, own in enumerate(shape):
             # the compose sequence, the first joint's made with the chain;
             # the last joint's child rotation is not needed
             if s:
                 t = R @ origin_translation[s] + t
-                if kind == _OWN or s < last:
+                if own or s < last:
                     R = R @ origin_rotation[s]
-            if kind == _OWN:
+            if own:
                 frames.append(R)
                 origins.append(t)
                 if s < last:
                     R = R @ rotations[:, len(frames) - 1]
-            elif kind == _HELD and s < last:
-                R = R @ held[s]
 
         def jacobian() -> np.ndarray:
             # the cross products axis x (p - origin) of `_jacobian_columns`,
@@ -374,8 +365,7 @@ def finger_seeds(chain: KinematicChain, group: WalkGroup) -> dict[str, FingerSee
     keep (`FingerSeeds`): each finger's columns and limits, and its
     posture, fingertip and Jacobian at the neutral posture and at each
     re-seed posture, restart 1 to 5 (fraction `_RESTART_FRACTIONS[r % 5]`
-    of each joint's range from its lower limit), with the held joints at
-    their neutral angles.
+    of each joint's range from its lower limit).
 
     The postures are the values an IK solve computes for them, and one
     stacked walk of the group at all of them gives the tips and Jacobians,
@@ -391,18 +381,17 @@ def finger_seeds(chain: KinematicChain, group: WalkGroup) -> dict[str, FingerSee
         [neutral.take(columns)[:, None], lower[:, None] + fractions * (upper - lower)[:, None]],
         axis=1))
     F, k, n = postures.shape
-    p, jacobian = _group_walk(group, _gather(group, np.repeat(np.arange(F), k)), neutral)(
+    p, jacobian = _group_walk(group, _gather(group, np.repeat(np.arange(F), k)))(
         postures.reshape(F * k, n))
     tips = _frozen(p.reshape(F, k, 3))
     # split the rows of the C-ordered (G, n, 3) cross products, so that every
     # entry keeps the strides of a one-row walk's Jacobian, size-1 axes too
     J = _frozen(jacobian().transpose(0, 2, 1).reshape(F, k, n, 3).transpose(0, 1, 3, 2))
-    held = group.held_columns.T
     return {name: FingerSeeds(
         columns=columns[row], lower=lower[row], upper=upper[row],
         lower_l=tuple(lower[row].tolist()), upper_l=tuple(upper[row].tolist()),
-        postures=postures[row], tips=tips[row], jacobians=J[row], held_columns=held[row],
-        held_neutral=neutral.take(held[row]).tobytes()) for row, name in enumerate(group.fingers)}
+        postures=postures[row], tips=tips[row], jacobians=J[row])
+        for row, name in enumerate(group.fingers)}
 
 
 def jacobian(chain: KinematicChain, state: JointState, link) -> np.ndarray:

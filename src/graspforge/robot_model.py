@@ -10,10 +10,15 @@ is a capsule or a sphere, which contact detection probes; a box there is a
 accepted, but contact detection does not use it.
 
 Finger grouping is inferred from joint names: every movable joint named
-``<finger>_<something>`` belongs to finger ``<finger>``.  When a finger
-named "thumb" exists the hand-layout rule is enforced: the thumb has
-exactly 5 movable joints and every finger other than the thumb has
-exactly 4.
+``<finger>_<something>`` belongs to finger ``<finger>``.  Each finger is
+its own serial chain off the root: every movable joint on the path from the
+root to a finger's end effector is one of that finger's joints, and fixed
+joints may lie anywhere on it.  A hand in which a finger lies below another
+finger's movable joint is a `ValidationError`, because the hand IK solves
+each finger apart, moving only its own joints, and each finger link's shape
+must belong to one finger.  When a finger named "thumb" exists the
+hand-layout rule is enforced too: the thumb has exactly 5 movable joints
+and every finger other than the thumb has exactly 4.
 
 Each link's joint path from the root (`path_to_link`) is built once, in one
 memoized upward walk that also rejects a cycle; finger order, the serial-chain
@@ -117,23 +122,16 @@ class FkLevel:
     columns: np.ndarray
 
 
-# The kinds of the steps of a finger walk, from the root to the finger's
-# end effector: a joint of the finger, another movable joint (held at its
-# angle in the walk's angles) and a fixed joint.
-_OWN, _HELD, _FIXED = 0, 1, 2
-
-
 @dataclass(frozen=True)
 class WalkGroup:
     """The fingers of one walk shape, whose rows `kinematics.finger_walk`
     walks in one stack.
 
-    `shape` is the kind of each joint from the root to the end effector
-    (the same for every finger of the group).  Per step and finger: the
-    joint's origin rotation (S, F, 3, 3) and translation (S, F, 3); per held
-    step and finger, the held joint's column in `KinematicChain.movable`
-    (H, F) and its Rodrigues terms (H, F, 9); per finger, the Rodrigues
-    terms of its own joints (F, n, 9), and per own joint and finger its axis
+    `shape` tells of each joint from the root to the end effector whether
+    it is the finger's own (True) or fixed (the same for every finger of
+    the group).  Per step and finger: the joint's origin rotation
+    (S, F, 3, 3) and translation (S, F, 3); per finger, the Rodrigues terms
+    of its own joints (F, n, 9), and per own joint and finger its axis
     (n, F, 3).  A walk gathers its rows with `take` along the finger axis,
     and keeps what it gathered for each sequence of finger names in
     `gathers`.  The first joint's frame, the root frame (the identity at the
@@ -143,14 +141,11 @@ class WalkGroup:
     chain builds with a walk of the group are each finger's `FingerSeeds`.
     """
     fingers: tuple[str, ...]
-    shape: tuple[int, ...]
+    shape: tuple[bool, ...]
     origin_rotation: np.ndarray
     origin_translation: np.ndarray
     first_rotation: np.ndarray
     first_translation: np.ndarray
-    held_steps: tuple[int, ...]
-    held_columns: np.ndarray
-    held_terms: tuple[np.ndarray, np.ndarray]
     terms: tuple[np.ndarray, np.ndarray]
     axes: np.ndarray
     gathers: dict = field(default_factory=dict, compare=False, repr=False)
@@ -163,9 +158,7 @@ class FingerSeeds:
     `KinematicChain.movable` (n,) and their limits, as arrays and as tuples
     of floats, and its seed walks, the walk at each posture an IK descent
     can start from without reading the seed angles.  `postures` (6, n) are
-    the neutral posture and the five re-seed postures, in re-seed order,
-    each walked with the joints that the finger's walk holds (columns
-    `held_columns`) at their neutral angles (`held_neutral`, their bytes).
+    the neutral posture and the five re-seed postures, in re-seed order.
     `tips` (6, 3) and `jacobians` (6, 3, n) come from one stacked walk of
     the finger's walk group, so each entry, a Jacobian's memory layout
     included, is what a walk of its posture alone gives.
@@ -178,8 +171,6 @@ class FingerSeeds:
     postures: np.ndarray
     tips: np.ndarray
     jacobians: np.ndarray
-    held_columns: np.ndarray
-    held_neutral: bytes
 
 
 @dataclass(frozen=True)
@@ -264,11 +255,10 @@ class KinematicChain:
             levels.setdefault(len(self.path_to_link[j.child]), []).append(ji)
         self.fk_levels = tuple(self._fk_level(levels[depth]) for depth in sorted(levels))
         self.finger_shapes = self._finger_shapes()
-        shapes: dict[tuple[int, ...], list[str]] = {}
+        shapes: dict[tuple[bool, ...], list[str]] = {}
         for name, finger in self.fingers.items():
             path = self.path_to_link[finger.end_effector]
-            shapes.setdefault(tuple(_OWN if ji in finger.joints else _HELD if ji in self.column_of
-                                    else _FIXED for ji in path), []).append(name)
+            shapes.setdefault(tuple(ji in finger.joints for ji in path), []).append(name)
         # the seed walks are walks of the groups; `kinematics` imports this
         # module, so it is imported here
         from .kinematics import finger_seeds
@@ -288,12 +278,9 @@ class KinematicChain:
             moving=_frozen(np.array(moving, dtype=int)),
             columns=_frozen(np.array([self.column_of[level[row]] for row in moving], dtype=int)))
 
-    def _walk_group(self, shape: tuple[int, ...], names: list[str]) -> WalkGroup:
+    def _walk_group(self, shape: tuple[bool, ...], names: list[str]) -> WalkGroup:
         # per step of the walk, the joint of each finger
         steps = list(zip(*(self.path_to_link[self.fingers[f].end_effector] for f in names)))
-        held_steps = tuple(s for s, kind in enumerate(shape) if kind == _HELD)
-        held_columns = np.array([[self.column_of[ji] for ji in steps[s]] for s in held_steps],
-                                dtype=int).reshape(-1, len(names))
         columns = np.array([[self.column_of[ji] for ji in self.fingers[f].joints] for f in names])
         origin_rotation = np.array([[self.origin_rotation[ji] for ji in js] for js in steps])
         origin_translation = np.array([[self.origin_translation[ji] for ji in js]
@@ -306,8 +293,6 @@ class KinematicChain:
             first_rotation=_frozen(root @ origin_rotation[0]),
             first_translation=_frozen(root @ origin_translation[0][..., None]
                                       + np.zeros((len(names), 3, 1))),
-            held_steps=held_steps, held_columns=_frozen(held_columns),
-            held_terms=tuple(_frozen(a.take(held_columns, 0)) for a in self.movable_rodrigues),
             terms=tuple(_frozen(a.take(columns, 0)) for a in self.movable_rodrigues),
             axes=_frozen(self.movable_axes.take(columns.T, 0)))
 
@@ -412,8 +397,8 @@ def parse_robot_description(text: str) -> KinematicChain:
 
     Raises RobotDescriptionError for malformed text and ValidationError for
     well-formed text that breaks a structural invariant (cycles, multiple
-    roots, missing revolute limits, bad finger layout, a box on a finger
-    link).
+    roots, missing revolute limits, bad finger layout, a finger below
+    another finger's movable joint, a box on a finger link).
     """
     try:
         root = ET.fromstring(text)
@@ -537,6 +522,7 @@ def _build_chain(links: tuple[LinkSpec, ...], joints: tuple[JointSpec, ...]) -> 
     for ji in movable:
         groups.setdefault(joints[ji].name.split("_", 1)[0], []).append(ji)
 
+    finger_of = {ji: name for name, members in groups.items() for ji in members}
     fingers: dict[str, Finger] = {}
     for name, members in groups.items():
         # base to tip: by the number of joints above each one, fixed included
@@ -554,7 +540,16 @@ def _build_chain(links: tuple[LinkSpec, ...], joints: tuple[JointSpec, ...]) -> 
         by_depth = {len(path_to_link[li]): li for li in tail}
         if len(by_depth) < len(tail):
             raise ValidationError(f"finger {name!r}: branches below its last joint")
-        fingers[name] = Finger(joints=tuple(members), end_effector=by_depth[max(by_depth)])
+        end_effector = by_depth[max(by_depth)]
+        # every movable joint above the tip is the finger's own: the hand IK
+        # moves one finger's joints alone, and a link's shape belongs to one finger
+        for ji in path_to_link[end_effector]:
+            if finger_of.get(ji, name) != name:
+                raise ValidationError(
+                    f"finger {name!r}: its path from the root passes joint {joints[ji].name!r} "
+                    f"of finger {finger_of[ji]!r}; each finger must hang off the root through "
+                    f"fixed joints and its own joints only")
+        fingers[name] = Finger(joints=tuple(members), end_effector=end_effector)
 
     if "thumb" in fingers:
         if len(fingers["thumb"].joints) != THUMB_DOF:

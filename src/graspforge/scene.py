@@ -80,12 +80,16 @@ def make_box_object(
     params: PhysicalParams | None = None,
 ) -> SceneObject:
     """Build a box object, validating dimensions and mass."""
-    if len(half_extents) != 3 or not all(is_finite_number(v) and v > 0.0 for v in half_extents):
+    try:
+        values = tuple(half_extents)
+    except TypeError:  # not a sequence, such as a bare number
+        values = ()
+    if len(values) != 3 or not all(is_finite_number(v) and v > 0.0 for v in values):
         raise SceneError(f"box half-extents must be 3 positive numbers, got {half_extents!r}")
     if not (is_finite_number(mass) and mass > 0.0):
         raise SceneError(f"mass must be positive, got {mass!r}")
     return SceneObject(
-        half_extents=tuple(float(v) for v in half_extents),
+        half_extents=tuple(float(v) for v in values),
         pose=pose,
         mass=float(mass),
         params=params if params is not None else PhysicalParams(),

@@ -53,8 +53,10 @@ TWO_LINK_ARM = """
 """
 
 
-# A wrist joint above the index finger, so the finger's walk holds a joint
-# at its seed angle; tilted axes, rpy origins and fixed joints between.
+# One 4-joint index finger whose first joint, a roll, lies below the root
+# and above a fixed palm mount, so a fixed joint lies between two of its own
+# joints; tilted axes, rpy origins and fixed joints between.  With the roll
+# renamed to wrist_roll, a wrist finger above the index, the parser rejects it.
 WRIST_HAND = """
 <robot name="wrist_hand">
   <link name="forearm"/>
@@ -64,7 +66,7 @@ WRIST_HAND = """
   <link name="middle"/>
   <link name="distal"/>
   <link name="tip"/>
-  <joint name="wrist_roll" type="revolute">
+  <joint name="index_roll" type="revolute">
     <parent link="forearm"/><child link="wrist"/>
     <origin xyz="0.0 0.0 0.05" rpy="0.1 -0.2 0.3"/>
     <axis xyz="0.6 0.0 0.8"/><limit lower="-1.5" upper="1.5"/>

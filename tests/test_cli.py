@@ -377,6 +377,20 @@ class TestErrorHandling:
             "collision geometry is not supported, only a capsule or a sphere\n")
         assert not (tmp_path / "out").exists()
 
+    def test_a_finger_below_another_fingers_joint_is_an_error_line(self, tmp_path, capsys):
+        # index_dip renamed: a one-joint finger "nail" below the index joints
+        nail = tmp_path / "nail.urdf"
+        nail.write_text(open(bundled_hand_path()).read().replace(
+            '<joint name="index_dip"', '<joint name="nail_dip"'))
+        code = run_cli("run", "--set", f"hand.description_path={nail}",
+                       "--out", str(tmp_path / "out"))
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: hand.description_path {str(nail)!r}: finger 'index': its path from the "
+            "root passes joint 'nail_dip' of finger 'nail'; each finger must hang off the root "
+            "through fixed joints and its own joints only\n")
+        assert not (tmp_path / "out").exists()
+
     def test_rounds_too_many_to_allocate_are_an_error_line(self, tmp_path, capsys):
         # 1e13 rounds of forces need 218 TiB, more than any address space
         # maps, so the allocation fails at once

@@ -252,7 +252,7 @@ def _ik_problems(draw, chains, neutral=False):
 @settings(max_examples=40)
 @given(problem=st.data())
 def test_matches_the_reference_loop_bitwise(chain, problem):
-    """Bundled fingers, the two-link arm and a finger below a wrist joint."""
+    """Bundled fingers, the two-link arm and the wrist hand's index finger."""
     robot, finger, target, seed, config = problem.draw(
         _ik_problems([chain, _TWO_LINK, _WRIST_HAND]))
     result = solve_finger_ik(robot, finger, target, seed, config)
@@ -286,22 +286,6 @@ def test_bundled_fingers_match_the_reference_loop(chain, finger):
     for target in targets:
         result = solve_finger_ik(chain, finger, target, seed)
         assert _bits(result) == _bits(reference_solve(chain, finger, target, seed, IkConfig()))
-
-
-def test_the_wrist_angle_moves_the_finger_frame():
-    """The index finger's walk follows the seed's wrist angle."""
-    wrist = _WRIST_HAND.fingers["wrist"].joints[0]
-    target = np.array([0.05, 0.02, 0.15])
-    results = []
-    for angle in (-0.3, 0.4, 2.0):  # 2.0 lies past the limit and is clamped
-        seed = JointState(values={ji: 0.2 for ji in _WRIST_HAND.movable})
-        seed.values[wrist] = angle
-        result = solve_finger_ik(_WRIST_HAND, "index", target, seed)
-        assert _bits(result) == _bits(
-            reference_solve(_WRIST_HAND, "index", target, seed, IkConfig()))
-        assert result.state.values[wrist] == min(angle, 1.5)
-        results.append(result)
-    assert len({_bits(r)[0] for r in results}) == 3
 
 
 def test_a_seed_missing_a_movable_joint_raises(chain):
@@ -437,7 +421,7 @@ def _hand_problems(draw, chains, neutral=False):
 @settings(max_examples=25)
 @given(problem=st.data())
 def test_hand_solves_match_the_reference_loop_bitwise(chain, problem):
-    """Bundled hand, the two-link arm and a finger below a wrist joint."""
+    """Bundled hand, the two-link arm and the wrist hand."""
     robot, targets, seed, config = problem.draw(_hand_problems([chain, _TWO_LINK, _WRIST_HAND]))
     _assert_hand_matches_reference(robot, targets, seed, config)
 
@@ -677,21 +661,18 @@ def test_neutral_seeds_match_the_reference_loop(chain, budget):
 
 @pytest.mark.parametrize("robot, finger, off_neutral", [
     (TWO_LINK_ARM, "arm", {0: -0.0, 1: -0.0}),  # own joints
-    (WRIST_HAND, "index", {0: 0.4}),  # the wrist, which the index walk holds
-    (WRIST_HAND, "index", {0: -0.0}),
-], ids=["own joints at -0.0", "wrist at 0.4", "wrist at -0.0"])
+], ids=["own joints at -0.0"])
 def test_a_seed_off_neutral_by_its_bytes_walks(robot, finger, off_neutral):
-    """A start row takes the neutral seed walk only when its seed and the
-    joints its walk holds are the neutral angles by their bytes (-0.0 is
-    not 0.0), and the re-seed rows take theirs only when the held joints
-    are.  The seed walks that must not be read here have NaN fingertips:
-    the results are the reference loop's, while a neutral seed reads them."""
+    """A start row takes the neutral seed walk only when its seed is the
+    neutral posture by its bytes (-0.0 is not 0.0).  The seed walk that
+    must not be read here has a NaN fingertip: the results are the
+    reference loop's, while a neutral seed reads it."""
     from dataclasses import replace
 
     robot = parse_robot_description(robot)
     seeds = robot.finger_seeds[finger]
     tips = seeds.tips.copy()
-    tips[slice(None) if len(seeds.held_columns) else 0] = np.nan
+    tips[0] = np.nan
     robot.finger_seeds[finger] = replace(seeds, tips=tips)
     neutral = neutral_state(robot)
     seed = neutral.copy()

@@ -18,6 +18,8 @@ from reference import (axis_angle_matrix, reference_frame, reference_jacobian,
 
 # A branching tree whose joints are listed tip-first, so file order is not
 # parent-first; tilted axes, rpy origins and fixed joints at every level.
+# With b_branch hung off mid, finger b below finger a's a_mid, the parser
+# rejects it.
 TIP_FIRST_TREE = """
 <robot name="tip_first">
   <link name="tip_b"/>
@@ -41,7 +43,7 @@ TIP_FIRST_TREE = """
     <axis xyz="1 1 1"/><limit lower="-2" upper="2"/>
   </joint>
   <joint name="b_branch" type="fixed">
-    <parent link="mid"/><child link="branch"/>
+    <parent link="base"/><child link="branch"/>
     <origin xyz="-0.01 0.02 0.05" rpy="1.2 -0.9 0.3"/>
   </joint>
   <joint name="a_mid" type="revolute">
@@ -242,9 +244,9 @@ class TestPose:
                 .filter(lambda v: 1e-3 < math.hypot(*v)), min_size=1, max_size=6),
        st.data())
 def test_rodrigues_equals_the_one_axis_formula_bitwise(raw_axes, data):
-    """`_rodrigues` on `rodrigues_terms`, the route of every joint rotation
-    (a held joint's too), is `axis_angle_matrix` on each axis and angle bit
-    for bit, at +-0 and +-pi and on a stack of rows."""
+    """`_rodrigues` on `rodrigues_terms`, the route of every joint rotation,
+    is `axis_angle_matrix` on each axis and angle bit for bit, at +-0 and
+    +-pi and on a stack of rows."""
     axes = np.array([np.array(v) / math.hypot(*v) for v in raw_axes])
     angle = st.one_of(st.sampled_from([0.0, -0.0, math.pi, -math.pi]), st.floats(-3.2, 3.2))
     angles = np.array([[data.draw(angle) for _ in axes] for _ in range(2)])
@@ -308,8 +310,8 @@ def test_stacked_finger_walks_and_steps_equal_the_one_row_routes_bitwise(chain, 
     fingertip and a column selection of its Jacobian, in that selection's
     memory layout, and the stacked DLS step on the stacked Jacobians is
     `_dls_step`'s on each row.  The bundled hand walks its four long fingers
-    in one group and the thumb alone; on the wrist hand, the wrist finger's
-    walk holds the index joints below it.
+    in one group and the thumb alone; on the wrist hand, the index finger's
+    walk passes a fixed joint between two of its own.
 
     Cross products gathered with `take` keep the rows C-ordered; gathered
     with fancy indexing, they leave J in another layout, in which J @ J.T
@@ -317,7 +319,7 @@ def test_stacked_finger_walks_and_steps_equal_the_one_row_routes_bitwise(chain, 
     """
     from graspforge.ik_solver import _dls_step, _stacked_dls_step
 
-    for robot, group_sizes in ((chain, [1, 4]), (parse_robot_description(WRIST_HAND), [1, 1])):
+    for robot, group_sizes in ((chain, [1, 4]), (parse_robot_description(WRIST_HAND), [1])):
         base_q = np.array([data.draw(_angles) for _ in robot.movable])
         base = _joint_state(robot, base_q)
         groups = {group.fingers for group, _ in robot.finger_walks.values()}
@@ -327,7 +329,7 @@ def test_stacked_finger_walks_and_steps_equal_the_one_row_routes_bitwise(chain, 
             names = list(data.draw(st.permutations(fingers)))
             names[-1] = data.draw(st.sampled_from(fingers))
             q = np.array([[data.draw(_angles) for _ in robot.fingers[n].joints] for n in names])
-            p, jacobian = finger_walk(robot, names, base_q)(q)
+            p, jacobian = finger_walk(robot, names)(q)
             J = jacobian()
             lams = [data.draw(st.floats(1e-6, 1.0)) for _ in names]
             e = np.array([[data.draw(st.floats(-0.2, 0.2)) for _ in range(3)] for _ in names])
@@ -355,14 +357,12 @@ def _own_jacobian(robot, state, finger):
 def test_each_seed_walk_equals_a_fresh_walk_of_its_posture(chain, robot):
     """Each finger's IK constants, built with the chain: its limits, and its
     seed walks, entry 0 at the neutral posture, entry r at re-seed r's
-    posture (the reference loop's arithmetic), with the held joints at
-    neutral.  Each tip and Jacobian is the bits of a `finger_walk` of that
-    posture alone, and the Jacobian has its memory layout, which J @ J.T
-    reads."""
+    posture (the reference loop's arithmetic).  Each tip and Jacobian is the
+    bits of a `finger_walk` of that posture alone, and the Jacobian has its
+    memory layout, which J @ J.T reads."""
     robot = {"bundled": chain, "two_link": parse_robot_description(TWO_LINK_ARM),
              "wrist": parse_robot_description(WRIST_HAND)}[robot]
     neutral = neutral_state(robot)
-    neutral_q = np.array([neutral.values[ji] for ji in robot.movable])
     assert robot.finger_seeds.keys() == robot.fingers.keys()
     for finger, seeds in robot.finger_seeds.items():
         joints = robot.fingers[finger].joints
@@ -371,19 +371,15 @@ def test_each_seed_walk_equals_a_fresh_walk_of_its_posture(chain, robot):
         assert seeds.lower.tolist() == list(seeds.lower_l) == lower
         assert seeds.upper.tolist() == list(seeds.upper_l) == upper
         assert seeds.columns.tolist() == [robot.column_of[ji] for ji in joints]
-        group, row = robot.finger_walks[finger]
-        held = [ji for ji in robot.path_to_link[robot.fingers[finger].end_effector]
-                if ji in robot.column_of and ji not in joints]
-        assert seeds.held_columns.tolist() == group.held_columns[:, row].tolist() == [
-            robot.column_of[ji] for ji in held]
-        assert seeds.held_neutral == np.array([neutral.values[ji] for ji in held],
-                                              dtype=float).tobytes()
+        # no other finger's movable joint lies on the finger's path
+        assert [ji for ji in robot.path_to_link[robot.fingers[finger].end_effector]
+                if ji in robot.column_of] == list(joints)
         postures = [[neutral.values[ji] for ji in joints]] + [
             [lo + frac * (hi - lo) for lo, hi in zip(lower, upper)]
             for frac in (0.75, 0.1, 0.9, 0.5, 0.25)]
         for k, posture in enumerate(np.array(postures)):
             assert seeds.postures[k].tobytes() == posture.tobytes()
-            p, jacobian = finger_walk(robot, [finger], neutral_q)(posture[None])
+            p, jacobian = finger_walk(robot, [finger])(posture[None])
             J, J_seed = jacobian()[0], seeds.jacobians[k]
             assert seeds.tips[k].tobytes() == p[0].tobytes()
             assert J_seed.tobytes(order="A") == J.tobytes(order="A")
@@ -399,12 +395,11 @@ def test_a_walk_group_keeps_a_bounded_number_of_gathers(chain):
     from graspforge.kinematics import _GATHERS
 
     group = chain.finger_walks["index"][0]
-    neutral = _neutral(chain)
     q = np.array([[0.1, 0.2, 0.3, 0.4]] * 5)
     names = list(product(group.fingers, repeat=5))[:3 * _GATHERS]
-    first = [finger_walk(chain, n, neutral)(q)[0].tobytes() for n in names]
+    first = [finger_walk(chain, n)(q)[0].tobytes() for n in names]
     assert 0 < len(group.gathers) <= _GATHERS
-    assert [finger_walk(chain, n, neutral)(q)[0].tobytes() for n in names] == first
+    assert [finger_walk(chain, n)(q)[0].tobytes() for n in names] == first
 
 
 def test_link_frames_needs_every_movable_joint(chain):

@@ -6,6 +6,9 @@ from graspforge.robot_model import (OTHER_FINGER_DOF, THUMB_DOF, CapsuleGeometry
                                     ValidationError, bundled_data_dir, bundled_hand_path,
                                     load_robot_description, parse_robot_description)
 
+from conftest import WRIST_HAND
+from test_kinematics import TIP_FIRST_TREE
+
 
 def _doc(links, joints):
     return f"<robot name='t'>{links}{joints}</robot>"
@@ -304,6 +307,23 @@ class TestStructuralValidation:
         doc = _doc("<link name='a'/><link name='b'/><link name='c'/><link name='d'/>", joints)
         with pytest.raises(ValidationError, match=message):
             parse_robot_description(doc)
+
+    @pytest.mark.parametrize("text,old,new,message", [
+        # the roll as a joint of finger "wrist", above the index finger,
+        # so the wrist finger's tip, the index tip, lies below index_base
+        (WRIST_HAND, "index_roll", "wrist_roll",
+         "finger 'wrist': its path from the root passes joint 'index_base' of finger 'index'"),
+        # b_branch hung off mid, below finger a's first joint; finger b
+        # comes second in joint order
+        (TIP_FIRST_TREE, '<parent link="base"/><child link="branch"/>',
+         '<parent link="mid"/><child link="branch"/>',
+         "finger 'b': its path from the root passes joint 'a_mid' of finger 'a'"),
+    ], ids=["wrist_above_index", "branch_below_other_finger"])
+    def test_a_finger_below_another_fingers_joint_is_rejected(self, text, old, new, message):
+        parse_robot_description(text)
+        assert old in text
+        with pytest.raises(ValidationError, match=f"^{message}; each finger must hang off"):
+            parse_robot_description(text.replace(old, new))
 
 
 def test_data_dir_env_override(monkeypatch, tmp_path):

@@ -77,9 +77,11 @@ class TestScene:
         ((-0.01, 0.01, 0.01), 1.0),
         ((0.01, 0.01, 0.01), 0.0),
         ((0.01, 0.01, 0.01), -2.0),
+        (0.03, 0.2),  # a bare number, not three
+        (None, 0.2),
     ])
     def test_box_construction_guards(self, half, mass):
-        with pytest.raises(SceneError):
+        with pytest.raises(SceneError, match="half-extents" if mass > 0.0 else "mass"):
             make_box_object(half, Pose(position=(0, 0, 0)), mass)
 
     @pytest.mark.parametrize("kwargs", [
