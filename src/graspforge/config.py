@@ -24,12 +24,18 @@ Every number, in every field and every vec3 entry, must be finite, and a
 boolean is not a number; an integer field takes an int only.  The key sets
 of physics, ik, validation and perturb are the fields of their dataclasses,
 which check their own values (`_checks.check_numbers`).  A bad value raises
-ConfigError naming its key.
+ConfigError naming its key with its section, such as `ik.damping_lambda`.
+
+The scenario file and each `--set` value are read by one YAML loader:
+PyYAML's safe loader, which also reads a plain number with an exponent and
+no dot, such as `1e-3` or `2.4e2`, as a float, as YAML 1.2 and JSON do
+(YAML 1.1 reads it as a string).  A quoted number stays a string.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, fields
 
 import yaml
@@ -64,6 +70,21 @@ _SCHEMA = {
     "perturb": _field_names(PerturbConfig) - {"seed"},
     "output_dir": None,
 }
+
+
+class _Loader(yaml.SafeLoader):
+    """The safe loader, with YAML 1.2's floats that YAML 1.1 lacks."""
+
+
+# tried after YAML 1.1's own resolvers, so it only takes what they leave a string
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
+def _load_yaml(stream):
+    return yaml.load(stream, Loader=_Loader)
 
 
 def default_scenario_path() -> str:
@@ -115,7 +136,7 @@ def apply_overrides(data: dict, overrides: list[str]) -> dict:
         if not all(keys):
             raise ConfigError(f"override {item!r} has an empty key segment")
         try:
-            value = yaml.safe_load(raw_value)
+            value = _load_yaml(raw_value)
         except yaml.YAMLError as exc:
             raise ConfigError(f"override {item!r}: bad value ({exc})") from None
         node = data
@@ -125,6 +146,17 @@ def apply_overrides(data: dict, overrides: list[str]) -> dict:
                 raise ConfigError(f"override {item!r} descends through a non-mapping")
         node[keys[-1]] = value
     return data
+
+
+def _section(section: str, cls, values: dict, keys: dict | None = None):
+    """`cls(**values)`, a dataclass that checks its fields and names the
+    field first in its error; that error as a ConfigError naming the key as
+    `section.key`.  `keys` maps a field to a key of another name."""
+    try:
+        return cls(**values)
+    except (ConfigError, SceneError) as exc:
+        field, rest = str(exc).split(" ", 1)
+        raise ConfigError(f"{section}.{(keys or {}).get(field, field)} {rest}") from None
 
 
 def _resolve_path(path: str, scenario_dir: str | None) -> str:
@@ -162,10 +194,7 @@ def build_scenario(data: dict, scenario_dir: str | None = None) -> ScenarioConfi
         raise ConfigError("scenario root must be a mapping")
     _check_keys(data)
 
-    try:
-        params = PhysicalParams(**data.get("physics", {}))
-    except SceneError as exc:
-        raise ConfigError(f"physics: {exc}") from None
+    params = _section("physics", PhysicalParams, data.get("physics", {}))
 
     hand = data.get("hand", {})
     description_path = hand.get("description_path", "hand.urdf")
@@ -224,16 +253,14 @@ def build_scenario(data: dict, scenario_dir: str | None = None) -> ScenarioConfi
                           f"{source or '; give every finger a target'}")
 
     run_data = dict(data.get("run", {}))
-    try:  # run.seed is the perturbation seed, which PerturbConfig checks
-        seed = PerturbConfig(seed=run_data.pop("seed", 0)).seed
-    except ConfigError as exc:
-        raise ConfigError(f"run.{exc}") from None
+    # run.seed is the perturbation seed, which PerturbConfig checks
+    seed = _section("run", PerturbConfig, {"seed": run_data.pop("seed", 0)}).seed
     if "steps" in run_data:
         run_data["max_steps"] = run_data.pop("steps")
-    run = RunConfig(**run_data)
-    ik = IkConfig(**data.get("ik", {}))
-    validation = ValidationConfig(**data.get("validation", {}))
-    perturb = PerturbConfig(seed=seed, **data.get("perturb", {}))
+    run = _section("run", RunConfig, run_data, {"max_steps": "steps"})
+    ik = _section("ik", IkConfig, data.get("ik", {}))
+    validation = _section("validation", ValidationConfig, data.get("validation", {}))
+    perturb = _section("perturb", PerturbConfig, dict(data.get("perturb", {}), seed=seed))
 
     output_dir = data.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
@@ -247,7 +274,7 @@ def build_scenario(data: dict, scenario_dir: str | None = None) -> ScenarioConfi
 def load_scenario(path: str, overrides: list[str] | None = None) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = _load_yaml(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario {path!r}: {exc}") from None
     except yaml.YAMLError as exc:

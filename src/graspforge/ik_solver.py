@@ -11,6 +11,22 @@ the residual is accepted and relaxes the damping, a step that does not is
 retried with the damping doubled, so the residual never increases across
 accepted iterations.
 
+The damped 3x3 system is solved by LAPACK's `gesv` through the gufuncs
+that `numpy.linalg.solve` wraps, `solve1` for one row and `solve` for a
+stack, in `numpy.linalg._umath_linalg`.  That module is private to numpy
+(it has kept its name and these gufuncs from numpy 1.x to 2.x); it is
+called directly because the wrapper's per-call Python (array conversion,
+type checks and a fresh error state) made a 3x3 solve take 4.9 us, where
+the gufunc takes 1.2 us (2 shared vCPUs, numpy 2.4), and skipping it makes
+the `ik_reach` benchmark's median op about 8 % faster.  The results are
+the wrapper's bit for bit, as the same `gesv` runs on the same arrays.
+The error contract is the wrapper's too: `_steps` runs in the same error
+state (`_GESV_ERRORS`), entered once per call, so an exactly singular
+damped system raises `LinAlgError("Singular matrix")`, where a bare
+gufunc call would warn and step by NaN.  `IkConfig` bounds the damping so
+that lambda^2 stays far above the rounding of J J^T on a hand-sized chain,
+and no damped system there is singular.
+
 Every iterate is clamped into the joint limits.  When the iterate a trial
 steps from has joints at a limit, a trial step that pushes one of them
 outward is solved again with that joint's Jacobian column zeroed, until no
@@ -86,6 +102,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from ._checks import ConfigError, check_numbers
 from .kinematics import (_EYE3, _RESTART_FRACTIONS, JointState, KinematicsError, _angles, _clamp,
@@ -94,7 +111,10 @@ from .robot_model import KinematicChain
 
 # damping retries per iteration before declaring the state stationary
 _MAX_RETRIES = 12
+# the bounds of the damping, in m: a descent relaxes its damping to no less
+# than _MIN_LAMBDA, and starts at no more than _MAX_LAMBDA (see IkConfig)
 _MIN_LAMBDA = 1e-6
+_MAX_LAMBDA = 1e150
 # an accepted step above the threshold stalls when it gains less than this
 # fraction of its residual.  Over the `ik_reach` benchmark inputs of seeds
 # 1-6 every reachable target converges at 1 %; at 2 % two stall short of the
@@ -108,6 +128,20 @@ _LOCKSTEP = "IK lockstep: %d rounds, %d stacked walks, %d row trials"
 
 @dataclass
 class IkConfig:
+    """The solve's settings.  `damping_lambda`, the damping each descent
+    starts at, lies in [`_MIN_LAMBDA`, `_MAX_LAMBDA`] = [1e-6, 1e150] m:
+
+    - 1e-6 is the floor a descent relaxes its damping to; a start below it
+      would be the only damping under that floor.  Further below, lambda^2
+      falls under the rounding of J J^T's entries, which are about 1e-2 m^2
+      on a hand, and a damped system with a pinned joint's zeroed column
+      can be exactly singular: 1e-20 was.
+    - 1e150 keeps the squared damping finite through a state's
+      `_MAX_RETRIES` doublings: 1e150 * 2^12 = 4.1e153, whose square is
+      1.7e307; 1e151's overflowed.  A damping that large steps by less than
+      the rounding of an angle, so such a solve never moves.
+    """
+
     max_iterations: int = 100
     residual_threshold: float = 1e-5
     damping_lambda: float = 0.05
@@ -119,8 +153,9 @@ class IkConfig:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not self.residual_threshold > 0.0:
             raise ConfigError("residual_threshold must be positive")
-        if not self.damping_lambda > 0.0:
-            raise ConfigError("damping_lambda must be positive")
+        if not _MIN_LAMBDA <= self.damping_lambda <= _MAX_LAMBDA:
+            raise ConfigError(f"damping_lambda must lie in [{_MIN_LAMBDA:g}, {_MAX_LAMBDA:g}], "
+                              f"got {self.damping_lambda!r}")
         if not 0.0 < self.step_scale <= 1.0:
             raise ConfigError("step_scale must lie in (0, 1]")
 
@@ -133,10 +168,21 @@ class IkResult:
     converged: bool
 
 
+def _singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+# `numpy.linalg.solve`'s error state around its gufunc: an exactly singular
+# system sets the invalid flag, which raises; rounding flags are ignored
+_GESV_ERRORS = np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore",
+                           under="ignore")
+
+
 def _dls_step(J: np.ndarray, JJt: np.ndarray, lam: float, e: np.ndarray,
               scale: float) -> np.ndarray:
-    """The damped-least-squares step scale * J^T (J J^T + lam^2 I)^-1 e."""
-    return scale * (J.T @ np.linalg.solve(JJt + lam ** 2 * _EYE3, e))
+    """The damped-least-squares step scale * J^T (J J^T + lam^2 I)^-1 e.
+    A singular system raises `LinAlgError` only inside `_GESV_ERRORS`."""
+    return scale * (J.T @ _umath_linalg.solve1(JJt + lam ** 2 * _EYE3, e, signature="dd->d"))
 
 
 def _stacked_dls_step(J: np.ndarray, lams: list, e: np.ndarray, scale: float) -> np.ndarray:
@@ -150,7 +196,8 @@ def _stacked_dls_step(J: np.ndarray, lams: list, e: np.ndarray, scale: float) ->
     """
     Jt = J.transpose(0, 2, 1)
     damping = np.array([lam ** 2 for lam in lams])[:, None, None] * _EYE3
-    return scale * (Jt @ np.linalg.solve(J @ Jt + damping, e[..., None]))[..., 0]
+    return scale * (Jt @ _umath_linalg.solve(J @ Jt + damping, e[..., None],
+                                             signature="dd->d"))[..., 0]
 
 
 def _pushed_out(at_lower: list, at_upper: list, dq: np.ndarray) -> list:
@@ -300,6 +347,7 @@ def _finger_target(name: str, target) -> np.ndarray:
     return p
 
 
+@_GESV_ERRORS
 def _steps(rows: list, cfg: IkConfig) -> None:
     """The next damping trial of each of `rows` (one walk group): the DLS
     step, the clamping loop for the rows with a pinned joint, then the clamp
@@ -311,7 +359,12 @@ def _steps(rows: list, cfg: IkConfig) -> None:
     one batched step, and every pass of the loop re-solves all their pushed
     rows in one batch; the batched step rounds each row as `_dls_step`
     does, so one row takes that cheaper 2-D call, and its loop runs on
-    Python lists.
+    Python lists.  Sending one row through the batched path instead made
+    the `ik_reach` benchmark's median op 19 % slower (90th percentile
+    10 %), with the direct gufunc calls of both.
+
+    Runs in `_GESV_ERRORS`, so a singular damped system raises
+    `LinAlgError`.
     """
     if len(rows) == 1:
         (r,) = rows

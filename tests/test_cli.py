@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import warnings
 
 import pytest
 
@@ -405,6 +406,8 @@ class TestErrorHandling:
                                      "run.hz=.inf", "perturb.force_bound=.inf",
                                      "ik.residual_threshold=.inf", "ik.damping_lambda=.inf",
                                      "ik.step_scale=abc", "ik.damping_lambda=abc",
+                                     # a quoted number stays a string
+                                     'ik.damping_lambda="1e-3"',
                                      "physics.contact_stiffness=abc",
                                      "object.mass=.nan", 'object.mass="0.2"',
                                      "validation.distribution_threshold=.inf",
@@ -429,7 +432,50 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "must be a finite number" in err
-        assert key.split("=")[0].split(".")[-1] in err  # the message names the key
+        assert f"error: {key.split('=')[0]} " in err  # the message names the section and key
+
+    @pytest.mark.parametrize("key", ["run.steps=0", "run.steps=2.5", "run.hz=0",
+                                     "validation.min_contacts=0", "perturb.iterations=0",
+                                     "physics.contact_stiffness=0", "ik.step_scale=2",
+                                     # 1e151 overflowed in a traceback, and 1e-20 to 1e-300
+                                     # made a singular system: out of the damping's range
+                                     "ik.damping_lambda=1.0e+151", "ik.damping_lambda=1.0e-20",
+                                     "ik.damping_lambda=1.0e-100", "ik.damping_lambda=1.0e-300",
+                                     "ik.damping_lambda=1.0e-9", "ik.damping_lambda=0.0"])
+    def test_a_bad_section_value_names_its_section_and_key(self, tmp_path, capsys, key):
+        code = run_cli("perturb", "--set", key, "--out", str(tmp_path / "out"))
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key.split('=')[0]} must ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_a_singular_damped_system_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        """With the damping floor lowered, 1e-20 makes an exactly singular
+        damped system in the first solve.  It ends the run as
+        `np.linalg.solve` would: one error line and exit 1, with no
+        RuntimeWarning (an error here) and no NaN steps."""
+        import graspforge.ik_solver
+        monkeypatch.setattr(graspforge.ik_solver, "_MIN_LAMBDA", 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("run", "--set", "ik.damping_lambda=1.0e-20",
+                           "--out", str(tmp_path / "out"))
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: Singular matrix\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_an_exponent_without_a_dot_is_a_float(self, tmp_path):
+        """YAML 1.1 reads `1e-3` as a string; the scenario loader reads it
+        as YAML 1.2 and JSON do, so it runs as 0.001 does."""
+        for value in ("1e-3", "0.001"):
+            code = run_cli("run", "--steps", "30", "--no-timestamp",
+                           "--set", f"ik.damping_lambda={value}", "--out", str(tmp_path / value))
+            assert code == EXIT_UNSTABLE
+        exponent, decimal = tmp_path / "1e-3", tmp_path / "0.001"
+        names = sorted(os.listdir(decimal))
+        assert names and sorted(os.listdir(exponent)) == names
+        for name in names:
+            assert (exponent / name).read_bytes() == (decimal / name).read_bytes()
 
     def test_non_mapping_scenario_root_with_overrides(self, tmp_path, capsys):
         scenario = tmp_path / "list.yaml"

@@ -1,4 +1,6 @@
 import math
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graspforge.config import ConfigError
-from graspforge.ik_solver import (IkConfig, IkResult, merge_hand_results,
+from graspforge.ik_solver import (_MIN_LAMBDA, IkConfig, IkResult, _dls_step,
+                                  _stacked_dls_step, _steps, merge_hand_results,
                                   solve_finger_ik, solve_hand_ik)
 from graspforge.kinematics import (JointState, KinematicsError, _angles, _joint_state,
                                    link_transform, neutral_state, within_limits)
@@ -192,6 +195,14 @@ def test_step_scale_shrinks_updates(two_link):
     {"residual_threshold": 0.0},
     {"residual_threshold": -1e-9},
     {"damping_lambda": -0.1},
+    {"damping_lambda": 0.0},
+    # under the floor a descent relaxes to; 1e-20 and below made a singular system
+    {"damping_lambda": 1e-9},
+    {"damping_lambda": 1e-20},
+    {"damping_lambda": 1e-100},
+    {"damping_lambda": 1e-300},
+    # its squared doublings overflow
+    {"damping_lambda": 1e151},
     {"step_scale": 0.0},
     {"step_scale": 1.5},
     {"max_iterations": 1.5},
@@ -206,6 +217,65 @@ def test_config_rejects_bad_values(kwargs):
     (key,) = kwargs
     with pytest.raises(ConfigError, match=key):  # the message names the key
         IkConfig(**kwargs)
+
+
+@pytest.mark.parametrize("damping", [1e-6, 1e150])
+def test_the_damping_bounds_are_accepted(damping):
+    assert IkConfig(damping_lambda=damping).damping_lambda == damping
+
+
+def _damped_systems(count: int, rows: int):
+    """Seeded damped systems as `_steps` makes them: J (rows, 3, n) with each
+    row the transpose of a C-ordered (n, 3) array, as a walk lays it out,
+    some columns zeroed as the clamping loop zeroes a pushed pinned joint,
+    dampings log-uniform in [_MIN_LAMBDA, 1e3], errors e (rows, 3)."""
+    rng = np.random.default_rng(20251)
+    for _ in range(count):
+        n = int(rng.integers(2, 6))
+        Jt = rng.normal(scale=0.05, size=(rows, n, 3))
+        pushed = rng.random((rows, n)) < 0.3
+        Jt = Jt * ~pushed[..., None]  # as `_steps` zeroes a column: x False
+        lams = (10.0 ** rng.uniform(math.log10(_MIN_LAMBDA), 3.0, rows)).tolist()
+        e = rng.normal(scale=0.02, size=(rows, 3))
+        yield Jt.transpose(0, 2, 1), lams, e, float(rng.choice([1.0, 0.5]))
+
+
+def test_the_damped_steps_equal_a_linalg_solve_formulation_bitwise():
+    """The damped steps call LAPACK's gufunc directly; their bits are those
+    of `np.linalg.solve` on the same arrays, one row and stacked."""
+    eye = np.eye(3)
+    for J, lams, e, scale in _damped_systems(150, 1):
+        J2, lam, e2 = J[0], lams[0], e[0]
+        JJt = J2 @ J2.T
+        expected = scale * (J2.T @ np.linalg.solve(JJt + lam ** 2 * eye, e2))
+        assert _dls_step(J2, JJt, lam, e2, scale).tobytes() == expected.tobytes()
+    for rows in (2, 5):
+        for J, lams, e, scale in _damped_systems(60, rows):
+            Jt = J.transpose(0, 2, 1)
+            damping = np.array([lam ** 2 for lam in lams])[:, None, None] * eye
+            expected = scale * (Jt @ np.linalg.solve(J @ Jt + damping, e[..., None]))[..., 0]
+            step = _stacked_dls_step(J, lams, e, scale)
+            assert step.tobytes() == expected.tobytes()
+            for k in range(rows):  # and each row the one-row step
+                one = _dls_step(J[k], J[k] @ J[k].T, lams[k], e[k], scale)
+                assert step[k].tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_a_singular_damped_system_raises_linalg_error(rows):
+    """`_steps` solves one row by `_dls_step` and more by `_stacked_dls_step`.
+    A damped system that is exactly singular, a zero Jacobian with a
+    damping whose square underflows to zero, raises numpy's `LinAlgError`
+    as `np.linalg.solve` does, not a RuntimeWarning and NaN steps."""
+    seeds = SimpleNamespace(lower=np.full(3, -1.0), upper=np.full(3, 1.0),
+                            lower_l=[-1.0] * 3, upper_l=[1.0] * 3)
+    stub = SimpleNamespace(solve=SimpleNamespace(seeds=seeds), J=np.zeros((3, 3)),
+                           e=np.array([0.01, 0.0, 0.0]), q=np.zeros(3), trial_lam=1e-200)
+    stubs = [SimpleNamespace(**vars(stub)) for _ in range(rows)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            _steps(stubs, IkConfig())
 
 
 def test_unknown_finger_raises(chain):

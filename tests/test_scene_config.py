@@ -139,8 +139,19 @@ class TestScenarioFile:
             build_scenario({"object": {"half_extents": [1, 2]}})
 
     def test_invalid_physics_value_is_wrapped(self):
-        with pytest.raises(ConfigError, match="physics"):
+        with pytest.raises(ConfigError, match=r"^physics\.contact_stiffness must be > 0$"):
             build_scenario({"physics": {"contact_stiffness": -5}})
+
+    def test_a_dotless_exponent_is_a_float_in_the_file_and_in_overrides(self, tmp_path):
+        path = tmp_path / "s.yaml"
+        path.write_text("ik: {damping_lambda: 1e-3, residual_threshold: 2E-6}\n"
+                        "run: {hz: 2.4e2, servo_gain: +.2e2}\n")
+        sc = load_scenario(str(path), ["perturb.force_bound=5e-1", "run.seed=7"])
+        assert (sc.ik.damping_lambda, sc.ik.residual_threshold) == (0.001, 2e-6)
+        assert (sc.run.hz, sc.run.servo_gain, sc.perturb.force_bound) == (240.0, 20.0, 0.5)
+        assert sc.perturb.seed == 7  # an integer stays an int
+        assert apply_overrides({}, ["a.b='1e-3'", "a.c=1e3x", "a.d=0x1e"]) == {
+            "a": {"b": "1e-3", "c": "1e3x", "d": 30}}
 
     def test_unknown_target_finger(self):
         with pytest.raises(ConfigError, match="unknown finger"):
