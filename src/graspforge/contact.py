@@ -12,7 +12,12 @@ chain) is processed as stacked arrays, with no loop over links, for T
 joint-angle rows at once (`_stacked_contacts`, over frames of shape
 (T, L, ...)), and the contacts of every row come out as one set of arrays,
 which the controller validates as they are.  `detect_contacts`, the one-row
-call from a joint state, is the one place that makes `ContactPoint`s.  Each
+call from a joint state, is the one place that makes `ContactPoint`s.  It
+returns them as an immutable set, a tuple that also carries the stacked
+positions (M, 3), normals (M, 3) and forces (M,) it was made from, all
+read-only, with each point's `position` and `normal` a row view of them;
+validation and perturbation read those arrays instead of rebuilding them
+from the points, and validation keeps its verdict on the set.  Each
 stacked `matmul` rounds every slice exactly as a 2-D `@` does, so the
 probes are bit for bit those of a per-link loop, whatever the number of rows.
   * World transform of every shape, its box-frame center c (a sphere's probe
@@ -87,6 +92,32 @@ class ContactPoint:
     def __post_init__(self):
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float).reshape(3))
         object.__setattr__(self, "normal", np.asarray(self.normal, dtype=float).reshape(3))
+
+
+class _ContactSet(tuple):
+    """The `ContactPoint`s of one detection, with the read-only arrays they
+    were made from: `positions` (M, 3), `normals` (M, 3) and `forces` (M,).
+    `verdicts` is where `validate_grasp` keeps its verdict per
+    `ValidationConfig`; the set cannot change, so a verdict never goes stale."""
+
+    def __new__(cls, points, positions, normals, forces):
+        self = super().__new__(cls, points)
+        self.positions, self.normals, self.forces = positions, normals, forces
+        self.verdicts = {}
+        return self
+
+    def __reduce__(self):  # copies and pickles are plain tuples, judged afresh
+        return tuple, (tuple(self),)
+
+
+def _contact_arrays(contacts) -> tuple:
+    """(positions (M, 3), normals (M, 3), forces (M,)) of a contact sequence:
+    a detected set's own arrays, or arrays built from any other sequence."""
+    if isinstance(contacts, _ContactSet):
+        return contacts.positions, contacts.normals, contacts.forces
+    return (np.array([c.position for c in contacts], dtype=float).reshape(-1, 3),
+            np.array([c.normal for c in contacts], dtype=float).reshape(-1, 3),
+            np.array([c.normal_force for c in contacts], dtype=float))
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -224,19 +255,23 @@ def _stacked_contacts(scene: Scene, frames: tuple) -> tuple:
     return steps, rows, positions, normals, depth, box.params.contact_stiffness * depth
 
 
-def detect_contacts(scene: Scene, state: JointState) -> list[ContactPoint]:
-    """One contact per penetrating (finger link, box) pair.
+def detect_contacts(scene: Scene, state: JointState) -> tuple[ContactPoint, ...]:
+    """One contact per penetrating (finger link, box) pair, as a tuple.
 
     A link touches when its shape surface reaches the box: signed distance of
     the deepest probe point minus the shape radius is <= 0.  Output order is
     deterministic: fingers in chain order, links base-to-tip within a finger.
     No force threshold is applied here; validation filters weak contacts.
-    This is the one-row call of `_stacked_contacts`.
+    This is the one-row call of `_stacked_contacts`.  Each point's `position`
+    and `normal` are read-only.
     """
     R_l, t_l = link_frames(scene.chain, state)
     _, rows, positions, normals, depths, forces = _stacked_contacts(scene, (R_l[None], t_l[None]))
     shapes = scene.chain.finger_shapes
-    return [ContactPoint(shapes.fingers[row], link, position, n, depth, force)
-            for row, link, position, n, depth, force in zip(
-                rows.tolist(), shapes.links[rows].tolist(), positions, normals, depths.tolist(),
-                forces.tolist())]
+    for array in (positions, normals, forces):  # before the points take their row views
+        array.flags.writeable = False
+    points = [ContactPoint(shapes.fingers[row], link, position, n, depth, force)
+              for row, link, position, n, depth, force in zip(
+                  rows.tolist(), shapes.links[rows].tolist(), positions, normals,
+                  depths.tolist(), forces.tolist())]
+    return _ContactSet(points, positions, normals, forces)

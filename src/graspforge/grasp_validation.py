@@ -6,17 +6,26 @@ verdict: too few contacts -> spread exceeded -> closure exceeded.
 `_assess_rows` judges every row of a stacked contact set at once, and
 `validate_grasp` is its one-row call.  Sums add a row's contacts in order
 from +0.0 and norms are self-product square roots, so every field keeps the
-bits of the per-contact loop in `tests/reference.py`.
+bits of the per-contact loop in `tests/reference.py`.  Each check fails on
+NaN (`~(value <= threshold)`), so a set with a zero normal or a NaN position
+never validates.
+
+A set from `detect_contacts` is judged once per `ValidationConfig`: the
+verdict is kept on the set, which cannot change, and returned again to every
+later caller, such as the perturbation precheck.  Any other sequence, which
+may change between calls, is judged afresh on every call.  A verdict is
+shared, so its `center` is read-only.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._checks import ConfigError, check_numbers
-from .contact import ContactPoint, _norms
+from .contact import ContactPoint, _ContactSet, _contact_arrays, _norms
 
 FAILURE_NONE = "none"
 FAILURE_TOO_FEW = "too_few_contacts"
@@ -53,7 +62,9 @@ class GraspAssessment:
     failure_reason: str
 
     def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float).reshape(3))
+        center = np.asarray(self.center, dtype=float).reshape(3)  # a view of its own
+        center.flags.writeable = False
+        object.__setattr__(self, "center", center)
 
     def to_dict(self) -> dict:
         return dict(vars(self), center=[float(v) for v in self.center],
@@ -79,9 +90,10 @@ def _assess_rows(rows: np.ndarray, positions: np.ndarray, normals: np.ndarray,
     spreads = np.zeros(count + 1)
     np.maximum.at(spreads, rows, _norms(positions - centers.take(rows, axis=0)))
     closures = _norms(sums[1])
-    # each check overrides the ones after it, so the first failure names the row
-    reasons = 3 * (closures > config.force_closure_threshold)
-    reasons[spreads > config.distribution_threshold] = 2
+    # each check overrides the ones after it, so the first failure names the
+    # row; a NaN closure or spread fails its check
+    reasons = 3 * ~(closures <= config.force_closure_threshold)
+    reasons[~(spreads <= config.distribution_threshold)] = 2
     reasons[counts < config.min_contacts] = 1
     return held, counts[:-1], centers[:-1], spreads[:-1], closures[:-1], reasons[:-1]
 
@@ -94,11 +106,16 @@ def _assessment(verdicts: tuple, row: int) -> GraspAssessment:
                            float(spreads[row]), float(closures[row]), reason)
 
 
-def validate_grasp(contacts: list[ContactPoint],
+def validate_grasp(contacts: Sequence[ContactPoint],
                    config: ValidationConfig | None = None) -> GraspAssessment:
-    """The verdict of one contact set: the one-row call of `_assess_rows`."""
-    positions = np.array([c.position for c in contacts], dtype=float).reshape(-1, 3)
-    normals = np.array([c.normal for c in contacts], dtype=float).reshape(-1, 3)
-    forces = np.array([c.normal_force for c in contacts], dtype=float)
-    return _assessment(_assess_rows(np.zeros(len(contacts), dtype=np.intp), positions,
-                                    normals, forces, 1, config or ValidationConfig()), 0)
+    """The verdict of one contact set: the one-row call of `_assess_rows`.
+
+    A set from `detect_contacts` returns the verdict it already holds for an
+    equal config; any other sequence is judged afresh."""
+    config = config or ValidationConfig()
+    verdicts = contacts.verdicts if isinstance(contacts, _ContactSet) else {}
+    if config not in verdicts:
+        positions, normals, forces = _contact_arrays(contacts)
+        verdicts[config] = _assessment(_assess_rows(
+            np.zeros(len(contacts), dtype=np.intp), positions, normals, forces, 1, config), 0)
+    return verdicts[config]

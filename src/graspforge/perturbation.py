@@ -4,7 +4,10 @@ Each round samples a force uniformly from a cube and asks how far the held
 object would move: directions resisted by contact normals respond with
 spring compliance (displacement = K^+ F with K = sum k n n^T), unresisted
 directions slide freely at a fixed gain.  The test fails on the first
-displacement above the threshold.
+displacement above the threshold.  The precheck asks `validate_grasp`,
+which returns the verdict a detected set already holds, so a set that was
+validated before the probe is not judged again, and K is built from the
+set's own normals array.
 
 The contacts, and so K, are fixed over the rounds, so all rounds run in one
 stacked pass: one draw of shape (iterations, 3) gives every round's force
@@ -20,13 +23,14 @@ so every sample keeps the bits of a per-round loop (`tests/reference.py`).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from ._checks import ConfigError, check_numbers
-from .contact import ContactPoint, _norms, detect_contacts
+from .contact import ContactPoint, _contact_arrays, _norms, detect_contacts
 from .grasp_validation import ValidationConfig, validate_grasp
 from .kinematics import JointState
 from .scene import Scene, SceneObject
@@ -104,7 +108,7 @@ def _displacements(compliance, forces: np.ndarray) -> np.ndarray:
     return displacements
 
 
-def perturb_contacts(obj: SceneObject, contacts: list[ContactPoint],
+def perturb_contacts(obj: SceneObject, contacts: Sequence[ContactPoint],
                      config: PerturbConfig | None = None,
                      validation: ValidationConfig | None = None) -> PerturbationReport:
     """Seeded perturbation rounds against an explicit contact set.
@@ -123,7 +127,7 @@ def perturb_contacts(obj: SceneObject, contacts: list[ContactPoint],
 
     rng = np.random.default_rng(cfg.seed)
     forces = rng.uniform(-cfg.force_bound, cfg.force_bound, size=(cfg.iterations, 3))
-    D = _displacements(_compliance(obj, np.array([c.normal for c in contacts])), forces)
+    D = _displacements(_compliance(obj, _contact_arrays(contacts)[1]), forces)
     norms = _norms(D)
     over = np.flatnonzero(norms > cfg.displacement_threshold)
     failure = int(over[0]) + 1 if len(over) else None

@@ -130,6 +130,18 @@ def joint_rows(chain, center=None, spread=0.05, max_rows=4, margin=0.0):
         st.sampled_from(rows), min_size=1, max_size=2 * max_rows).map(np.array))
 
 
+def perfbench_workload(name: str, seed: int):
+    """The benchmark's workload `name` for `seed`, from `perfbench/workloads.py`."""
+    import os
+    import sys
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads.make(name, seed)
+
+
 @pytest.fixture(scope="session")
 def chain():
     return load_robot_description(bundled_hand_path())
@@ -145,6 +157,21 @@ def grasp_run(scenario):
     """(final state, trajectory log, assessment) for the bundled scenario."""
     return execute_grasp(scenario.scene, scenario.targets, scenario.run,
                          scenario.ik, scenario.validation)
+
+
+@pytest.fixture()
+def judged(monkeypatch):
+    """The row count of every `_assess_rows` call that `validate_grasp` makes."""
+    import graspforge.grasp_validation
+    calls = []
+    core = graspforge.grasp_validation._assess_rows
+
+    def counted(*args):
+        calls.append(args[4])
+        return core(*args)
+
+    monkeypatch.setattr(graspforge.grasp_validation, "_assess_rows", counted)
+    return calls
 
 
 @pytest.fixture()

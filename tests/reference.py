@@ -362,7 +362,8 @@ def reference_detect_contacts(scene, state, sphere_reject=True):
 def reference_validate(contacts, config=None) -> GraspAssessment:
     """The verdict of a list of `ContactPoint`s, one contact at a time: the
     established ones (force >= min_contact_force), their mean position, the
-    largest distance from it and the norm of their summed unit normals."""
+    largest distance from it and the norm of their summed unit normals.  A
+    NaN distance or norm fails its check."""
     cfg = config or ValidationConfig()
     held = [c for c in contacts if c.normal_force >= cfg.min_contact_force]
     if held:
@@ -376,9 +377,9 @@ def reference_validate(contacts, config=None) -> GraspAssessment:
         closure_residual = 0.0
     if len(held) < cfg.min_contacts:
         reason = FAILURE_TOO_FEW
-    elif max_distance > cfg.distribution_threshold:
+    elif not max_distance <= cfg.distribution_threshold:  # NaN fails
         reason = FAILURE_SPREAD
-    elif closure_residual > cfg.force_closure_threshold:
+    elif not closure_residual <= cfg.force_closure_threshold:
         reason = FAILURE_CLOSURE
     else:
         reason = FAILURE_NONE

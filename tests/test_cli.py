@@ -133,6 +133,13 @@ class TestPerturb:
         assert detections == [1, 1]
         assert len(list(tmp_path.glob("00[0-2]/perturbation.json"))) == 3
 
+    def test_repeats_judge_the_final_contacts_once(self, tmp_path, judged):
+        """Every repeat's precheck gets the verdict of the one detected set."""
+        code = run_cli("perturb", "--no-timestamp", "--repeat", "3", "--iterations", "1",
+                       "--out", str(tmp_path))
+        assert code == EXIT_OK
+        assert judged == [1]
+
 
 class TestValidate:
     def test_stable_contacts(self, tmp_path, capsys):

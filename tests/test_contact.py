@@ -489,7 +489,7 @@ class TestOverlapReject:
         scene, state = _mini_scene(CAPSULE_FINGER, box_center=(0.1 - slack, 0.0, 0.0))
         contacts = detect_contacts(scene, state)
         if not touches:
-            assert contacts == [] and batches == []
+            assert contacts == () and batches == []
             return
         assert batches == [1]
         (c,) = contacts
@@ -511,7 +511,7 @@ class TestOverlapReject:
         contacts = detect_contacts(scene, state)
         assert batches == [1]
         if not touches:
-            assert contacts == []
+            assert contacts == ()
             return
         (c,) = contacts
         assert np.allclose(c.position, [0.08 - slack, 0.0, 0.0], atol=1e-12)
@@ -583,7 +583,7 @@ class TestDetectContacts:
 
     def test_sphere_clear_of_box_reports_nothing(self):
         scene, state = _mini_scene(SPHERE_FINGER, box_center=(0.2, 0.0, 0.0))
-        assert detect_contacts(scene, state) == []
+        assert detect_contacts(scene, state) == ()
 
     def test_capsule_deepest_point_at_end_cap(self):
         # rod tip (0.07,0,0) against the box corner at (0.075,0,-0.005)
@@ -630,7 +630,7 @@ class TestDetectContacts:
         contacts = detect_contacts(scene, state)
         assert batches == [1]
         if not touches:
-            assert contacts == []
+            assert contacts == ()
             return
         assert len(contacts) == 1
         c = contacts[0]
@@ -640,12 +640,12 @@ class TestDetectContacts:
     def test_capsule_far_from_box_reports_nothing(self):
         for center in [(1.0, 0.0, 0.0), (0.05, 0.2, 0.0), (-0.5, -0.5, 0.5)]:
             scene, state = _mini_scene(CAPSULE_FINGER, box_center=center)
-            assert detect_contacts(scene, state) == []
+            assert detect_contacts(scene, state) == ()
 
     def test_joint_motion_moves_the_contact(self):
         scene, _ = _mini_scene(SPHERE_FINGER, box_center=(0.075, 0.0, 0.0))
         # swing the finger away; the sphere leaves the box
-        assert detect_contacts(scene, JointState(values={0: 0.8})) == []
+        assert detect_contacts(scene, JointState(values={0: 0.8})) == ()
 
     def test_run_contacts_obey_force_law(self, scenario, grasp_run):
         state, _, _ = grasp_run

@@ -1,4 +1,8 @@
+import copy
+import json
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,13 +10,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graspforge.config import ConfigError
-from graspforge.contact import ContactPoint
+from graspforge.contact import ContactPoint, detect_contacts
 from graspforge.controller import execute_grasp
 from graspforge.grasp_validation import (FAILURE_CLOSURE, FAILURE_NONE, FAILURE_SPREAD,
                                          FAILURE_TOO_FEW, GraspAssessment,
                                          ValidationConfig, _REASONS, _assess_rows,
                                          _assessment, validate_grasp)
+from graspforge.perturbation import perturb_contacts
 
+from conftest import perfbench_workload
 from reference import reference_validate
 
 
@@ -308,3 +314,119 @@ def test_the_bundled_speculated_rows_equal_the_oracle_bitwise(scenario, monkeypa
     assert sum(len(args[0]) for args in calls) > 0
     for args in calls:
         _assert_rows_equal_the_oracle(*args)
+
+
+# --------------------------------------------------------------------------
+# a NaN closure residual or spread fails its check
+
+
+def test_a_zero_normal_fails_closure():
+    """Its unit normal is 0/0, so the closure residual is NaN, which must not
+    pass as under the threshold; numpy warns on the division."""
+    contacts = opposing_square()
+    contacts[0] = cp((0.03, 0, 0), (0, 0, 0))
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        a = validate_grasp(contacts)
+        expected = reference_validate(contacts)
+    assert (a.stable, a.failure_reason) == (False, FAILURE_CLOSURE)
+    assert math.isnan(a.closure_residual)
+    assert (expected.stable, expected.failure_reason) == (False, FAILURE_CLOSURE)
+
+
+def test_a_nan_position_fails_spread():
+    """The spread is NaN, and numpy warns on its running maximum."""
+    contacts = opposing_square()
+    contacts[0] = cp((math.nan, 0, 0), (1, 0, 0))
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        a = validate_grasp(contacts)
+    assert (a.stable, a.failure_reason) == (False, FAILURE_SPREAD)
+    assert math.isnan(a.max_distance)
+    expected = reference_validate(contacts)
+    assert (expected.stable, expected.failure_reason) == (False, FAILURE_SPREAD)
+
+
+# --------------------------------------------------------------------------
+# a detected set is judged once per config, any other sequence afresh
+
+
+def test_a_detected_set_is_judged_once_per_config(scenario, grasp_run, judged):
+    """`validate_grasp` and then the perturbation precheck on one detected
+    set run the core once; an equal config gets the same verdict back, and
+    another config runs the core again, once."""
+    state, _, _ = grasp_run
+    scene, validation = scenario.scene, scenario.validation
+    contacts = detect_contacts(scene, state)
+    assessment = validate_grasp(contacts, validation)
+    report = perturb_contacts(scene.object, contacts, scenario.perturb, validation)
+    assert assessment.stable and report.passed
+    assert judged == [1]
+    assert validation == ValidationConfig()
+    for equal in (replace(validation), ValidationConfig(), None):
+        assert validate_grasp(contacts, equal) is assessment
+    assert judged == [1]
+    other = ValidationConfig(min_contacts=5)
+    too_few = validate_grasp(contacts, other)
+    assert too_few.failure_reason == FAILURE_TOO_FEW
+    assert perturb_contacts(scene.object, contacts, scenario.perturb, other).iterations_run == 0
+    assert validate_grasp(contacts, replace(other)) is too_few
+    assert judged == [1, 1]
+
+
+def test_a_list_is_judged_afresh_on_every_call(scenario, grasp_run, judged):
+    state, _, _ = grasp_run
+    contacts = list(detect_contacts(scenario.scene, state))
+    first = validate_grasp(contacts)
+    assert _bits(validate_grasp(contacts)) == _bits(first)
+    assert perturb_contacts(scenario.scene.object, contacts).passed
+    assert judged == [1, 1, 1]
+    del contacts[int(np.argmax([c.normal_force for c in contacts]))]
+    assert first.stable and validate_grasp(contacts).failure_reason == FAILURE_TOO_FEW
+    assert judged == [1, 1, 1, 1]
+
+
+def test_a_detected_set_and_its_verdicts_are_read_only(scenario, grasp_run):
+    """The set's arrays, its points' positions and normals, which are row
+    views of them, and every verdict's center refuse writes.  A copy or a
+    pickle of the set is a plain tuple of its points."""
+    state, _, _ = grasp_run
+    contacts = detect_contacts(scenario.scene, state)
+    assert isinstance(contacts, tuple) and len(contacts) == len(contacts.forces)
+    point = contacts[0]
+    assert np.shares_memory(point.position, contacts.positions)
+    assert np.shares_memory(point.normal, contacts.normals)
+    arrays = (contacts.positions, contacts.normals, contacts.forces, point.position,
+              point.normal, validate_grasp(contacts).center,
+              validate_grasp(list(contacts)).center)
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    given = np.zeros(3)
+    GraspAssessment(False, 0, given, 0.0, 0.0, FAILURE_TOO_FEW)
+    given[0] = 1.0  # the caller's own array stays writable
+    for twin in (copy.copy(contacts), pickle.loads(pickle.dumps(contacts))):
+        assert type(twin) is tuple and len(twin) == len(contacts)
+        assert _bits(validate_grasp(twin)) == _bits(validate_grasp(contacts))
+
+
+def _report_bits(report) -> str:
+    """Every field and sample of a perturbation report; JSON float reprs round-trip."""
+    return json.dumps(report.to_dict())
+
+
+def test_a_detected_set_is_judged_and_probed_as_its_list_bitwise():
+    """Over the 300 `hold_probe` states of seeds 1-3, each detected set's
+    verdict and perturbation report equal those of its points as a list, in
+    every field and sample, bit for bit."""
+    stable = 0
+    for seed in (1, 2, 3):
+        wl = perfbench_workload("hold_probe", seed)
+        validation, perturb = wl.scenario.validation, wl.scenario.perturb
+        for scene, state in wl.inputs:
+            contacts = detect_contacts(scene, state)
+            points = list(contacts)
+            assessment = validate_grasp(contacts, validation)
+            assert _bits(assessment) == _bits(validate_grasp(points, validation))
+            assert (_report_bits(perturb_contacts(scene.object, contacts, perturb, validation))
+                    == _report_bits(perturb_contacts(scene.object, points, perturb, validation)))
+            stable += assessment.stable
+    assert 0 < stable < 300  # both the precheck's exit and the rounds are compared

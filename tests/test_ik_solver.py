@@ -15,7 +15,7 @@ from graspforge.kinematics import (JointState, KinematicsError, _angles, _joint_
                                    link_transform, neutral_state, within_limits)
 from graspforge.robot_model import parse_robot_description
 
-from conftest import TWO_LINK_ARM, WRIST_HAND, mid_range_state
+from conftest import TWO_LINK_ARM, WRIST_HAND, mid_range_state, perfbench_workload
 from reference import reference_solve
 
 
@@ -531,14 +531,7 @@ def test_an_unknown_finger_in_a_hand_solve_raises(chain):
 def _ik_reach_inputs(seed: int) -> list:
     """The inputs of the benchmark's `ik_reach` workload for `seed`:
     (index, finger, target, reachable), and its chain, start and config."""
-    import os
-    import sys
-    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.pop(0)
-    wl = workloads.make("ik_reach", seed)
+    wl = perfbench_workload("ik_reach", seed)
     return wl.inputs, wl.chain, wl.seed_state, wl.scenario.ik
 
 

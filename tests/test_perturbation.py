@@ -99,6 +99,17 @@ class TestPerturbContacts:
         assert rep.samples == []
         assert rep.max_displacement == 0.0
 
+    @pytest.mark.parametrize("position, normal", [((0.03, 0, 0), (0, 0, 0)),
+                                                  ((np.nan, 0, 0), (1, 0, 0))])
+    def test_a_non_finite_contact_fails_the_precheck(self, position, normal):
+        """A zero normal (a NaN closure residual) and a NaN position (a NaN
+        spread) fail validation, with numpy's warning, so no round runs."""
+        contacts = square_contacts()
+        contacts[0] = _cp(position, normal)
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            rep = perturb_contacts(_obj(), contacts, PerturbConfig())
+        assert (rep.passed, rep.iterations_run, rep.samples) == (False, 0, [])
+
     def test_single_contact_fails_the_precheck(self):
         rep = perturb_contacts(_obj(), [_cp((0, 0, 0.03), (0, 0, 1))], PerturbConfig())
         assert not rep.passed

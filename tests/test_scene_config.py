@@ -105,7 +105,7 @@ class TestScenarioFile:
     def test_the_bundled_box_starts_clear_of_the_hand(self, scenario):
         from graspforge.contact import detect_contacts
         from graspforge.kinematics import neutral_state
-        assert detect_contacts(scenario.scene, neutral_state(scenario.scene.chain)) == []
+        assert detect_contacts(scenario.scene, neutral_state(scenario.scene.chain)) == ()
 
     def test_a_box_inside_the_hand_names_object_pose(self):
         with pytest.raises(ConfigError, match=r"^object\.pose: .* with 7 contacts"):
