@@ -1,7 +1,10 @@
-"""The number rule for configuration values, and the error they raise.
+"""The number rule for configuration values, the error they raise, and the
+JSON form of result records.
 
 An `int` field takes an int, a `float` field a finite real number, and a
-bool is neither, although Python counts it as an int.
+bool is neither, although Python counts it as an int.  Both rules read a
+dataclass's field annotations, which are strings under `from __future__
+import annotations`.
 """
 
 from __future__ import annotations
@@ -32,3 +35,21 @@ def check_numbers(config, error: type[ValueError] = ConfigError) -> None:
                 raise error(f"{f.name} must be an integer, got {value!r}")
         elif not is_finite_number(value):
             raise error(f"{f.name} must be a finite number, got {value!r}")
+
+
+def _floats(values) -> list:
+    return [float(v) for v in values]
+
+
+# how `_Record.to_dict` writes a field, by its annotation; any other is kept
+_JSON_FORMS = {"float": float, "np.ndarray": _floats, "tuple": _floats}
+
+
+class _Record:
+    """Base of the result dataclasses: `to_dict` is the JSON form, the fields
+    in declaration order, a `float` field as `float(value)`, an `np.ndarray`
+    or `tuple` field as a list of floats and any other field as it is."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _JSON_FORMS.get(f.type, lambda v: v)(getattr(self, f.name))
+                for f in fields(self)}

@@ -31,15 +31,15 @@ angles.  Each block leaves one DEBUG record: its first step, the rows it ran
 and the rows it kept.
 
 In `monitor` the goal is the frozen posture, so the servo velocity is
-exactly 0 and a step usually returns the angles it was given.  A step
-whose output keeps every bit of its input (signed zeros included: a step
-from -0.0 returns +0.0) is held, and since `step_servo` is a function of
-the angles and the goal alone, every later step repeats it.  So the phase
-runs the servo, with a one-row pass per step that changes bits, only until
-its first held step; the held posture's contacts, verdict and fingertip
-positions then stand for every remaining step, up to VALIDATED_HOLD_STEPS
-stable ones or the step budget, and its logged rows are one broadcast of
-the held row.  Every output is bit for bit that of one pass per step.
+exactly 0.  The first step returns the angles it was given, except that a
+-0.0 angle becomes +0.0 (x + 0.0), and a step from there toward the same
+goal keeps every bit; since `step_servo` is a function of the angles and
+the goal alone, every later step repeats it.  So the phase makes at most
+one step that changes bits, with a one-row pass when it does; that
+posture's contacts, verdict and fingertip positions then stand for every
+remaining step, up to VALIDATED_HOLD_STEPS stable ones or the step budget,
+and its logged rows are one broadcast of the held row.  Every output is
+bit for bit that of one pass per step.
 
 The log is kept as arrays (see `TrajectoryLog`).  Each stacked pass writes
 the fingertip positions of its logged rows with one gather of the
@@ -304,30 +304,24 @@ def _monitor(scene: Scene, q: np.ndarray, step: int, count: int, assessment,
     """The monitor phase from the stable posture `q` at `step`, with its
     contact count, verdict and fingertip positions (F, 3): hold the posture
     until VALIDATED_HOLD_STEPS consecutive stable steps or the step budget is
-    spent.  The servo runs until its first held step; the steps from there
-    on repeat the held row (see the module notes).  Returns the angles, the
-    step the phase ended at and the verdict.
+    spent.  At most the first step changes bits; the steps from there on
+    repeat it (see the module notes).  Returns the angles, the step the phase
+    ended at and the verdict.
     """
-    chain = scene.chain
-    goal, hold_count = q, 0  # freeze: servo toward the current posture
-    while step < run.max_steps and hold_count < VALIDATED_HOLD_STEPS:
-        moved = step_servo(q, goal, run, chain)
-        if moved.tobytes() == q.tobytes():
-            break  # held: this step and every later one repeat the last
+    start = step
+    # freeze: servo toward the current posture, which moves only a -0.0 angle
+    moved = step_servo(q, q, run, scene.chain) if step < run.max_steps else q
+    if moved.tobytes() != q.tobytes():
         step, q = step + 1, moved
-        R, t = _stacked_frames(chain, q[None])
+        R, t = _stacked_frames(scene.chain, q[None])
         at, _, positions, normals, _, forces = _stacked_contacts(scene, (R, t))
         assessment = _assessment(_assess_rows(at, positions, normals, forces, 1, validation), 0)
         count = len(at)
         tips = _fingertips(scene, t)[0]
-        hold_count = hold_count + 1 if assessment.stable else 0
         if step % run.log_every == 0:
             rows.append(([step], tips[None], [count], [_MONITOR]))
-    # the steps left repeat the last one, so their logged rows are one
-    # broadcast; none are left unless the loop stopped at a held step
-    end = run.max_steps
-    if assessment.stable:
-        end = min(end, step + VALIDATED_HOLD_STEPS - hold_count)
+    # the steps left repeat the last one, so their logged rows are one broadcast
+    end = min(run.max_steps, start + VALIDATED_HOLD_STEPS) if assessment.stable else run.max_steps
     steps = range((step // run.log_every + 1) * run.log_every, end + 1, run.log_every)
     rows.append((steps, np.broadcast_to(tips, (len(steps),) + tips.shape),
                  [count] * len(steps), [_MONITOR] * len(steps)))

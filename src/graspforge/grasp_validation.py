@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import ConfigError, check_numbers
+from ._checks import ConfigError, _Record, check_numbers
 from .contact import ContactPoint, _ContactSet, _contact_arrays, _norms
 
 FAILURE_NONE = "none"
@@ -53,7 +53,7 @@ class ValidationConfig:
 
 
 @dataclass(frozen=True)
-class GraspAssessment:
+class GraspAssessment(_Record):
     stable: bool
     contact_count: int
     center: np.ndarray
@@ -65,11 +65,6 @@ class GraspAssessment:
         center = np.asarray(self.center, dtype=float).reshape(3)  # a view of its own
         center.flags.writeable = False
         object.__setattr__(self, "center", center)
-
-    def to_dict(self) -> dict:
-        return dict(vars(self), center=[float(v) for v in self.center],
-                    max_distance=float(self.max_distance),
-                    closure_residual=float(self.closure_residual))
 
 
 def _assess_rows(rows: np.ndarray, positions: np.ndarray, normals: np.ndarray,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import _Record
 from .controller import TrajectoryLog
 from .kinematics import _target_position
 
@@ -29,7 +30,7 @@ class MetricsError(ValueError):
 
 
 @dataclass(frozen=True)
-class FingerMetrics:
+class FingerMetrics(_Record):
     finger: str
     distance_to_target: float  # m, final position error
     total_movement: float  # m, path arc length
@@ -41,35 +42,15 @@ class FingerMetrics:
         object.__setattr__(self, "directional_error",
                            np.asarray(self.directional_error, dtype=float).reshape(3))
 
-    def to_dict(self) -> dict:
-        return {
-            "finger": self.finger,
-            "distance_to_target": float(self.distance_to_target),
-            "total_movement": float(self.total_movement),
-            "efficiency": float(self.efficiency),
-            "success": self.success,
-            "directional_error": [float(v) for v in self.directional_error],
-        }
-
 
 @dataclass(frozen=True)
-class RunSummary:
+class RunSummary(_Record):
     mean_distance: float
     std_distance: float  # population form
     success_rate: float
     errors_x: tuple
     errors_y: tuple
     errors_z: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "mean_distance": float(self.mean_distance),
-            "std_distance": float(self.std_distance),
-            "success_rate": float(self.success_rate),
-            "errors_x": [float(v) for v in self.errors_x],
-            "errors_y": [float(v) for v in self.errors_y],
-            "errors_z": [float(v) for v in self.errors_z],
-        }
 
 
 def movement_efficiency(d_t: float, d_m: float) -> float:

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._checks import ConfigError, check_numbers
+from ._checks import ConfigError, _Record, check_numbers
 from .contact import ContactPoint, _contact_arrays, _norms, detect_contacts
 from .grasp_validation import ValidationConfig, validate_grasp
 from .kinematics import JointState
@@ -64,26 +64,17 @@ class PerturbConfig:
 
 
 @dataclass
-class PerturbationReport:
+class PerturbationReport(_Record):
     passed: bool
     iterations_run: int
     max_displacement: float
-    samples: list[tuple[np.ndarray, float]] = field(default_factory=list)
     failure_iteration: Optional[int] = None
     seed: int = 0
+    samples: list[tuple[np.ndarray, float]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "iterations_run": self.iterations_run,
-            "max_displacement": float(self.max_displacement),
-            "failure_iteration": self.failure_iteration,
-            "seed": self.seed,
-            "samples": [
-                {"force": f.tolist(), "displacement": float(d)}
-                for f, d in self.samples
-            ],
-        }
+        return dict(super().to_dict(), samples=[
+            {"force": f.tolist(), "displacement": float(d)} for f, d in self.samples])
 
 
 def _compliance(obj: SceneObject, normals: np.ndarray):

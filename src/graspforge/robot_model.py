@@ -4,7 +4,9 @@ Reads a URDF-style XML subset (links with optional box / capsule / sphere
 collision geometry, revolute and fixed joints with origin / axis / limit
 tags) into an immutable kinematic tree.  Visual, inertial, material and
 joint dynamics elements are ignored; anything else unrecognized is an error,
-and so is a number that is not finite.  A finger link's collision geometry
+and so is a number that is not finite.  A joint's `<mimic>` is one such
+error: every movable joint is independent, so a coupling the chain would
+drop is rejected, not ignored.  A finger link's collision geometry
 is a capsule or a sphere, which contact detection probes; a box there is a
 `ValidationError`.  A box on any other link, such as the bundled palm, is
 accepted, but contact detection does not use it.
@@ -388,7 +390,7 @@ def _parse_geometry(geom: ET.Element, where: str) -> Geometry:
 
 
 _IGNORED_LINK_CHILDREN = {"visual", "inertial", "contact"}
-_IGNORED_JOINT_CHILDREN = {"calibration", "dynamics", "mimic", "safety_controller"}
+_IGNORED_JOINT_CHILDREN = {"calibration", "dynamics", "safety_controller"}
 _JOINT_CHILDREN = {"parent", "child", "origin", "axis", "limit"} | _IGNORED_JOINT_CHILDREN
 
 

@@ -229,6 +229,54 @@ class TestValidate:
         assert run_cli("validate", str(p)) == EXIT_ERROR
 
 
+def _assert_json_form(record, form):
+    """`record`'s keys are `form`'s, in order, and each value has its JSON
+    type: a Python type, or (float, n) for a list of n floats."""
+    assert list(record) == list(form)
+    for key, kind in form.items():
+        if isinstance(kind, tuple):
+            assert [type(v) for v in record[key]] == [kind[0]] * kind[1], key
+        else:
+            assert type(record[key]) is kind, key
+
+
+ASSESSMENT_FORM = {"stable": bool, "contact_count": int, "center": (float, 3),
+                   "max_distance": float, "closure_residual": float, "failure_reason": str}
+
+
+def test_each_json_report_holds_its_keys_in_order_with_their_types(tmp_path, capsys):
+    """The bundled run and perturb and a validate contact file: every report
+    key in its record's field order, each value of its JSON type."""
+    assert run_cli("run", "--no-timestamp", "--out", str(tmp_path / "run")) == EXIT_OK
+    _assert_json_form(json.loads((tmp_path / "run" / "assessment.json").read_text()),
+                      ASSESSMENT_FORM)
+    metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
+    assert list(metrics) == ["fingers", "aggregate"]
+    assert [m["finger"] for m in metrics["fingers"]] == ["index", "middle", "ring", "pinky",
+                                                         "thumb"]
+    for m in metrics["fingers"]:
+        _assert_json_form(m, {"finger": str, "distance_to_target": float,
+                              "total_movement": float, "efficiency": float, "success": bool,
+                              "directional_error": (float, 3)})
+    _assert_json_form(metrics["aggregate"], {
+        "mean_distance": float, "std_distance": float, "success_rate": float,
+        "errors_x": (float, 5), "errors_y": (float, 5), "errors_z": (float, 5)})
+
+    assert run_cli("perturb", "--no-timestamp", "--out", str(tmp_path / "perturb")) == EXIT_OK
+    report = json.loads((tmp_path / "perturb" / "perturbation.json").read_text())
+    _assert_json_form(report, {"passed": bool, "iterations_run": int, "max_displacement": float,
+                               "failure_iteration": type(None), "seed": int, "samples": list})
+    assert len(report["samples"]) == report["iterations_run"] == 100
+    for sample in report["samples"]:
+        _assert_json_form(sample, {"force": (float, 3), "displacement": float})
+
+    capsys.readouterr()
+    contacts = tmp_path / "contacts.json"
+    contacts.write_text(json.dumps(stable_fixture()))
+    assert run_cli("validate", str(contacts)) == EXIT_OK
+    _assert_json_form(json.loads(capsys.readouterr().out), ASSESSMENT_FORM)
+
+
 class TestErrorHandling:
     def test_missing_scenario_file(self, tmp_path, capsys):
         code = run_cli("run", "--scenario", str(tmp_path / "ghost.yaml"),
@@ -383,6 +431,20 @@ class TestErrorHandling:
         assert capsys.readouterr().err == (
             f"error: hand.description_path {str(box)!r}: finger link 'index_distal': box "
             "collision geometry is not supported, only a capsule or a sphere\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_a_mimic_joint_is_an_error_line(self, tmp_path, capsys):
+        mimic = tmp_path / "mimic.urdf"
+        mimic.write_text(open(bundled_hand_path()).read().replace(
+            '<joint name="index_dip" type="revolute">',
+            '<joint name="index_dip" type="revolute">'
+            '<mimic joint="index_flexor" multiplier="0.8"/>'))
+        code = run_cli("run", "--set", f"hand.description_path={mimic}",
+                       "--out", str(tmp_path / "out"))
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: hand.description_path {str(mimic)!r}: joint 'index_dip': "
+            "unsupported element <mimic>\n")
         assert not (tmp_path / "out").exists()
 
     def test_a_finger_below_another_fingers_joint_is_an_error_line(self, tmp_path, capsys):

@@ -161,6 +161,18 @@ class TestStepServo:
                                              run, chain)
             assert step_servo(q, goal, run, chain).tobytes() == _angles(chain, expected).tobytes()
 
+    @given(st.data(), st.sampled_from([0.0, 20.0]), st.sampled_from([0.0, 4.0]))
+    def test_a_step_toward_its_own_angles_is_a_fixed_point(self, chain, data, gain, rate):
+        """The monitor's frozen goal: a step from `q` toward `q` turns a -0.0
+        angle into +0.0 and keeps every other bit, and a second step toward
+        `q` keeps the first step's bits, so the monitor makes at most one
+        step that changes bits.  Angles drawn as `conftest.joint_rows`."""
+        run = RunConfig(servo_gain=gain, joint_rate_limit=rate)
+        for q in data.draw(joint_rows(chain)):
+            once = step_servo(q, q, run, chain)
+            assert once.tobytes() == np.where((q == 0.0) & np.signbit(q), 0.0, q).tobytes()
+            assert step_servo(once, q, run, chain).tobytes() == once.tobytes()
+
 
 class TestExecuteGrasp:
     def test_bundled_scenario_reaches_a_stable_grasp(self, scenario, grasp_run):
@@ -389,11 +401,11 @@ class TestExecuteGrasp:
         assert len(log.control_steps) == 165
         # the frozen goal holds -0.0; the first monitor step (servo call 129,
         # after 80 pre_grasp and 48 speculated contact_opt calls) returns
-        # +0.0 and recomputes; the second is held, and the 48 after it repeat
-        # it without a servo call
+        # +0.0 and recomputes; the 49 after it repeat it without a servo call,
+        # since a second step would keep its bits (TestStepServo's fixed point)
         assert math.copysign(1.0, state.values[yaw]) == 1.0 and state.values[yaw] == 0.0
         assert passes == [80, 96, 112, 128, 129]
-        assert len(servo_calls) == 130
+        assert len(servo_calls) == 129
         _assert_hold_matches_final_state(scenario, state, log, assessment, slice(entry, None))
 
     def test_a_contact_at_the_minimum_force_latches_its_finger(self, scenario, monkeypatch):

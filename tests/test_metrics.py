@@ -1,12 +1,15 @@
 import io
+import json
 
 import numpy as np
 import pytest
 
 from graspforge.controller import PHASES, TrajectoryLog
-from graspforge.metrics import (EPSILON, SUCCESS_THRESHOLD, MetricsError,
-                                movement_efficiency, path_length, positional_error,
+from graspforge.grasp_validation import GraspAssessment
+from graspforge.metrics import (EPSILON, SUCCESS_THRESHOLD, FingerMetrics, MetricsError,
+                                RunSummary, movement_efficiency, path_length, positional_error,
                                 summarize_run, write_metrics_csv)
+from graspforge.perturbation import PerturbationReport
 
 # published reference run: (distance to target, total movement) in meters
 TABLE = {
@@ -162,3 +165,30 @@ def test_metrics_csv_has_no_numpy_reprs(grasp_run, scenario):
     buf = io.StringIO()
     write_metrics_csv(metrics, buf)
     assert "np.float64" not in buf.getvalue()
+
+
+def test_an_int_given_to_a_float_field_is_written_as_a_float():
+    """Each record's JSON form writes a real-valued field and each vector
+    entry as a float, also when it was given as an int; int fields stay ints."""
+    finger = FingerMetrics(finger="index", distance_to_target=0, total_movement=1,
+                           efficiency=2, success=True, directional_error=[0, 0, 0])
+    assert json.dumps(finger.to_dict()) == (
+        '{"finger": "index", "distance_to_target": 0.0, "total_movement": 1.0, '
+        '"efficiency": 2.0, "success": true, "directional_error": [0.0, 0.0, 0.0]}')
+    summary = RunSummary(mean_distance=0, std_distance=0, success_rate=1,
+                         errors_x=(0,), errors_y=(1,), errors_z=(np.int64(2),))
+    assert json.dumps(summary.to_dict()) == (
+        '{"mean_distance": 0.0, "std_distance": 0.0, "success_rate": 1.0, '
+        '"errors_x": [0.0], "errors_y": [1.0], "errors_z": [2.0]}')
+    assessment = GraspAssessment(stable=False, contact_count=0, center=[0, 0, 0],
+                                 max_distance=0, closure_residual=0,
+                                 failure_reason="too_few_contacts")
+    assert json.dumps(assessment.to_dict()) == (
+        '{"stable": false, "contact_count": 0, "center": [0.0, 0.0, 0.0], '
+        '"max_distance": 0.0, "closure_residual": 0.0, "failure_reason": "too_few_contacts"}')
+    report = PerturbationReport(passed=True, iterations_run=1, max_displacement=0, seed=3,
+                                samples=[(np.array([1.0, 0.0, 0.0]), 0)])
+    assert json.dumps(report.to_dict()) == (
+        '{"passed": true, "iterations_run": 1, "max_displacement": 0.0, '
+        '"failure_iteration": null, "seed": 3, '
+        '"samples": [{"force": [1.0, 0.0, 0.0], "displacement": 0.0}]}')

@@ -199,6 +199,15 @@ class TestParserErrors:
         with pytest.raises(RobotDescriptionError, match="unsupported element <axes>"):
             parse_robot_description(doc)
 
+    def test_a_mimic_joint_is_rejected(self):
+        # every movable joint is independent: a coupling is not dropped
+        mimic = "<mimic joint='f_one' multiplier='0.8'/>"
+        links = "<link name='a'/><link name='b'/><link name='c'/>"
+        with pytest.raises(RobotDescriptionError,
+                           match="joint 'f_two': unsupported element <mimic>"):
+            parse_robot_description(_doc(links, _rev("f_one", "a", "b")
+                                         + _rev("f_two", "b", "c", extra=mimic)))
+
 
     @pytest.mark.parametrize("attr,where", [
         ("lower='nan' upper='1'", "lower limit"),
