@@ -1,16 +1,19 @@
-"""The number rule for configuration values, the error they raise, and the
-JSON form of result records.
+"""The number rule for configuration values and contact files, the error
+they raise, and the JSON form of result records.
 
 An `int` field takes an int, a `float` field a finite real number, and a
-bool is neither, although Python counts it as an int.  Both rules read a
-dataclass's field annotations, which are strings under `from __future__
-import annotations`.
+bool is neither, although Python counts it as an int.  A vector is a list
+of three finite real numbers; a quoted number is a string, not a number,
+and a nested list is not a vector.  The scenario loader and `graspforge
+validate` read vectors through `require_vec3`.  `check_numbers` and
+`_Record` read a dataclass's field annotations, which are strings under
+`from __future__ import annotations`.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import fields
 
 
@@ -19,9 +22,20 @@ class ConfigError(ValueError):
 
 
 def is_finite_number(value) -> bool:
-    """A finite real number that is not a bool."""
+    """A finite real number that is not a bool, and no larger than a float
+    holds: an int past the largest float would overflow on conversion."""
     return (not isinstance(value, bool) and isinstance(value, numbers.Real)
-            and math.isfinite(value))
+            and abs(value) <= sys.float_info.max)
+
+
+def require_vec3(value, where: str) -> tuple:
+    """`value`, a list or tuple of three finite numbers, as a tuple of
+    floats; otherwise a ConfigError naming `where`."""
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ConfigError(f"{where}: expected a 3-element list, got {value!r}")
+    if not all(map(is_finite_number, value)):
+        raise ConfigError(f"{where}: entries must be finite numbers, got {value!r}")
+    return tuple(float(v) for v in value)
 
 
 def check_numbers(config, error: type[ValueError] = ConfigError) -> None:

@@ -17,6 +17,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from ._checks import is_finite_number, require_vec3
 from .config import ConfigError, default_scenario_path, load_scenario
 from .contact import ContactPoint, detect_contacts
 from .controller import execute_grasp, write_trajectory_csv
@@ -176,11 +177,6 @@ def cmd_perturb(args) -> int:
     return EXIT_OK if all_passed else EXIT_UNSTABLE
 
 
-def _holds_bool(value) -> bool:
-    """A JSON boolean, bare or in a list, which float() and numpy read as 1 or 0."""
-    return isinstance(value, bool) or (isinstance(value, list) and any(map(_holds_bool, value)))
-
-
 def _load_contact_file(path: str) -> list[ContactPoint]:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -192,23 +188,16 @@ def _load_contact_file(path: str) -> list[ContactPoint]:
     for i, entry in enumerate(data):
         if not isinstance(entry, dict):
             raise ValueError(f"contact {i}: expected a mapping")
-        for name in ("position", "normal", "force", "normal_force"):
-            if _holds_bool(entry.get(name)):
-                raise ValueError(f"contact {i}: {name} must be numeric, "
-                                 f"got {json.dumps(entry[name])}")
-        try:
-            position = np.asarray(entry["position"], dtype=float).reshape(3)
-            normal = np.asarray(entry["normal"], dtype=float).reshape(3)
-            force = float(entry.get("force", entry.get("normal_force", 0.0)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"contact {i}: {exc}") from None
+        position = require_vec3(entry.get("position"), f"contact {i}: position")
+        normal = require_vec3(entry.get("normal"), f"contact {i}: normal")
+        for name in ("force", "normal_force"):
+            if not is_finite_number(entry.get(name, 0.0)):
+                raise ValueError(f"contact {i}: {name} must be a finite number, "
+                                 f"got {entry[name]!r}")
+        force = float(entry.get("force", entry.get("normal_force", 0.0)))
         link = entry.get("link", -1)
         if isinstance(link, bool) or not isinstance(link, int):
             raise ValueError(f"contact {i}: link must be an integer, got {link!r}")
-        for name, value in (("position", position), ("normal", normal), ("force", force)):
-            if not np.isfinite(value).all():
-                raise ValueError(f"contact {i}: {name} must be finite, got "
-                                 f"{np.asarray(value).tolist()}")
         norm = float(np.linalg.norm(normal))
         if abs(norm - 1.0) > _NORMAL_TOL:
             raise ValueError(f"contact {i}: normal has length {norm:.6f}, not unit")

@@ -21,7 +21,9 @@ fail loudly instead of silently running defaults.
   output_dir: path for reports
 
 Every number, in every field and every vec3 entry, must be finite, and a
-boolean is not a number; an integer field takes an int only.  The key sets
+boolean is not a number; an integer field takes an int only.  This is the
+number rule of `_checks`, which `graspforge validate` applies to contact
+files too; each vec3 is read by `_checks.require_vec3`.  The key sets
 of physics, ik, validation and perturb are the fields of their dataclasses,
 which check their own values (`_checks.check_numbers`).  A bad value raises
 ConfigError naming its key with its section, such as `ik.damping_lambda`.
@@ -40,7 +42,7 @@ from dataclasses import dataclass, fields
 
 import yaml
 
-from ._checks import ConfigError, is_finite_number
+from ._checks import ConfigError, is_finite_number, require_vec3
 from .contact import detect_contacts
 from .controller import RunConfig
 from .grasp_validation import ValidationConfig
@@ -100,14 +102,6 @@ class ScenarioConfig:
     validation: ValidationConfig
     perturb: PerturbConfig
     output_dir: str | None = None
-
-
-def _require_vec3(value, where: str):
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ConfigError(f"{where}: expected a 3-element list, got {value!r}")
-    if not all(map(is_finite_number, value)):
-        raise ConfigError(f"{where}: entries must be finite numbers, got {value!r}")
-    return tuple(float(v) for v in value)
 
 
 def _check_keys(data: dict) -> None:
@@ -179,10 +173,10 @@ def _pose_from_mapping(value, where: str, keys=("position", "rpy")) -> Pose:
         raise ConfigError(f"{where}: unknown key {unknown.pop()!r}")
     if "position" not in value:
         raise ConfigError(f"{where}: missing key 'position'")
-    position = _require_vec3(value["position"], f"{where}.position")
+    position = require_vec3(value["position"], f"{where}.position")
     if "rpy" not in keys:
         return Pose(position=position)
-    rpy = _require_vec3(value.get("rpy", (0.0, 0.0, 0.0)), f"{where}.rpy")
+    rpy = require_vec3(value.get("rpy", (0.0, 0.0, 0.0)), f"{where}.rpy")
     return Pose.from_rpy(position, rpy)
 
 
@@ -207,13 +201,13 @@ def build_scenario(data: dict, scenario_dir: str | None = None) -> ScenarioConfi
         raise ConfigError(f"hand.description_path: {exc}") from None
     except (RobotDescriptionError, ValidationError) as exc:
         raise ConfigError(f"hand.description_path {description_path!r}: {exc}") from None
-    base_position = _require_vec3(hand.get("base_position", DEFAULT_HAND_BASE_POSITION),
-                                  "hand.base_position")
-    base_rpy = _require_vec3(hand.get("base_rpy", DEFAULT_HAND_BASE_RPY), "hand.base_rpy")
+    base_position = require_vec3(hand.get("base_position", DEFAULT_HAND_BASE_POSITION),
+                                 "hand.base_position")
+    base_rpy = require_vec3(hand.get("base_rpy", DEFAULT_HAND_BASE_RPY), "hand.base_rpy")
 
     obj_data = data.get("object", {})
-    half_extents = _require_vec3(obj_data.get("half_extents", DEFAULT_BOX_HALF_EXTENTS),
-                                 "object.half_extents")
+    half_extents = require_vec3(obj_data.get("half_extents", DEFAULT_BOX_HALF_EXTENTS),
+                                "object.half_extents")
     pose = _pose_from_mapping(obj_data.get("pose", {"position": DEFAULT_BOX_POSITION}),
                               "object.pose")
     mass = obj_data.get("mass", DEFAULT_BOX_MASS)

@@ -4,7 +4,7 @@ Phases:
   pre_grasp    stage fingertips 3 cm outside their contact targets
   contact_opt  drive to the true targets; a finger with an established
                contact stops advancing its flexor so it presses instead of
-               shoving
+               shoving, and a finger that lets go resumes it
   monitor      freeze the posture and re-validate until 50 consecutive
                stable steps (or the step budget runs out)
 
@@ -15,14 +15,18 @@ and the IK core work on joint angles in `chain.movable` order; the one
 
 The goal of `pre_grasp` is fixed and the phase reads no contacts, so it is
 a function of the servo's states alone: the servo runs step by step, and
-the rows that are read (the logged steps and the last step of each block of
-up to _APPROACH_BLOCK) go through one pass.  The last row gives the
-contacts of the step that leaves the phase.
+the logged rows of each block of up to _APPROACH_BLOCK steps go through
+one pass, which counts their contacts.  Only a one-step budget ends the
+run in this phase; `_judge` then judges its posture in a one-row pass, as
+`monitor` does a first step that changes bits.
 
-Between events a `contact_opt` step is a function of the angles alone too:
-its goal is the contact goal with each latched finger's flexor held at its
-current angle.  So the phase speculates, then rolls back.  The servo runs
-ahead up to _CONTACT_BLOCK rows under the current latched set; one pass
+Between events a `contact_opt` step is a function of the angles alone too,
+under one goal per block: the contact goal with each latched finger's
+flexor held at its angle when the block starts.  A held flexor's servo
+velocity is exactly 0, so it stays at that angle through the block.  A
+finger that lets go is not latched in the next block, whose goal resumes
+its flexor.  So the phase speculates, then rolls back.  The servo runs
+ahead up to _CONTACT_BLOCK rows under the block's latched set; one pass
 detects their contacts as arrays and one `_assess_rows` call gives every
 row's verdict and established fingers, a mask (rows, fingers).  The first
 row whose mask differs from the latched one, or whose verdict is stable, is
@@ -222,12 +226,11 @@ def _approach(scene: Scene, q: np.ndarray, goal: np.ndarray, run: RunConfig,
               budget: int, rows: list):
     """The pre_grasp phase: servo toward `goal` until every joint is within
     PRE_GRASP_JOINT_TOL of it or `budget` steps are spent (at least one),
-    with one stacked pass per _APPROACH_BLOCK steps over the steps it reads:
-    the logged ones and the block's last (see the module notes).
+    with one stacked pass per _APPROACH_BLOCK steps over the logged ones
+    (see the module notes).
 
-    Returns the last angles, their step and the arguments of a one-row
-    `_assess_rows` call on its contacts.  The last step leaves the phase, so
-    its log row reads PHASE_CONTACT_OPT.
+    Returns the last angles and their step.  The last step leaves the
+    phase, so its log row reads PHASE_CONTACT_OPT.
     """
     chain = scene.chain
     step, done = 0, False
@@ -239,24 +242,22 @@ def _approach(scene: Scene, q: np.ndarray, goal: np.ndarray, run: RunConfig,
             block.append(q)
             done = step >= budget or (abs(q - goal) < PRE_GRASP_JOINT_TOL).all()
         first = step - len(block) + 1
-        read = [s for s in range(first, step + 1) if s % run.log_every == 0 or s == step]
-        R, t = _stacked_frames(chain, np.array([block[s - first] for s in read]))
-        at, _, positions, normals, _, forces = _stacked_contacts(scene, (R, t))
-        counts = np.bincount(at, minlength=len(read))
-        logged = [i for i, s in enumerate(read) if s % run.log_every == 0]
-        steps = [read[i] for i in logged]
-        rows.append((steps, _fingertips(scene, t[logged]), counts[logged].tolist(),
+        steps = [s for s in range(first, step + 1) if s % run.log_every == 0]
+        R, t = _stacked_frames(chain, np.array(block)[np.array(steps, dtype=int) - first])
+        counts = np.bincount(_stacked_contacts(scene, (R, t))[0], minlength=len(steps))
+        rows.append((steps, _fingertips(scene, t), counts.tolist(),
                      [_CONTACT_OPT if done and s == step else _PRE_GRASP for s in steps]))
-    last = at == len(read) - 1
-    return q, step, (at[last] - (len(read) - 1), positions[last], normals[last], forces[last])
+    return q, step
 
 
 def _close(scene: Scene, q: np.ndarray, step: int, contact_goal: np.ndarray,
            run: RunConfig, validation: ValidationConfig, rows: list):
     """The contact_opt phase from angles `q` at `step`, at least one step:
-    servo toward `contact_goal`, each latched finger's flexor held where it
-    is, until the verdict is stable or the step budget is spent, in
-    speculated blocks of up to _CONTACT_BLOCK rows (see the module notes).
+    servo toward `contact_goal`, each latched finger's flexor held at its
+    angle when the block starts, until the verdict is stable or the step
+    budget is spent, in speculated blocks of up to _CONTACT_BLOCK rows (see
+    the module notes).  Each block has one goal; a finger that lets go is
+    not latched in the next block, whose goal resumes its flexor.
 
     Returns the angles, step, contact count, verdict and fingertip
     positions (F, 3) of the last kept row.
@@ -265,16 +266,14 @@ def _close(scene: Scene, q: np.ndarray, step: int, contact_goal: np.ndarray,
     # flexor = second-to-last joint of each finger chain (before the distal)
     flexors = np.array([chain.column_of[f.joints[-2]] for f in chain.fingers.values()])
     finger_of = np.array([list(chain.fingers).index(f) for f in chain.finger_shapes.fingers], int)
-    goal, latched = contact_goal, np.zeros(len(flexors), dtype=bool)
+    latched = np.zeros(len(flexors), dtype=bool)
     while True:
-        block, goals = [], []
+        goal = contact_goal.copy()
+        goal[flexors[latched]] = q[flexors[latched]]
+        block = []
         for _ in range(min(_CONTACT_BLOCK, run.max_steps - step)):
-            if latched.any():
-                goal = contact_goal.copy()
-                goal[flexors[latched]] = q[flexors[latched]]
             q = step_servo(q, goal, run, chain)
             block.append(q)
-            goals.append(goal)
         R, t = _stacked_frames(chain, np.array(block))
         at, shape_rows, positions, normals, _, forces = _stacked_contacts(scene, (R, t))
         verdicts = _assess_rows(at, positions, normals, forces, len(block), validation)
@@ -294,9 +293,18 @@ def _close(scene: Scene, q: np.ndarray, step: int, contact_goal: np.ndarray,
         rows.append(([first + i for i in logged], tips[logged], counts[logged].tolist(),
                      [_MONITOR if assessment.stable and i == kept - 1 else _CONTACT_OPT
                       for i in logged]))
-        q, goal, latched = block[kept - 1], goals[kept - 1], established[kept - 1]
+        q, latched = block[kept - 1], established[kept - 1]
         if assessment.stable or step >= run.max_steps:
             return q, step, int(counts[kept - 1]), assessment, tips[kept - 1]
+
+
+def _judge(scene: Scene, q: np.ndarray, validation: ValidationConfig):
+    """The verdict, contact count and fingertip positions (F, 3) of the
+    angles `q`, from one one-row pass."""
+    R, t = _stacked_frames(scene.chain, q[None])
+    at, _, positions, normals, _, forces = _stacked_contacts(scene, (R, t))
+    return (_assessment(_assess_rows(at, positions, normals, forces, 1, validation), 0),
+            len(at), _fingertips(scene, t)[0])
 
 
 def _monitor(scene: Scene, q: np.ndarray, step: int, count: int, assessment,
@@ -313,11 +321,7 @@ def _monitor(scene: Scene, q: np.ndarray, step: int, count: int, assessment,
     moved = step_servo(q, q, run, scene.chain) if step < run.max_steps else q
     if moved.tobytes() != q.tobytes():
         step, q = step + 1, moved
-        R, t = _stacked_frames(scene.chain, q[None])
-        at, _, positions, normals, _, forces = _stacked_contacts(scene, (R, t))
-        assessment = _assessment(_assess_rows(at, positions, normals, forces, 1, validation), 0)
-        count = len(at)
-        tips = _fingertips(scene, t)[0]
+        assessment, count, tips = _judge(scene, q, validation)
         if step % run.log_every == 0:
             rows.append(([step], tips[None], [count], [_MONITOR]))
     # the steps left repeat the last one, so their logged rows are one broadcast
@@ -342,7 +346,7 @@ def execute_grasp(scene: Scene, targets: dict, run: RunConfig | None = None,
     rows = []
 
     pre_goal = _solve_goal(chain, _approach_goal(scene, targets), q, ik, PHASE_PRE_GRASP)
-    q, step, contacts = _approach(
+    q, step = _approach(
         scene, q, pre_goal, run, int(PRE_GRASP_BUDGET_FRACTION * run.max_steps), rows)
     _log.debug("phase %s -> %s at step %d", PHASE_PRE_GRASP, PHASE_CONTACT_OPT, step)
     contact_goal = _solve_goal(chain, _base_targets(scene, targets), q, ik, PHASE_CONTACT_OPT)
@@ -354,9 +358,9 @@ def execute_grasp(scene: Scene, targets: dict, run: RunConfig | None = None,
             q, step, assessment = _monitor(scene, q, step, count, assessment, tips, run,
                                            validation, rows)
     else:
-        # the approach spent the step budget: report the contacts its last
-        # step detected
-        assessment = _assessment(_assess_rows(*contacts, 1, validation), 0)
+        # the approach spent the step budget (only at max_steps = 1): judge
+        # its last step
+        assessment = _judge(scene, q, validation)[0]
     steps, tips, counts, phases = zip(*rows)
     flat = itertools.chain.from_iterable
     log = TrajectoryLog(fingers=tuple(chain.fingers), hz=run.hz, end_step=step,

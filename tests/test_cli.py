@@ -185,21 +185,46 @@ class TestValidate:
         assert code == EXIT_UNSTABLE
         assert json.loads(capsys.readouterr().out)["contact_count"] == 3
 
+    # the number rule of scenario files (`_checks`): a vector entry or a
+    # force is a finite number, and a bool, a quoted number or a nested
+    # list is not one
     @pytest.mark.parametrize("field, value, message", [
-        ("position", [float("nan"), -0.03, 0], "contact 3: position must be finite"),
-        ("position", [0, float("-inf"), 0], "contact 3: position must be finite"),
-        ("normal", [0, float("nan"), 0], "contact 3: normal must be finite"),
-        ("normal", [float("inf"), 0, 0], "contact 3: normal must be finite"),
-        ("force", float("inf"), "contact 3: force must be finite"),
-        ("force", float("nan"), "contact 3: force must be finite"),
+        ("position", [float("nan"), -0.03, 0],
+         "contact 3: position: entries must be finite numbers, got [nan, -0.03, 0]"),
+        ("position", [0, float("-inf"), 0],
+         "contact 3: position: entries must be finite numbers, got [0, -inf, 0]"),
+        ("normal", [0, float("nan"), 0],
+         "contact 3: normal: entries must be finite numbers, got [0, nan, 0]"),
+        ("normal", [float("inf"), 0, 0],
+         "contact 3: normal: entries must be finite numbers, got [inf, 0, 0]"),
+        ("force", float("inf"), "contact 3: force must be a finite number, got inf"),
+        ("force", float("nan"), "contact 3: force must be a finite number, got nan"),
         ("link", "abc", "contact 3: link must be an integer, got 'abc'"),
         ("link", 2.7, "contact 3: link must be an integer, got 2.7"),
         ("link", True, "contact 3: link must be an integer, got True"),
         # booleans would read as 1 and 0: a 1 N contact, a coordinate of 1 m
-        ("force", True, "contact 3: force must be numeric, got true"),
-        ("normal_force", False, "contact 3: normal_force must be numeric, got false"),
-        ("position", [0, True, 0], "contact 3: position must be numeric, got [0, true, 0]"),
-        ("normal", [False, 0, 1], "contact 3: normal must be numeric, got [false, 0, 1]"),
+        ("force", True, "contact 3: force must be a finite number, got True"),
+        ("normal_force", False, "contact 3: normal_force must be a finite number, got False"),
+        ("position", [0, True, 0],
+         "contact 3: position: entries must be finite numbers, got [0, True, 0]"),
+        ("normal", [False, 0, 1],
+         "contact 3: normal: entries must be finite numbers, got [False, 0, 1]"),
+        # a quoted number stays a string, and a nested list is no vector,
+        # though float() and numpy would read each as the number
+        ("position", ["0.03", 0, 0],
+         "contact 3: position: entries must be finite numbers, got ['0.03', 0, 0]"),
+        ("force", "1.0", "contact 3: force must be a finite number, got '1.0'"),
+        ("position", [[0.03], [0], [0]],
+         "contact 3: position: entries must be finite numbers, got [[0.03], [0], [0]]"),
+        ("position", [[0.03, 0, 0]],
+         "contact 3: position: expected a 3-element list, got [[0.03, 0, 0]]"),
+        ("normal_force", "1e-3", "contact 3: normal_force must be a finite number, got '1e-3'"),
+        ("normal", [0, 0, "1e0"],
+         "contact 3: normal: entries must be finite numbers, got [0, 0, '1e0']"),
+        # float() of an int past the largest float overflows
+        pytest.param("force", 10 ** 400,
+                     f"contact 3: force must be a finite number, got {10 ** 400}",
+                     id="force-int-past-the-largest-float"),
     ])
     def test_bad_contact_field_is_an_error(self, tmp_path, capsys, field, value, message):
         # json writes NaN and Infinity, and json.load reads them back
@@ -210,7 +235,7 @@ class TestValidate:
         assert run_cli("validate", str(p)) == EXIT_ERROR
         out, err = capsys.readouterr()
         assert out == ""
-        assert message in err
+        assert err == f"error: {message}\n"
 
     def test_missing_position_field(self, tmp_path, capsys):
         p = tmp_path / "contacts.json"
@@ -351,8 +376,10 @@ class TestErrorHandling:
         assert "run.log_every (250)" in err and "ended at step 204" in err
         assert not (tmp_path / "out").exists()
 
-    # NaN, infinity or a quoted number in any entry of any vector
-    @pytest.mark.parametrize("bad", [".nan", ".inf", '"0.0"'])
+    # NaN, infinity, a quoted number or an int past the largest float in any
+    # entry of any vector
+    @pytest.mark.parametrize("bad", [".nan", ".inf", '"0.0"',
+                                     pytest.param(str(10 ** 400), id="huge")])
     @pytest.mark.parametrize("key,vector", [
         ("hand.base_position", "[{}, 0.0, 0.25]"),
         ("hand.base_rpy", "[3.14, {}, 0.0]"),
@@ -479,6 +506,11 @@ class TestErrorHandling:
                                      'ik.damping_lambda="1e-3"',
                                      "physics.contact_stiffness=abc",
                                      "object.mass=.nan", 'object.mass="0.2"',
+                                     # float() of an int past the largest float overflows
+                                     pytest.param(f"object.mass={10 ** 400}",
+                                                  id="object.mass-huge"),
+                                     pytest.param(f"ik.step_scale=-{10 ** 400}",
+                                                  id="ik.step_scale-huge"),
                                      "validation.distribution_threshold=.inf",
                                      "validation.force_closure_threshold=.inf",
                                      "validation.min_contact_force=abc",

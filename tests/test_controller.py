@@ -455,6 +455,50 @@ class TestExecuteGrasp:
         assert validate_grasp(contacts, validation).contact_count == sum(
             c.normal_force >= strongest[finger] for c in contacts)
 
+    def test_a_finger_that_lets_go_resumes_its_flexor(self, scenario, monkeypatch):
+        """Middle is established at step 94, in the first contact_opt block,
+        so the second block holds its flexor.  With every contact dropped
+        from the second contact_opt pass on, that block's first row has no
+        established finger: the block keeps that row, and each servo goal
+        from the next block on is the contact goal, with no flexor held."""
+        import graspforge.controller
+        from graspforge.contact import _stacked_contacts
+        chain = scenario.scene.chain
+        middle = chain.column_of[chain.fingers["middle"].joints[-2]]
+        goals, passes, solved = [], [], []
+
+        def solve(chain, targets, q, ik, phase):
+            solved.append(_solve_goal(chain, targets, q, ik, phase))
+            return solved[-1]
+
+        def servo(q, goal, run, chain):
+            goals.append(goal.copy())
+            return step_servo(q, goal, run, chain)
+
+        def detect(scene, frames):
+            # the pre_grasp pass and the first contact_opt block's see the box
+            passes.append(len(goals))
+            found = _stacked_contacts(scene, frames)
+            return found if len(passes) <= 2 else tuple(a[:0] for a in found)
+
+        monkeypatch.setattr(graspforge.controller, "_solve_goal", solve)
+        monkeypatch.setattr(graspforge.controller, "step_servo", servo)
+        monkeypatch.setattr(graspforge.controller, "_stacked_contacts", detect)
+        _, log, assessment = execute_grasp(scenario.scene, scenario.targets, scenario.run,
+                                           scenario.ik, scenario.validation)
+        contact_goal = solved[1]
+        assert (log.end_step, assessment.failure_reason) == (400, "too_few_contacts")
+        # 80 pre_grasp rows, then two blocks of 16: 14 kept, then 1
+        assert passes[:3] == [80, 96, 112]
+        held = goals[96:112]
+        assert all(g[middle] != contact_goal[middle] for g in held)
+        assert all(np.array_equal(np.delete(g, middle), np.delete(contact_goal, middle))
+                   for g in held)
+        # steps 96-400, 305 rows, each under the contact goal
+        later = goals[112:]
+        assert len(later) == 305
+        assert [i for i, g in enumerate(later) if g.tobytes() != contact_goal.tobytes()] == []
+
     def test_debug_log_reports_ik_outcomes_and_phase_steps(self, scenario, caplog, capsys):
         caplog.set_level(logging.DEBUG, logger="graspforge")
         execute_grasp(scenario.scene, scenario.targets, scenario.run, scenario.ik,
@@ -670,16 +714,15 @@ class TestRunConfigCorners:
 
     @pytest.mark.parametrize("overrides, transition, sizes", [
         ([], 80, [7] * 11 + [3]),
-        # every block of 7 steps reads 3 rows: its multiples of 3 and its last
-        # step (steps 3, 6 and 7 of the first), and so does the last block,
-        # steps 113-118 (114, 117 and 118)
-        (["run.steps=2000", "run.log_every=3"], 118, [3] * 17)])
+        # each block of 7 steps reads its multiples of 3, two or three
+        # (steps 3 and 6 of the first), and so does the last block, steps
+        # 113-118 (114 and 117)
+        (["run.steps=2000", "run.log_every=3"], 118, [2, 2, 3] * 5 + [2, 2])])
     def test_a_small_approach_block_changes_no_output(self, overrides, transition, sizes,
                                                       caplog, monkeypatch):
         """pre_grasp stacked 7 steps at a time, so its 80 or 118 steps span
         12 or 17 passes, the last one partial, gives the bytes of the default.
-        A pass stacks only the rows it reads: the logged steps and the
-        block's last."""
+        A pass stacks only the block's logged steps."""
         import graspforge.controller
         from graspforge.kinematics import _stacked_frames
         default = _grasp_outputs(overrides, caplog)
